@@ -1,8 +1,7 @@
 GO ?= go
 BENCH ?= BenchmarkSweepParallelism
-BENCH_COUNT ?= 8
 
-.PHONY: all test lint race race-shards cover cover-update bench bench-pdes bench-serve bench-baseline bench-compare bench-snapshot bench-snapshot-pdes bench-snapshot-serve serve-smoke golden clean
+.PHONY: all test lint race race-shards cover cover-update bench bench-pdes bench-serve serve-smoke golden clean
 
 all: test
 
@@ -60,8 +59,8 @@ bench:
 # The single-machine PDES pair (big-serial vs big-sharded) with allocation
 # stats: the quick check that the sharded coordinator's wall-clock ratio
 # and allocs/op haven't regressed. CI runs this in the bench smoke job;
-# PDES_BENCHTIME keeps it a sub-second smoke there (raise for real
-# measurements, or use bench-snapshot-pdes to record the committed pair).
+# PDES_BENCHTIME keeps it a sub-second smoke there; for real measurements
+# use the repository benchmark (bench/README.md: sim_big64's traced run).
 PDES_BENCHTIME ?= 10x
 bench-pdes:
 	$(GO) test -run '^$$' -bench '$(BENCH)/big-' -benchmem -benchtime $(PDES_BENCHTIME) -count 1 .
@@ -76,49 +75,11 @@ serve-smoke:
 
 # The punoserve serving-path triple (cold miss / warm cache hit / 64-way
 # singleflight collapse) with allocation stats. SERVE_BENCHTIME keeps it a
-# smoke in CI; use bench-snapshot-serve to record the committed numbers.
+# smoke in CI; for real measurements use the repository benchmark
+# (bench/README.md: serve_warm, serve_cold).
 SERVE_BENCHTIME ?= 10x
 bench-serve:
 	$(GO) test -run '^$$' -bench 'Serve/' -benchmem -benchtime $(SERVE_BENCHTIME) -count 1 ./internal/serve
-
-# Record the current hot-path performance as the comparison baseline.
-# Run this on the commit you want to compare against, then make your
-# change and run bench-compare.
-bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(BENCH_COUNT) . | tee bench_base.txt
-
-# Statistical before/after comparison of the hot-path benchmarks.
-# Uses benchstat when installed (go install golang.org/x/perf/cmd/benchstat@latest);
-# otherwise prints both raw runs side by side.
-bench-compare:
-	@test -f bench_base.txt || { echo "no bench_base.txt; run 'make bench-baseline' on the base commit first" >&2; exit 1; }
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(BENCH_COUNT) . | tee bench_new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench_base.txt bench_new.txt; \
-	else \
-		echo "--- benchstat not installed; raw results ---"; \
-		echo "== base =="; grep '^Benchmark' bench_base.txt; \
-		echo "== new  =="; grep '^Benchmark' bench_new.txt; \
-	fi
-
-# Regenerate BENCH_sweep.json from a fresh multi-count run of the hot-path
-# benchmark: the previous "current" entry is rotated into the baseline slot
-# and the new numbers become current. Describe the change with NOTE=...
-bench-snapshot:
-	$(GO) test -run '^$$' -bench '$(BENCH)/serial$$' -benchmem -count $(BENCH_COUNT) . | tee bench_snapshot.txt
-	$(GO) run ./cmd/benchsnap -in bench_snapshot.txt -out BENCH_sweep.json -note '$(NOTE)'
-
-# Refresh the single-machine PDES pair (big-serial vs big-sharded, 64-node
-# 8x8 config) in BENCH_sweep.json. Describe the run with NOTE=...
-bench-snapshot-pdes:
-	$(GO) test -run '^$$' -bench '$(BENCH)/big-' -benchmem -count $(BENCH_COUNT) . | tee bench_pdes.txt
-	$(GO) run ./cmd/benchsnap -in bench_pdes.txt -out BENCH_sweep.json -pair -note '$(NOTE)'
-
-# Refresh the serve section (cold/warm/singleflight, with the cold/warm
-# speedup) in BENCH_sweep.json. Describe the run with NOTE=...
-bench-snapshot-serve:
-	$(GO) test -run '^$$' -bench 'Serve/' -benchmem -count $(BENCH_COUNT) ./internal/serve | tee bench_serve.txt
-	$(GO) run ./cmd/benchsnap -in bench_serve.txt -out BENCH_sweep.json -serve -note '$(NOTE)'
 
 # Regenerate the determinism golden files after an intentional change.
 golden:
@@ -126,4 +87,4 @@ golden:
 
 clean:
 	$(GO) clean ./...
-	rm -f bench_base.txt bench_new.txt bench_snapshot.txt bench_pdes.txt bench_serve.txt cover.txt
+	rm -f cover.txt

@@ -388,9 +388,8 @@ func BenchmarkSweepParallelism(b *testing.B) {
 	// serial-traced is the serial sweep with an event sink installed on
 	// every spec: the cost of leaving event tracing on. The serial variant
 	// above runs with the sink nil, so comparing the two isolates the
-	// tracing overhead, and comparing serial against the pre-hook baseline
-	// in BENCH_sweep.json shows the tracing-off cost of the hooks
-	// themselves (one nil check per emit site — expected within noise).
+	// tracing overhead; the tracing-off cost of the hooks themselves is
+	// one nil check per emit site.
 	b.Run("serial-traced", func(b *testing.B) {
 		var specs []RunSpec
 		var sinks []*EventBuffer

@@ -11,6 +11,7 @@ package puno
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -181,6 +182,25 @@ func TestGoldenEnsembleOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareGolden(t, "ensemble_golden.txt", tbl.String())
+}
+
+// TestGoldenTraceText pins the text a Config.TraceFn receives — every line,
+// in order, with its cycle and node — for one short 4-node labyrinth/PUNO
+// run, in testdata/trace_text.golden. The sweep goldens never install a
+// TraceFn, so without this a dropped, reordered or reformatted trace line
+// (what `punosim -trace` prints) would go unnoticed.
+func TestGoldenTraceText(t *testing.T) {
+	cfg := detConfig()
+	cfg.Scheme = SchemePUNO
+	cfg.Nodes, cfg.Mesh.Width, cfg.Mesh.Height = 4, 2, 2
+	var b strings.Builder
+	cfg.TraceFn = func(cy Time, node int, ev string) {
+		fmt.Fprintf(&b, "%10d n%02d %s\n", cy, node, ev)
+	}
+	if _, err := Run(cfg, MustWorkload("labyrinth").WithTxPerCPU(1)); err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "trace_text.golden", b.String())
 }
 
 func compareGolden(t *testing.T, name, got string) {

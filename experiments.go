@@ -47,8 +47,12 @@ type RunSpec struct {
 // Arena is one worker's reusable simulation machine: the first run builds
 // it, later runs Reset it in place, so a long sweep pays machine
 // construction (caches, directory pools, event-queue slabs) once per worker
-// instead of once per sweep point. Serial and sharded (PDES) runs keep
-// separate arenas, since a caller may mix shardable and fallback specs.
+// instead of once per sweep point. A run on a warm arena still allocates the
+// per-node objects Machine.Reset documents as rebuilt (programs, RNGs,
+// contention managers) and the Result copy Run returns — a constant per
+// node count — and nothing per event or per transaction. Serial and sharded
+// (PDES) runs keep separate arenas, since a caller may mix shardable and
+// fallback specs.
 // Results are identical to fresh construction — Machine.Reset and New share
 // one code path. An Arena is not safe for concurrent use; long-lived pools
 // (punoserve) keep one per worker goroutine, exactly as RunSpecs does.

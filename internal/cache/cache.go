@@ -64,6 +64,7 @@ func (c Config) Sets() int { return c.SizeBytes / (mem.LineBytes * c.Ways) }
 // with New.
 type Cache struct {
 	sets    int
+	setMask uint64 // sets-1: New guarantees sets is a power of two
 	ways    int
 	entries []Entry // sets x ways
 	tick    uint64
@@ -87,6 +88,7 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		sets:    sets,
+		setMask: uint64(sets - 1),
 		ways:    cfg.Ways,
 		entries: make([]Entry, sets*cfg.Ways),
 	}
@@ -111,8 +113,10 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
+// setIndex is (line number) mod sets, as a shift and a mask: every access
+// indexes a set, and a 64-bit modulo is the dearest instruction on that path.
 func (c *Cache) setIndex(l mem.Line) int {
-	return int((uint64(l) / mem.LineBytes) % uint64(c.sets))
+	return int((uint64(l) / mem.LineBytes) & c.setMask)
 }
 
 func (c *Cache) setSlice(l mem.Line) []Entry {

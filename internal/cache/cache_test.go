@@ -29,6 +29,7 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 		{SizeBytes: 0, Ways: 4},
 		{SizeBytes: 1024, Ways: 0},
 		{SizeBytes: 3 * mem.LineBytes, Ways: 1}, // 3 sets: not a power of two
+		{SizeBytes: 48 << 10, Ways: 4},          // 192 sets: the mask index would be wrong
 	} {
 		func() {
 			defer func() {
@@ -38,6 +39,32 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// TestSetIndexMatchesModulo pins the shift-and-mask set index to the
+// definition it replaced, (line number) mod sets, for every geometry New
+// accepts across the shipped range — including lines far above the array
+// and lines differing only in bits above the index. (New rejects any other
+// set count, so the mask needs no modulo fallback; the 192-set case above
+// pins that.)
+func TestSetIndexMatchesModulo(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: mem.LineBytes, Ways: 1}, // 1 set: mask 0
+		{SizeBytes: 4 * mem.LineBytes, Ways: 2},
+		{SizeBytes: 32 << 10, Ways: 4}, // the shipped L1: 128 sets
+		{SizeBytes: 1 << 20, Ways: 8},  // 2048 sets
+	} {
+		c := New(cfg)
+		sets := uint64(c.Sets())
+		for _, base := range []uint64{0, 1 << 20, 0x4000_0000, 1<<63 - 1<<20} {
+			for i := uint64(0); i < 3*sets+5; i++ {
+				l := mem.Line((base/mem.LineBytes + i) * mem.LineBytes)
+				if got, want := c.setIndex(l), int((uint64(l)/mem.LineBytes)%sets); got != want {
+					t.Fatalf("%+v: setIndex(%v) = %d, want %d", cfg, l, got, want)
+				}
+			}
+		}
 	}
 }
 

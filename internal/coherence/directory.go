@@ -41,10 +41,10 @@ func (s DirState) String() string {
 type Env interface {
 	Now() sim.Time
 	Send(delay sim.Time, msg *Msg)
-	// NewMsg returns a message for the directory to fill completely and
-	// hand to Send. Implementations may recycle delivered messages through
-	// a pool, so fields are NOT zeroed; the directory overwrites every
-	// message wholesale (*msg = Msg{...}) before sending.
+	// NewMsg returns a message for the directory to fill and hand to Send.
+	// Implementations may recycle delivered messages through a pool, so
+	// fields are NOT zeroed; the directory zeroes every message itself and
+	// writes its fields in place (msgTo) before sending.
 	NewMsg() *Msg
 	// Interner is the machine-wide line interner the directory indexes its
 	// dense entry table by. Returning nil makes the directory run a private
@@ -145,12 +145,17 @@ type dirEntry struct {
 	waitWB      bool
 	gotWB       bool
 	gotUnblock  bool
-	unblock     Msg
 	savedState  DirState
 	savedShare  nodeSet
 	savedOwner  int
 	busyReqID   uint64
 	busyReqIsTx bool
+
+	// The UNBLOCK payload tryComplete needs once the writeback (if any) has
+	// also arrived: three fields, not a copy of the message.
+	unblockOK      bool // Success
+	unblockMP      bool // MPBit
+	unblockAborted int  // AbortedSharers
 
 	// pending queues requests that arrived while the entry was busy; they
 	// are serviced FIFO when the entry unblocks. Without this, fixed-period
@@ -457,24 +462,68 @@ func (d *Directory) observe(m *Msg) {
 	}
 }
 
-// send fills a pooled message with m and hands it to the environment; the
-// literal callers build stays on the stack, so the only message object per
-// send is the recycled one.
+// msgTo takes a pooled message from the environment, zeroes it, and fills
+// the fields every directory send sets: type, the line of the message m being
+// answered, and the route from this bank to dst. The caller writes whatever
+// else the type carries straight into the slot and hands it to env.Send, so
+// a message is written once, where it will live.
 //
 //puno:hot
-func (d *Directory) send(delay sim.Time, m Msg) {
+func (d *Directory) msgTo(t MsgType, m *Msg, dst int) *Msg {
 	msg := d.env.NewMsg()
-	*msg = m
-	d.env.Send(delay, msg)
+	*msg = Msg{}
+	msg.Type, msg.Line, msg.LID = t, m.Line, m.LID
+	msg.Src, msg.Dst = d.node, dst
+	return msg
+}
+
+// reply is msgTo addressed to request m's sender and tagged with its ReqID:
+// the header of every response the requester collects.
+//
+//puno:hot
+func (d *Directory) reply(t MsgType, m *Msg) *Msg {
+	msg := d.msgTo(t, m, m.Src)
+	msg.Requester, msg.ReqID = m.Src, m.ReqID
+	return msg
+}
+
+// sendData answers request m with the line's L2 image and the number of
+// sharer responses the requester must still collect.
+//
+//puno:hot
+func (d *Directory) sendData(extra sim.Time, m *Msg, ackCount int) {
+	data, lat := d.env.LineData(m.Line, m.LID)
+	msg := d.reply(MsgData, m)
+	msg.Data, msg.HasData, msg.AckCount = data, true, ackCount
+	d.env.Send(d.DirLatency+extra+lat, msg)
+}
+
+// sendAckCount answers a dataless upgrade with its response count alone.
+//
+//puno:hot
+func (d *Directory) sendAckCount(extra sim.Time, m *Msg, ackCount int) {
+	msg := d.reply(MsgAckCount, m)
+	msg.AckCount = ackCount
+	d.env.Send(d.DirLatency+extra, msg)
+}
+
+// forward relays request m to dst (the owner, or a sharer to invalidate),
+// carrying the requester's identity and transactional metadata so dst can
+// answer the requester directly. ubit marks a predictive unicast.
+//
+//puno:hot
+func (d *Directory) forward(t MsgType, extra sim.Time, m *Msg, dst int, ubit bool) {
+	msg := d.msgTo(t, m, dst)
+	msg.Requester, msg.ReqID = m.Src, m.ReqID
+	msg.IsTx, msg.Prio = m.IsTx, m.Prio
+	msg.IsWrite, msg.UBit = t == MsgFwdGETX, ubit
+	d.env.Send(d.DirLatency+extra, msg)
 }
 
 func (d *Directory) nackBusy(m *Msg) {
 	d.stats.BusyNacks++
 	d.emit(probe.KindDirBusyNack, m.LID, 0, m.Src, m.ReqID)
-	d.send(d.DirLatency, Msg{
-		Type: MsgNackBusy, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-		Requester: m.Src, ReqID: m.ReqID,
-	})
+	d.env.Send(d.DirLatency, d.reply(MsgNackBusy, m))
 }
 
 // park queues a copy of the request on a busy entry, or NackBusy-rejects
@@ -490,6 +539,7 @@ func (d *Directory) park(e *dirEntry, m *Msg) {
 	e.pending = append(e.pending, *m)
 }
 
+//puno:hot
 func (d *Directory) handleGETS(m *Msg) {
 	d.observe(m)
 	e := d.entry(m.Line, m.LID)
@@ -501,27 +551,20 @@ func (d *Directory) handleGETS(m *Msg) {
 	switch e.state {
 	case DirInvalid, DirShared:
 		// Serviced entirely at the home node: read L2, add sharer, reply.
-		data, lat := d.env.LineData(m.Line, m.LID)
 		e.state = DirShared
 		e.sharers.add(m.Src)
-		d.send(d.DirLatency+lat, Msg{
-			Type: MsgData, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-			Requester: m.Src, ReqID: m.ReqID, Data: data, HasData: true,
-		})
+		d.sendData(0, m, 0)
 		d.updateUD(e, m.Line)
 	case DirModified:
 		// Forward to the owner; it supplies data to the requester and a
 		// writeback copy to us. Blocked until WBData + UNBLOCK.
 		d.beginBusy(e, m, false)
 		e.waitWB = true
-		d.send(d.DirLatency, Msg{
-			Type: MsgFwdGETS, Line: m.Line, LID: m.LID, Src: d.node, Dst: e.owner,
-			Requester: m.Src, ReqID: m.ReqID, IsTx: m.IsTx, Prio: m.Prio,
-			IsWrite: false,
-		})
+		d.forward(MsgFwdGETS, 0, m, e.owner, false)
 	}
 }
 
+//puno:hot
 func (d *Directory) handleGETX(m *Msg) {
 	d.observe(m)
 	e := d.entry(m.Line, m.LID)
@@ -542,18 +585,13 @@ func (d *Directory) handleGETX(m *Msg) {
 	switch e.state {
 	case DirInvalid:
 		d.beginBusy(e, m, true)
-		data, lat := d.env.LineData(m.Line, m.LID)
-		d.send(d.DirLatency+lat, Msg{
-			Type: MsgData, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-			Requester: m.Src, ReqID: m.ReqID, Data: data, HasData: true,
-			AckCount: 0,
-		})
+		d.sendData(0, m, 0)
 	case DirShared:
 		d.beginBusy(e, m, true)
 		targets := d.sharersScratch(e.sharers, m.Src)
 		if len(targets) == 0 {
 			// Requester is the only sharer (upgrade) or the list was empty.
-			d.grantNoSharers(e, m)
+			d.grantNoSharers(m)
 			return
 		}
 		if d.pred != nil && m.IsTx {
@@ -563,11 +601,7 @@ func (d *Directory) handleGETX(m *Msg) {
 				d.stats.UnicastForwards++
 				e.unicastTo = dest
 				d.emit(probe.KindDirUnicast, m.LID, dest, m.Src, m.ReqID)
-				d.send(d.DirLatency+d.pred.DecisionLatency(), Msg{
-					Type: MsgFwdGETX, Line: m.Line, LID: m.LID, Src: d.node, Dst: dest,
-					Requester: m.Src, ReqID: m.ReqID, IsTx: m.IsTx,
-					Prio: m.Prio, IsWrite: true, UBit: true,
-				})
+				d.forward(MsgFwdGETX, d.pred.DecisionLatency(), m, dest, true)
 				return
 			}
 		}
@@ -579,50 +613,26 @@ func (d *Directory) handleGETX(m *Msg) {
 		d.stats.MulticastFwds += uint64(len(targets))
 		d.emit(probe.KindDirMulticast, m.LID, len(targets), m.Src, m.ReqID)
 		for _, t := range targets {
-			d.send(d.DirLatency+extra, Msg{
-				Type: MsgFwdGETX, Line: m.Line, LID: m.LID, Src: d.node, Dst: t,
-				Requester: m.Src, ReqID: m.ReqID, IsTx: m.IsTx, Prio: m.Prio,
-				IsWrite: true,
-			})
+			d.forward(MsgFwdGETX, extra, m, t, false)
 		}
 		if m.NeedData || !e.sharers.has(m.Src) {
-			data, lat := d.env.LineData(m.Line, m.LID)
-			d.send(d.DirLatency+extra+lat, Msg{
-				Type: MsgData, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-				Requester: m.Src, ReqID: m.ReqID, Data: data, HasData: true,
-				AckCount: len(targets),
-			})
+			d.sendData(extra, m, len(targets))
 		} else {
-			d.send(d.DirLatency+extra, Msg{
-				Type: MsgAckCount, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-				Requester: m.Src, ReqID: m.ReqID, AckCount: len(targets),
-			})
+			d.sendAckCount(extra, m, len(targets))
 		}
 	case DirModified:
 		d.beginBusy(e, m, true)
-		d.send(d.DirLatency, Msg{
-			Type: MsgFwdGETX, Line: m.Line, LID: m.LID, Src: d.node, Dst: e.owner,
-			Requester: m.Src, ReqID: m.ReqID, IsTx: m.IsTx, Prio: m.Prio,
-			IsWrite: true,
-		})
+		d.forward(MsgFwdGETX, 0, m, e.owner, false)
 	}
 }
 
 // grantNoSharers completes a GETX that needs no invalidations.
-func (d *Directory) grantNoSharers(e *dirEntry, m *Msg) {
+func (d *Directory) grantNoSharers(m *Msg) {
 	if m.NeedData {
-		data, lat := d.env.LineData(m.Line, m.LID)
-		d.send(d.DirLatency+lat, Msg{
-			Type: MsgData, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-			Requester: m.Src, ReqID: m.ReqID, Data: data, HasData: true,
-			AckCount: 0,
-		})
+		d.sendData(0, m, 0)
 		return
 	}
-	d.send(d.DirLatency, Msg{
-		Type: MsgAckCount, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-		Requester: m.Src, ReqID: m.ReqID, AckCount: 0,
-	})
+	d.sendAckCount(0, m, 0)
 }
 
 func (d *Directory) beginBusy(e *dirEntry, m *Msg, isGETX bool) {
@@ -643,6 +653,7 @@ func (d *Directory) beginBusy(e *dirEntry, m *Msg, isGETX bool) {
 	e.busyReqIsTx = m.IsTx
 }
 
+//puno:hot
 func (d *Directory) handleUnblock(m *Msg) {
 	e := d.entry(m.Line, m.LID)
 	if !e.busy {
@@ -652,7 +663,7 @@ func (d *Directory) handleUnblock(m *Msg) {
 		panic(fmt.Sprintf("coherence: UNBLOCK from %d but busy requester is %d", m.Src, e.requester))
 	}
 	e.gotUnblock = true
-	e.unblock = *m
+	e.unblockOK, e.unblockMP, e.unblockAborted = m.Success, m.MPBit, m.AbortedSharers
 	if m.MPBit && d.pred != nil {
 		d.stats.Mispredictions++
 		d.pred.Misprediction(m.Line, m.MPNode, m.Prio)
@@ -674,9 +685,7 @@ func (d *Directory) handlePUTX(m *Msg) {
 	if e.busy || e.state != DirModified || e.owner != m.Src {
 		// Raced with a forward (or is stale): the owner must keep serving
 		// the in-flight forward from its retained copy.
-		d.send(d.DirLatency, Msg{
-			Type: MsgWBStale, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-		})
+		d.env.Send(d.DirLatency, d.msgTo(MsgWBStale, m, m.Src))
 		return
 	}
 	d.stats.Writebacks++
@@ -684,9 +693,7 @@ func (d *Directory) handlePUTX(m *Msg) {
 	e.state = DirInvalid
 	e.sharers = nodeSet{}
 	e.owner = -1
-	d.send(d.DirLatency, Msg{
-		Type: MsgWBAck, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-	})
+	d.env.Send(d.DirLatency, d.msgTo(MsgWBAck, m, m.Src))
 	d.recycleIfIdle(e)
 }
 
@@ -694,12 +701,12 @@ func (d *Directory) tryComplete(l mem.Line, e *dirEntry) {
 	if !e.gotUnblock {
 		return
 	}
-	if e.unblock.Success && e.waitWB && !e.gotWB {
+	if e.unblockOK && e.waitWB && !e.gotWB {
 		return
 	}
 	// Apply the final transition.
 	req := e.requester
-	if e.unblock.Success {
+	if e.unblockOK {
 		switch {
 		case e.busyGETX:
 			e.state = DirModified
@@ -723,9 +730,9 @@ func (d *Directory) tryComplete(l mem.Line, e *dirEntry) {
 	}
 	if d.pred != nil && e.busyTxGETX {
 		if e.unicastTo >= 0 {
-			d.pred.UnicastResolved(!e.unblock.MPBit)
+			d.pred.UnicastResolved(!e.unblockMP)
 		} else {
-			d.pred.MulticastResolved(!e.unblock.Success && e.unblock.AbortedSharers > 0)
+			d.pred.MulticastResolved(!e.unblockOK && e.unblockAborted > 0)
 		}
 	}
 	// Blocking accounting.
@@ -740,16 +747,17 @@ func (d *Directory) tryComplete(l mem.Line, e *dirEntry) {
 	// Drain parked requests until one re-blocks the entry (or none are
 	// left): requests serviced entirely at the home node (e.g. GETS from
 	// Shared) do not block, so stopping after one would strand the rest.
+	// The head is serviced where it sits, then shifted out: the handlers
+	// only read it, and nothing can park on e (the one queue this could
+	// disturb) while e is not busy.
 	for !e.busy && len(e.pending) > 0 {
-		next := e.pending[0]
-		copy(e.pending, e.pending[1:])
-		e.pending = e.pending[:len(e.pending)-1]
-		switch next.Type {
+		switch next := &e.pending[0]; next.Type {
 		case MsgGETS:
-			d.handleGETS(&next)
+			d.handleGETS(next)
 		case MsgGETX:
-			d.handleGETX(&next)
+			d.handleGETX(next)
 		}
+		e.pending = e.pending[:copy(e.pending, e.pending[1:])]
 	}
 }
 

@@ -57,47 +57,52 @@ func (t MsgType) String() string {
 
 // Msg is one coherence message. Fields beyond Type/Line/Src/Dst are used by
 // subsets of the message types; see the field comments.
+//
+// The layout is part of the hot path: every message is zeroed and filled in
+// place in a pooled slot, so the word-sized fields come first, then LID with
+// Type and the flag bytes packed into two words, and the 64-byte Data last —
+// 168 bytes (TestMsgSize) where declaration-by-topic order cost 208.
 type Msg struct {
-	Type MsgType
 	Line mem.Line
-	// LID is Line's interned dense ID (0 when the sender did not know it —
-	// the directory interns on arrival). Carrying it on every message lets
-	// the receiving controller index its dense tables without hashing.
-	LID mem.LineID
-	Src int // sending node
-	Dst int // receiving node
+	Src  int // sending node
+	Dst  int // receiving node
 
 	// Requester identity, threaded through forwards so sharers respond
 	// directly to the requester (3-hop protocol).
 	Requester int
 	ReqID     uint64 // requester's per-request generation tag, echoed in responses
 
-	// Transactional metadata carried on requests and forwards.
-	IsTx     bool
 	Prio     htm.Priority // requester transaction priority (timestamp)
-	IsWrite  bool         // the forwarded request is a write (GETX)
-	NeedData bool         // GETX from Invalid: requester has no copy
-
-	// PUNO protocol extensions (Fig. 7 of the paper).
-	UBit     bool     // forward was unicast by the predictive directory
-	MPBit    bool     // NACK/UNBLOCK: unicast destination was mispredicted
-	MPNode   int      // UNBLOCK: the mispredicted node whose P-Buffer entry is stale
-	TEst     sim.Time // NACK: nacker's estimated remaining cycles (0 = no notification)
-	AvgTxLen sim.Time // requests: requester's average transaction length (directory timeout hint)
-
-	// Data movement.
-	Data    mem.LineData
-	HasData bool
+	MPNode   int          // UNBLOCK: the mispredicted node whose P-Buffer entry is stale
+	TEst     sim.Time     // NACK: nacker's estimated remaining cycles (0 = no notification)
+	AvgTxLen sim.Time     // requests: requester's average transaction length (directory timeout hint)
 
 	// Directory -> requester bookkeeping.
 	AckCount int // number of sharer responses the requester must collect
 
-	// UNBLOCK payload. AbortedSharers tells the directory how many sharers
-	// aborted for this service (it only observes responses indirectly), so
-	// the predictor can estimate how much false aborting its multicasts
-	// cause.
-	Success        bool
+	// UNBLOCK payload (with Success below). AbortedSharers tells the
+	// directory how many sharers aborted for this service (it only observes
+	// responses indirectly), so the predictor can estimate how much false
+	// aborting its multicasts cause.
 	AbortedSharers int
+
+	// LID is Line's interned dense ID (0 when the sender did not know it —
+	// the directory interns on arrival). Carrying it on every message lets
+	// the receiving controller index its dense tables without hashing.
+	LID  mem.LineID
+	Type MsgType
+
+	// Transactional metadata carried on requests and forwards.
+	IsTx     bool
+	IsWrite  bool // the forwarded request is a write (GETX)
+	NeedData bool // GETX from Invalid: requester has no copy
+
+	// PUNO protocol extensions (Fig. 7 of the paper), with MPNode and TEst.
+	UBit  bool // forward was unicast by the predictive directory
+	MPBit bool // NACK/UNBLOCK: unicast destination was mispredicted
+
+	HasData bool // Data is meaningful (and the message is DataFlits long)
+	Success bool // UNBLOCK: the request completed (false: it was NACKed)
 
 	// Responder-side annotations. Sole marks a response from the only
 	// node servicing the request (the owner of a Modified line, or the
@@ -107,6 +112,9 @@ type Msg struct {
 	// the requester counts these to classify false aborting (Figs. 2, 3).
 	Sole          bool
 	AbortedSharer bool
+
+	// Data movement.
+	Data mem.LineData
 }
 
 // ControlFlits and DataFlits size protocol messages on the network: a

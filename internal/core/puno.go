@@ -91,6 +91,15 @@ type Predictor struct {
 // NewPredictor builds the directory-side state. clock provides the current
 // cycle for the rollover timeout.
 func NewPredictor(cfg PredictorConfig, clock func() sim.Time) *Predictor {
+	p := &Predictor{clock: clock}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset returns the predictor to the state NewPredictor(cfg, clock) produces
+// for the clock it was built with, reusing the P-Buffer when the node count
+// is unchanged.
+func (p *Predictor) Reset(cfg PredictorConfig) {
 	if cfg.Nodes <= 0 {
 		panic("core: predictor needs at least one node")
 	}
@@ -100,12 +109,13 @@ func NewPredictor(cfg PredictorConfig, clock func() sim.Time) *Predictor {
 	if cfg.TimeoutMultiplier <= 0 {
 		cfg.TimeoutMultiplier = 16
 	}
-	return &Predictor{
-		cfg:        cfg,
-		clock:      clock,
-		pbuf:       make([]pbufEntry, cfg.Nodes),
-		confidence: 1,
+	pbuf := p.pbuf
+	if len(pbuf) != cfg.Nodes {
+		pbuf = make([]pbufEntry, cfg.Nodes)
+	} else {
+		clear(pbuf)
 	}
+	*p = Predictor{cfg: cfg, clock: p.clock, pbuf: pbuf, confidence: 1}
 }
 
 // timeoutPeriod returns the current rollover period: adaptive to the

@@ -246,3 +246,36 @@ func TestDecisionLatency(t *testing.T) {
 		t.Fatalf("DecisionLatency = %d, want 2", p.DecisionLatency())
 	}
 }
+
+// TestPredictorResetEqualsNew: a trained predictor Reset under the same
+// config forgets everything a new one does not know — P-Buffer, confidence,
+// counters, the pending rollover — and keeps its clock.
+func TestPredictorResetEqualsNew(t *testing.T) {
+	var now sim.Time
+	p := newPred(&now)
+	p.ObserveRequest(1, 10, 500)
+	p.ObserveRequest(5, 30, 500)
+	p.UnicastResolved(false)
+	p.MulticastResolved(true)
+	p.Mispreds++
+	now = 1 << 20
+	p.Reset(DefaultPredictorConfig(16))
+	if p.Valid(1) || p.Valid(5) || p.Confidence() != 1 || p.Benefit() != 0 || p.Mispreds != 0 {
+		t.Fatalf("Reset left state behind: %+v", p)
+	}
+	// Same observable behaviour as a new predictor from here on.
+	fresh := newPred(&now)
+	for _, q := range []*Predictor{p, fresh} {
+		q.ObserveRequest(2, 7, 100)
+		q.UpdateUD(pline, []int{2})
+	}
+	d1, ok1 := p.PredictUnicast(pline, []int{2}, 9, 50)
+	d2, ok2 := fresh.PredictUnicast(pline, []int{2}, 9, 50)
+	if d1 != d2 || ok1 != ok2 {
+		t.Fatalf("reset predictor predicts %d/%v, new one %d/%v", d1, ok1, d2, ok2)
+	}
+	p.Reset(DefaultPredictorConfig(4))
+	if _, ok := p.PriorityOf(3); ok {
+		t.Fatal("resized predictor kept an entry")
+	}
+}

@@ -31,14 +31,25 @@ type txlbEntry struct {
 
 // NewTxLB returns a buffer with the given entry capacity.
 func NewTxLB(capacity int) *TxLB {
+	b := &TxLB{}
+	b.Reset(capacity)
+	return b
+}
+
+// Reset returns the buffer to the state NewTxLB(capacity) produces, reusing
+// the index map and the entry array when the capacity is unchanged.
+func (b *TxLB) Reset(capacity int) {
 	if capacity <= 0 {
 		panic("core: TxLB needs positive capacity")
 	}
-	return &TxLB{
-		capacity: capacity,
-		index:    make(map[int]int, capacity),
-		entries:  make([]txlbEntry, 0, capacity),
+	index, entries := b.index, b.entries[:0]
+	if capacity != b.capacity {
+		index = make(map[int]int, capacity)
+		entries = make([]txlbEntry, 0, capacity)
+	} else {
+		clear(index)
 	}
+	*b = TxLB{capacity: capacity, index: index, entries: entries}
 }
 
 // Len returns the number of tracked static transactions.

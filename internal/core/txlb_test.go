@@ -134,3 +134,29 @@ func TestTxLBEstimateNeverExceedsAverage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTxLBResetEqualsNew: a used buffer Reset to the same capacity is
+// indistinguishable from a new one (and to another capacity, resized).
+func TestTxLBResetEqualsNew(t *testing.T) {
+	b := NewTxLB(2)
+	b.Update(1, 100)
+	b.Update(2, 200)
+	b.Update(3, 300) // evicts
+	b.Reset(2)
+	if b.Len() != 0 || b.Updates != 0 || b.Evictions != 0 || b.GlobalAverage() != 0 || b.Average(1) != 0 {
+		t.Fatalf("Reset left state behind: %+v", b)
+	}
+	b.Update(7, 50)
+	fresh := NewTxLB(2)
+	fresh.Update(7, 50)
+	if b.Average(7) != fresh.Average(7) || b.Len() != fresh.Len() {
+		t.Fatal("reset buffer diverged from a new one")
+	}
+	b.Reset(4)
+	for id := 0; id < 4; id++ {
+		b.Update(id, 10)
+	}
+	if b.Len() != 4 || b.Evictions != 0 {
+		t.Fatalf("Reset(4) did not resize: len %d, evictions %d", b.Len(), b.Evictions)
+	}
+}

@@ -43,9 +43,12 @@ import (
 // cold path: the helper allocates only when a dense table doubles (or, for
 // Tx.interner, once per standalone-test transaction; for Tx.mustRun, only
 // on the panic path), so steady-state events pay zero heap traffic — the
-// property the benchmarks in BENCH_sweep.json pin.
+// property TestWarmArenaRunAllocs pins.
 var escapeAllowedCallees = map[string]string{
 	"(*repro/internal/machine.firstLoadTable).grow":        "amortized doubling of the dense first-load table",
+	"(*repro/internal/machine.firstLoadTable).record":      "inlines firstLoadTable.grow (above) into its hot callers",
+	"(*repro/internal/machine.Machine).newMsg":             "message-pool miss: allocates only until the pool holds the run's peak in-flight count",
+	"(*repro/internal/machine.node).msgTo":                 "inlines Machine.newMsg (above) into the node's send sites",
 	"(*repro/internal/htm.lineSet).ensureBits":             "amortized doubling of the read/write-set bitmap",
 	"(*repro/internal/coherence.Directory).ensureIdx":      "amortized doubling of the directory's dense index",
 	"(*repro/internal/pdes.Coordinator).growRenum":         "amortized doubling of the renumber table",

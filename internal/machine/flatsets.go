@@ -80,9 +80,14 @@ func (t *firstLoadTable) get(id mem.LineID) (int, bool) {
 }
 
 // grow extends the dense array to cover id (doubling headroom, so repeated
-// first touches of ascending IDs amortize to O(1)).
+// first touches of ascending IDs amortize to O(1)). Headroom re-exposed by
+// the reslice is zero: make zeroed it and record only writes below len.
 func (t *firstLoadTable) grow(id mem.LineID) {
 	n := int(id) + 1
+	if n <= cap(t.ops) {
+		t.ops = t.ops[:n]
+		return
+	}
 	s := make([]int32, n, 2*n)
 	copy(s, t.ops)
 	t.ops = s

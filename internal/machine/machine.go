@@ -61,12 +61,13 @@ type Machine struct {
 	// previous run's sink.
 	sink probe.Sink
 
-	// msgFree recycles coherence messages: every message is built wholesale
-	// into a pooled struct at its send site and returned to the pool by the
-	// dispatcher the moment its handler returns (handlers that need a
-	// message past that point — parked directory requests, deferred grants —
-	// copy it by value). In steady state the pool makes the protocol
-	// traffic allocation-free.
+	// msgFree recycles coherence messages: every message is zeroed and
+	// filled in place in a pooled struct at its send site (node.msgTo,
+	// Directory.msgTo) and returned to the pool by the dispatcher the
+	// moment its handler returns (handlers that need a message past that
+	// point — parked directory requests, deferred grants — copy it by
+	// value). In steady state the pool makes the protocol traffic
+	// allocation-free and copy-free.
 	msgFree []*coherence.Msg
 
 	// Shard-mode state (shard.go). [lo, hi) is the owned node range — the
@@ -80,8 +81,8 @@ type Machine struct {
 	ownIt  *mem.Interner
 }
 
-// newMsg pops a recycled message (fields NOT zeroed — callers overwrite
-// wholesale) or allocates the pool's next one.
+// newMsg pops a recycled message (fields NOT zeroed — the msgTo helpers
+// zero it and fill it in place) or allocates the pool's next one.
 func (m *Machine) newMsg() *coherence.Msg {
 	if n := len(m.msgFree); n > 0 {
 		msg := m.msgFree[n-1]
@@ -95,14 +96,6 @@ func (m *Machine) newMsg() *coherence.Msg {
 // retain the pointer.
 func (m *Machine) freeMsg(msg *coherence.Msg) {
 	m.msgFree = append(m.msgFree, msg)
-}
-
-// sendMsg ships a message built on the caller's stack through the pool and
-// onto the mesh.
-func (m *Machine) sendMsg(msg coherence.Msg) {
-	p := m.newMsg()
-	*p = msg
-	m.send(p)
 }
 
 // fail aborts the run with err (unrecoverable configuration or protocol
@@ -189,13 +182,23 @@ func New(cfg Config, wl Workload) (*Machine, error) {
 }
 
 // Reset rebuilds m to run wl under cfg (whose Seed field seeds the run,
-// exactly as in New), reusing every retained allocation: the event engine's
-// slab and wheel, the mesh arrays, cache arrays, HTM set/undo/signature
-// storage, directory entry pools, the coherence message pool, and the
-// result's map/slices. After Reset the machine is indistinguishable from
+// exactly as in New). After Reset the machine is indistinguishable from
 // New(cfg, wl): same construction order, same RNG stream, same Run
 // trajectory. Reset may be called in any state, including after a failed
 // run — the engine reset drops all pending events.
+//
+// Retained across Reset (when the node count and the sizes that shape them
+// are unchanged): the event engine's slab and wheel, the mesh's link,
+// coordinate and handler arrays, the interner and backing store, every
+// node's L1 array, HTM set/undo/signature storage, TxLB, first-load,
+// promoted-load and writeback tables, every directory's entry slab and index,
+// the predictors' P-Buffers (while consecutive runs use a predicting scheme),
+// the coherence message pool, and the result's slices. Rebuilt on every
+// Reset, because they belong to the (cfg, wl) pair rather than to the
+// machine: each node's Program (with the generator's scratch buffers), its
+// two forked RNGs, its contention manager, and its mesh delivery closure —
+// a constant handful of small objects per node, independent of how many
+// transactions or events the run then executes (TestWarmArenaRunAllocs).
 func (m *Machine) Reset(cfg Config, wl Workload) error {
 	return m.resetShard(cfg, wl, 0, cfg.Nodes, nil, nil)
 }
@@ -256,8 +259,8 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 	m.active = 0
 	m.runErr = nil
 	m.sink = cfg.EventSink
-	// msgFree is kept as-is: pooled messages are overwritten wholesale at
-	// every fill site, so leftover contents are harmless.
+	// msgFree is kept as-is: pooled messages are zeroed at every fill site,
+	// so leftover contents are harmless.
 
 	usePred := cfg.Scheme == SchemePUNO || cfg.Scheme == SchemeUnicastOnly || cfg.Scheme == SchemePUNOPush
 	if len(m.nodes) != cfg.Nodes {
@@ -289,7 +292,6 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 			continue
 		}
 		var pred coherence.Predictor
-		m.preds[i] = nil
 		if usePred {
 			pcfg := core.DefaultPredictorConfig(cfg.Nodes)
 			pcfg.FixedTimeout = cfg.FixedValidityTimeout
@@ -297,9 +299,14 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 			if cfg.ValidityTimeoutMult > 0 {
 				pcfg.TimeoutMultiplier = cfg.ValidityTimeoutMult
 			}
-			p := core.NewPredictor(pcfg, m.eng.Now)
-			m.preds[i] = p
-			pred = p
+			if m.preds[i] == nil {
+				m.preds[i] = core.NewPredictor(pcfg, m.eng.Now)
+			} else {
+				m.preds[i].Reset(pcfg)
+			}
+			pred = m.preds[i]
+		} else {
+			m.preds[i] = nil
 		}
 		if m.dirs[i] == nil {
 			m.dirs[i] = coherence.NewDirectory(i, cfg.Nodes, dirEnv{m, i}, pred)
@@ -390,6 +397,7 @@ func (m *Machine) Backing() *mem.Backing { return m.backing }
 // Engine exposes the simulation clock (tests).
 func (m *Machine) Engine() *sim.Engine { return m.eng }
 
+//puno:hot
 func (m *Machine) send(msg *coherence.Msg) {
 	if m.sink != nil {
 		m.sink.Emit(probe.Event{
@@ -451,6 +459,8 @@ func (m *Machine) OnEvent(arg any, word uint64) {
 // later arrivals queue behind it, so message storms cost time. The
 // dispatcher owns the message: it returns to the pool when the handler
 // returns (synchronously or after the occupancy wait).
+//
+//puno:hot
 func (m *Machine) deliver(id int, msg *coherence.Msg) {
 	switch msg.Type {
 	case coherence.MsgGETS, coherence.MsgGETX, coherence.MsgUnblock,

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -501,6 +503,38 @@ func TestPUNOPushSerializability(t *testing.T) {
 	for addr, want := range m.CommittedIncrements() {
 		if got := m.Backing().LoadWord(addr); got != want {
 			t.Fatalf("PUNO-Push broke serializability: %#x = %d, want %d", uint64(addr), got, want)
+		}
+	}
+}
+
+// TestTraceFnObservesWithoutPerturbing: a run with a TraceFn installed emits
+// every kind of trace line the node FSM has, and ends in exactly the result
+// (artifact bytes included) of the same run with tracing off — the hook is
+// tested at each site, never consulted for behaviour.
+func TestTraceFnObservesWithoutPerturbing(t *testing.T) {
+	wl := counterWorkload{name: "traced", txPerCPU: 6, counters: 2, incrsPer: 2, think: 0}
+	cfg := smallConfig(SchemePUNO, 11)
+	_, plain := runWorkload(t, cfg, wl)
+	want, err := EncodeResult(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	kinds := map[string]int{}
+	cfg.TraceFn = func(_ sim.Time, _ int, ev string) {
+		kinds[strings.Fields(ev)[0]]++
+	}
+	_, traced := runWorkload(t, cfg, wl)
+	got, err := EncodeResult(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("installing a TraceFn changed the run's artifact")
+	}
+	for _, k := range []string{"read", "write", "commit", "abort", "req", "fwd"} {
+		if kinds[k] == 0 {
+			t.Errorf("traced run emitted no %q line (got %v)", k, kinds)
 		}
 	}
 }

@@ -115,6 +115,7 @@ type node struct {
 	// node's transaction finishes.
 	wakeupSubs wakeupTable
 
+	tracing      bool        // Config.TraceFn != nil, cached at attach
 	pending      sim.EventID // cancellable compute/backoff event
 	gateBypassed bool        // inside a BeginGater callback (avoid re-gating)
 	doneAt       sim.Time
@@ -132,10 +133,11 @@ type node struct {
 
 func newNode(id int, m *Machine, prog Program, mgr cm.Manager) *node {
 	n := &node{
-		id: id,
-		m:  m,
-		l1: cache.New(m.cfg.L1),
-		tx: htm.NewTx(id),
+		id:   id,
+		m:    m,
+		l1:   cache.New(m.cfg.L1),
+		tx:   htm.NewTx(id),
+		txlb: core.NewTxLB(m.cfg.TxLBEntries),
 	}
 	n.tx.SetInterner(m.it)
 	n.attach(prog, mgr)
@@ -143,25 +145,26 @@ func newNode(id int, m *Machine, prog Program, mgr cm.Manager) *node {
 }
 
 // attach installs the per-run pieces newNode and reset share: the program,
-// the contention manager, a fresh TxLB, and the node's forked RNG. The fork
-// happens here — after the caller forked the program's RNG — so fresh and
-// reused nodes consume the root stream in the same order.
+// the contention manager, and the node's forked RNG. The fork happens here —
+// after the caller forked the program's RNG — so fresh and reused nodes
+// consume the root stream in the same order.
 func (n *node) attach(prog Program, mgr cm.Manager) {
 	n.prog = prog
 	n.cmgr = mgr
-	n.txlb = core.NewTxLB(n.m.cfg.TxLBEntries)
+	n.tracing = n.m.cfg.TraceFn != nil
 	n.rng = n.m.rootRNG.Fork(uint64(n.id) + 1)
 }
 
 // reset rearms the node for a fresh run under the machine's (possibly new)
 // config, reusing its containers: the L1 array, the HTM context's set/undo
-// storage, the writeback map, and the lineOpSet backing slices. Every other
-// field reverts to its newNode zero value wholesale, so a forgotten field
-// cannot leak state between arena-reused runs.
+// storage, the TxLB, the writeback map, and the lineOpSet backing slices.
+// Every other field reverts to its newNode zero value wholesale, so a
+// forgotten field cannot leak state between arena-reused runs.
 func (n *node) reset(prog Program, mgr cm.Manager) {
 	n.l1.Reset(n.m.cfg.L1)
 	n.tx.HardReset(n.id)
 	n.tx.SetInterner(n.m.it)
+	n.txlb.Reset(n.m.cfg.TxLBEntries)
 	wb := n.wbWait
 	wb.reset()
 	fl, pl := n.firstLoad, n.promotedLoads
@@ -172,6 +175,7 @@ func (n *node) reset(prog Program, mgr cm.Manager) {
 		m:             n.m,
 		l1:            n.l1,
 		tx:            n.tx,
+		txlb:          n.txlb,
 		wbWait:        wb,
 		firstLoad:     fl,
 		promotedLoads: pl,
@@ -234,11 +238,34 @@ func (n *node) OnEvent(_ any, word uint64) {
 //puno:hot
 func (n *node) afterEv(d sim.Time, code uint64) { n.m.eng.AfterEvent(d, n, nil, code) }
 
-// trace emits a debug event when tracing is enabled.
-func (n *node) trace(format string, args ...any) {
-	if n.m.cfg.TraceFn != nil {
-		n.m.cfg.TraceFn(n.m.eng.Now(), n.id, fmt.Sprintf(format, args...))
-	}
+// Debug tracing. n.tracing caches Config.TraceFn != nil, and every site
+// tests it before calling its helper, so an untraced run pays one predictable
+// branch per site. The helpers take typed arguments: a variadic ...any here
+// would box every uint64/Priority/State argument at the (hot) call site
+// whether or not anyone listens.
+
+func (n *node) emitTrace(ev string) { n.m.cfg.TraceFn(n.m.eng.Now(), n.id, ev) }
+
+func (n *node) traceRead(l mem.Line, v uint64, st cache.State) {
+	n.emitTrace(fmt.Sprintf("read %v = %d (state %v)", l, v, st))
+}
+
+func (n *node) traceWrite(l mem.Line, old, v uint64) {
+	n.emitTrace(fmt.Sprintf("write %v: %d -> %d", l, old, v))
+}
+
+func (n *node) traceAbort(cause AbortCause) {
+	n.emitTrace(fmt.Sprintf("abort cause=%d prio=%d attempts=%d", cause, n.tx.Prio, n.tx.Attempts))
+}
+
+func (n *node) traceReqDone(r *outstanding) {
+	n.emitTrace(fmt.Sprintf("req %d line %v complete: nack=%v aborted=%d write=%v data=%v",
+		r.id, r.line, r.sawNack, r.abortedSharers, r.isWrite, r.hasData))
+}
+
+func (n *node) traceFwd(f *coherence.Msg) {
+	n.emitTrace(fmt.Sprintf("fwd %v line %v from req%d prio=%d write=%v ubit=%v",
+		f.Type, f.Line, f.Requester, f.Prio, f.IsWrite, f.UBit))
 }
 
 // afterCancellableEv schedules a continuation and remembers the event so
@@ -302,6 +329,8 @@ func (n *node) beginAttempt(retry bool) {
 }
 
 // execOp dispatches the current operation (or commits when done).
+//
+//puno:hot
 func (n *node) execOp() {
 	if n.state != nsRunning {
 		panic(fmt.Sprintf("machine: node %d execOp in state %d", n.id, n.state))
@@ -351,6 +380,8 @@ func (n *node) finishAccess() {
 }
 
 // opDone advances past the current op.
+//
+//puno:hot
 func (n *node) opDone() {
 	n.opIdx++
 	n.phase = 0
@@ -363,6 +394,8 @@ func (n *node) opDone() {
 // hit latency the line is not yet in the read set, so a forwarded
 // invalidation may have removed it — in that case the access simply retries
 // as a miss.
+//
+//puno:hot
 func (n *node) readPhaseDone(e *cache.Entry, a mem.Addr) {
 	l := mem.LineOf(a)
 	if e == nil || e.Line != l || e.State == cache.Invalid {
@@ -370,7 +403,9 @@ func (n *node) readPhaseDone(e *cache.Entry, a mem.Addr) {
 		return
 	}
 	n.tx.RecordReadID(l, e.LID)
-	n.trace("read %v = %d (state %v)", l, e.Data[mem.WordIndex(a)], e.State)
+	if n.tracing {
+		n.traceRead(l, e.Data[mem.WordIndex(a)], e.State)
+	}
 	e.Pinned = true
 	n.firstLoad.record(e.LID, n.opIdx)
 	n.rdVal = e.Data[mem.WordIndex(a)]
@@ -386,6 +421,8 @@ func (n *node) readPhaseDone(e *cache.Entry, a mem.Addr) {
 // writeDone finishes a store into an Exclusive/Modified resident line. As
 // with readPhaseDone, the line may have been stolen during the hit latency
 // (it was not yet in the write set); re-validate and retry on loss.
+//
+//puno:hot
 func (n *node) writeDone(e *cache.Entry, a mem.Addr, v uint64) {
 	l := mem.LineOf(a)
 	if e == nil || e.Line != l || (e.State != cache.Modified && e.State != cache.Exclusive) {
@@ -393,7 +430,9 @@ func (n *node) writeDone(e *cache.Entry, a mem.Addr, v uint64) {
 		return
 	}
 	old := e.Data[mem.WordIndex(a)]
-	n.trace("write %v: %d -> %d", l, old, v)
+	if n.tracing {
+		n.traceWrite(l, old, v)
+	}
 	n.tx.RecordWriteID(l, e.LID, a, old)
 	e.Pinned = true
 	e.State = cache.Modified
@@ -404,6 +443,7 @@ func (n *node) writeDone(e *cache.Entry, a mem.Addr, v uint64) {
 	n.opDone()
 }
 
+//puno:hot
 func (n *node) accessRead(a mem.Addr) {
 	l := mem.LineOf(a)
 	promoted := n.cmgr.PromoteLoad(n.cur.StaticID, n.opIdx)
@@ -428,6 +468,7 @@ func (n *node) accessRead(a mem.Addr) {
 	}
 }
 
+//puno:hot
 func (n *node) accessWrite(a mem.Addr, v uint64) {
 	l := mem.LineOf(a)
 	e := n.l1.Access(l)
@@ -446,17 +487,22 @@ func (n *node) accessWrite(a mem.Addr, v uint64) {
 // issue sends a GETS/GETX to the line's home directory. lid is l's interned
 // ID when the caller already holds it (upgrade paths); a miss interns here,
 // the line's single first-touch point on the request path.
+//
+//puno:hot
 func (n *node) issue(l mem.Line, lid mem.LineID, isWrite, promoted, needData bool) {
 	if lid == 0 {
 		lid = n.m.it.Intern(l)
 	}
 	n.reqSeq++
 	home := n.m.home.Home(l)
-	n.reqBuf = outstanding{
-		id: n.reqSeq, line: l, lid: lid, isWrite: isWrite, promoted: promoted,
-		isTx: true, home: home, expected: -1,
-	}
-	n.req = &n.reqBuf
+	// Zeroed and filled in place, like the message below: a literal here is
+	// built on the stack and copied, line data and all.
+	r := &n.reqBuf
+	*r = outstanding{}
+	r.id, r.line, r.lid = n.reqSeq, l, lid
+	r.isWrite, r.promoted, r.isTx = isWrite, promoted, true
+	r.home, r.expected = home, -1
+	n.req = r
 	n.state = nsWaiting
 	mt := coherence.MsgGETS
 	if isWrite {
@@ -465,11 +511,36 @@ func (n *node) issue(l mem.Line, lid mem.LineID, isWrite, promoted, needData boo
 			n.m.res.TxGETXIssued++
 		}
 	}
-	n.m.sendMsg(coherence.Msg{
-		Type: mt, Line: l, LID: lid, Src: n.id, Dst: home, Requester: n.id,
-		ReqID: n.reqSeq, IsTx: true, Prio: n.tx.Prio, IsWrite: isWrite,
-		NeedData: needData, AvgTxLen: n.txlb.GlobalAverage(),
-	})
+	msg := n.msgTo(mt, l, home)
+	msg.LID, msg.Requester, msg.ReqID = lid, n.id, n.reqSeq
+	msg.IsTx, msg.Prio = true, n.tx.Prio
+	msg.IsWrite, msg.NeedData = isWrite, needData
+	msg.AvgTxLen = n.txlb.GlobalAverage()
+	n.m.send(msg)
+}
+
+// msgTo takes a message from the machine's pool, zeroes it, and fills the
+// fields every send sets: type, line, and the route from this node to dst.
+// The caller writes whatever else the type carries straight into the slot
+// and hands it to Machine.send, so a message is written once, where it will
+// live.
+//
+//puno:hot
+func (n *node) msgTo(t coherence.MsgType, l mem.Line, dst int) *coherence.Msg {
+	msg := n.m.newMsg()
+	*msg = coherence.Msg{}
+	msg.Type, msg.Line, msg.Src, msg.Dst = t, l, n.id, dst
+	return msg
+}
+
+// respond is msgTo answering forward f: addressed to its requester and
+// tagged with the request's ReqID.
+//
+//puno:hot
+func (n *node) respond(t coherence.MsgType, f *coherence.Msg) *coherence.Msg {
+	msg := n.msgTo(t, f.Line, f.Requester)
+	msg.Requester, msg.ReqID = f.Requester, f.ReqID
+	return msg
 }
 
 func (n *node) commit() {
@@ -484,14 +555,14 @@ func (n *node) commit() {
 			n.cmgr.ObserveNonRMW(n.cur.StaticID, n.promotedLoads.ops[i])
 		}
 	}
-	if n.m.cfg.TraceFn != nil {
+	if n.tracing {
 		ws := ""
 		n.tx.ForEachSetLine(func(l mem.Line, w bool) {
 			if w {
 				ws += " " + l.String()
 			}
 		})
-		n.trace("commit static=%d prio=%d writes:%s", n.cur.StaticID, n.tx.Prio, ws)
+		n.emitTrace(fmt.Sprintf("commit static=%d prio=%d writes:%s", n.cur.StaticID, n.tx.Prio, ws))
 	}
 	cost := n.tx.Commit(n.m.cfg.Costs)
 	n.afterEv(cost, nevCommitDone)
@@ -524,6 +595,8 @@ func (n *node) unpinSets() {
 // abortTx tears down the running attempt. Returns the rollback latency.
 // Callers that owe a coherence response must schedule it after that
 // latency.
+//
+//puno:hot
 func (n *node) abortTx(cause AbortCause, overflow bool) sim.Time {
 	if !n.tx.Running() {
 		panic(fmt.Sprintf("machine: node %d abort while not running", n.id))
@@ -531,7 +604,9 @@ func (n *node) abortTx(cause AbortCause, overflow bool) sim.Time {
 	n.m.res.Aborts++
 	n.m.res.PerNodeAborts[n.id]++
 	n.m.res.AbortsByCause[cause]++
-	n.trace("abort cause=%d prio=%d attempts=%d", cause, n.tx.Prio, n.tx.Attempts)
+	if n.tracing {
+		n.traceAbort(cause)
+	}
 	n.m.res.DiscardedCycles += uint64(n.m.eng.Now() - n.tx.BeginCycle)
 
 	n.cancelPending()
@@ -556,6 +631,7 @@ func (n *node) abortTx(cause AbortCause, overflow bool) sim.Time {
 	return lat
 }
 
+//puno:hot
 func (n *node) finishAbort() {
 	n.unpinSets()
 	n.tx.FinishAbort()
@@ -580,6 +656,8 @@ func (n *node) scheduleRestart() {
 // ---- request-response collection ---------------------------------------
 
 // handleResponse processes a message addressed to this node as requester.
+//
+//puno:hot
 func (n *node) handleResponse(m *coherence.Msg) {
 	r := n.req
 	if r == nil || m.ReqID != r.id {
@@ -640,13 +718,17 @@ func (n *node) handleResponse(m *coherence.Msg) {
 		panic(fmt.Sprintf("machine: node %d unexpected response %v", n.id, m.Type))
 	}
 	if r.soleDone || (r.gotHeader && r.received >= r.expected) {
-		n.trace("req %d line %v complete: nack=%v aborted=%d write=%v data=%v", r.id, r.line, r.sawNack, r.abortedSharers, r.isWrite, r.hasData)
+		if n.tracing {
+			n.traceReqDone(r)
+		}
 		n.completeRequest()
 	}
 }
 
 // completeRequest finalizes the outstanding request: classification,
 // UNBLOCK, install or retry.
+//
+//puno:hot
 func (n *node) completeRequest() {
 	r := n.req
 	n.req = nil
@@ -744,12 +826,7 @@ func (n *node) completeRequest() {
 			// Transactional overflow: every way pinned. Fail the request
 			// so the directory restores, then abort with the penalty.
 			n.sendUnblock(r, false)
-			n.ovfStreak++
-			if n.ovfStreak >= 8 {
-				n.m.fail(fmt.Errorf("machine: node %d static tx %d overflows the L1 on every attempt (footprint does not fit)", n.id, n.cur.StaticID))
-				return
-			}
-			n.abortTx(CauseOverflow, true)
+			n.overflowAbort()
 			return
 		}
 		if was {
@@ -779,6 +856,19 @@ func (n *node) completeRequest() {
 		}
 		n.writeDone(e, op.Addr, v)
 	}
+}
+
+// overflowAbort aborts the attempt whose fill found every way of the set
+// pinned, and fails the run once the same instance has overflowed eight
+// times running (its footprint cannot fit). Cold, and kept out of
+// completeRequest so the hot path builds no error.
+func (n *node) overflowAbort() {
+	n.ovfStreak++
+	if n.ovfStreak >= 8 {
+		n.m.fail(fmt.Errorf("machine: node %d static tx %d overflows the L1 on every attempt (footprint does not fit)", n.id, n.cur.StaticID))
+		return
+	}
+	n.abortTx(CauseOverflow, true)
 }
 
 // installPostAbort caches a line that arrived after our transaction died.
@@ -811,6 +901,7 @@ func (n *node) reissue() {
 	n.execOp()
 }
 
+//puno:hot
 func (n *node) sendUnblock(r *outstanding, success bool) {
 	if !r.isWrite && !r.dataFromOwner && !r.sawNack {
 		return // GETS satisfied at the home node: the directory never blocked
@@ -818,17 +909,15 @@ func (n *node) sendUnblock(r *outstanding, success bool) {
 	if !r.isWrite && !r.dataFromOwner && r.sawNack && !r.soleDone {
 		return // defensive: a GETS can only be NACKed by a sole owner
 	}
-	msg := coherence.Msg{
-		Type: coherence.MsgUnblock, Line: r.line, LID: r.lid, Src: n.id, Dst: r.home,
-		Requester: n.id, ReqID: r.id, Success: success,
-		AbortedSharers: r.abortedSharers,
-	}
+	msg := n.msgTo(coherence.MsgUnblock, r.line, r.home)
+	msg.LID, msg.Requester, msg.ReqID = r.lid, n.id, r.id
+	msg.Success, msg.AbortedSharers = success, r.abortedSharers
 	if r.mpSeen {
 		msg.MPBit = true
 		msg.MPNode = r.mpNode
 		msg.Prio = r.mpPrio
 	}
-	n.m.sendMsg(msg)
+	n.m.send(msg)
 }
 
 // handleEviction processes a victim displaced from the L1.
@@ -841,20 +930,23 @@ func (n *node) handleEviction(v cache.Entry) {
 	}
 	// Retain the data until the directory acknowledges the writeback.
 	n.wbWait.put(v.Line, v.LID, v.Data)
-	n.m.sendMsg(coherence.Msg{
-		Type: coherence.MsgPUTX, Line: v.Line, LID: v.LID, Src: n.id,
-		Dst: n.m.home.Home(v.Line), Requester: n.id,
-		Data: v.Data, HasData: true,
-	})
+	msg := n.msgTo(coherence.MsgPUTX, v.Line, n.m.home.Home(v.Line))
+	msg.LID, msg.Requester = v.LID, n.id
+	msg.Data, msg.HasData = v.Data, true
+	n.m.send(msg)
 }
 
 // ---- forward (sharer/owner) handling ------------------------------------
 
 // handleForward services a directory-forwarded request against this node's
 // cache and transactional state.
+//
+//puno:hot
 func (n *node) handleForward(f *coherence.Msg) {
 	l := f.Line
-	n.trace("fwd %v line %v from req%d prio=%d write=%v ubit=%v", f.Type, f.Line, f.Requester, f.Prio, f.IsWrite, f.UBit)
+	if n.tracing {
+		n.traceFwd(f)
+	}
 	if n.tx.Running() && n.tx.ConflictsWithID(l, f.LID, f.IsWrite) {
 		if htm.Older(n.tx.Prio, n.id, f.Prio, f.Requester) {
 			// We win: NACK, with a T_est notification when the scheme
@@ -925,16 +1017,18 @@ func (n *node) tEst() sim.Time {
 // this node's true current priority so the directory can refresh its stale
 // P-Buffer entry (via the requester's UNBLOCK), while a non-conflicting one
 // carries NoPriority ("I will not nack this line"), invalidating it.
+//
+//puno:hot
 func (n *node) nack(f *coherence.Msg, tEst sim.Time, mp bool, conflicting bool) {
 	prio := htm.NoPriority
 	if conflicting && n.tx.InFlight() {
 		prio = n.tx.Prio
 	}
-	n.m.sendMsg(coherence.Msg{
-		Type: coherence.MsgNack, Line: f.Line, Src: n.id, Dst: f.Requester,
-		Requester: f.Requester, ReqID: f.ReqID, Prio: prio,
-		TEst: tEst, MPBit: mp, UBit: f.UBit, Sole: f.UBit || n.isOwnerResponse(f.Line),
-	})
+	msg := n.respond(coherence.MsgNack, f)
+	msg.Prio, msg.TEst = prio, tEst
+	msg.MPBit, msg.UBit = mp, f.UBit
+	msg.Sole = f.UBit || n.isOwnerResponse(f.Line)
+	n.m.send(msg)
 }
 
 // isOwnerResponse reports whether this node is responding as the line's
@@ -950,6 +1044,8 @@ func (n *node) isOwnerResponse(l mem.Line) bool {
 // grant satisfies a forward: invalidation ACK from a sharer, or a
 // cache-to-cache transfer from the owner. aborted marks responses that
 // followed a self-abort (counted by the requester for Figs. 2/3).
+//
+//puno:hot
 func (n *node) grant(f *coherence.Msg, aborted bool) {
 	l := f.Line
 	if f.IsWrite && n.req != nil && n.req.line == l && !n.req.isWrite {
@@ -964,14 +1060,11 @@ func (n *node) grant(f *coherence.Msg, aborted bool) {
 		// Our PUTX raced with this forward; serve it from the retained
 		// copy and drop the line (the directory will answer WBStale).
 		n.wbWait.del(l)
-		n.sendOwnerData(f, data, aborted)
+		n.sendOwnerData(f, &data, aborted)
 		if !f.IsWrite {
 			// A read downgrade blocks the directory until the writeback
 			// copy arrives; send it even though our cached line is gone.
-			n.m.sendMsg(coherence.Msg{
-				Type: coherence.MsgWBData, Line: l, LID: f.LID, Src: n.id, Dst: n.m.home.Home(l),
-				Data: data, HasData: true,
-			})
+			n.sendWBData(f, &data)
 		}
 		return
 	}
@@ -985,24 +1078,17 @@ func (n *node) grant(f *coherence.Msg, aborted bool) {
 			panic(fmt.Sprintf("machine: node %d got FwdGETS for %v but holds no copy", n.id, l))
 		}
 		// Silently evicted shared line: acknowledge the invalidation.
-		n.m.sendMsg(coherence.Msg{
-			Type: coherence.MsgAck, Line: l, Src: n.id, Dst: f.Requester,
-			Requester: f.Requester, ReqID: f.ReqID, AbortedSharer: aborted,
-		})
+		n.sendAck(f, aborted)
 		return
 	}
 	isOwner := e.State == cache.Modified || e.State == cache.Exclusive
 	if f.IsWrite {
-		data := e.Data
-		n.l1.Invalidate(l)
 		if isOwner {
-			n.sendOwnerData(f, data, aborted)
+			n.sendOwnerData(f, &e.Data, aborted)
 		} else {
-			n.m.sendMsg(coherence.Msg{
-				Type: coherence.MsgAck, Line: l, Src: n.id, Dst: f.Requester,
-				Requester: f.Requester, ReqID: f.ReqID, AbortedSharer: aborted,
-			})
+			n.sendAck(f, aborted)
 		}
+		n.l1.Invalidate(l)
 		return
 	}
 	// FwdGETS reaches us only as owner: downgrade, send data to the
@@ -1011,19 +1097,40 @@ func (n *node) grant(f *coherence.Msg, aborted bool) {
 		panic(fmt.Sprintf("machine: node %d got FwdGETS without ownership of %v", n.id, l))
 	}
 	e.State = cache.Shared
-	n.sendOwnerData(f, e.Data, aborted)
-	n.m.sendMsg(coherence.Msg{
-		Type: coherence.MsgWBData, Line: l, LID: f.LID, Src: n.id, Dst: n.m.home.Home(l),
-		Data: e.Data, HasData: true,
-	})
+	n.sendOwnerData(f, &e.Data, aborted)
+	n.sendWBData(f, &e.Data)
 }
 
-func (n *node) sendOwnerData(f *coherence.Msg, data mem.LineData, aborted bool) {
-	n.m.sendMsg(coherence.Msg{
-		Type: coherence.MsgData, Line: f.Line, Src: n.id, Dst: f.Requester,
-		Requester: f.Requester, ReqID: f.ReqID, Data: data, HasData: true,
-		Sole: true, AbortedSharer: aborted,
-	})
+// sendOwnerData is the owner's cache-to-cache transfer to f's requester: the
+// only response that request gets (Sole).
+//
+//puno:hot
+func (n *node) sendOwnerData(f *coherence.Msg, data *mem.LineData, aborted bool) {
+	msg := n.respond(coherence.MsgData, f)
+	msg.Data, msg.HasData = *data, true
+	msg.Sole, msg.AbortedSharer = true, aborted
+	n.m.send(msg)
+}
+
+// sendWBData sends the home directory the writeback copy a read downgrade
+// (FwdGETS f) blocks on.
+//
+//puno:hot
+func (n *node) sendWBData(f *coherence.Msg, data *mem.LineData) {
+	msg := n.msgTo(coherence.MsgWBData, f.Line, n.m.home.Home(f.Line))
+	msg.LID = f.LID
+	msg.Data, msg.HasData = *data, true
+	n.m.send(msg)
+}
+
+// sendAck acknowledges invalidation f to its requester; aborted marks an ACK
+// that followed a self-abort.
+//
+//puno:hot
+func (n *node) sendAck(f *coherence.Msg, aborted bool) {
+	msg := n.respond(coherence.MsgAck, f)
+	msg.AbortedSharer = aborted
+	n.m.send(msg)
 }
 
 // subscribeWakeup (PUNO-Push) records a NACKed requester to ping when this
@@ -1073,10 +1180,9 @@ func (n *node) fireWakeupLine(i int) {
 	l := n.wakeupSubs.lines[i]
 	for j := 0; j < n.wakeupSubs.nw[i]; j++ {
 		dst := n.wakeupSubs.waiters[i][j]
-		n.m.sendMsg(coherence.Msg{
-			Type: coherence.MsgWakeup, Line: l, Src: n.id, Dst: dst,
-			Requester: dst,
-		})
+		msg := n.msgTo(coherence.MsgWakeup, l, dst)
+		msg.Requester = dst
+		n.m.send(msg)
 	}
 }
 

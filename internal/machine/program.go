@@ -64,6 +64,11 @@ type TxInstance struct {
 // Program supplies the sequence of transactions one hardware thread runs.
 // Next is called after each commit; returning ok=false ends the thread.
 // Implementations must be deterministic given the supplied RNG.
+//
+// The returned instance's Ops are valid only until the next call to Next on
+// the same program: a generator may hand out one reused buffer (the stamp
+// profiles do). The machine reads them only while the instance is current;
+// anything that keeps an instance longer (trace.Record) must copy its Ops.
 type Program interface {
 	Next(rng *sim.RNG) (tx TxInstance, ok bool)
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -80,6 +81,20 @@ func TestResetMatchesNew(t *testing.T) {
 		if !reflect.DeepEqual(resultSignature(got), resultSignature(want)) {
 			t.Fatalf("spec %d (%s/%v/seed %d): arena result diverged from fresh machine\n got: %+v\nwant: %+v",
 				i, sp.wl.Name(), sp.cfg.Scheme, sp.cfg.Seed, resultSignature(got), resultSignature(want))
+		}
+		// And byte for byte on the punores/1 artifact, which covers every
+		// field the signature above leaves out.
+		gotRaw, err := EncodeResult(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRaw, err := EncodeResult(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotRaw, wantRaw) {
+			t.Fatalf("spec %d (%s/%v/seed %d): arena artifact differs from fresh machine's",
+				i, sp.wl.Name(), sp.cfg.Scheme, sp.cfg.Seed)
 		}
 	}
 }

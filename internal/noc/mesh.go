@@ -113,7 +113,10 @@ type Mesh struct {
 	// linkFree[l] is the earliest cycle at which directed link l can begin
 	// serializing another message's flits.
 	linkFree []sim.Time
-	stats    Stats
+	// x[id], y[id] are node id's mesh coordinates, tabulated once so routing
+	// never divides.
+	x, y  []int32
+	stats Stats
 
 	// avgHops memoizes AverageHops (O(n²) to compute; consulted per
 	// machine construction and per AverageLatency call).
@@ -128,18 +131,24 @@ func New(cfg Config, eng *sim.Engine) *Mesh {
 		panic("noc: non-positive mesh dimensions")
 	}
 	n := cfg.Width * cfg.Height
-	return &Mesh{
+	m := &Mesh{
 		cfg:      cfg,
 		eng:      eng,
 		handlers: make([]Handler, n),
 		// 4 directed links per node is an upper bound (E,W,N,S).
 		linkFree: make([]sim.Time, n*4),
+		x:        make([]int32, n),
+		y:        make([]int32, n),
 	}
+	for id := range m.x {
+		m.x[id], m.y[id] = int32(id%cfg.Width), int32(id/cfg.Width)
+	}
+	return m
 }
 
 // Reset returns the mesh to the state New(cfg, eng) would produce, reusing
-// the handler and link arrays (and the AverageHops memo) when the topology
-// is unchanged. Handlers are cleared either way: the machine re-Attaches
+// the handler, link and coordinate arrays (and the AverageHops memo) when
+// the topology is unchanged. Handlers are cleared either way: the machine re-Attaches
 // every node during its own reset, so a stale handler can never be invoked.
 func (m *Mesh) Reset(cfg Config, eng *sim.Engine) {
 	if cfg.Width != m.cfg.Width || cfg.Height != m.cfg.Height {
@@ -174,7 +183,7 @@ func (m *Mesh) Stats() Stats { return m.stats }
 // the experiment harness).
 func (m *Mesh) ResetStats() { m.stats = Stats{} }
 
-func (m *Mesh) xy(id int) (x, y int) { return id % m.cfg.Width, id / m.cfg.Width }
+func (m *Mesh) xy(id int) (x, y int) { return int(m.x[id]), int(m.y[id]) }
 
 // direction indices for the per-node directed output links.
 const (
@@ -302,40 +311,42 @@ func (m *Mesh) Send(src, dst int, class Class, flits int, payload any) {
 func (m *Mesh) route(now sim.Time, src, dst int, class Class, flits int) sim.Time {
 	// Walk the route inline (same hop sequence Route returns, without
 	// materializing it), threading the head-flit arrival time through each
-	// router and link.
-	sx, sy := m.xy(src)
-	dx, dy := m.xy(dst)
+	// router and link: the X leg then the Y leg, each a straight run of
+	// same-direction links over a running node index.
+	dx := int(m.x[dst]) - int(m.x[src])
+	dy := int(m.y[dst]) - int(m.y[src])
+	xdir, xstep := dirEast, 1
+	if dx < 0 {
+		xdir, xstep, dx = dirWest, -1, -dx
+	}
+	ydir, ystep := dirSouth, m.cfg.Width
+	if dy < 0 {
+		ydir, ystep, dy = dirNorth, -m.cfg.Width, -dy
+	}
+	// The link serializes all flits of a message; the head flit then reaches
+	// the next router and traverses its pipeline.
+	serialize := sim.Time(flits) * m.cfg.LinkCycles
+	perHop := m.cfg.LinkCycles + m.cfg.RouterStages
 	t := now + m.cfg.RouterStages // source router pipeline
 	var queueing sim.Time
-	hops := 0
-	x, y := sx, sy
-	for x != dx || y != dy {
-		var link int
-		switch {
-		case x < dx:
-			link = m.linkIndex(y*m.cfg.Width+x, dirEast)
-			x++
-		case x > dx:
-			link = m.linkIndex(y*m.cfg.Width+x, dirWest)
-			x--
-		case y < dy:
-			link = m.linkIndex(y*m.cfg.Width+x, dirSouth)
-			y++
-		default:
-			link = m.linkIndex(y*m.cfg.Width+x, dirNorth)
-			y--
-		}
-		depart := t
-		if m.linkFree[link] > depart {
-			queueing += m.linkFree[link] - depart
-			depart = m.linkFree[link]
-		}
-		// The link serializes all flits of this message.
-		m.linkFree[link] = depart + sim.Time(flits)*m.cfg.LinkCycles
-		// Head flit reaches the next router, then traverses its pipeline.
-		t = depart + m.cfg.LinkCycles + m.cfg.RouterStages
-		hops++
+	node := src
+	for i := 0; i < dx; i++ {
+		free := &m.linkFree[node*4+xdir]
+		depart := max(t, *free)
+		queueing += depart - t
+		*free = depart + serialize
+		t = depart + perHop
+		node += xstep
 	}
+	for i := 0; i < dy; i++ {
+		free := &m.linkFree[node*4+ydir]
+		depart := max(t, *free)
+		queueing += depart - t
+		*free = depart + serialize
+		t = depart + perHop
+		node += ystep
+	}
+	hops := dx + dy
 	// Tail flit trails the head by (flits-1) cycles at the destination.
 	t += sim.Time(flits-1) * m.cfg.LinkCycles
 

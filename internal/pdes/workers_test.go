@@ -15,8 +15,17 @@ import (
 // and a second Run on the same coordinator — whose workers are per-Run and
 // must be joined, not just signaled — reproduces it. The name contains
 // "Sharded" so `make race-shards` exercises this under the race detector.
-func TestShardedWorkerGoroutinesMatchSerial(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
+func TestShardedWorkerGoroutinesMatchSerial(t *testing.T) { shardedRunMatchesSerial(t, 4) }
+
+// TestShardedInlineWindowsMatchSerial forces the other branch of that
+// choice: with GOMAXPROCS 1 the coordinator runs every participant's window
+// inline on its own goroutine. Forcing both branches keeps the package's
+// behaviour — and its measured coverage — the same on one-core and
+// many-core hosts.
+func TestShardedInlineWindowsMatchSerial(t *testing.T) { shardedRunMatchesSerial(t, 1) }
+
+func shardedRunMatchesSerial(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 
 	wl := testWL(t, "intruder", 4)
@@ -43,7 +52,7 @@ func TestShardedWorkerGoroutinesMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("worker-goroutine run differs from serial:\n got: %+v\nwant: %+v", got, want)
+		t.Fatalf("sharded run differs from serial:\n got: %+v\nwant: %+v", got, want)
 	}
 
 	if err := co.Reset(cfg, wl); err != nil {
@@ -54,7 +63,7 @@ func TestShardedWorkerGoroutinesMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again, want) {
-		t.Fatalf("second worker-goroutine run differs from serial:\n got: %+v\nwant: %+v", again, want)
+		t.Fatalf("second sharded run differs from serial:\n got: %+v\nwant: %+v", again, want)
 	}
 }
 

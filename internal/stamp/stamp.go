@@ -143,15 +143,26 @@ func privateBase(node int) mem.Line {
 func (p *Profile) Program(node int, rng *sim.RNG) machine.Program {
 	count := 0
 	totalWeight := 0
+	var maxOps, maxReads, maxLines int
 	for _, c := range p.classes {
 		totalWeight += c.Weight
+		maxOps = max(maxOps, c.opBound())
+		maxReads = max(maxReads, c.maxReads())
+		maxLines = max(maxLines, c.RegionLines)
 	}
 	if totalWeight == 0 {
 		panic(fmt.Sprintf("stamp: profile %q has no weighted classes", p.name))
 	}
 	priv := privateBase(node)
 	privSeq := 0
-	var scratch genScratch
+	// The program's buffers are sized for its largest class up front, so a
+	// run's allocation count does not depend on which classes a node draws
+	// or on how many transactions it runs.
+	scratch := genScratch{
+		seen:    make([]uint64, (maxLines+63)/64),
+		readIdx: make([]int, 0, maxReads),
+		ops:     make([]machine.Op, 0, maxOps),
+	}
 	return machine.ProgramFunc(func(r *sim.RNG) (machine.TxInstance, bool) {
 		if count >= p.txPerCPU {
 			return machine.TxInstance{}, false
@@ -184,27 +195,41 @@ const (
 
 // genScratch holds the flat scratch buffers one program's genInstance calls
 // reuse across transaction instances: the per-set footprint counters, the
-// seen bitmap for distinct random read selection, and the read-index list.
-// Instance generation runs on the sweep hot path, once per transaction, so
-// these replace what used to be two map allocations per instance.
+// seen bitmap for distinct random read selection, the read-index list, and
+// the op list the returned instance aliases (machine.Program's contract: an
+// instance's Ops are valid until the next Next on that program). Instance
+// generation runs on the sweep hot path, once per transaction, so these
+// replace what used to be two map allocations and one slice allocation per
+// instance.
 type genScratch struct {
 	setCount [l1Sets]uint8
 	seen     []uint64 // bitmap over region line indices
 	readIdx  []int
+	ops      []machine.Op
 }
 
-// genInstance builds one dynamic transaction from a class recipe.
-func genInstance(cl Class, r *sim.RNG, priv mem.Line, privSeq *int, sc *genScratch) machine.TxInstance {
-	// Upper bound on the op count, so the ops slice is allocated once.
-	maxReads := cl.ReadsMax
+// maxReads is an upper bound on the shared lines one instance reads.
+func (cl *Class) maxReads() int {
 	if cl.ReadWholeRegion {
-		maxReads = cl.RegionLines
+		return cl.RegionLines
 	}
+	return cl.ReadsMax
+}
+
+// opBound is an upper bound on the op count of one instance of the class.
+func (cl *Class) opBound() int {
+	maxReads := cl.maxReads()
 	bound := 2*cl.PrivateLines + maxReads + cl.WritesMax + 1
 	if cl.ComputePerRead > 0 {
 		bound += maxReads
 	}
-	ops := make([]machine.Op, 0, bound)
+	return bound
+}
+
+// genInstance builds one dynamic transaction from a class recipe. The
+// returned Ops alias sc.ops (see genScratch).
+func genInstance(cl Class, r *sim.RNG, priv mem.Line, privSeq *int, sc *genScratch) machine.TxInstance {
+	ops := sc.ops[:0]
 	lineAt := func(i int) mem.Line {
 		return mem.Line(uint64(cl.RegionBase) + uint64(i)*mem.LineBytes)
 	}
@@ -241,11 +266,7 @@ func genInstance(cl Class, r *sim.RNG, priv mem.Line, privSeq *int, sc *genScrat
 		if cl.ReadsMax > cl.ReadsMin {
 			n += r.Intn(cl.ReadsMax - cl.ReadsMin + 1)
 		}
-		words := (cl.RegionLines + 63) / 64
-		if cap(sc.seen) < words {
-			sc.seen = make([]uint64, words)
-		}
-		seen := sc.seen[:words]
+		seen := sc.seen[:(cl.RegionLines+63)/64]
 		clear(seen)
 		for attempts := 0; len(readIdx) < n && attempts < 8*cl.RegionLines; attempts++ {
 			i := r.Intn(cl.RegionLines)
@@ -307,6 +328,6 @@ func genInstance(cl Class, r *sim.RNG, priv mem.Line, privSeq *int, sc *genScrat
 		}
 	}
 
-	sc.readIdx = readIdx // hand the (possibly grown) buffer back for reuse
+	sc.readIdx, sc.ops = readIdx, ops // hand the (possibly grown) buffers back for reuse
 	return machine.TxInstance{StaticID: cl.StaticID, Ops: ops, ThinkCycles: cl.Think}
 }

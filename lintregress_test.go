@@ -11,7 +11,10 @@ package puno
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 // TestSweepDumpStableAcrossRepetition runs the same sweep twice in one
@@ -135,5 +138,28 @@ func TestRepeatedRunsShareNoOrderState(t *testing.T) {
 	// predictor tables were actually populated and walked.
 	if base.Aborts == 0 {
 		t.Fatal("workload never aborted; the order-leak check is vacuous")
+	}
+}
+
+// TestHotallocFlagsVariadicTraceBoxing pins the gap that let node.trace box
+// its arguments on every read, write, forward and response while DESIGN.md
+// called the hot path zero-allocation: the node FSM carried no //puno:hot,
+// so hotalloc never looked. The tracebox fixture is that shape — a
+// variadic ...any helper called with a uint64 from a hot function — and
+// must be flagged; the guarded typed helper that replaced it must not.
+func TestHotallocFlagsVariadicTraceBoxing(t *testing.T) {
+	findings, err := lint.RunAnalyzers(".",
+		[]string{"repro/internal/lint/testdata/src/tracebox"},
+		[]*lint.Analyzer{lint.HotAlloc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 {
+		t.Fatalf("hotalloc reported %d findings on the tracebox fixture, want exactly 1: %v", len(findings), findings)
+	}
+	f := findings[0]
+	if !strings.Contains(f.Message, "passing uint64 as an interface boxes the value") ||
+		!strings.Contains(f.Message, "hot function hotRead") {
+		t.Errorf("hotalloc flagged the wrong thing: %s:%d: %s", f.Pos.Filename, f.Pos.Line, f.Message)
 	}
 }
