@@ -26,6 +26,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/prof"
 	"repro/internal/serve"
@@ -85,7 +86,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "punoserve listening on http://%s (code version %s)\n",
 		ln.Addr(), svc.Stats().CodeVersion)
 
-	srv := &http.Server{Handler: svc.Handler()}
+	// No read or write timeout: long-polls and SSE streams hold connections
+	// open by design. The header timeout alone stops a client that connects
+	// and never finishes its request line from pinning a goroutine.
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -144,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		res.GDRatio(), res.DirTxGETXBusy, res.DirBusyNacks,
 		res.DirUnicasts, res.Mispredictions, res.NotifiedBackoffs, res.Retries)
 	if m != nil {
-		fmt.Fprintf(stdout, "  events=%d (%.0f ev/us)\n", m.Engine().Processed(),
+		fmt.Fprintf(stdout, "  events=%d spilled=%d (%.0f ev/us)\n", m.Engine().Processed(), m.Engine().Spilled(),
 			float64(m.Engine().Processed())/float64(wall.Microseconds()+1))
 	}
 	if len(res.Timeline) > 0 {

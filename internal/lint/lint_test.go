@@ -2,6 +2,8 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -224,6 +226,52 @@ func TestRealTreeClean(t *testing.T) {
 	}
 }
 
+// TestAllowlistsResolve guards the structural allowlists against rot: every
+// key is a types.Func.FullName() matched by string, so deleting or renaming
+// a blessed function would otherwise leave an entry that blesses nothing —
+// and would silently bless whatever later takes the name. Fixture entries
+// live under testdata, outside repro/..., and are exercised by their own
+// analyzer tests.
+func TestAllowlistsResolve(t *testing.T) {
+	pkgs, err := Load(".", []string{"repro/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+						declared[fn.FullName()] = true
+					}
+				}
+			}
+		}
+	}
+	for list, keys := range map[string][]string{
+		"maprangeAllowed":             mapKeys(maprangeAllowed),
+		"msglifeAllowed":              mapKeys(msglifeAllowed),
+		"escapeAllowedCallees":        mapKeys(escapeAllowedCallees),
+		"shardconfineInternerAllowed": mapKeys(shardconfineInternerAllowed),
+		"shardconfineWiringAllowed":   mapKeys(shardconfineWiringAllowed),
+	} {
+		for _, key := range keys {
+			if !strings.Contains(key, "/testdata/") && !declared[key] {
+				t.Errorf("%s: %q names no function declared in the tree", list, key)
+			}
+		}
+	}
+}
+
+func mapKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
 // TestEscapeGateFixture matches the compiler-backed gate against the
 // escapegate fixture's want annotations: real heap escapes in hot
 // functions are findings; panic paths, cold functions, and blessed
@@ -278,24 +326,23 @@ func TestWorkerDirective(t *testing.T) {
 	}
 }
 
-// TestPdesWorkersMarked pins the audit fix this PR ships: the PDES window
-// runners carry //puno:worker, so shardconfine actually polices the
-// worker goroutine's entry paths in the real tree.
+// TestPdesWorkersMarked pins the PR 9 audit fix: the PDES window runner
+// carries //puno:worker, so shardconfine actually polices the worker
+// goroutine's entry path in the real tree.
 func TestPdesWorkersMarked(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "pdes", "pdes.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fn := range []string{"func runWindow(", "func runWindowTraced("} {
-		idx := strings.Index(string(raw), fn)
-		if idx < 0 {
-			t.Fatalf("fixture rot: %s not found in internal/pdes/pdes.go", fn)
-		}
-		head := string(raw[:idx])
-		tail := head[strings.LastIndex(head[:len(head)-1], "\n\n"):]
-		if !strings.Contains(tail, "//puno:worker") {
-			t.Errorf("%s is not marked //puno:worker; shardconfine no longer polices it", fn)
-		}
+	const fn = "func runWindow("
+	idx := strings.Index(string(raw), fn)
+	if idx < 0 {
+		t.Fatalf("fixture rot: %s not found in internal/pdes/pdes.go", fn)
+	}
+	head := string(raw[:idx])
+	tail := head[strings.LastIndex(head[:len(head)-1], "\n\n"):]
+	if !strings.Contains(tail, "//puno:worker") {
+		t.Errorf("%s is not marked //puno:worker; shardconfine no longer polices it", fn)
 	}
 }
 

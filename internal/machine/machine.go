@@ -576,24 +576,7 @@ func (m *Machine) Run() (*Result, error) {
 	// Drain any events after the last commit (in-flight unblocks etc.).
 	m.eng.Run(m.cfg.MaxCycles)
 
-	for _, n := range m.nodes {
-		if n.doneAt > m.res.Cycles {
-			m.res.Cycles = n.doneAt
-		}
-	}
-	m.res.Net = m.mesh.Stats()
-	for i, d := range m.dirs {
-		ds := d.Stats()
-		m.res.DirTxGETXBusy += ds.TxGETXBusy
-		m.res.DirTxGETXServices += ds.TxGETX
-		m.res.DirBusyAll += ds.BusyCycles
-		m.res.DirBusyNacks += ds.BusyNacks
-		m.res.DirUnicasts += ds.UnicastForwards
-		m.res.DirMulticastFwds += ds.MulticastFwds
-		m.res.Mispredictions += ds.Mispredictions
-		_ = i
-	}
-	return &m.res, nil
+	return m.FinalizeShard(), nil
 }
 
 // Result returns the measurements collected so far (valid after Run).

@@ -97,16 +97,14 @@ func (m *Machine) RunErr() error { return m.runErr }
 
 // FinalizeShard computes the shard's slice of the run's Result after the
 // event queues drain: completion time over owned nodes, the private mesh's
-// (node-local) traffic, and the owned directories' counters. The
-// coordinator merges shard results with MergeShardResults.
+// traffic, and the owned directories' counters. A serial machine owns
+// [0, Nodes) and Run ends in this; the coordinator merges shard results
+// with MergeShardResults.
 func (m *Machine) FinalizeShard() *Result {
 	for i := m.lo; i < m.hi; i++ {
 		if n := m.nodes[i]; n.doneAt > m.res.Cycles {
 			m.res.Cycles = n.doneAt
 		}
-	}
-	m.res.Net = m.mesh.Stats()
-	for i := m.lo; i < m.hi; i++ {
 		ds := m.dirs[i].Stats()
 		m.res.DirTxGETXBusy += ds.TxGETXBusy
 		m.res.DirTxGETXServices += ds.TxGETX
@@ -116,6 +114,7 @@ func (m *Machine) FinalizeShard() *Result {
 		m.res.DirMulticastFwds += ds.MulticastFwds
 		m.res.Mispredictions += ds.Mispredictions
 	}
+	m.res.Net = m.mesh.Stats()
 	return &m.res
 }
 

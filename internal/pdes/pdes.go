@@ -60,7 +60,7 @@
 //     pending events that must carry their serial seq are those that can
 //     tie with an earlier-assigned serial key at the same cycle. Those
 //     sites are exactly where serial-keyed events enter a shard's queue:
-//     the commit renumbers the overflow heap (plus in-horizon heap events'
+//     the commit renumbers the spill list (plus its in-horizon residents'
 //     same-cycle buckets — Engine.RekeyOverflow) and, before injecting
 //     remote deliveries, the wheel buckets those deliveries land in
 //     (Engine.RekeyBucket). Everything else keeps its provisional seq for
@@ -184,11 +184,11 @@ type shard struct {
 	eng    *sim.Engine
 	lo, hi int
 	// nextAt caches the shard's earliest pending event time between
-	// windows: runWindow refreshes it from the StepBefore that ends the
-	// window, and commit lowers it when an injection lands earlier. The
+	// windows: runWindow refreshes it from the drain that ends the window,
+	// and commit lowers it when an injection lands earlier. The
 	// coordinator's window selection is pure arithmetic over these.
 	nextAt  sim.Time
-	stage   probe.Buffer // batch-local event-sink staging
+	stage   probe.Buffer // batch-local event-sink staging (see Emit)
 	entries []entry
 	sends   []send
 	renum   []uint64 // provisional seq - provSeqBase → serial seq; a slot is valid once its batch's replay writes it
@@ -201,11 +201,19 @@ type shard struct {
 	rSeq     uint32
 	rSend    int32
 	rEmit    int32
-	sendN    int32 // == len(sends); the engine drain's external effect counter
-	traced   bool  // coordinator has an event sink; track emissions
+	sendN    int32 // == len(sends): the engine drain's first effect counter, bumped by xsend
+	emitN    int32 // == stage.Len(): its second, bumped by Emit
 	xsend    func(*coherence.Msg)
 	work     chan sim.Time
 	done     chan struct{}
+}
+
+// Emit implements probe.Sink: a traced run installs the shard itself as its
+// machine's event sink, so emissions are staged until the commit replays
+// them to the run's real sink in merged order.
+func (sh *shard) Emit(e probe.Event) {
+	sh.stage.Emit(e)
+	sh.emitN++
 }
 
 // Coordinator owns a sharded machine: the shard set, the global mesh, the
@@ -344,10 +352,10 @@ func (c *Coordinator) Reset(cfg machine.Config, wl machine.Workload) error {
 		sh.head = 0
 		sh.batchSeq = 0
 		sh.sendN = 0
-		sh.traced = c.sink != nil
+		sh.emitN = 0
 		sh.nextAt = sim.Infinity
 		if c.sink != nil {
-			scfg.EventSink = &sh.stage
+			scfg.EventSink = sh
 		} else {
 			scfg.EventSink = nil
 		}
@@ -549,56 +557,17 @@ func (c *Coordinator) Run() (*machine.Result, error) {
 //puno:hot
 //puno:worker
 func runWindow(sh *shard, wend sim.Time) {
-	if sh.traced {
-		runWindowTraced(sh, wend)
-		return
-	}
 	// The engine drains the window in one tight loop, recording effectful
-	// events itself; sendN (bumped by the xsend hook) is the external
-	// effect counter and always equals len(sh.sends).
-	sh.entries, sh.nextAt = sh.eng.DrainBefore(wend, provSeqBase, provFlag, sh.entries, &sh.sendN)
-}
-
-// runWindowTraced is runWindow with staged-emission tracking: an event
-// that only emitted probe events still needs an entry so the merged
-// stream interleaves emissions in serial order.
-//
-//puno:worker
-func runWindowTraced(sh *shard, wend sim.Time) {
-	eng := sh.eng
-	emit := int32(sh.stage.Len())
-	snd := int32(len(sh.sends))
-	pseq := eng.Seq()
-	for {
-		at, seq, ran := eng.StepBefore(wend)
-		if !ran {
-			sh.nextAt = at
-			return
-		}
-		e2 := int32(sh.stage.Len())
-		s2 := int32(len(sh.sends))
-		q2 := eng.Seq()
-		if e2 != emit || s2 != snd || q2 != pseq {
-			key := uint32(seq)
-			if seq >= provSeqBase {
-				key = uint32(seq-provSeqBase) | provFlag
-			}
-			sh.entries = append(sh.entries, entry{
-				At: uint32(at), Key: key,
-				SeqHi: uint32(q2 - provSeqBase),
-				Emit:  e2,
-				Send:  s2,
-			})
-			emit, snd, pseq = e2, s2, q2
-		}
-	}
+	// events itself: an event that only emitted probe events still gets an
+	// entry, so the merged stream interleaves emissions in serial order.
+	sh.entries, sh.nextAt = sh.eng.DrainBefore(wend, provSeqBase, provFlag, sh.entries, &sh.sendN, &sh.emitN)
 }
 
 // commit merges the batch's entries by (cycle, serial seq), replaying each
 // in serial order: emissions flow to the real sink and serial seqs are
 // assigned to every schedule and send. Pending provisional events are then
 // renumbered only where a serial key could tie with them at the same cycle
-// (the overflow heap, and the wheel buckets injections land in); everything
+// (the spill list, and the wheel buckets injections land in); everything
 // else keeps its provisional seq, which already sorts correctly against
 // every key assigned later. Finally the staged remote sends are routed and
 // injected in one batched reservation pass. Single-threaded, after the
@@ -641,8 +610,8 @@ func (c *Coordinator) commit() {
 	// and maintaining a sorted part order costs more than it saves; instead
 	// each exhausted shard parks its head key at MaxUint64 and the fixed
 	// total-entry count bounds the loop, so selection needs no liveness or
-	// termination checks. The send-free common case renumbers inline;
-	// replay handles sends and trace emission.
+	// termination checks. The common case — no send, no emission —
+	// renumbers inline; replay handles the rest.
 	total := 0
 	for _, sh := range parts {
 		total += len(sh.entries)
@@ -658,7 +627,7 @@ func (c *Coordinator) commit() {
 		e := &best.entries[h]
 		h++
 		best.head = h
-		if e.Send == best.rSend && !best.traced {
+		if e.Send == best.rSend && e.Emit == best.rEmit {
 			renum := best.renum
 			for p, end := best.rSeq, e.SeqHi; p < end; p++ {
 				renum[p] = gseq
@@ -675,11 +644,11 @@ func (c *Coordinator) commit() {
 		}
 	}
 	c.gseq = gseq
-	// Renumber the overflow heap (and the wheel buckets sharing a cycle
+	// Renumber the spill list (and the wheel buckets sharing a cycle
 	// with its in-horizon residents): serial-keyed injections can land
 	// there, and a same-cycle tie against a still-provisional seq would
 	// break the serial order. The per-shard renumbering is strictly
-	// increasing, so the mapping preserves chain and heap order.
+	// increasing, so the mapping preserves chain and list order.
 	for _, sh := range parts {
 		sh.eng.RekeyOverflow(provSeqBase, sh.renum)
 		sh.entries = sh.entries[:0]
@@ -687,6 +656,7 @@ func (c *Coordinator) commit() {
 		sh.stage.Reset()
 		sh.head = 0
 		sh.sendN = 0
+		sh.emitN = 0
 		sh.batchSeq = uint32(sh.eng.Seq() - provSeqBase)
 	}
 	// Batched reservation pass: all of the batch's remote routes cross the
@@ -775,8 +745,7 @@ func (c *Coordinator) growRenum(sh *shard) {
 //puno:hot
 func (c *Coordinator) replay(sh *shard, e *entry, gseq uint64) uint64 {
 	if c.sink != nil {
-		evs := sh.stage.Events()
-		for _, ev := range evs[sh.rEmit:e.Emit] {
+		for _, ev := range sh.stage.Events()[sh.rEmit:e.Emit] {
 			c.sink.Emit(ev)
 		}
 		sh.rEmit = e.Emit

@@ -66,46 +66,3 @@ func shardedRunMatchesSerial(t *testing.T, procs int) {
 		t.Fatalf("second sharded run differs from serial:\n got: %+v\nwant: %+v", again, want)
 	}
 }
-
-// TestShardedCoalescedWindowsMatchSerial is the worker-goroutine run for
-// the empty-window coalescing path: a low-contention RMW workload leaves
-// many windows with no staged remote send, so consecutive windows run
-// without a commit barrier between them — under -race (make race-shards)
-// this certifies the deferred commit never lets a worker touch state the
-// barrier was protecting. The test asserts coalescing actually fired, so
-// a workload or lookahead change cannot quietly turn it vacuous.
-func TestShardedCoalescedWindowsMatchSerial(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	wl := testWL(t, "kmeans", 6)
-	cfg := machine.DefaultConfig()
-	cfg.Scheme = machine.SchemeBaseline
-	cfg.Seed = 42
-
-	m, err := machine.New(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.Shards = 4
-	co, err := New(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := co.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co.coalesced == 0 {
-		t.Fatal("no send-free window skipped its commit: the coalescing path never ran")
-	}
-	t.Logf("%d windows coalesced", co.coalesced)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("coalesced-window run differs from serial:\n got: %+v\nwant: %+v", got, want)
-	}
-}

@@ -15,6 +15,12 @@ import (
 // wall-clock reads (the punovet wallclock invariant).
 const retryAfterSeconds = "1"
 
+// maxSpecBytes bounds the body of POST /v1/jobs. A Spec is seven scalar
+// fields — a few hundred bytes of JSON — so 1 MiB refuses nothing real
+// while keeping a hostile client from making the decoder buffer without
+// limit.
+const maxSpecBytes = 1 << 20
+
 // jobJSON is the wire rendering of a job.
 type jobJSON struct {
 	ID     string `json:"id"`
@@ -59,10 +65,15 @@ func (s *Service) Handler() http.Handler {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("malformed spec: %v", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Sprintf("malformed spec: %v", err))
 		return
 	}
 	job, err := s.Submit(spec)

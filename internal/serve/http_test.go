@@ -181,6 +181,34 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitBodyLimit pins the POST /v1/jobs body bound: a spec past
+// maxSpecBytes is refused with 413 before it is buffered, and one that
+// fills the limit to the last byte is served like any other.
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(`{"workload":"` + strings.Repeat("a", 2*maxSpecBytes) + `"}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413", code)
+	}
+	const head, tail = `{"workload":"kmeans","tx_per_cpu":1`, `}`
+	full := head + strings.Repeat(" ", maxSpecBytes-len(head)-len(tail)) + tail
+	if code := post(full); code != http.StatusAccepted {
+		t.Fatalf("spec of exactly %d bytes: status %d, want 202", len(full), code)
+	}
+}
+
 // TestHTTPBackpressure drives the full-queue path over the wire: the third
 // submission gets 429 with a Retry-After hint, and once the queue drains a
 // resubmission succeeds.

@@ -4,12 +4,16 @@
 // the same seed and the same schedule of events produces bit-identical
 // results, which the experiment harness relies on.
 //
-// The queue is a two-level hierarchical time wheel over a slab of event
+// The queue is a time wheel with a sorted spill list, over a slab of event
 // slots recycled through a free list. Short delays — the overwhelming
 // majority in a cache-coherent CMP model: NoC hops, controller occupancy
 // windows, hit latencies, fixed backoffs — land in a dense near-horizon
-// wheel with O(1) schedule and pop; long timers (notification-guided
-// sleeps, restart backoffs, sample intervals) go to an overflow 4-ary heap.
+// wheel with O(1) schedule and pop. Long timers (notification-guided
+// sleeps, restart backoffs, sample intervals) go to a spill list kept in
+// (at, seq) order. A node's FSM has at most one such timer pending, so the
+// list's length is bounded by the node count and measured at ~0.01% of
+// scheduled events or less (DESIGN.md has the table; TestOverflowStaysCold
+// pins it), which is why a linear insert is all the structure it needs.
 // Events can be scheduled either as closures (At/After) or — on hot paths —
 // closure-free via a Handler interface plus a payload value and word
 // (AtEvent/AfterEvent).
@@ -43,7 +47,7 @@ type Handler interface {
 const (
 	locFree  int8 = iota // on the free list (next = free-list link)
 	locWheel             // chained in a near-horizon bucket (next = chain link)
-	locHeap              // in the overflow heap (pos = heap index)
+	locSpill             // in the spill list
 )
 
 // eventSlot is one entry of the event slab. loc names the structure the
@@ -59,7 +63,6 @@ type eventSlot struct {
 	word uint64
 	gen  uint32
 	loc  int8
-	pos  int32 // heap index (locHeap only)
 	next int32 // free-list or bucket-chain link; -1 ends the list
 }
 
@@ -76,10 +79,10 @@ func (id EventID) Zero() bool { return id.slot == 0 }
 
 // DefaultWheelWindow is the near-horizon window of NewEngine: delays
 // shorter than this many cycles get O(1) wheel scheduling; longer timers go
-// to the overflow heap. 4096 covers every protocol-level delay of the
+// to the spill list. 4096 covers every protocol-level delay of the
 // default machine (NoC traversals, cache/memory latencies, occupancy
 // windows, fixed backoffs) while leaving only rare long sleeps
-// (notification-guided waits, randomized restart backoffs) on the heap.
+// (notification-guided waits, randomized restart backoffs) to spill.
 const DefaultWheelWindow Time = 4096
 
 // bucket is one wheel slot: an intrusive FIFO chain of event-slot indices.
@@ -95,16 +98,17 @@ type bucket struct {
 // Horizon invariant: every event in the wheel satisfies
 // now <= at < now+window. Distinct times in a window-sized range map to
 // distinct buckets (at mod window), so each bucket holds events of exactly
-// one absolute time; events at or beyond the horizon live in the overflow
-// heap and are popped directly from there when their turn comes (no
+// one absolute time; events at or beyond the horizon live in the spill
+// list and are popped directly from there when their turn comes (no
 // migration pass is needed for correctness — the next event overall is the
-// (at, seq)-minimum of the earliest wheel bucket's head and the heap top).
+// (at, seq)-minimum of the earliest wheel bucket's head and the list head).
 type Engine struct {
 	now     Time
 	seq     uint64
 	slots   []eventSlot
 	free    int32 // head of the free-slot list; -1 when empty
 	nRun    uint64
+	nSpill  uint64
 	stopped bool
 
 	// Near-horizon wheel.
@@ -114,9 +118,10 @@ type Engine struct {
 	occ     []uint64 // occupancy bitmap over buckets (window/64 words)
 	nWheel  int      // live events currently in the wheel
 
-	// Overflow level: 4-ary heap of slab indices, ordered by (at, seq),
-	// holding events scheduled at or beyond the wheel horizon.
-	heap []int32
+	// Overflow level: slab indices sorted by (at, seq), holding events
+	// scheduled at or beyond the wheel horizon. seq is unique, so the order
+	// is a strict total one and pop order cannot depend on how it is kept.
+	spill []int32
 }
 
 // NewEngine returns an engine with the clock at cycle 0 and the default
@@ -124,9 +129,9 @@ type Engine struct {
 func NewEngine() *Engine { return NewEngineWindow(DefaultWheelWindow) }
 
 // NewEngineWindow returns an engine whose near-horizon wheel spans window
-// cycles (delays < window schedule O(1); longer delays go to the overflow
-// heap). window must be a power of two and at least 64. Event ordering is
-// independent of the window — it only moves the wheel/heap split — so any
+// cycles (delays < window schedule O(1); longer delays go to the spill
+// list). window must be a power of two and at least 64. Event ordering is
+// independent of the window — it only moves the wheel/spill split — so any
 // window produces bit-identical simulations.
 func NewEngineWindow(window Time) *Engine {
 	if window < 64 || window&(window-1) != 0 {
@@ -155,15 +160,20 @@ func (e *Engine) Now() Time { return e.now }
 // are never counted; Reset rewinds the count to zero.
 func (e *Engine) Processed() uint64 { return e.nRun }
 
+// Spilled returns the number of events scheduled at or beyond the wheel
+// horizon since the last Reset — the traffic the spill list's linear insert
+// is sized for.
+func (e *Engine) Spilled() uint64 { return e.nSpill }
+
 // Pending returns the number of events currently scheduled: live events in
-// the wheel plus live events in the overflow heap. Free slab slots and
+// the wheel plus live events in the spill list. Free slab slots and
 // cancelled events are not counted — the slab may be much larger than
 // Pending after a burst.
-func (e *Engine) Pending() int { return e.nWheel + len(e.heap) }
+func (e *Engine) Pending() int { return e.nWheel + len(e.spill) }
 
 // Reset returns the engine to the state NewEngine left it in — clock at
 // zero, no pending events, zero Processed count, not stopped — while
-// retaining the slot slab, wheel, and heap capacity for reuse. Every slot
+// retaining the slot slab, wheel, and spill-list capacity for reuse. Every slot
 // that held a queued event has its generation bumped, so EventIDs issued
 // before the Reset can never cancel events scheduled after it.
 func (e *Engine) Reset() {
@@ -178,11 +188,12 @@ func (e *Engine) Reset() {
 	for i := range e.occ {
 		e.occ[i] = 0
 	}
-	e.heap = e.heap[:0]
+	e.spill = e.spill[:0]
 	e.nWheel = 0
 	e.now = 0
 	e.seq = 0
 	e.nRun = 0
+	e.nSpill = 0
 	e.stopped = false
 }
 
@@ -191,9 +202,9 @@ func (e *Engine) Reset() {
 // replayed schedule so cross-shard event ordering matches the serial run.
 func (e *Engine) Seq() uint64 { return e.seq }
 
-// SetSeq overrides the next insertion sequence number. Chains and the heap
-// stay correctly ordered even when the override moves seq backwards:
-// schedule and Rekey insert out-of-order seqs by position (chainInsert),
+// SetSeq overrides the next insertion sequence number. Chains and the spill
+// list stay correctly ordered even when the override moves seq backwards:
+// schedule inserts out-of-order seqs by position (chainInsert, spillInsert),
 // not by blind append.
 func (e *Engine) SetSeq(seq uint64) { e.seq = seq }
 
@@ -213,11 +224,11 @@ func (e *Engine) Peek() (at Time, seq uint64, ok bool) {
 
 // RekeyBucket reassigns the insertion sequence number of every event in
 // the wheel bucket holding cycle t whose seq is at least base to
-// renum[seq-base], keeping firing times. It is the bulk counterpart of
-// Rekey for the sharded commit path: one short chain walk renumbers
-// exactly the events that could tie with a serial-keyed arrival at t. A t
-// at or beyond the wheel horizon is a no-op (no wheel event shares its
-// cycle).
+// renum[seq-base], keeping firing times. The sharded commit path uses it
+// to replace provisional seqs with the serial run's: one short chain walk
+// renumbers exactly the events that could tie with a serial-keyed arrival
+// at t. A t at or beyond the wheel horizon is a no-op (no wheel event
+// shares its cycle).
 //
 // Precondition: the mapping must be strictly increasing over the live seqs
 // it covers, and every mapped-to seq must be larger than every seq below
@@ -238,14 +249,14 @@ func (e *Engine) RekeyBucket(t Time, base uint64, renum []uint64) {
 	}
 }
 
-// RekeyOverflow bulk-renumbers the overflow heap under the same mapping
-// and preconditions as RekeyBucket: every heap event with seq ≥ base is
-// reassigned in place (a monotone mapping cannot violate the heap
-// property), and for each heap event already inside the wheel horizon the
-// same-cycle wheel bucket is renumbered too, so cross-level (at, seq)
-// tie-breaks between the two queue levels stay serial-correct.
+// RekeyOverflow bulk-renumbers the spill list under the same mapping and
+// preconditions as RekeyBucket: every spilled event with seq ≥ base is
+// reassigned in place (a monotone mapping keeps a sorted list sorted), and
+// for each spilled event already inside the wheel horizon the same-cycle
+// wheel bucket is renumbered too, so cross-level (at, seq) tie-breaks
+// between the two queue levels stay serial-correct.
 func (e *Engine) RekeyOverflow(base uint64, renum []uint64) {
-	for _, idx := range e.heap {
+	for _, idx := range e.spill {
 		s := &e.slots[idx]
 		if s.seq >= base {
 			s.seq = renum[s.seq-base]
@@ -254,41 +265,8 @@ func (e *Engine) RekeyOverflow(base uint64, renum []uint64) {
 	}
 }
 
-// Rekey reassigns the insertion sequence number of a still-pending event,
-// keeping its firing time. The sharded commit path uses it to replace a
-// provisional seq with the serial run's global one. Rekeying an event that
-// already fired or was cancelled is a no-op and returns false — the caller
-// still burned the serial seq either way.
-func (e *Engine) Rekey(id EventID, seq uint64) bool {
-	if id.slot == 0 {
-		return false
-	}
-	idx := id.slot - 1
-	if int(idx) >= len(e.slots) {
-		return false
-	}
-	s := &e.slots[idx]
-	if s.gen != id.gen || s.loc == locFree {
-		return false
-	}
-	if s.seq == seq {
-		return true
-	}
-	switch s.loc {
-	case locWheel:
-		e.unchain(idx)
-		s.seq = seq
-		e.chainInsert(idx)
-	case locHeap:
-		s.seq = seq
-		e.siftUp(int(s.pos))
-		e.siftDown(int(s.pos))
-	}
-	return true
-}
-
 // schedule grabs a slot, fills it, and queues it on the wheel (near
-// horizon) or the overflow heap (at or beyond it).
+// horizon) or the spill list (at or beyond it).
 //
 //puno:hot
 func (e *Engine) schedule(t Time, fn Event, h Handler, arg any, word uint64) EventID {
@@ -315,12 +293,42 @@ func (e *Engine) schedule(t Time, fn Event, h Handler, arg any, word uint64) Eve
 		s.loc = locWheel
 		e.chainInsert(idx)
 	} else {
-		s.loc = locHeap
-		s.pos = int32(len(e.heap))
-		e.heap = append(e.heap, idx)
-		e.siftUp(int(s.pos))
+		s.loc = locSpill
+		e.nSpill++
+		e.spillInsert(idx)
 	}
 	return EventID{slot: idx + 1, gen: s.gen}
+}
+
+// spillInsert places a filled slot in the spill list, keeping it (at, seq)
+// sorted. The scan runs from the tail because a long timer usually fires
+// after the ones already waiting.
+func (e *Engine) spillInsert(idx int32) {
+	e.spill = append(e.spill, idx)
+	i := len(e.spill) - 1
+	for ; i > 0 && e.before(idx, e.spill[i-1]); i-- {
+		e.spill[i] = e.spill[i-1]
+	}
+	e.spill[i] = idx
+}
+
+// spillRemove deletes a resident slot from the spill list. A pop finds it
+// at the head; Cancel may find it anywhere.
+func (e *Engine) spillRemove(idx int32) {
+	i := 0
+	for e.spill[i] != idx {
+		i++
+	}
+	e.spill = append(e.spill[:i], e.spill[i+1:]...)
+}
+
+// before reports whether slot a fires before slot b.
+func (e *Engine) before(a, b int32) bool {
+	sa, sb := &e.slots[a], &e.slots[b]
+	if sa.at != sb.at {
+		return sa.at < sb.at
+	}
+	return sa.seq < sb.seq
 }
 
 // chainInsert links a filled slot into its time bucket, keeping the chain
@@ -398,8 +406,8 @@ func (e *Engine) Cancel(id EventID) bool {
 	switch s.loc {
 	case locWheel:
 		e.unchain(idx)
-	case locHeap:
-		e.removeAt(int(s.pos))
+	case locSpill:
+		e.spillRemove(idx)
 	}
 	e.release(idx)
 	return true
@@ -477,16 +485,16 @@ func (e *Engine) scanWheel() int32 {
 }
 
 // nextEvent returns the slab index of the globally earliest (at, seq)
-// event, or -1 when nothing is pending. Wheel-vs-heap ties at the same
-// cycle are broken by seq, preserving cross-level FIFO: an event that went
-// to the heap long ago still runs before a same-cycle event scheduled
-// later into the wheel.
+// event, or -1 when nothing is pending. Wheel-vs-spill ties at the same
+// cycle are broken by seq, preserving cross-level FIFO: an event that
+// spilled long ago still runs before a same-cycle event scheduled later
+// into the wheel.
 func (e *Engine) nextEvent() int32 {
 	w := e.scanWheel()
-	if len(e.heap) == 0 {
+	if len(e.spill) == 0 {
 		return w
 	}
-	h := e.heap[0]
+	h := e.spill[0]
 	if w < 0 || e.before(h, w) {
 		return h
 	}
@@ -508,7 +516,7 @@ func (e *Engine) popSlot(idx int32) {
 		}
 		e.nWheel--
 	} else {
-		e.removeAt(int(s.pos))
+		e.spillRemove(idx)
 	}
 }
 
@@ -532,39 +540,10 @@ func (e *Engine) runSlot(idx int32) {
 	}
 }
 
-// StepBefore runs the single next event if it fires strictly before limit.
-// When it runs one, it returns that event's (at, seq) key with ran=true.
-// Otherwise the queue is left untouched and it returns the key of the event
-// Step would run next — (Infinity, 0) when nothing is pending or the engine
-// is stopped — with ran=false. The sharded window loop drives execution
-// through this instead of a Peek/Step pair, paying one queue scan per event
-// instead of two, and reads the shard's next pending time out of the
-// failing call for free.
-//
-//puno:hot
-func (e *Engine) StepBefore(limit Time) (at Time, seq uint64, ran bool) {
-	if e.stopped {
-		return Infinity, 0, false
-	}
-	idx := e.nextEvent()
-	if idx < 0 {
-		return Infinity, 0, false
-	}
-	s := &e.slots[idx]
-	if s.at >= limit {
-		return s.at, s.seq, false
-	}
-	at, seq = s.at, s.seq
-	e.popSlot(idx)
-	e.runSlot(idx)
-	return at, seq, true
-}
-
 // DrainEntry is one effectful event executed by DrainBefore: the cycle it
 // ran at, its (possibly flag-tagged) sequence key, the engine seq counter
-// after it ran (as an offset from the drain's base), and the caller's
-// external effect counter after it ran. Emit is written by callers that
-// track a second effect stream; DrainBefore itself leaves it zero.
+// after it ran (as an offset from the drain's base), and the caller's two
+// external effect counters after it ran.
 type DrainEntry struct {
 	At    uint32
 	Key   uint32
@@ -576,17 +555,17 @@ type DrainEntry struct {
 // DrainBefore runs every event firing strictly before limit in one tight
 // loop — the windowed equivalent of Run — appending one DrainEntry per
 // effectful event to log. An event is effectful when it scheduled
-// something (the seq counter advanced) or when *ext changed (the caller's
-// hooks bump ext for externally staged effects, e.g. remote sends). Keys
-// pack as uint32(seq), tagged with flag when seq >= base; counter values
-// are recorded as offsets from base. It returns the grown log and the
-// time of the next pending event — Infinity when the queue drained or the
-// engine was stopped. Executed cycles and counter offsets must fit 32
-// bits; the caller guarantees both.
+// something (the seq counter advanced) or when *ext or *emit changed (the
+// caller's hooks bump them for externally staged effects: remote sends and
+// probe emissions). Keys pack as uint32(seq), tagged with flag when seq >=
+// base; seq counter values are recorded as offsets from base. It returns
+// the grown log and the time of the next pending event — Infinity when the
+// queue drained or the engine was stopped. Executed cycles and counter
+// offsets must fit 32 bits; the caller guarantees both.
 //
 //puno:hot
-func (e *Engine) DrainBefore(limit Time, base uint64, flag uint32, log []DrainEntry, ext *int32) ([]DrainEntry, Time) {
-	x := *ext
+func (e *Engine) DrainBefore(limit Time, base uint64, flag uint32, log []DrainEntry, ext, emit *int32) ([]DrainEntry, Time) {
+	x, m := *ext, *emit
 	pseq := e.seq
 	for !e.stopped {
 		idx := e.nextEvent()
@@ -600,8 +579,8 @@ func (e *Engine) DrainBefore(limit Time, base uint64, flag uint32, log []DrainEn
 		at, seq := s.at, s.seq
 		e.popSlot(idx)
 		e.runSlot(idx)
-		x2, q2 := *ext, e.seq
-		if x2 != x || q2 != pseq {
+		x2, m2, q2 := *ext, *emit, e.seq
+		if x2 != x || m2 != m || q2 != pseq {
 			key := uint32(seq)
 			if seq >= base {
 				key |= flag
@@ -610,8 +589,9 @@ func (e *Engine) DrainBefore(limit Time, base uint64, flag uint32, log []DrainEn
 				At: uint32(at), Key: key,
 				SeqHi: uint32(q2 - base),
 				Send:  x2,
+				Emit:  m2,
 			})
-			x, pseq = x2, q2
+			x, m, pseq = x2, m2, q2
 		}
 	}
 	return log, Infinity
@@ -656,82 +636,3 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
-
-// ---- overflow heap -------------------------------------------------------
-//
-// The heap orders slot indices by (at, seq); since seq is unique, this is a
-// strict total order and pop order is independent of heap shape — the exact
-// property that keeps golden determinism files stable across queue
-// implementations. A 4-ary layout halves the tree depth of a binary heap,
-// trading slightly more comparisons per sift-down for many fewer cache-line
-// touches. Only long timers reach it, so its size stays small.
-
-// before reports whether slot a fires before slot b.
-func (e *Engine) before(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
-func (e *Engine) heapSet(pos int, idx int32) {
-	e.heap[pos] = idx
-	e.slots[idx].pos = int32(pos)
-}
-
-func (e *Engine) siftUp(pos int) {
-	idx := e.heap[pos]
-	for pos > 0 {
-		parent := (pos - 1) / 4
-		if !e.before(idx, e.heap[parent]) {
-			break
-		}
-		e.heapSet(pos, e.heap[parent])
-		pos = parent
-	}
-	e.heapSet(pos, idx)
-}
-
-func (e *Engine) siftDown(pos int) {
-	idx := e.heap[pos]
-	n := len(e.heap)
-	for {
-		first := 4*pos + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.before(e.heap[c], e.heap[best]) {
-				best = c
-			}
-		}
-		if !e.before(e.heap[best], idx) {
-			break
-		}
-		e.heapSet(pos, e.heap[best])
-		pos = best
-	}
-	e.heapSet(pos, idx)
-}
-
-// removeAt deletes the element at heap position pos, restoring the heap
-// property. The removed slot's location is left for the caller to reset.
-func (e *Engine) removeAt(pos int) {
-	n := len(e.heap) - 1
-	moved := e.heap[n]
-	e.heap = e.heap[:n]
-	if pos == n {
-		return
-	}
-	e.heapSet(pos, moved)
-	// The moved element may need to go either way relative to its new
-	// subtree; sift up first (cheap no-op when already ordered), then down.
-	e.siftUp(pos)
-	e.siftDown(int(e.slots[moved].pos))
-}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // wordRecorder is a minimal Handler that records the payload words it runs.
 type wordRecorder struct{ fired []uint64 }
@@ -82,86 +85,8 @@ func TestSetSeqOrdersSameCycleChain(t *testing.T) {
 	}
 }
 
-func TestRekeyWheel(t *testing.T) {
-	e := NewEngine()
-	h := &wordRecorder{}
-	a := e.AtEvent(7, h, nil, 1) // seq 0
-	b := e.AtEvent(7, h, nil, 2) // seq 1
-	if !e.Rekey(a, 10) {
-		t.Fatal("Rekey of a live wheel event failed")
-	}
-	if !e.Rekey(b, 1) {
-		t.Fatal("Rekey to the event's current seq should be a true no-op")
-	}
-	if e.Rekey(EventID{}, 3) {
-		t.Fatal("Rekey of the zero EventID succeeded")
-	}
-	if e.Rekey(EventID{slot: 1 << 20, gen: 1}, 3) {
-		t.Fatal("Rekey of an out-of-range slot succeeded")
-	}
-	e.Run(Infinity)
-	if want := []uint64{2, 1}; len(h.fired) != 2 || h.fired[0] != want[0] || h.fired[1] != want[1] {
-		t.Fatalf("fired order %v, want %v (Rekey did not reorder)", h.fired, want)
-	}
-	if e.Rekey(a, 20) {
-		t.Fatal("Rekey of an already-fired event succeeded")
-	}
-}
-
-func TestRekeyHeap(t *testing.T) {
-	// The smallest wheel window forces far-future events onto the overflow
-	// heap.
-	e := NewEngineWindow(64)
-	h := &wordRecorder{}
-	a := e.AtEvent(1000, h, nil, 1) // seq 0, heap
-	b := e.AtEvent(1000, h, nil, 2) // seq 1, heap
-	if !e.Rekey(a, 10) {
-		t.Fatal("Rekey of a live heap event failed")
-	}
-	if !e.Rekey(b, 3) {
-		t.Fatal("Rekey of a live heap event failed")
-	}
-	e.Run(Infinity)
-	if want := []uint64{2, 1}; len(h.fired) != 2 || h.fired[0] != want[0] || h.fired[1] != want[1] {
-		t.Fatalf("fired order %v, want %v (heap Rekey did not reorder)", h.fired, want)
-	}
-}
-
-func TestStepBefore(t *testing.T) {
-	e := NewEngine()
-	h := &wordRecorder{}
-	if at, seq, ran := e.StepBefore(100); ran || at != Infinity || seq != 0 {
-		t.Fatalf("StepBefore on empty engine = (%d, %d, %v), want (Infinity, 0, false)", at, seq, ran)
-	}
-	e.AtEvent(5, h, nil, 1)  // seq 0
-	e.AtEvent(10, h, nil, 2) // seq 1
-	at, seq, ran := e.StepBefore(6)
-	if !ran || at != 5 || seq != 0 {
-		t.Fatalf("StepBefore(6) = (%d, %d, %v), want (5, 0, true)", at, seq, ran)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("clock after StepBefore = %d, want 5", e.Now())
-	}
-	// Next event is at the limit: must not run, must report its key.
-	at, seq, ran = e.StepBefore(10)
-	if ran || at != 10 || seq != 1 {
-		t.Fatalf("StepBefore(10) = (%d, %d, %v), want (10, 1, false)", at, seq, ran)
-	}
-	if len(h.fired) != 1 {
-		t.Fatalf("StepBefore at the limit ran the event (fired %v)", h.fired)
-	}
-	if at, seq, ran = e.StepBefore(11); !ran || at != 10 || seq != 1 {
-		t.Fatalf("StepBefore(11) = (%d, %d, %v), want (10, 1, true)", at, seq, ran)
-	}
-	e.AtEvent(20, h, nil, 3)
-	e.Stop()
-	if at, _, ran := e.StepBefore(Infinity); ran || at != Infinity {
-		t.Fatalf("StepBefore on stopped engine = (%d, _, %v), want (Infinity, false)", at, ran)
-	}
-}
-
 // TestRekeyBucketAndOverflow bulk-renumbers provisional events sitting in
-// a wheel bucket and in the overflow heap, then certifies the new seqs are
+// a wheel bucket and in the spill list, then certifies the new seqs are
 // real: fresh events scheduled between the mapped values (via SetSeq)
 // interleave exactly where the renumbering put them.
 func TestRekeyBucketAndOverflow(t *testing.T) {
@@ -173,13 +98,13 @@ func TestRekeyBucketAndOverflow(t *testing.T) {
 	e.SetSeq(base)
 	e.AtEvent(7, h, nil, 101)    // base+0, wheel
 	e.AtEvent(7, h, nil, 102)    // base+1, wheel (same bucket chain)
-	e.AtEvent(1000, h, nil, 103) // base+2, overflow heap
-	e.AtEvent(1000, h, nil, 104) // base+3, overflow heap
+	e.AtEvent(1000, h, nil, 103) // base+2, spill list
+	e.AtEvent(1000, h, nil, 104) // base+3, spill list
 	renum := []uint64{10, 20, 30, 40}
 	e.RekeyBucket(7, base, renum)
 	e.RekeyOverflow(base, renum)
 	// Events inserted after the bulk passes, keyed between the mapped seqs:
-	// chainInsert's positional walk and the heap's sift must slot them in.
+	// chainInsert's positional walk and spillInsert's scan must slot them in.
 	e.SetSeq(15)
 	e.AtEvent(7, h, nil, 105) // between the rekeyed 10 and 20
 	e.SetSeq(35)
@@ -217,53 +142,56 @@ func TestRekeyBucketHorizonGuard(t *testing.T) {
 }
 
 // TestRekeyAcrossHorizonBoundary pins the cross-level FIFO tie-break under
-// rekeying: an event parked in the overflow heap long ago shares its cycle
-// with a wheel event scheduled once the cycle came inside the horizon, and
-// the winner must follow the rekeyed seqs, whichever level holds them.
+// renumbering: an event that spilled long ago shares its cycle with a wheel
+// event scheduled once the cycle came inside the horizon. RekeyOverflow
+// must renumber both — the resident and its same-cycle bucket — so that
+// serial-keyed arrivals at that cycle interleave with either level by seq.
 func TestRekeyAcrossHorizonBoundary(t *testing.T) {
+	const base = uint64(1) << 62
 	e := NewEngineWindow(64)
 	h := &wordRecorder{}
-	heapEv := e.AtEvent(100, h, nil, 1) // seq 0: beyond the horizon, heap
-	e.AtEvent(50, h, nil, 2)            // seq 1: wheel
-	e.Step()                            // run the wheel event; now = 50, 100 is inside the horizon
-	e.AtEvent(100, h, nil, 3)           // seq 2: same cycle as the heap resident, lands in the wheel
-	// Rekey the heap resident after the same-cycle wheel event: the
-	// cross-level (at, seq) comparison in nextEvent must now pick the wheel
-	// side first.
-	if !e.Rekey(heapEv, 10) {
-		t.Fatal("Rekey of the heap resident failed")
+	e.SetSeq(base)
+	e.AtEvent(100, h, nil, 1) // base+0: beyond the horizon, spills
+	e.AtEvent(50, h, nil, 2)  // base+1: wheel
+	e.Step()                  // run the wheel event; now = 50, 100 is inside the horizon
+	e.AtEvent(100, h, nil, 3) // base+2: same cycle as the resident, lands in the wheel
+	e.RekeyOverflow(base, []uint64{10, 0, 20})
+	for _, seq := range []uint64{5, 15, 25} { // before, between and after the two
+		e.SetSeq(seq)
+		e.AtEvent(100, h, nil, seq)
 	}
 	e.Run(Infinity)
-	if want := []uint64{2, 3, 1}; len(h.fired) != 3 || h.fired[0] != want[0] ||
-		h.fired[1] != want[1] || h.fired[2] != want[2] {
+	if want := []uint64{2, 5, 1, 15, 3, 25}; !slices.Equal(h.fired, want) {
 		t.Fatalf("fired order %v, want %v (horizon-boundary rekey misordered)", h.fired, want)
 	}
 }
 
-// TestCancelAfterRekey certifies EventID generation safety around rekeying:
-// rekeying (per-event or bulk) must not invalidate a held id, and a fired
-// slot's recycled tenant must stay safe from the stale id.
+// TestCancelAfterRekey certifies EventID generation safety around the bulk
+// renumbering passes: neither may invalidate a held id, in either level,
+// and a cancelled slot's recycled tenant must stay safe from the stale id.
 func TestCancelAfterRekey(t *testing.T) {
 	const base = uint64(1) << 62
-	e := NewEngine()
+	e := NewEngineWindow(64)
 	h := &wordRecorder{}
 	e.SetSeq(base)
-	a := e.AtEvent(9, h, nil, 1)
-	b := e.AtEvent(9, h, nil, 2)
-	if !e.Rekey(a, base+100) {
-		t.Fatal("Rekey of a live event failed")
-	}
+	a := e.AtEvent(9, h, nil, 1)   // wheel
+	b := e.AtEvent(900, h, nil, 2) // spill list
+	renum := []uint64{3, 7}
+	e.RekeyBucket(9, base, renum)
+	e.RekeyOverflow(base, renum)
 	if !e.Cancel(a) {
-		t.Fatal("Cancel after Rekey failed: rekeying must not touch the generation")
-	}
-	e.RekeyBucket(9, base, []uint64{0, 7})
-	if !e.Cancel(b) {
 		t.Fatal("Cancel after RekeyBucket failed: the bulk pass must not touch generations")
 	}
-	// Recycle a's slot for a new event; the stale id must not cancel it.
+	if !e.Cancel(b) {
+		t.Fatal("Cancel after RekeyOverflow failed: the bulk pass must not touch generations")
+	}
+	// Recycle a slot for a new event; the stale ids must not cancel it.
 	c := e.AtEvent(12, h, nil, 3)
-	if e.Cancel(a) {
+	if e.Cancel(a) || e.Cancel(b) {
 		t.Fatal("stale EventID cancelled a recycled slot's new tenant")
+	}
+	if e.Cancel(EventID{}) || e.Cancel(EventID{slot: 1 << 20, gen: 1}) {
+		t.Fatal("Cancel of the zero or an out-of-range EventID succeeded")
 	}
 	if !e.Cancel(c) {
 		t.Fatal("Cancel of the recycled slot's live tenant failed")
@@ -278,38 +206,42 @@ type funcHandler struct{ f func(word uint64) }
 
 func (h *funcHandler) OnEvent(arg any, word uint64) { h.f(word) }
 
-// TestDrainBefore drives the windowed drain the PDES coordinator's untraced
-// path runs: only effectful events (a schedule or an external-counter bump)
-// may append entries, keys carry the provisional flag exactly when the
-// event's seq sits at or above the renumbering base, and the returned time
-// is the first undrained event's (Infinity once the queue empties).
+// TestDrainBefore drives the windowed drain the PDES coordinator runs: only
+// effectful events (a schedule, or a bump of either external counter — an
+// emission-only event included) may append entries, keys carry the
+// provisional flag exactly when the event's seq sits at or above the
+// renumbering base, and the returned time is the first undrained event's
+// (Infinity once the queue empties).
 func TestDrainBefore(t *testing.T) {
 	const base = uint64(1) << 62
 	const flag = uint32(1) << 31
 	e := NewEngine()
-	var ext int32
+	var ext, emit int32
 	quiet := &wordRecorder{}
 	sched2 := &funcHandler{f: func(uint64) { e.AtEvent(7, quiet, nil, 0) }}
 	sched := &funcHandler{f: func(uint64) { e.AtEvent(5, sched2, nil, 0) }}
 	sender := &funcHandler{f: func(uint64) { ext++ }}
+	emitter := &funcHandler{f: func(uint64) { emit++ }}
 
-	e.AtEvent(1, quiet, nil, 0)  // seq 0: no effect, no entry
-	e.AtEvent(2, sched, nil, 0)  // seq 1: schedules -> entry, serial key
-	e.AtEvent(3, sender, nil, 0) // seq 2: bumps ext -> entry
-	e.AtEvent(9, quiet, nil, 0)  // seq 3: at the window edge, not drained
+	e.AtEvent(1, quiet, nil, 0)   // seq 0: no effect, no entry
+	e.AtEvent(2, sched, nil, 0)   // seq 1: schedules -> entry, serial key
+	e.AtEvent(3, sender, nil, 0)  // seq 2: bumps ext -> entry
+	e.AtEvent(4, emitter, nil, 0) // seq 3: bumps emit only -> entry
+	e.AtEvent(9, quiet, nil, 0)   // seq 4: at the window edge, not drained
 	e.SetSeq(base)
 
-	log, next := e.DrainBefore(9, base, flag, nil, &ext)
+	log, next := e.DrainBefore(9, base, flag, nil, &ext, &emit)
 	if next != 9 {
 		t.Fatalf("next = %d, want the undrained event's time 9", next)
 	}
-	if ext != 1 {
-		t.Fatalf("ext = %d, want 1", ext)
+	if ext != 1 || emit != 1 {
+		t.Fatalf("ext, emit = %d, %d, want 1, 1", ext, emit)
 	}
 	want := []DrainEntry{
-		{At: 2, Key: 1, SeqHi: 1, Send: 0},        // scheduled the cycle-5 child (prov seq base+0)
-		{At: 3, Key: 2, SeqHi: 1, Send: 1},        // ext bump only, seq untouched
-		{At: 5, Key: 0 | flag, SeqHi: 2, Send: 1}, // provisional event, schedules cycle-7 child
+		{At: 2, Key: 1, SeqHi: 1, Send: 0, Emit: 0},        // scheduled the cycle-5 child (prov seq base+0)
+		{At: 3, Key: 2, SeqHi: 1, Send: 1, Emit: 0},        // ext bump only, seq untouched
+		{At: 4, Key: 3, SeqHi: 1, Send: 1, Emit: 1},        // emission only: logged with the advanced Emit cursor
+		{At: 5, Key: 0 | flag, SeqHi: 2, Send: 1, Emit: 1}, // provisional event, schedules cycle-7 child
 	}
 	if len(log) != len(want) {
 		t.Fatalf("log has %d entries, want %d: %+v", len(log), len(want), log)
@@ -320,7 +252,7 @@ func TestDrainBefore(t *testing.T) {
 		}
 	}
 
-	log2, next2 := e.DrainBefore(100, base, flag, log[:0], &ext)
+	log2, next2 := e.DrainBefore(100, base, flag, log[:0], &ext, &emit)
 	if next2 != Infinity {
 		t.Fatalf("next after draining everything = %d, want Infinity", next2)
 	}
@@ -330,7 +262,7 @@ func TestDrainBefore(t *testing.T) {
 
 	e.AtEvent(50, quiet, nil, 0)
 	e.Stop()
-	if log3, next3 := e.DrainBefore(100, base, flag, nil, &ext); len(log3) != 0 || next3 != Infinity {
+	if log3, next3 := e.DrainBefore(100, base, flag, nil, &ext, &emit); len(log3) != 0 || next3 != Infinity {
 		t.Fatalf("stopped engine drained: %d entries, next %d", len(log3), next3)
 	}
 }

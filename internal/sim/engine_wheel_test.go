@@ -1,14 +1,17 @@
 package sim
 
 // Time-wheel certification: the two-level scheduler (near-horizon wheel +
-// overflow heap) against the container/heap reference model, with command
+// sorted spill list) against the container/heap reference model, with command
 // streams that force cross-level behaviour — delays on both sides of the
 // horizon, events migrating conceptually from "far" to "near" as the clock
 // advances, cancels in both levels, and slot ABA across levels. The plain
 // reference-model test (engine_recycle_test.go) keeps delays tiny and so
 // exercises only the wheel; these tests are the other half.
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestEngineWindowValidation checks the NewEngineWindow contract.
 func TestEngineWindowValidation(t *testing.T) {
@@ -32,7 +35,7 @@ func TestEngineWindowValidation(t *testing.T) {
 // TestEngineMatchesReferenceCrossLevel replays random schedule/cancel/pop
 // streams whose delays straddle the wheel horizon (window 64, delays up to
 // 4x that), against the container/heap reference. This certifies that the
-// wheel/heap split — including events that sit in the heap while their time
+// wheel/spill split — including events that sit in the spill list while their time
 // enters the near window — never changes the (time, seq) pop order.
 func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
 	const window = 64
@@ -116,17 +119,159 @@ func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
 	}
 }
 
+// lockstep drives an Engine and the container/heap reference through the
+// same schedule/cancel/pop script; every Cancel result and every fired id
+// is compared as it happens.
+type lockstep struct {
+	t     *testing.T
+	e     *Engine
+	ref   *refQueue
+	fired []int
+	ids   []EventID
+	evs   []*refEvent
+}
+
+func newLockstep(t *testing.T) *lockstep {
+	return &lockstep{t: t, e: NewEngineWindow(64), ref: &refQueue{}}
+}
+
+// at schedules event number len(ids) at absolute cycle c on both sides.
+func (l *lockstep) at(c Time) int {
+	id := len(l.ids)
+	l.ids = append(l.ids, l.e.At(c, func() { l.fired = append(l.fired, id) }))
+	l.evs = append(l.evs, l.ref.schedule(c, id))
+	return id
+}
+
+func (l *lockstep) cancel(id int) bool {
+	l.t.Helper()
+	got, want := l.e.Cancel(l.ids[id]), l.ref.cancel(l.evs[id])
+	if got != want {
+		l.t.Fatalf("Cancel(event %d) = %v, reference = %v", id, got, want)
+	}
+	return got
+}
+
+// step pops one event from each side and reports whether there was one.
+func (l *lockstep) step() bool {
+	l.t.Helper()
+	ok := l.e.Step()
+	want, refOK := l.ref.pop()
+	if ok != refOK {
+		l.t.Fatalf("Step = %v, reference pop = %v", ok, refOK)
+	}
+	if ok && l.fired[len(l.fired)-1] != want {
+		l.t.Fatalf("engine fired event %d, reference fired %d (so far %v)", l.fired[len(l.fired)-1], want, l.fired)
+	}
+	if p, r := l.e.Pending(), len(l.ref.h); p != r {
+		l.t.Fatalf("Pending = %d, reference holds %d", p, r)
+	}
+	return ok
+}
+
+func (l *lockstep) drain() []int {
+	l.t.Helper()
+	for l.step() {
+	}
+	return l.fired
+}
+
+// TestEngineSpillList scripts the cases the sorted spill list has to get
+// right on its own — a 64-cycle window makes every delay of 64 or more a
+// resident — each in lock-step with the reference.
+func TestEngineSpillList(t *testing.T) {
+	t.Run("same-cycle residents fire FIFO", func(t *testing.T) {
+		l := newLockstep(t)
+		for i := 0; i < 40; i++ {
+			l.at(500)
+		}
+		l.at(300) // scheduled last, sorts to the head
+		if got := l.e.Spilled(); got != 41 {
+			t.Fatalf("Spilled = %d, want 41", got)
+		}
+		fired := l.drain()
+		if len(fired) != 41 || fired[0] != 40 {
+			t.Fatalf("fired %v, want event 40 first then 0..39", fired)
+		}
+		for i, id := range fired[1:] {
+			if id != i {
+				t.Fatalf("same-cycle residents out of FIFO order: %v", fired)
+			}
+		}
+	})
+
+	t.Run("cancel head middle tail", func(t *testing.T) {
+		l := newLockstep(t)
+		for i := 0; i < 7; i++ {
+			l.at(Time(100 + 10*i))
+		}
+		for _, id := range []int{0, 3, 6} {
+			if !l.cancel(id) {
+				t.Fatalf("Cancel of live resident %d returned false", id)
+			}
+		}
+		if l.cancel(3) {
+			t.Fatal("second Cancel of the same resident returned true")
+		}
+		mid := l.at(125) // lands between survivors 2 and 3's old place
+		if fired, want := l.drain(), []int{1, 2, mid, 4, 5}; !slices.Equal(fired, want) {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	})
+
+	t.Run("reset with residents", func(t *testing.T) {
+		l := newLockstep(t)
+		for i := 0; i < 5; i++ {
+			l.at(Time(200 + i))
+		}
+		stale := l.ids
+		l.e.Reset()
+		*l.ref = refQueue{}
+		l.ids, l.evs = nil, nil
+		if l.e.Pending() != 0 || l.e.Spilled() != 0 {
+			t.Fatalf("after Reset: Pending=%d Spilled=%d, want 0/0", l.e.Pending(), l.e.Spilled())
+		}
+		// The same slots now hold new residents; no pre-Reset id may touch them.
+		for i := 0; i < 5; i++ {
+			l.at(Time(300 - i))
+		}
+		for i, id := range stale {
+			if l.e.Cancel(id) {
+				t.Fatalf("stale pre-Reset EventID %d cancelled a post-Reset resident", i)
+			}
+		}
+		if fired, want := l.drain(), []int{4, 3, 2, 1, 0}; !slices.Equal(fired, want) {
+			t.Fatalf("post-Reset residents fired %v, want %v", fired, want)
+		}
+	})
+
+	t.Run("resident overtaken by near events fires first at its cycle", func(t *testing.T) {
+		l := newLockstep(t)
+		far := l.at(100) // spills
+		l.at(60)         // wheel: advances the clock so 100 enters the horizon
+		if !l.step() {
+			t.Fatal("no event to step")
+		}
+		l.at(99)  // near, earlier cycle: overtakes the resident
+		l.at(100) // near, same cycle, later seq: must wait for it
+		l.at(100)
+		if fired, want := l.drain(), []int{1, 2, far, 3, 4}; !slices.Equal(fired, want) {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	})
+}
+
 // TestEngineHorizonBoundary pins the split rule: at schedule time, delay
-// window-1 is the last wheel slot and delay window is the first heap
+// window-1 is the last wheel slot and delay window is the first spill
 // resident — and the seam is invisible to ordering. In particular, two
 // events at the same absolute cycle living in *different* levels (one
-// scheduled far ahead into the heap, one scheduled later into the wheel
+// scheduled far ahead into the spill list, one scheduled later into the wheel
 // after the clock advanced) must still fire in seq (schedule) order.
 func TestEngineHorizonBoundary(t *testing.T) {
 	e := NewEngineWindow(64)
 	var fired []int
 
-	// d = window lands in the heap; d = window-1 in the wheel. The heap
+	// d = window spills; d = window-1 lands in the wheel. The spilled
 	// event is scheduled FIRST but fires LAST (later cycle) — and vice
 	// versa for seq order at equal cycles below.
 	e.After(64, func() { fired = append(fired, 1) })
@@ -136,13 +281,13 @@ func TestEngineHorizonBoundary(t *testing.T) {
 		t.Fatalf("boundary events fired %v, want [0 1]", fired)
 	}
 
-	// Same-cycle, cross-level seq tie: A goes to the heap (beyond horizon),
+	// Same-cycle, cross-level seq tie: A spills (beyond horizon),
 	// the clock advances to bring cycle 200 inside the window, then B is
 	// scheduled at the same cycle into the wheel. A has the lower seq and
 	// must fire first even though it sits in the other structure.
 	e2 := NewEngineWindow(64)
 	fired = fired[:0]
-	e2.At(200, func() { fired = append(fired, 0) }) // heap (200 - 0 >= 64)
+	e2.At(200, func() { fired = append(fired, 0) }) // spills (200 - 0 >= 64)
 	e2.At(150, func() {                             // wheel event advancing the clock
 		e2.At(200, func() { fired = append(fired, 1) }) // wheel (200 - 150 < 64)
 	})
@@ -182,18 +327,18 @@ func TestEngineSameCycleFIFOAcrossRollover(t *testing.T) {
 }
 
 // TestEngineCancelOverflowLevel exercises Cancel for events resident in the
-// overflow heap, including middle-of-heap removal and the generation (ABA)
+// spill list, including middle-of-list removal and the generation (ABA)
 // guard across a slot that migrates levels on reuse.
 func TestEngineCancelOverflowLevel(t *testing.T) {
 	e := NewEngineWindow(64)
 	fired := map[int]bool{}
 	var ids []EventID
-	// A spread of heap residents (delays >= window) around wheel residents.
+	// A spread of spill residents (delays >= window) around wheel residents.
 	for i := 0; i < 10; i++ {
 		id := i
 		ids = append(ids, e.After(Time(64+i*37), func() { fired[id] = true }))
 	}
-	// Cancel a middle heap element and the root-most one.
+	// Cancel a middle resident and the head.
 	if !e.Cancel(ids[5]) || !e.Cancel(ids[0]) {
 		t.Fatal("Cancel of live overflow events returned false")
 	}
@@ -211,10 +356,10 @@ func TestEngineCancelOverflowLevel(t *testing.T) {
 		}
 	}
 
-	// ABA across levels: a stale ID for a fired heap event must not cancel
+	// ABA across levels: a stale ID for a fired spilled event must not cancel
 	// the wheel event now occupying the recycled slot.
 	e2 := NewEngineWindow(64)
-	stale := e2.After(100, func() {}) // heap
+	stale := e2.After(100, func() {}) // spills
 	e2.Run(Infinity)                  // fires, slot freed
 	ran := false
 	fresh := e2.After(1, func() { ran = true }) // wheel, reuses the slot
@@ -241,12 +386,12 @@ func TestEnginePendingProcessed(t *testing.T) {
 	}
 	idWheel := e.After(3, func() {})
 	e.After(5, func() {})
-	idHeap := e.After(500, func() {}) // overflow level
+	idSpill := e.After(500, func() {}) // overflow level
 	if e.Pending() != 3 {
 		t.Fatalf("Pending = %d after 3 schedules, want 3", e.Pending())
 	}
 	e.Cancel(idWheel)
-	e.Cancel(idHeap)
+	e.Cancel(idSpill)
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d after cancelling one event per level, want 1", e.Pending())
 	}

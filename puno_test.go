@@ -2,8 +2,11 @@ package puno
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 // tinyWorkloads shrinks the suite so API tests stay fast.
@@ -210,6 +213,51 @@ func TestScaledWorkloads(t *testing.T) {
 		}
 		if scaled[i].TxPerCPU() < 2 {
 			t.Fatalf("%s scaled below floor", full[i].Name())
+		}
+	}
+}
+
+// TestOverflowStaysCold pins the traffic the event queue's overflow level
+// is sized for. The engine keeps far events in a sorted list with a linear
+// insert, which is the right structure only while delays beyond the wheel
+// window stay rare: PUNO's notification-guided sleeps and the restart
+// backoffs, at most one per node at a time. If a model change makes long
+// timers common, this fails before that insert can cost anything.
+func TestOverflowStaysCold(t *testing.T) {
+	type point struct {
+		cfg Config
+		wl  Workload
+	}
+	var points []point
+	for _, p := range ScaledWorkloads(0.05) {
+		for _, s := range Schemes() {
+			cfg := DefaultConfig()
+			cfg.Scheme = s
+			points = append(points, point{cfg, p})
+		}
+	}
+	big := DefaultConfig()
+	big.Scheme = SchemePUNO
+	big.Mesh.Width, big.Mesh.Height, big.Nodes = 8, 8, 64
+	points = append(points, point{big, MustWorkload("intruder").WithTxPerCPU(3)})
+
+	for _, pt := range points {
+		pt.cfg.Seed = 42
+		pt.cfg.MaxCycles = 1_000_000 // a storming point still counts its first 10^6 cycles
+		m, err := NewMachine(pt.cfg, pt.wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil && !errors.Is(err, machine.ErrHung) {
+			t.Fatalf("%s/%v: %v", pt.wl.Name(), pt.cfg.Scheme, err)
+		}
+		eng := m.Engine()
+		if eng.Processed() == 0 {
+			t.Fatalf("%s/%v ran no events", pt.wl.Name(), pt.cfg.Scheme)
+		}
+		if eng.Spilled() > eng.Processed()/1000 {
+			t.Errorf("%s/%v on %d nodes: %d of %d events scheduled beyond the %d-cycle wheel window; the spill list assumes at most 0.1%%",
+				pt.wl.Name(), pt.cfg.Scheme, pt.cfg.Nodes, eng.Spilled(), eng.Processed(), eng.Window())
 		}
 	}
 }
