@@ -1,7 +1,7 @@
 GO ?= go
 BENCH ?= BenchmarkSweepParallelism
 
-.PHONY: all test lint race race-shards cover cover-update bench bench-pdes bench-serve serve-smoke golden clean
+.PHONY: all test lint race race-shards cover cover-update bench bench-pdes serve-smoke golden clean
 
 all: test
 
@@ -72,14 +72,6 @@ bench-pdes:
 # gracefully and check the profiles were flushed.
 serve-smoke:
 	$(GO) test -run 'ServeSmoke' -count 1 -v ./cmd/punoserve
-
-# The punoserve serving-path triple (cold miss / warm cache hit / 64-way
-# singleflight collapse) with allocation stats. SERVE_BENCHTIME keeps it a
-# smoke in CI; for real measurements use the repository benchmark
-# (bench/README.md: serve_warm, serve_cold).
-SERVE_BENCHTIME ?= 10x
-bench-serve:
-	$(GO) test -run '^$$' -bench 'Serve/' -benchmem -benchtime $(SERVE_BENCHTIME) -count 1 ./internal/serve
 
 # Regenerate the determinism golden files after an intentional change.
 golden:

@@ -6,7 +6,7 @@
 //
 //   - maprange:     no `for … range` over maps in simulation packages
 //   - wallclock:    no time.Now/time.Since/time.Until or math/rand there
-//   - hotalloc:     no per-event allocation inside hot functions
+//   - hotalloc:     no growing a fresh local slice inside hot functions
 //   - handlerfunc:  sim.Handler arguments are named funcs/methods, not closures
 //   - msglife:      pooled *coherence.Msg pointers are never parked past
 //     handler return (park by value instead)

@@ -13,16 +13,15 @@ import (
 	"strings"
 )
 
-// The escape gate is punovet's compiler-ground-truth complement to
-// hotalloc: instead of pattern-matching allocation syntax in the AST, it
-// shells out to `go build -gcflags=-m=2`, parses the gc escape-analysis
-// diagnostics, and fails when anything inside a hot function (annotated
-// //puno:hot, or an OnEvent dispatcher) actually escapes to the heap.
-// hotalloc stays as the fast in-editor check; the gate catches what the
-// heuristics cannot see — an interface conversion the AST hides behind a
-// generic call, or an optimization regression in a helper the hot path
-// inlines — and never cries wolf about an allocation the compiler proved
-// stack-bound.
+// The escape gate is punovet's compiler-ground-truth allocation check:
+// instead of pattern-matching allocation syntax in the AST, it shells out
+// to `go build -gcflags=-m=2`, parses the gc escape-analysis diagnostics,
+// and fails when anything inside a hot function (annotated //puno:hot, or
+// an OnEvent dispatcher) actually escapes to the heap. It sees what syntax
+// hides — an interface conversion behind a generic call, an optimization
+// regression in a helper the hot path inlines — and never cries wolf about
+// an allocation the compiler proved stack-bound. The one thing it cannot
+// see is append growth, which hotalloc covers.
 //
 // Diagnostics are filtered down to real per-event heap traffic:
 //

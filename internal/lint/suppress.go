@@ -160,26 +160,18 @@ func parseReason(s string) string {
 	return strings.TrimSpace(s)
 }
 
-// hotMarked reports whether the function declaration at the given line (its
-// func keyword) is annotated //puno:hot — the directive line must govern
-// the declaration's first line.
-func (p *Pass) hotMarked(file string, line int) bool {
-	for _, d := range p.Directives() {
-		if d.Kind == dirHot && d.File == file && d.AppliesTo == line {
-			return true
-		}
-	}
-	return false
-}
-
-// markedInDoc reports whether a directive of the given kind appears between
-// docStart and funcLine inclusive — i.e. anywhere in the declaration's doc
-// comment block or directly above the func keyword. isHotFunc and
-// isWorkerFunc share this so //puno:hot and //puno:worker behave
+// markedInDoc reports whether a directive of the given kind appears anywhere
+// in fd's doc comment block or directly above its func keyword. isHotFunc
+// and isWorkerFunc share this so //puno:hot and //puno:worker behave
 // identically whether they sit on their own line or inside a doc comment.
-func (p *Pass) markedInDoc(kind dirKind, file string, docStart, funcLine int) bool {
+func (p *Pass) markedInDoc(kind dirKind, fd *ast.FuncDecl) bool {
+	at := p.Fset.Position(fd.Pos())
+	docStart := at.Line
+	if fd.Doc != nil {
+		docStart = p.Fset.Position(fd.Doc.Pos()).Line
+	}
 	for _, d := range p.Directives() {
-		if d.Kind == kind && d.File == file && d.Line >= docStart && d.Line < funcLine+1 {
+		if d.Kind == kind && d.File == at.Filename && d.Line >= docStart && d.Line <= at.Line {
 			return true
 		}
 	}

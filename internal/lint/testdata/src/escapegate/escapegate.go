@@ -19,8 +19,11 @@ type table struct {
 }
 
 var (
-	escaped *record
-	intSink *int
+	escaped  *record
+	intSink  *int
+	funcSink func()
+	anySink  any
+	intsSink []int
 )
 
 // hotLeak parks a fresh composite in a package var: the textbook
@@ -45,6 +48,44 @@ func hotMake(n int) []uint64 {
 func hotMoved() {
 	x := 0 // want "moved to heap"
 	intSink = &x
+}
+
+// hotClosure parks a func literal that captures its argument.
+//
+//puno:hot
+func hotClosure(t *table) {
+	funcSink = func() { t.slots = nil } // want "func literal escapes to heap"
+}
+
+// hotNew parks a new'd object.
+//
+//puno:hot
+func hotNew() {
+	escaped = new(record) // want "escapes to heap"
+}
+
+// hotBox passes values where an interface is kept: each is boxed on the
+// heap, basic and struct alike.
+//
+//puno:hot
+func hotBox(word uint64) {
+	keep(word)                          // want "word escapes to heap"
+	keep(record{vals: [4]uint64{word}}) // want "escapes to heap"
+}
+
+func keep(v any) { anySink = v }
+
+// hotAppendFresh grows a slice declared in the function and keeps it. It
+// allocates on every call, and the compiler says nothing: growth happens in
+// runtime.growslice, which escape analysis does not report. No finding is
+// wanted here because the gate cannot produce one — this shape is what the
+// hotalloc analyzer is kept for (its fixture flags it).
+//
+//puno:hot
+func hotAppendFresh(word uint64) {
+	var fresh []int
+	fresh = append(fresh, int(word))
+	intsSink = fresh
 }
 
 // hotClean is steady-state arithmetic over existing storage: no findings.

@@ -1,4 +1,8 @@
-// Package hotalloc is the firing fixture for the hotalloc analyzer.
+// Package hotalloc is the firing fixture for the hotalloc analyzer: appends
+// that grow a slice declared fresh inside a hot function. The compiler's
+// escape diagnostics say nothing about any of them (the escapegate
+// fixture's hotAppendFresh is the same shape under the gate), which is why
+// this check exists.
 package hotalloc
 
 type msg struct{ a, b uint64 }
@@ -6,45 +10,42 @@ type msg struct{ a, b uint64 }
 type dispatcher struct {
 	queue   []msg
 	scratch []int
-	run     func()
 }
 
 // OnEvent has the sim.Handler signature, so it is hot without annotation.
 func (d *dispatcher) OnEvent(arg any, word uint64) {
-	d.run = func() { d.queue = nil } // want "function literal in hot function OnEvent"
-	buf := make([]msg, 8)            // want "make in hot function OnEvent"
-	_ = buf
-	p := new(msg) // want "new in hot function OnEvent"
-	_ = p
-	q := &msg{a: word} // want "address of composite literal"
-	_ = q
 	var fresh []int
 	fresh = append(fresh, int(word)) // want "append grows function-local slice fresh"
-	_ = fresh
-	box(word)         // want "passing uint64 as an interface boxes the value"
-	box(msg{a: word}) // want "passing .*msg as an interface boxes the value"
+	d.scratch = fresh
+	lit := []msg{}
+	lit = append(lit, msg{a: word}) // want "append grows function-local slice lit"
+	d.queue = lit
 }
 
 // onEventWrongSig is NOT hot: the signature does not match sim.Handler, and
 // there is no annotation.
 func (d *dispatcher) onEventWrongSig(word uint32) {
-	_ = make([]msg, 8)
-	_ = func() {}
+	var fresh []int
+	d.scratch = append(fresh, int(word))
 }
 
 // hotAnnotated is hot via the doc-comment annotation.
 //
 //puno:hot
-func hotAnnotated(d *dispatcher) {
-	_ = make(map[int]int) // want "make in hot function hotAnnotated"
+func hotAnnotated(d *dispatcher, n int) {
+	made := make([]int, 0, 4)
+	for i := 0; i < n; i++ {
+		made = append(made, i) // want "append grows function-local slice made"
+	}
+	d.scratch = made
 }
 
 // hotSuppressed shows the per-site escape hatch with a written reason.
 //
 //puno:hot
 func hotSuppressed(d *dispatcher) {
+	var warm []int
 	//puno:allow hotalloc — one-time warm-up growth, amortized to zero per event
-	d.scratch = append(d.scratch, make([]int, 4)...)
+	warm = append(warm, 1, 2, 3, 4)
+	d.scratch = warm
 }
-
-func box(v any) { _ = v }

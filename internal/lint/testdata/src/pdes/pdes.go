@@ -25,14 +25,17 @@ type shard struct {
 
 var sink uint64
 
-// commit mirrors the coordinator's k-way merge: hot via annotation, so any
-// allocation inside the loop is a finding, and resolving provisional seqs
+// commit mirrors the coordinator's k-way merge: hot via annotation, so
+// building the merge order in a fresh slice per commit is a finding, and resolving provisional seqs
 // through a map (instead of the dense renum table) leaks map order into
 // the merge.
 //
 //puno:hot
 func commit(parts []*shard) {
-	order := make([]int, 0, len(parts)) // want "make in hot function commit"
+	var order []int
+	for i := range parts {
+		order = append(order, i) // want "append grows function-local slice order"
+	}
 	_ = order
 	for seq := range parts[0].pending { // want "map iteration order is nondeterministic"
 		sink += seq

@@ -2,8 +2,8 @@
 // Machine.Run allocating for six PRs: a variadic ...any debug-trace helper
 // that tests its hook inside the callee, called from a hot function. The
 // arguments are boxed into a []any at the call site whether or not anyone
-// listens. hotalloc must flag the boxed uint64; the typed helper behind a
-// cached flag — the fix — must stay clean.
+// listens. The escape gate must flag the boxed uint64; the typed helper
+// behind a cached flag — the fix — must stay clean.
 package tracebox
 
 import "fmt"

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // Canonical configuration encoding: the deterministic byte rendering of a
@@ -39,46 +41,37 @@ func (c *Config) AppendCanonical(dst []byte) ([]byte, error) {
 		return nil, fmt.Errorf("machine: config with EventSink set has no canonical encoding")
 	}
 	b := append(dst, cfgMagic...)
-	u := func(v uint64) { b = binary.AppendUvarint(b, v) }
-	i := func(v int) { b = binary.AppendUvarint(b, uint64(int64(v))) }
-	flag := func(v bool) {
-		if v {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	i(c.Nodes)
-	i(c.Mesh.Width)
-	i(c.Mesh.Height)
-	u(uint64(c.Mesh.RouterStages))
-	u(uint64(c.Mesh.LinkCycles))
-	u(uint64(c.Mesh.LocalCycles))
-	i(c.L1.SizeBytes)
-	i(c.L1.Ways)
-	u(uint64(c.L1HitLatency))
-	u(uint64(c.L2HitLatency))
-	u(uint64(c.MemLatency))
-	u(uint64(c.Costs.BeginCycles))
-	u(uint64(c.Costs.CommitCycles))
-	u(uint64(c.Costs.AbortFixed))
-	u(uint64(c.Costs.AbortPerEntry))
-	u(uint64(c.Costs.OverflowCycles))
-	i(int(c.Scheme))
-	u(uint64(c.BusyRetryDelay))
-	u(uint64(c.BusyRetryJitter))
-	u(uint64(c.DirOccupancy))
-	u(uint64(c.L1Occupancy))
-	i(c.TxLBEntries)
-	i(c.SignatureBits)
-	u(uint64(c.FixedValidityTimeout))
-	flag(c.DisableValidity)
-	i(c.ValidityTimeoutMult)
-	u(uint64(c.NotifyGuardOverride))
-	u(uint64(c.NotifyMaxWait))
-	u(uint64(c.MaxCycles))
-	u(c.Seed)
-	u(uint64(c.SampleInterval))
+	b = wire.AppendInt(b, c.Nodes)
+	b = wire.AppendInt(b, c.Mesh.Width)
+	b = wire.AppendInt(b, c.Mesh.Height)
+	b = binary.AppendUvarint(b, uint64(c.Mesh.RouterStages))
+	b = binary.AppendUvarint(b, uint64(c.Mesh.LinkCycles))
+	b = binary.AppendUvarint(b, uint64(c.Mesh.LocalCycles))
+	b = wire.AppendInt(b, c.L1.SizeBytes)
+	b = wire.AppendInt(b, c.L1.Ways)
+	b = binary.AppendUvarint(b, uint64(c.L1HitLatency))
+	b = binary.AppendUvarint(b, uint64(c.L2HitLatency))
+	b = binary.AppendUvarint(b, uint64(c.MemLatency))
+	b = binary.AppendUvarint(b, uint64(c.Costs.BeginCycles))
+	b = binary.AppendUvarint(b, uint64(c.Costs.CommitCycles))
+	b = binary.AppendUvarint(b, uint64(c.Costs.AbortFixed))
+	b = binary.AppendUvarint(b, uint64(c.Costs.AbortPerEntry))
+	b = binary.AppendUvarint(b, uint64(c.Costs.OverflowCycles))
+	b = wire.AppendInt(b, int(c.Scheme))
+	b = binary.AppendUvarint(b, uint64(c.BusyRetryDelay))
+	b = binary.AppendUvarint(b, uint64(c.BusyRetryJitter))
+	b = binary.AppendUvarint(b, uint64(c.DirOccupancy))
+	b = binary.AppendUvarint(b, uint64(c.L1Occupancy))
+	b = wire.AppendInt(b, c.TxLBEntries)
+	b = wire.AppendInt(b, c.SignatureBits)
+	b = binary.AppendUvarint(b, uint64(c.FixedValidityTimeout))
+	b = wire.AppendBool(b, c.DisableValidity)
+	b = wire.AppendInt(b, c.ValidityTimeoutMult)
+	b = binary.AppendUvarint(b, uint64(c.NotifyGuardOverride))
+	b = binary.AppendUvarint(b, uint64(c.NotifyMaxWait))
+	b = binary.AppendUvarint(b, uint64(c.MaxCycles))
+	b = binary.AppendUvarint(b, c.Seed)
+	b = binary.AppendUvarint(b, uint64(c.SampleInterval))
 	return b, nil
 }
 

@@ -3,19 +3,20 @@ package machine
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/probe"
 	"repro/internal/sim"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // codecResult runs a small contended workload (timeline sampling on, so
 // every Result field family is populated) and returns the arena-independent
 // clone the cache would store.
-func codecResult(t *testing.T, seed uint64) *Result {
+func codecResult(t testing.TB, seed uint64) *Result {
 	t.Helper()
 	cfg := smallConfig(SchemePUNO, seed)
 	cfg.SampleInterval = 5_000
@@ -115,33 +116,62 @@ func TestResultEncodingByteStable(t *testing.T) {
 	}
 }
 
+func decodeErr(raw []byte) error {
+	_, err := DecodeResult(raw)
+	return err
+}
+
+// Each test hands one real artifact to the shared harness: every
+// truncation point, every byte flipped, trailing bytes with a stale and
+// with a valid checksum, wrong magic, garbage, empty input, and a 2^28
+// count written over every offset.
 func TestResultTruncationDetected(t *testing.T) {
 	raw, err := EncodeResult(codecResult(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut < len(raw); cut++ {
-		if _, err := DecodeResult(raw[:cut]); err == nil {
-			t.Fatalf("truncation to %d of %d bytes decoded without error", cut, len(raw))
-		}
-	}
+	wiretest.RejectsDamage(t, raw, decodeErr)
 }
 
 func TestResultCorruptionDetected(t *testing.T) {
-	raw, err := EncodeResult(codecResult(t, 3))
+	raw, err := EncodeResult(codecResult(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range raw {
-		mut := append([]byte(nil), raw...)
-		mut[i] ^= 0x41
-		if _, err := DecodeResult(mut); err == nil {
-			t.Fatalf("flipping byte %d of %d decoded without error", i, len(raw))
+	wiretest.RejectsDamage(t, raw, decodeErr)
+}
+
+// FuzzDecodeResult certifies that the decoder never panics and that it
+// accepts only the canonical rendering: whatever decodes re-encodes to the
+// bytes it came from. A fuzzer cannot guess a checksum, so each input is
+// tried as it stands and as a body sealed under the magic, which lets
+// mutations through to the field decoder.
+func FuzzDecodeResult(f *testing.F) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		raw, err := EncodeResult(codecResult(f, seed))
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(raw)
+		f.Add(raw[len(resMagic) : len(raw)-4])
 	}
-	if _, err := DecodeResult(append(raw, 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
-	}
+	f.Add([]byte(resMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, raw := range [][]byte{data, wire.Seal(append([]byte(resMagic), data...), 0)} {
+			r, err := DecodeResult(raw)
+			if err != nil {
+				continue
+			}
+			again, err := EncodeResult(r)
+			if err != nil {
+				t.Fatalf("accepted artifact failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(again, raw) {
+				t.Fatalf("accepted artifact is not canonical:\n  in %x\n out %x", raw, again)
+			}
+		}
+	})
 }
 
 func TestEncodeResultRejectsInvalid(t *testing.T) {
@@ -164,9 +194,36 @@ func artifact(build func(u func(uint64), raw func(...byte))) []byte {
 		func(v uint64) { b = binary.AppendUvarint(b, v) },
 		func(p ...byte) { b = append(b, p...) },
 	)
-	h := fnv.New32a()
-	h.Write(b)
-	return h.Sum(b)
+	return wire.Seal(b, 0)
+}
+
+// zeros appends n zero-valued fields.
+func zeros(u func(uint64), n int) {
+	for i := 0; i < n; i++ {
+		u(0)
+	}
+}
+
+// A checksum-valid 63-byte artifact, well formed up to a timeline claiming
+// 2^26 samples: the claim must be refused against the bytes that are left.
+func TestDecodeResultRejectsCountBomb(t *testing.T) {
+	var r Result
+	raw := artifact(func(u func(uint64), raw func(...byte)) {
+		u(1)
+		raw('w')
+		zeros(u, 4) // scheme, cycles, commits, aborts
+		u(uint64(numCauses))
+		zeros(u, int(numCauses)+2) // causes, txGETXIssued, txGETXAccesses
+		u(uint64(numOutcomes))
+		zeros(u, int(numOutcomes)+3) // outcomes, empty histogram, good and discarded cycles
+		u(uint64(len(r.Net.Messages)))
+		zeros(u, 3*len(r.Net.Messages)+2+12+1) // classes, latency and queueing, 12 counters, no nodes
+		u(1 << 26)
+	})
+	if len(raw) != 63 {
+		t.Fatalf("bomb is %d bytes, want 63", len(raw))
+	}
+	wiretest.RejectsBomb(t, raw, decodeErr)
 }
 
 func TestDecodeResultRejectsFormatDrift(t *testing.T) {
@@ -203,7 +260,7 @@ func TestDecodeResultRejectsFormatDrift(t *testing.T) {
 			for i := 0; i < int(numOutcomes); i++ {
 				u(0)
 			}
-			u(1 << 30) // hist length far past the plausibility bound
+			u(1 << 30) // hist length far past what the artifact holds
 		}),
 		"bad magic": append([]byte("punores/9"), make([]byte, 8)...),
 	}

@@ -73,7 +73,7 @@ func smallConfig(s Scheme, seed uint64) Config {
 	return cfg
 }
 
-func runWorkload(t *testing.T, cfg Config, wl Workload) (*Machine, *Result) {
+func runWorkload(t testing.TB, cfg Config, wl Workload) (*Machine, *Result) {
 	t.Helper()
 	m, err := New(cfg, wl)
 	if err != nil {

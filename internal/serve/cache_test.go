@@ -107,6 +107,38 @@ func TestCacheRejectsCorruptDiskArtifact(t *testing.T) {
 	}
 }
 
+// A disk tier that cannot take a write costs a counter, not the result:
+// the artifact is still served from memory, and no half-written file is
+// left where a later Get would find it.
+func TestCachePutSurvivesDiskFailure(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(4, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Key 1: the temp name is taken by a directory, so the write fails.
+	// Key 2: the final name is a non-empty directory, so the rename fails.
+	if err := os.Mkdir(c.path(testKey(1))+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(c.path(testKey(2)), "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for k := byte(1); k <= 2; k++ {
+		want := testArtifact(t, uint64(k))
+		c.Put(testKey(k), want)
+		if got, ok := c.Get(testKey(k)); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("key %d: artifact not served from memory after a failed disk write", k)
+		}
+	}
+	if st := c.Stats(); st.DiskErrs != 2 {
+		t.Fatalf("disk errors = %d, want 2: %+v", st.DiskErrs, st)
+	}
+	if _, err := os.Stat(c.path(testKey(2)) + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed rename left its temp file behind (stat error %v)", err)
+	}
+}
+
 // LRU pressure: the least recently used entry is evicted from memory, but
 // the disk tier still has it, so the eviction costs a disk hit — not a
 // re-simulation.

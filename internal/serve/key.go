@@ -20,6 +20,7 @@ import (
 	"runtime/debug"
 
 	puno "repro"
+	"repro/internal/wire"
 )
 
 // Key is the content address of one simulation point: the SHA-256 of the
@@ -60,8 +61,7 @@ const wlMagic = "punowl/1"
 func BuildKey(codeVersion string, cfg puno.Config, wl *puno.Profile) (Key, error) {
 	b := make([]byte, 0, 512)
 	b = append(b, keyMagic...)
-	b = binary.AppendUvarint(b, uint64(len(codeVersion)))
-	b = append(b, codeVersion...)
+	b = wire.AppendString(b, codeVersion)
 	b, err := cfg.AppendCanonical(b)
 	if err != nil {
 		return Key{}, err
@@ -84,40 +84,30 @@ func sumKey(material []byte) Key {
 // in declaration order. Any knob that can change a generated transaction
 // stream changes the bytes.
 func appendWorkloadCanonical(b []byte, p *puno.Profile) []byte {
-	u := func(v uint64) { b = binary.AppendUvarint(b, v) }
-	i := func(v int) { b = binary.AppendUvarint(b, uint64(int64(v))) }
-	flag := func(v bool) {
-		if v {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
 	b = append(b, wlMagic...)
-	u(uint64(len(p.Name())))
-	b = append(b, p.Name()...)
-	flag(p.HighContention())
-	i(p.TxPerCPU())
-	u(math.Float64bits(p.PaperAbortRate))
+	b = wire.AppendString(b, p.Name())
+	b = wire.AppendBool(b, p.HighContention())
+	b = wire.AppendInt(b, p.TxPerCPU())
+	b = binary.AppendUvarint(b, math.Float64bits(p.PaperAbortRate))
 	classes := p.Classes()
-	u(uint64(len(classes)))
+	b = binary.AppendUvarint(b, uint64(len(classes)))
 	for _, cl := range classes {
-		i(cl.StaticID)
-		i(cl.Weight)
-		u(uint64(cl.RegionBase))
-		i(cl.RegionLines)
-		flag(cl.ReadWholeRegion)
-		i(cl.ReadsMin)
-		i(cl.ReadsMax)
-		i(cl.WritesMin)
-		i(cl.WritesMax)
-		flag(cl.WritesFromReads)
-		flag(cl.RMW)
-		i(cl.HotLines)
-		i(cl.PrivateLines)
-		u(uint64(cl.ComputePerRead))
-		u(uint64(cl.BodyCompute))
-		u(uint64(cl.Think))
+		b = wire.AppendInt(b, cl.StaticID)
+		b = wire.AppendInt(b, cl.Weight)
+		b = binary.AppendUvarint(b, uint64(cl.RegionBase))
+		b = wire.AppendInt(b, cl.RegionLines)
+		b = wire.AppendBool(b, cl.ReadWholeRegion)
+		b = wire.AppendInt(b, cl.ReadsMin)
+		b = wire.AppendInt(b, cl.ReadsMax)
+		b = wire.AppendInt(b, cl.WritesMin)
+		b = wire.AppendInt(b, cl.WritesMax)
+		b = wire.AppendBool(b, cl.WritesFromReads)
+		b = wire.AppendBool(b, cl.RMW)
+		b = wire.AppendInt(b, cl.HotLines)
+		b = wire.AppendInt(b, cl.PrivateLines)
+		b = binary.AppendUvarint(b, uint64(cl.ComputePerRead))
+		b = binary.AppendUvarint(b, uint64(cl.BodyCompute))
+		b = binary.AppendUvarint(b, uint64(cl.Think))
 	}
 	return b
 }

@@ -2,11 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	puno "repro"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // fastSpec is a quick simulation point (~a few ms): kmeans at 2
@@ -135,6 +140,66 @@ func TestKeyDerivation(t *testing.T) {
 	sharded := resolveKey(Spec{Workload: "kmeans", TxPerCPU: 2, Seed: 1, Shards: 4}, "v1")
 	if sharded != base {
 		t.Fatal("shards changed the cache key; serial and PDES runs must share a slot")
+	}
+
+	// Every request, warm or cold, builds one key before the cache lookup;
+	// the key material must stay on the stack.
+	rs, prof, err := fastSpec(1).resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { BuildKey("v1", rs.Config, prof) }); n != 0 {
+		t.Fatalf("BuildKey allocates %v objects per call, want 0", n)
+	}
+}
+
+// A cache directory is input from outside the program. A file there that
+// carries the right magic and a valid checksum but claims 2^26 timeline
+// samples must read as a miss: the point is simulated again and the real
+// artifact replaces the file.
+func TestBombArtifactOnDiskIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	rs, prof, err := fastSpec(77).resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := BuildKey("v1", rs.Config, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := puno.EncodeResult(&puno.Result{FalseAbortHist: []uint64{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An empty Result ends "node count 0, timeline length 0, checksum".
+	bomb := binary.AppendUvarint(good[:len(good)-5:len(good)-5], 1<<26)
+	bomb = wire.Seal(bomb, 0)
+	wiretest.RejectsBomb(t, bomb, func(raw []byte) error { _, err := puno.DecodeResult(raw); return err })
+	path := filepath.Join(dir, key.String()+".res")
+	if err := os.WriteFile(path, bomb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestService(t, Options{Workers: 1, CacheDir: dir, CodeVersion: "v1"})
+	j, err := s.Submit(fastSpec(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(j); st != StateDone || j.Cached {
+		t.Fatalf("job ended %v cached=%v, want a fresh run", st, j.Cached)
+	}
+	if s.Runs() != 1 {
+		t.Fatalf("runs = %d, want the point simulated once", s.Runs())
+	}
+	data, ok := s.Result(j.Key)
+	if !ok || j.Key != key {
+		t.Fatal("no artifact under the bombed key after the run")
+	}
+	if _, err := puno.DecodeResult(data); err != nil {
+		t.Fatalf("served artifact does not decode: %v", err)
+	}
+	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, data) {
+		t.Fatalf("disk tier still holds the bomb (read error %v)", err)
 	}
 }
 

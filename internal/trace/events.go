@@ -7,38 +7,33 @@
 // traces, which is what makes the first-divergence differ (diff.go) a
 // sharper tool than comparing rendered dumps.
 //
-// On-disk format (everything after the magic is varint-framed):
+// Body layout of a punoevt/1 frame (DESIGN.md "Binary formats" has the
+// frame and the count rule; everything is a uvarint unless noted):
 //
-//	magic   "punoevt/1"                          9 bytes
-//	uvarint len(workload), workload bytes
-//	uvarint len(scheme), scheme bytes
-//	uvarint seed
-//	uvarint line count N
-//	N ×     uvarint line>>6                      (lines are 64-byte aligned)
-//	uvarint event count M
-//	M ×     uvarint cycle delta                  (vs previous event; ≥ 0)
-//	        byte    kind                         (0 < kind < probe.KindMax)
-//	        uvarint node
-//	        uvarint line id                      (index into the line table; 0 = none)
-//	        uvarint arg
-//	fnv32a  checksum over all preceding bytes    4 bytes big-endian
+//	string  workload, scheme
+//	        seed
+//	count N, N × line>>6                 (lines are 64-byte aligned)
+//	count M, M × cycle delta             (vs previous event; ≥ 0)
+//	             byte kind               (0 < kind < probe.KindMax)
+//	             node
+//	             line id                 (index into the line table; 0 = none)
+//	             arg
 //
 // Cycles are engine time, which is monotone non-decreasing across the
 // stream, so deltas are small and the encoder rejects any stream that
-// violates monotonicity rather than silently wrapping. The trailing
-// checksum means mid-stream truncation and bit corruption are both
-// detected before any event is handed to a caller.
+// violates monotonicity rather than silently wrapping.
 package trace
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/probe"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // EventTrace is one run's event stream plus the metadata needed to render
@@ -97,9 +92,8 @@ func (t *EventTrace) Normalized() *EventTrace {
 	return n
 }
 
-// evtMagic versions the binary encoding (see the package comment for the
-// layout). Distinct from the workload-trace magic: the two formats share a
-// directory, not a decoder.
+// evtMagic versions the binary encoding. Distinct from the workload-trace
+// magic: the two formats share a directory, not a decoder.
 const evtMagic = "punoevt/1"
 
 // Save writes the trace in the binary event format.
@@ -115,8 +109,8 @@ func (t *EventTrace) Save(w io.Writer) error {
 // encode appends the full encoding (magic through checksum) to dst.
 func (t *EventTrace) encode(dst []byte) ([]byte, error) {
 	b := append(dst, evtMagic...)
-	b = appendString(b, t.Workload)
-	b = appendString(b, t.Scheme)
+	b = wire.AppendString(b, t.Workload)
+	b = wire.AppendString(b, t.Scheme)
 	b = binary.AppendUvarint(b, t.Seed)
 	b = binary.AppendUvarint(b, uint64(len(t.Lines)))
 	for _, l := range t.Lines {
@@ -148,14 +142,7 @@ func (t *EventTrace) encode(dst []byte) ([]byte, error) {
 		b = binary.AppendUvarint(b, e.Arg)
 		prev = e.Cycle
 	}
-	h := fnv.New32a()
-	h.Write(b[len(dst):])
-	return h.Sum(b), nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+	return wire.Seal(b, len(dst)), nil
 }
 
 // LoadEvents reads a trace written by Save. It reads the stream to EOF and
@@ -171,122 +158,56 @@ func LoadEvents(r io.Reader) (*EventTrace, error) {
 
 // DecodeEvents decodes one complete binary event trace.
 func DecodeEvents(raw []byte) (*EventTrace, error) {
-	if len(raw) < len(evtMagic)+4 {
-		return nil, fmt.Errorf("trace: event trace truncated (%d bytes)", len(raw))
+	d, err := wire.Open(evtMagic, "trace: event trace", raw)
+	if err != nil {
+		return nil, err
 	}
-	if string(raw[:len(evtMagic)]) != evtMagic {
-		return nil, fmt.Errorf("trace: bad event-trace magic %q (want %q)", raw[:len(evtMagic)], evtMagic)
-	}
-	body, sum := raw[:len(raw)-4], raw[len(raw)-4:]
-	h := fnv.New32a()
-	h.Write(body)
-	if got := h.Sum32(); got != binary.BigEndian.Uint32(sum) {
-		return nil, fmt.Errorf("trace: event-trace checksum mismatch (file truncated or corrupted)")
-	}
-	d := evtDecoder{buf: body[len(evtMagic):]}
 	t := &EventTrace{}
-	t.Workload = d.str("workload")
-	t.Scheme = d.str("scheme")
-	t.Seed = d.uvarint("seed")
-	nLines := d.count("line count", 1<<32)
-	if d.err == nil && nLines > 0 {
-		t.Lines = make([]mem.Line, nLines)
-		for i := range t.Lines {
-			t.Lines[i] = mem.Line(d.uvarint("line") << 6)
+	t.Workload = d.String("workload")
+	t.Scheme = d.String("scheme")
+	t.Seed = d.Uvarint("seed")
+	if n := d.Count("line count", 1); n > 0 {
+		t.Lines = make([]mem.Line, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			l := d.Uvarint("line")
+			if l > math.MaxUint64>>6 {
+				return nil, fmt.Errorf("trace: line %d (%#x) is beyond the address space", i, l)
+			}
+			t.Lines[i] = mem.Line(l << 6)
 		}
 	}
-	nEvents := d.count("event count", 1<<40)
-	if d.err == nil && nEvents > 0 {
-		t.Events = make([]probe.Event, nEvents)
+	if n := d.Count("event count", 5); n > 0 {
+		t.Events = make([]probe.Event, n)
 		cycle := sim.Time(0)
 		for i := range t.Events {
-			cycle += sim.Time(d.uvarint("cycle delta"))
-			kind := probe.Kind(d.byte("kind"))
-			node := d.uvarint("node")
-			lid := d.uvarint("line id")
-			arg := d.uvarint("arg")
-			if d.err != nil {
+			delta := sim.Time(d.Uvarint("cycle delta"))
+			kind := probe.Kind(d.Byte("kind"))
+			node := d.Uvarint("node")
+			lid := d.Uvarint("line id")
+			arg := d.Uvarint("arg")
+			if d.Err() != nil {
 				break
 			}
+			if cycle+delta < cycle {
+				return nil, fmt.Errorf("trace: event %d cycle delta %d overflows", i, delta)
+			}
+			cycle += delta
 			if kind == 0 || kind >= probe.KindMax {
 				return nil, fmt.Errorf("trace: event %d has invalid kind %d", i, kind)
 			}
 			if node > 1<<15-1 {
 				return nil, fmt.Errorf("trace: event %d has implausible node %d", i, node)
 			}
-			if lid > uint64(nLines) {
-				return nil, fmt.Errorf("trace: event %d line id %d outside line table (%d lines)", i, lid, nLines)
+			if lid > uint64(len(t.Lines)) {
+				return nil, fmt.Errorf("trace: event %d line id %d outside line table (%d lines)", i, lid, len(t.Lines))
 			}
 			t.Events[i] = probe.Event{
 				Cycle: cycle, Arg: arg, Line: mem.LineID(lid), Node: int16(node), Kind: kind,
 			}
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("trace: %d trailing bytes after event stream", len(d.buf))
+	if err := d.Close(); err != nil {
+		return nil, err
 	}
 	return t, nil
-}
-
-// evtDecoder is a cursor over the checksummed body; the first framing error
-// sticks and every later read is a no-op, so decode loops need one check.
-type evtDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *evtDecoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("trace: event trace truncated reading %s", what)
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *evtDecoder) byte(what string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = fmt.Errorf("trace: event trace truncated reading %s", what)
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *evtDecoder) str(what string) string {
-	n := d.uvarint(what + " length")
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)) {
-		d.err = fmt.Errorf("trace: event trace truncated reading %s (%d bytes claimed, %d left)", what, n, len(d.buf))
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-// count reads a length-prefix and bounds it (corrupt counts would otherwise
-// drive huge allocations before the per-item reads fail).
-func (d *evtDecoder) count(what string, max uint64) int {
-	v := d.uvarint(what)
-	if d.err == nil && v > max {
-		d.err = fmt.Errorf("trace: implausible %s %d", what, v)
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(v)
 }

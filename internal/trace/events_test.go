@@ -11,6 +11,8 @@ import (
 	"repro/internal/mem"
 	"repro/internal/probe"
 	"repro/internal/sim"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // naiveEncode is the reference encoder: a direct transcription of the
@@ -131,39 +133,74 @@ func noEmptyEv(s []probe.Event) []probe.Event {
 	return s
 }
 
-// Truncating the stream anywhere — including cutting into the checksum —
-// must fail decoding, never silently shorten the event list.
-func TestTruncationDetected(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tr := randomTrace(rng, 50)
+// savedTrace is the encoding of one random valid trace.
+func savedTrace(t *testing.T, seed int64, nEvents int) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
+	if err := randomTrace(rand.New(rand.NewSource(seed)), nEvents).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeEvents(full[:cut]); err == nil {
-			t.Fatalf("truncation to %d of %d bytes decoded without error", cut, len(full))
-		}
-	}
+	return buf.Bytes()
 }
 
-// Flipping any single byte must fail decoding (the checksum covers the
-// whole body, and the trailing bytes are the checksum itself).
+func decodeErr(raw []byte) error {
+	_, err := DecodeEvents(raw)
+	return err
+}
+
+// Each test hands one fixture to the shared harness, which applies every
+// form of damage to it: each truncation point including into the checksum,
+// each byte flipped, trailing bytes with a stale and with a valid checksum,
+// wrong magic, garbage, empty input, and a 2^28 count written over every
+// offset. The fixtures differ in length: 50, 30, 5 and 0 events.
+func TestTruncationDetected(t *testing.T) {
+	wiretest.RejectsDamage(t, savedTrace(t, 9, 50), decodeErr)
+}
+
 func TestCorruptionDetected(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	tr := randomTrace(rng, 30)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
+	wiretest.RejectsDamage(t, savedTrace(t, 10, 30), decodeErr)
+}
+
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	wiretest.RejectsDamage(t, savedTrace(t, 11, 5), decodeErr)
+}
+
+func TestDecodeRejectsBadMagic(t *testing.T) {
+	wiretest.RejectsDamage(t, savedTrace(t, 12, 0), decodeErr)
+}
+
+// A checksum-valid 21-byte file claiming 2^28 lines: the claim must be
+// refused against the bytes that are left, not allocated and walked.
+func TestDecodeRejectsCountBomb(t *testing.T) {
+	b := append([]byte(evtMagic), 0, 0, 0) // empty workload, empty scheme, seed 0
+	b = wire.Seal(binary.AppendUvarint(b, 1<<28), 0)
+	if len(b) != 21 {
+		t.Fatalf("bomb is %d bytes, want 21", len(b))
 	}
-	full := buf.Bytes()
-	for i := 0; i < len(full); i++ {
-		mut := append([]byte(nil), full...)
-		mut[i] ^= 0x41
-		if _, err := DecodeEvents(mut); err == nil {
-			t.Fatalf("flipping byte %d of %d decoded without error", i, len(full))
+	wiretest.RejectsBomb(t, b, decodeErr)
+}
+
+// Values the in-memory types cannot hold would decode to a trace that
+// re-encodes to different bytes, or not at all; the decoder refuses them.
+func TestDecodeRejectsUnrepresentable(t *testing.T) {
+	frame := func(fields ...uint64) []byte {
+		b := []byte(evtMagic)
+		for _, f := range fields {
+			b = binary.AppendUvarint(b, f)
 		}
+		return wire.Seal(b, 0)
+	}
+	const send = uint64(probe.KindSend) // a kind byte and a one-byte uvarint look the same
+	for name, raw := range map[string][]byte{
+		"line beyond the address space": frame(0, 0, 0, 1, 1<<58, 0),
+		"cycle deltas that wrap":        frame(0, 0, 0, 0, 2, 1<<64-1, send, 0, 0, 0, 1, send, 0, 0, 0),
+	} {
+		if err := decodeErr(raw); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	if err := decodeErr(frame(0, 0, 0, 1, 1<<58-1, 1, 1<<64-1, send, 0, 1, 0)); err != nil {
+		t.Errorf("largest representable line and cycle refused: %v", err)
 	}
 }
 
@@ -201,34 +238,6 @@ func TestEncoderRejectsInvalidStreams(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsBadMagic(t *testing.T) {
-	if _, err := DecodeEvents([]byte("not a trace at all")); err == nil {
-		t.Fatal("garbage decoded without error")
-	}
-	if _, err := DecodeEvents(nil); err == nil {
-		t.Fatal("empty input decoded without error")
-	}
-}
-
-func TestDecodeRejectsTrailingBytes(t *testing.T) {
-	tr := randomTrace(rand.New(rand.NewSource(11)), 5)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Appending data invalidates the checksum position, so this doubles as
-	// a checksum-coverage check; build a crafted stream with valid checksum
-	// over body+junk to hit the trailing-bytes path specifically.
-	body := buf.Bytes()[:buf.Len()-4]
-	crafted := append(append([]byte(nil), body...), 0x00, 0x00)
-	h := fnv.New32a()
-	h.Write(crafted)
-	crafted = h.Sum(crafted)
-	if _, err := DecodeEvents(crafted); err == nil {
-		t.Fatal("stream with trailing bytes decoded without error")
-	}
-}
-
 func TestLineOf(t *testing.T) {
 	tr := &EventTrace{Lines: []mem.Line{0x40, 0x80}}
 	if got := tr.LineOf(0); got != "-" {
@@ -242,8 +251,11 @@ func TestLineOf(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEvents certifies the decoder never panics and that anything it
-// accepts re-encodes to an equivalent trace.
+// FuzzDecodeEvents certifies that the decoder never panics and that it
+// accepts only the canonical rendering: whatever decodes re-encodes to the
+// bytes it came from. A fuzzer cannot guess a checksum, so each input is
+// tried as it stands and as a body sealed under the magic, which lets
+// mutations through to the field decoder.
 func FuzzDecodeEvents(f *testing.F) {
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 8; i++ {
@@ -253,24 +265,23 @@ func FuzzDecodeEvents(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[len(evtMagic) : buf.Len()-4])
 	}
-	f.Add([]byte("punoevt/1"))
+	f.Add([]byte(evtMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeEvents(data)
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
-			t.Fatalf("accepted trace failed to re-encode: %v", err)
-		}
-		again, err := DecodeEvents(buf.Bytes())
-		if err != nil {
-			t.Fatalf("re-encoded trace failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(noEmptyEv(tr.Events), noEmptyEv(again.Events)) {
-			t.Fatal("decode→encode→decode changed the event stream")
+		for _, raw := range [][]byte{data, wire.Seal(append([]byte(evtMagic), data...), 0)} {
+			tr, err := DecodeEvents(raw)
+			if err != nil {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := tr.Save(&buf); err != nil {
+				t.Fatalf("accepted trace failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), raw) {
+				t.Fatalf("accepted trace is not canonical:\n  in %x\n out %x", raw, buf.Bytes())
+			}
 		}
 	})
 }

@@ -144,22 +144,20 @@ func TestRepeatedRunsShareNoOrderState(t *testing.T) {
 // TestHotallocFlagsVariadicTraceBoxing pins the gap that let node.trace box
 // its arguments on every read, write, forward and response while DESIGN.md
 // called the hot path zero-allocation: the node FSM carried no //puno:hot,
-// so hotalloc never looked. The tracebox fixture is that shape — a
-// variadic ...any helper called with a uint64 from a hot function — and
-// must be flagged; the guarded typed helper that replaced it must not.
+// so neither hot-path check looked. The tracebox fixture is that shape — a
+// variadic ...any helper called with a uint64 from a hot function — and the
+// escape gate must flag it; the guarded typed helper that replaced it must
+// not be flagged.
 func TestHotallocFlagsVariadicTraceBoxing(t *testing.T) {
-	findings, err := lint.RunAnalyzers(".",
-		[]string{"repro/internal/lint/testdata/src/tracebox"},
-		[]*lint.Analyzer{lint.HotAlloc})
+	findings, err := lint.RunEscape(".", []string{"repro/internal/lint/testdata/src/tracebox"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(findings) != 1 {
-		t.Fatalf("hotalloc reported %d findings on the tracebox fixture, want exactly 1: %v", len(findings), findings)
+		t.Fatalf("the escape gate reported %d findings on the tracebox fixture, want exactly 1: %v", len(findings), findings)
 	}
 	f := findings[0]
-	if !strings.Contains(f.Message, "passing uint64 as an interface boxes the value") ||
-		!strings.Contains(f.Message, "hot function hotRead") {
-		t.Errorf("hotalloc flagged the wrong thing: %s:%d: %s", f.Pos.Filename, f.Pos.Line, f.Message)
+	if !strings.Contains(f.Message, "escapes to heap") || !strings.Contains(f.Message, "hot function hotRead") {
+		t.Errorf("the escape gate flagged the wrong thing: %s:%d: %s", f.Pos.Filename, f.Pos.Line, f.Message)
 	}
 }
