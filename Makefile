@@ -12,11 +12,11 @@ test:
 	$(GO) test ./...
 
 # Static analysis: stock go vet plus punovet, the project's own analyzers
-# (maprange, wallclock, hotalloc, handlerfunc, msglife, shardconfine,
-# probeguard) that mechanize the determinism and zero-allocation
-# invariants, then the compiler-backed escape gate (-escape), which parses
-# `go build -gcflags=-m=2` diagnostics and fails on any unblessed heap
-# allocation inside a //puno:hot function. See DESIGN.md.
+# (maprange, wallclock, hotalloc, msglife, shardconfine) that mechanize the
+# determinism and zero-allocation invariants, then the compiler-backed
+# escape gate (-escape), which parses `go build -gcflags=-m=2` diagnostics
+# and fails on any heap allocation inside a //puno:hot function that no
+# row of internal/lint's exemptions table covers. See DESIGN.md.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/punovet ./...

@@ -27,17 +27,13 @@ func main() {
 	}
 }
 
-func schemeByName(name string) (machine.Scheme, error) {
-	for _, s := range []machine.Scheme{
-		machine.SchemeBaseline, machine.SchemeBackoff, machine.SchemeRMWPred,
-		machine.SchemePUNO, machine.SchemeUnicastOnly, machine.SchemeNotifyOnly,
-		machine.SchemeATS, machine.SchemePUNOPush,
-	} {
-		if strings.EqualFold(s.String(), name) {
-			return s, nil
-		}
+// schemeHelp is the -scheme usage string: every scheme name, lower-cased.
+func schemeHelp() string {
+	var names []string
+	for _, s := range machine.AllSchemes() {
+		names = append(names, strings.ToLower(s.String()))
 	}
-	return 0, fmt.Errorf("unknown scheme %q", name)
+	return strings.Join(names, "|")
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -45,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		workload  = fs.String("workload", "intruder", "STAMP profile: bayes|intruder|labyrinth|yada|genome|kmeans|ssca2|vacation")
-		scheme    = fs.String("scheme", "baseline", "baseline|backoff|rmw-pred|puno|puno-unicast-only|puno-notify-only|ats|puno-push")
+		scheme    = fs.String("scheme", "baseline", schemeHelp())
 		seed      = fs.Uint64("seed", 1, "simulation seed")
 		txper     = fs.Int("txper", 0, "transactions per node (0 = profile default)")
 		maxCycles = fs.Uint64("maxcycles", 0, "cycle budget (0 = default)")
@@ -67,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *txper > 0 {
 		p = p.WithTxPerCPU(*txper)
 	}
-	s, err := schemeByName(*scheme)
+	s, err := machine.SchemeByName(*scheme)
 	if err != nil {
 		return err
 	}

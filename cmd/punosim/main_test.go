@@ -16,6 +16,17 @@ func TestRunPrintsSummaryLine(t *testing.T) {
 	}
 }
 
+// TestSchemeNameAnyCase resolves a non-paper scheme by an upper-cased name.
+func TestSchemeNameAnyCase(t *testing.T) {
+	var out, errb strings.Builder
+	if err := run([]string{"-workload", "kmeans", "-txper", "2", "-q", "-scheme", "PUNO-PUSH"}, &out, &errb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "kmeans/PUNO-Push: cycles=") {
+		t.Fatalf("-scheme PUNO-PUSH did not run PUNO-Push:\n%s", out.String())
+	}
+}
+
 func TestRunDetailedStats(t *testing.T) {
 	var out, errb strings.Builder
 	if err := run([]string{"-workload", "kmeans", "-txper", "2", "-scheme", "puno"}, &out, &errb); err != nil {
@@ -33,8 +44,10 @@ func TestRunRejectsUnknownWorkloadAndScheme(t *testing.T) {
 	if err := run([]string{"-workload", "nosuch"}, &out, &errb); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	if err := run([]string{"-scheme", "nosuch"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
-		t.Fatalf("unknown scheme accepted: %v", err)
+	// The miss names the valid schemes (the one resolver, machine.SchemeByName).
+	if err := run([]string{"-scheme", "nope"}, &out, &errb); err == nil ||
+		!strings.Contains(err.Error(), `unknown scheme "nope"`) || !strings.Contains(err.Error(), "PUNO-notify-only") {
+		t.Fatalf("unknown scheme accepted, or the error does not list the valid names: %v", err)
 	}
 	if err := run([]string{"-bogusflag"}, &out, &errb); err == nil {
 		t.Fatal("bogus flag accepted")

@@ -91,10 +91,7 @@ func points(mode string, base puno.Config, wl *puno.Profile) ([]sweepPoint, stri
 		return pts, fmt.Sprintf("machine-size sweep on %s (baseline vs PUNO)", wl.Name()), nil
 
 	case "schemes":
-		for _, s := range []puno.Scheme{
-			puno.SchemeBaseline, puno.SchemeBackoff, puno.SchemeRMWPred,
-			puno.SchemePUNO, puno.SchemeUnicastOnly, puno.SchemeNotifyOnly, puno.SchemeATS, puno.SchemePUNOPush,
-		} {
+		for _, s := range puno.AllSchemes() {
 			cfg := base
 			cfg.Scheme = s
 			add(s.String(), cfg)

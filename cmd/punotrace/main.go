@@ -56,19 +56,6 @@ func usageError() error {
 	return fmt.Errorf("usage: punotrace record|info|run|events|diff [flags]")
 }
 
-// schemeByName resolves a case-insensitive scheme name.
-func schemeByName(name string) (puno.Scheme, error) {
-	for _, s := range []puno.Scheme{
-		puno.SchemeBaseline, puno.SchemeBackoff, puno.SchemeRMWPred,
-		puno.SchemePUNO, puno.SchemeUnicastOnly, puno.SchemeNotifyOnly, puno.SchemeATS, puno.SchemePUNOPush,
-	} {
-		if strings.EqualFold(s.String(), name) {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q", name)
-}
-
 func record(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -157,7 +144,7 @@ func replay(args []string, stdout, stderr io.Writer) error {
 	if *in == "" {
 		return fmt.Errorf("run: -i required")
 	}
-	s, err := schemeByName(*scheme)
+	s, err := puno.SchemeByName(*scheme)
 	if err != nil {
 		return err
 	}
@@ -206,7 +193,7 @@ func events(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	s, err := schemeByName(*scheme)
+	s, err := puno.SchemeByName(*scheme)
 	if err != nil {
 		return err
 	}
@@ -272,11 +259,11 @@ func diff(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	case *workload != "":
-		sa, err := schemeByName(*schemeA)
+		sa, err := puno.SchemeByName(*schemeA)
 		if err != nil {
 			return err
 		}
-		sb, err := schemeByName(*schemeB)
+		sb, err := puno.SchemeByName(*schemeB)
 		if err != nil {
 			return err
 		}

@@ -36,6 +36,14 @@ func TestRecordInfoReplayRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(out.String(), "kmeans/PUNO: cycles=") {
 		t.Fatalf("replay output unstable:\n%s", out.String())
 	}
+
+	out.Reset()
+	if err := run([]string{"run", "-i", path, "-scheme", "PUNO-PUSH"}, &out, &errb); err != nil {
+		t.Fatalf("run -scheme PUNO-PUSH: %v", err)
+	}
+	if !strings.HasPrefix(out.String(), "kmeans/PUNO-Push: cycles=") {
+		t.Fatalf("-scheme PUNO-PUSH did not run PUNO-Push:\n%s", out.String())
+	}
 }
 
 func TestUsageAndMissingFlags(t *testing.T) {
@@ -55,8 +63,9 @@ func TestUsageAndMissingFlags(t *testing.T) {
 	if err := run([]string{"run", "-i", "/nonexistent/x.trace"}, &out, &errb); err == nil {
 		t.Fatal("missing trace file accepted")
 	}
-	if err := run([]string{"run", "-i", "x", "-scheme", "nosuch"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
-		t.Fatalf("unknown scheme accepted: %v", err)
+	if err := run([]string{"run", "-i", "x", "-scheme", "nope"}, &out, &errb); err == nil ||
+		!strings.Contains(err.Error(), `unknown scheme "nope"`) || !strings.Contains(err.Error(), "PUNO-notify-only") {
+		t.Fatalf("unknown scheme accepted, or the error does not list the valid names: %v", err)
 	}
 	if err := run([]string{"events", "-scheme", "nosuch"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
 		t.Fatalf("events with unknown scheme accepted: %v", err)

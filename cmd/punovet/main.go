@@ -1,11 +1,11 @@
-// Command punovet runs the project's custom static-analysis suite: seven
-// analyzers (maprange, wallclock, hotalloc, handlerfunc, msglife,
-// shardconfine, probeguard) that mechanize the simulator's determinism and
-// zero-allocation invariants, plus the compiler-backed escape gate
-// (-escape). Findings print as file:line: analyzer: message (or as a JSON
-// array with -json) and make the command exit 1; driver errors — bad
-// patterns, a failed go build, a type-check error — exit 2, so CI can
-// tell "the tree is dirty" from "the tool broke".
+// Command punovet runs the project's custom static-analysis suite: five
+// analyzers (maprange, wallclock, hotalloc, msglife, shardconfine) that
+// mechanize the simulator's determinism and zero-allocation invariants,
+// plus the compiler-backed escape gate (-escape). Findings print as
+// file:line: analyzer: message (or as a JSON array with -json) and make
+// the command exit 1; driver errors — bad patterns, a failed go build, a
+// type-check error — exit 2, so CI can tell "the tree is dirty" from "the
+// tool broke".
 //
 // Usage:
 //
@@ -14,11 +14,11 @@
 // With no arguments it analyzes ./... . -escape replaces the AST suite
 // with the escape gate: `go build -gcflags=-m=2` runs underneath and any
 // compiler-reported heap allocation in a //puno:hot function (minus panic
-// paths and blessed amortized-growth callees) is a finding. -v prints a
-// per-analyzer timing summary to stderr. Suppressions require a written
-// reason (//puno:unordered — <reason>, //puno:allow <analyzer> — <reason>)
-// and are forbidden entirely in internal/sim, internal/noc,
-// internal/machine, internal/mem, and internal/pdes.
+// paths and exempt amortized-growth callees) is a finding. -v prints a
+// per-analyzer timing summary to stderr. No comment silences a finding:
+// the only //puno: comments are the markers //puno:hot and //puno:worker
+// (any other is itself a finding), and the only exemptions are the
+// reviewed rows of internal/lint's exemptions table.
 package main
 
 import (
@@ -61,6 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 		fmt.Fprintf(stderr, "  %-12s heap allocations in //puno:hot functions, per go build -gcflags=-m=2 (via -escape)\n", "escapegate")
+		fmt.Fprintf(stderr, "\nThe only //puno: comments are //puno:hot and //puno:worker; exemptions are rows in internal/lint's exemptions table.\n")
 	}
 	if err := fs.Parse(args); err != nil {
 		return err

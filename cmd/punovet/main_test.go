@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 // TestRealTreeExitsClean is the smoke half of the acceptance criterion: the
@@ -37,15 +39,21 @@ func TestBadFixtureExitsNonZero(t *testing.T) {
 	}
 }
 
+// analyzerNames is the suite as lint.Default() defines it.
+func analyzerNames() []string {
+	var names []string
+	for _, a := range lint.Default() {
+		names = append(names, a.Name)
+	}
+	return names
+}
+
 func TestUsageListsAnalyzers(t *testing.T) {
 	var out, errb strings.Builder
 	if err := run([]string{"-h"}, &out, &errb); err == nil {
 		t.Fatal("-h should return flag.ErrHelp")
 	}
-	for _, name := range []string{
-		"maprange", "wallclock", "hotalloc", "handlerfunc",
-		"msglife", "shardconfine", "probeguard", "escapegate",
-	} {
+	for _, name := range append(analyzerNames(), "escapegate", "exemptions table") {
 		if !strings.Contains(errb.String(), name) {
 			t.Errorf("usage does not mention %s:\n%s", name, errb.String())
 		}
@@ -115,7 +123,7 @@ func TestVerboseTimings(t *testing.T) {
 	if err := run([]string{"-v", "repro/internal/lint"}, &out, &errb); err != nil {
 		t.Fatalf("punovet -v failed: %v", err)
 	}
-	for _, name := range []string{"maprange", "wallclock", "hotalloc", "handlerfunc", "msglife", "shardconfine", "probeguard"} {
+	for _, name := range analyzerNames() {
 		if !strings.Contains(errb.String(), name) {
 			t.Errorf("-v summary missing %s:\n%s", name, errb.String())
 		}

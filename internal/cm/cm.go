@@ -122,13 +122,14 @@ func (b *RandomBackoff) Notify() bool { return false }
 // Restart backoff is the baseline's (the paper changes only the polling
 // behaviour).
 //
-// Only the first backoff of an access uses the notification; once a
-// notified wait has elapsed, the requester reverts to baseline polling so
-// that an overestimated T_est (attempt lengths vary widely under
-// contention) cannot strand the line idle after the nacker commits. An
-// underestimate still converges: the early retry collects a fresh NACK
-// whose T_est reflects the nacker's remaining time, and the cheap polls in
-// between keep the handoff prompt.
+// Every NACK that carries a T_est is slept on (NotifyEachRetry, which
+// NewPUNO sets: the paper-literal behaviour). An underestimate converges:
+// the early retry collects a fresh NACK whose T_est reflects the nacker's
+// remaining time. An overestimate (attempt lengths vary widely under
+// contention) would strand the line idle after the nacker commits;
+// RetryDelay bounds that cost by sleeping half the estimate. With
+// NotifyEachRetry false only the first backoff of an access uses the
+// notification and later retries poll at the baseline interval.
 type PUNO struct {
 	GuardBand       sim.Time // 2 x average cache-to-cache latency
 	MaxWait         sim.Time // safety cap on a single notification-guided wait

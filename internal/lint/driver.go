@@ -21,30 +21,17 @@ type Timing struct {
 	Elapsed  time.Duration
 }
 
-// Default returns punovet's analyzer suite. The escape gate is the eighth
+// Default returns punovet's analyzer suite. The escape gate is the sixth
 // check but not an *Analyzer — it drives the compiler, not a Pass — and
 // runs via RunEscape (`punovet -escape`).
 func Default() []*Analyzer {
-	return []*Analyzer{MapRange, WallClock, HotAlloc, HandlerFunc, MsgLife, ShardConfine, ProbeGuard}
-}
-
-// universalAnalyzers run on every loaded package, not just the audited
-// simulation set: a closure handler is wrong wherever the scheduling call
-// appears, and an unguarded probe hook is a nil-interface panic wherever
-// the emission sits (the trace/report layers hold sinks too).
-var universalAnalyzers = map[*Analyzer]bool{}
-
-func init() {
-	universalAnalyzers[HandlerFunc] = true
-	universalAnalyzers[ProbeGuard] = true
+	return []*Analyzer{MapRange, WallClock, HotAlloc, MsgLife, ShardConfine}
 }
 
 // auditedPkgs are the simulation packages whose determinism and
-// zero-allocation invariants maprange/wallclock/hotalloc enforce. cmd/, the
-// root package, and the harness packages (runner, report, prof, …) are
-// exempt: they run on the host side of the simulation boundary.
-// handlerfunc runs everywhere — a closure handler is wrong wherever the
-// scheduling call appears.
+// zero-allocation invariants the analyzers enforce. cmd/, the root package,
+// and the harness packages (runner, report, prof, …) are exempt: they run
+// on the host side of the simulation boundary.
 var auditedPkgs = map[string]bool{
 	"repro/internal/sim":       true,
 	"repro/internal/noc":       true,
@@ -65,26 +52,6 @@ var auditedPkgs = map[string]bool{
 	"repro/internal/serve": true,
 }
 
-// noSuppressPkgs are packages where //puno:unordered and //puno:allow are
-// forbidden outright: the event engine, the network, and the machine are
-// the total-order core of the simulator, and "provably cannot matter"
-// claims there have already been wrong once (PR 1's fireWakeups).
-var noSuppressPkgs = map[string]bool{
-	"repro/internal/sim":     true,
-	"repro/internal/noc":     true,
-	"repro/internal/machine": true,
-	// The line interner underpins every dense table's ID assignment;
-	// per-site "order cannot matter" claims are forbidden there. Its one
-	// legitimate map iteration (the rebuild in Interner.Grow) is blessed
-	// structurally via maprangeAllowed instead.
-	"repro/internal/mem": true,
-	// The PDES coordinator reproduces the serial engine's total order from
-	// per-shard partial orders; an "order cannot matter" claim there is by
-	// definition a claim about the merge, which is exactly what must never
-	// be hand-waved. Bit-identity is the contract.
-	"repro/internal/pdes": true,
-}
-
 // audited reports whether the package is subject to the simulation-only
 // analyzers. Fixture packages under a testdata/src tree are always treated
 // as audited so the analyzer test suite and the punovet smoke tests can
@@ -94,10 +61,9 @@ func audited(pkgPath string) bool {
 }
 
 // RunAnalyzers loads the packages matched by patterns (resolved from dir)
-// and applies the analyzers, returning findings sorted by position. Beyond
-// the analyzers themselves it enforces the suppression policy: malformed
-// directives and suppressions missing a reason are findings, and any
-// suppression inside noSuppressPkgs is a finding regardless of its reason.
+// and applies the analyzers to the audited ones, returning findings sorted
+// by position. Every loaded package, audited or not, also has its //puno:
+// comments checked against the directive grammar.
 func RunAnalyzers(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
 	findings, _, err := RunAnalyzersTimed(dir, patterns, analyzers)
 	return findings, err
@@ -113,10 +79,11 @@ func RunAnalyzersTimed(dir string, patterns []string, analyzers []*Analyzer) ([]
 	var findings []Finding
 	elapsed := make(map[*Analyzer]time.Duration, len(analyzers))
 	for _, pkg := range pkgs {
+		findings = append(findings, checkDirectives(pkg)...)
+		if !audited(pkg.PkgPath) {
+			continue
+		}
 		for _, a := range analyzers {
-			if !universalAnalyzers[a] && !audited(pkg.PkgPath) {
-				continue
-			}
 			pass := newPass(a, pkg)
 			pass.Report = func(d Diagnostic) {
 				findings = append(findings, Finding{
@@ -132,7 +99,6 @@ func RunAnalyzersTimed(dir string, patterns []string, analyzers []*Analyzer) ([]
 				return nil, nil, err
 			}
 		}
-		findings = append(findings, checkDirectives(pkg)...)
 	}
 	sortFindings(findings)
 	timings := make([]Timing, 0, len(analyzers))
@@ -162,36 +128,22 @@ func newPass(a *Analyzer, pkg *Package) *Pass {
 		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
-		Filenames: pkg.Filenames,
-		Src:       pkg.Src,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.TypesInfo,
 	}
 }
 
-// checkDirectives validates every //puno: comment in the package against
-// the suppression policy.
+// checkDirectives reports every //puno: comment in the package that is
+// not a bare //puno:hot or //puno:worker.
 func checkDirectives(pkg *Package) []Finding {
-	pass := newPass(nil, pkg)
 	var out []Finding
-	report := func(d directive, msg string) {
-		out = append(out, Finding{
-			Pos:      token.Position{Filename: d.File, Line: d.Line},
-			Analyzer: "puno-directive",
-			Message:  msg,
-		})
-	}
-	for _, d := range pass.Directives() {
-		switch d.Kind {
-		case dirMalformed:
-			report(d, d.Problem)
-		case dirSuppress:
-			if d.Reason == "" {
-				report(d, "suppression of "+d.Analyzer+" is missing its required reason (write //puno:... — <why the order/alloc provably cannot matter>)")
-			}
-			if noSuppressPkgs[pkg.PkgPath] {
-				report(d, "suppressions are forbidden in "+pkg.PkgPath+"; fix the code (detmap, flat structures, pooled objects) instead")
-			}
+	for _, d := range newPass(nil, pkg).Directives() {
+		if d.Kind == dirMalformed {
+			out = append(out, Finding{
+				Pos:      token.Position{Filename: d.File, Line: d.Line},
+				Analyzer: "puno-directive",
+				Message:  d.Problem,
+			})
 		}
 	}
 	return out

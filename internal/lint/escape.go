@@ -28,33 +28,17 @@ import (
 //   - only "escapes to heap" / "moved to heap" lines count;
 //   - constant-string subjects (`"…" escapes to heap`) and any line
 //     containing a panic call are cold paths by definition;
-//   - lines covered by a call to an escapeAllowedCallees entry are the
-//     amortized-growth idiom: the compiler attributes an inlined helper's
-//     growth allocation to the call site inside the hot body, so the
-//     blessing keys on the callee, not the site.
+//   - lines covered by a call to a function with an "escapegate" row in
+//     the exemptions table are the amortized-growth idiom (see there).
 //
 // RunEscape is exposed through `punovet -escape` and wired into make lint
 // and CI as its own step.
 
-// escapeAllowedCallees names the helpers whose (inlined) allocations are
-// blessed inside hot functions, keyed by types.Func.FullName() with a
-// reviewed justification. Every production entry is amortized growth or a
-// cold path: the helper allocates only when a dense table doubles (or, for
-// Tx.interner, once per standalone-test transaction; for Tx.mustRun, only
-// on the panic path), so steady-state events pay zero heap traffic — the
-// property TestWarmArenaRunAllocs pins.
-var escapeAllowedCallees = map[string]string{
-	"(*repro/internal/machine.firstLoadTable).grow":        "amortized doubling of the dense first-load table",
-	"(*repro/internal/machine.firstLoadTable).record":      "inlines firstLoadTable.grow (above) into its hot callers",
-	"(*repro/internal/machine.Machine).newMsg":             "message-pool miss: allocates only until the pool holds the run's peak in-flight count",
-	"(*repro/internal/machine.node).msgTo":                 "inlines Machine.newMsg (above) into the node's send sites",
-	"(*repro/internal/htm.lineSet).ensureBits":             "amortized doubling of the read/write-set bitmap",
-	"(*repro/internal/coherence.Directory).ensureIdx":      "amortized doubling of the directory's dense index",
-	"(*repro/internal/pdes.Coordinator).growRenum":         "amortized doubling of the renumber table",
-	"(*repro/internal/htm.Tx).interner":                    "lazy interner for standalone-test transactions; machine-owned Txs share the machine interner and never hit it",
-	"(*repro/internal/htm.Tx).mustRun":                     "panic-only state guard; allocates its message on the failure path",
-	"repro/internal/lint/testdata/src/escapegate.growSlot": "fixture entry exercising the blessing mechanism",
-}
+// escapeGateName is the analyzer name the gate's findings and its
+// exemptions rows use; the gate is not an *Analyzer (it drives the
+// compiler, not a Pass), but it shares the naming scheme so -json output
+// treats it uniformly.
+const escapeGateName = "escapegate"
 
 // hotRange is one hot function's line extent in one file.
 type hotRange struct {
@@ -62,14 +46,15 @@ type hotRange struct {
 	name       string
 }
 
-// escapeDiag matches one gc diagnostic line: path:line:col: message.
-var escapeDiag = regexp.MustCompile(`^([^ \t].*\.go):(\d+):(\d+): (.+)$`)
+// escapeDiag is one heap-allocation decision the compiler printed.
+type escapeDiag struct {
+	file      string // as printed: absolute, or relative to some build's cwd
+	line, col int
+	msg       string
+}
 
-// escapeGateName is the analyzer name findings and suppressions use; the
-// gate is not an *Analyzer (it drives the compiler, not a Pass), but it
-// shares the naming scheme so -json output and //puno:allow grammar treat
-// it uniformly.
-const escapeGateName = "escapegate"
+// escapeDiagLine matches one gc diagnostic line: path:line:col: message.
+var escapeDiagLine = regexp.MustCompile(`^([^ \t].*\.go):(\d+):(\d+): (.+)$`)
 
 // RunEscape builds the packages matched by patterns (resolved from dir)
 // with escape-analysis diagnostics enabled and returns a finding for every
@@ -80,66 +65,22 @@ func RunEscape(dir string, patterns []string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	hot := make(map[string][]hotRange)       // abs file -> hot extents
-	blessed := make(map[string]map[int]bool) // abs file -> lines excluded (allowed callees, panic calls)
-	suppr := make(map[string]map[int]bool)   // abs file -> lines with //puno:allow escapegate
-	markLines := func(m map[string]map[int]bool, file string, from, to int) {
-		if m[file] == nil {
-			m[file] = make(map[int]bool)
-		}
-		for l := from; l <= to; l++ {
-			m[file][l] = true
-		}
+	diags, err := compileEscapes(dir, patterns)
+	if err != nil {
+		return nil, err
 	}
-
-	dummy := &Analyzer{Name: escapeGateName}
-	for _, pkg := range pkgs {
-		pass := newPass(dummy, pkg)
-		for i, f := range pass.Files {
-			if pass.isTestFile(i) {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !pass.isHotFunc(fd) {
-					continue
-				}
-				file := pass.Fset.Position(fd.Pos()).Filename
-				hot[file] = append(hot[file], hotRange{
-					start: pass.Fset.Position(fd.Pos()).Line,
-					end:   pass.Fset.Position(fd.End()).Line,
-					name:  fd.Name.Name,
-				})
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if isBuiltin(pass, call.Fun, "panic") {
-						markLines(blessed, file,
-							pass.Fset.Position(call.Pos()).Line, pass.Fset.Position(call.End()).Line)
-						return true
-					}
-					if fn := calleeFunc(pass, call); fn != nil && escapeAllowedCallees[fn.FullName()] != "" {
-						markLines(blessed, file,
-							pass.Fset.Position(call.Pos()).Line, pass.Fset.Position(call.End()).Line)
-					}
-					return true
-				})
-			}
-		}
-		for _, d := range pass.Directives() {
-			if d.Kind == dirSuppress && d.Analyzer == escapeGateName && d.Reason != "" {
-				markLines(suppr, d.File, d.AppliesTo, d.AppliesTo)
-			}
-		}
-	}
-
 	absDir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %v", err)
 	}
+	return escapeFindings(pkgs, absDir, diags), nil
+}
+
+// compileEscapes runs the compiler over patterns and returns every
+// allocation it reports, hot or not. It is the slow half of the gate
+// (seconds) and does not depend on the exemptions table;
+// TestAllowlistsResolve runs it once and re-filters per masked row.
+func compileEscapes(dir string, patterns []string) ([]escapeDiag, error) {
 	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m=2"}, patterns...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -147,10 +88,9 @@ func RunEscape(dir string, patterns []string) ([]Finding, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("lint: go build -gcflags=-m=2 %v failed: %v\n%s", patterns, err, stderr.String())
 	}
-
-	var findings []Finding
+	var diags []escapeDiag
 	for _, line := range strings.Split(stderr.String(), "\n") {
-		m := escapeDiag.FindStringSubmatch(line)
+		m := escapeDiagLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
@@ -167,27 +107,68 @@ func RunEscape(dir string, patterns []string) ([]Finding, error) {
 		if strings.HasPrefix(msg, `"`) {
 			continue
 		}
-		file := resolveDiagPath(m[1], absDir, hot)
 		ln, _ := strconv.Atoi(m[2])
 		col, _ := strconv.Atoi(m[3])
-		fn := ""
+		diags = append(diags, escapeDiag{file: m[1], line: ln, col: col, msg: msg})
+	}
+	return diags, nil
+}
+
+// escapeFindings keeps the diagnostics that land inside a hot function of
+// pkgs on a line that neither a panic call nor a call to an exempt callee
+// covers. absDir is the directory the compiler ran in.
+func escapeFindings(pkgs []*Package, absDir string, diags []escapeDiag) []Finding {
+	hot := make(map[string][]hotRange)       // abs file -> hot extents
+	blessed := make(map[string]map[int]bool) // abs file -> lines excluded (exempt callees, panic calls)
+	for _, pkg := range pkgs {
+		pass := newPass(nil, pkg)
+		for _, f := range pass.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || !pass.isHotFunc(fd) {
+					continue
+				}
+				file := pass.Fset.Position(fd.Pos()).Filename
+				hot[file] = append(hot[file], hotRange{
+					start: pass.Fset.Position(fd.Pos()).Line,
+					end:   pass.Fset.Position(fd.End()).Line,
+					name:  fd.Name.Name,
+				})
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if ok && (isBuiltin(pass, call.Fun, "panic") || exempt(escapeGateName, calleeFunc(pass, call))) {
+						if blessed[file] == nil {
+							blessed[file] = make(map[int]bool)
+						}
+						for l := pass.Fset.Position(call.Pos()).Line; l <= pass.Fset.Position(call.End()).Line; l++ {
+							blessed[file][l] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var findings []Finding
+	for _, d := range diags {
+		file := resolveDiagPath(d.file, absDir, hot)
+		if blessed[file][d.line] {
+			continue
+		}
 		for _, hr := range hot[file] {
-			if ln >= hr.start && ln <= hr.end {
-				fn = hr.name
+			if d.line >= hr.start && d.line <= hr.end {
+				findings = append(findings, Finding{
+					Pos:      token.Position{Filename: file, Line: d.line, Column: d.col},
+					Analyzer: escapeGateName,
+					Message:  fmt.Sprintf("%s in hot function %s (compiler escape analysis); pool it, copy by value, or give the growth helper a reviewed row in the exemptions table", d.msg, hr.name),
+				})
 				break
 			}
 		}
-		if fn == "" || blessed[file][ln] || suppr[file][ln] {
-			continue
-		}
-		findings = append(findings, Finding{
-			Pos:      token.Position{Filename: file, Line: ln, Column: col},
-			Analyzer: escapeGateName,
-			Message:  fmt.Sprintf("%s in hot function %s (compiler escape analysis); pool it, copy by value, or bless the growth helper in escapeAllowedCallees", msg, fn),
-		})
 	}
 	sortFindings(findings)
-	return findings, nil
+	return findings
 }
 
 // resolveDiagPath maps a compiler diagnostic path onto the loader's

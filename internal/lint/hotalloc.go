@@ -30,10 +30,7 @@ var HotAlloc = &Analyzer{
 }
 
 func runHotAlloc(pass *Pass) (any, error) {
-	for i, f := range pass.Files {
-		if pass.isTestFile(i) {
-			continue
-		}
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !pass.isHotFunc(fd) {
@@ -49,7 +46,7 @@ func runHotAlloc(pass *Pass) (any, error) {
 				if !ok {
 					return true
 				}
-				if obj := pass.TypesInfo.Uses[id]; obj != nil && fresh[obj] && !pass.suppressed("hotalloc", call.Pos()) {
+				if obj := pass.TypesInfo.Uses[id]; obj != nil && fresh[obj] {
 					pass.Reportf(call.Pos(), "append grows function-local slice %s, allocating per event in hot function %s; append into a reusable field or parameter instead", id.Name, fd.Name.Name)
 				}
 				return true

@@ -9,8 +9,53 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// The fixture packages exercise the exemption mechanism through rows of
+// their own, appended here so the product table holds product rows only.
+func init() {
+	const fix = "repro/internal/lint/testdata/src/"
+	exemptions = append(exemptions,
+		exemption{fix + "maprange.allowlistedRebuild", "maprange", "fixture: rebuilds a map into a fresh one"},
+		exemption{fix + "msglife.blessedPoolReclaim", "msglife", "fixture: owns the free list"},
+		exemption{fix + "escapegate.growSlot", escapeGateName, "fixture: amortized doubling"},
+		exemption{"(*" + fix + "shardconfine.Env).resetWire", "shardconfine/interner", "fixture: serial edge"},
+		exemption{"(*" + fix + "shardconfine.Machine).resetWire", "shardconfine/wiring", "fixture: construction point"},
+	)
+}
+
+// loadTree loads and type-checks repro/... once for the tests that read
+// the real tree.
+var loadTree = sync.OnceValues(func() ([]*Package, error) {
+	return Load(".", []string{"repro/..."})
+})
+
+// treeEscapes runs the compiler over repro/... once (seconds) for the
+// tests that filter its escape diagnostics.
+var treeEscapes = sync.OnceValues(func() ([]escapeDiag, error) {
+	return compileEscapes(".", []string{"repro/..."})
+})
+
+// treeEscapeFindings is the escape gate on the real tree under the current
+// exemptions table, from the shared load and the shared compiler run.
+func treeEscapeFindings(t *testing.T) []Finding {
+	t.Helper()
+	pkgs, err := loadTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := treeEscapes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	abs, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return escapeFindings(pkgs, abs, diags)
+}
 
 // loadFixture loads one fixture package under testdata/src.
 func loadFixture(t *testing.T, name string) *Package {
@@ -125,9 +170,9 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
-// TestTestFilesExempt pins the maprange/hotalloc test-file exemption: the
-// fixture's _test.go ranges a map with no suppression, and punovet still
-// reports nothing there (test files are never loaded into a pass).
+// TestTestFilesExempt pins the test-file exemption: the fixture's _test.go
+// ranges a map, and punovet still reports nothing there (test files are
+// never loaded into a pass).
 func TestTestFilesExempt(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "src", "maprange", "exempt_test.go"))
 	if err != nil {
@@ -147,10 +192,11 @@ func TestTestFilesExempt(t *testing.T) {
 	}
 }
 
-// TestDirectiveEnforcement runs the full driver over the suppress fixture:
-// malformed directives and reasonless suppressions are findings themselves.
+// TestDirectiveEnforcement runs the full driver over the directive fixture:
+// every //puno: comment other than a bare hot or worker is a finding — the
+// retired per-site verbs too, which exempt nothing.
 func TestDirectiveEnforcement(t *testing.T) {
-	findings, err := RunAnalyzers(".", []string{"./testdata/src/suppress"}, Default())
+	findings, err := RunAnalyzers(".", []string{"./testdata/src/directive"}, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,39 +205,34 @@ func TestDirectiveEnforcement(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s: %s", f.Analyzer, f.Message))
 	}
 	wants := []string{
+		"puno-directive: unknown puno directive unordered: only //puno:hot and //puno:worker exist",
 		"maprange: map iteration order is nondeterministic",
-		"puno-directive: suppression of maprange is missing its required reason",
-		"puno-directive: unknown puno directive frobnicate",
+		"puno-directive: unknown puno directive allow: only //puno:hot and //puno:worker exist",
+		"maprange: map iteration order is nondeterministic",
+		"puno-directive: unknown puno directive frobnicate: only //puno:hot and //puno:worker exist",
 		"puno-directive: puno:hot takes no arguments",
-		"puno-directive: puno:allow needs an analyzer name",
-	}
-	for _, w := range wants {
-		found := false
-		for _, g := range got {
-			if strings.HasPrefix(g, w) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("missing driver finding starting with %q; got:\n%s", w, strings.Join(got, "\n"))
-		}
 	}
 	if len(got) != len(wants) {
-		t.Errorf("driver produced %d findings, want %d:\n%s", len(got), len(wants), strings.Join(got, "\n"))
+		t.Fatalf("driver produced %d findings, want %d:\n%s", len(got), len(wants), strings.Join(got, "\n"))
+	}
+	for i, w := range wants {
+		if !strings.HasPrefix(got[i], w) {
+			t.Errorf("finding %d = %q, want prefix %q", i, got[i], w)
+		}
+	}
+	for _, g := range got {
+		if strings.HasPrefix(g, "puno-directive: unknown") && !strings.Contains(g, "exemptions table") {
+			t.Errorf("unknown-verb finding does not point at the exemptions table: %s", g)
+		}
 	}
 }
 
-// TestPdesEnrollment pins internal/pdes into punovet's audited and
-// no-suppression sets, and exercises every analyzer on the pdes-shaped
-// fixture (hot merge loop, dense renum tables, wall-clock-free window
-// edges, closure-free cross-shard injection).
+// TestPdesEnrollment pins internal/pdes into punovet's audited set, and
+// exercises every analyzer on the pdes-shaped fixture (hot merge loop,
+// dense renum tables, wall-clock-free window edges).
 func TestPdesEnrollment(t *testing.T) {
 	if !audited("repro/internal/pdes") {
 		t.Error("repro/internal/pdes is not in punovet's audited set")
-	}
-	if !noSuppressPkgs["repro/internal/pdes"] {
-		t.Error("repro/internal/pdes permits suppressions; the merge core must stay suppression-free")
 	}
 	pkg := loadFixture(t, "pdes")
 	var findings []Finding
@@ -213,9 +254,8 @@ func TestServeEnrollment(t *testing.T) {
 	}
 }
 
-// TestRealTreeClean is the acceptance gate: the repository's own simulation
-// packages carry zero findings, and the no-suppression core (sim, noc,
-// machine) carries zero //puno: suppressions.
+// TestRealTreeClean is the acceptance gate: the repository's own packages
+// carry zero findings, stray //puno: comments included.
 func TestRealTreeClean(t *testing.T) {
 	findings, err := RunAnalyzers(".", []string{"repro/..."}, Default())
 	if err != nil {
@@ -226,50 +266,129 @@ func TestRealTreeClean(t *testing.T) {
 	}
 }
 
-// TestAllowlistsResolve guards the structural allowlists against rot: every
-// key is a types.Func.FullName() matched by string, so deleting or renaming
-// a blessed function would otherwise leave an entry that blesses nothing —
-// and would silently bless whatever later takes the name. Fixture entries
-// live under testdata, outside repro/..., and are exercised by their own
-// analyzer tests.
+// TestAllowlistsResolve guards the exemptions table against rot. Every
+// product row must name a function declared in the tree (the key is a
+// types.Func.FullName() matched by string: a renamed function would leave
+// a row that exempts nothing, and would silently exempt whatever later
+// takes the name), give a reason, name a check that exists, and be
+// load-bearing: with that row masked, its check reports a finding — inside
+// the function for the AST checks; anywhere for the escape gate, whose
+// rows key on the callee and whose findings land in the hot callers (the
+// tree is clean under the full table, so any finding is the masked row's).
+// The compiler runs once; each escapegate row re-filters its diagnostics.
 func TestAllowlistsResolve(t *testing.T) {
-	pkgs, err := Load(".", []string{"repro/..."})
+	pkgs, err := loadTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	declared := map[string]bool{}
+	type decl struct {
+		pkg        *Package
+		file       string
+		start, end int
+	}
+	declared := map[string]decl{}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok {
 					if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-						declared[fn.FullName()] = true
+						at, end := pkg.Fset.Position(fd.Pos()), pkg.Fset.Position(fd.End())
+						declared[fn.FullName()] = decl{pkg, at.Filename, at.Line, end.Line}
 					}
 				}
 			}
 		}
 	}
-	for list, keys := range map[string][]string{
-		"maprangeAllowed":             mapKeys(maprangeAllowed),
-		"msglifeAllowed":              mapKeys(msglifeAllowed),
-		"escapeAllowedCallees":        mapKeys(escapeAllowedCallees),
-		"shardconfineInternerAllowed": mapKeys(shardconfineInternerAllowed),
-		"shardconfineWiringAllowed":   mapKeys(shardconfineWiringAllowed),
-	} {
-		for _, key := range keys {
-			if !strings.Contains(key, "/testdata/") && !declared[key] {
-				t.Errorf("%s: %q names no function declared in the tree", list, key)
+	astChecks := map[string]*Analyzer{
+		"maprange":              MapRange,
+		"msglife":               MsgLife,
+		"shardconfine/interner": ShardConfine,
+		"shardconfine/wiring":   ShardConfine,
+	}
+	full := exemptions
+	defer func() { exemptions = full }()
+	for i, row := range full {
+		if strings.Contains(row.fn, "/testdata/") {
+			continue // fixture rows: exercised by their analyzers' fixture tests
+		}
+		d, ok := declared[row.fn]
+		if !ok {
+			t.Errorf("%s row %q names no function declared in the tree", row.check, row.fn)
+			continue
+		}
+		if row.reason == "" {
+			t.Errorf("%s row %q has no reason", row.check, row.fn)
+		}
+		exemptions = append(append([]exemption(nil), full[:i]...), full[i+1:]...)
+		n := 0
+		switch a := astChecks[row.check]; {
+		case a != nil:
+			for _, f := range runOn(t, a, d.pkg) {
+				if f.Pos.Filename == d.file && f.Pos.Line >= d.start && f.Pos.Line <= d.end {
+					n++
+				}
 			}
+		case row.check == escapeGateName:
+			n = len(treeEscapeFindings(t))
+		default:
+			t.Errorf("row %q names check %q, which does not exist", row.fn, row.check)
+			continue
+		}
+		if n == 0 {
+			t.Errorf("%s row %q is stale: with it masked, the check still reports nothing", row.check, row.fn)
 		}
 	}
 }
 
-func mapKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// TestHandlersAreLongLivedStructs is the type-system half of what the
+// retired handlerfunc analyzer guarded (the escape gate is the other: see
+// hotClosureHandler in the escapegate fixture). A closure reaches the
+// scheduler only through a func-kinded sim.Handler adapter, so every type
+// with an OnEvent(any, uint64) method must be a struct behind a pointer
+// receiver; and the gate sees a scheduling call only inside a hot
+// function, so every AtEvent/AfterEvent site must sit in one.
+func TestHandlersAreLongLivedStructs(t *testing.T) {
+	pkgs, err := loadTree()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return keys
+	schedulers := map[string]bool{
+		"(*repro/internal/sim.Engine).AtEvent":    true,
+		"(*repro/internal/sim.Engine).AfterEvent": true,
+	}
+	for _, pkg := range pkgs {
+		pass := newPass(nil, pkg)
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				at := pkg.Fset.Position(fd.Pos())
+				if isHandlerOnEvent(pass, fd) {
+					recv := pkg.TypesInfo.Defs[fd.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
+					ptr, ok := recv.(*types.Pointer)
+					if ok {
+						_, ok = ptr.Elem().Underlying().(*types.Struct)
+					}
+					if !ok {
+						t.Errorf("%s:%d: sim.Handler implemented on %s, want a pointer to a struct", at.Filename, at.Line, recv)
+					}
+				}
+				if pass.isHotFunc(fd) {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if fn := calleeFunc(pass, call); fn != nil && schedulers[fn.FullName()] {
+							t.Errorf("%s:%d: %s schedules a sim.Handler outside a hot function; mark it //puno:hot so the escape gate sees the call", at.Filename, at.Line, fd.Name.Name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
 }
 
 // TestEscapeGateFixture matches the compiler-backed gate against the
@@ -289,11 +408,7 @@ func TestEscapeGateFixture(t *testing.T) {
 // compiler reports zero unblessed heap allocations inside the repo's hot
 // functions.
 func TestEscapeGateRealTree(t *testing.T) {
-	findings, err := RunEscape(".", []string{"repro/..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
+	for _, f := range treeEscapeFindings(t) {
 		t.Errorf("%s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Analyzer, f.Message)
 	}
 }

@@ -22,8 +22,6 @@ type Package struct {
 	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Filenames []string
-	Src       [][]byte
 	Types     *types.Package
 	TypesInfo *types.Info
 }
@@ -132,8 +130,6 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp *listedPkg) (*Package
 			return nil, fmt.Errorf("lint: %v", err)
 		}
 		pkg.Files = append(pkg.Files, f)
-		pkg.Filenames = append(pkg.Filenames, fn)
-		pkg.Src = append(pkg.Src, src)
 	}
 
 	info := &types.Info{

@@ -9,10 +9,12 @@ import (
 // iteration order per range statement, so any map range whose order can
 // reach simulation state or rendered output is a latent nondeterminism bug
 // — the exact class PR 1 fixed in PUNO-Push's fireWakeups, where a map
-// range randomized NoC send order. Simulation code iterates a sorted key
-// slice (internal/detmap) or a flat insertion-ordered structure
-// (internal/htm's lineSet) instead; a range whose order provably cannot
-// escape may carry `//puno:unordered — <reason>`.
+// range randomized NoC send order. Simulation code keeps the data in a
+// flat insertion-ordered structure with the map, if any, as an index
+// (internal/htm's lineSet, core.TxLB). A function whose map iteration
+// provably cannot leak its order — today only the interner's rebuild on
+// growth — carries a "maprange" row in the exemptions table, which exempts
+// its whole body.
 //
 // Test files are exempt: table-driven tests range over expectation maps and
 // are off the simulation path by definition.
@@ -22,32 +24,12 @@ var MapRange = &Analyzer{
 	Run:  runMapRange,
 }
 
-// maprangeAllowed names the functions whose map iterations are blessed by
-// construction, keyed by types.Func.FullName(). Unlike a //puno:unordered
-// suppression — a per-site claim anyone can write, and which noSuppressPkgs
-// forbids — an entry here is a reviewed structural exemption: the function
-// itself must guarantee that iteration order cannot escape. The only
-// production entry is the interner's map rebuild on growth: it inserts
-// existing (line, id) pairs into a fresh map, and map insertion order does
-// not affect later lookups, so internal/mem can sit in noSuppressPkgs with
-// exactly one blessed map. The fixture entry exercises the mechanism in the
-// analyzer test suite.
-var maprangeAllowed = map[string]bool{
-	"(*repro/internal/mem.Interner).Grow":                          true,
-	"repro/internal/lint/testdata/src/maprange.allowlistedRebuild": true,
-}
-
 func runMapRange(pass *Pass) (any, error) {
-	for i, f := range pass.Files {
-		if pass.isTestFile(i) {
-			continue
-		}
+	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if fd, ok := n.(*ast.FuncDecl); ok {
-				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && maprangeAllowed[fn.FullName()] {
-					return false // entire body is blessed by construction
-				}
-				return true
+				fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+				return !exempt("maprange", fn)
 			}
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
@@ -60,11 +42,8 @@ func runMapRange(pass *Pass) (any, error) {
 			if _, isMap := t.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if pass.suppressed("maprange", rs.For) {
-				return true
-			}
 			pass.Reportf(rs.For,
-				"map iteration order is nondeterministic and can leak into simulation state; iterate detmap.Keys/a flat insertion-ordered structure, or annotate //puno:unordered — <reason> if the order provably cannot escape")
+				"map iteration order is nondeterministic and can leak into simulation state; keep the data in a flat insertion-ordered structure with the map as an index (a function whose order provably cannot escape needs a reviewed row in internal/lint's exemptions table)")
 			return true
 		})
 	}

@@ -24,38 +24,13 @@ import (
 // Copying by value (`*m`) never trips it: the dereferenced expression has
 // value type Msg.
 //
-// The pool's own plumbing legitimately stores the pointers it manages;
-// those functions are blessed structurally via msglifeAllowed (the
-// noSuppressPkgs core cannot carry //puno:allow). Test files are exempt.
+// The pool's own plumbing and the PDES staging paths legitimately store
+// the pointers whose lifetimes they own; those functions carry "msglife"
+// rows in the exemptions table. Test files are exempt.
 var MsgLife = &Analyzer{
 	Name: "msglife",
 	Doc:  "forbid parking pooled *coherence.Msg pointers past handler return",
 	Run:  runMsgLife,
-}
-
-// msglifeAllowed names the functions that may store *coherence.Msg
-// pointers into longer-lived structures, keyed by types.Func.FullName().
-// Every entry is a reviewed pool-internal or staged-replay path:
-//
-//   - Machine.newMsg / Machine.freeMsg own the free list itself; the
-//     stored pointers ARE the pool.
-//   - BalanceMsgPools levels the free lists across shard machines between
-//     runs; it moves pool-owned pointers while no handler is live.
-//   - Coordinator.Reset installs the xsend staging hook: a remote send is
-//     parked by pointer into sh.sends, which is safe because the staged
-//     message is not freed until commit replays the send on the global
-//     mesh — the coordinator, not the handler, owns its lifetime.
-//   - Coordinator.replay stages routed messages into c.routes under the
-//     same ownership rule, one window later.
-//
-// The fixture entry exercises the mechanism in the analyzer test suite.
-var msglifeAllowed = map[string]bool{
-	"(*repro/internal/machine.Machine).newMsg":                    true,
-	"(*repro/internal/machine.Machine).freeMsg":                   true,
-	"repro/internal/machine.BalanceMsgPools":                      true,
-	"(*repro/internal/pdes.Coordinator).Reset":                    true,
-	"(*repro/internal/pdes.Coordinator).replay":                   true,
-	"repro/internal/lint/testdata/src/msglife.blessedPoolReclaim": true,
 }
 
 // isMsgPtr reports whether t is *coherence.Msg.
@@ -73,19 +48,15 @@ func isMsgPtr(t types.Type) bool {
 }
 
 func runMsgLife(pass *Pass) (any, error) {
-	for i, f := range pass.Files {
-		if pass.isTestFile(i) {
-			continue
-		}
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && msglifeAllowed[fn.FullName()] {
-				continue
+			if fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func); !exempt("msglife", fn) {
+				checkMsgLifeBody(pass, fd)
 			}
-			checkMsgLifeBody(pass, fd)
 		}
 	}
 	return nil, nil
@@ -161,9 +132,6 @@ func reportMsgCarrier(pass *Pass, fd *ast.FuncDecl, rhs ast.Expr) {
 	if t == nil || !isMsgPtr(t) {
 		return
 	}
-	if pass.suppressed("msglife", rhs.Pos()) {
-		return
-	}
 	pass.Reportf(rhs.Pos(),
 		"pooled *coherence.Msg parked by pointer in %s outlives handler return and aliases the message pool; copy by value (*m) or route through the pool internals", fd.Name.Name)
 }
@@ -186,10 +154,8 @@ func checkMsgCapture(pass *Pass, fd *ast.FuncDecl, lit *ast.FuncLit) {
 			return true // the literal's own parameter or local
 		}
 		seen[obj] = true
-		if !pass.suppressed("msglife", id.Pos()) {
-			pass.Reportf(id.Pos(),
-				"closure in %s captures pooled *coherence.Msg %s, which is freed when the handler returns; copy the message by value before capturing", fd.Name.Name, id.Name)
-		}
+		pass.Reportf(id.Pos(),
+			"closure in %s captures pooled *coherence.Msg %s, which is freed when the handler returns; copy the message by value before capturing", fd.Name.Name, id.Name)
 		return true
 	})
 }

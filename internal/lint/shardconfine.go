@@ -15,19 +15,20 @@ import (
 // A worker that reaches coordinator state races another shard and breaks
 // the bit-identity contract in the worst way: nondeterministically.
 //
-// Three rules, all structural (the pdes/machine core sits in
-// noSuppressPkgs, so exemptions are reviewed allowlist entries, not
-// per-site comments):
+// Three rules:
 //
 //  1. In functions marked //puno:worker (the shard-worker entry paths),
 //     any use of a *pdes.Coordinator or noc.Mesh value is flagged —
 //     workers hand remote sends to the xsend hook and cross-shard
 //     deliveries to InjectDeliver; they never see the mesh.
 //  2. Calls to the shared interner's lifecycle mutators
-//     (Interner.Grow/Reset/SetShared) are flagged outside the blessed
-//     serial-edge functions in shardconfineInternerAllowed.
+//     (Interner.Grow/Reset/SetShared) are flagged outside the serial-edge
+//     functions that carry a "shardconfine/interner" row in the
+//     exemptions table; both run strictly before any worker goroutine
+//     exists.
 //  3. Writes to the Machine's shard-wiring fields (lo, hi, xsend, it,
-//     ownIt) are flagged outside Machine.resetShard.
+//     ownIt) are flagged outside the one function with a
+//     "shardconfine/wiring" row, Machine.resetShard.
 //
 // Test files are exempt.
 var ShardConfine = &Analyzer{
@@ -36,55 +37,26 @@ var ShardConfine = &Analyzer{
 	Run:  runShardConfine,
 }
 
-// shardconfineInternerAllowed names the functions that may call the
-// interner's lifecycle mutators, keyed by types.Func.FullName(). Both
-// production entries run strictly before any worker goroutine exists:
-// Coordinator.Reset sizes and shares the coordinator-owned interner;
-// Machine.resetShard resets/grows the machine-owned interner when the
-// machine is NOT adopting a shared one. The fixture entry exercises the
-// mechanism in the analyzer test suite.
-var shardconfineInternerAllowed = map[string]bool{
-	"(*repro/internal/pdes.Coordinator).Reset":                       true,
-	"(*repro/internal/machine.Machine).resetShard":                   true,
-	"(*repro/internal/lint/testdata/src/shardconfine.Env).resetWire": true,
-}
-
-// shardconfineWiringAllowed names the functions that may write the
-// Machine's shard-wiring fields. resetShard is the single construction
-// point: it installs [lo, hi), the xsend hook, and the interner identity
-// before the machine runs.
-var shardconfineWiringAllowed = map[string]bool{
-	"(*repro/internal/machine.Machine).resetShard":                       true,
-	"(*repro/internal/lint/testdata/src/shardconfine.Machine).resetWire": true,
-}
-
 // machineWiringFields are the Machine fields only resetShard may write.
 var machineWiringFields = map[string]bool{
 	"lo": true, "hi": true, "xsend": true, "it": true, "ownIt": true,
 }
 
 func runShardConfine(pass *Pass) (any, error) {
-	for i, f := range pass.Files {
-		if pass.isTestFile(i) {
-			continue
-		}
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
 			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			full := ""
-			if fn != nil {
-				full = fn.FullName()
-			}
 			if pass.isWorkerFunc(fd) {
 				checkWorkerBody(pass, fd)
 			}
-			if !shardconfineInternerAllowed[full] {
+			if !exempt("shardconfine/interner", fn) {
 				checkInternerMutators(pass, fd)
 			}
-			if !shardconfineWiringAllowed[full] {
+			if !exempt("shardconfine/wiring", fn) {
 				checkWiringWrites(pass, fd)
 			}
 		}
@@ -134,10 +106,8 @@ func checkWorkerBody(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		reported[obj] = true
-		if !pass.suppressed("shardconfine", id.Pos()) {
-			pass.Reportf(id.Pos(),
-				"worker function %s touches %s (%s), which is coordinator-owned; route remote sends through xsend and cross-shard deliveries through InjectDeliver", fd.Name.Name, what, id.Name)
-		}
+		pass.Reportf(id.Pos(),
+			"worker function %s touches %s (%s), which is coordinator-owned; route remote sends through xsend and cross-shard deliveries through InjectDeliver", fd.Name.Name, what, id.Name)
 		return true
 	})
 }
@@ -187,10 +157,8 @@ func checkInternerMutators(pass *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		if !pass.suppressed("shardconfine", call.Pos()) {
-			pass.Reportf(call.Pos(),
-				"Interner.%s called in %s, outside the blessed serial edges (Coordinator.Reset, Machine.resetShard); workers may only Intern/Lookup/LineAt the shared interner", name, fd.Name.Name)
-		}
+		pass.Reportf(call.Pos(),
+			"Interner.%s called in %s, outside the blessed serial edges (Coordinator.Reset, Machine.resetShard); workers may only Intern/Lookup/LineAt the shared interner", name, fd.Name.Name)
 		return true
 	})
 }
@@ -223,10 +191,8 @@ func checkWiringWrites(pass *Pass, fd *ast.FuncDecl) {
 			if pkg := named.Obj().Pkg().Name(); pkg != "machine" && pkg != "shardconfine" {
 				continue
 			}
-			if !pass.suppressed("shardconfine", sel.Pos()) {
-				pass.Reportf(sel.Pos(),
-					"Machine.%s is shard wiring and may only be written by resetShard; %s must not rewire a machine mid-run", sel.Sel.Name, fd.Name.Name)
-			}
+			pass.Reportf(sel.Pos(),
+				"Machine.%s is shard wiring and may only be written by resetShard; %s must not rewire a machine mid-run", sel.Sel.Name, fd.Name.Name)
 		}
 		return true
 	})

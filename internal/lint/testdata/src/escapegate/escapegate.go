@@ -8,7 +8,11 @@
 // from the function, or captured by a sink).
 package escapegate
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 type record struct {
 	vals [4]uint64
@@ -88,6 +92,26 @@ func hotAppendFresh(word uint64) {
 	intsSink = fresh
 }
 
+// hf adapts a plain function to sim.Handler: the adapter a closure needs
+// to reach the scheduler. The tree has none (every handler is a pointer to
+// a long-lived struct, which TestHandlersAreLongLivedStructs pins).
+type hf func(arg any, word uint64)
+
+func (f hf) OnEvent(arg any, word uint64) { f(arg, word) }
+
+// hotClosureHandler schedules a capturing closure through the adapter,
+// once as a literal and once through a local — the two shapes the retired
+// handlerfunc analyzer matched by syntax. Every scheduling site in the
+// tree sits in a hot function, so the gate reports both.
+//
+//puno:hot
+func hotClosureHandler(eng *sim.Engine) {
+	n := 0                                                         // want "moved to heap: n"
+	eng.AtEvent(5, hf(func(arg any, word uint64) { n++ }), nil, 0) // want "func literal escapes to heap"
+	local := func(arg any, word uint64) { n++ }                    // want "func literal escapes to heap"
+	eng.AfterEvent(5, hf(local), nil, 0)
+}
+
 // hotClean is steady-state arithmetic over existing storage: no findings.
 //
 //puno:hot
@@ -100,7 +124,8 @@ func hotClean(t *table, id int) uint64 {
 
 // hotBlessed hits the amortized-growth idiom: growSlot's allocation is
 // inlined into the call site here, and the gate blesses the line because
-// the callee is in escapeAllowedCallees.
+// the callee has an escapegate row in the exemptions table (fixture rows:
+// lint_test.go).
 //
 //puno:hot
 func hotBlessed(t *table, id int) uint64 {
@@ -122,7 +147,7 @@ func hotPanicPath(n int) int {
 }
 
 // growSlot doubles the dense table; it allocates only on growth, the
-// blessed amortized idiom (see escapeAllowedCallees).
+// blessed amortized idiom.
 func growSlot(t *table, id int) {
 	ns := make([]uint64, id+1)
 	copy(ns, t.slots)

@@ -39,13 +39,3 @@ func hotAnnotated(d *dispatcher, n int) {
 	}
 	d.scratch = made
 }
-
-// hotSuppressed shows the per-site escape hatch with a written reason.
-//
-//puno:hot
-func hotSuppressed(d *dispatcher) {
-	var warm []int
-	//puno:allow hotalloc — one-time warm-up growth, amortized to zero per event
-	warm = append(warm, 1, 2, 3, 4)
-	d.scratch = warm
-}

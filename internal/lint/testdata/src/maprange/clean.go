@@ -21,10 +21,9 @@ func cleanArrays(a [4]uint64) uint64 {
 	return t
 }
 
-// allowlistedRebuild is registered in maprangeAllowed (the structural
-// allowlist for order-insensitive-by-construction functions, modelled on
-// the interner's Grow rebuild): its map range must NOT fire even though it
-// carries no suppression directive.
+// allowlistedRebuild carries a maprange row in the exemptions table (the
+// fixture rows live in lint_test.go), modelled on the interner's Grow
+// rebuild: its map range must NOT fire.
 func allowlistedRebuild(old map[int]string) map[int]string {
 	fresh := make(map[int]string, len(old))
 	for k, v := range old {

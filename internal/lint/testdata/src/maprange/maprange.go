@@ -1,11 +1,9 @@
 // Package maprange is the firing fixture for the maprange analyzer.
 package maprange
 
-import "sort"
-
 var sink int
 
-// bad ranges over maps without suppression — every one must be flagged.
+// bad ranges over maps — every one must be flagged.
 func bad(m map[int]string, nested map[string]map[int]int) {
 	for k := range m { // want "map iteration order is nondeterministic"
 		sink += k
@@ -30,46 +28,12 @@ func badNamed(m namedMap) {
 	}
 }
 
-// suppressedOK carries well-formed suppressions and must stay silent.
-func suppressedOK(m map[int]string) {
-	//puno:unordered — pure count; the result is independent of visit order
-	for range m {
-		sink++
-	}
-	for k := range m { //puno:unordered — keys feed a commutative integer sum
-		sink += k
-	}
-	//puno:allow maprange — generic allow form is equivalent to unordered
-	for k := range m {
-		sink += k
-	}
-}
-
-// missingReason has a reasonless suppression: it does NOT suppress, and the
-// directive itself is flagged by the driver (covered in driver tests).
-func missingReason(m map[int]string) {
-	//puno:unordered
-	for k := range m { // want "map iteration order is nondeterministic"
-		sink += k
-	}
-}
-
 // sliceAndChannelOK proves non-map ranges never fire.
-func sliceAndChannelOK(s []int, ch chan int, m map[int]string) {
+func sliceAndChannelOK(s []int, ch chan int) {
 	for _, v := range s {
 		sink += v
 	}
 	for v := range ch {
 		sink += v
-	}
-	// The blessed pattern: collect, sort, then iterate the slice.
-	keys := make([]int, 0, len(m))
-	//puno:unordered — keys are sorted immediately after collection
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		sink += k
 	}
 }

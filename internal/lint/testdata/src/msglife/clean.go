@@ -26,16 +26,3 @@ func parkByValue(e *valueEnv, m *coherence.Msg) {
 func overwriteInPlace(p *coherence.Msg, msg coherence.Msg) {
 	*p = msg
 }
-
-// blessedPoolReclaim stands in for the pool internals (Machine.freeMsg,
-// BalanceMsgPools): it owns the free list, so storing the pointer IS the
-// job. Blessed structurally via msglifeAllowed.
-func blessedPoolReclaim(e *valueEnv, m *coherence.Msg) {
-	e.free = append(e.free, m)
-}
-
-// suppressedPark documents the reasoned-suppression escape hatch for
-// pool-adjacent code outside the no-suppression core.
-func suppressedPark(e *valueEnv, m *coherence.Msg) {
-	e.free[0] = m //puno:allow msglife — fixture: swaps a pool-owned slot; the displaced pointer is returned by the caller
-}

@@ -1,15 +1,10 @@
 // Package pdes is the punovet fixture for the PDES coordinator's shape:
 // the windowed merge/replay commit is hot and must stay allocation-free,
-// and nothing in the merge may lean on map order, the wall clock, or
-// closure handlers — the coordinator's contract is bit-identity with the
-// serial engine, so "order cannot matter" is never claimable here.
+// and nothing in the merge may lean on map order or the wall clock — the
+// coordinator's contract is bit-identity with the serial engine.
 package pdes
 
-import (
-	"time"
-
-	"repro/internal/sim"
-)
+import "time"
 
 type entry struct {
 	at  uint64
@@ -52,18 +47,6 @@ func commit(parts []*shard) {
 // boundaries come from simulated time and the mesh lookahead only.
 func stamp() uint64 {
 	return uint64(time.Now().UnixNano()) // want "reads the wall clock"
-}
-
-// hf adapts a plain function to sim.Handler, the hole closures sneak
-// through.
-type hf func(arg any, word uint64)
-
-func (f hf) OnEvent(arg any, word uint64) { f(arg, word) }
-
-// schedule shows the forbidden shape for cross-shard injection: a closure
-// handler would capture shard-local state the replay cannot re-key.
-func schedule(eng *sim.Engine) {
-	eng.AtEvent(5, hf(func(arg any, word uint64) { sink += word }), nil, 0) // want "function literal"
 }
 
 // resolveOK is the blessed shape: dense window-local renum table indexed by

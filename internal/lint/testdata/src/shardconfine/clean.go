@@ -11,8 +11,9 @@ func workerShardLocal(sh *shard) {
 }
 
 // resetWire is the fixture's blessed serial edge (mirrors
-// Machine.resetShard / Coordinator.Reset), allowlisted structurally via
-// shardconfineInternerAllowed and shardconfineWiringAllowed.
+// Machine.resetShard / Coordinator.Reset); it carries a
+// shardconfine/interner row in the exemptions table, and the Machine's
+// resetWire below a shardconfine/wiring row (fixture rows: lint_test.go).
 func (e *Env) resetWire(lo, hi int) {
 	e.it.Reset()
 	e.it.Grow(256)

@@ -20,8 +20,3 @@ func badRand() {
 	r := rand.New(rand.NewSource(1)) // want "math/rand is forbidden" "math/rand is forbidden"
 	sink += r.Int63()
 }
-
-func suppressedOK() {
-	t0 := time.Now() //puno:allow wallclock — host-side progress stamp, never reaches simulation state
-	_ = t0
-}

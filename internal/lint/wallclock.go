@@ -37,15 +37,13 @@ func runWallClock(pass *Pass) (any, error) {
 			}
 			switch pn.Imported().Path() {
 			case "time":
-				if wallClockFuncs[sel.Sel.Name] && !pass.suppressed("wallclock", sel.Pos()) {
+				if wallClockFuncs[sel.Sel.Name] {
 					pass.Reportf(sel.Pos(),
 						"time.%s reads the wall clock; simulation time must come from sim.Engine.Now", sel.Sel.Name)
 				}
 			case "math/rand", "math/rand/v2":
-				if !pass.suppressed("wallclock", sel.Pos()) {
-					pass.Reportf(sel.Pos(),
-						"%s is forbidden in simulation packages; use a seeded, component-owned *sim.RNG", pn.Imported().Path())
-				}
+				pass.Reportf(sel.Pos(),
+					"%s is forbidden in simulation packages; use a seeded, component-owned *sim.RNG", pn.Imported().Path())
 			}
 			return true
 		})

@@ -31,6 +31,16 @@ func Schemes() []Scheme {
 	return []Scheme{SchemeBaseline, SchemeBackoff, SchemeRMWPred, SchemePUNO}
 }
 
+// AllSchemes returns every configuration in enum order: the paper's four,
+// then the ablations and extensions.
+func AllSchemes() []Scheme {
+	all := make([]Scheme, numSchemes)
+	for i := range all {
+		all[i] = Scheme(i)
+	}
+	return all
+}
+
 // String implements fmt.Stringer.
 func (s Scheme) String() string {
 	switch s {

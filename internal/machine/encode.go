@@ -80,7 +80,7 @@ func (c *Config) AppendCanonical(dst []byte) ([]byte, error) {
 // value, with an error listing the valid names on a miss.
 func SchemeByName(name string) (Scheme, error) {
 	names := make([]string, 0, int(numSchemes))
-	for s := Scheme(0); s < numSchemes; s++ {
+	for _, s := range AllSchemes() {
 		if strings.EqualFold(s.String(), name) {
 			return s, nil
 		}

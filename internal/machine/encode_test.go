@@ -343,7 +343,13 @@ func TestConfigCanonicalRefusesLiveState(t *testing.T) {
 }
 
 func TestSchemeByName(t *testing.T) {
-	for s := Scheme(0); s < numSchemes; s++ {
+	if len(AllSchemes()) != int(numSchemes) {
+		t.Fatalf("AllSchemes lists %d schemes, the enum has %d", len(AllSchemes()), numSchemes)
+	}
+	for i, s := range AllSchemes() {
+		if int(s) != i {
+			t.Fatalf("AllSchemes()[%d] = %v, want enum order", i, s)
+		}
 		got, err := SchemeByName(strings.ToUpper(s.String()))
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)

@@ -153,8 +153,8 @@ func (w *wakeupTable) clear() { w.n = 0 }
 // services forwards that raced with the writeback). At any instant a node
 // has at most a handful of writebacks in flight, so flat slices with a
 // linear scan beat a map; entries are kept sorted by line at insert, so
-// walking the table (DrainCaches, state dumps) reproduces the sorted order
-// the previous map+detmap implementation emitted.
+// walking the table (DrainCaches, state dumps) visits lines in sorted
+// order.
 type wbTable struct {
 	lines []mem.Line
 	ids   []mem.LineID

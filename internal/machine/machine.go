@@ -118,6 +118,7 @@ func (e dirEnv) Now() sim.Time { return e.m.eng.Now() }
 
 func (e dirEnv) NewMsg() *coherence.Msg { return e.m.newMsg() }
 
+//puno:hot
 func (e dirEnv) Send(delay sim.Time, msg *coherence.Msg) {
 	if delay == 0 {
 		e.m.send(msg)
@@ -378,8 +379,7 @@ func (mb *managerBuilder) build(node int) cm.Manager {
 		}
 		if mb.scheme == SchemePUNOPush {
 			// With commit wakeups, the estimate is only a fallback bound:
-			// sleep it in full and rely on the wakeup for promptness.
-			p.NotifyEachRetry = true
+			// cap the notified sleep and rely on the wakeup for promptness.
 			p.MaxWait = 20000
 		}
 		return p
@@ -659,7 +659,7 @@ func (m *Machine) CheckInvariants() error {
 		}
 		m.invTouched = m.invTouched[:0]
 	}()
-	// Deterministic (line-ordered) reporting, as the map+detmap scan gave.
+	// Deterministic (line-ordered) reporting.
 	sort.Slice(m.invTouched, func(i, j int) bool {
 		return m.it.LineAt(m.invTouched[i]) < m.it.LineAt(m.invTouched[j])
 	})

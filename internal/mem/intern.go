@@ -135,9 +135,9 @@ func (it *Interner) Grow(n int) {
 		copy(nl, it.lines)
 		it.lines = nl
 	}
-	// This range is punovet's one allowlisted map iteration in internal/mem
-	// (maprangeAllowed): inserting existing pairs into a fresh map is
-	// order-independent and IDs are not reassigned.
+	// This range is punovet's one exempt map iteration (a maprange row in
+	// internal/lint's exemptions table): inserting existing pairs into a
+	// fresh map is order-independent and IDs are not reassigned.
 	m := make(map[Line]LineID, n)
 	for l, id := range it.idx {
 		m[l] = id

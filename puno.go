@@ -129,6 +129,10 @@ func DefaultConfig() Config { return machine.DefaultConfig() }
 // figures, in presentation order.
 func Schemes() []Scheme { return machine.Schemes() }
 
+// AllSchemes returns every configuration in enum order: the paper's four,
+// then the ablation variants, ATS and PUNO-Push.
+func AllSchemes() []Scheme { return machine.AllSchemes() }
+
 // NewMachine builds a simulator for cfg and wl without running it (for
 // callers that want to preload memory or inspect state mid-run).
 func NewMachine(cfg Config, wl Workload) (*Machine, error) { return machine.New(cfg, wl) }
@@ -153,7 +157,8 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 }
 
 // SchemeByName resolves a case-insensitive scheme name ("Baseline",
-// "Backoff", "RMW-Pred", "PUNO", …) to its Scheme value.
+// "Backoff", "RMW-Pred", "PUNO", …) to its Scheme value; the error on a
+// miss lists the valid names.
 func SchemeByName(name string) (Scheme, error) { return machine.SchemeByName(name) }
 
 // EncodeResult renders r in the deterministic punores/1 binary format —
