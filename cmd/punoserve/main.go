@@ -86,10 +86,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "punoserve listening on http://%s (code version %s)\n",
 		ln.Addr(), svc.Stats().CodeVersion)
 
-	// No read or write timeout: long-polls and SSE streams hold connections
-	// open by design. The header timeout alone stops a client that connects
-	// and never finishes its request line from pinning a goroutine.
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	// Every response is a few bytes of JSON or one artifact already in
+	// memory, so a client that stops reading — like one that never finishes
+	// its request line, or parks an idle keep-alive connection — is cut off
+	// rather than left pinning a goroutine. The ?wait=1 long-poll, open by
+	// design for as long as a simulation takes, clears its own write
+	// deadline (serve.Handler).
+	srv := &http.Server{
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -24,6 +24,9 @@ type Cache struct {
 	dir string // "" = memory only
 	max int
 
+	// readFile is os.ReadFile; tests swap it to hold a disk read open.
+	readFile func(string) ([]byte, error)
+
 	mu        sync.Mutex
 	entries   map[Key]*centry
 	head      *centry // most recently used
@@ -64,7 +67,7 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 			return nil, fmt.Errorf("serve: cache dir: %w", err)
 		}
 	}
-	return &Cache{dir: dir, max: maxEntries, entries: make(map[Key]*centry)}, nil
+	return &Cache{dir: dir, max: maxEntries, readFile: os.ReadFile, entries: make(map[Key]*centry)}, nil
 }
 
 // Get returns the artifact stored under k. The memory tier is consulted
@@ -74,7 +77,7 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 		return data, true
 	}
 	if c.dir != "" {
-		if data, err := os.ReadFile(c.path(k)); err == nil {
+		if data, err := c.readFile(c.path(k)); err == nil {
 			if _, derr := puno.DecodeResult(data); derr == nil {
 				c.install(k, data, true)
 				return data, true

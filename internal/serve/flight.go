@@ -1,100 +1,18 @@
 package serve
 
-import (
-	"context"
-	"sync"
-)
-
-// flightGroup collapses concurrent identical requests onto one in-flight
-// simulation (singleflight). The semantics the tests pin down:
+// flight is one simulation on its way through the pool: queued until a
+// worker closes started, running until the worker closes done. The first
+// submitter of a key creates the flight and enqueues its one task; every
+// later submitter of that key, while the flight is in Service.flights,
+// joins it and shares the outcome (singleflight). A flight is never
+// withdrawn: once enqueued it runs, and its artifact lands in the cache
+// whether or not anyone is still polling.
 //
-//   - The first submitter for a key becomes the leader and enqueues the
-//     one pool task; everyone else joins as a waiter and shares the
-//     flight's outcome.
-//   - The flight's context is detached from every waiter's context:
-//     cancelling one waiter never cancels the computation. Only when the
-//     LAST waiter leaves is the flight cancelled — and even then a task
-//     already executing runs to completion and populates the cache (the
-//     cancellation only stops a still-queued task from starting).
-type flightGroup struct {
-	mu      sync.Mutex
-	flights map[Key]*flight
-}
-
-// flight is one in-progress computation.
-type flight struct {
-	key     Key
-	ctx     context.Context // detached; cancelled when the last waiter leaves
-	cancel  context.CancelFunc
-	started chan struct{} // closed when a worker begins simulating
-	done    chan struct{} // closed at finish; data/err are valid after
-	data    []byte
-	err     error
-	waiters int
-	ended   bool
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{flights: make(map[Key]*flight)}
-}
-
-// join registers interest in key's flight, creating it if absent. The
-// creator is the leader and is responsible for enqueueing the task (or
-// calling abort if it cannot).
-func (g *flightGroup) join(k Key) (f *flight, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.flights[k]; ok {
-		f.waiters++
-		return f, false
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	f = &flight{
-		key:     k,
-		ctx:     ctx,
-		cancel:  cancel,
-		started: make(chan struct{}),
-		done:    make(chan struct{}),
-		waiters: 1,
-	}
-	g.flights[k] = f
-	return f, true
-}
-
-// leave withdraws one waiter. The last waiter out cancels the flight's
-// context; a queued task then never starts, while a running one completes
-// unharmed (workers only check the context before starting).
-func (g *flightGroup) leave(f *flight) {
-	g.mu.Lock()
-	f.waiters--
-	if f.waiters <= 0 && !f.ended {
-		f.cancel()
-	}
-	g.mu.Unlock()
-}
-
-// finish publishes the flight's outcome: fields are set before done is
-// closed, so any goroutine that observed <-f.done may read data/err
+// Both channels are closed exactly once, by the worker, in that order; err
+// is written before done is closed, so whoever observed <-done may read it
 // without further synchronization.
-func (g *flightGroup) finish(f *flight, data []byte, err error) {
-	g.mu.Lock()
-	f.data = data
-	f.err = err
-	f.ended = true
-	delete(g.flights, f.key)
-	g.mu.Unlock()
-	close(f.done)
-	f.cancel() // release the context's resources
-}
-
-// abort retracts a flight whose leader could not enqueue its task (queue
-// full). The caller guarantees no other submitter has joined — Submit
-// holds the service lock across join and enqueue — so no waiter is
-// stranded.
-func (g *flightGroup) abort(f *flight) {
-	g.mu.Lock()
-	delete(g.flights, f.key)
-	f.ended = true
-	g.mu.Unlock()
-	f.cancel()
+type flight struct {
+	started chan struct{}
+	done    chan struct{}
+	err     error
 }

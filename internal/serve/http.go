@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	puno "repro"
 )
@@ -40,12 +41,13 @@ func renderJob(j *Job) jobJSON {
 //	POST   /v1/jobs             submit a Spec; 200 terminal (cache hit),
 //	                            202 accepted, 400 bad spec, 429 queue full
 //	GET    /v1/jobs/{id}        job status; ?wait=1 long-polls to terminal
-//	GET    /v1/jobs/{id}/stream SSE state transitions until terminal
 //	GET    /v1/jobs/{id}/result punores/1 bytes; ?format=json decodes
-//	DELETE /v1/jobs/{id}        cancel (see Service.Cancel semantics)
 //	GET    /v1/results/{key}    artifact by content address
 //	GET    /v1/stats            layer counters
 //	GET    /healthz             liveness
+//
+// A submission cannot be withdrawn: its simulation is deterministic and
+// its artifact is useful to the next client, so there is no DELETE.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -56,8 +58,6 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	mux.HandleFunc("GET /v1/results/{key}", s.handleResultByKey)
 	return mux
@@ -107,7 +107,10 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("wait") != "" {
 		// Long-poll: block until the job is terminal or the client goes
-		// away. No timer — the client's context bounds the wait.
+		// away. No timer — the client's context bounds the wait, so this
+		// is the one response the server's write timeout must not cut
+		// short. A writer without deadlines has none to clear.
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
 		for {
 			st, _, changed := job.Snapshot()
 			if st.Terminal() {
@@ -124,51 +127,6 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, renderJob(job))
 }
 
-func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if !s.Cancel(r.PathValue("id")) {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	job, _ := s.Job(r.PathValue("id"))
-	writeJSON(w, http.StatusOK, renderJob(job))
-}
-
-// handleStream emits one SSE data event per observed job state, ending
-// after the terminal event. Transitions are edge-triggered off the job's
-// changed channel, so the stream costs nothing while the state holds.
-func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	var last JobState
-	for {
-		st, _, changed := job.Snapshot()
-		if st != last {
-			payload, _ := json.Marshal(renderJob(job))
-			fmt.Fprintf(w, "data: %s\n\n", payload)
-			fl.Flush()
-			last = st
-		}
-		if st.Terminal() {
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
 func (s *Service) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -180,9 +138,6 @@ func (s *Service) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	case StateDone:
 	case StateFailed:
 		httpError(w, http.StatusConflict, "job failed: "+errMsg)
-		return
-	case StateCanceled:
-		httpError(w, http.StatusConflict, "job canceled")
 		return
 	default:
 		httpError(w, http.StatusConflict, "job not finished; poll with ?wait=1")

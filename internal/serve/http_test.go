@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	puno "repro"
 )
@@ -166,10 +166,33 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d", resp.StatusCode)
 	}
-	for _, path := range []string{"/v1/jobs/j999999", "/v1/jobs/j999999/result", "/v1/jobs/j999999/stream"} {
+	for _, path := range []string{"/v1/jobs/j999999", "/v1/jobs/j999999/result"} {
 		if code, _, _ := getBody(t, ts.URL+path); code != http.StatusNotFound {
 			t.Fatalf("%s: status %d", path, code)
 		}
+	}
+
+	// A job cannot be withdrawn or streamed: on a job that exists, DELETE
+	// is a method the path does not take and /stream is no path at all.
+	j, _ := postSpec(t, ts, fastSpec(905))
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+j.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, dresp.Body)
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("DELETE /v1/jobs/%s: status %d, want 405", j.ID, dresp.StatusCode)
+	}
+	if code, _, _ := getBody(t, ts.URL+"/v1/jobs/"+j.ID+"/stream"); code != http.StatusNotFound {
+		t.Fatalf("/v1/jobs/%s/stream: status %d, want 404", j.ID, code)
+	}
+	if code, _, _ := getBody(t, ts.URL+"/v1/jobs/"+j.ID+"?wait=1"); code != http.StatusOK {
+		t.Fatalf("long-poll of the same job: status %d", code)
 	}
 	if code, _, _ := getBody(t, ts.URL+"/v1/results/nothex"); code != http.StatusBadRequest {
 		t.Fatalf("malformed key: status %d", code)
@@ -248,83 +271,30 @@ func TestHTTPBackpressure(t *testing.T) {
 	gate.release <- struct{}{}
 }
 
-// TestHTTPCancelAndStream cancels a queued job over DELETE and verifies the
-// SSE stream replays the lifecycle of another to its terminal event.
-func TestHTTPCancelAndStream(t *testing.T) {
-	s, gate := gatedService(t, Options{Workers: 1, QueueDepth: 4})
-	ts := httptest.NewServer(s.Handler())
+// TestLongPollOutlivesWriteTimeout: under a server write timeout that has
+// always already expired, an ordinary response is cut off, but ?wait=1
+// clears its own deadline and delivers the terminal state of a job that
+// was still queued when the poll began.
+func TestLongPollOutlivesWriteTimeout(t *testing.T) {
+	s, gate := gatedService(t, Options{Workers: 1, QueueDepth: 1})
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.WriteTimeout = time.Nanosecond
+	ts.Start()
 	t.Cleanup(s.Drain)
 	t.Cleanup(ts.Close)
 
-	decoy, resp := postSpec(t, ts, fastSpec(920))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("decoy submit: status %d", resp.StatusCode)
-	}
-	<-gate.arrived // worker busy; next submissions stay queued
-
-	victim, _ := postSpec(t, ts, fastSpec(921))
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+victim.ID, nil)
+	j, err := s.Submit(fastSpec(930))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	<-gate.arrived
+	if resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID); err == nil {
+		resp.Body.Close()
+		t.Fatalf("plain GET got status %d through an expired write deadline", resp.StatusCode)
 	}
-	io.Copy(io.Discard, dresp.Body)
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("cancel status %d", dresp.StatusCode)
-	}
-	code, _, body := getBody(t, ts.URL+"/v1/jobs/"+victim.ID+"?wait=1")
-	if code != http.StatusOK || !strings.Contains(string(body), string(StateCanceled)) {
-		t.Fatalf("canceled job poll: status %d, body %s", code, body)
-	}
-	if code, _, _ := getBody(t, ts.URL+"/v1/jobs/"+victim.ID+"/result"); code != http.StatusConflict {
-		t.Fatalf("canceled job result: status %d", code)
-	}
-
-	// Stream the decoy while releasing it. SSE is edge-triggered and may
-	// coalesce fast transitions, so the contract is: states are an ordered
-	// subsequence of queued → running → done, starting at the state the
-	// stream opened on and ending at the terminal event (cancellation
-	// above must not have touched this job).
-	sresp, err := http.Get(ts.URL + "/v1/jobs/" + decoy.ID + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if ct := sresp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream content type %q", ct)
-	}
-	go func() {
-		gate.release <- struct{}{} // decoy simulates
-		<-gate.arrived             // canceled victim's task reaches the worker
-		gate.release <- struct{}{} // ... and is skipped
-	}()
-	var states []string
-	sc := bufio.NewScanner(sresp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev jobJSON
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			t.Fatal(err)
-		}
-		states = append(states, ev.State)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	order := map[string]int{"queued": 0, "running": 1, "done": 2}
-	if len(states) == 0 || states[0] != "queued" || states[len(states)-1] != "done" {
-		t.Fatalf("stream states %v", states)
-	}
-	for i := 1; i < len(states); i++ {
-		if order[states[i]] <= order[states[i-1]] {
-			t.Fatalf("stream states out of order: %v", states)
-		}
+	go func() { gate.release <- struct{}{} }()
+	code, _, body := getBody(t, ts.URL+"/v1/jobs/"+j.ID+"?wait=1")
+	if code != http.StatusOK || !strings.Contains(string(body), `"done"`) {
+		t.Fatalf("long-poll: status %d, body %s", code, body)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -36,7 +35,7 @@ type Pool struct {
 	// gate, when non-nil (tests only), makes worker scheduling
 	// deterministic: a worker announces each dequeued task on arrived and
 	// holds until release, letting tests construct full-queue and
-	// cancellation interleavings without timing dependence.
+	// join-while-queued interleavings without timing dependence.
 	gate *testGate
 }
 
@@ -45,11 +44,9 @@ type testGate struct {
 	release chan struct{}
 }
 
-// Task is one unit of pool work. Ctx is the flight's detached context: a
-// worker consults it once, before starting, so cancellation stops queued
-// work but never wastes a simulation already in progress.
+// Task is one unit of pool work. An accepted task always runs: OnStart is
+// called when a worker begins simulating Spec, OnDone with the outcome.
 type Task struct {
-	Ctx     context.Context
 	Spec    puno.RunSpec
 	OnStart func()
 	OnDone  func(res *puno.Result, err error)
@@ -86,10 +83,6 @@ func (p *Pool) worker() {
 		if g := p.gate; g != nil {
 			g.arrived <- struct{}{}
 			<-g.release
-		}
-		if err := t.Ctx.Err(); err != nil {
-			t.OnDone(nil, err)
-			continue
 		}
 		if t.OnStart != nil {
 			t.OnStart()

@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 
 	puno "repro"
+	"repro/internal/coherence"
 )
 
 // ErrBadSpec wraps submission validation failures (HTTP 400).
@@ -53,6 +53,12 @@ func (sp Spec) resolve() (puno.RunSpec, *puno.Profile, error) {
 		cfg.Seed = sp.Seed
 	}
 	if sp.Nodes != 0 {
+		// The sharer bitset's width bounds the machine; past it the
+		// directory panics, and an unbounded count would spin the
+		// square-root search below.
+		if sp.Nodes < 0 || sp.Nodes > coherence.MaxNodes {
+			return fail("nodes must be in 1..%d, got %d", coherence.MaxNodes, sp.Nodes)
+		}
 		w := 0
 		for w*w < sp.Nodes {
 			w++
@@ -78,55 +84,54 @@ func (sp Spec) resolve() (puno.RunSpec, *puno.Profile, error) {
 // JobState is a job's lifecycle position.
 type JobState string
 
-// Job lifecycle states. queued → running → done|failed, or → canceled from
-// any non-terminal state.
+// Job lifecycle states: queued → running → done|failed. A submission is
+// never withdrawn, so there is no other way out.
 const (
-	StateQueued   JobState = "queued"
-	StateRunning  JobState = "running"
-	StateDone     JobState = "done"
-	StateFailed   JobState = "failed"
-	StateCanceled JobState = "canceled"
+	StateQueued  JobState = "queued"
+	StateRunning JobState = "running"
+	StateDone    JobState = "done"
+	StateFailed  JobState = "failed"
 )
 
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
+	return s == StateDone || s == StateFailed
 }
 
-// Job tracks one submission. Terminal result bytes live in the cache under
-// Key — the job itself carries only lifecycle state.
+// Job is one submission: an immutable, read-only view of the flight that
+// computes its key. It owns no state of its own — the lifecycle is read
+// off the flight's channels, and terminal result bytes live in the cache
+// under Key.
 type Job struct {
 	ID     string
 	Key    Key
 	Cached bool // resolved straight from the cache at submit time
 
-	mu      sync.Mutex
-	state   JobState
-	errMsg  string
-	changed chan struct{}      // closed and replaced on every transition
-	cancel  context.CancelFunc // detaches this job from its flight
+	flight *flight // nil when Cached: the job was born done
 }
 
 // Snapshot returns the current state, the error message (failed jobs), and
-// a channel closed at the next transition — the wait primitive behind
-// long-polling and SSE.
+// the channel whose close is the next transition — the wait primitive
+// behind long-polling. Terminal jobs get a nil channel: nothing follows.
 func (j *Job) Snapshot() (JobState, string, <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state, j.errMsg, j.changed
-}
-
-// setState advances the lifecycle; terminal states are sticky (a flight
-// completing after a job was canceled must not resurrect it).
-func (j *Job) setState(st JobState, msg string) {
-	j.mu.Lock()
-	if !j.state.Terminal() {
-		j.state = st
-		j.errMsg = msg
-		close(j.changed)
-		j.changed = make(chan struct{})
+	f := j.flight
+	if f == nil {
+		return StateDone, "", nil
 	}
-	j.mu.Unlock()
+	select {
+	case <-f.done:
+		if f.err != nil {
+			return StateFailed, f.err.Error(), nil
+		}
+		return StateDone, "", nil
+	default:
+	}
+	select {
+	case <-f.started:
+		return StateRunning, "", f.done
+	default:
+		return StateQueued, "", f.started
+	}
 }
 
 // Options configures a Service.
@@ -155,16 +160,18 @@ type Stats struct {
 // Service ties the three layers together behind Submit: cache probe, then
 // singleflight join, then pool enqueue — all synchronous, so backpressure
 // (ErrBusy) is reported on the submit path, before a job exists.
+//
+// mu guards the flight table, the job registry and the counters, and is
+// never held across I/O: the cache's disk tier is probed before it is
+// taken and written (by the worker) without it.
 type Service struct {
 	cache       *Cache
-	flights     *flightGroup
 	pool        *Pool
 	codeVersion string
 	maxJobs     int
 
-	watchers sync.WaitGroup // one per non-cached job; Drain waits on them
-
 	mu        sync.Mutex
+	flights   map[Key]*flight // live flights; an entry leaves when its task finishes
 	jobs      map[string]*Job
 	order     []string // insertion order, for capped-registry eviction
 	seq       uint64
@@ -194,22 +201,29 @@ func newService(opts Options, gate *testGate) (*Service, error) {
 	}
 	return &Service{
 		cache:       cache,
-		flights:     newFlightGroup(),
 		pool:        newPool(opts.Workers, opts.TaskThreads, opts.QueueDepth, gate),
 		codeVersion: cv,
 		maxJobs:     maxJobs,
+		flights:     make(map[Key]*flight),
 		jobs:        make(map[string]*Job),
 	}, nil
 }
 
-// Submit resolves a spec and returns its job. Three outcomes:
+// Submit resolves a spec and returns its job. Every submission is exactly
+// one of:
 //
-//   - cache hit: the job is born terminal (StateDone, Cached=true) — the
-//     simulator is never touched;
-//   - miss, flight exists: the job joins as a waiter (collapsed flight);
-//   - miss, no flight: the job's flight is created and its task enqueued —
-//     or, when the queue is full, Submit fails with ErrBusy and no job or
-//     flight is left behind.
+//   - hit: the artifact is cached, the job is born terminal (StateDone,
+//     Cached=true) and the simulator is never touched;
+//   - collapsed: a flight for the key is live and the job joins it;
+//   - leader: the job's flight is created and its task enqueued — or, when
+//     the queue is full, Submit fails with ErrBusy and no job or flight is
+//     left behind.
+//
+// Both cache tiers are probed before mu is taken, so a slow disk read
+// delays only its own submission. A flight that finished between that
+// probe and the lock has left the table, but its Cache.Put came first:
+// the memory-tier re-probe under the lock finds the artifact, so a key is
+// simulated at most once while its artifact is resident.
 func (s *Service) Submit(spec Spec) (*Job, error) {
 	rs, prof, err := spec.resolve()
 	if err != nil {
@@ -219,80 +233,56 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
+	_, hit := s.cache.Get(key)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.submitted++
-
-	if _, ok := s.cache.Get(key); ok {
-		job := s.newJobLocked(key)
-		job.Cached = true
-		job.setState(StateDone, "")
-		return job, nil
+	if hit {
+		return s.newJobLocked(key, nil), nil
 	}
-
-	f, leader := s.flights.join(key)
-	if leader {
-		task := &Task{
-			Ctx:     f.ctx,
-			Spec:    rs,
-			OnStart: func() { close(f.started) },
-			OnDone: func(res *puno.Result, err error) {
-				var data []byte
-				if err == nil {
-					data, err = puno.EncodeResult(res)
-				}
-				if err == nil {
-					s.cache.Put(key, data)
-				}
-				s.flights.finish(f, data, err)
-			},
-		}
-		if err := s.pool.TryEnqueue(task); err != nil {
-			s.flights.abort(f)
-			return nil, err
-		}
-	} else {
+	f, live := s.flights[key]
+	if live {
 		s.collapsed++
+		return s.newJobLocked(key, f), nil
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	job := s.newJobLocked(key)
-	job.cancel = cancel
-	s.watchers.Add(1)
-	go s.watch(job, f, ctx)
-	return job, nil
+	if _, ok := s.cache.lookup(key); ok {
+		return s.newJobLocked(key, nil), nil
+	}
+	f = &flight{started: make(chan struct{}), done: make(chan struct{})}
+	task := &Task{
+		Spec:    rs,
+		OnStart: func() { close(f.started) },
+		OnDone:  func(res *puno.Result, err error) { s.finish(key, f, res, err) },
+	}
+	if err := s.pool.TryEnqueue(task); err != nil {
+		return nil, err
+	}
+	s.flights[key] = f
+	return s.newJobLocked(key, f), nil
 }
 
-// watch follows a flight on a job's behalf: it relays the started and done
-// transitions, and on job cancellation withdraws the job's waiter stake
-// (cancelling the flight only if the job was the last one interested).
-func (s *Service) watch(job *Job, f *flight, ctx context.Context) {
-	defer s.watchers.Done()
-	started := f.started
-	for {
-		select {
-		case <-started:
-			job.setState(StateRunning, "")
-			started = nil // select ignores nil channels from here on
-		case <-f.done:
-			if f.err != nil {
-				job.setState(StateFailed, f.err.Error())
-			} else {
-				job.setState(StateDone, "")
-			}
-			return
-		case <-ctx.Done():
-			s.flights.leave(f)
-			job.setState(StateCanceled, "canceled by client")
-			return
+// finish runs on the worker when a flight's simulation returns: encode,
+// store, leave the table, publish — in that order, so a submitter that
+// finds no flight finds the artifact (see Submit).
+func (s *Service) finish(key Key, f *flight, res *puno.Result, err error) {
+	if err == nil {
+		var data []byte
+		if data, err = puno.EncodeResult(res); err == nil {
+			s.cache.Put(key, data)
 		}
 	}
+	s.mu.Lock()
+	delete(s.flights, key)
+	s.mu.Unlock()
+	f.err = err
+	close(f.done)
 }
 
-// newJobLocked mints a job under s.mu, evicting the oldest terminal job
-// when the registry is at capacity (live jobs are never evicted).
-func (s *Service) newJobLocked(key Key) *Job {
+// newJobLocked mints a job under s.mu — a view of f, or a cache hit when f
+// is nil — evicting the oldest terminal job when the registry is at
+// capacity (live jobs are never evicted).
+func (s *Service) newJobLocked(key Key, f *flight) *Job {
 	if len(s.order) >= s.maxJobs {
 		for i, id := range s.order {
 			j := s.jobs[id]
@@ -315,12 +305,7 @@ func (s *Service) newJobLocked(key Key) *Job {
 		}
 	}
 	s.seq++
-	job := &Job{
-		ID:      fmt.Sprintf("j%06d", s.seq),
-		Key:     key,
-		state:   StateQueued,
-		changed: make(chan struct{}),
-	}
+	job := &Job{ID: fmt.Sprintf("j%06d", s.seq), Key: key, Cached: f == nil, flight: f}
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	return job
@@ -332,24 +317,6 @@ func (s *Service) Job(id string) (*Job, bool) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	return j, ok
-}
-
-// Cancel cancels a job: it detaches the job from its flight (see
-// flightGroup for what that does and does not stop) and marks it canceled.
-// Returns false for unknown ids; canceling an already-terminal job is a
-// no-op that still returns true.
-func (s *Service) Cancel(id string) bool {
-	j, ok := s.Job(id)
-	if !ok {
-		return false
-	}
-	j.mu.Lock()
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	return true
 }
 
 // Result fetches an artifact straight from the cache by key.
@@ -375,12 +342,8 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Drain stops accepting work, waits for queued tasks to finish (their
-// results land in the cache; see Pool.Drain), and waits for every job to
-// settle into a terminal state. Call after the HTTP listener has stopped
-// accepting requests: once the pool is drained every flight has finished,
-// so the watchers it waits on are all on their way out.
-func (s *Service) Drain() {
-	s.pool.Drain()
-	s.watchers.Wait()
-}
+// Drain stops accepting work and waits for queued tasks to finish (their
+// results land in the cache; see Pool.Drain). Call after the HTTP listener
+// has stopped accepting requests. Every flight's finish has returned by
+// the time the pool has drained, so every job is terminal.
+func (s *Service) Drain() { s.pool.Drain() }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -31,8 +34,8 @@ func newTestService(t *testing.T, opts Options) *Service {
 }
 
 // gatedService holds every worker at a test-controlled gate, making queue
-// and cancellation interleavings deterministic.
-func gatedService(t *testing.T, opts Options) (*Service, *testGate) {
+// and join interleavings deterministic.
+func gatedService(t testing.TB, opts Options) (*Service, *testGate) {
 	t.Helper()
 	gate := &testGate{arrived: make(chan struct{}), release: make(chan struct{})}
 	s, err := newService(opts, gate)
@@ -40,6 +43,20 @@ func gatedService(t *testing.T, opts Options) (*Service, *testGate) {
 		t.Fatal(err)
 	}
 	return s, gate
+}
+
+// specKey is the content address Submit files sp under at code version cv.
+func specKey(t testing.TB, sp Spec, cv string) Key {
+	t.Helper()
+	rs, prof, err := sp.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := BuildKey(cv, rs.Config, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }
 
 // waitTerminal blocks until the job reaches a terminal state.
@@ -105,18 +122,7 @@ func TestSubmitRunsAndCaches(t *testing.T) {
 }
 
 func TestKeyDerivation(t *testing.T) {
-	resolveKey := func(sp Spec, cv string) Key {
-		t.Helper()
-		rs, prof, err := sp.resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		k, err := BuildKey(cv, rs.Config, prof)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
+	resolveKey := func(sp Spec, cv string) Key { return specKey(t, sp, cv) }
 	base := resolveKey(fastSpec(1), "v1")
 	if got := resolveKey(fastSpec(1), "v1"); got != base {
 		t.Fatal("same spec and code version derived different keys")
@@ -159,14 +165,7 @@ func TestKeyDerivation(t *testing.T) {
 // artifact replaces the file.
 func TestBombArtifactOnDiskIsAMiss(t *testing.T) {
 	dir := t.TempDir()
-	rs, prof, err := fastSpec(77).resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := BuildKey("v1", rs.Config, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := specKey(t, fastSpec(77), "v1")
 	good, err := puno.EncodeResult(&puno.Result{FalseAbortHist: []uint64{}})
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +207,9 @@ func TestSpecValidation(t *testing.T) {
 		{Workload: "no-such-workload"},
 		{Workload: "kmeans", Scheme: "no-such-scheme"},
 		{Workload: "kmeans", Nodes: 15},
+		{Workload: "kmeans", Nodes: -16},
+		{Workload: "kmeans", Nodes: 17 * 17}, // a square, but past the sharer bitset
+		{Workload: "kmeans", Nodes: 1 << 62},
 		{Workload: "kmeans", TxPerCPU: -1},
 		{Workload: "kmeans", Shards: -2},
 		{Workload: "kmeans", SignatureBits: -1},
@@ -220,10 +222,10 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// Singleflight: while a flight is held at the gate, identical submissions
-// join it (one run total), and canceling ONE waiter must not cancel the
-// flight for the others.
-func TestSingleflightWaiterCancel(t *testing.T) {
+// Singleflight: while a flight is held at the gate, an identical
+// submission joins it — both jobs read the one flight's state, and the key
+// is simulated once.
+func TestSingleflightJoin(t *testing.T) {
 	s, gate := gatedService(t, Options{Workers: 1, QueueDepth: 4})
 	defer s.Drain()
 
@@ -238,68 +240,151 @@ func TestSingleflightWaiterCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Collapsed != 1 {
-		t.Fatalf("collapsed = %d with one waiter", st.Collapsed)
+		t.Fatalf("collapsed = %d with one joiner", st.Collapsed)
 	}
-
-	if !s.Cancel(j2.ID) {
-		t.Fatal("cancel of waiter failed")
-	}
-	if st := waitTerminal(j2); st != StateCanceled {
-		t.Fatalf("canceled waiter ended %v", st)
+	for _, j := range []*Job{j1, j2} {
+		if st, _, _ := j.Snapshot(); st != StateQueued || j.Cached {
+			t.Fatalf("job %s at the gate: state %v cached %v", j.ID, st, j.Cached)
+		}
 	}
 
 	gate.release <- struct{}{}
-	if st := waitTerminal(j1); st != StateDone {
-		t.Fatalf("leader ended %v after waiter cancel", st)
+	for _, j := range []*Job{j1, j2} {
+		if st := waitTerminal(j); st != StateDone {
+			t.Fatalf("job %s ended %v", j.ID, st)
+		}
 	}
 	if s.Runs() != 1 {
 		t.Fatalf("runs = %d", s.Runs())
 	}
 }
 
-// Canceling EVERY waiter cancels the flight: a still-queued task is
-// skipped without simulating.
-func TestSingleflightFlightCancel(t *testing.T) {
-	s, gate := gatedService(t, Options{Workers: 1, QueueDepth: 4})
+// The service lock is never held across file I/O: while one submission's
+// disk read is stuck, a submission of a memory-resident key and a job
+// status request both complete; once the read returns, the stuck
+// submission resolves as the disk hit it was.
+func TestSlowDiskReadBlocksOnlyItsOwnSubmission(t *testing.T) {
+	dir := t.TempDir()
+	first := newTestService(t, Options{Workers: 1, CacheDir: dir, CodeVersion: "v1"})
+	ja, err := first.Submit(fastSpec(250))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Drain() // A's artifact is on disk
+
+	// A second process over the same directory: A is on disk only.
+	s := newTestService(t, Options{Workers: 1, CacheDir: dir, CodeVersion: "v1"})
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.cache.readFile = func(path string) ([]byte, error) {
+		if path == s.cache.path(ja.Key) {
+			entered <- struct{}{}
+			<-release
+		}
+		return os.ReadFile(path)
+	}
+	jb, err := s.Submit(fastSpec(251))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(jb); st != StateDone {
+		t.Fatalf("B ended %v", st)
+	}
+	// A cold leader probes each tier once and the under-lock re-probe,
+	// having missed, moves no counter.
+	if cs := s.Stats().Cache; cs.Misses != 1 || cs.Hits != 0 || cs.DiskHits != 0 {
+		t.Fatalf("cache counters after one cold submission: %+v", cs)
+	}
+
+	type submitted struct {
+		job *Job
+		err error
+	}
+	slow := make(chan submitted)
+	go func() {
+		j, err := s.Submit(fastSpec(250))
+		slow <- submitted{j, err}
+	}()
+	<-entered // A's submission is inside its disk read
+
+	jb2, err := s.Submit(fastSpec(251))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _, _ := jb2.Snapshot(); st != StateDone || !jb2.Cached {
+		t.Fatalf("memory hit during a slow disk read: state %v cached %v", st, jb2.Cached)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+jb.ID, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("job status during a slow disk read: %d", rec.Code)
+	}
+
+	close(release)
+	got := <-slow
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if st, _, _ := got.job.Snapshot(); st != StateDone || !got.job.Cached {
+		t.Fatalf("A after its disk read: state %v cached %v", st, got.job.Cached)
+	}
+	if cs := s.Stats().Cache; cs.DiskHits != 1 || cs.Hits != 1 {
+		t.Fatalf("cache counters: %+v, want one disk hit (A) and one memory hit (B)", cs)
+	}
+	if s.Runs() != 1 {
+		t.Fatalf("runs = %d, want only B's cold run", s.Runs())
+	}
+}
+
+// The gap the lock no longer covers: a submission whose probe missed just
+// before the key's flight finished finds no flight under the lock, and
+// must find the artifact there instead of simulating the key again.
+func TestSubmitAfterFlightFinishedInTheGap(t *testing.T) {
+	s, gate := gatedService(t, Options{Workers: 1, QueueDepth: 4, CacheDir: t.TempDir()})
 	defer s.Drain()
 
-	// Occupy the lone worker with a decoy so the flight under test stays
-	// queued (cancellation only stops tasks that have not started).
-	decoy, err := s.Submit(fastSpec(300))
+	leader, err := s.Submit(fastSpec(260))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-gate.arrived
 
-	j1, err := s.Submit(fastSpec(301))
-	if err != nil {
-		t.Fatal(err)
+	// The late submission's disk probe answers what the disk held when it
+	// was issued (nothing), but only after the flight has come and gone.
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.cache.readFile = func(path string) ([]byte, error) {
+		data, err := os.ReadFile(path)
+		entered <- struct{}{}
+		<-release
+		return data, err
 	}
-	j2, err := s.Submit(fastSpec(301))
-	if err != nil {
-		t.Fatal(err)
+	late := make(chan *Job)
+	go func() {
+		j, err := s.Submit(fastSpec(260))
+		if err != nil {
+			t.Error(err)
+		}
+		late <- j
+	}()
+	<-entered
+	gate.release <- struct{}{}
+	if st := waitTerminal(leader); st != StateDone {
+		t.Fatalf("leader ended %v", st)
 	}
-	s.Cancel(j1.ID)
-	s.Cancel(j2.ID)
-	if st := waitTerminal(j1); st != StateCanceled {
-		t.Fatalf("j1 ended %v", st)
+	close(release)
+	j := <-late
+	if j == nil {
+		t.FailNow()
 	}
-	if st := waitTerminal(j2); st != StateCanceled {
-		t.Fatalf("j2 ended %v", st)
+	if st, _, _ := j.Snapshot(); st != StateDone || !j.Cached {
+		t.Fatalf("late submission: state %v cached %v, want a hit", st, j.Cached)
 	}
-
-	gate.release <- struct{}{} // decoy simulates
-	<-gate.arrived             // canceled task reaches the gate
-	gate.release <- struct{}{} // ... and is skipped (ctx already canceled)
-	if st := waitTerminal(decoy); st != StateDone {
-		t.Fatalf("decoy ended %v", st)
+	st := s.Stats()
+	if st.Cache.Misses != 2 || st.Cache.Hits != 1 || st.Collapsed != 0 {
+		t.Fatalf("counters: %+v, want two probe misses, one re-probe hit, nothing collapsed", st)
 	}
 	s.Drain()
 	if s.Runs() != 1 {
-		t.Fatalf("runs = %d; the fully-canceled flight must not simulate", s.Runs())
-	}
-	if _, ok := s.Result(j1.Key); ok {
-		t.Fatal("canceled flight produced a cache entry")
+		t.Fatalf("runs = %d; the key was simulated again", s.Runs())
 	}
 }
 
@@ -398,13 +483,42 @@ func TestConcurrentSubmissionsCollapse(t *testing.T) {
 	if runs := s.Runs(); runs != 4 {
 		t.Fatalf("%d submissions over 4 keys ran %d simulations, want 4", goroutines, runs)
 	}
+	// Every submission is exactly one of leader, collapsed or hit, and a
+	// key has one leader while its artifact is resident: 4 leaders, so the
+	// other two counters account for the rest exactly.
 	st := s.Stats()
 	if st.Submitted != goroutines {
 		t.Fatalf("submitted = %d", st.Submitted)
 	}
-	if st.Collapsed+st.Cache.Hits != goroutines-4 {
-		t.Fatalf("collapsed(%d) + cache hits(%d) should absorb the other %d submissions",
-			st.Collapsed, st.Cache.Hits, goroutines-4)
+	if leaders := st.Submitted - st.Collapsed - st.Cache.Hits; leaders != 4 {
+		t.Fatalf("%d submissions - collapsed(%d) - cache hits(%d) leaves %d leaders for 4 keys",
+			st.Submitted, st.Collapsed, st.Cache.Hits, leaders)
+	}
+}
+
+// No goroutine per job: after a burst of submissions has drained, the
+// process is back to the goroutines it had before the service existed.
+func TestNoGoroutinePerJob(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := New(Options{Workers: 2, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := s.Submit(fastSpec(800 + uint64(i)%8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Drain()
+	// Drain returns when the workers have signalled, a step before they
+	// have exited; yield until the scheduler has retired them. A goroutine
+	// parked on a job never would be, however long this spins.
+	for i := 0; i < 1<<20 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before New, %d after Drain\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }
 
@@ -439,18 +553,25 @@ func TestJobRegistryCapSkipsLiveJobs(t *testing.T) {
 	s, gate := gatedService(t, Options{Workers: 1, QueueDepth: 4, MaxJobs: 2})
 	defer s.Drain()
 
+	j0, err := s.Submit(fastSpec(711)) // runs to completion: 711 is cached
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.arrived
+	gate.release <- struct{}{}
+	waitTerminal(j0)
+
 	j1, err := s.Submit(fastSpec(710)) // held at the gate: stays live
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-gate.arrived
-	j2, err := s.Submit(fastSpec(711))
+	j2, err := s.Submit(fastSpec(711)) // cache hit: born terminal, evicts j0
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Cancel(j2.ID)
-	if st := waitTerminal(j2); st != StateCanceled {
-		t.Fatalf("j2 ended %v", st)
+	if st, _, _ := j2.Snapshot(); !st.Terminal() || !j2.Cached {
+		t.Fatalf("j2 state %v cached %v", st, j2.Cached)
 	}
 	j3, err := s.Submit(fastSpec(712)) // at cap: must evict j2, not j1
 	if err != nil {
@@ -464,9 +585,7 @@ func TestJobRegistryCapSkipsLiveJobs(t *testing.T) {
 	}
 
 	gate.release <- struct{}{} // j1 simulates
-	<-gate.arrived             // j2's canceled task is skipped
-	gate.release <- struct{}{}
-	<-gate.arrived // j3 simulates
+	<-gate.arrived             // j3 simulates
 	gate.release <- struct{}{}
 	if st := waitTerminal(j1); st != StateDone {
 		t.Fatalf("j1 ended %v", st)
