@@ -1,8 +1,10 @@
 package puno
 
 // One benchmark per table and figure of the paper's evaluation, plus the
-// ablation benches DESIGN.md calls out and microbenchmarks of the
-// substrates. Each figure bench runs the relevant workload x scheme sweep
+// ablation benches DESIGN.md calls out and the sweep-parallelism pair. The
+// substrates (engine, mesh, L1, signatures, one full machine run) are timed
+// by the repository benchmark's kernels instead: `bash bench/run.sh --trace 1`
+// (bench/README.md). Each figure bench runs the relevant workload x scheme sweep
 // at reduced scale (the full-scale numbers are produced by
 // cmd/experiments) and reports the headline quantity of that figure as a
 // custom metric, so `go test -bench . -benchmem` regenerates the whole
@@ -14,12 +16,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/cache"
-	"repro/internal/htm"
-	"repro/internal/mem"
-	"repro/internal/noc"
 	"repro/internal/pdes"
-	"repro/internal/sim"
 )
 
 const benchScale = 0.2 // fraction of each profile's full transaction count
@@ -419,79 +416,4 @@ func BenchmarkSweepParallelism(b *testing.B) {
 		b.ReportMetric(float64(len(specs)), "runs/op")
 		b.ReportMetric(float64(events), "events/op")
 	})
-}
-
-// ---- substrate microbenchmarks ------------------------------------------
-
-// BenchmarkEngineEvents measures raw discrete-event throughput.
-func BenchmarkEngineEvents(b *testing.B) {
-	e := sim.NewEngine()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < b.N {
-			e.After(1, tick)
-		}
-	}
-	b.ResetTimer()
-	e.After(1, tick)
-	e.Run(sim.Infinity)
-}
-
-// BenchmarkMeshSend measures interconnect message throughput.
-func BenchmarkMeshSend(b *testing.B) {
-	eng := sim.NewEngine()
-	m := noc.New(noc.DefaultConfig(), eng)
-	for i := 0; i < 16; i++ {
-		m.Attach(i, func(any) {})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Send(i%16, (i+5)%16, noc.ClassRequest, 1, nil)
-		if i%1024 == 0 {
-			eng.Run(sim.Infinity)
-		}
-	}
-	eng.Run(sim.Infinity)
-}
-
-// BenchmarkL1Access measures cache array lookup throughput.
-func BenchmarkL1Access(b *testing.B) {
-	c := cache.New(cache.Config{SizeBytes: 32 * 1024, Ways: 4})
-	for i := 0; i < 256; i++ {
-		c.Insert(mem.Line(uint64(i)*mem.LineBytes), cache.Shared, mem.LineData{})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(mem.Line(uint64(i%256) * mem.LineBytes))
-	}
-}
-
-// BenchmarkSignatureInsertTest measures Bloom-filter conflict checks.
-func BenchmarkSignatureInsertTest(b *testing.B) {
-	s := htm.NewSignature(2048)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := mem.Line(uint64(i%4096) * mem.LineBytes)
-		s.InsertRead(l)
-		if s.TestWrite(l) {
-			b.Fatal("impossible")
-		}
-	}
-}
-
-// BenchmarkFullMachine measures end-to-end simulation speed (simulated
-// cycles per wall second is the interesting derived number).
-func BenchmarkFullMachine(b *testing.B) {
-	wl := MustWorkload("vacation").WithTxPerCPU(10)
-	var res *Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = Run(benchConfig(), wl)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.Cycles), "sim-cycles")
 }

@@ -1,11 +1,6 @@
-// Command punotrace records STAMP-profile workloads to portable trace
-// files, inspects them, and replays them on the simulator; it also
-// captures event-level traces of whole runs and diffs them down to the
-// first divergent event.
+// Command punotrace captures event-level traces of whole runs and diffs
+// them down to the first divergent event.
 //
-//	punotrace record -workload labyrinth -o labyrinth.trace
-//	punotrace info   -i labyrinth.trace
-//	punotrace run    -i labyrinth.trace -scheme puno
 //	punotrace events -workload intruder -scheme puno -o puno.evt
 //	punotrace diff   -a puno.evt -b baseline.evt
 //	punotrace diff   -workload intruder -scheme-a baseline -scheme-b puno
@@ -16,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro"
@@ -37,12 +31,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return usageError()
 	}
 	switch args[0] {
-	case "record":
-		return record(args[1:], stdout, stderr)
-	case "info":
-		return info(args[1:], stdout, stderr)
-	case "run":
-		return replay(args[1:], stdout, stderr)
 	case "events":
 		return events(args[1:], stdout, stderr)
 	case "diff":
@@ -53,118 +41,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: punotrace record|info|run|events|diff [flags]")
-}
-
-func record(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("record", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	workload := fs.String("workload", "intruder", "STAMP profile to record")
-	out := fs.String("o", "", "output file (default <workload>.trace)")
-	seed := fs.Uint64("seed", 1, "generation seed")
-	txper := fs.Int("txper", 0, "transactions per node (0 = profile default)")
-	nodes := fs.Int("nodes", 16, "node count")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	wl, err := puno.WorkloadByName(*workload)
-	if err != nil {
-		return err
-	}
-	if *txper > 0 {
-		wl = wl.WithTxPerCPU(*txper)
-	}
-	path := *out
-	if path == "" {
-		path = *workload + ".trace"
-	}
-	tr := puno.RecordTrace(wl, *nodes, *seed)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tr.Save(f); err != nil {
-		return err
-	}
-	s := tr.Summarize()
-	fmt.Fprintf(stdout, "recorded %s: %d nodes, %d transactions, %d ops -> %s\n",
-		tr.Name(), tr.Nodes(), s.Transactions, s.Ops, path)
-	return nil
-}
-
-func loadFile(path string) (*puno.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return puno.LoadTrace(f)
-}
-
-func info(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("info", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	in := fs.String("i", "", "trace file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" {
-		return fmt.Errorf("info: -i required")
-	}
-	tr, err := loadFile(*in)
-	if err != nil {
-		return err
-	}
-	s := tr.Summarize()
-	fmt.Fprintf(stdout, "workload %s  high-contention=%v  nodes=%d\n", tr.Name(), tr.HighContention(), tr.Nodes())
-	fmt.Fprintf(stdout, "transactions=%d ops=%d reads=%d writes=%d incrs=%d compute-cycles=%d\n",
-		s.Transactions, s.Ops, s.Reads, s.Writes, s.Incrs, s.ComputeCyc)
-	var ids []int
-	for id := range s.DistinctTx {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		fmt.Fprintf(stdout, "  static tx %d: %d dynamic instances\n", id, s.DistinctTx[id])
-	}
-	return nil
-}
-
-func replay(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	in := fs.String("i", "", "trace file")
-	scheme := fs.String("scheme", "baseline", "contention-management scheme")
-	seed := fs.Uint64("seed", 1, "simulation seed (protocol jitter; the op streams come from the trace)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" {
-		return fmt.Errorf("run: -i required")
-	}
-	s, err := puno.SchemeByName(*scheme)
-	if err != nil {
-		return err
-	}
-	tr, err := loadFile(*in)
-	if err != nil {
-		return err
-	}
-
-	cfg := puno.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.Scheme = s
-
-	res, err := puno.Run(cfg, tr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "%s/%v: cycles=%d commits=%d aborts=%d abort%%=%.1f false%%=%.1f traffic=%d\n",
-		res.Workload, res.Scheme, res.Cycles, res.Commits, res.Aborts,
-		100*res.AbortRate(), 100*res.FalseAbortFraction(), res.Net.TotalTraversals())
-	return nil
+	return fmt.Errorf("usage: punotrace events|diff [flags]")
 }
 
 // capture runs one workload/scheme/seed combination with event recording.

@@ -68,7 +68,7 @@ type TxInstance struct {
 // The returned instance's Ops are valid only until the next call to Next on
 // the same program: a generator may hand out one reused buffer (the stamp
 // profiles do). The machine reads them only while the instance is current;
-// anything that keeps an instance longer (trace.Record) must copy its Ops.
+// anything that keeps an instance longer must copy its Ops.
 type Program interface {
 	Next(rng *sim.RNG) (tx TxInstance, ok bool)
 }

@@ -166,6 +166,26 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d", resp.StatusCode)
 	}
+	// A size past its cap is a 400 naming the limit, not a 128 GiB
+	// signature in a pool worker (a runtime throw: the process used to die).
+	for limit, body := range map[string]string{
+		"signature_bits must be in 0..65536": `{"workload":"kmeans","signature_bits":1099511627776}`,
+		"tx_per_cpu must be in 0..10000":     `{"workload":"kmeans","tx_per_cpu":1099511627776}`,
+		"shards must be in 0..nodes (16)":    `{"workload":"kmeans","shards":1099511627776}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), limit) {
+			t.Fatalf("%s: status %d %q, want 400 naming %q", body, resp.StatusCode, msg, limit)
+		}
+	}
+	if s.Runs() != 0 {
+		t.Fatalf("a refused spec reached the pool: runs = %d", s.Runs())
+	}
 	for _, path := range []string{"/v1/jobs/j999999", "/v1/jobs/j999999/result"} {
 		if code, _, _ := getBody(t, ts.URL+path); code != http.StatusNotFound {
 			t.Fatalf("%s: status %d", path, code)

@@ -25,6 +25,17 @@ type Spec struct {
 	SignatureBits int    `json:"signature_bits,omitempty"`
 }
 
+// Submission limits, constants like wire.Cursor.Count's: a spec is refused
+// before any of its sizes reaches an allocation or a loop bound. Each is at
+// least ten times the largest value a profile, test, experiment or
+// benchmark uses (profiles top out at 250 transactions per CPU, the
+// signature ablation at 2048 bits); nodes is bounded by coherence.MaxNodes
+// and shards by the node count.
+const (
+	maxTxPerCPU      = 10_000
+	maxSignatureBits = 1 << 16
+)
+
 // resolve validates the spec and produces the fully resolved run point:
 // the RunSpec the pool executes and the profile the cache key encodes.
 func (sp Spec) resolve() (puno.RunSpec, *puno.Profile, error) {
@@ -35,8 +46,8 @@ func (sp Spec) resolve() (puno.RunSpec, *puno.Profile, error) {
 	if err != nil {
 		return fail("%v", err)
 	}
-	if sp.TxPerCPU < 0 {
-		return fail("tx_per_cpu must be >= 0")
+	if sp.TxPerCPU < 0 || sp.TxPerCPU > maxTxPerCPU {
+		return fail("tx_per_cpu must be in 0..%d, got %d", maxTxPerCPU, sp.TxPerCPU)
 	}
 	if sp.TxPerCPU > 0 {
 		wl = wl.WithTxPerCPU(sp.TxPerCPU)
@@ -70,12 +81,12 @@ func (sp Spec) resolve() (puno.RunSpec, *puno.Profile, error) {
 		cfg.Mesh.Width = w
 		cfg.Mesh.Height = w
 	}
-	if sp.Shards < 0 {
-		return fail("shards must be >= 0")
+	if sp.Shards < 0 || sp.Shards > cfg.Nodes {
+		return fail("shards must be in 0..nodes (%d), got %d", cfg.Nodes, sp.Shards)
 	}
 	cfg.Shards = sp.Shards
-	if sp.SignatureBits < 0 {
-		return fail("signature_bits must be >= 0")
+	if sp.SignatureBits < 0 || sp.SignatureBits > maxSignatureBits {
+		return fail("signature_bits must be in 0..%d, got %d", maxSignatureBits, sp.SignatureBits)
 	}
 	cfg.SignatureBits = sp.SignatureBits
 	return puno.RunSpec{Config: cfg, Workload: wl}, wl, nil

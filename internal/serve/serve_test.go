@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -213,11 +215,37 @@ func TestSpecValidation(t *testing.T) {
 		{Workload: "kmeans", TxPerCPU: -1},
 		{Workload: "kmeans", Shards: -2},
 		{Workload: "kmeans", SignatureBits: -1},
+		{Workload: "kmeans", TxPerCPU: maxTxPerCPU + 1},
+		{Workload: "kmeans", SignatureBits: maxSignatureBits + 1},
+		{Workload: "kmeans", Shards: 17}, // the default machine has 16 nodes
+		{Workload: "kmeans", Nodes: 4, Shards: 5},
 		{},
 	}
 	for _, sp := range bad {
-		if _, _, err := sp.resolve(); err == nil {
-			t.Errorf("spec %+v resolved", sp)
+		if _, _, err := sp.resolve(); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("spec %+v: %v, want ErrBadSpec", sp, err)
+		}
+	}
+	// The caps are inclusive.
+	for _, sp := range []Spec{
+		{Workload: "kmeans", TxPerCPU: maxTxPerCPU},
+		{Workload: "kmeans", SignatureBits: maxSignatureBits},
+		{Workload: "kmeans", Nodes: 4, Shards: 4},
+	} {
+		if _, _, err := sp.resolve(); err != nil {
+			t.Errorf("spec %+v at its cap: %v", sp, err)
+		}
+	}
+	// Sizes that used to reach an allocation (2^40 signature bits is a
+	// 128 GiB filter per node: a runtime throw no recover catches) or a loop
+	// bound are refused by name.
+	for want, sp := range map[string]Spec{
+		"tx_per_cpu must be in 0..10000":     {Workload: "kmeans", TxPerCPU: 1 << 40},
+		"signature_bits must be in 0..65536": {Workload: "kmeans", SignatureBits: 1 << 40},
+		"shards must be in 0..nodes (16)":    {Workload: "kmeans", Shards: 1 << 40},
+	} {
+		if _, _, err := sp.resolve(); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), want) {
+			t.Errorf("spec %+v: %v, want ErrBadSpec naming the limit (%q)", sp, err, want)
 		}
 	}
 }

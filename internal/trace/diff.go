@@ -108,57 +108,6 @@ func formatArg(e probe.Event) string {
 	}
 }
 
-// PrefixChecker is a probe.Sink that verifies a live run reproduces a
-// recorded event stream as it happens — replay-from-prefix. Events beyond
-// the recorded prefix are accepted silently (the recorded run may have
-// been stopped early); the first in-prefix mismatch is latched and
-// everything after it ignored, so the checker is cheap enough to leave on
-// a full replay. Drive the run to completion, then call Diverged.
-type PrefixChecker struct {
-	ref  []probe.Event
-	idx  int
-	div  Divergence
-	bad  bool
-	seen int
-}
-
-// NewPrefixChecker returns a checker expecting the given recorded stream.
-func NewPrefixChecker(ref []probe.Event) *PrefixChecker {
-	return &PrefixChecker{ref: ref}
-}
-
-// Emit implements probe.Sink.
-func (c *PrefixChecker) Emit(e probe.Event) {
-	c.seen++
-	if c.bad || c.idx >= len(c.ref) {
-		c.idx++
-		return
-	}
-	if e != c.ref[c.idx] {
-		c.bad = true
-		got := e
-		c.div = Divergence{Index: c.idx, A: &c.ref[c.idx], B: &got}
-	}
-	c.idx++
-}
-
-// Diverged reports the first mismatch against the recorded prefix
-// (A = recorded, B = live). ok is false when the live run matched the
-// whole prefix; a live run shorter than the prefix also counts as a
-// divergence (B side nil at the index where the live stream ended).
-func (c *PrefixChecker) Diverged() (d Divergence, ok bool) {
-	if c.bad {
-		return c.div, true
-	}
-	if c.seen < len(c.ref) {
-		return Divergence{Index: c.seen, A: &c.ref[c.seen]}, true
-	}
-	return Divergence{}, false
-}
-
-// Seen returns how many events the live run emitted.
-func (c *PrefixChecker) Seen() int { return c.seen }
-
 // CaptureEvents runs wl under cfg with an event sink installed and returns
 // both the run's measurements and its full event trace. cfg.EventSink is
 // overridden for the run. When cfg.Shards selects an eligible sharded run,

@@ -107,49 +107,6 @@ func TestFormatEventPerKind(t *testing.T) {
 	}
 }
 
-func TestPrefixChecker(t *testing.T) {
-	ref := []probe.Event{
-		ev(1, probe.KindSend, 0, 1, 5),
-		ev(2, probe.KindTxBegin, 1, 0, 7),
-	}
-	// Exact match.
-	c := NewPrefixChecker(ref)
-	for _, e := range ref {
-		c.Emit(e)
-	}
-	if d, ok := c.Diverged(); ok {
-		t.Fatalf("matching replay reported divergent at %d", d.Index)
-	}
-	// Live run longer than the prefix: still a match.
-	c.Emit(ev(3, probe.KindTxCommit, 1, 0, 7))
-	if _, ok := c.Diverged(); ok {
-		t.Fatal("live events beyond the prefix must be accepted")
-	}
-	if c.Seen() != 3 {
-		t.Fatalf("Seen = %d, want 3", c.Seen())
-	}
-
-	// In-prefix mismatch latches the first disagreement.
-	c = NewPrefixChecker(ref)
-	c.Emit(ref[0])
-	wrong := ref[1]
-	wrong.Node = 9
-	c.Emit(wrong)
-	c.Emit(ev(3, probe.KindTxCommit, 1, 0, 7))
-	d, ok := c.Diverged()
-	if !ok || d.Index != 1 || d.A == nil || d.B == nil || d.B.Node != 9 {
-		t.Fatalf("mismatch not latched: ok=%v %+v", ok, d)
-	}
-
-	// Live run shorter than the prefix is a divergence at the cut.
-	c = NewPrefixChecker(ref)
-	c.Emit(ref[0])
-	d, ok = c.Diverged()
-	if !ok || d.Index != 1 || d.A == nil || d.B != nil {
-		t.Fatalf("short replay: ok=%v %+v", ok, d)
-	}
-}
-
 func testCfg(scheme machine.Scheme) machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Scheme = scheme
@@ -200,55 +157,6 @@ func TestCaptureIsTrajectoryNeutral(t *testing.T) {
 	}
 	if res1.Cycles != res2.Cycles {
 		t.Fatalf("capture determinism: %d vs %d cycles", res1.Cycles, res2.Cycles)
-	}
-}
-
-// Replay-from-prefix: re-running the same configuration against a recorded
-// stream through a PrefixChecker matches the whole stream; a prefix of the
-// recording is matched by construction.
-func TestReplayFromPrefix(t *testing.T) {
-	wl := testWL(t)
-	cfg := testCfg(machine.SchemeBaseline)
-	_, et, err := CaptureEvents(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, prefixLen := range []int{len(et.Events), len(et.Events) / 2, 1} {
-		c := NewPrefixChecker(et.Events[:prefixLen])
-		cfg2 := cfg
-		cfg2.EventSink = c
-		m, err := machine.New(cfg2, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if d, ok := c.Diverged(); ok {
-			t.Fatalf("prefix %d: replay diverged: index=%d", prefixLen, d.Index)
-		}
-		if c.Seen() != len(et.Events) {
-			t.Fatalf("prefix %d: replay emitted %d events, recording has %d", prefixLen, c.Seen(), len(et.Events))
-		}
-	}
-	// A checker against a different scheme's stream must report the
-	// divergence (and the replay keeps running safely past it).
-	_, other, err := CaptureEvents(testCfg(machine.SchemePUNO), wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewPrefixChecker(other.Events)
-	cfg2 := cfg
-	cfg2.EventSink = c
-	m, err := machine.New(cfg2, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Diverged(); !ok {
-		t.Fatal("replaying Baseline against a PUNO recording did not diverge")
 	}
 }
 

@@ -1,11 +1,12 @@
-// Event traces: the compact binary encoding of a run's probe.Event stream.
+// Package trace is the event-trace layer: capture of a run's probe.Event
+// stream (CaptureEvents), its compact binary encoding (punoevt/1, this
+// file) and the first-divergence differ (diff.go).
 //
-// A workload Trace (trace.go) pins down what a run *executes*; an
-// EventTrace pins down what it *did* — every coherence message, transaction
-// lifecycle edge, conflict, and directory decision, in emission order. Two
-// runs with the same (config, workload, seed) produce byte-identical event
-// traces, which is what makes the first-divergence differ (diff.go) a
-// sharper tool than comparing rendered dumps.
+// An EventTrace pins down what a run *did* — every coherence message,
+// transaction lifecycle edge, conflict, and directory decision, in emission
+// order. Two runs with the same (config, workload, seed) produce
+// byte-identical event traces, which is what makes the first-divergence
+// differ a sharper tool than comparing rendered dumps.
 //
 // Body layout of a punoevt/1 frame (DESIGN.md "Binary formats" has the
 // frame and the count rule; everything is a uvarint unless noted):
@@ -92,8 +93,7 @@ func (t *EventTrace) Normalized() *EventTrace {
 	return n
 }
 
-// evtMagic versions the binary encoding. Distinct from the workload-trace
-// magic: the two formats share a directory, not a decoder.
+// evtMagic versions the binary encoding.
 const evtMagic = "punoevt/1"
 
 // Save writes the trace in the binary event format.

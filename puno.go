@@ -197,20 +197,6 @@ func NewProfile(name string, high bool, txPerCPU int, classes ...Class) *Profile
 	return stamp.NewProfile(name, high, txPerCPU, 0, classes...)
 }
 
-// Trace is a fully materialized, replayable workload (see RecordTrace).
-type Trace = trace.Trace
-
-// RecordTrace materializes wl's per-node transaction streams for a
-// machine of `nodes` nodes seeded with seed. The trace replays exactly
-// the streams a live run with that seed would execute, can be saved with
-// its Save method and reloaded with LoadTrace, and implements Workload.
-func RecordTrace(wl Workload, nodes int, seed uint64) *Trace {
-	return trace.Record(wl, nodes, seed)
-}
-
-// LoadTrace reads a trace written by Trace.Save.
-func LoadTrace(r io.Reader) (*Trace, error) { return trace.Load(r) }
-
 // Event-level observability: every coherence message, transaction
 // lifecycle edge, detected conflict, and directory forwarding decision a
 // run produces, recorded through Config.EventSink and compared with a
@@ -230,9 +216,6 @@ type (
 	EventTrace = trace.EventTrace
 	// Divergence locates the first disagreement between two event streams.
 	Divergence = trace.Divergence
-	// PrefixChecker verifies a live run against a recorded event stream as
-	// it happens (replay-from-prefix).
-	PrefixChecker = trace.PrefixChecker
 )
 
 // CaptureEvents runs wl under cfg with an event sink installed and returns
@@ -254,7 +237,3 @@ func FirstDivergence(a, b *EventTrace) (d Divergence, ok bool) {
 func FormatDivergence(a, b *EventTrace, d Divergence) string {
 	return trace.FormatDivergence(a, b, d)
 }
-
-// NewPrefixChecker returns an EventSink expecting the given recorded
-// stream; install it via Config.EventSink and query Diverged after Run.
-func NewPrefixChecker(ref []Event) *PrefixChecker { return trace.NewPrefixChecker(ref) }
