@@ -42,33 +42,25 @@ func benchSweep(b *testing.B, schemes []Scheme) *Sweep {
 	return sweep
 }
 
-// hcMeanNormalized extracts the high-contention mean of metric, normalized
-// to baseline — the number the paper quotes for each figure.
-func hcMeanNormalized(s *Sweep, scheme Scheme, metric func(*Result) float64) float64 {
-	var sum float64
-	var n int
-	for _, wl := range s.Workloads {
-		if !wl.HighContention() {
-			continue
-		}
-		base := metric(s.Results[wl.Name()][SchemeBaseline])
-		if base == 0 {
-			continue
-		}
-		sum += metric(s.Results[wl.Name()][scheme]) / base
-		n++
+// benchNormalized sweeps schemes and reports, for each scheme of reported,
+// the high-contention mean of metric normalized to baseline — the number
+// the paper quotes for each figure.
+func benchNormalized(b *testing.B, schemes, reported []Scheme, metric func(*Result) float64, unit string) {
+	b.Helper()
+	n, err := benchSweep(b, schemes).Normalized(metric)
+	if err != nil {
+		b.Fatal(err)
 	}
-	if n == 0 {
-		return 0
+	for _, s := range reported {
+		b.ReportMetric(n.HighCont[s], unit+s.String())
 	}
-	return sum / float64(n)
 }
 
 // BenchmarkTable1 regenerates Table I: baseline abort rates per workload.
 func BenchmarkTable1(b *testing.B) {
 	sweep := benchSweep(b, []Scheme{SchemeBaseline})
 	for _, wl := range sweep.Workloads {
-		r := sweep.Results[wl.Name()][SchemeBaseline]
+		r := sweep.Runs[wl.Name()][SchemeBaseline][0]
 		b.ReportMetric(100*r.AbortRate(), "abort%/"+wl.Name())
 	}
 }
@@ -103,7 +95,7 @@ func BenchmarkFig2(b *testing.B) {
 	var hc float64
 	var n int
 	for _, wl := range sweep.Workloads {
-		r := sweep.Results[wl.Name()][SchemeBaseline]
+		r := sweep.Runs[wl.Name()][SchemeBaseline][0]
 		b.ReportMetric(100*r.FalseAbortFraction(), "false%/"+wl.Name())
 		if wl.HighContention() {
 			hc += 100 * r.FalseAbortFraction()
@@ -120,7 +112,7 @@ func BenchmarkFig3(b *testing.B) {
 	var events, victims uint64
 	maxMult := 0
 	for _, wl := range sweep.Workloads {
-		for k, c := range sweep.Results[wl.Name()][SchemeBaseline].FalseAbortHist {
+		for k, c := range sweep.Runs[wl.Name()][SchemeBaseline][0].FalseAbortHist {
 			if c == 0 {
 				continue
 			}
@@ -141,51 +133,32 @@ func BenchmarkFig3(b *testing.B) {
 // BenchmarkFig10 regenerates Fig. 10: normalized transaction aborts for
 // the four schemes (high-contention mean; paper: PUNO 0.39).
 func BenchmarkFig10(b *testing.B) {
-	sweep := benchSweep(b, Schemes())
-	metric := func(r *Result) float64 { return float64(r.Aborts) }
-	for _, s := range Schemes() {
-		b.ReportMetric(hcMeanNormalized(sweep, s, metric), "norm-aborts/"+s.String())
-	}
+	benchNormalized(b, Schemes(), Schemes(), fig10.Metric, "norm-aborts/")
 }
 
 // BenchmarkFig11 regenerates Fig. 11: normalized on-chip network traffic
 // (paper: PUNO 0.67 in high contention).
 func BenchmarkFig11(b *testing.B) {
-	sweep := benchSweep(b, Schemes())
-	metric := func(r *Result) float64 { return float64(r.Net.TotalTraversals()) }
-	for _, s := range Schemes() {
-		b.ReportMetric(hcMeanNormalized(sweep, s, metric), "norm-traffic/"+s.String())
-	}
+	benchNormalized(b, Schemes(), Schemes(), fig11.Metric, "norm-traffic/")
 }
 
 // BenchmarkFig12 regenerates Fig. 12: normalized directory blocking while
-// servicing transactional GETX (paper: PUNO 0.82).
+// servicing transactional GETX (paper: PUNO 0.82). It reports the total
+// blocked cycles, not fig12's per-service average.
 func BenchmarkFig12(b *testing.B) {
-	sweep := benchSweep(b, Schemes())
-	metric := func(r *Result) float64 { return float64(r.DirTxGETXBusy) }
-	for _, s := range Schemes() {
-		b.ReportMetric(hcMeanNormalized(sweep, s, metric), "norm-dirblock/"+s.String())
-	}
+	benchNormalized(b, Schemes(), Schemes(), func(r *Result) float64 { return float64(r.DirTxGETXBusy) }, "norm-dirblock/")
 }
 
 // BenchmarkFig13 regenerates Fig. 13: normalized execution time (paper:
 // PUNO 0.88 in high contention).
 func BenchmarkFig13(b *testing.B) {
-	sweep := benchSweep(b, Schemes())
-	metric := func(r *Result) float64 { return float64(r.Cycles) }
-	for _, s := range Schemes() {
-		b.ReportMetric(hcMeanNormalized(sweep, s, metric), "norm-time/"+s.String())
-	}
+	benchNormalized(b, Schemes(), Schemes(), fig13.Metric, "norm-time/")
 }
 
 // BenchmarkFig14 regenerates Fig. 14: the normalized good/discarded
 // transaction cycle ratio (paper: PUNO 1.65x baseline).
 func BenchmarkFig14(b *testing.B) {
-	sweep := benchSweep(b, Schemes())
-	metric := func(r *Result) float64 { return r.GDRatio() }
-	for _, s := range Schemes() {
-		b.ReportMetric(hcMeanNormalized(sweep, s, metric), "norm-gd/"+s.String())
-	}
+	benchNormalized(b, Schemes(), Schemes(), fig14.Metric, "norm-gd/")
 }
 
 // ---- ablation benches (DESIGN.md) ---------------------------------------
@@ -194,11 +167,8 @@ func BenchmarkFig14(b *testing.B) {
 // unicast alone, notification alone, and both.
 func BenchmarkAblationPUNOParts(b *testing.B) {
 	schemes := []Scheme{SchemeBaseline, SchemeUnicastOnly, SchemeNotifyOnly, SchemePUNO}
-	sweep := benchSweep(b, schemes)
-	metric := func(r *Result) float64 { return float64(r.UnnecessaryAborts() + 1) }
-	for _, s := range schemes[1:] {
-		b.ReportMetric(hcMeanNormalized(sweep, s, metric), "norm-unnecessary/"+s.String())
-	}
+	benchNormalized(b, schemes, schemes[1:],
+		func(r *Result) float64 { return float64(r.UnnecessaryAborts() + 1) }, "norm-unnecessary/")
 }
 
 // BenchmarkAblationValidity sweeps the P-Buffer validity timeout
@@ -296,8 +266,8 @@ func BenchmarkSweepParallelism(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := RunSweepCtx(context.Background(), benchConfig(), workloads, schemes,
-					SweepOptions{Parallel: bc.workers})
+				_, err := RunEnsemble(context.Background(), benchConfig(), workloads, schemes,
+					[]uint64{benchConfig().Seed}, SweepOptions{Parallel: bc.workers})
 				if err != nil {
 					b.Fatal(err)
 				}

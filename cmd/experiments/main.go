@@ -3,12 +3,13 @@
 // schemes) and prints every table; -exp selects one experiment, -csv emits
 // machine-readable output, and -scale shrinks or grows the workloads. Runs
 // fan out across -parallel workers (default GOMAXPROCS; -parallel=1 is the
-// classic serial mode), and -seeds runs the whole sweep once per seed and
-// reports mean±stddev confidence intervals for the normalized figures.
+// classic serial mode). -seeds takes one seed or several: with several,
+// every run is repeated per seed, Table I and Figs. 2–3 aggregate over the
+// seeds, and the normalized figures and the summary report mean±stddev.
 //
 // Usage:
 //
-//	experiments                    # everything (several minutes)
+//	experiments                    # everything (~1 s)
 //	experiments -exp fig10         # one figure
 //	experiments -exp table3        # no simulation needed
 //	experiments -scale 0.25        # quarter-size workloads for a quick look
@@ -63,8 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		exp      = fs.String("exp", "all", "experiment: table1|table2|table3|fig2|fig3|fig10|fig11|fig12|fig13|fig14|summary|all")
-		seed     = fs.Uint64("seed", 12345, "simulation seed (single-seed mode)")
-		seedList = fs.String("seeds", "", "comma-separated seed list; more than one runs an ensemble with mean±stddev figures")
+		seedList = fs.String("seeds", "12345", "comma-separated simulation seeds; more than one reports mean±stddev figures")
 		scale    = fs.Float64("scale", 1.0, "workload size multiplier")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
@@ -84,16 +84,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer profiler.Stop()
-	runErr := runExperiments(ctx, *exp, *seed, *seedList, *scale, *csv, *parallel, stdout, stderr)
+	runErr := runExperiments(ctx, *exp, *seedList, *scale, *csv, *parallel, stdout, stderr)
 	if perr := profiler.Stop(); runErr == nil {
 		runErr = perr
 	}
 	return runErr
 }
 
-func runExperiments(ctx context.Context, exp string, seed uint64, seedList string, scale float64, csv bool, parallel int, stdout, stderr io.Writer) error {
+func runExperiments(ctx context.Context, exp, seedList string, scale float64, csv bool, parallel int, stdout, stderr io.Writer) error {
+	seeds, err := parseSeeds(seedList)
+	if err != nil {
+		return err
+	}
 	cfg := puno.DefaultConfig()
-	cfg.Seed = seed
 	want := strings.ToLower(exp)
 
 	// Table II and Table III need no simulation.
@@ -106,66 +109,44 @@ func runExperiments(ctx context.Context, exp string, seed uint64, seedList strin
 		return nil
 	}
 
-	needsAll := want == "all" || want == "fig10" || want == "fig11" ||
-		want == "fig12" || want == "fig13" || want == "fig14" || want == "summary"
+	// Table I and Figs. 2-3 read only the baseline runs.
 	schemes := puno.Schemes()
-	if !needsAll {
+	if want == "table1" || want == "fig2" || want == "fig3" {
 		schemes = []puno.Scheme{puno.SchemeBaseline}
-	}
-	opts := puno.SweepOptions{Parallel: parallel}
-
-	if seedList != "" {
-		seeds, err := parseSeeds(seedList)
-		if err != nil {
-			return err
-		}
-		if len(seeds) > 1 {
-			return runEnsemble(ctx, cfg, seeds, want, scale, opts, stdout, stderr)
-		}
-		cfg.Seed = seeds[0]
 	}
 
 	start := time.Now()
-	fmt.Fprintf(stderr, "running %d workloads x %d schemes (seed %d, scale %.2f)...\n",
-		len(puno.Workloads()), len(schemes), cfg.Seed, scale)
-	sweep, err := puno.RunSweepCtx(ctx, cfg, puno.ScaledWorkloads(scale), schemes, opts)
+	fmt.Fprintf(stderr, "running %d workloads x %d schemes x %d seeds (scale %.2f)...\n",
+		len(puno.Workloads()), len(schemes), len(seeds), scale)
+	sweep, err := puno.RunEnsemble(ctx, cfg, puno.ScaledWorkloads(scale), schemes, seeds,
+		puno.SweepOptions{Parallel: parallel})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "sweep done in %v\n", time.Since(start).Round(time.Millisecond))
 
-	show := func(name string, render func() (*puno.Table, error)) error {
-		if want != "all" && want != name {
-			return nil
-		}
-		t, err := render()
-		if err != nil {
-			return err
-		}
-		printTable(stdout, t, csv)
-		fmt.Fprintln(stdout)
-		return nil
-	}
-	for _, fig := range []struct {
+	type item struct {
 		name   string
 		render func() (*puno.Table, error)
-	}{
-		{"table1", sweep.Table1},
-		{"fig2", sweep.Fig2},
-		{"fig10", sweep.Fig10},
-		{"fig11", sweep.Fig11},
-		{"fig12", sweep.Fig12},
-		{"fig13", sweep.Fig13},
-		{"fig14", sweep.Fig14},
-	} {
-		if err := show(fig.name, fig.render); err != nil {
-			return err
+	}
+	items := []item{{"table1", sweep.Table1}, {"fig2", sweep.Fig2}}
+	for _, f := range puno.Figures() {
+		items = append(items, item{f.Name, func() (*puno.Table, error) { return sweep.Figure(f) }})
+	}
+	for _, it := range items {
+		if want == "all" || want == it.name {
+			t, err := it.render()
+			if err != nil {
+				return err
+			}
+			printTable(stdout, t, csv)
+			fmt.Fprintln(stdout)
 		}
-		if fig.name == "table1" && want == "all" {
+		if it.name == "table1" && want == "all" {
 			printTable(stdout, puno.Table2(cfg), csv)
 			fmt.Fprintln(stdout)
 		}
-		if fig.name == "fig2" && (want == "all" || want == "fig3") {
+		if it.name == "fig2" && (want == "all" || want == "fig3") {
 			f3, err := sweep.Fig3All()
 			if err != nil {
 				return err
@@ -188,49 +169,6 @@ func runExperiments(ctx context.Context, exp string, seed uint64, seedList strin
 		fmt.Fprintf(stdout, "all workloads:   aborts %+.0f%%  traffic %+.0f%%  exec time %+.0f%%\n",
 			-100*st.AbortReductionAll, -100*st.TrafficReductionAll, -100*st.SpeedupAll)
 		fmt.Fprintf(stdout, "(paper: high-contention aborts -61%%, traffic -32%%, exec time -12%%)\n")
-	}
-	return nil
-}
-
-// runEnsemble regenerates the normalized figures as mean±stddev over the
-// given seeds.
-func runEnsemble(ctx context.Context, cfg puno.Config, seeds []uint64, want string, scale float64, opts puno.SweepOptions, stdout, stderr io.Writer) error {
-	switch want {
-	case "all", "fig10", "fig11", "fig12", "fig13", "fig14":
-	default:
-		return fmt.Errorf("-seeds supports the normalized figures (fig10..fig14) or -exp all, not %q", want)
-	}
-	start := time.Now()
-	fmt.Fprintf(stderr, "running %d workloads x %d schemes x %d seeds...\n",
-		len(puno.Workloads()), len(puno.Schemes()), len(seeds))
-	ens, err := puno.RunEnsemble(ctx, cfg, puno.ScaledWorkloads(scale),
-		puno.Schemes(), seeds, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "ensemble done in %v\n", time.Since(start).Round(time.Millisecond))
-
-	figs := []struct {
-		name   string
-		title  string
-		metric func(*puno.Result) float64
-	}{
-		{"fig10", "Fig. 10 — normalized transaction aborts", func(r *puno.Result) float64 { return float64(r.Aborts) }},
-		{"fig11", "Fig. 11 — normalized network traffic (router traversals)", func(r *puno.Result) float64 { return float64(r.Net.TotalTraversals()) }},
-		{"fig12", "Fig. 12 — normalized directory blocking per TxGETX service", func(r *puno.Result) float64 { return r.DirBlockingPerTxGETX() }},
-		{"fig13", "Fig. 13 — normalized execution time", func(r *puno.Result) float64 { return float64(r.Cycles) }},
-		{"fig14", "Fig. 14 — normalized G/D ratio (larger is better)", func(r *puno.Result) float64 { return r.GDRatio() }},
-	}
-	for _, f := range figs {
-		if want != "all" && want != f.name {
-			continue
-		}
-		t, err := ens.MetricTable(f.title, f.metric)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, t.String())
-		fmt.Fprintln(stdout)
 	}
 	return nil
 }

@@ -43,6 +43,14 @@ func TestCSVOutput(t *testing.T) {
 	if !strings.Contains(out.String(), "unit,value") {
 		t.Fatalf("CSV header missing:\n%s", out.String())
 	}
+	// -csv is honoured at any seed count.
+	out.Reset()
+	if err := run([]string{"-exp", "fig13", "-csv", "-seeds", "1,2", "-scale", "0.03"}, &out, &errb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "workload,Baseline,Backoff,RMW-Pred,PUNO\nbayes,1.000±0.000,") {
+		t.Fatalf("two-seed fig13 is not CSV:\n%s", out.String())
+	}
 }
 
 func TestEnsembleSeeds(t *testing.T) {
@@ -57,6 +65,27 @@ func TestEnsembleSeeds(t *testing.T) {
 	if !strings.Contains(out.String(), "±") || !strings.Contains(out.String(), "mean(high-cont)") {
 		t.Fatalf("ensemble cells missing:\n%s", out.String())
 	}
+
+	// Every -exp value works at any seed count, and -exp all drops nothing.
+	for _, tc := range []struct {
+		exp  string
+		want []string
+	}{
+		{"table1", []string{"Table I — benchmark abort rates (baseline) (mean over 2 seeds)"}},
+		{"summary", []string{"== Headline summary", "high-contention: aborts"}},
+		{"all", []string{"Table I —", "Table II —", "Fig. 2 —", "Fig. 3 —", "Fig. 10 —", "Fig. 11 —",
+			"Fig. 12 —", "Fig. 13 —", "Fig. 14 —", "Table III —", "== Headline summary"}},
+	} {
+		out.Reset()
+		if err := run([]string{"-exp", tc.exp, "-seeds", "1,2", "-scale", "0.03"}, &out, &errb); err != nil {
+			t.Fatalf("-exp %s at two seeds: %v", tc.exp, err)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out.String(), w) {
+				t.Errorf("-exp %s at two seeds: %q missing:\n%s", tc.exp, w, out.String())
+			}
+		}
+	}
 }
 
 func TestBadFlags(t *testing.T) {
@@ -64,8 +93,8 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-seeds", "1,x"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "bad seed") {
 		t.Fatalf("bad seed list accepted: %v", err)
 	}
-	if err := run([]string{"-exp", "table1", "-seeds", "1,2", "-scale", "0.03"}, &out, &errb); err == nil {
-		t.Fatal("-seeds with a non-normalized figure should error")
+	if err := run([]string{"-seed", "1"}, &out, &errb); err == nil || !strings.Contains(err.Error(), "-seed") {
+		t.Fatalf("-seed (folded into -seeds) accepted: %v", err)
 	}
 	if err := run([]string{"-bogus"}, &out, &errb); err == nil {
 		t.Fatal("bogus flag accepted")

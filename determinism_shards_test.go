@@ -107,8 +107,7 @@ func TestShardedTieBreakExercised(t *testing.T) {
 func TestShardedSweepMatchesGolden(t *testing.T) {
 	cfg := detConfig()
 	cfg.Shards = 4
-	sweep, err := RunSweepCtx(context.Background(), cfg, detWorkloads(), detSchemes(),
-		SweepOptions{Parallel: 2})
+	sweep, err := detSweep(context.Background(), cfg, SweepOptions{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

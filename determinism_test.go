@@ -9,6 +9,7 @@ package puno
 // intentional change.
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -40,14 +41,21 @@ func detConfig() Config {
 	return cfg
 }
 
+// detSweep runs detWorkloads x detSchemes at cfg.Seed under opts.
+func detSweep(ctx context.Context, cfg Config, opts SweepOptions) (*Sweep, error) {
+	return RunEnsemble(ctx, cfg, detWorkloads(), detSchemes(), []uint64{cfg.Seed}, opts)
+}
+
 // renderAll flattens a sweep's full rendered output into one string, so a
 // single byte comparison covers every table the figure drivers produce.
 func renderAll(t *testing.T, s *Sweep) string {
 	t.Helper()
 	var b strings.Builder
-	for _, render := range []func() (*Table, error){
-		s.Table1, s.Fig2, s.Fig10, s.Fig11, s.Fig12, s.Fig13, s.Fig14,
-	} {
+	renders := []func() (*Table, error){s.Table1, s.Fig2}
+	for _, f := range Figures() {
+		renders = append(renders, func() (*Table, error) { return s.Figure(f) })
+	}
+	for _, render := range renders {
 		tbl, err := render()
 		if err != nil {
 			t.Fatal(err)
@@ -89,19 +97,19 @@ func TestRunTwiceBitIdentical(t *testing.T) {
 // schemes.
 func TestSerialParallelByteIdentical(t *testing.T) {
 	ctx := context.Background()
-	serial, err := RunSweepCtx(ctx, detConfig(), detWorkloads(), detSchemes(), SweepOptions{Parallel: 1})
+	serial, err := detSweep(ctx, detConfig(), SweepOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSweepCtx(ctx, detConfig(), detWorkloads(), detSchemes(), SweepOptions{Parallel: 8})
+	parallel, err := detSweep(ctx, detConfig(), SweepOptions{Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, wl := range detWorkloads() {
 		for _, sch := range detSchemes() {
-			a := serial.Results[wl.Name()][sch]
-			b := parallel.Results[wl.Name()][sch]
+			a := serial.Runs[wl.Name()][sch][0]
+			b := parallel.Runs[wl.Name()][sch][0]
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("%s/%v: serial and parallel Results differ:\nserial:   %+v\nparallel: %+v",
 					wl.Name(), sch, a, b)
@@ -136,14 +144,15 @@ func TestEnsembleDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal("ensemble Results differ between serial and parallel execution")
 	}
 
-	stA, err := a.NormalizedMetric("kmeans", SchemePUNO, func(r *Result) float64 { return float64(r.Cycles) })
+	nA, err := a.Normalized(fig13.Metric)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stB, err := b.NormalizedMetric("kmeans", SchemePUNO, func(r *Result) float64 { return float64(r.Cycles) })
+	nB, err := b.Normalized(fig13.Metric)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stA, stB := nA.Cells["kmeans"][SchemePUNO], nB.Cells["kmeans"][SchemePUNO]
 	if stA != stB {
 		t.Fatalf("ensemble stats differ: %v vs %v", stA, stB)
 	}
@@ -155,13 +164,35 @@ func TestEnsembleDeterministicAcrossParallelism(t *testing.T) {
 	if runs[0].Cycles == runs[1].Cycles && runs[1].Cycles == runs[2].Cycles {
 		t.Error("all seeds produced identical cycle counts; seed plumbing suspect")
 	}
+
+	// Every cell of the matrix is the run a one-seed sweep at that seed makes.
+	for i, seed := range seeds {
+		cfg := detConfig()
+		cfg.Seed = seed
+		one, err := RunSweep(cfg, wls, schemes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sch := range schemes {
+			want, err := EncodeResult(one.Runs["kmeans"][sch][0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := EncodeResult(a.Runs["kmeans"][sch][i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("kmeans/%v seed %d: ensemble cell differs from the one-seed sweep's run", sch, seed)
+			}
+		}
+	}
 }
 
 // TestGoldenSweepOutput pins the rendered sweep output byte-for-byte in
 // testdata/sweep_golden.txt.
 func TestGoldenSweepOutput(t *testing.T) {
-	sweep, err := RunSweepCtx(context.Background(), detConfig(), detWorkloads(), detSchemes(),
-		SweepOptions{Parallel: 4})
+	sweep, err := detSweep(context.Background(), detConfig(), SweepOptions{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +208,7 @@ func TestGoldenEnsembleOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := ens.MetricTable("normalized execution time", func(r *Result) float64 { return float64(r.Cycles) })
+	tbl, err := ens.Figure(Figure{Title: "normalized execution time", Metric: fig13.Metric})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package puno
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/area"
 	"repro/internal/machine"
@@ -15,13 +17,16 @@ import (
 // Table is an ASCII/CSV-renderable result table.
 type Table = report.Table
 
-// Sweep holds the results of running a set of workloads under a set of
-// schemes — the input to every figure driver.
+// Sweep is the (workload, scheme, seed) run matrix — the input to every
+// table and figure. Each cell holds one Result per seed, in Seeds order; with
+// more than one seed the figures report a mean and a band instead of a
+// single sample.
 type Sweep struct {
 	Workloads []*Profile
 	Schemes   []Scheme
-	// Results[workload name][scheme]
-	Results map[string]map[Scheme]*Result
+	Seeds     []uint64
+	// Runs[workload name][scheme][seed index]
+	Runs map[string]map[Scheme][]*Result
 }
 
 // SweepOptions controls how a run matrix is executed.
@@ -139,113 +144,232 @@ func RunSpecs(ctx context.Context, specs []RunSpec, opts SweepOptions) ([]*Resul
 		})
 }
 
-// RunSweep executes every workload under every scheme, starting from base
-// (whose Scheme field is overridden per run), in parallel across
-// GOMAXPROCS workers. Runs are deterministic in base.Seed regardless of
-// parallelism. Use RunSweepCtx for cancellation, progress reporting, or an
-// explicit worker count.
+// RunSweep is the one-seed RunEnsemble: every workload under every scheme at
+// base.Seed, in parallel across GOMAXPROCS workers.
 func RunSweep(base Config, workloads []*Profile, schemes []Scheme) (*Sweep, error) {
-	return RunSweepCtx(context.Background(), base, workloads, schemes, SweepOptions{})
+	return RunEnsemble(context.Background(), base, workloads, schemes, []uint64{base.Seed}, SweepOptions{})
 }
 
-// RunSweepCtx is RunSweep with cancellation and execution options.
-func RunSweepCtx(ctx context.Context, base Config, workloads []*Profile, schemes []Scheme, opts SweepOptions) (*Sweep, error) {
-	specs := make([]RunSpec, 0, len(workloads)*len(schemes))
+// RunEnsemble executes the (workload, scheme, seed) run matrix, fanning all
+// runs across one worker pool per opts. base.Scheme and base.Seed are
+// overridden per run. Results are deterministic regardless of parallelism.
+func RunEnsemble(ctx context.Context, base Config, workloads []*Profile, schemes []Scheme, seeds []uint64, opts SweepOptions) (*Sweep, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("puno: RunEnsemble needs at least one seed")
+	}
+	specs := make([]RunSpec, 0, len(workloads)*len(schemes)*len(seeds))
 	for _, wl := range workloads {
 		for _, sch := range schemes {
-			cfg := base
-			cfg.Scheme = sch
-			specs = append(specs, RunSpec{Config: cfg, Workload: wl})
+			for _, seed := range seeds {
+				cfg := base
+				cfg.Scheme = sch
+				cfg.Seed = seed
+				specs = append(specs, RunSpec{Config: cfg, Workload: wl})
+			}
 		}
 	}
 	results, err := RunSpecs(ctx, specs, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sweep{
-		Workloads: workloads,
-		Schemes:   schemes,
-		Results:   make(map[string]map[Scheme]*Result),
-	}
-	i := 0
+	s := &Sweep{Workloads: workloads, Schemes: schemes, Seeds: seeds, Runs: map[string]map[Scheme][]*Result{}}
 	for _, wl := range workloads {
-		s.Results[wl.Name()] = make(map[Scheme]*Result, len(schemes))
+		s.Runs[wl.Name()] = make(map[Scheme][]*Result, len(schemes))
 		for _, sch := range schemes {
-			s.Results[wl.Name()][sch] = results[i]
-			i++
+			s.Runs[wl.Name()][sch], results = results[:len(seeds)], results[len(seeds):]
 		}
 	}
 	return s, nil
 }
 
-// Baseline fetches a workload's baseline result (every figure normalizes
-// against it). It returns a descriptive error when SchemeBaseline was not
-// part of the sweep's scheme set or the workload is unknown.
-func (s *Sweep) Baseline(wl string) (*Result, error) {
-	r, ok := s.Results[wl][SchemeBaseline]
-	if !ok || r == nil {
+// Baseline fetches a workload's baseline runs, one per seed (every figure
+// normalizes against them). It returns a descriptive error when the sweep's
+// scheme set lacks SchemeBaseline or the workload is unknown.
+func (s *Sweep) Baseline(wl string) ([]*Result, error) {
+	runs, ok := s.Runs[wl][SchemeBaseline]
+	if !ok {
 		return nil, fmt.Errorf("sweep has no %v result for workload %q (schemes run: %v): figures normalize against the baseline, so include SchemeBaseline in the scheme set",
 			SchemeBaseline, wl, s.Schemes)
 	}
-	return r, nil
+	return runs, nil
 }
 
-// metricTable renders one normalized-metric figure: a column per scheme,
-// a row per workload, plus high-contention and overall means.
-func (s *Sweep) metricTable(title string, metric func(*Result) float64) (*Table, error) {
-	header := []string{"workload"}
-	for _, sch := range s.Schemes {
-		header = append(header, sch.String())
+// title says how a multi-seed table's cells aggregate the seeds.
+func (s *Sweep) title(base, how string) string {
+	if len(s.Seeds) == 1 {
+		return base
 	}
-	t := report.NewTable(title, header...)
-	perScheme := make(map[Scheme][]float64)
-	perSchemeHC := make(map[Scheme][]float64)
+	return fmt.Sprintf("%s (%s over %d seeds)", base, how, len(s.Seeds))
+}
+
+// meanOver averages metric over a cell's seeds: Table I and Fig. 2 report means.
+func meanOver(runs []*Result, metric func(*Result) float64) float64 {
+	vals := make([]float64, len(runs))
+	for i, r := range runs {
+		vals[i] = metric(r)
+	}
+	return report.Mean(vals)
+}
+
+// Stat is a mean and sample standard deviation over the N seeds of a cell
+// that have a value; with N zero the mean is NaN.
+type Stat struct {
+	Mean   float64
+	Stddev float64
+	N      int
+}
+
+// String renders the stat as a figure cell: mean±stddev over several seeds,
+// the bare value for one, n/a (a NaN mean) for none.
+func (s Stat) String() string {
+	if s.N > 1 {
+		return fmt.Sprintf("%.3f±%.3f", s.Mean, s.Stddev)
+	}
+	return report.Cell(s.Mean)
+}
+
+func statOf(vals []float64) Stat {
+	st := Stat{N: len(vals), Mean: report.Mean(vals)}
+	if len(vals) > 1 {
+		var ss float64
+		for _, v := range vals {
+			d := v - st.Mean
+			ss += d * d
+		}
+		st.Stddev = math.Sqrt(ss / float64(len(vals)-1))
+	}
+	return st
+}
+
+// normalize is the one baseline-normalization rule, applied seed by seed
+// against the same seed's baseline run. A zero baseline with a zero value
+// is 1 — nothing changed, so the Baseline column is 1.000 by construction;
+// a zero baseline with a non-zero value has no ratio, and ok is false.
+func normalize(v, base float64) (ratio float64, ok bool) {
+	switch {
+	case base != 0:
+		return v / base, true
+	case v == 0:
+		return 1, true
+	}
+	return 0, false
+}
+
+// Normalized is one metric folded over the run matrix: the data behind every
+// normalized figure and behind Summary.
+type Normalized struct {
+	// Cells[workload name][scheme]: the Stat over the seeds whose ratio to
+	// the same seed's baseline run is defined (N says how many).
+	Cells map[string]map[Scheme]Stat
+	// The mean rows: per scheme, the mean of its cells' means over the
+	// high-contention workloads and over all (NaN when no cell has a value).
+	HighCont, All map[Scheme]float64
+}
+
+// Normalized folds metric over the matrix, normalized to the baseline.
+func (s *Sweep) Normalized(metric func(*Result) float64) (*Normalized, error) {
+	n := &Normalized{Cells: map[string]map[Scheme]Stat{}, HighCont: map[Scheme]float64{}, All: map[Scheme]float64{}}
+	hc, all := map[Scheme][]float64{}, map[Scheme][]float64{}
 	for _, wl := range s.Workloads {
-		b, err := s.Baseline(wl.Name())
+		bases, err := s.Baseline(wl.Name())
 		if err != nil {
 			return nil, err
 		}
-		base := metric(b)
-		row := []string{wl.Name()}
+		n.Cells[wl.Name()] = make(map[Scheme]Stat, len(s.Schemes))
 		for _, sch := range s.Schemes {
-			v := metric(s.Results[wl.Name()][sch])
-			norm := 0.0
-			if base != 0 {
-				norm = v / base
+			var vals []float64
+			for i, r := range s.Runs[wl.Name()][sch] {
+				if v, ok := normalize(metric(r), metric(bases[i])); ok {
+					vals = append(vals, v)
+				}
 			}
-			row = append(row, report.Cell(norm))
-			perScheme[sch] = append(perScheme[sch], norm)
+			st := statOf(vals)
+			n.Cells[wl.Name()][sch] = st
+			if st.N == 0 {
+				continue
+			}
+			all[sch] = append(all[sch], st.Mean)
 			if wl.HighContention() {
-				perSchemeHC[sch] = append(perSchemeHC[sch], norm)
+				hc[sch] = append(hc[sch], st.Mean)
 			}
+		}
+	}
+	for _, sch := range s.Schemes {
+		n.HighCont[sch], n.All[sch] = report.Mean(hc[sch]), report.Mean(all[sch])
+	}
+	return n, nil
+}
+
+// Figure is one of the paper's normalized-to-baseline figures.
+type Figure struct {
+	Name   string // the -exp value, "fig10"
+	Title  string
+	Metric func(*Result) float64
+}
+
+// Figs. 10–14 — the one place their names, titles and metrics are written;
+// the library, cmd/experiments and the benchmarks read it.
+var (
+	fig10 = Figure{"fig10", "Fig. 10 — normalized transaction aborts",
+		func(r *Result) float64 { return float64(r.Aborts) }}
+	// On-chip network traffic: router traversals by flits.
+	fig11 = Figure{"fig11", "Fig. 11 — normalized network traffic (router traversals)",
+		func(r *Result) float64 { return float64(r.Net.TotalTraversals()) }}
+	// Average cycles a directory entry spends blocked per TxGETX service.
+	fig12 = Figure{"fig12", "Fig. 12 — normalized directory blocking per TxGETX service",
+		(*Result).DirBlockingPerTxGETX}
+	fig13 = Figure{"fig13", "Fig. 13 — normalized execution time",
+		func(r *Result) float64 { return float64(r.Cycles) }}
+	// The good/discarded transaction cycle ratio.
+	fig14 = Figure{"fig14", "Fig. 14 — normalized G/D ratio (larger is better)",
+		(*Result).GDRatio}
+)
+
+// Figures lists the normalized figures in paper order.
+func Figures() []Figure { return []Figure{fig10, fig11, fig12, fig13, fig14} }
+
+// Figure renders one normalized figure: a column per scheme, a row per workload,
+// then the two mean rows (means of per-workload means, so no seed band).
+func (s *Sweep) Figure(f Figure) (*Table, error) {
+	n, err := s.Normalized(f.Metric)
+	if err != nil {
+		return nil, err
+	}
+	t := report.NewTable(s.title(f.Title, "mean±stddev"), "workload")
+	for _, sch := range s.Schemes {
+		t.Header = append(t.Header, sch.String())
+	}
+	addRow := func(label string, cell func(Scheme) string) {
+		row := []string{label}
+		for _, sch := range s.Schemes {
+			row = append(row, cell(sch))
 		}
 		t.AddRow(row...)
 	}
-	hcRow := []string{"mean(high-cont)"}
-	allRow := []string{"mean(all)"}
-	for _, sch := range s.Schemes {
-		hcRow = append(hcRow, report.Cell(report.Mean(perSchemeHC[sch])))
-		allRow = append(allRow, report.Cell(report.Mean(perScheme[sch])))
+	for _, wl := range s.Workloads {
+		cells := n.Cells[wl.Name()]
+		addRow(wl.Name(), func(sch Scheme) string { return cells[sch].String() })
 	}
-	t.AddRow(hcRow...)
-	t.AddRow(allRow...)
+	addRow("mean(high-cont)", func(sch Scheme) string { return report.Cell(n.HighCont[sch]) })
+	addRow("mean(all)", func(sch Scheme) string { return report.Cell(n.All[sch]) })
 	return t, nil
 }
 
 // Table1 reproduces Table I: per-workload baseline abort rates, paper
 // versus measured.
 func (s *Sweep) Table1() (*Table, error) {
-	t := report.NewTable("Table I — benchmark abort rates (baseline)",
+	t := report.NewTable(s.title("Table I — benchmark abort rates (baseline)", "mean"),
 		"workload", "paper abort %", "measured abort %", "commits", "aborts")
 	for _, wl := range s.Workloads {
-		r, err := s.Baseline(wl.Name())
+		runs, err := s.Baseline(wl.Name())
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(wl.Name(),
 			fmt.Sprintf("%.1f", 100*wl.PaperAbortRate),
-			fmt.Sprintf("%.1f", 100*r.AbortRate()),
-			fmt.Sprintf("%d", r.Commits), fmt.Sprintf("%d", r.Aborts))
+			fmt.Sprintf("%.1f", 100*meanOver(runs, (*Result).AbortRate)),
+			fmt.Sprintf("%.0f", meanOver(runs, func(r *Result) float64 { return float64(r.Commits) })),
+			fmt.Sprintf("%.0f", meanOver(runs, func(r *Result) float64 { return float64(r.Aborts) })))
 	}
 	return t, nil
 }
@@ -269,19 +393,21 @@ func Table2(cfg Config) *Table {
 // Fig2 reproduces Fig. 2: the breakdown of transactional GETX accesses by
 // outcome under the baseline, per workload.
 func (s *Sweep) Fig2() (*Table, error) {
-	t := report.NewTable("Fig. 2 — transactional GETX outcome breakdown (baseline, % of accesses)",
+	t := report.NewTable(s.title("Fig. 2 — transactional GETX outcome breakdown (baseline, % of accesses)", "mean"),
 		"workload", "false-aborting", "nack-only", "resolved-aborts", "clean")
 	for _, wl := range s.Workloads {
-		r, err := s.Baseline(wl.Name())
+		runs, err := s.Baseline(wl.Name())
 		if err != nil {
 			return nil, err
 		}
-		total := float64(r.TxGETXAccesses)
-		if total == 0 {
-			total = 1
-		}
 		pct := func(o GETXOutcome) string {
-			return fmt.Sprintf("%.1f", 100*float64(r.GETXOutcomes[o])/total)
+			return fmt.Sprintf("%.1f", meanOver(runs, func(r *Result) float64 {
+				total := float64(r.TxGETXAccesses)
+				if total == 0 {
+					total = 1
+				}
+				return 100 * float64(r.GETXOutcomes[o]) / total
+			}))
 		}
 		t.AddRow(wl.Name(), pct(OutcomeFalseAbort), pct(OutcomeNackOnly),
 			pct(OutcomeResolvedAborts), pct(OutcomeClean))
@@ -289,69 +415,31 @@ func (s *Sweep) Fig2() (*Table, error) {
 	return t, nil
 }
 
-// Fig3 reproduces Fig. 3: the distribution of the number of transactions
-// aborted unnecessarily per false-aborting request, for one workload.
-func (s *Sweep) Fig3(workload string) (string, error) {
-	r, err := s.Baseline(workload)
-	if err != nil {
-		return "", err
-	}
-	return report.Histogram(
-		fmt.Sprintf("Fig. 3 — unnecessary aborts per false-aborting request (%s, baseline)", workload),
-		r.FalseAbortHist), nil
-}
-
-// Fig3All renders the Fig. 3 distribution for every workload that has
-// false-aborting events.
+// Fig3All reproduces Fig. 3 — the distribution of the number of transactions
+// aborted unnecessarily per false-aborting request — for every workload that
+// has false-aborting events, its histograms summed over the seeds.
 func (s *Sweep) Fig3All() (string, error) {
 	out := ""
 	for _, wl := range s.Workloads {
-		r, err := s.Baseline(wl.Name())
+		runs, err := s.Baseline(wl.Name())
 		if err != nil {
 			return "", err
 		}
-		if len(r.FalseAbortHist) > 0 {
-			h, err := s.Fig3(wl.Name())
-			if err != nil {
-				return "", err
+		var hist []uint64
+		for _, r := range runs {
+			for k, c := range r.FalseAbortHist {
+				if k == len(hist) {
+					hist = append(hist, 0)
+				}
+				hist[k] += c
 			}
-			out += h + "\n"
+		}
+		if len(hist) > 0 {
+			title := fmt.Sprintf("Fig. 3 — unnecessary aborts per false-aborting request (%s, baseline)", wl.Name())
+			out += report.Histogram(s.title(title, "summed"), hist) + "\n"
 		}
 	}
 	return out, nil
-}
-
-// Fig10 reproduces Fig. 10: transaction aborts normalized to the baseline.
-func (s *Sweep) Fig10() (*Table, error) {
-	return s.metricTable("Fig. 10 — normalized transaction aborts",
-		func(r *Result) float64 { return float64(r.Aborts) })
-}
-
-// Fig11 reproduces Fig. 11: on-chip network traffic (router traversals by
-// flits) normalized to the baseline.
-func (s *Sweep) Fig11() (*Table, error) {
-	return s.metricTable("Fig. 11 — normalized network traffic (router traversals)",
-		func(r *Result) float64 { return float64(r.Net.TotalTraversals()) })
-}
-
-// Fig12 reproduces Fig. 12: the average cycles a directory entry spends
-// blocked per transactional GETX service, normalized to the baseline.
-func (s *Sweep) Fig12() (*Table, error) {
-	return s.metricTable("Fig. 12 — normalized directory blocking per TxGETX service",
-		func(r *Result) float64 { return r.DirBlockingPerTxGETX() })
-}
-
-// Fig13 reproduces Fig. 13: execution time normalized to the baseline.
-func (s *Sweep) Fig13() (*Table, error) {
-	return s.metricTable("Fig. 13 — normalized execution time",
-		func(r *Result) float64 { return float64(r.Cycles) })
-}
-
-// Fig14 reproduces Fig. 14: the good/discarded transaction cycle ratio,
-// normalized to the baseline (larger is better).
-func (s *Sweep) Fig14() (*Table, error) {
-	return s.metricTable("Fig. 14 — normalized G/D ratio (larger is better)",
-		func(r *Result) float64 { return r.GDRatio() })
 }
 
 // Table3 reproduces Table III: PUNO's VLSI area and power overhead.
@@ -362,7 +450,8 @@ func Table3(nodes int) string {
 
 // SummaryStats extracts the headline claims the paper's abstract makes, for
 // EXPERIMENTS.md: abort reduction and traffic reduction of PUNO vs baseline
-// in the high-contention set, and execution-time improvement.
+// in the high-contention set, and execution-time improvement. Each is 1 −
+// the PUNO entry of a figure's mean row (NaN when that row has no value).
 type SummaryStats struct {
 	AbortReductionHC    float64 // 1 - normalized aborts, mean over high contention
 	TrafficReductionHC  float64
@@ -372,60 +461,27 @@ type SummaryStats struct {
 	SpeedupAll          float64
 }
 
-// Summary computes the headline statistics for PUNO.
+// Summary reads PUNO's headline statistics off the mean rows of Figs. 10, 11, 13.
 func (s *Sweep) Summary() (SummaryStats, error) {
+	if !slices.Contains(s.Schemes, SchemePUNO) {
+		return SummaryStats{}, fmt.Errorf("sweep has no %v results (schemes run: %v): the summary compares PUNO with the baseline", SchemePUNO, s.Schemes)
+	}
 	var st SummaryStats
-	var hcN, allN float64
-	for _, wl := range s.Workloads {
-		base, err := s.Baseline(wl.Name())
+	for _, h := range []struct {
+		fig     Figure
+		hc, all *float64
+	}{
+		{fig10, &st.AbortReductionHC, &st.AbortReductionAll},
+		{fig11, &st.TrafficReductionHC, &st.TrafficReductionAll},
+		{fig13, &st.SpeedupHC, &st.SpeedupAll},
+	} {
+		n, err := s.Normalized(h.fig.Metric)
 		if err != nil {
 			return SummaryStats{}, err
 		}
-		p, ok := s.Results[wl.Name()][SchemePUNO]
-		if !ok {
-			continue
-		}
-		na := ratio(float64(p.Aborts), float64(base.Aborts))
-		nt := ratio(float64(p.Net.TotalTraversals()), float64(base.Net.TotalTraversals()))
-		nc := ratio(float64(p.Cycles), float64(base.Cycles))
-		st.AbortReductionAll += 1 - na
-		st.TrafficReductionAll += 1 - nt
-		st.SpeedupAll += 1 - nc
-		allN++
-		if wl.HighContention() {
-			st.AbortReductionHC += 1 - na
-			st.TrafficReductionHC += 1 - nt
-			st.SpeedupHC += 1 - nc
-			hcN++
-		}
-	}
-	if hcN > 0 {
-		st.AbortReductionHC /= hcN
-		st.TrafficReductionHC /= hcN
-		st.SpeedupHC /= hcN
-	}
-	if allN > 0 {
-		st.AbortReductionAll /= allN
-		st.TrafficReductionAll /= allN
-		st.SpeedupAll /= allN
+		*h.hc, *h.all = 1-n.HighCont[SchemePUNO], 1-n.All[SchemePUNO]
 	}
 	return st, nil
-}
-
-func ratio(v, base float64) float64 {
-	if base == 0 {
-		return 1
-	}
-	return v / base
-}
-
-// SortedWorkloadNames lists the sweep's workloads in Table I order.
-func (s *Sweep) SortedWorkloadNames() []string {
-	names := make([]string, 0, len(s.Workloads))
-	for _, wl := range s.Workloads {
-		names = append(names, wl.Name())
-	}
-	return names
 }
 
 // ScaledWorkloads returns the standard suite with each profile's

@@ -1,6 +1,6 @@
-// Package report renders experiment results as aligned ASCII tables and
-// CSV, with the normalization helpers the paper's figures use (values
-// normalized to the baseline scheme, arithmetic and geometric means).
+// Package report renders experiment results as aligned ASCII tables, CSV
+// and histograms, with the arithmetic mean the paper's figures use. A value
+// that does not exist is NaN and prints as n/a.
 package report
 
 import (
@@ -22,22 +22,17 @@ func NewTable(title string, header ...string) *Table {
 	return &Table{Title: title, Header: header}
 }
 
-// AddRow appends a row; values are formatted with %v (floats get %.3g via
-// AddFloatRow when uniform precision matters).
+// AddRow appends a row of formatted cells (Cell formats a number).
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Cell formats one value for a table cell.
-func Cell(v any) string {
-	switch x := v.(type) {
-	case float64:
-		return fmt.Sprintf("%.3f", x)
-	case float32:
-		return fmt.Sprintf("%.3f", x)
-	default:
-		return fmt.Sprintf("%v", v)
+// Cell formats one number for a table cell; NaN is n/a.
+func Cell(v float64) string {
+	if math.IsNaN(v) {
+		return "n/a"
 	}
+	return fmt.Sprintf("%.3f", v)
 }
 
 // String renders the table with aligned columns.
@@ -101,43 +96,16 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Normalize returns vals[i]/base; base==0 yields 0.
-func Normalize(vals []float64, base float64) []float64 {
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		if base != 0 {
-			out[i] = v / base
-		}
-	}
-	return out
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
+// Mean returns the arithmetic mean; a mean over nothing has no value (NaN).
 func Mean(vals []float64) float64 {
 	if len(vals) == 0 {
-		return 0
+		return math.NaN()
 	}
 	var s float64
 	for _, v := range vals {
 		s += v
 	}
 	return s / float64(len(vals))
-}
-
-// GeoMean returns the geometric mean of positive values (0 if any value is
-// non-positive or the input is empty).
-func GeoMean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range vals {
-		if v <= 0 {
-			return 0
-		}
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(vals)))
 }
 
 // Histogram renders a dense count histogram (h[k] = count for key k) as a

@@ -9,7 +9,6 @@ package puno
 // output either way.
 
 import (
-	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,15 +22,14 @@ import (
 // sweep is a new object with a new hash seed, so a map-order dependence
 // anywhere between the simulator and the report layer shows up as a diff.
 func TestSweepDumpStableAcrossRepetition(t *testing.T) {
-	ctx := context.Background()
 	wls := []*Profile{MustWorkload("intruder").WithTxPerCPU(4)}
 	schemes := []Scheme{SchemeBaseline, SchemePUNO}
 
-	first, err := RunSweepCtx(ctx, detConfig(), wls, schemes, SweepOptions{Parallel: 2})
+	first, err := RunSweep(detConfig(), wls, schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunSweepCtx(ctx, detConfig(), wls, schemes, SweepOptions{Parallel: 2})
+	second, err := RunSweep(detConfig(), wls, schemes)
 	if err != nil {
 		t.Fatal(err)
 	}

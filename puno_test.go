@@ -1,8 +1,8 @@
 package puno
 
 import (
-	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,15 +35,14 @@ func TestRunSweepAndFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, render := range map[string]func() (*Table, error){
-		"table1": sweep.Table1,
-		"fig2":   sweep.Fig2,
-		"fig10":  sweep.Fig10,
-		"fig11":  sweep.Fig11,
-		"fig12":  sweep.Fig12,
-		"fig13":  sweep.Fig13,
-		"fig14":  sweep.Fig14,
-	} {
+	renders := map[string]func() (*Table, error){"table1": sweep.Table1, "fig2": sweep.Fig2}
+	for _, f := range Figures() {
+		renders[f.Name] = func() (*Table, error) { return sweep.Figure(f) }
+	}
+	if len(renders) != 7 {
+		t.Fatalf("Figures() lists %d figures, want fig10..fig14", len(renders)-2)
+	}
+	for name, render := range renders {
 		tbl, err := render()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -83,7 +82,7 @@ func TestBaselineMissingIsDescriptiveError(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
 	wls := []*Profile{MustWorkload("kmeans").WithTxPerCPU(4)}
-	sweep, err := RunSweepCtx(context.Background(), cfg, wls, []Scheme{SchemePUNO}, SweepOptions{Parallel: 1})
+	sweep, err := RunSweep(cfg, wls, []Scheme{SchemePUNO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +91,88 @@ func TestBaselineMissingIsDescriptiveError(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "Baseline") || !strings.Contains(err.Error(), "kmeans") {
 		t.Fatalf("baseline error not descriptive: %v", err)
 	}
-	if _, err := sweep.Fig10(); err == nil {
-		t.Fatal("Fig10 without baseline did not propagate the error")
+	if _, err := sweep.Figure(fig10); err == nil {
+		t.Fatal("Fig. 10 without baseline did not propagate the error")
 	}
 	if _, err := sweep.Summary(); err == nil {
 		t.Fatal("Summary without baseline did not propagate the error")
+	}
+}
+
+// TestZeroBaselineRule pins the one normalization rule on a matrix built by
+// hand (no simulation): intruder (high contention) has a zero-abort
+// baseline, kmeans does not, and the three schemes cover the three cases
+// over two seeds. Summary must read the same mean rows the figures print.
+func TestZeroBaselineRule(t *testing.T) {
+	run := func(aborts uint64) *Result {
+		r := &Result{Aborts: aborts, Cycles: Time(1000 + 100*aborts)}
+		r.Net.RouterTraversal[0] = 500 + 50*aborts
+		return r
+	}
+	s := &Sweep{
+		Workloads: []*Profile{MustWorkload("intruder"), MustWorkload("kmeans")},
+		Schemes:   []Scheme{SchemeBaseline, SchemeBackoff, SchemePUNO},
+		Seeds:     []uint64{1, 2},
+		Runs: map[string]map[Scheme][]*Result{
+			"intruder": {
+				SchemeBaseline: {run(0), run(0)}, // 0/0: nothing changed, 1
+				SchemeBackoff:  {run(3), run(5)}, // v/0 on both seeds: no cell
+				SchemePUNO:     {run(2), run(0)}, // seed 1 has no ratio, seed 2 is 1
+			},
+			"kmeans": {
+				SchemeBaseline: {run(4), run(8)},
+				SchemeBackoff:  {run(2), run(2)}, // 0.5, 0.25
+				SchemePUNO:     {run(1), run(4)}, // 0.25, 0.5
+			},
+		},
+	}
+	tbl, err := s.Figure(fig10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"intruder", "1.000±0.000", "n/a", "1.000"},
+		{"kmeans", "1.000±0.000", "0.375±0.177", "0.375±0.177"},
+		{"mean(high-cont)", "1.000", "n/a", "1.000"},
+		{"mean(all)", "1.000", "0.375", "0.688"},
+	}
+	if !reflect.DeepEqual(tbl.Rows, want) {
+		t.Fatalf("Fig. 10 rows:\n got %v\nwant %v", tbl.Rows, want)
+	}
+	n, err := s.Normalized(fig10.Metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Cells["intruder"][SchemePUNO].N; got != 1 {
+		t.Errorf("intruder/PUNO N = %d, want 1 (seed 1 excluded)", got)
+	}
+	if got := n.Cells["intruder"][SchemeBackoff].N; got != 0 {
+		t.Errorf("intruder/Backoff N = %d, want 0", got)
+	}
+
+	st, err := s.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		fig     Figure
+		hc, all float64
+	}{
+		{fig10, st.AbortReductionHC, st.AbortReductionAll},
+		{fig11, st.TrafficReductionHC, st.TrafficReductionAll},
+		{fig13, st.SpeedupHC, st.SpeedupAll},
+	} {
+		n, err := s.Normalized(c.fig.Metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.hc != 1-n.HighCont[SchemePUNO] || c.all != 1-n.All[SchemePUNO] {
+			t.Errorf("%s: summary (%v, %v) is not 1 - the PUNO mean rows (%v, %v)",
+				c.fig.Name, c.hc, c.all, n.HighCont[SchemePUNO], n.All[SchemePUNO])
+		}
+	}
+	if st.AbortReductionAll != 1-0.6875 {
+		t.Errorf("AbortReductionAll = %v, want %v", st.AbortReductionAll, 1-0.6875)
 	}
 }
 
@@ -197,8 +273,8 @@ func TestDeterministicSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := s1.Results["kmeans"][SchemePUNO]
-	b := s2.Results["kmeans"][SchemePUNO]
+	a := s1.Runs["kmeans"][SchemePUNO][0]
+	b := s2.Runs["kmeans"][SchemePUNO][0]
 	if a.Cycles != b.Cycles || a.Aborts != b.Aborts || a.Net.TotalTraversals() != b.Net.TotalTraversals() {
 		t.Fatal("same-seed sweeps diverged")
 	}
