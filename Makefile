@@ -1,7 +1,6 @@
 GO ?= go
-BENCH ?= BenchmarkSweepParallelism
 
-.PHONY: all test lint race race-shards cover cover-update bench bench-pdes serve-smoke golden clean
+.PHONY: all test lint race race-shards cover cover-update bench serve-smoke golden clean
 
 all: test
 
@@ -58,15 +57,6 @@ cover-update:
 # htm.kernel_sig_ns_per_op, machine.run_ms.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# The single-machine PDES pair (big-serial vs big-sharded) with allocation
-# stats: the quick check that the sharded coordinator's wall-clock ratio
-# and allocs/op haven't regressed. CI runs this in the bench smoke job;
-# PDES_BENCHTIME keeps it a sub-second smoke there; for real measurements
-# use the repository benchmark (bench/README.md: sim_big64's traced run).
-PDES_BENCHTIME ?= 10x
-bench-pdes:
-	$(GO) test -run '^$$' -bench '$(BENCH)/big-' -benchmem -benchtime $(PDES_BENCHTIME) -count 1 .
 
 # End-to-end punoserve smoke: boot the server on a free port, submit a job
 # over HTTP, long-poll it to completion, fetch the artifact and check it is

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"repro/internal/pdes"
 )
 
 const benchScale = 0.2 // fraction of each profile's full transaction count
@@ -275,82 +273,6 @@ func BenchmarkSweepParallelism(b *testing.B) {
 			b.ReportMetric(float64(len(workloads)*len(schemes)), "runs/op")
 		})
 	}
-
-	// big-serial vs big-sharded is the PDES speedup pair: one 64-node
-	// (8x8 mesh) high-contention simulation, first on the classic serial
-	// engine, then sharded four ways under the conservative-lookahead
-	// coordinator. Results are bit-identical (the determinism suite
-	// certifies that); the ns/op ratio is the single-simulation speedup
-	// parallel in-machine execution buys on this host.
-	bigWL := MustWorkload("intruder").WithTxPerCPU(4)
-	bigCfg := func(shards int) Config {
-		cfg := benchConfig()
-		cfg.Scheme = SchemePUNO
-		cfg.Mesh.Width, cfg.Mesh.Height = 8, 8
-		cfg.Nodes = 64
-		cfg.Shards = shards
-		return cfg
-	}
-	// Both sides run the documented arena-reuse pattern (construct once,
-	// Reset+Run per iteration) so the pair isolates steady-state simulation
-	// and coordination cost rather than allocator traffic; the one-shot
-	// Run() construction path is covered by the sweep benches above.
-	b.Run("big-serial", func(b *testing.B) {
-		cfg := bigCfg(1)
-		m, err := NewMachine(cfg, bigWL)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := m.Reset(cfg, bigWL); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := m.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("big-sharded", func(b *testing.B) {
-		cfg := bigCfg(4)
-		co, err := pdes.New(cfg, bigWL)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := co.Reset(cfg, bigWL); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := co.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// big256-sharded scales the sharded leg to 256 nodes on a 16x16 mesh —
-	// the configuration the multi-word directory sharer sets unlock. It has
-	// no serial twin in the committed pair; it exists to catch coordination
-	// costs that only appear when the window population and the per-commit
-	// O(shards) scans quadruple.
-	b.Run("big256-sharded", func(b *testing.B) {
-		cfg := bigCfg(4)
-		cfg.Mesh.Width, cfg.Mesh.Height = 16, 16
-		cfg.Nodes = 256
-		co, err := pdes.New(cfg, bigWL)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := co.Reset(cfg, bigWL); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := co.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	// serial-traced is the serial sweep with an event sink installed on
 	// every spec: the cost of leaving event tracing on. The serial variant

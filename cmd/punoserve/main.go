@@ -48,8 +48,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr         = fs.String("addr", "127.0.0.1:8377", "listen address (host:port; port 0 picks a free port)")
 		cacheDir     = fs.String("cache-dir", "", "disk tier for result artifacts (empty: memory only)")
 		cacheEntries = fs.Int("cache-entries", 0, "in-memory LRU capacity (0 = 1024)")
-		workers      = fs.Int("workers", 0, "simulation workers (0 = sized from GOMAXPROCS and -task-threads)")
-		taskThreads  = fs.Int("task-threads", 1, "widest Config.Shards expected per job, for worker sizing")
+		workers      = fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 		queue        = fs.Int("queue", 0, "bounded queue depth; full queue answers 429 (0 = 4x workers)")
 		maxJobs      = fs.Int("max-jobs", 0, "job registry cap (0 = 4096)")
 		codeVersion  = fs.String("codeversion", "", "cache-key code version (default: the build's VCS revision)")
@@ -70,7 +69,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		CacheEntries: *cacheEntries,
 		CacheDir:     *cacheDir,
 		Workers:      *workers,
-		TaskThreads:  *taskThreads,
 		QueueDepth:   *queue,
 		MaxJobs:      *maxJobs,
 		CodeVersion:  *codeVersion,

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/machine"
-	"repro/internal/pdes"
 	"repro/internal/sim"
 	"repro/internal/stamp"
 )
@@ -50,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		vmult     = fs.Int("vmult", 0, "P-Buffer validity timeout multiplier (0 = default)")
 		maxwait   = fs.Uint64("maxwait", 0, "cap on notification-guided waits (0 = default)")
 		timeline  = fs.Uint64("timeline", 0, "sample interval in cycles; prints a dynamics table (0 = off)")
-		shards    = fs.Int("shards", 1, "worker goroutines for the PDES run (1 = serial; results are bit-identical)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,35 +86,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	cfg.Shards = *shards
 
-	// Sharded runs go through the PDES coordinator; -trace and -timeline
-	// force the serial path (Eligible rejects them), as does shards <= 1.
-	var m *machine.Machine
-	var res *machine.Result
 	start := time.Now()
-	if pdes.Eligible(cfg, p) {
-		co, err := pdes.New(cfg, p)
-		if err != nil {
-			return err
-		}
-		res, err = co.Run()
-		if err != nil {
-			fmt.Fprintf(stderr, "sharded run failed after %v: %v\n", time.Since(start), err)
-			return err
-		}
-	} else {
-		m, err = machine.New(cfg, p)
-		if err != nil {
-			return err
-		}
-		res, err = m.Run()
-		if err != nil {
-			fmt.Fprintf(stderr, "run failed after %v (%d events, cycle %d): %v\n",
-				time.Since(start), m.Engine().Processed(), m.Engine().Now(), err)
-			m.DumpState(stderr)
-			return err
-		}
+	m, err := machine.New(cfg, p)
+	if err != nil {
+		return err
+	}
+	res, err := m.Run()
+	if err != nil {
+		fmt.Fprintf(stderr, "run failed after %v (%d events, cycle %d): %v\n",
+			time.Since(start), m.Engine().Processed(), m.Engine().Now(), err)
+		m.DumpState(stderr)
+		return err
 	}
 	wall := time.Since(start)
 
@@ -139,18 +120,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "  G/D=%.2f dirBusyTxGETX=%d busyNacks=%d unicasts=%d mispred=%d notified=%d retries=%d\n",
 		res.GDRatio(), res.DirTxGETXBusy, res.DirBusyNacks,
 		res.DirUnicasts, res.Mispredictions, res.NotifiedBackoffs, res.Retries)
-	if m != nil {
-		fmt.Fprintf(stdout, "  events=%d spilled=%d (%.0f ev/us)\n", m.Engine().Processed(), m.Engine().Spilled(),
-			float64(m.Engine().Processed())/float64(wall.Microseconds()+1))
-	}
+	fmt.Fprintf(stdout, "  events=%d spilled=%d (%.0f ev/us)\n", m.Engine().Processed(), m.Engine().Spilled(),
+		float64(m.Engine().Processed())/float64(wall.Microseconds()+1))
 	if len(res.Timeline) > 0 {
 		fmt.Fprintf(stdout, "  %-10s %8s %8s %10s %7s\n", "cycle", "commits", "aborts", "traffic", "liveTx")
 		for _, smp := range res.Timeline {
 			fmt.Fprintf(stdout, "  %-10d %8d %8d %10d %7d\n", smp.Cycle, smp.Commits, smp.Aborts, smp.Traffic, smp.LiveTxs)
 		}
-	}
-	if m == nil {
-		return nil
 	}
 	var noT, inval, reqOld, lowc, parted, uni uint64
 	minConf, maxBen := 1.0, 0.0

@@ -14,11 +14,7 @@
 // With -trace DIR, every sweep point additionally writes its binary event
 // trace (punotrace's .evt format) into DIR, one file per point, for
 // point-vs-point diffing with `punotrace diff`. Tracing runs the points one
-// at a time (each point may still use -shards workers internally); the
-// printed table is identical either way.
-//
-// -shards N runs each simulation on N worker goroutines (conservative
-// PDES); tables and traces are bit-identical to -shards 1.
+// at a time; the printed table is identical either way.
 package main
 
 import (
@@ -112,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		txper    = fs.Int("txper", 0, "transactions per node (0 = profile default)")
 		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		shards   = fs.Int("shards", 1, "worker goroutines per simulation (PDES; 1 = serial, results bit-identical)")
 		traceDir = fs.String("trace", "", "write each point's binary event trace (.evt) into this directory (forces serial execution)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (samples carry per-run pprof labels: task index and workload/scheme/seed)")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -130,14 +125,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer profiler.Stop()
-	runErr := runSweep(ctx, *sweep, *workload, *seed, *txper, *parallel, *shards, *traceDir, stdout)
+	runErr := runSweep(ctx, *sweep, *workload, *seed, *txper, *parallel, *traceDir, stdout)
 	if perr := profiler.Stop(); runErr == nil {
 		runErr = perr
 	}
 	return runErr
 }
 
-func runSweep(ctx context.Context, sweep, workload string, seed uint64, txper, parallel, shards int, traceDir string, stdout io.Writer) error {
+func runSweep(ctx context.Context, sweep, workload string, seed uint64, txper, parallel int, traceDir string, stdout io.Writer) error {
 	wl, err := puno.WorkloadByName(workload)
 	if err != nil {
 		return err
@@ -147,7 +142,6 @@ func runSweep(ctx context.Context, sweep, workload string, seed uint64, txper, p
 	}
 	base := puno.DefaultConfig()
 	base.Seed = seed
-	base.Shards = shards
 
 	pts, title, err := points(sweep, base, wl)
 	if err != nil {
@@ -157,8 +151,7 @@ func runSweep(ctx context.Context, sweep, workload string, seed uint64, txper, p
 	if traceDir != "" {
 		// Tracing runs the points one at a time through CaptureEvents:
 		// each point's trace needs its run's line table, and determinism
-		// guarantees the results match the parallel path's. CaptureEvents
-		// itself honors base.Shards (sharded capture, normalized trace).
+		// guarantees the results match the parallel path's.
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
 			return err
 		}

@@ -2,12 +2,42 @@ package puno
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/pdes"
 )
+
+// shardedCapture is CaptureEvents on the conservative-PDES coordinator,
+// which no entry point of the package runs: cfg split across shards worker
+// goroutines, returning the Result and the event trace. The trace is
+// normalized (LineIDs renumbered into first-appearance order) because shards
+// intern their first touches in a nondeterministic order; the serial engine's
+// IDs are already in that order, so the two compare byte for byte.
+func shardedCapture(t *testing.T, cfg Config, wl Workload, shards int) (*Result, *EventTrace) {
+	t.Helper()
+	var buf EventBuffer
+	cfg.EventSink = &buf
+	cfg.Shards = shards
+	co, err := pdes.New(cfg, wl)
+	if err != nil {
+		t.Fatalf("%s/%v shards=%d: %v", wl.Name(), cfg.Scheme, shards, err)
+	}
+	res, err := co.Run()
+	if err != nil {
+		t.Fatalf("%s/%v shards=%d: %v", wl.Name(), cfg.Scheme, shards, err)
+	}
+	et := &EventTrace{
+		Workload: wl.Name(),
+		Scheme:   cfg.Scheme.String(),
+		Seed:     cfg.Seed,
+		Lines:    co.LineTable(),
+		Events:   buf.Events(),
+	}
+	return res, et.Normalized()
+}
 
 // TestShardedTraceByteIdentical is the PDES contract test: for every
 // (workload, scheme) in the determinism set, a sharded run's binary event
@@ -30,12 +60,7 @@ func TestShardedTraceByteIdentical(t *testing.T) {
 			}
 
 			for _, shards := range []int{2, 4} {
-				scfg := cfg
-				scfg.Shards = shards
-				gotRes, gotTrace, err := CaptureEvents(scfg, wl)
-				if err != nil {
-					t.Fatalf("%s/%v shards=%d: %v", wl.Name(), sch, shards, err)
-				}
+				gotRes, gotTrace := shardedCapture(t, cfg, wl, shards)
 				if !reflect.DeepEqual(gotRes, wantRes) {
 					t.Errorf("%s/%v shards=%d: Result differs from serial", wl.Name(), sch, shards)
 				}
@@ -79,13 +104,9 @@ func TestShardedTieBreakExercised(t *testing.T) {
 	const shards = 2
 	cfg := detConfig()
 	cfg.Scheme = SchemePUNO
-	cfg.Shards = shards
 	wl := MustWorkload("intruder").WithTxPerCPU(4)
 
-	_, et, err := CaptureEvents(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, et := shardedCapture(t, cfg, wl, shards)
 	// Shard s owns the contiguous node range [s*N/S, (s+1)*N/S).
 	owner := func(node int16) int { return int(node) * shards / cfg.Nodes }
 	pairs := 0
@@ -101,31 +122,17 @@ func TestShardedTieBreakExercised(t *testing.T) {
 	t.Logf("%d same-cycle cross-shard adjacencies across %d events", pairs, len(et.Events))
 }
 
-// TestShardedSweepMatchesGolden renders every figure from a 4-shard sweep
-// against the pre-existing serial golden file: the parallelized simulator
-// must not move a single byte of the paper's tables.
-func TestShardedSweepMatchesGolden(t *testing.T) {
-	cfg := detConfig()
-	cfg.Shards = 4
-	sweep, err := detSweep(context.Background(), cfg, SweepOptions{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "sweep_golden.txt", renderAll(t, sweep))
-}
-
 // big256Config is the 16x16-mesh stress point: four times the largest mesh
 // the sharer tracking previously supported (the directory's node set was a
 // single uint64 word). Footprint hints re-derive automatically — the
 // profile's FootprintLines scales with the node count — so the interner
 // and dense directory tables pre-size for the larger machine the same way
 // the 64-node pair does.
-func big256Config(shards int) Config {
+func big256Config() Config {
 	cfg := detConfig()
 	cfg.Scheme = SchemePUNO
 	cfg.Mesh.Width, cfg.Mesh.Height = 16, 16
 	cfg.Nodes = 256
-	cfg.Shards = shards
 	return cfg
 }
 
@@ -139,7 +146,7 @@ func big256Workload() *Profile { return MustWorkload("intruder").WithTxPerCPU(1)
 // and four-row shard bands must not move a single event.
 func TestSharded256TraceByteIdentical(t *testing.T) {
 	wl := big256Workload()
-	wantRes, wantTrace, err := CaptureEvents(big256Config(1), wl)
+	wantRes, wantTrace, err := CaptureEvents(big256Config(), wl)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
@@ -148,10 +155,7 @@ func TestSharded256TraceByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 4} {
-		gotRes, gotTrace, err := CaptureEvents(big256Config(shards), wl)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+		gotRes, gotTrace := shardedCapture(t, big256Config(), wl, shards)
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Errorf("shards=%d: Result differs from serial", shards)
 		}
@@ -198,16 +202,13 @@ func renderBig256(r *Result) string {
 // TestBig256Golden pins the 256-node run's measurements under testdata/
 // and requires the 4-shard coordinator to reproduce them exactly.
 func TestBig256Golden(t *testing.T) {
-	serial, err := Run(big256Config(1), big256Workload())
+	serial, err := Run(big256Config(), big256Workload())
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := renderBig256(serial)
 	compareGolden(t, "big256_golden.txt", got)
-	sharded, err := Run(big256Config(4), big256Workload())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded, _ := shardedCapture(t, big256Config(), big256Workload(), 4)
 	if sgot := renderBig256(sharded); sgot != got {
 		t.Errorf("sharded 256-node digest differs from serial:\n--- sharded ---\n%s--- serial ---\n%s", sgot, got)
 	}

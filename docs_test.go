@@ -46,12 +46,14 @@ func TestDocsResolve(t *testing.T) {
 
 // The checker itself, on the five names the design document carried for
 // months after the code they named was gone (an engine entry point, a send
-// helper, two packages and a fixture directory), one stale name of each
-// other kind, and the names it must leave alone.
+// helper, two packages and a fixture directory), the two ways users once
+// reached the PDES coordinator, one stale name of each other kind, and the
+// names it must leave alone.
 func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 	stale := []string{
 		"`Engine.StepBefore`", "`Machine.sendMsg`", "`internal/detmap`",
 		"`internal/stats`", "`testdata/src/tracebox`",
+		"`make bench-pdes PDES_BENCHTIME=2s`", "`punosim -shards N`",
 		"`sim.NoSuchFunc`", "`nosuchpkg.Thing`", "`no_such_file.go`", "`puno.go:99999`",
 		"`make bench-serve`", "`punotrace record -o x.trace`", "`punosim -no-such-flag`",
 		"`-no-such-flag`", "`TestNoSuchTest`", "`sim.no_such_metric`",
@@ -64,7 +66,7 @@ func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 	}
 	sound := "`Engine.AtEvent` `node.msgTo` `sim.Engine.Now` `cm.PUNO.NotifyEachRetry` `*sim.RNG` " +
 		"`internal/{sim,noc}` `internal/lint/testdata/src/tracebox` `events.go` `machine/encode.go` " +
-		"`make lint` `make bench-pdes PDES_BENCHTIME=2s` `punosim -shards N` `cmd/experiments -exp table1` " +
+		"`make lint` `cmd/experiments -exp table1` " +
 		"`-cache-dir` `TestDocsResolve` `BenchmarkSweepParallelism/serial` `sim.kernel_ns_per_event` " +
 		"`runtime.convT64` `http.Post` `go test -race ./...` `bash bench/run.sh --trace 1` `map[mem.Line]`\n" +
 		"```\npunotrace diff -a a.evt -b b.evt   # comment -not-a-flag\nmake serve-smoke\n```\n"

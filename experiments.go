@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/area"
 	"repro/internal/machine"
-	"repro/internal/pdes"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/stamp"
@@ -55,15 +54,12 @@ type RunSpec struct {
 // instead of once per sweep point. A run on a warm arena still allocates the
 // per-node objects Machine.Reset documents as rebuilt (programs, RNGs,
 // contention managers) and the Result copy Run returns — a constant per
-// node count — and nothing per event or per transaction. Serial and sharded
-// (PDES) runs keep separate arenas, since a caller may mix shardable and
-// fallback specs.
+// node count — and nothing per event or per transaction.
 // Results are identical to fresh construction — Machine.Reset and New share
 // one code path. An Arena is not safe for concurrent use; long-lived pools
 // (punoserve) keep one per worker goroutine, exactly as RunSpecs does.
 type Arena struct {
-	m  *Machine
-	co *pdes.Coordinator
+	m *Machine
 }
 
 // NewArena returns an empty arena; the first Run populates it.
@@ -73,21 +69,6 @@ func NewArena() *Arena { return &Arena{} }
 // result (the machine's internal Result is reused by the next run).
 func (a *Arena) Run(sp RunSpec) (*Result, error) {
 	var err error
-	if pdes.Eligible(sp.Config, sp.Workload) {
-		if a.co == nil {
-			a.co, err = pdes.New(sp.Config, sp.Workload)
-		} else {
-			err = a.co.Reset(sp.Config, sp.Workload)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res, err := a.co.Run()
-		if err != nil {
-			return nil, err
-		}
-		return res.Clone(), nil
-	}
 	if a.m == nil {
 		a.m, err = machine.New(sp.Config, sp.Workload)
 	} else {
@@ -113,19 +94,9 @@ func (a *Arena) Run(sp RunSpec) (*Result, error) {
 // pprof labels (task index and workload/scheme/seed), so CPU profiles
 // taken over a sweep attribute samples per sweep point.
 func RunSpecs(ctx context.Context, specs []RunSpec, opts SweepOptions) ([]*Result, error) {
-	// A sharded spec occupies Config.Shards goroutines while it runs, so
-	// tell the pool the widest task footprint and let it shrink the
-	// auto-selected worker count to keep total concurrency near GOMAXPROCS.
-	threads := 1
-	for _, sp := range specs {
-		if pdes.Eligible(sp.Config, sp.Workload) && sp.Config.Shards > threads {
-			threads = sp.Config.Shards
-		}
-	}
 	ropts := runner.Options{
-		Workers:     opts.Parallel,
-		TaskThreads: threads,
-		Progress:    opts.Progress,
+		Workers:  opts.Parallel,
+		Progress: opts.Progress,
 		Label: func(i int) string {
 			sp := specs[i]
 			return fmt.Sprintf("%s/%v/seed%d", sp.Workload.Name(), sp.Config.Scheme, sp.Config.Seed)

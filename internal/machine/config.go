@@ -119,15 +119,12 @@ type Config struct {
 
 	Seed uint64
 
-	// Shards, when > 1, runs the machine under the conservative PDES
-	// coordinator (internal/pdes): nodes are partitioned into contiguous
-	// mesh regions, each simulated by its own worker goroutine, with
-	// cross-shard messages merged in (cycle, seq) order so the trajectory —
-	// results and event traces — is bit-identical to the serial run. 0 or 1
-	// selects today's serial path, byte-for-byte unchanged. Configurations
-	// the coordinator cannot shard (SampleInterval, TraceFn, SchemeATS,
-	// workloads without a footprint hint) fall back to serial silently:
-	// sharding is an execution strategy, never an observable one.
+	// Shards is read only by internal/pdes: its coordinator splits the
+	// machine into that many bands of mesh rows, one worker goroutine each,
+	// with results and event traces bit-identical to the serial run. Every
+	// other entry point runs the serial engine whatever Shards holds; the
+	// repository benchmark's probe and the determinism tests are the
+	// coordinator's only callers.
 	Shards int
 
 	// TraceFn, when non-nil, receives a line for every notable protocol

@@ -20,19 +20,9 @@ import (
 // Options configures one Map call.
 type Options struct {
 	// Workers is the number of concurrent goroutines. Zero or negative
-	// selects runtime.GOMAXPROCS(0), divided by TaskThreads when tasks are
-	// themselves parallel. One runs every task inline on the calling
-	// goroutine, in index order — the exact serial semantics.
+	// selects runtime.GOMAXPROCS(0). One runs every task inline on the
+	// calling goroutine, in index order — the exact serial semantics.
 	Workers int
-
-	// TaskThreads is how many goroutines one task occupies while it runs
-	// (1 for an ordinary serial task). A sharded simulation run, for
-	// example, spawns Config.Shards workers of its own, so a pool of
-	// GOMAXPROCS such tasks would oversubscribe the host by that factor.
-	// TaskThreads only influences the automatic pool size: when Workers
-	// <= 0 the pool is GOMAXPROCS/TaskThreads (at least 1). An explicit
-	// Workers count is always respected unchanged. Values < 1 mean 1.
-	TaskThreads int
 
 	// Progress, when non-nil, is called after each task finishes with the
 	// number of completed tasks and the total. Calls are serialized, but
@@ -46,22 +36,6 @@ type Options struct {
 	// undifferentiated pool. Label must be safe to call from pool
 	// goroutines.
 	Label func(i int) string
-}
-
-// AutoWorkers returns the automatic pool size for tasks that each occupy
-// taskThreads goroutines while running: GOMAXPROCS divided by taskThreads,
-// never below 1. It is the sizing rule MapWorkers applies when
-// Options.Workers <= 0, exported so long-lived pools (punoserve's worker
-// pool) size themselves identically to a one-shot sweep.
-func AutoWorkers(taskThreads int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if taskThreads > 1 {
-		workers /= taskThreads
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	return workers
 }
 
 // TaskError wraps a task failure with the index it occurred at.
@@ -107,7 +81,7 @@ func MapWorkers[S, T any](ctx context.Context, n int, opts Options, newState fun
 	}
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = AutoWorkers(opts.TaskThreads)
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

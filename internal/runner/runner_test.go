@@ -15,8 +15,12 @@ import (
 
 func TestMapReturnsResultsInIndexOrder(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
-		got, err := Map(context.Background(), 50, Options{Workers: workers},
-			func(_ context.Context, i int) (int, error) { return i * i, nil })
+		ctx := context.Background()
+		if workers == 7 {
+			ctx = nil // a nil context is context.Background()
+		}
+		got, err := Map(ctx, 50, Options{Workers: workers},
+			func(ctx context.Context, i int) (int, error) { return i * i, ctx.Err() })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -200,13 +204,19 @@ func TestTaskErrorUnwrap(t *testing.T) {
 
 // TestMapWorkersStatePerGoroutine: each pool goroutine gets exactly one
 // state from newState, every task sees its own goroutine's state, and no
-// state is shared across goroutines.
+// state is shared across goroutines. newState runs once per pool goroutine
+// whether or not it takes work, so the state count is the pool size: the
+// Workers count, or min(GOMAXPROCS, tasks) when Workers <= 0.
 func TestMapWorkersStatePerGoroutine(t *testing.T) {
 	type state struct {
 		worker int
 		tasks  []int
 	}
-	for _, workers := range []int{1, 2, 5} {
+	for _, c := range []struct{ workers, want int }{
+		{1, 1}, {2, 2}, {5, 5},
+		{0, min(runtime.GOMAXPROCS(0), 40)},
+	} {
+		workers := c.workers
 		var mu sync.Mutex
 		var states []*state
 		_, err := MapWorkers(context.Background(), 40, Options{Workers: workers},
@@ -224,8 +234,8 @@ func TestMapWorkersStatePerGoroutine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(states) > workers {
-			t.Fatalf("workers=%d: newState ran %d times", workers, len(states))
+		if len(states) != c.want {
+			t.Fatalf("workers=%d: newState ran %d times, want %d", workers, len(states), c.want)
 		}
 		seen := map[int]bool{}
 		total := 0
@@ -319,63 +329,5 @@ func TestMapNoLabelsWithoutLabelFunc(t *testing.T) {
 		})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMapTaskThreadsShrinksAutoPool: when tasks are themselves parallel
-// (TaskThreads > 1), the auto-sized pool divides GOMAXPROCS by that factor
-// so total goroutine concurrency stays bounded. newState runs once per pool
-// goroutine, so the number of distinct states observed is the pool size.
-func TestMapTaskThreadsShrinksAutoPool(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		workers, threads, want int
-	}{
-		{0, procs, 1},     // auto: pool collapses to serial
-		{0, procs * 8, 1}, // auto: never below one worker
-		{3, 100, 3},       // explicit Workers wins unchanged
-		{0, 1, procs},     // threads=1 leaves auto-sizing alone
-		{0, 0, procs},     // zero means one thread
-	}
-	for _, c := range cases {
-		var states int32
-		_, err := MapWorkers(context.Background(), 4*procs,
-			Options{Workers: c.workers, TaskThreads: c.threads},
-			func(int) int { return int(atomic.AddInt32(&states, 1)) },
-			func(_ context.Context, i int, _ int) (int, error) {
-				time.Sleep(time.Millisecond) // hold the slot so every worker takes work
-				return i, nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := c.want
-		if want > 4*procs {
-			want = 4 * procs
-		}
-		if got := int(atomic.LoadInt32(&states)); got != want {
-			t.Errorf("Workers=%d TaskThreads=%d: %d pool states, want %d",
-				c.workers, c.threads, got, want)
-		}
-	}
-}
-
-// AutoWorkers is the exported sizing rule; it must agree with what the
-// pool-state test above observes MapWorkers doing.
-func TestAutoWorkers(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	cases := []struct{ threads, want int }{
-		{0, procs},
-		{1, procs},
-		{procs, 1},
-		{procs * 8, 1},
-	}
-	if procs >= 4 {
-		cases = append(cases, struct{ threads, want int }{2, procs / 2})
-	}
-	for _, c := range cases {
-		if got := AutoWorkers(c.threads); got != c.want {
-			t.Errorf("AutoWorkers(%d) = %d, want %d", c.threads, got, c.want)
-		}
 	}
 }

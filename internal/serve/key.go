@@ -55,9 +55,8 @@ const wlMagic = "punowl/1"
 // BuildKey derives the content address of one simulation point. The
 // material is keyMagic, the code version (len-prefixed), the Config's
 // canonical punocfg/1 encoding, and the workload profile's canonical
-// encoding; Shards is excluded by the Config encoding because sharding is
-// an execution strategy with bit-identical results, so serial and PDES
-// executions of one point share a cache slot.
+// encoding. Shards is excluded by the Config encoding: the service runs
+// every point on the serial engine whatever Shards holds.
 func BuildKey(codeVersion string, cfg puno.Config, wl *puno.Profile) (Key, error) {
 	b := make([]byte, 0, 512)
 	b = append(b, keyMagic...)

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	puno "repro"
-	"repro/internal/runner"
 )
 
 // ErrBusy is returned by TryEnqueue when the bounded queue is full. The
@@ -21,9 +21,7 @@ var ErrDraining = errors.New("serve: server draining")
 // Pool is the persistent worker pool. Each worker goroutine owns one
 // reusable puno.Arena — the same Machine.Reset machinery a sweep worker
 // uses — so steady-state requests pay simulation time, not machine
-// construction. Sizing follows runner.AutoWorkers: a deployment expecting
-// sharded (PDES) specs sets taskThreads to the widest Config.Shards so the
-// pool does not oversubscribe the host.
+// construction.
 type Pool struct {
 	queue chan *Task
 	wg    sync.WaitGroup
@@ -52,18 +50,13 @@ type Task struct {
 	OnDone  func(res *puno.Result, err error)
 }
 
-// NewPool starts workers goroutines (<=0 sizes via
-// runner.AutoWorkers(taskThreads)) over a bounded queue of depth slots
-// (<=0 selects 4x the worker count).
-func NewPool(workers, taskThreads, depth int) *Pool {
-	return newPool(workers, taskThreads, depth, nil)
-}
-
-// newPool is NewPool plus the test gate; the gate is installed before any
-// worker starts, so workers may read it unsynchronized.
-func newPool(workers, taskThreads, depth int, gate *testGate) *Pool {
+// newPool starts workers goroutines (<=0 selects GOMAXPROCS) over a bounded
+// queue of depth slots (<=0 selects 4x the worker count). gate is non-nil
+// only in tests; it is installed before any worker starts, so workers may
+// read it unsynchronized.
+func newPool(workers, depth int, gate *testGate) *Pool {
 	if workers <= 0 {
-		workers = runner.AutoWorkers(taskThreads)
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if depth <= 0 {
 		depth = 4 * workers

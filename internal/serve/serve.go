@@ -21,7 +21,6 @@ type Spec struct {
 	Seed          uint64 `json:"seed,omitempty"`
 	TxPerCPU      int    `json:"tx_per_cpu,omitempty"`
 	Nodes         int    `json:"nodes,omitempty"`
-	Shards        int    `json:"shards,omitempty"`
 	SignatureBits int    `json:"signature_bits,omitempty"`
 }
 
@@ -29,8 +28,7 @@ type Spec struct {
 // before any of its sizes reaches an allocation or a loop bound. Each is at
 // least ten times the largest value a profile, test, experiment or
 // benchmark uses (profiles top out at 250 transactions per CPU, the
-// signature ablation at 2048 bits); nodes is bounded by coherence.MaxNodes
-// and shards by the node count.
+// signature ablation at 2048 bits); nodes is bounded by coherence.MaxNodes.
 const (
 	maxTxPerCPU      = 10_000
 	maxSignatureBits = 1 << 16
@@ -81,10 +79,6 @@ func (sp Spec) resolve() (puno.RunSpec, *puno.Profile, error) {
 		cfg.Mesh.Width = w
 		cfg.Mesh.Height = w
 	}
-	if sp.Shards < 0 || sp.Shards > cfg.Nodes {
-		return fail("shards must be in 0..nodes (%d), got %d", cfg.Nodes, sp.Shards)
-	}
-	cfg.Shards = sp.Shards
 	if sp.SignatureBits < 0 || sp.SignatureBits > maxSignatureBits {
 		return fail("signature_bits must be in 0..%d, got %d", maxSignatureBits, sp.SignatureBits)
 	}
@@ -149,8 +143,7 @@ func (j *Job) Snapshot() (JobState, string, <-chan struct{}) {
 type Options struct {
 	CacheEntries int    // in-memory LRU capacity (<=0: 1024)
 	CacheDir     string // disk tier root ("" disables)
-	Workers      int    // pool size (<=0: runner.AutoWorkers(TaskThreads))
-	TaskThreads  int    // widest Config.Shards expected, for pool sizing
+	Workers      int    // pool size (<=0: GOMAXPROCS)
 	QueueDepth   int    // bounded queue slots (<=0: 4x workers)
 	MaxJobs      int    // job registry cap (<=0: 4096)
 	CodeVersion  string // cache-key code version ("" : DetectCodeVersion)
@@ -212,7 +205,7 @@ func newService(opts Options, gate *testGate) (*Service, error) {
 	}
 	return &Service{
 		cache:       cache,
-		pool:        newPool(opts.Workers, opts.TaskThreads, opts.QueueDepth, gate),
+		pool:        newPool(opts.Workers, opts.QueueDepth, gate),
 		codeVersion: cv,
 		maxJobs:     maxJobs,
 		flights:     make(map[Key]*flight),

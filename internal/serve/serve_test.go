@@ -144,12 +144,6 @@ func TestKeyDerivation(t *testing.T) {
 		distinct[k] = name
 	}
 
-	// Shards is an execution strategy: same key, same cache slot.
-	sharded := resolveKey(Spec{Workload: "kmeans", TxPerCPU: 2, Seed: 1, Shards: 4}, "v1")
-	if sharded != base {
-		t.Fatal("shards changed the cache key; serial and PDES runs must share a slot")
-	}
-
 	// Every request, warm or cold, builds one key before the cache lookup;
 	// the key material must stay on the stack.
 	rs, prof, err := fastSpec(1).resolve()
@@ -213,12 +207,9 @@ func TestSpecValidation(t *testing.T) {
 		{Workload: "kmeans", Nodes: 17 * 17}, // a square, but past the sharer bitset
 		{Workload: "kmeans", Nodes: 1 << 62},
 		{Workload: "kmeans", TxPerCPU: -1},
-		{Workload: "kmeans", Shards: -2},
 		{Workload: "kmeans", SignatureBits: -1},
 		{Workload: "kmeans", TxPerCPU: maxTxPerCPU + 1},
 		{Workload: "kmeans", SignatureBits: maxSignatureBits + 1},
-		{Workload: "kmeans", Shards: 17}, // the default machine has 16 nodes
-		{Workload: "kmeans", Nodes: 4, Shards: 5},
 		{},
 	}
 	for _, sp := range bad {
@@ -230,7 +221,6 @@ func TestSpecValidation(t *testing.T) {
 	for _, sp := range []Spec{
 		{Workload: "kmeans", TxPerCPU: maxTxPerCPU},
 		{Workload: "kmeans", SignatureBits: maxSignatureBits},
-		{Workload: "kmeans", Nodes: 4, Shards: 4},
 	} {
 		if _, _, err := sp.resolve(); err != nil {
 			t.Errorf("spec %+v at its cap: %v", sp, err)
@@ -242,7 +232,6 @@ func TestSpecValidation(t *testing.T) {
 	for want, sp := range map[string]Spec{
 		"tx_per_cpu must be in 0..10000":     {Workload: "kmeans", TxPerCPU: 1 << 40},
 		"signature_bits must be in 0..65536": {Workload: "kmeans", SignatureBits: 1 << 40},
-		"shards must be in 0..nodes (16)":    {Workload: "kmeans", Shards: 1 << 40},
 	} {
 		if _, _, err := sp.resolve(); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), want) {
 			t.Errorf("spec %+v: %v, want ErrBadSpec naming the limit (%q)", sp, err, want)

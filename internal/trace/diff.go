@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/machine"
-	"repro/internal/pdes"
 	"repro/internal/probe"
 )
 
@@ -110,32 +109,11 @@ func formatArg(e probe.Event) string {
 
 // CaptureEvents runs wl under cfg with an event sink installed and returns
 // both the run's measurements and its full event trace. cfg.EventSink is
-// overridden for the run. When cfg.Shards selects an eligible sharded run,
-// the capture goes through the PDES coordinator and the returned trace is
-// normalized (first-appearance LineID order) — byte-identical to the
-// serial capture; a serial capture keeps its raw IDs, which are already in
-// appearance order.
+// overridden for the run. The serial engine interns lines in order of first
+// appearance, so the trace's raw LineIDs are already in appearance order.
 func CaptureEvents(cfg machine.Config, wl machine.Workload) (*machine.Result, *EventTrace, error) {
 	var buf probe.Buffer
 	cfg.EventSink = &buf
-	if pdes.Eligible(cfg, wl) {
-		co, err := pdes.New(cfg, wl)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := co.Run()
-		if err != nil {
-			return nil, nil, err
-		}
-		t := &EventTrace{
-			Workload: wl.Name(),
-			Scheme:   cfg.Scheme.String(),
-			Seed:     cfg.Seed,
-			Lines:    co.LineTable(),
-			Events:   buf.Events(),
-		}
-		return res, t.Normalized(), nil
-	}
 	m, err := machine.New(cfg, wl)
 	if err != nil {
 		return nil, nil, err

@@ -160,6 +160,22 @@ func TestCaptureIsTrajectoryNeutral(t *testing.T) {
 	}
 }
 
+func TestCaptureEventsErrors(t *testing.T) {
+	wl := testWL(t)
+
+	bad := testCfg(machine.SchemePUNO)
+	bad.Nodes = 15 // does not match the 4x4 mesh
+	if _, _, err := CaptureEvents(bad, wl); err == nil {
+		t.Fatal("capture of an invalid config did not error")
+	}
+
+	hung := testCfg(machine.SchemePUNO)
+	hung.MaxCycles = 10
+	if _, _, err := CaptureEvents(hung, wl); err == nil {
+		t.Fatal("capture of a hung run did not error")
+	}
+}
+
 // Arena reuse must not leak a sink: a Reset to a config without one stops
 // emission, and the trajectory stays byte-identical either way.
 func TestResetClearsSink(t *testing.T) {

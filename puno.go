@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/pdes"
 	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stamp"
@@ -137,18 +136,8 @@ func AllSchemes() []Scheme { return machine.AllSchemes() }
 // callers that want to preload memory or inspect state mid-run).
 func NewMachine(cfg Config, wl Workload) (*Machine, error) { return machine.New(cfg, wl) }
 
-// Run builds and runs a machine to completion. When cfg.Shards > 1 and the
-// configuration is shardable, the run executes under the conservative PDES
-// coordinator (internal/pdes) — several worker goroutines, bit-identical
-// results; otherwise it falls back to the serial path.
+// Run builds and runs a machine to completion on the serial engine.
 func Run(cfg Config, wl Workload) (*Result, error) {
-	if pdes.Eligible(cfg, wl) {
-		co, err := pdes.New(cfg, wl)
-		if err != nil {
-			return nil, err
-		}
-		return co.Run()
-	}
 	m, err := machine.New(cfg, wl)
 	if err != nil {
 		return nil, err
