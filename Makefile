@@ -50,11 +50,12 @@ cover-update:
 	$(GO) run ./cmd/punocover -i cover.txt -thresholds COVERAGE.json -update
 	@rm -f cover.txt
 
-# Per-figure and ablation benchmarks (the parallel-vs-serial sweep speedup
-# is BenchmarkSweepParallelism). Substrate numbers come from the repository
-# benchmark's kernels, `bash bench/run.sh --trace 1`: sim.kernel_ns_per_event,
-# noc.kernel_ns_per_send, cache.kernel_ns_per_access,
-# htm.kernel_sig_ns_per_op, machine.run_ms.
+# Host-time benchmarks only: BenchmarkSweepParallelism (serial vs pooled vs
+# traced sweep) and the internal/noc mesh benches. Simulated results come
+# from cmd/experiments (tables, figures, -exp <ablation>); substrate numbers
+# from the repository benchmark's kernels, `bash bench/run.sh --trace 1`:
+# sim.kernel_ns_per_event, noc.kernel_ns_per_send,
+# cache.kernel_ns_per_access, htm.kernel_sig_ns_per_op, machine.run_ms.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 

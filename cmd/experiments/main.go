@@ -1,11 +1,19 @@
-// Command experiments regenerates the paper's tables and figures. With no
-// flags it runs the complete evaluation (all eight workloads, all four
-// schemes) and prints every table; -exp selects one experiment, -csv emits
-// machine-readable output, and -scale shrinks or grows the workloads. Runs
-// fan out across -parallel workers (default GOMAXPROCS; -parallel=1 is the
-// classic serial mode). -seeds takes one seed or several: with several,
-// every run is repeated per seed, Table I and Figs. 2–3 aggregate over the
-// seeds, and the normalized figures and the summary report mean±stddev.
+// Command experiments regenerates the paper's tables and figures and runs
+// the design-choice ablations. With no flags it runs the complete evaluation
+// (all eight workloads, all four schemes) and prints every table; -exp
+// selects one experiment or one ablation, -csv emits machine-readable
+// output, and -scale shrinks or grows the workloads. Runs fan out across
+// -parallel workers (default GOMAXPROCS; -parallel=1 is the classic serial
+// mode). -seeds takes one seed or several: with several, every run is
+// repeated per seed, Table I and Figs. 2–3 aggregate over the seeds, and the
+// normalized figures, the summary and the ablations report mean±stddev.
+//
+// An ablation (-exp validity|guard|mesh|schemes|signatures, puno.Ablations)
+// runs its points on its own workload unless -workload names another, and
+// prints one table. With -trace DIR every point additionally writes its
+// binary event trace (punotrace's .evt format), one file per point and
+// seed, for point-vs-point diffing with `punotrace diff`; tracing runs the
+// points one at a time and prints the same table.
 //
 // Usage:
 //
@@ -14,6 +22,8 @@
 //	experiments -exp table3        # no simulation needed
 //	experiments -scale 0.25        # quarter-size workloads for a quick look
 //	experiments -seeds 1,2,3,4,5   # 5-seed ensemble with confidence intervals
+//	experiments -exp validity -seeds 1,2,3
+//	experiments -exp schemes -workload yada -trace traces/
 package main
 
 import (
@@ -23,6 +33,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -59,17 +71,46 @@ func parseSeeds(s string) ([]uint64, error) {
 	return seeds, nil
 }
 
+// options are the command's flags.
+type options struct {
+	exp, seeds, workload, traceDir string
+	scale                          float64
+	csv                            bool
+	parallel                       int
+}
+
+// paperExperiments lists the -exp values that read the paper's run matrix.
+func paperExperiments() []string {
+	names := []string{"table1", "table2", "table3", "fig2", "fig3"}
+	for _, f := range puno.Figures() {
+		names = append(names, f.Name)
+	}
+	return append(names, "summary", "all")
+}
+
+// experimentNames lists every -exp value: the paper's, then the ablations.
+func experimentNames() []string {
+	names := paperExperiments()
+	for _, a := range puno.Ablations() {
+		names = append(names, a.Name)
+	}
+	return names
+}
+
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(experimentNames(), "|"))
+	fs.StringVar(&o.seeds, "seeds", "12345", "comma-separated simulation seeds; more than one reports mean±stddev cells")
+	fs.Float64Var(&o.scale, "scale", 1.0, "workload size multiplier")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.IntVar(&o.parallel, "parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&o.workload, "workload", "", "ablations only: run on this STAMP profile instead of the ablation's own")
+	fs.StringVar(&o.traceDir, "trace", "", "ablations only: write each point's binary event trace (.evt), one per point and seed, into this directory (runs serially)")
 	var (
-		exp      = fs.String("exp", "all", "experiment: table1|table2|table3|fig2|fig3|fig10|fig11|fig12|fig13|fig14|summary|all")
-		seedList = fs.String("seeds", "12345", "comma-separated simulation seeds; more than one reports mean±stddev figures")
-		scale    = fs.Float64("scale", 1.0, "workload size multiplier")
-		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		parallel = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (samples carry per-run pprof labels: task index and workload/scheme/seed)")
-		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file (samples carry per-run pprof labels: task index and workload/scheme/seed)")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,24 +125,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer profiler.Stop()
-	runErr := runExperiments(ctx, *exp, *seedList, *scale, *csv, *parallel, stdout, stderr)
+	runErr := runExperiments(ctx, o, stdout, stderr)
 	if perr := profiler.Stop(); runErr == nil {
 		runErr = perr
 	}
 	return runErr
 }
 
-func runExperiments(ctx context.Context, exp, seedList string, scale float64, csv bool, parallel int, stdout, stderr io.Writer) error {
-	seeds, err := parseSeeds(seedList)
+func runExperiments(ctx context.Context, o options, stdout, stderr io.Writer) error {
+	seeds, err := parseSeeds(o.seeds)
 	if err != nil {
 		return err
 	}
+	want := strings.ToLower(o.exp)
+	for _, a := range puno.Ablations() {
+		if a.Name == want {
+			return runAblation(ctx, a, seeds, o, stdout, stderr)
+		}
+	}
+	if !slices.Contains(paperExperiments(), want) {
+		return fmt.Errorf("unknown -exp %q (valid: %s)", o.exp, strings.Join(experimentNames(), ", "))
+	}
+	if o.workload != "" || o.traceDir != "" {
+		return fmt.Errorf("-workload and -trace apply only to the ablations, not to -exp %s", o.exp)
+	}
 	cfg := puno.DefaultConfig()
-	want := strings.ToLower(exp)
 
 	// Table II and Table III need no simulation.
 	if want == "table2" {
-		printTable(stdout, puno.Table2(cfg), csv)
+		printTable(stdout, puno.Table2(cfg), o.csv)
 		return nil
 	}
 	if want == "table3" {
@@ -117,9 +169,9 @@ func runExperiments(ctx context.Context, exp, seedList string, scale float64, cs
 
 	start := time.Now()
 	fmt.Fprintf(stderr, "running %d workloads x %d schemes x %d seeds (scale %.2f)...\n",
-		len(puno.Workloads()), len(schemes), len(seeds), scale)
-	sweep, err := puno.RunEnsemble(ctx, cfg, puno.ScaledWorkloads(scale), schemes, seeds,
-		puno.SweepOptions{Parallel: parallel})
+		len(puno.Workloads()), len(schemes), len(seeds), o.scale)
+	sweep, err := puno.RunEnsemble(ctx, cfg, puno.ScaledWorkloads(o.scale), schemes, seeds,
+		puno.SweepOptions{Parallel: o.parallel})
 	if err != nil {
 		return err
 	}
@@ -139,11 +191,11 @@ func runExperiments(ctx context.Context, exp, seedList string, scale float64, cs
 			if err != nil {
 				return err
 			}
-			printTable(stdout, t, csv)
+			printTable(stdout, t, o.csv)
 			fmt.Fprintln(stdout)
 		}
 		if it.name == "table1" && want == "all" {
-			printTable(stdout, puno.Table2(cfg), csv)
+			printTable(stdout, puno.Table2(cfg), o.csv)
 			fmt.Fprintln(stdout)
 		}
 		if it.name == "fig2" && (want == "all" || want == "fig3") {
@@ -179,4 +231,87 @@ func printTable(w io.Writer, t *puno.Table, csv bool) {
 		return
 	}
 	fmt.Fprint(w, t.String())
+}
+
+// runAblation runs every point of a at every seed and prints its table.
+func runAblation(ctx context.Context, a puno.Ablation, seeds []uint64, o options, stdout, stderr io.Writer) error {
+	name := a.Workload
+	if o.workload != "" {
+		name = o.workload
+	}
+	wl, err := puno.WorkloadByName(name)
+	if err != nil {
+		return err
+	}
+	wl = puno.ScaleWorkload(wl, o.scale)
+	specs := a.Specs(puno.DefaultConfig(), wl, seeds)
+
+	start := time.Now()
+	fmt.Fprintf(stderr, "running ablation %s: %d points x %d seeds on %s (scale %.2f)...\n",
+		a.Name, len(a.Points), len(seeds), wl.Name(), o.scale)
+	var results []*puno.Result
+	if o.traceDir != "" {
+		results, err = captureSpecs(ctx, a, specs, len(seeds), o.traceDir)
+	} else {
+		results, err = puno.RunSpecs(ctx, specs, puno.SweepOptions{Parallel: o.parallel})
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "sweep done in %v\n", time.Since(start).Round(time.Millisecond))
+	printTable(stdout, a.Table(wl, results), o.csv)
+	return nil
+}
+
+// captureSpecs runs an ablation's specs one at a time through CaptureEvents
+// and saves each run's event trace into dir as NN-<label>-seedS.evt: a trace
+// needs its run's line table, and determinism makes the results match the
+// pooled path's.
+func captureSpecs(ctx context.Context, a puno.Ablation, specs []puno.RunSpec, seeds int, dir string) ([]*puno.Result, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	results := make([]*puno.Result, len(specs))
+	for i, sp := range specs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		label := a.Points[i/seeds].Label
+		res, et, err := puno.CaptureEvents(sp.Config, sp.Workload)
+		if err != nil {
+			return nil, fmt.Errorf("%s (seed %d): %w", label, sp.Config.Seed, err)
+		}
+		results[i] = res
+		path := filepath.Join(dir, fmt.Sprintf("%02d-%s-seed%d.evt", i/seeds, sanitizeLabel(label), sp.Config.Seed))
+		if err := saveEvents(path, et); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// sanitizeLabel turns an ablation-point label into a filename fragment.
+func sanitizeLabel(label string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
+			return r
+		case r >= 'A' && r <= 'Z':
+			return r + ('a' - 'A')
+		default:
+			return '-'
+		}
+	}, label)
+}
+
+func saveEvents(path string, et *puno.EventTrace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := et.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

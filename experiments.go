@@ -166,11 +166,14 @@ func (s *Sweep) Baseline(wl string) ([]*Result, error) {
 }
 
 // title says how a multi-seed table's cells aggregate the seeds.
-func (s *Sweep) title(base, how string) string {
-	if len(s.Seeds) == 1 {
+func (s *Sweep) title(base, how string) string { return seedsTitle(base, how, len(s.Seeds)) }
+
+// seedsTitle says how a table's cells aggregate n seeds.
+func seedsTitle(base, how string, n int) string {
+	if n == 1 {
 		return base
 	}
-	return fmt.Sprintf("%s (%s over %d seeds)", base, how, len(s.Seeds))
+	return fmt.Sprintf("%s (%s over %d seeds)", base, how, n)
 }
 
 // meanOver averages metric over a cell's seeds: Table I and Fig. 2 report means.
@@ -192,11 +195,17 @@ type Stat struct {
 
 // String renders the stat as a figure cell: mean±stddev over several seeds,
 // the bare value for one, n/a (a NaN mean) for none.
-func (s Stat) String() string {
-	if s.N > 1 {
-		return fmt.Sprintf("%.3f±%.3f", s.Mean, s.Stddev)
+func (s Stat) String() string { return s.format(3) }
+
+// format renders the stat with prec decimals.
+func (s Stat) format(prec int) string {
+	switch {
+	case s.N > 1:
+		return fmt.Sprintf("%.*f±%.*f", prec, s.Mean, prec, s.Stddev)
+	case math.IsNaN(s.Mean):
+		return "n/a"
 	}
-	return report.Cell(s.Mean)
+	return fmt.Sprintf("%.*f", prec, s.Mean)
 }
 
 func statOf(vals []float64) Stat {
@@ -279,7 +288,7 @@ type Figure struct {
 }
 
 // Figs. 10–14 — the one place their names, titles and metrics are written;
-// the library, cmd/experiments and the benchmarks read it.
+// the library and cmd/experiments read it.
 var (
 	fig10 = Figure{"fig10", "Fig. 10 — normalized transaction aborts",
 		func(r *Result) float64 { return float64(r.Aborts) }}
@@ -298,6 +307,110 @@ var (
 
 // Figures lists the normalized figures in paper order.
 func Figures() []Figure { return []Figure{fig10, fig11, fig12, fig13, fig14} }
+
+// Ablation is one of the design choices DESIGN.md calls out, swept as
+// labelled Config edits on one workload; every point runs at every seed.
+type Ablation struct {
+	Name     string // the -exp value, "validity"
+	Title    string
+	Workload string // the default workload; cmd/experiments -workload overrides it
+	Points   []AblationPoint
+}
+
+// AblationPoint is one labelled Config edit of an ablation.
+type AblationPoint struct {
+	Label string
+	Apply func(*Config)
+}
+
+// Ablations lists the design-choice sweeps — the one place their points are
+// written; cmd/experiments runs each as -exp <name>.
+func Ablations() []Ablation {
+	validity := Ablation{Name: "validity", Title: "P-Buffer validity timeout (PUNO)", Workload: "labyrinth"}
+	for _, mult := range []int{1, 2, 4, 8, 16, 32, 64} {
+		validity.Points = append(validity.Points, AblationPoint{fmt.Sprintf("timeout %dx avg tx", mult),
+			func(c *Config) { c.Scheme, c.ValidityTimeoutMult = SchemePUNO, mult }})
+	}
+	validity.Points = append(validity.Points, AblationPoint{"no decay",
+		func(c *Config) { c.Scheme, c.DisableValidity = SchemePUNO, true }})
+
+	guard := Ablation{Name: "guard", Title: "notification guard band (PUNO; paper: 2x avg cache-to-cache)", Workload: "bayes"}
+	for _, g := range []Time{1, 12, 23, 46, 92, 184, 368} {
+		guard.Points = append(guard.Points, AblationPoint{fmt.Sprintf("guard %d cycles", g),
+			func(c *Config) { c.Scheme, c.NotifyGuardOverride = SchemePUNO, g }})
+	}
+
+	mesh := Ablation{Name: "mesh", Title: "machine size (Baseline vs PUNO)", Workload: "intruder"}
+	for _, d := range []struct{ w, h int }{{2, 2}, {4, 2}, {4, 4}, {8, 4}} {
+		for _, sch := range []Scheme{SchemeBaseline, SchemePUNO} {
+			mesh.Points = append(mesh.Points, AblationPoint{fmt.Sprintf("%dx%d %v", d.w, d.h, sch),
+				func(c *Config) { c.Scheme, c.Mesh.Width, c.Mesh.Height, c.Nodes = sch, d.w, d.h, d.w*d.h }})
+		}
+	}
+
+	// AllSchemes includes PUNO's parts (unicast only, notification only).
+	schemes := Ablation{Name: "schemes", Title: "every scheme, PUNO's parts and the extensions", Workload: "intruder"}
+	for _, sch := range AllSchemes() {
+		schemes.Points = append(schemes.Points, AblationPoint{sch.String(), func(c *Config) { c.Scheme = sch }})
+	}
+
+	signatures := Ablation{Name: "signatures", Title: "exact read/write sets vs Bloom signatures (Baseline)", Workload: "intruder"}
+	for _, bits := range []int{0, 512, 2048} {
+		label := "exact sets"
+		if bits > 0 {
+			label = fmt.Sprintf("%d-bit signatures", bits)
+		}
+		signatures.Points = append(signatures.Points, AblationPoint{label, func(c *Config) { c.SignatureBits = bits }})
+	}
+	return []Ablation{validity, guard, mesh, schemes, signatures}
+}
+
+// Specs expands the ablation on wl into its runs, point-major: point i at
+// seeds[j] is spec i*len(seeds)+j.
+func (a Ablation) Specs(base Config, wl Workload, seeds []uint64) []RunSpec {
+	specs := make([]RunSpec, 0, len(a.Points)*len(seeds))
+	for _, p := range a.Points {
+		for _, seed := range seeds {
+			cfg := base
+			p.Apply(&cfg)
+			cfg.Seed = seed
+			specs = append(specs, RunSpec{Config: cfg, Workload: wl})
+		}
+	}
+	return specs
+}
+
+// Table folds the results of Specs (same order) into one row per point, each
+// cell a Stat over the seeds.
+func (a Ablation) Table(wl Workload, results []*Result) *Table {
+	seeds := len(results) / len(a.Points)
+	t := report.NewTable(seedsTitle(a.Title+" on "+wl.Name(), "mean±stddev", seeds),
+		"point", "cycles", "aborts", "abort %", "false %", "unnecessary", "traffic")
+	cols := []struct {
+		prec   int
+		metric func(*Result) float64
+	}{
+		{0, func(r *Result) float64 { return float64(r.Cycles) }},
+		{0, func(r *Result) float64 { return float64(r.Aborts) }},
+		{1, func(r *Result) float64 { return 100 * r.AbortRate() }},
+		{1, func(r *Result) float64 { return 100 * r.FalseAbortFraction() }},
+		{0, func(r *Result) float64 { return float64(r.UnnecessaryAborts()) }},
+		{0, func(r *Result) float64 { return float64(r.Net.TotalTraversals()) }},
+	}
+	for i, p := range a.Points {
+		runs := results[i*seeds : (i+1)*seeds]
+		row := []string{p.Label}
+		for _, c := range cols {
+			vals := make([]float64, len(runs))
+			for j, r := range runs {
+				vals[j] = c.metric(r)
+			}
+			row = append(row, statOf(vals).format(c.prec))
+		}
+		t.AddRow(row...)
+	}
+	return t
+}
 
 // Figure renders one normalized figure: a column per scheme, a row per workload,
 // then the two mean rows (means of per-workload means, so no seed band).
@@ -456,16 +569,17 @@ func (s *Sweep) Summary() (SummaryStats, error) {
 }
 
 // ScaledWorkloads returns the standard suite with each profile's
-// transaction count multiplied by f (benchmark scaling; f<1 shrinks runs
-// for -short tests).
+// transaction count multiplied by f (f<1 shrinks runs for -short tests).
 func ScaledWorkloads(f float64) []*Profile {
 	out := stamp.All()
 	for i, p := range out {
-		n := int(float64(p.TxPerCPU())*f + 0.5)
-		if n < 2 {
-			n = 2
-		}
-		out[i] = p.WithTxPerCPU(n)
+		out[i] = ScaleWorkload(p, f)
 	}
 	return out
+}
+
+// ScaleWorkload returns p with its transaction count multiplied by f
+// (rounded, at least 2).
+func ScaleWorkload(p *Profile, f float64) *Profile {
+	return p.WithTxPerCPU(max(2, int(float64(p.TxPerCPU())*f+0.5)))
 }

@@ -36,7 +36,7 @@ type PredictorConfig struct {
 	// the observed average transaction length. The paper states the
 	// period is "determined dynamically based on the average transaction
 	// length" without giving the constant; 16x calibrates well across the
-	// workload suite (see the validity ablation bench) because a priority
+	// workload suite (see `experiments -exp validity`) because a priority
 	// retained across retries stays correct for several transaction
 	// lifetimes under contention.
 	TimeoutMultiplier int
@@ -80,7 +80,7 @@ type Predictor struct {
 	Mispreds   uint64
 	UDUpdates  uint64
 
-	// Multicast-fallback reasons (diagnostics and the ablation bench).
+	// Multicast-fallback reasons (diagnostics).
 	FallbackNoUD     uint64 // no forward targets to predict over
 	FallbackInvalid  uint64 // every sharer's priority validity expired
 	FallbackReqOlder uint64 // requester beats the best recorded sharer priority

@@ -82,7 +82,7 @@ func (s *Signature) Clear() {
 }
 
 // PopCount returns the number of set bits in the read and write filters,
-// a cheap occupancy measure used by tests and the ablation bench.
+// a cheap occupancy measure used by tests.
 func (s *Signature) PopCount() (readBits, writeBits int) {
 	for _, w := range s.read {
 		readBits += popcount(w)

@@ -595,7 +595,7 @@ func (m *Machine) LineTable() []mem.Line {
 }
 
 // Predictors exposes the per-directory PUNO predictors (nil entries when
-// the scheme does not use prediction). Diagnostics and ablation benches.
+// the scheme does not use prediction), for diagnostics.
 func (m *Machine) Predictors() []*core.Predictor { return m.preds }
 
 // CommittedIncrements returns how many OpIncr commits touched each address

@@ -88,7 +88,7 @@ func TestShardedCoalescedWindowsMatchSerial(t *testing.T) {
 }
 
 // evtBytes is the punoevt/1 encoding of a capture after line-id
-// normalization — what punosweep -trace writes for it.
+// normalization — what `experiments -trace` writes for it.
 func evtBytes(t *testing.T, workload string, lines []mem.Line, evs []probe.Event) []byte {
 	t.Helper()
 	et := &trace.EventTrace{Workload: workload, Seed: 42, Lines: lines, Events: evs}

@@ -1,6 +1,7 @@
 package puno
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -289,6 +290,41 @@ func TestScaledWorkloads(t *testing.T) {
 		}
 		if scaled[i].TxPerCPU() < 2 {
 			t.Fatalf("%s scaled below floor", full[i].Name())
+		}
+	}
+}
+
+// An ablation table's row i, seed j is point i run alone at seed j: Specs
+// and Table agree on the point-major order, and each cell folds its own
+// point's seeds.
+func TestAblationTableFoldsEachPointsSeeds(t *testing.T) {
+	var a Ablation
+	for _, x := range Ablations() {
+		if x.Name == "schemes" {
+			a = x
+		}
+	}
+	wl := ScaleWorkload(MustWorkload(a.Workload), 0.03)
+	seeds := []uint64{1, 2}
+	results, err := RunSpecs(context.Background(), a.Specs(DefaultConfig(), wl, seeds), SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := a.Table(wl, results)
+	for i, p := range a.Points {
+		var cycles []float64
+		for _, seed := range seeds {
+			cfg := DefaultConfig()
+			p.Apply(&cfg)
+			cfg.Seed = seed
+			r, err := Run(cfg, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cycles = append(cycles, float64(r.Cycles))
+		}
+		if got, want := tbl.Rows[i][1], statOf(cycles).format(0); got != want {
+			t.Errorf("%s cycles = %s, want %s from direct runs", p.Label, got, want)
 		}
 	}
 }
