@@ -39,6 +39,41 @@ func TestRunDetailedStats(t *testing.T) {
 	}
 }
 
+// TestTraceStreamsMatchingEvents drives -trace: every event line it prints
+// is a rendered event naming the substring, there is at least one, and the
+// same run without -trace prints none.
+func TestTraceStreamsMatchingEvents(t *testing.T) {
+	args := []string{"-workload", "kmeans", "-txper", "2", "-scheme", "puno"}
+	eventLines := func(args []string) []string {
+		t.Helper()
+		var out, errb strings.Builder
+		if err := run(args, &out, &errb); err != nil {
+			t.Fatalf("run %v: %v (stderr: %s)", args, err, errb.String())
+		}
+		var evs []string
+		for _, l := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(l, "cycle=") {
+				evs = append(evs, l)
+			}
+		}
+		return evs
+	}
+	traced := eventLines(append(args, "-trace", "0x40"))
+	if len(traced) == 0 {
+		t.Fatal("-trace 0x40 printed no event line")
+	}
+	for _, l := range traced {
+		f := strings.Fields(l)
+		if !strings.Contains(l, "0x40") || len(f) < 4 ||
+			!strings.HasPrefix(f[1], "node=") || !strings.HasPrefix(f[2], "line=") {
+			t.Fatalf("trace line %q is not a rendered event naming 0x40", l)
+		}
+	}
+	if plain := eventLines(args); len(plain) != 0 {
+		t.Fatalf("a run without -trace printed %d event lines, first %q", len(plain), plain[0])
+	}
+}
+
 func TestRunRejectsUnknownWorkloadAndScheme(t *testing.T) {
 	var out, errb strings.Builder
 	if err := run([]string{"-workload", "nosuch"}, &out, &errb); err == nil {

@@ -12,12 +12,13 @@ import (
 	"bytes"
 	"context"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -215,21 +216,24 @@ func TestGoldenEnsembleOutput(t *testing.T) {
 	compareGolden(t, "ensemble_golden.txt", tbl.String())
 }
 
-// TestGoldenTraceText pins the text a Config.TraceFn receives — every line,
-// in order, with its cycle and node — for one short 4-node labyrinth/PUNO
-// run, in testdata/trace_text.golden. The sweep goldens never install a
-// TraceFn, so without this a dropped, reordered or reformatted trace line
-// (what `punosim -trace` prints) would go unnoticed.
+// TestGoldenTraceText pins the rendered event stream — every event, in
+// order, through trace.FormatEvent, the renderer `punosim -trace` prints
+// with — for one short 4-node labyrinth/PUNO run, in
+// testdata/trace_text.golden. The sweep goldens never render an event, so
+// without this a dropped, reordered or reformatted event line would go
+// unnoticed.
 func TestGoldenTraceText(t *testing.T) {
 	cfg := detConfig()
 	cfg.Scheme = SchemePUNO
 	cfg.Nodes, cfg.Mesh.Width, cfg.Mesh.Height = 4, 2, 2
-	var b strings.Builder
-	cfg.TraceFn = func(cy Time, node int, ev string) {
-		fmt.Fprintf(&b, "%10d n%02d %s\n", cy, node, ev)
-	}
-	if _, err := Run(cfg, MustWorkload("labyrinth").WithTxPerCPU(1)); err != nil {
+	_, tr, err := CaptureEvents(cfg, MustWorkload("labyrinth").WithTxPerCPU(1))
+	if err != nil {
 		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range tr.Events {
+		b.WriteString(trace.FormatEvent(tr.LineOf(e.Line), e))
+		b.WriteByte('\n')
 	}
 	compareGolden(t, "trace_text.golden", b.String())
 }

@@ -52,7 +52,7 @@ func TestDocsResolve(t *testing.T) {
 func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 	stale := []string{
 		"`Engine.StepBefore`", "`Machine.sendMsg`", "`internal/detmap`",
-		"`internal/stats`", "`testdata/src/tracebox`",
+		"`internal/stats`", "`testdata/src/handlerfunc`",
 		"`make bench-pdes PDES_BENCHTIME=2s`", "`punosim -shards N`",
 		"`sim.NoSuchFunc`", "`nosuchpkg.Thing`", "`no_such_file.go`", "`puno.go:99999`",
 		"`make bench-serve`", "`punotrace record -o x.trace`", "`punosim -no-such-flag`",
@@ -65,7 +65,7 @@ func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 		}
 	}
 	sound := "`Engine.AtEvent` `node.msgTo` `sim.Engine.Now` `cm.PUNO.NotifyEachRetry` `*sim.RNG` " +
-		"`internal/{sim,noc}` `internal/lint/testdata/src/tracebox` `events.go` `machine/encode.go` " +
+		"`internal/{sim,noc}` `internal/lint/testdata/src/escapegate` `events.go` `machine/encode.go` " +
 		"`make lint` `cmd/experiments -exp table1` " +
 		"`-cache-dir` `TestDocsResolve` `BenchmarkSweepParallelism/serial` `sim.kernel_ns_per_event` " +
 		"`runtime.convT64` `http.Post` `go test -race ./...` `bash bench/run.sh --trace 1` `map[mem.Line]`\n" +

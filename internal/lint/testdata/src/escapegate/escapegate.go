@@ -112,6 +112,43 @@ func hotClosureHandler(eng *sim.Engine) {
 	eng.AfterEvent(5, hf(local), nil, 0)
 }
 
+// tracer is a debug hook with two helpers. trace is variadic ...any and
+// tests the hook inside the callee, too late to save the caller from boxing
+// its arguments whether or not anyone listens; traceWord is typed.
+type tracer struct {
+	hook    func(string)
+	tracing bool
+	words   [8]uint64
+}
+
+func (tr *tracer) trace(format string, args ...any) {
+	if tr.hook != nil {
+		tr.hook(fmt.Sprintf(format, args...))
+	}
+}
+
+func (tr *tracer) traceWord(i int, v uint64) {
+	tr.hook(fmt.Sprintf("read %d = %d", i, v))
+}
+
+// hotVariadicTrace boxes the word at the call site on every call.
+//
+//puno:hot
+func hotVariadicTrace(tr *tracer, i int) uint64 {
+	tr.trace("read = %d", tr.words[i]) // want "escapes to heap"
+	return tr.words[i]
+}
+
+// hotTypedTrace guards the typed helper behind a cached flag: no findings.
+//
+//puno:hot
+func hotTypedTrace(tr *tracer, i int) uint64 {
+	if tr.tracing {
+		tr.traceWord(i, tr.words[i])
+	}
+	return tr.words[i]
+}
+
 // hotClean is steady-state arithmetic over existing storage: no findings.
 //
 //puno:hot

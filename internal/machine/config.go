@@ -127,10 +127,6 @@ type Config struct {
 	// coordinator's only callers.
 	Shards int
 
-	// TraceFn, when non-nil, receives a line for every notable protocol
-	// and core event (debugging aid; adds no cost when nil).
-	TraceFn func(cycle sim.Time, node int, event string)
-
 	// EventSink, when non-nil, receives a probe.Event for every coherence
 	// message sent, transaction begin/commit/abort, detected conflict, and
 	// directory forwarding decision. The hooks cost one nil check each when

@@ -23,20 +23,17 @@ import (
 //     coordinator's contract (certified by determinism_shards_test.go) is
 //     bit-identical Results for any shard count, so including it would
 //     only fragment the cache across equivalent runs.
-//   - TraceFn and EventSink are host-side observation hooks. They carry no
-//     canonical byte form, and a run with a sink is cycle-identical to one
-//     without, so AppendCanonical refuses configs that set them rather
-//     than silently dropping live state from the key.
+//   - EventSink is a host-side observation hook. It carries no canonical
+//     byte form, and a run with a sink is cycle-identical to one without,
+//     so AppendCanonical refuses configs that set it rather than silently
+//     dropping live state from the key.
 const cfgMagic = "punocfg/1"
 
 // AppendCanonical appends the canonical binary encoding of c to dst and
 // returns the extended slice. It fails when c carries non-encodable live
-// state (TraceFn, EventSink) — callers building cache keys must hash pure
-// parameter sets.
+// state (EventSink) — callers building cache keys must hash pure parameter
+// sets.
 func (c *Config) AppendCanonical(dst []byte) ([]byte, error) {
-	if c.TraceFn != nil {
-		return nil, fmt.Errorf("machine: config with TraceFn set has no canonical encoding")
-	}
 	if c.EventSink != nil {
 		return nil, fmt.Errorf("machine: config with EventSink set has no canonical encoding")
 	}

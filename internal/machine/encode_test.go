@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/probe"
-	"repro/internal/sim"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
@@ -331,11 +330,6 @@ func TestConfigCanonicalDeterministic(t *testing.T) {
 
 func TestConfigCanonicalRefusesLiveState(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.TraceFn = func(sim.Time, int, string) {}
-	if _, err := cfg.AppendCanonical(nil); err == nil {
-		t.Fatal("config with TraceFn encoded")
-	}
-	cfg = DefaultConfig()
 	cfg.EventSink = &probe.Buffer{}
 	if _, err := cfg.AppendCanonical(nil); err == nil {
 		t.Fatal("config with EventSink encoded")

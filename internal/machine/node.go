@@ -115,7 +115,6 @@ type node struct {
 	// node's transaction finishes.
 	wakeupSubs wakeupTable
 
-	tracing      bool        // Config.TraceFn != nil, cached at attach
 	pending      sim.EventID // cancellable compute/backoff event
 	gateBypassed bool        // inside a BeginGater callback (avoid re-gating)
 	doneAt       sim.Time
@@ -151,7 +150,6 @@ func newNode(id int, m *Machine, prog Program, mgr cm.Manager) *node {
 func (n *node) attach(prog Program, mgr cm.Manager) {
 	n.prog = prog
 	n.cmgr = mgr
-	n.tracing = n.m.cfg.TraceFn != nil
 	n.rng = n.m.rootRNG.Fork(uint64(n.id) + 1)
 }
 
@@ -237,36 +235,6 @@ func (n *node) OnEvent(_ any, word uint64) {
 //
 //puno:hot
 func (n *node) afterEv(d sim.Time, code uint64) { n.m.eng.AfterEvent(d, n, nil, code) }
-
-// Debug tracing. n.tracing caches Config.TraceFn != nil, and every site
-// tests it before calling its helper, so an untraced run pays one predictable
-// branch per site. The helpers take typed arguments: a variadic ...any here
-// would box every uint64/Priority/State argument at the (hot) call site
-// whether or not anyone listens.
-
-func (n *node) emitTrace(ev string) { n.m.cfg.TraceFn(n.m.eng.Now(), n.id, ev) }
-
-func (n *node) traceRead(l mem.Line, v uint64, st cache.State) {
-	n.emitTrace(fmt.Sprintf("read %v = %d (state %v)", l, v, st))
-}
-
-func (n *node) traceWrite(l mem.Line, old, v uint64) {
-	n.emitTrace(fmt.Sprintf("write %v: %d -> %d", l, old, v))
-}
-
-func (n *node) traceAbort(cause AbortCause) {
-	n.emitTrace(fmt.Sprintf("abort cause=%d prio=%d attempts=%d", cause, n.tx.Prio, n.tx.Attempts))
-}
-
-func (n *node) traceReqDone(r *outstanding) {
-	n.emitTrace(fmt.Sprintf("req %d line %v complete: nack=%v aborted=%d write=%v data=%v",
-		r.id, r.line, r.sawNack, r.abortedSharers, r.isWrite, r.hasData))
-}
-
-func (n *node) traceFwd(f *coherence.Msg) {
-	n.emitTrace(fmt.Sprintf("fwd %v line %v from req%d prio=%d write=%v ubit=%v",
-		f.Type, f.Line, f.Requester, f.Prio, f.IsWrite, f.UBit))
-}
 
 // afterCancellableEv schedules a continuation and remembers the event so
 // an abort can cancel it.
@@ -403,9 +371,6 @@ func (n *node) readPhaseDone(e *cache.Entry, a mem.Addr) {
 		return
 	}
 	n.tx.RecordReadID(l, e.LID)
-	if n.tracing {
-		n.traceRead(l, e.Data[mem.WordIndex(a)], e.State)
-	}
 	e.Pinned = true
 	n.firstLoad.record(e.LID, n.opIdx)
 	n.rdVal = e.Data[mem.WordIndex(a)]
@@ -430,9 +395,6 @@ func (n *node) writeDone(e *cache.Entry, a mem.Addr, v uint64) {
 		return
 	}
 	old := e.Data[mem.WordIndex(a)]
-	if n.tracing {
-		n.traceWrite(l, old, v)
-	}
 	n.tx.RecordWriteID(l, e.LID, a, old)
 	e.Pinned = true
 	e.State = cache.Modified
@@ -555,15 +517,6 @@ func (n *node) commit() {
 			n.cmgr.ObserveNonRMW(n.cur.StaticID, n.promotedLoads.ops[i])
 		}
 	}
-	if n.tracing {
-		ws := ""
-		n.tx.ForEachSetLine(func(l mem.Line, w bool) {
-			if w {
-				ws += " " + l.String()
-			}
-		})
-		n.emitTrace(fmt.Sprintf("commit static=%d prio=%d writes:%s", n.cur.StaticID, n.tx.Prio, ws))
-	}
 	cost := n.tx.Commit(n.m.cfg.Costs)
 	n.afterEv(cost, nevCommitDone)
 }
@@ -604,9 +557,6 @@ func (n *node) abortTx(cause AbortCause, overflow bool) sim.Time {
 	n.m.res.Aborts++
 	n.m.res.PerNodeAborts[n.id]++
 	n.m.res.AbortsByCause[cause]++
-	if n.tracing {
-		n.traceAbort(cause)
-	}
 	n.m.res.DiscardedCycles += uint64(n.m.eng.Now() - n.tx.BeginCycle)
 
 	n.cancelPending()
@@ -718,9 +668,6 @@ func (n *node) handleResponse(m *coherence.Msg) {
 		panic(fmt.Sprintf("machine: node %d unexpected response %v", n.id, m.Type))
 	}
 	if r.soleDone || (r.gotHeader && r.received >= r.expected) {
-		if n.tracing {
-			n.traceReqDone(r)
-		}
 		n.completeRequest()
 	}
 }
@@ -944,9 +891,6 @@ func (n *node) handleEviction(v cache.Entry) {
 //puno:hot
 func (n *node) handleForward(f *coherence.Msg) {
 	l := f.Line
-	if n.tracing {
-		n.traceFwd(f)
-	}
 	if n.tx.Running() && n.tx.ConflictsWithID(l, f.LID, f.IsWrite) {
 		if htm.Older(n.tx.Prio, n.id, f.Prio, f.Requester) {
 			// We win: NACK, with a T_est notification when the scheme

@@ -251,7 +251,7 @@ func Eligible(cfg machine.Config, wl machine.Workload) bool {
 	if cfg.Shards <= 1 {
 		return false
 	}
-	if cfg.SampleInterval > 0 || cfg.TraceFn != nil {
+	if cfg.SampleInterval > 0 {
 		return false
 	}
 	if cfg.Scheme == machine.SchemeATS {

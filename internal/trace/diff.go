@@ -55,7 +55,7 @@ func FormatDivergence(a, b *EventTrace, d Divergence) string {
 			fmt.Fprintf(&sb, "%s[%s] ended after %d events", label, t.Scheme, len(t.Events))
 			return
 		}
-		fmt.Fprintf(&sb, "%s[%s] %s", label, t.Scheme, FormatEvent(t, *e))
+		fmt.Fprintf(&sb, "%s[%s] %s", label, t.Scheme, FormatEvent(t.LineOf(e.Line), *e))
 	}
 	side("A", a, d.A)
 	sb.WriteString(" | ")
@@ -63,11 +63,12 @@ func FormatDivergence(a, b *EventTrace, d Divergence) string {
 	return sb.String()
 }
 
-// FormatEvent renders one event using t's line table:
-// "cycle=N node=N line=L kind payload".
-func FormatEvent(t *EventTrace, e probe.Event) string {
+// FormatEvent renders one event as "cycle=N node=N line=L kind payload",
+// where line is e.Line already resolved by the caller: through a trace's
+// table (EventTrace.LineOf) or, during a live run, the machine's interner.
+func FormatEvent(line string, e probe.Event) string {
 	return fmt.Sprintf("cycle=%d node=%d line=%s %s %s",
-		e.Cycle, e.Node, t.LineOf(e.Line), e.Kind, formatArg(e))
+		e.Cycle, e.Node, line, e.Kind, formatArg(e))
 }
 
 // formatArg decodes the kind-specific packed payload.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestFormatEventPerKind(t *testing.T) {
 		{ev(1, probe.Kind(200), 0, 0, 0xbeef), []string{"arg=0xbeef"}},
 	}
 	for _, c := range cases {
-		got := FormatEvent(tr, c.e)
+		got := FormatEvent(tr.LineOf(c.e.Line), c.e)
 		for _, want := range c.want {
 			if !strings.Contains(got, want) {
 				t.Errorf("FormatEvent(%v) = %q, missing %q", c.e.Kind, got, want)
@@ -123,7 +124,8 @@ func testWL(t *testing.T) machine.Workload {
 }
 
 // Capturing events must not change the simulated trajectory: results with
-// and without a sink are identical, and two captures are event-identical.
+// and without a sink encode to the same artifact bytes, and two captures are
+// event-identical.
 func TestCaptureIsTrajectoryNeutral(t *testing.T) {
 	wl := testWL(t)
 	cfg := testCfg(machine.SchemePUNO)
@@ -145,8 +147,16 @@ func TestCaptureIsTrajectoryNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.Cycles != resPlain.Cycles || res1.Aborts != resPlain.Aborts || res1.Commits != resPlain.Commits {
-		t.Fatalf("tracing changed the trajectory: traced {cyc=%d ab=%d com=%d} vs plain {cyc=%d ab=%d com=%d}",
+	want, err := machine.EncodeResult(resPlain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := machine.EncodeResult(res1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("tracing changed the run's artifact: traced {cyc=%d ab=%d com=%d} vs plain {cyc=%d ab=%d com=%d}",
 			res1.Cycles, res1.Aborts, res1.Commits, resPlain.Cycles, resPlain.Aborts, resPlain.Commits)
 	}
 	if len(et1.Events) == 0 {
