@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test lint race race-shards cover cover-update bench serve-smoke golden clean
+.PHONY: all test lint race race-shards cover cover-update bench golden clean
 
 all: test
 
@@ -58,14 +58,6 @@ cover-update:
 # cache.kernel_ns_per_access, htm.kernel_sig_ns_per_op, machine.run_ms.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# End-to-end punoserve smoke: boot the server on a free port, submit a job
-# over HTTP, long-poll it to completion, fetch the artifact and check it is
-# byte-identical to a direct in-process run of the same point, verify the
-# resubmission is a cache hit (run counter stays at 1), then drain
-# gracefully and check the profiles were flushed.
-serve-smoke:
-	$(GO) test -run 'ServeSmoke' -count 1 -v ./cmd/punoserve
 
 # Regenerate the determinism golden files after an intentional change.
 golden:

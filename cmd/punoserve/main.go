@@ -5,8 +5,8 @@
 //	punoserve -addr 127.0.0.1:8377 -cache-dir /var/cache/puno
 //
 //	curl -XPOST localhost:8377/v1/jobs -d '{"workload":"intruder","scheme":"PUNO","seed":7}'
-//	curl 'localhost:8377/v1/jobs/j000001?wait=1'
-//	curl 'localhost:8377/v1/jobs/j000001/result?format=json'
+//	curl 'localhost:8377/v1/jobs/KEY?wait=1'   # KEY: the "id" (= "key") the POST returned
+//	curl 'localhost:8377/v1/jobs/KEY/result?format=json'
 //
 // Because every simulation is deterministic, results are cached by the
 // SHA-256 of (config, workload, seed, code version) and served from the
@@ -50,7 +50,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		cacheEntries = fs.Int("cache-entries", 0, "in-memory LRU capacity (0 = 1024)")
 		workers      = fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 		queue        = fs.Int("queue", 0, "bounded queue depth; full queue answers 429 (0 = 4x workers)")
-		maxJobs      = fs.Int("max-jobs", 0, "job registry cap (0 = 4096)")
 		codeVersion  = fs.String("codeversion", "", "cache-key code version (default: the build's VCS revision)")
 		cpuProf      = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf      = fs.String("memprofile", "", "write a heap profile to this file on shutdown")
@@ -70,7 +69,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		CacheDir:     *cacheDir,
 		Workers:      *workers,
 		QueueDepth:   *queue,
-		MaxJobs:      *maxJobs,
 		CodeVersion:  *codeVersion,
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -50,11 +51,7 @@ func treeEscapeFindings(t *testing.T) []Finding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	abs, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return escapeFindings(pkgs, abs, diags)
+	return escapeFindings(pkgs, diags)
 }
 
 // loadFixture loads one fixture package under testdata/src.
@@ -402,6 +399,27 @@ func TestEscapeGateFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFindings(t, findings, parseWants(t, pkg))
+}
+
+// TestEscapeGateIndependentOfBuildDir compiles the escapegate fixture from
+// two directories and wants the same findings from both. The build cache
+// replays one compile's diagnostics for the other, so the gate must read
+// the same file names whichever directory compiled the package first.
+func TestEscapeGateIndependentOfBuildDir(t *testing.T) {
+	here, err := RunEscape(".", []string{"./testdata/src/escapegate"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := RunEscape("../..", []string{"./internal/lint/testdata/src/escapegate"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(here) == 0 {
+		t.Fatal("the fixture produced no findings; the comparison is vacuous")
+	}
+	if !reflect.DeepEqual(here, root) {
+		t.Fatalf("findings depend on the build directory:\nfrom internal/lint: %v\nfrom the module root: %v", here, root)
+	}
 }
 
 // TestEscapeGateRealTree is the escape half of the acceptance gate: the

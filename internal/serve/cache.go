@@ -76,18 +76,39 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	if data, ok := c.lookup(k); ok {
 		return data, true
 	}
-	if c.dir != "" {
-		if data, err := c.readFile(c.path(k)); err == nil {
-			if _, derr := puno.DecodeResult(data); derr == nil {
-				c.install(k, data, true)
-				return data, true
-			}
-		}
+	if data, ok := c.readDisk(k); ok {
+		c.install(k, data, true)
+		return data, true
 	}
 	c.mu.Lock()
 	c.misses++
 	c.mu.Unlock()
 	return nil, false
+}
+
+// has reports whether either tier holds a servable artifact for k. A job
+// status probe is not a use: it moves no counter and no LRU position.
+func (c *Cache) has(k Key) bool {
+	c.mu.Lock()
+	_, ok := c.entries[k]
+	c.mu.Unlock()
+	if !ok {
+		_, ok = c.readDisk(k)
+	}
+	return ok
+}
+
+// readDisk reads and verifies k's disk artifact; a missing, corrupt or
+// truncated file, or no disk tier at all, is a miss.
+func (c *Cache) readDisk(k Key) ([]byte, bool) {
+	if c.dir == "" {
+		return nil, false
+	}
+	data, err := c.readFile(c.path(k))
+	if err == nil {
+		_, err = puno.DecodeResult(data)
+	}
+	return data, err == nil
 }
 
 // Put stores an artifact under k in both tiers. The disk write is atomic

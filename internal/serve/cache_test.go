@@ -64,6 +64,11 @@ func TestCacheHitAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A status probe sees the disk artifact and moves nothing: the Get
+	// below is still the first disk hit.
+	if !c2.has(testKey(7)) || c2.has(testKey(8)) {
+		t.Fatal("has disagrees with the disk tier")
+	}
 	got, ok := c2.Get(testKey(7))
 	if !ok || !bytes.Equal(got, want) {
 		t.Fatalf("restart Get: ok=%v, byte-equal=%v", ok, bytes.Equal(got, want))
@@ -98,6 +103,9 @@ func TestCacheRejectsCorruptDiskArtifact(t *testing.T) {
 	c2, err := NewCache(4, dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c2.has(testKey(3)) {
+		t.Fatal("corrupt disk artifact reported present")
 	}
 	if _, ok := c2.Get(testKey(3)); ok {
 		t.Fatal("corrupt disk artifact served")

@@ -6,7 +6,8 @@ package serve
 // later submitter of that key, while the flight is in Service.flights,
 // joins it and shares the outcome (singleflight). A flight is never
 // withdrawn: once enqueued it runs, and its artifact lands in the cache
-// whether or not anyone is still polling.
+// whether or not anyone is still polling. A failed flight never leaves
+// the table, so its key is simulated once per process.
 //
 // Both channels are closed exactly once, by the worker, in that order; err
 // is written before done is closed, so whoever observed <-done may read it

@@ -22,7 +22,8 @@ const retryAfterSeconds = "1"
 // limit.
 const maxSpecBytes = 1 << 20
 
-// jobJSON is the wire rendering of a job.
+// jobJSON is the wire rendering of a job. Its id is its key: a job is
+// addressed by what it computes.
 type jobJSON struct {
 	ID     string `json:"id"`
 	State  string `json:"state"`
@@ -33,7 +34,8 @@ type jobJSON struct {
 
 func renderJob(j *Job) jobJSON {
 	st, errMsg, _ := j.Snapshot()
-	return jobJSON{ID: j.ID, State: string(st), Key: j.Key.String(), Cached: j.Cached, Error: errMsg}
+	key := j.Key.String()
+	return jobJSON{ID: key, State: string(st), Key: key, Cached: j.Cached, Error: errMsg}
 }
 
 // Handler returns the service's HTTP API:
@@ -156,9 +158,9 @@ func (s *Service) handleResultByKey(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveArtifact writes the cached punores/1 bytes for key, decoded to JSON
-// on ?format=json. A done job's artifact can only be absent if the cache
-// was memory-only and the entry was evicted; 410 tells the client to
-// resubmit (which re-simulates deterministically).
+// on ?format=json. An absent artifact was evicted from a memory-only cache
+// (or never computed); 410 tells the client to resubmit (which
+// re-simulates deterministically).
 func (s *Service) serveArtifact(w http.ResponseWriter, r *http.Request, key Key) {
 	data, ok := s.cache.Get(key)
 	if !ok {

@@ -188,7 +188,12 @@ func TestHTTPErrors(t *testing.T) {
 	if s.Runs() != 0 {
 		t.Fatalf("a refused spec reached the pool: runs = %d", s.Runs())
 	}
-	for _, path := range []string{"/v1/jobs/j999999", "/v1/jobs/j999999/result"} {
+	var absent Key
+	absent[0] = 0xAB
+	for _, path := range []string{
+		"/v1/jobs/j999999", "/v1/jobs/j999999/result",
+		"/v1/jobs/" + absent.String(), "/v1/jobs/" + absent.String() + "/result",
+	} {
 		if code, _, _ := getBody(t, ts.URL+path); code != http.StatusNotFound {
 			t.Fatalf("%s: status %d", path, code)
 		}
@@ -219,8 +224,6 @@ func TestHTTPErrors(t *testing.T) {
 	if code, _, _ := getBody(t, ts.URL+"/v1/results/nothex"); code != http.StatusBadRequest {
 		t.Fatalf("malformed key: status %d", code)
 	}
-	var absent Key
-	absent[0] = 0xAB
 	if code, _, _ := getBody(t, ts.URL+"/v1/results/"+absent.String()); code != http.StatusGone {
 		t.Fatalf("absent key: status %d", code)
 	}
@@ -310,13 +313,59 @@ func TestLongPollOutlivesWriteTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-gate.arrived
-	if resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID); err == nil {
+	if resp, err := http.Get(ts.URL + "/v1/jobs/" + j.Key.String()); err == nil {
 		resp.Body.Close()
 		t.Fatalf("plain GET got status %d through an expired write deadline", resp.StatusCode)
 	}
 	go func() { gate.release <- struct{}{} }()
-	code, _, body := getBody(t, ts.URL+"/v1/jobs/"+j.ID+"?wait=1")
+	code, _, body := getBody(t, ts.URL+"/v1/jobs/"+j.Key.String()+"?wait=1")
 	if code != http.StatusOK || !strings.Contains(string(body), `"done"`) {
 		t.Fatalf("long-poll: status %d, body %s", code, body)
+	}
+}
+
+// TestJobIDIsContentKey: a job is addressed by its content key, so two
+// POSTs of one spec answer the same id, and it is the key. Nothing else
+// remembers a job: once a memory-only cache has evicted the artifact and
+// no flight holds the key, its status is 404.
+func TestJobIDIsContentKey(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1, CacheEntries: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	first, _ := postSpec(t, ts, fastSpec(960))
+	second, _ := postSpec(t, ts, fastSpec(960))
+	if first.ID == "" || first.ID != first.Key || second.ID != first.ID {
+		t.Fatalf("two POSTs of one spec: ids %q and %q, key %q", first.ID, second.ID, first.Key)
+	}
+	poll := func(id string) (int, jobJSON) {
+		t.Helper()
+		code, _, body := getBody(t, ts.URL+"/v1/jobs/"+id+"?wait=1")
+		var j jobJSON
+		if code == http.StatusOK {
+			if err := json.Unmarshal(body, &j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return code, j
+	}
+	if code, j := poll(first.ID); code != http.StatusOK || j.State != string(StateDone) || j.ID != first.ID {
+		t.Fatalf("status of %s: %d %+v", first.ID, code, j)
+	}
+
+	// A second key's artifact evicts the first from the one-entry cache.
+	other, _ := postSpec(t, ts, fastSpec(961))
+	if code, j := poll(other.ID); code != http.StatusOK || j.State != string(StateDone) {
+		t.Fatalf("status of the evicting job: %d %+v", code, j)
+	}
+	// Its flight has left the table, so the cache answers for it now.
+	code, _, body := getBody(t, ts.URL+"/v1/jobs/"+other.ID)
+	if code != http.StatusOK || !strings.Contains(string(body), `"cached": true`) {
+		t.Fatalf("status of the evicting job after its run: %d %s", code, body)
+	}
+	for _, path := range []string{"/v1/jobs/" + first.ID, "/v1/jobs/" + first.ID + "/result"} {
+		if code, _, _ := getBody(t, ts.URL+path); code != http.StatusNotFound {
+			t.Fatalf("%s after eviction: status %d, want 404", path, code)
+		}
 	}
 }

@@ -30,6 +30,10 @@ type Pool struct {
 	mu     sync.RWMutex
 	closed bool
 
+	// run is (*puno.Arena).Run; tests swap it, before the first task is
+	// enqueued, to make a simulation fail.
+	run func(*puno.Arena, puno.RunSpec) (*puno.Result, error)
+
 	// gate, when non-nil (tests only), makes worker scheduling
 	// deterministic: a worker announces each dequeued task on arrived and
 	// holds until release, letting tests construct full-queue and
@@ -61,7 +65,7 @@ func newPool(workers, depth int, gate *testGate) *Pool {
 	if depth <= 0 {
 		depth = 4 * workers
 	}
-	p := &Pool{queue: make(chan *Task, depth), gate: gate}
+	p := &Pool{queue: make(chan *Task, depth), run: (*puno.Arena).Run, gate: gate}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -80,7 +84,7 @@ func (p *Pool) worker() {
 		if t.OnStart != nil {
 			t.OnStart()
 		}
-		res, err := arena.Run(t.Spec)
+		res, err := p.run(arena, t.Spec)
 		p.runs.Add(1)
 		t.OnDone(res, err)
 	}

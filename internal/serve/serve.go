@@ -103,14 +103,13 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed
 }
 
-// Job is one submission: an immutable, read-only view of the flight that
-// computes its key. It owns no state of its own — the lifecycle is read
-// off the flight's channels, and terminal result bytes live in the cache
-// under Key.
+// Job is one submission, addressed by its content key: an immutable,
+// read-only view of the flight that computes the key. It owns no state of
+// its own — the lifecycle is read off the flight's channels, and terminal
+// result bytes live in the cache under Key.
 type Job struct {
-	ID     string
 	Key    Key
-	Cached bool // resolved straight from the cache at submit time
+	Cached bool // resolved straight from the cache, at submit or lookup time
 
 	flight *flight // nil when Cached: the job was born done
 }
@@ -145,7 +144,6 @@ type Options struct {
 	CacheDir     string // disk tier root ("" disables)
 	Workers      int    // pool size (<=0: GOMAXPROCS)
 	QueueDepth   int    // bounded queue slots (<=0: 4x workers)
-	MaxJobs      int    // job registry cap (<=0: 4096)
 	CodeVersion  string // cache-key code version ("" : DetectCodeVersion)
 }
 
@@ -155,7 +153,6 @@ type Stats struct {
 	Runs        uint64     `json:"runs"`
 	Submitted   uint64     `json:"submitted"`
 	Collapsed   uint64     `json:"collapsed_flights"`
-	Jobs        int        `json:"jobs"`
 	QueueLen    int        `json:"queue_len"`
 	QueueCap    int        `json:"queue_cap"`
 	Cache       CacheStats `json:"cache"`
@@ -165,20 +162,16 @@ type Stats struct {
 // singleflight join, then pool enqueue — all synchronous, so backpressure
 // (ErrBusy) is reported on the submit path, before a job exists.
 //
-// mu guards the flight table, the job registry and the counters, and is
-// never held across I/O: the cache's disk tier is probed before it is
-// taken and written (by the worker) without it.
+// mu guards the flight table and the counters, and is never held across
+// I/O: the cache's disk tier is probed before it is taken and written (by
+// the worker) without it.
 type Service struct {
 	cache       *Cache
 	pool        *Pool
 	codeVersion string
-	maxJobs     int
 
 	mu        sync.Mutex
-	flights   map[Key]*flight // live flights; an entry leaves when its task finishes
-	jobs      map[string]*Job
-	order     []string // insertion order, for capped-registry eviction
-	seq       uint64
+	flights   map[Key]*flight // live and failed flights; a successful one leaves once cached
 	submitted uint64
 	collapsed uint64
 }
@@ -199,17 +192,11 @@ func newService(opts Options, gate *testGate) (*Service, error) {
 	if cv == "" {
 		cv = DetectCodeVersion()
 	}
-	maxJobs := opts.MaxJobs
-	if maxJobs <= 0 {
-		maxJobs = 4096
-	}
 	return &Service{
 		cache:       cache,
 		pool:        newPool(opts.Workers, opts.QueueDepth, gate),
 		codeVersion: cv,
-		maxJobs:     maxJobs,
 		flights:     make(map[Key]*flight),
-		jobs:        make(map[string]*Job),
 	}, nil
 }
 
@@ -218,10 +205,11 @@ func newService(opts Options, gate *testGate) (*Service, error) {
 //
 //   - hit: the artifact is cached, the job is born terminal (StateDone,
 //     Cached=true) and the simulator is never touched;
-//   - collapsed: a flight for the key is live and the job joins it;
+//   - collapsed: a flight for the key is live or has failed, and the job
+//     joins it — a failed key is not simulated again;
 //   - leader: the job's flight is created and its task enqueued — or, when
-//     the queue is full, Submit fails with ErrBusy and no job or flight is
-//     left behind.
+//     the queue is full, Submit fails with ErrBusy and no flight is left
+//     behind.
 //
 // Both cache tiers are probed before mu is taken, so a slow disk read
 // delays only its own submission. A flight that finished between that
@@ -243,17 +231,16 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 	defer s.mu.Unlock()
 	s.submitted++
 	if hit {
-		return s.newJobLocked(key, nil), nil
+		return &Job{Key: key, Cached: true}, nil
 	}
-	f, live := s.flights[key]
-	if live {
+	if f, ok := s.flights[key]; ok {
 		s.collapsed++
-		return s.newJobLocked(key, f), nil
+		return &Job{Key: key, flight: f}, nil
 	}
 	if _, ok := s.cache.lookup(key); ok {
-		return s.newJobLocked(key, nil), nil
+		return &Job{Key: key, Cached: true}, nil
 	}
-	f = &flight{started: make(chan struct{}), done: make(chan struct{})}
+	f := &flight{started: make(chan struct{}), done: make(chan struct{})}
 	task := &Task{
 		Spec:    rs,
 		OnStart: func() { close(f.started) },
@@ -263,64 +250,45 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 		return nil, err
 	}
 	s.flights[key] = f
-	return s.newJobLocked(key, f), nil
+	return &Job{Key: key, flight: f}, nil
 }
 
 // finish runs on the worker when a flight's simulation returns: encode,
 // store, leave the table, publish — in that order, so a submitter that
-// finds no flight finds the artifact (see Submit).
+// finds no flight finds the artifact (see Submit). A failed flight keeps
+// its place in the table: the next submission of the key joins it.
 func (s *Service) finish(key Key, f *flight, res *puno.Result, err error) {
 	if err == nil {
 		var data []byte
 		if data, err = puno.EncodeResult(res); err == nil {
 			s.cache.Put(key, data)
+			s.mu.Lock()
+			delete(s.flights, key)
+			s.mu.Unlock()
 		}
 	}
-	s.mu.Lock()
-	delete(s.flights, key)
-	s.mu.Unlock()
 	f.err = err
 	close(f.done)
 }
 
-// newJobLocked mints a job under s.mu — a view of f, or a cache hit when f
-// is nil — evicting the oldest terminal job when the registry is at
-// capacity (live jobs are never evicted).
-func (s *Service) newJobLocked(key Key, f *flight) *Job {
-	if len(s.order) >= s.maxJobs {
-		for i, id := range s.order {
-			j := s.jobs[id]
-			st, _, _ := j.Snapshot()
-			if st.Terminal() {
-				delete(s.jobs, id)
-				if i == 0 {
-					// The common case (oldest job is terminal) must not
-					// memmove the whole registry on every submission once
-					// the cap is reached — at steady state that copy
-					// dominates the warm-hit path. Append reallocates the
-					// backing array once it fills, so the abandoned prefix
-					// is reclaimed amortized.
-					s.order = s.order[1:]
-				} else {
-					s.order = append(s.order[:i], s.order[i+1:]...)
-				}
-				break
-			}
-		}
-	}
-	s.seq++
-	job := &Job{ID: fmt.Sprintf("j%06d", s.seq), Key: key, Cached: f == nil, flight: f}
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	return job
-}
-
-// Job looks up a job by id.
+// Job looks up a job by id, its key's hex: the key's flight answers
+// (queued, running or failed), else the cache, probed without mu (done;
+// finish stores the artifact before the flight leaves). Neither: unknown.
 func (s *Service) Job(id string) (*Job, bool) {
+	key, err := ParseKey(id)
+	if err != nil {
+		return nil, false
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	f, ok := s.flights[key]
+	s.mu.Unlock()
+	if ok {
+		return &Job{Key: key, flight: f}, true
+	}
+	if !s.cache.has(key) {
+		return nil, false
+	}
+	return &Job{Key: key, Cached: true}, true
 }
 
 // Result fetches an artifact straight from the cache by key.
@@ -332,14 +300,13 @@ func (s *Service) Runs() uint64 { return s.pool.Runs() }
 // Stats snapshots every layer's counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	submitted, collapsed, jobs := s.submitted, s.collapsed, len(s.jobs)
+	submitted, collapsed := s.submitted, s.collapsed
 	s.mu.Unlock()
 	return Stats{
 		CodeVersion: s.codeVersion,
 		Runs:        s.pool.Runs(),
 		Submitted:   submitted,
 		Collapsed:   collapsed,
-		Jobs:        jobs,
 		QueueLen:    s.pool.QueueLen(),
 		QueueCap:    s.pool.QueueCap(),
 		Cache:       s.cache.Stats(),

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -261,14 +262,14 @@ func TestSingleflightJoin(t *testing.T) {
 	}
 	for _, j := range []*Job{j1, j2} {
 		if st, _, _ := j.Snapshot(); st != StateQueued || j.Cached {
-			t.Fatalf("job %s at the gate: state %v cached %v", j.ID, st, j.Cached)
+			t.Fatalf("job %s at the gate: state %v cached %v", j.Key, st, j.Cached)
 		}
 	}
 
 	gate.release <- struct{}{}
 	for _, j := range []*Job{j1, j2} {
 		if st := waitTerminal(j); st != StateDone {
-			t.Fatalf("job %s ended %v", j.ID, st)
+			t.Fatalf("job %s ended %v", j.Key, st)
 		}
 	}
 	if s.Runs() != 1 {
@@ -331,7 +332,7 @@ func TestSlowDiskReadBlocksOnlyItsOwnSubmission(t *testing.T) {
 		t.Fatalf("memory hit during a slow disk read: state %v cached %v", st, jb2.Cached)
 	}
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+jb.ID, nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+jb.Key.String(), nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("job status during a slow disk read: %d", rec.Code)
 	}
@@ -460,10 +461,10 @@ func TestDrainCompletesQueuedWork(t *testing.T) {
 	s.Drain()
 	for _, j := range jobs {
 		if st, _, _ := j.Snapshot(); st != StateDone {
-			t.Fatalf("job %s ended %v after drain", j.ID, st)
+			t.Fatalf("job %s ended %v after drain", j.Key, st)
 		}
 		if _, ok := s.Result(j.Key); !ok {
-			t.Fatalf("job %s has no artifact after drain", j.ID)
+			t.Fatalf("job %s has no artifact after drain", j.Key)
 		}
 	}
 	if _, err := s.Submit(fastSpec(599)); err != ErrDraining {
@@ -539,75 +540,52 @@ func TestNoGoroutinePerJob(t *testing.T) {
 	}
 }
 
-// Job registry cap: terminal jobs are evicted in insertion order; live
-// jobs never are.
-func TestJobRegistryCap(t *testing.T) {
-	s := newTestService(t, Options{Workers: 1, MaxJobs: 2})
-	j1, err := s.Submit(fastSpec(700))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(j1)
-	j2, err := s.Submit(fastSpec(700)) // cache hit, terminal
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(j2)
-	if _, err := s.Submit(fastSpec(700)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Job(j1.ID); ok {
-		t.Fatal("oldest terminal job survived past the cap")
-	}
-	if st := s.Stats(); st.Jobs != 2 {
-		t.Fatalf("registry holds %d jobs, cap is 2", st.Jobs)
-	}
-}
+// A failure is as deterministic as a result, so a failed key keeps its
+// flight: the job reads failed with the error, in Go and over HTTP, its
+// result is a 409, and a resubmission joins the failed flight (counted as
+// collapsed) instead of simulating the key again.
+func TestFailedKeyIsSimulatedOnce(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	boom := errors.New("injected: simulation exceeded its cycle limit")
+	s.pool.run = func(*puno.Arena, puno.RunSpec) (*puno.Result, error) { return nil, boom }
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-// A live job at the front of the registry is skipped over: eviction takes
-// the oldest TERMINAL job, wherever it sits.
-func TestJobRegistryCapSkipsLiveJobs(t *testing.T) {
-	s, gate := gatedService(t, Options{Workers: 1, QueueDepth: 4, MaxJobs: 2})
-	defer s.Drain()
-
-	j0, err := s.Submit(fastSpec(711)) // runs to completion: 711 is cached
+	j, err := s.Submit(fastSpec(950))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-gate.arrived
-	gate.release <- struct{}{}
-	waitTerminal(j0)
-
-	j1, err := s.Submit(fastSpec(710)) // held at the gate: stays live
-	if err != nil {
-		t.Fatal(err)
+	if st := waitTerminal(j); st != StateFailed {
+		t.Fatalf("job ended %v, want failed", st)
 	}
-	<-gate.arrived
-	j2, err := s.Submit(fastSpec(711)) // cache hit: born terminal, evicts j0
-	if err != nil {
-		t.Fatal(err)
+	if _, msg, _ := j.Snapshot(); msg != boom.Error() {
+		t.Fatalf("failed job's error %q, want %q", msg, boom)
 	}
-	if st, _, _ := j2.Snapshot(); !st.Terminal() || !j2.Cached {
-		t.Fatalf("j2 state %v cached %v", st, j2.Cached)
+	for _, path := range []string{"/v1/jobs/" + j.Key.String(), "/v1/jobs/" + j.Key.String() + "?wait=1"} {
+		code, _, body := getBody(t, ts.URL+path)
+		var got jobJSON
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if code != http.StatusOK || got.State != string(StateFailed) || got.Error != boom.Error() || got.ID != j.Key.String() {
+			t.Fatalf("GET %s: status %d, %+v", path, code, got)
+		}
 	}
-	j3, err := s.Submit(fastSpec(712)) // at cap: must evict j2, not j1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Job(j2.ID); ok {
-		t.Fatal("terminal job behind a live one survived eviction")
-	}
-	if _, ok := s.Job(j1.ID); !ok {
-		t.Fatal("live front job was evicted")
+	if code, _, _ := getBody(t, ts.URL+"/v1/jobs/"+j.Key.String()+"/result"); code != http.StatusConflict {
+		t.Fatalf("result of a failed job: status %d, want 409", code)
 	}
 
-	gate.release <- struct{}{} // j1 simulates
-	<-gate.arrived             // j3 simulates
-	gate.release <- struct{}{}
-	if st := waitTerminal(j1); st != StateDone {
-		t.Fatalf("j1 ended %v", st)
+	before := s.Stats()
+	again, err := s.Submit(fastSpec(950))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := waitTerminal(j3); st != StateDone {
-		t.Fatalf("j3 ended %v", st)
+	if st, msg, _ := again.Snapshot(); st != StateFailed || msg != boom.Error() || again.Cached {
+		t.Fatalf("resubmission: state %v error %q cached %v, want the stored failure", st, msg, again.Cached)
+	}
+	after := s.Stats()
+	if after.Runs != 1 || after.Runs != before.Runs || after.Collapsed != before.Collapsed+1 {
+		t.Fatalf("resubmitting a failed key: runs %d -> %d, collapsed %d -> %d; want 1 run and one more collapsed",
+			before.Runs, after.Runs, before.Collapsed, after.Collapsed)
 	}
 }

@@ -147,9 +147,7 @@ func TestRepeatedRunsShareNoOrderState(t *testing.T) {
 // from hotVariadicTrace — and the escape gate must flag it there exactly
 // once; hotTypedTrace, the guarded typed helper, must not be flagged.
 func TestHotallocFlagsVariadicTraceBoxing(t *testing.T) {
-	// Compile from the directory TestEscapeGateFixture uses: the build cache
-	// replays diagnostics with paths relative to the first compile's directory.
-	findings, err := lint.RunEscape("internal/lint", []string{"./testdata/src/escapegate"})
+	findings, err := lint.RunEscape(".", []string{"./internal/lint/testdata/src/escapegate"})
 	if err != nil {
 		t.Fatal(err)
 	}
