@@ -109,8 +109,9 @@ type Tx struct {
 
 	// it translates Lines to the dense LineIDs the conflict sets are
 	// indexed by. The machine shares its interner via SetInterner; a Tx
-	// used standalone (tests) lazily creates a private one.
-	it *mem.Interner
+	// used standalone (tests) falls back to its own zero-value one.
+	it    *mem.Interner
+	ownIt mem.Interner
 
 	// probe, when non-nil, receives transaction lifecycle and
 	// conflict-detection events; probeNow supplies their timestamps
@@ -147,11 +148,11 @@ func (t *Tx) emit(kind probe.Kind, cycle sim.Time, line mem.LineID, arg uint64) 
 	t.probe.Emit(probe.Event{Cycle: cycle, Arg: arg, Line: line, Node: int16(t.Node), Kind: kind})
 }
 
-// interner returns the shared interner, creating a private one on first
-// use when none was provided (standalone tests).
+// interner returns the shared interner, or the Tx's own when none was
+// provided (standalone tests); a zero Interner is ready to use.
 func (t *Tx) interner() *mem.Interner {
 	if t.it == nil {
-		t.it = mem.NewInterner()
+		t.it = &t.ownIt
 	}
 	return t.it
 }

@@ -29,9 +29,6 @@ type exemption struct {
 // stopped being needed (with the row masked its check still reports
 // nothing). Fixture rows live in lint_test.go.
 var exemptions = []exemption{
-	{"(*repro/internal/mem.Interner).Grow", "maprange",
-		"rebuilds the forward map into a larger one: insertion order into a fresh map cannot affect later lookups"},
-
 	{"(*repro/internal/machine.Machine).freeMsg", "msglife",
 		"owns the free list: the stored pointers are the pool"},
 	{"(*repro/internal/pdes.Coordinator).Reset", "msglife",
@@ -53,8 +50,6 @@ var exemptions = []exemption{
 		"amortized doubling of the directory's dense index"},
 	{"(*repro/internal/pdes.Coordinator).growRenum", escapeGateName,
 		"amortized doubling of the renumber table"},
-	{"(*repro/internal/htm.Tx).interner", escapeGateName,
-		"lazy interner for standalone-test transactions; machine-owned Txs share the machine interner and never hit it"},
 	{"(*repro/internal/htm.Tx).mustRun", escapeGateName,
 		"panic-only state guard; allocates its message on the failure path"},
 

@@ -22,8 +22,8 @@ func (m *Machine) DumpState(w io.Writer) {
 			n.cur.StaticID, n.opIdx, len(n.cur.Ops),
 			m.res.PerNodeCommits[n.id], m.res.PerNodeAborts[n.id])
 		if n.req != nil {
-			fmt.Fprintf(w, " req{line=%v write=%v expected=%d received=%d nack=%v retries=%d}",
-				n.req.line, n.req.isWrite, n.req.expected, n.req.received, n.req.sawNack, n.accessRetries)
+			fmt.Fprintf(w, " req{line=%v write=%v expected=%d received=%d nack=%v retries=%d refetches=%d}",
+				n.req.line, n.req.isWrite, n.req.expected, n.req.received, n.req.sawNack, n.accessRetries, n.accessRefetches)
 		}
 		fmt.Fprintln(w)
 	}

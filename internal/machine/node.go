@@ -87,6 +87,10 @@ type node struct {
 	reqBuf        outstanding
 	reqSeq        uint64
 	accessRetries int // NACKs endured by the current logical access
+	// accessRefetches counts the current logical access's stale-data
+	// discard-and-refetch rounds. DumpState prints it; no Result field
+	// carries it.
+	accessRefetches int
 
 	// Per-logical-access outcome accumulation (Fig. 2 classifies each
 	// transactional write access once, across all its retries): accFalse
@@ -291,6 +295,7 @@ func (n *node) beginAttempt(retry bool) {
 	n.opIdx = 0
 	n.phase = 0
 	n.accessRetries = 0
+	n.accessRefetches = 0
 	n.firstLoad.reset()
 	n.promotedLoads.reset()
 	n.afterCancellableEv(n.m.cfg.Costs.BeginCycles, nevExecOp)
@@ -354,6 +359,7 @@ func (n *node) opDone() {
 	n.opIdx++
 	n.phase = 0
 	n.accessRetries = 0
+	n.accessRefetches = 0
 	n.execOp()
 }
 
@@ -377,6 +383,7 @@ func (n *node) readPhaseDone(e *cache.Entry, a mem.Addr) {
 	if n.cur.Ops[n.opIdx].Kind == OpIncr {
 		n.phase = 1
 		n.accessRetries = 0
+		n.accessRefetches = 0
 		n.execOp()
 		return
 	}
@@ -729,6 +736,7 @@ func (n *node) completeRequest() {
 			n.drainContinue()
 			return
 		}
+		n.accessRefetches++
 		n.state = nsBackoff
 		n.afterCancellableEv(n.m.cfg.BusyRetryDelay, nevReissue)
 		return
@@ -789,6 +797,7 @@ func (n *node) completeRequest() {
 	op := n.cur.Ops[n.opIdx]
 	n.state = nsRunning
 	n.accessRetries = 0
+	n.accessRefetches = 0
 	switch {
 	case !r.isWrite || r.promoted:
 		// A load (possibly promoted to exclusive).

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -176,5 +177,166 @@ func TestInternerInvariants(t *testing.T) {
 				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, it.Len(), len(model))
 			}
 		}
+	}
+}
+
+// internCheck interns stream into it, step by step, against a first-touch
+// model seeded with it's current assignment (model, in ID order), calling
+// mid (if non-nil) before touch i == len(stream)/2. After every touch it
+// requires IDs dense in first-touch order, LineAt to invert Intern, and
+// Lookup to agree with the model. It returns the grown model.
+func internCheck(t *testing.T, it *Interner, model []Line, stream []Line, mid func()) []Line {
+	t.Helper()
+	ids := make(map[Line]LineID, len(model))
+	for i, l := range model {
+		ids[l] = LineID(i + 1)
+	}
+	for i, l := range stream {
+		if i == len(stream)/2 && mid != nil {
+			mid()
+		}
+		want, seen := ids[l]
+		if !seen {
+			want = LineID(len(model) + 1)
+			model = append(model, l)
+			ids[l] = want
+		}
+		if got := it.Intern(l); got != want {
+			t.Fatalf("touch %d: Intern(%v) = %d, want %d (first touch %v)", i, l, got, want, !seen)
+		}
+		if back := it.LineAt(want); back != l {
+			t.Fatalf("touch %d: LineAt(%d) = %v, want %v", i, want, back, l)
+		}
+		if got := it.Lookup(l + LineBytes<<40); got != ids[l+LineBytes<<40] {
+			t.Fatalf("touch %d: Lookup of a far line = %d, want %d", i, got, ids[l+LineBytes<<40])
+		}
+	}
+	if it.Len() != len(model) {
+		t.Fatalf("Len = %d, want %d", it.Len(), len(model))
+	}
+	for i, l := range model {
+		if got := it.Lookup(l); got != LineID(i+1) {
+			t.Fatalf("Lookup(%v) = %d, want %d", l, got, i+1)
+		}
+	}
+	return model
+}
+
+// strideLines returns n lines spaced stride lines apart, each touched twice in
+// a row (so hits interleave with first touches).
+func strideLines(n int, stride uint64) []Line {
+	ls := make([]Line, 0, 2*n)
+	for i := 0; i < n; i++ {
+		l := Line(uint64(i) * stride * LineBytes)
+		ls = append(ls, l, l)
+	}
+	return ls
+}
+
+// TestInternerOpenAddressing drives the forward index through what its
+// hashing and probing must survive: lines that share a home slot, a
+// power-of-two stride, enough lines to rehash several times, a Grow
+// partway through, and a Reset followed by re-interning.
+func TestInternerOpenAddressing(t *testing.T) {
+	t.Run("collisions", func(t *testing.T) {
+		// 24 lines that all hash to one slot of the initial 64-slot table
+		// (picked from a power-of-two stride), then their neighbours.
+		probe := NewInterner()
+		probe.Intern(0)
+		var same []Line
+		for k := uint64(1); len(same) < 24; k++ {
+			if l := Line(k << 16 * LineBytes); probe.home(l) == probe.home(0) {
+				same = append(same, l)
+			}
+		}
+		it := NewInterner()
+		model := internCheck(t, it, nil, same, nil)
+		displaced := 0
+		for _, l := range same {
+			if it.slot(l) != it.home(l) {
+				displaced++
+			}
+		}
+		if displaced < len(same)-1 {
+			t.Fatalf("only %d of %d same-home lines were displaced; the table never probed", displaced, len(same))
+		}
+		internCheck(t, it, model, strideLines(100, 1<<16), nil)
+	})
+	t.Run("rehash", func(t *testing.T) {
+		it := NewInterner()
+		internCheck(t, it, nil, strideLines(5000, 1<<12), nil)
+		if len(it.table) < 2*5000 || len(it.table) > 4*5000 {
+			t.Fatalf("table of %d slots for 5000 lines; load must stay in (¼, ½]", len(it.table))
+		}
+	})
+	t.Run("grow", func(t *testing.T) {
+		it := NewInterner()
+		stream := strideLines(3000, 1<<10)
+		internCheck(t, it, nil, stream, func() { it.Grow(20000) })
+		if len(it.lines) < 20000 {
+			t.Fatalf("Grow(20000) left room for %d lines", len(it.lines))
+		}
+		if len(it.table) > 4*3000 {
+			t.Fatalf("table of %d slots for 3000 lines; Grow must not size the index off its hint", len(it.table))
+		}
+	})
+	t.Run("reset", func(t *testing.T) {
+		it := NewInterner()
+		internCheck(t, it, nil, strideLines(2000, 1<<8), nil)
+		size := len(it.table)
+		it.Reset()
+		if it.Len() != 0 || it.Lookup(Line(1<<8*LineBytes)) != 0 {
+			t.Fatal("Reset left an assignment behind")
+		}
+		// Re-interning in another order assigns IDs in the new order.
+		stream := strideLines(2000, 1<<8)
+		for i, j := 0, len(stream)-1; i < j; i, j = i+1, j-1 {
+			stream[i], stream[j] = stream[j], stream[i]
+		}
+		internCheck(t, it, nil, stream, nil)
+		if len(it.table) != size {
+			t.Fatalf("re-interning after Reset resized the table %d -> %d", size, len(it.table))
+		}
+	})
+}
+
+// TestInternerSharedSerializes: goroutines interning overlapping streams
+// into a SetShared interner leave one dense assignment — every line one ID,
+// every ID 1..Len one line — that Lookup and LineAt agree on.
+func TestInternerSharedSerializes(t *testing.T) {
+	const workers, lines = 4, 3000
+	it := NewInterner()
+	it.Grow(lines)
+	it.SetShared(true)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := sim.NewRNG(uint64(w + 1))
+			for i := 0; i < 4*lines; i++ {
+				l := Line(uint64(rng.Intn(lines)) << 12 * LineBytes)
+				if id := it.Intern(l); it.LineAt(id) != l {
+					t.Errorf("worker %d: LineAt(Intern(%v)) = %v", w, l, it.LineAt(id))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	it.SetShared(false)
+	seen := make(map[Line]bool, it.Len())
+	for id := LineID(1); int(id) <= it.Len(); id++ {
+		l := it.LineAt(id)
+		if seen[l] {
+			t.Fatalf("line %v holds two IDs", l)
+		}
+		seen[l] = true
+		if got := it.Lookup(l); got != id {
+			t.Fatalf("Lookup(LineAt(%d)) = %d", id, got)
+		}
+	}
+	if it.Len() == 0 || it.Len() > lines {
+		t.Fatalf("Len = %d after interning from a %d-line pool", it.Len(), lines)
 	}
 }

@@ -256,3 +256,16 @@ func TestClassString(t *testing.T) {
 		t.Fatal("Class.String mismatch")
 	}
 }
+
+// A mesh whose link count overflows the route table's int16 indices is
+// refused before any table is built.
+func TestNewPanicsPastRouteTableRange(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a 91x91 mesh (33124 links)")
+		}
+	}()
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = 91, 91
+	New(cfg, sim.NewEngine())
+}

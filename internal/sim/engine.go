@@ -16,7 +16,8 @@
 // pins it), which is why a linear insert is all the structure it needs.
 // Events can be scheduled either as closures (At/After) or — on hot paths —
 // closure-free via a Handler interface plus a payload value and word
-// (AtEvent/AfterEvent).
+// (AtEvent/AfterEvent). Both share one slot layout and one dispatch: a
+// closure rides in the slot's arg under a package-level runner Handler.
 package sim
 
 import (
@@ -43,27 +44,33 @@ type Handler interface {
 	OnEvent(arg any, word uint64)
 }
 
-// Slot locations: which structure a slot currently belongs to.
-const (
-	locFree  int8 = iota // on the free list (next = free-list link)
-	locWheel             // chained in a near-horizon bucket (next = chain link)
-	locSpill             // in the spill list
-)
+// closureRunner is the Handler At and After schedule through: the closure
+// rides in the slot's arg, so every event dispatches the same way.
+type closureRunner struct{}
 
-// eventSlot is one entry of the event slab. loc names the structure the
-// slot currently lives in; gen increments every time the slot is released,
-// so a stale EventID held by a caller can never cancel the slot's next
-// tenant.
+// OnEvent runs the closure carried in arg.
+func (*closureRunner) OnEvent(arg any, _ uint64) { arg.(Event)() }
+
+// runClosure is the one closureRunner every closure event names.
+var runClosure = new(closureRunner)
+
+// inSpill is the next link of a slot in the spill list, which links
+// nothing: a wheel slot's next is its chain link and a free slot's its
+// free-list link, both -1 or above.
+const inSpill int32 = -2
+
+// eventSlot is one entry of the event slab: 64 bytes, one cache line. gen
+// increments every time the slot is released, so a stale EventID held by a
+// caller can never cancel the slot's next tenant — and an ID whose gen
+// matches names a queued event.
 type eventSlot struct {
 	at   Time
 	seq  uint64 // insertion order; breaks ties so same-cycle events run FIFO
-	fn   Event
 	h    Handler
 	arg  any
 	word uint64
 	gen  uint32
-	loc  int8
-	next int32 // free-list or bucket-chain link; -1 ends the list
+	next int32 // free-list or bucket-chain link (-1 ends the list), or inSpill
 }
 
 // EventID identifies a scheduled event so it can be cancelled. It is a
@@ -177,13 +184,16 @@ func (e *Engine) Pending() int { return e.nWheel + len(e.spill) }
 // that held a queued event has its generation bumped, so EventIDs issued
 // before the Reset can never cancel events scheduled after it.
 func (e *Engine) Reset() {
-	for i := range e.slots {
-		if e.slots[i].loc != locFree {
-			e.release(int32(i))
-		}
-	}
 	for i := range e.buckets {
+		for idx := e.buckets[i].head; idx >= 0; {
+			next := e.slots[idx].next
+			e.release(idx)
+			idx = next
+		}
 		e.buckets[i] = bucket{head: -1, tail: -1}
+	}
+	for _, idx := range e.spill {
+		e.release(idx)
 	}
 	for i := range e.occ {
 		e.occ[i] = 0
@@ -204,8 +214,8 @@ func (e *Engine) Seq() uint64 { return e.seq }
 
 // SetSeq overrides the next insertion sequence number. Chains and the spill
 // list stay correctly ordered even when the override moves seq backwards:
-// schedule inserts out-of-order seqs by position (chainInsert, spillInsert),
-// not by blind append.
+// schedule inserts out-of-order seqs by position (chainInsertBefore,
+// spillInsert), not by blind append.
 func (e *Engine) SetSeq(seq uint64) { e.seq = seq }
 
 // Peek returns the (at, seq) key of the event Step would run next, without
@@ -220,6 +230,16 @@ func (e *Engine) Peek() (at Time, seq uint64, ok bool) {
 	}
 	s := &e.slots[idx]
 	return s.at, s.seq, true
+}
+
+// nextAt returns the cycle of the event Step would run next, or Infinity
+// when nothing is pending or the engine is stopped.
+func (e *Engine) nextAt() Time {
+	at, _, ok := e.Peek()
+	if !ok {
+		return Infinity
+	}
+	return at
 }
 
 // RekeyBucket reassigns the insertion sequence number of every event in
@@ -266,10 +286,12 @@ func (e *Engine) RekeyOverflow(base uint64, renum []uint64) {
 }
 
 // schedule grabs a slot, fills it, and queues it on the wheel (near
-// horizon) or the spill list (at or beyond it).
+// horizon) or the spill list (at or beyond it). A wheel event joins its
+// time's bucket chain inline: the chain is empty, or the event's seq is the
+// largest — seq is monotonic in any serial run — and it is appended.
 //
 //puno:hot
-func (e *Engine) schedule(t Time, fn Event, h Handler, arg any, word uint64) EventID {
+func (e *Engine) schedule(t Time, h Handler, arg any, word uint64) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -284,16 +306,28 @@ func (e *Engine) schedule(t Time, fn Event, h Handler, arg any, word uint64) Eve
 	s := &e.slots[idx]
 	s.at = t
 	s.seq = e.seq
-	s.fn = fn
 	s.h = h
 	s.arg = arg
 	s.word = word
 	e.seq++
 	if t-e.now < e.window {
-		s.loc = locWheel
-		e.chainInsert(idx)
+		e.nWheel++
+		bi := uint64(t) & e.mask
+		b := &e.buckets[bi]
+		switch {
+		case b.head < 0:
+			s.next = -1
+			b.head, b.tail = idx, idx
+			e.occ[bi>>6] |= 1 << (bi & 63)
+		case e.slots[b.tail].seq <= s.seq:
+			s.next = -1
+			e.slots[b.tail].next = idx
+			b.tail = idx
+		default:
+			e.chainInsertBefore(b, idx)
+		}
 	} else {
-		s.loc = locSpill
+		s.next = inSpill
 		e.nSpill++
 		e.spillInsert(idx)
 	}
@@ -331,62 +365,48 @@ func (e *Engine) before(a, b int32) bool {
 	return sa.seq < sb.seq
 }
 
-// chainInsert links a filled slot into its time bucket, keeping the chain
-// seq-sorted. seq is monotonic in any serial run, so the tail comparison
-// passes and insertion is the classic O(1) append; the positional walk only
-// runs when SetSeq has moved seq backwards (sharded commit replay), where
-// bucket chains hold the handful of events of one exact cycle.
-//
-//puno:hot
-func (e *Engine) chainInsert(idx int32) {
+// chainInsertBefore links slot idx into chain b ahead of its tail, keeping
+// the chain seq-sorted. It only runs when SetSeq has moved seq backwards
+// (sharded commit replay), where bucket chains hold the handful of events of
+// one exact cycle.
+func (e *Engine) chainInsertBefore(b *bucket, idx int32) {
 	s := &e.slots[idx]
-	bi := uint64(s.at) & e.mask
-	b := &e.buckets[bi]
-	switch {
-	case b.head < 0:
-		s.next = -1
-		b.head, b.tail = idx, idx
-		e.occ[bi>>6] |= 1 << (bi & 63)
-	case e.slots[b.tail].seq <= s.seq:
-		s.next = -1
-		e.slots[b.tail].next = idx
-		b.tail = idx
-	case s.seq < e.slots[b.head].seq:
+	if s.seq < e.slots[b.head].seq {
 		s.next = b.head
 		b.head = idx
-	default:
-		prev := b.head
-		for e.slots[prev].next >= 0 && e.slots[e.slots[prev].next].seq <= s.seq {
-			prev = e.slots[prev].next
-		}
-		s.next = e.slots[prev].next
-		e.slots[prev].next = idx
+		return
 	}
-	e.nWheel++
+	prev := b.head
+	for e.slots[prev].next >= 0 && e.slots[e.slots[prev].next].seq <= s.seq {
+		prev = e.slots[prev].next
+	}
+	s.next = e.slots[prev].next
+	e.slots[prev].next = idx
 }
 
 // At schedules fn to run at absolute cycle t. Scheduling in the past (t <
-// Now) panics: it would silently corrupt causality.
+// Now) panics: it would silently corrupt causality. fn rides in the slot's
+// arg (a func value boxes without allocating), dispatched by runClosure.
 func (e *Engine) At(t Time, fn Event) EventID {
-	return e.schedule(t, fn, nil, nil, 0)
+	return e.schedule(t, runClosure, fn, 0)
 }
 
 // After schedules fn to run delay cycles from now.
 func (e *Engine) After(delay Time, fn Event) EventID {
-	return e.schedule(e.now+delay, fn, nil, nil, 0)
+	return e.schedule(e.now+delay, runClosure, fn, 0)
 }
 
 // AtEvent schedules h.OnEvent(arg, word) at absolute cycle t without
 // allocating. FIFO ordering against At-scheduled events is preserved: both
 // share the same insertion sequence.
 func (e *Engine) AtEvent(t Time, h Handler, arg any, word uint64) EventID {
-	return e.schedule(t, nil, h, arg, word)
+	return e.schedule(t, h, arg, word)
 }
 
 // AfterEvent schedules h.OnEvent(arg, word) delay cycles from now without
 // allocating.
 func (e *Engine) AfterEvent(delay Time, h Handler, arg any, word uint64) EventID {
-	return e.schedule(e.now+delay, nil, h, arg, word)
+	return e.schedule(e.now+delay, h, arg, word)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-run,
@@ -400,14 +420,13 @@ func (e *Engine) Cancel(id EventID) bool {
 		return false
 	}
 	s := &e.slots[idx]
-	if s.gen != id.gen || s.loc == locFree {
+	if s.gen != id.gen {
 		return false
 	}
-	switch s.loc {
-	case locWheel:
-		e.unchain(idx)
-	case locSpill:
+	if s.next == inSpill {
 		e.spillRemove(idx)
+	} else {
+		e.unchain(idx)
 	}
 	e.release(idx)
 	return true
@@ -440,12 +459,10 @@ func (e *Engine) unchain(idx int32) {
 
 // release returns a slot to the free list, bumping its generation so any
 // outstanding EventID for it goes stale, and dropping references so the
-// slab does not retain the event's closure or payload.
+// slab does not retain the event's handler or payload.
 func (e *Engine) release(idx int32) {
 	s := &e.slots[idx]
 	s.gen++
-	s.loc = locFree
-	s.fn = nil
 	s.h = nil
 	s.arg = nil
 	s.next = e.free
@@ -456,12 +473,13 @@ func (e *Engine) release(idx int32) {
 // Scanning starts at now's bucket and wraps: bucket (now+k) mod window
 // holds exactly the events at time now+k (horizon invariant), so the first
 // occupied bucket in scan order is the earliest wheel time, and its chain
-// head is that time's lowest seq.
+// head is that time's lowest seq. Now's own bucket is read first, without
+// the bitmap: same-cycle bursts are the common case.
 func (e *Engine) scanWheel() int32 {
-	if e.nWheel == 0 {
-		return -1
-	}
 	start := uint64(e.now) & e.mask
+	if h := e.buckets[start].head; h >= 0 || e.nWheel == 0 {
+		return h
+	}
 	wi := int(start >> 6)
 	nw := len(e.occ)
 	// First word: ignore buckets before now's position. On wrap-around the
@@ -501,10 +519,25 @@ func (e *Engine) nextEvent() int32 {
 	return w
 }
 
-// popSlot removes a queued slot from its structure (without releasing it).
-func (e *Engine) popSlot(idx int32) {
+// pop removes the earliest pending event if it fires at or before limit:
+// it unlinks the slot, advances the clock to the event's cycle, counts it,
+// and releases the slot before returning the callback, so the callback may
+// reuse the slot (its generation was bumped, so a stale EventID for the
+// fired event still cancels nothing). ok is false, and nothing changes,
+// when no event is pending or the earliest one fires after limit. Run, Step
+// and DrainBefore all fire events through it.
+//
+//puno:hot
+func (e *Engine) pop(limit Time) (h Handler, arg any, word, seq uint64, ok bool) {
+	idx := e.nextEvent()
+	if idx < 0 {
+		return nil, nil, 0, 0, false
+	}
 	s := &e.slots[idx]
-	if s.loc == locWheel {
+	if s.at > limit {
+		return nil, nil, 0, 0, false
+	}
+	if s.next != inSpill {
 		// The popped slot is always its bucket's head (the scan returns
 		// heads, and heads are the chain's minimum seq).
 		bi := uint64(s.at) & e.mask
@@ -518,26 +551,11 @@ func (e *Engine) popSlot(idx int32) {
 	} else {
 		e.spillRemove(idx)
 	}
-}
-
-// runSlot fires the event in slot idx: advance the clock, release the slot
-// (so the callback can recycle it), then run the callback.
-//
-//puno:hot
-func (e *Engine) runSlot(idx int32) {
-	s := &e.slots[idx]
 	e.now = s.at
 	e.nRun++
-	fn, h, arg, word := s.fn, s.h, s.arg, s.word
-	// Release before running: the callback may schedule new events, which
-	// can then reuse this slot (its generation was bumped, so a stale
-	// EventID for the fired event still cancels nothing).
+	h, arg, word, seq = s.h, s.arg, s.word, s.seq
 	e.release(idx)
-	if fn != nil {
-		fn()
-	} else {
-		h.OnEvent(arg, word)
-	}
+	return h, arg, word, seq, true
 }
 
 // DrainEntry is one effectful event executed by DrainBefore: the cycle it
@@ -565,20 +583,19 @@ type DrainEntry struct {
 //
 //puno:hot
 func (e *Engine) DrainBefore(limit Time, base uint64, flag uint32, log []DrainEntry, ext, emit *int32) ([]DrainEntry, Time) {
+	if limit == 0 {
+		// Nothing fires before cycle 0 (and limit-1 below would wrap).
+		return log, e.nextAt()
+	}
 	x, m := *ext, *emit
 	pseq := e.seq
 	for !e.stopped {
-		idx := e.nextEvent()
-		if idx < 0 {
-			return log, Infinity
+		h, arg, word, seq, ok := e.pop(limit - 1)
+		if !ok {
+			return log, e.nextAt()
 		}
-		s := &e.slots[idx]
-		if s.at >= limit {
-			return log, s.at
-		}
-		at, seq := s.at, s.seq
-		e.popSlot(idx)
-		e.runSlot(idx)
+		at := e.now
+		h.OnEvent(arg, word)
 		x2, m2, q2 := *ext, *emit, e.seq
 		if x2 != x || m2 != m || q2 != pseq {
 			key := uint32(seq)
@@ -603,13 +620,11 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	idx := e.nextEvent()
-	if idx < 0 {
-		return false
+	h, arg, word, _, ok := e.pop(Infinity)
+	if ok {
+		h.OnEvent(arg, word)
 	}
-	e.popSlot(idx)
-	e.runSlot(idx)
-	return true
+	return ok
 }
 
 // Run executes events until the queue drains, Stop is called, or the clock
@@ -617,16 +632,14 @@ func (e *Engine) Step() bool {
 // stopped.
 func (e *Engine) Run(limit Time) Time {
 	for !e.stopped {
-		idx := e.nextEvent()
-		if idx < 0 {
+		h, arg, word, _, ok := e.pop(limit)
+		if !ok {
+			if e.Pending() > 0 {
+				e.now = limit // the next event lies beyond limit
+			}
 			break
 		}
-		if e.slots[idx].at > limit {
-			e.now = limit
-			break
-		}
-		e.popSlot(idx)
-		e.runSlot(idx)
+		h.OnEvent(arg, word)
 	}
 	return e.now
 }

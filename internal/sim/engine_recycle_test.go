@@ -245,25 +245,37 @@ func TestEngineMatchesContainerHeapReference(t *testing.T) {
 	}
 }
 
-// TestEngineSteadyStateAllocFree certifies the tentpole property: once the
-// slab has warmed up, scheduling and firing events allocates nothing.
+// TestEngineSteadyStateAllocFree certifies the engine's core property: once the
+// slab has warmed up, scheduling and firing events allocates nothing —
+// through AfterEvent, and through At and After with a pre-built closure,
+// which rides in the slot's arg (a func value boxes without allocating).
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
 	h := countingHandler{}
-	// Warm-up: grow slab and heap to working size.
-	for i := 0; i < 64; i++ {
-		e.AfterEvent(Time(i%7), &h, nil, 0)
-	}
-	e.Run(Infinity)
-
-	allocs := testing.AllocsPerRun(100, func() {
+	closures := 0
+	tick := Event(func() { closures++ })
+	round := func() {
 		for i := 0; i < 64; i++ {
-			e.AfterEvent(Time(i%7), &h, nil, 0)
+			switch i % 3 {
+			case 0:
+				e.AfterEvent(Time(i%7), &h, nil, 0)
+			case 1:
+				e.After(Time(i%7), tick)
+			default:
+				e.At(e.Now()+Time(i%5), tick)
+			}
 		}
 		e.Run(Infinity)
-	})
+	}
+	// Warm-up: grow the slab to working size.
+	round()
+
+	allocs := testing.AllocsPerRun(100, round)
 	if allocs != 0 {
-		t.Fatalf("steady-state AfterEvent/Run allocated %.1f objects per round, want 0", allocs)
+		t.Fatalf("steady-state AfterEvent/After/At + Run allocated %.1f objects per round, want 0", allocs)
+	}
+	if want := 42 * 102; closures != want {
+		t.Fatalf("closure events ran %d times, want %d", closures, want)
 	}
 }
 

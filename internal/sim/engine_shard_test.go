@@ -60,7 +60,7 @@ func TestPeekSeqStep(t *testing.T) {
 	}
 }
 
-// TestSetSeqOrdersSameCycleChain drives every chainInsert branch: fresh
+// TestSetSeqOrdersSameCycleChain drives every chain-insert branch: fresh
 // bucket, in-order tail append, head insertion, and the positional walk a
 // backwards SetSeq (the sharded commit replay) requires.
 func TestSetSeqOrdersSameCycleChain(t *testing.T) {
@@ -104,7 +104,7 @@ func TestRekeyBucketAndOverflow(t *testing.T) {
 	e.RekeyBucket(7, base, renum)
 	e.RekeyOverflow(base, renum)
 	// Events inserted after the bulk passes, keyed between the mapped seqs:
-	// chainInsert's positional walk and spillInsert's scan must slot them in.
+	// chainInsertBefore's positional walk and spillInsert's scan must slot them in.
 	e.SetSeq(15)
 	e.AtEvent(7, h, nil, 105) // between the rekeyed 10 and 20
 	e.SetSeq(35)
@@ -258,6 +258,14 @@ func TestDrainBefore(t *testing.T) {
 	}
 	if len(log2) != 0 {
 		t.Fatalf("quiet tail produced entries: %+v", log2)
+	}
+
+	// Nothing fires before cycle 0: a zero limit drains nothing and reports
+	// the pending event's time.
+	e0 := NewEngine()
+	e0.AtEvent(0, sender, nil, 0)
+	if log0, next0 := e0.DrainBefore(0, base, flag, nil, &ext, &emit); len(log0) != 0 || next0 != 0 || e0.Pending() != 1 {
+		t.Fatalf("DrainBefore(0) drained %d entries, next %d, %d pending; want 0, 0, 1", len(log0), next0, e0.Pending())
 	}
 
 	e.AtEvent(50, quiet, nil, 0)

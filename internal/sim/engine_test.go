@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
@@ -38,6 +40,32 @@ func TestEngineSameCycleFIFO(t *testing.T) {
 			t.Fatalf("same-cycle events reordered: pos %d got %d", i, v)
 		}
 	}
+
+	// Closure and handler events share one insertion sequence: mixed on
+	// one cycle they run in scheduling order, and cancelling a closure
+	// event removes exactly that one.
+	t.Run("mixed", func(t *testing.T) {
+		e := NewEngine()
+		var order []int
+		h := &funcHandler{f: func(word uint64) { order = append(order, int(word)) }}
+		var ids []EventID
+		for i := 0; i < 12; i++ {
+			i := i
+			if i%2 == 0 {
+				ids = append(ids, e.At(9, func() { order = append(order, i) }))
+			} else {
+				e.AtEvent(9, h, nil, uint64(i))
+			}
+		}
+		if !e.Cancel(ids[3]) { // the closure event scheduled 7th
+			t.Fatal("Cancel of a pending closure event returned false")
+		}
+		e.Run(Infinity)
+		want := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11}
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Fatalf("mixed same-cycle order %v, want %v", order, want)
+		}
+	})
 }
 
 func TestEngineAfterSchedulesRelative(t *testing.T) {
@@ -191,5 +219,14 @@ func TestEngineProcessedCount(t *testing.T) {
 	e.Run(Infinity)
 	if e.Processed() != 42 {
 		t.Fatalf("Processed = %d, want 42", e.Processed())
+	}
+}
+
+// TestEventSlotSize pins a slot to one 64-byte cache line: the pop and
+// schedule paths each touch a slot per event, and a slot that straddles two
+// lines costs a second miss.
+func TestEventSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(eventSlot{}); got != 64 {
+		t.Fatalf("eventSlot is %d bytes, want 64", got)
 	}
 }
