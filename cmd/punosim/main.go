@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		quiet     = fs.Bool("q", false, "print only the summary line")
 		traceStr  = fs.String("trace", "", "print rendered event lines containing this substring (e.g. a line address)")
 		vmult     = fs.Int("vmult", 0, "P-Buffer validity timeout multiplier (0 = default)")
-		maxwait   = fs.Uint64("maxwait", 0, "cap on notification-guided waits (0 = default)")
 		timeline  = fs.Uint64("timeline", 0, "sample interval in cycles; prints a dynamics table (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -78,9 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg.ValidityTimeoutMult = *vmult
 	if *timeline > 0 {
 		cfg.SampleInterval = sim.Time(*timeline)
-	}
-	if *maxwait > 0 {
-		cfg.NotifyMaxWait = sim.Time(*maxwait)
 	}
 	var tracer *traceSink
 	if *traceStr != "" {

@@ -20,18 +20,18 @@ import (
 	"repro/internal/lint"
 )
 
-// TestDocsResolve holds DESIGN.md and README.md to the tree, the way
-// TestAllowlistsResolve holds the exemptions table to it: every name the
-// two documents put in backticks (and every command line of their fenced
-// blocks) must resolve, or the sentence around it has rotted. docProblems
-// has the grammar.
+// TestDocsResolve holds DESIGN.md, README.md and EXPERIMENTS.md to the
+// tree, the way TestAllowlistsResolve holds the exemptions table to it:
+// every name the three documents put in backticks (and every command line
+// of their fenced blocks) must resolve, or the sentence around it has
+// rotted. docProblems has the grammar.
 func TestDocsResolve(t *testing.T) {
 	tree, err := buildDocTree()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Run("checker", func(t *testing.T) { checkerCatchesStaleNames(t, tree) })
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		t.Run(doc, func(t *testing.T) {
 			text, err := os.ReadFile(doc)
 			if err != nil {
@@ -64,7 +64,7 @@ func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 			t.Errorf("%s: %d problems, want 1: %v", s, len(got), got)
 		}
 	}
-	sound := "`Engine.AtEvent` `node.msgTo` `sim.Engine.Now` `cm.PUNO.NotifyEachRetry` `*sim.RNG` " +
+	sound := "`Engine.AtEvent` `node.msgTo` `sim.Engine.Now` `cm.PUNO.GuardBand` `*sim.RNG` " +
 		"`internal/{sim,noc}` `internal/lint/testdata/src/escapegate` `events.go` `machine/encode.go` " +
 		"`make lint` `cmd/experiments -exp table1` " +
 		"`-cache-dir` `TestDocsResolve` `BenchmarkSweepParallelism/serial` `sim.kernel_ns_per_event` " +

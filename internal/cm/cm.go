@@ -122,24 +122,21 @@ func (b *RandomBackoff) Notify() bool { return false }
 // Restart backoff is the baseline's (the paper changes only the polling
 // behaviour).
 //
-// Every NACK that carries a T_est is slept on (NotifyEachRetry, which
-// NewPUNO sets: the paper-literal behaviour). An underestimate converges:
-// the early retry collects a fresh NACK whose T_est reflects the nacker's
-// remaining time. An overestimate (attempt lengths vary widely under
-// contention) would strand the line idle after the nacker commits;
-// RetryDelay bounds that cost by sleeping half the estimate. With
-// NotifyEachRetry false only the first backoff of an access uses the
-// notification and later retries poll at the baseline interval.
+// Every NACK that carries a T_est is slept on, as in the paper. An
+// underestimate converges: the early retry collects a fresh NACK whose
+// T_est reflects the nacker's remaining time. An overestimate (attempt
+// lengths vary widely under contention) would strand the line idle after
+// the nacker commits; RetryDelay bounds that cost by sleeping half the
+// estimate.
 type PUNO struct {
-	GuardBand       sim.Time // 2 x average cache-to-cache latency
-	MaxWait         sim.Time // safety cap on a single notification-guided wait
-	NotifyEachRetry bool     // sleep on every notified NACK (paper-literal); false = notify once then poll
+	GuardBand sim.Time // 2 x average cache-to-cache latency
+	MaxWait   sim.Time // safety cap on a single notification-guided wait
 }
 
 // NewPUNO returns the PUNO manager. guard should be twice the average
 // cache-to-cache latency of the interconnect.
 func NewPUNO(guard sim.Time) *PUNO {
-	return &PUNO{GuardBand: guard, MaxWait: 100000, NotifyEachRetry: true}
+	return &PUNO{GuardBand: guard, MaxWait: 100000}
 }
 
 // Name implements Manager.
@@ -152,8 +149,8 @@ func (p *PUNO) Name() string { return "PUNO" }
 // common; halving bounds the overshoot cost while undershoot self-corrects
 // — the early retry collects a fresh NACK with a smaller T_est and the
 // waits converge geometrically onto the nacker's commit.
-func (p *PUNO) RetryDelay(_ *sim.RNG, retries int, tEst sim.Time) sim.Time {
-	if (retries == 0 || p.NotifyEachRetry) && tEst > p.GuardBand {
+func (p *PUNO) RetryDelay(_ *sim.RNG, _ int, tEst sim.Time) sim.Time {
+	if tEst > p.GuardBand {
 		wait := (tEst - p.GuardBand) / 2
 		if wait > p.MaxWait {
 			wait = p.MaxWait

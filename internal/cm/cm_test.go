@@ -114,18 +114,11 @@ func TestPUNOWaitCapped(t *testing.T) {
 	}
 }
 
-func TestPUNONotifyEachRetryDefault(t *testing.T) {
+func TestPUNOResleepsOnEveryNotifiedRetry(t *testing.T) {
 	p := NewPUNO(60)
-	if !p.NotifyEachRetry {
-		t.Fatal("paper-literal resleep should be the default")
-	}
-	// With resleep on, later retries still honour notifications.
+	// Later retries still honour notifications.
 	if d := p.RetryDelay(sim.NewRNG(1), 5, 500); d != 220 {
 		t.Fatalf("retry 5 notified delay = %d, want 220", d)
-	}
-	p.NotifyEachRetry = false
-	if d := p.RetryDelay(sim.NewRNG(1), 5, 500); d != FixedBackoffCycles {
-		t.Fatalf("notify-once mode retry 5 = %d, want fixed", d)
 	}
 }
 

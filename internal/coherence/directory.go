@@ -263,9 +263,6 @@ func (d *Directory) emit(kind probe.Kind, lid mem.LineID, n, requester int, reqI
 // Stats returns a copy of the accumulated statistics.
 func (d *Directory) Stats() Stats { return d.stats }
 
-// ResetStats clears the statistics (warm-up discard).
-func (d *Directory) ResetStats() { d.stats = Stats{} }
-
 // BusyLines returns the number of entries currently blocked (used by the
 // machine's quiescence check). Free-listed slots are never busy (recycling
 // requires an idle entry), so scanning the whole slab is safe.

@@ -24,28 +24,28 @@ import (
 	"repro/internal/sim"
 )
 
+// The paper's fixed directory-side timings: a 2-cycle decision path
+// (1 cycle P-Buffer access + 1 cycle compare) on the forward path, and a
+// floor under the adaptive rollover period.
+const (
+	decisionLatency sim.Time = 2
+	minTimeout      sim.Time = 64
+
+	// defaultTimeoutMultiplier scales the adaptive rollover period
+	// relative to the observed average transaction length. The paper
+	// states the period is "determined dynamically based on the average
+	// transaction length" without giving the constant; 16x calibrates well
+	// across the workload suite (see `experiments -exp validity`) because a
+	// priority retained across retries stays correct for several
+	// transaction lifetimes under contention.
+	defaultTimeoutMultiplier = 16
+)
+
 // PredictorConfig sizes the directory-side structures.
 type PredictorConfig struct {
-	Nodes           int      // P-Buffer entries (one per node)
-	DecisionLatency sim.Time // P-Buffer read + unicast decision, on the forward path
-	MinTimeout      sim.Time // floor for the adaptive rollover period
-	FixedTimeout    sim.Time // if nonzero, disables adaptivity (ablation)
-	DisableValidity bool     // if true, validity counters never decay (ablation)
-
-	// TimeoutMultiplier scales the adaptive rollover period relative to
-	// the observed average transaction length. The paper states the
-	// period is "determined dynamically based on the average transaction
-	// length" without giving the constant; 16x calibrates well across the
-	// workload suite (see `experiments -exp validity`) because a priority
-	// retained across retries stays correct for several transaction
-	// lifetimes under contention.
-	TimeoutMultiplier int
-}
-
-// DefaultPredictorConfig matches the paper: a 16-entry P-Buffer and a
-// 2-cycle decision path (1 cycle P-Buffer access + 1 cycle compare).
-func DefaultPredictorConfig(nodes int) PredictorConfig {
-	return PredictorConfig{Nodes: nodes, DecisionLatency: 2, MinTimeout: 64, TimeoutMultiplier: 16}
+	Nodes             int  // P-Buffer entries (one per node)
+	DisableValidity   bool // if true, validity counters never decay (ablation)
+	TimeoutMultiplier int  // rollover period / average transaction length (0 = 16)
 }
 
 type pbufEntry struct {
@@ -103,11 +103,8 @@ func (p *Predictor) Reset(cfg PredictorConfig) {
 	if cfg.Nodes <= 0 {
 		panic("core: predictor needs at least one node")
 	}
-	if cfg.MinTimeout == 0 {
-		cfg.MinTimeout = 64
-	}
 	if cfg.TimeoutMultiplier <= 0 {
-		cfg.TimeoutMultiplier = 16
+		cfg.TimeoutMultiplier = defaultTimeoutMultiplier
 	}
 	pbuf := p.pbuf
 	if len(pbuf) != cfg.Nodes {
@@ -122,12 +119,9 @@ func (p *Predictor) Reset(cfg PredictorConfig) {
 // average transaction length so that priorities decay at the rate
 // transactions actually turn over (Sec. III-B).
 func (p *Predictor) timeoutPeriod() sim.Time {
-	if p.cfg.FixedTimeout != 0 {
-		return p.cfg.FixedTimeout
-	}
 	t := sim.Time(p.avgLen) * sim.Time(p.cfg.TimeoutMultiplier)
-	if t < p.cfg.MinTimeout {
-		return p.cfg.MinTimeout
+	if t < minTimeout {
+		return minTimeout
 	}
 	return t
 }
@@ -306,7 +300,7 @@ func (p *Predictor) Confidence() float64 { return p.confidence }
 func (p *Predictor) Benefit() float64 { return p.benefit }
 
 // DecisionLatency implements coherence.Predictor.
-func (p *Predictor) DecisionLatency() sim.Time { return p.cfg.DecisionLatency }
+func (p *Predictor) DecisionLatency() sim.Time { return decisionLatency }
 
 // Accuracy returns the fraction of unicast predictions that were not
 // reported mispredicted.

@@ -11,7 +11,7 @@ import (
 const pline = mem.Line(0x1000)
 
 func newPred(clock *sim.Time) *Predictor {
-	return NewPredictor(DefaultPredictorConfig(16), func() sim.Time { return *clock })
+	return NewPredictor(PredictorConfig{Nodes: 16}, func() sim.Time { return *clock })
 }
 
 func TestObserveMakesEntryValid(t *testing.T) {
@@ -154,17 +154,18 @@ func TestMispredictionRefreshesActiveEntry(t *testing.T) {
 	}
 }
 
+// With no transaction-length hint the rollover period sits on its floor,
+// minTimeout (64 cycles), so the decay clock ticks at 64, 128, 192, ...
+
 func TestValidityDecaysOverTime(t *testing.T) {
 	var now sim.Time
-	cfg := DefaultPredictorConfig(16)
-	cfg.FixedTimeout = 100
-	p := NewPredictor(cfg, func() sim.Time { return now })
+	p := newPred(&now)
 	p.ObserveRequest(3, 10, 0) // validity 2, decay clock armed
 	if !p.Valid(3) {
 		t.Fatal("setup failed")
 	}
 	// One timeout: validity 2 -> 1 (no longer usable).
-	now = 250
+	now = 100
 	p.decay()
 	if p.Valid(3) {
 		t.Fatal("validity did not decay after timeout")
@@ -178,9 +179,7 @@ func TestValidityDecaysOverTime(t *testing.T) {
 
 func TestValiditySaturatesAtThree(t *testing.T) {
 	var now sim.Time
-	cfg := DefaultPredictorConfig(16)
-	cfg.FixedTimeout = 100
-	p := NewPredictor(cfg, func() sim.Time { return now })
+	p := newPred(&now)
 	for i := 0; i < 10; i++ {
 		p.ObserveRequest(3, 10, 0)
 	}
@@ -190,7 +189,7 @@ func TestValiditySaturatesAtThree(t *testing.T) {
 	if !p.Valid(3) {
 		t.Fatal("validity 3 should survive one decay")
 	}
-	now = 350
+	now = 200
 	p.decay()
 	if p.Valid(3) {
 		t.Fatal("validity should be <= 1 after three decays")
@@ -199,7 +198,7 @@ func TestValiditySaturatesAtThree(t *testing.T) {
 
 func TestDisableValidityAblation(t *testing.T) {
 	var now sim.Time
-	cfg := DefaultPredictorConfig(16)
+	cfg := PredictorConfig{Nodes: 16}
 	cfg.DisableValidity = true
 	p := NewPredictor(cfg, func() sim.Time { return now })
 	p.ObserveRequest(3, 10, 0)
@@ -259,7 +258,7 @@ func TestPredictorResetEqualsNew(t *testing.T) {
 	p.MulticastResolved(true)
 	p.Mispreds++
 	now = 1 << 20
-	p.Reset(DefaultPredictorConfig(16))
+	p.Reset(PredictorConfig{Nodes: 16})
 	if p.Valid(1) || p.Valid(5) || p.Confidence() != 1 || p.Benefit() != 0 || p.Mispreds != 0 {
 		t.Fatalf("Reset left state behind: %+v", p)
 	}
@@ -274,7 +273,7 @@ func TestPredictorResetEqualsNew(t *testing.T) {
 	if d1 != d2 || ok1 != ok2 {
 		t.Fatalf("reset predictor predicts %d/%v, new one %d/%v", d1, ok1, d2, ok2)
 	}
-	p.Reset(DefaultPredictorConfig(4))
+	p.Reset(PredictorConfig{Nodes: 4})
 	if _, ok := p.PriorityOf(3); ok {
 		t.Fatal("resized predictor kept an entry")
 	}

@@ -92,17 +92,16 @@ type Config struct {
 	DirOccupancy sim.Time
 	L1Occupancy  sim.Time
 
-	// TxLBEntries sizes the per-node transaction length buffer; PBufferMin
-	// timeout and related predictor knobs come from PredictorConfig.
+	// TxLBEntries sizes the per-node transaction length buffer.
 	TxLBEntries int
 
 	// SignatureBits, when nonzero, switches conflict detection to
 	// Bloom-filter signatures of that size (LogTM-SE ablation).
 	SignatureBits int
 
-	// DisableAdaptiveTimeout fixes the P-Buffer validity timeout (ablation).
-	FixedValidityTimeout sim.Time
-	DisableValidity      bool
+	// DisableValidity stops the P-Buffer validity counters from decaying
+	// (ablation).
+	DisableValidity bool
 	// ValidityTimeoutMult scales the adaptive validity timeout relative to
 	// the average transaction length (0 = package default).
 	ValidityTimeoutMult int
@@ -110,9 +109,6 @@ type Config struct {
 	// NotifyGuardOverride, when nonzero, replaces the computed 2x average
 	// cache-to-cache latency guard band (ablation).
 	NotifyGuardOverride sim.Time
-	// NotifyMaxWait, when nonzero, caps a single notification-guided
-	// backoff (ablation).
-	NotifyMaxWait sim.Time
 
 	// MaxCycles aborts the run if the clock passes it (hang protection).
 	MaxCycles sim.Time

@@ -40,11 +40,6 @@ func TestDiagSchemes(t *testing.T) {
 			c.DisableValidity = true
 			return c
 		}()},
-		{"PUNO-slowdecay", func() Config {
-			c := smallConfig(SchemePUNO, 3)
-			c.FixedValidityTimeout = 20000
-			return c
-		}()},
 		{"UnicastOnly", smallConfig(SchemeUnicastOnly, 3)},
 		{"NotifyOnly", smallConfig(SchemeNotifyOnly, 3)},
 	}

@@ -12,10 +12,10 @@ import (
 // Config that content-addressed result caching hashes. Two Configs that
 // would produce the same simulation trajectory encode identically, and any
 // field that can change a Result changes the bytes. The encoding is
-// versioned ("punocfg/1"): adding a Config field that influences results
-// must extend encodeCanonical and bump the version, which rotates every
-// cache key — exactly the safe failure mode, since a stale key can never
-// alias a run with different semantics.
+// versioned ("punocfg/2"): adding a Config field that influences results,
+// or removing one, must change AppendCanonical and bump the version, which
+// rotates every cache key — exactly the safe failure mode, since a stale
+// key can never alias a run with different semantics.
 //
 // Two deliberate exclusions:
 //
@@ -27,7 +27,7 @@ import (
 //     byte form, and a run with a sink is cycle-identical to one without,
 //     so AppendCanonical refuses configs that set it rather than silently
 //     dropping live state from the key.
-const cfgMagic = "punocfg/1"
+const cfgMagic = "punocfg/2"
 
 // AppendCanonical appends the canonical binary encoding of c to dst and
 // returns the extended slice. It fails when c carries non-encodable live
@@ -61,11 +61,9 @@ func (c *Config) AppendCanonical(dst []byte) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(c.L1Occupancy))
 	b = wire.AppendInt(b, c.TxLBEntries)
 	b = wire.AppendInt(b, c.SignatureBits)
-	b = binary.AppendUvarint(b, uint64(c.FixedValidityTimeout))
 	b = wire.AppendBool(b, c.DisableValidity)
 	b = wire.AppendInt(b, c.ValidityTimeoutMult)
 	b = binary.AppendUvarint(b, uint64(c.NotifyGuardOverride))
-	b = binary.AppendUvarint(b, uint64(c.NotifyMaxWait))
 	b = binary.AppendUvarint(b, uint64(c.MaxCycles))
 	b = binary.AppendUvarint(b, c.Seed)
 	b = binary.AppendUvarint(b, uint64(c.SampleInterval))

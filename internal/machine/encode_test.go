@@ -289,29 +289,30 @@ func TestConfigCanonicalDeterministic(t *testing.T) {
 		t.Fatalf("canonical encoding does not start with %q", cfgMagic)
 	}
 
-	// Every result-influencing knob must move the bytes.
-	mutations := map[string]func(*Config){
-		"Seed":            func(c *Config) { c.Seed++ },
-		"Scheme":          func(c *Config) { c.Scheme = SchemeBackoff },
-		"Nodes":           func(c *Config) { c.Nodes = 64; c.Mesh.Width = 8; c.Mesh.Height = 8 },
-		"MemLatency":      func(c *Config) { c.MemLatency += 10 },
-		"SignatureBits":   func(c *Config) { c.SignatureBits = 512 },
-		"DisableValidity": func(c *Config) { c.DisableValidity = true },
-		"BusyRetryDelay":  func(c *Config) { c.BusyRetryDelay++ },
-		"SampleInterval":  func(c *Config) { c.SampleInterval = 1000 },
-		"MaxCycles":       func(c *Config) { c.MaxCycles++ },
-		"L1 size":         func(c *Config) { c.L1.SizeBytes *= 2 },
-		"TxLBEntries":     func(c *Config) { c.TxLBEntries++ },
-	}
-	for name, mutate := range mutations {
+	// Every leaf field of Config, nested structs included, must move the
+	// bytes except the two deliberate exclusions. The walk is over the type,
+	// so a field added to Config but not to AppendCanonical fails here
+	// instead of silently sharing a cache key.
+	for _, l := range configLeaves(reflect.TypeFor[Config](), "", nil) {
 		mc := cfg
-		mutate(&mc)
+		f := reflect.ValueOf(&mc).Elem().FieldByIndex(l.index)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		default:
+			t.Errorf("%s: cannot vary a %s field; extend this walk", l.name, f.Kind())
+			continue
+		}
 		got, err := mc.AppendCanonical(nil)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", l.name, err)
 		}
 		if bytes.Equal(a, got) {
-			t.Errorf("mutating %s did not change the canonical encoding", name)
+			t.Errorf("bumping %s did not change the canonical encoding", l.name)
 		}
 	}
 
@@ -326,6 +327,31 @@ func TestConfigCanonicalDeterministic(t *testing.T) {
 	if !bytes.Equal(a, got) {
 		t.Error("Shards changed the canonical encoding; equivalent runs would fragment the cache")
 	}
+}
+
+// configLeaf is one non-struct field of Config, reached by index through
+// any nested structs.
+type configLeaf struct {
+	name  string
+	index []int
+}
+
+// configLeaves lists the leaf fields of t (a Config or a struct nested in
+// it), skipping Shards and EventSink, which AppendCanonical leaves out on
+// purpose.
+func configLeaves(t reflect.Type, prefix string, index []int) []configLeaf {
+	var out []configLeaf
+	for i := range t.NumField() {
+		name, idx := prefix+t.Field(i).Name, append(index[:len(index):len(index)], i)
+		switch {
+		case name == "Shards" || name == "EventSink":
+		case t.Field(i).Type.Kind() == reflect.Struct:
+			out = append(out, configLeaves(t.Field(i).Type, name+".", idx)...)
+		default:
+			out = append(out, configLeaf{name, idx})
+		}
+	}
+	return out
 }
 
 func TestConfigCanonicalRefusesLiveState(t *testing.T) {

@@ -275,7 +275,7 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 	if guard == 0 {
 		guard = 2 * m.mesh.AverageLatency(coherence.DataFlits)
 	}
-	mb := &managerBuilder{scheme: cfg.Scheme, guard: guard, maxWait: cfg.NotifyMaxWait}
+	mb := &managerBuilder{scheme: cfg.Scheme, guard: guard}
 	if cfg.Scheme == SchemeATS {
 		mb.ats = cm.NewATSGroup(cfg.Nodes)
 	}
@@ -294,12 +294,8 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 		}
 		var pred coherence.Predictor
 		if usePred {
-			pcfg := core.DefaultPredictorConfig(cfg.Nodes)
-			pcfg.FixedTimeout = cfg.FixedValidityTimeout
-			pcfg.DisableValidity = cfg.DisableValidity
-			if cfg.ValidityTimeoutMult > 0 {
-				pcfg.TimeoutMultiplier = cfg.ValidityTimeoutMult
-			}
+			pcfg := core.PredictorConfig{Nodes: cfg.Nodes, DisableValidity: cfg.DisableValidity,
+				TimeoutMultiplier: cfg.ValidityTimeoutMult}
 			if m.preds[i] == nil {
 				m.preds[i] = core.NewPredictor(pcfg, m.eng.Now)
 			} else {
@@ -358,10 +354,9 @@ type BeginGater interface {
 // managerBuilder builds the per-node managers for a machine, sharing
 // state where the scheme requires it (ATS).
 type managerBuilder struct {
-	scheme  Scheme
-	guard   sim.Time
-	maxWait sim.Time
-	ats     *cm.ATSGroup
+	scheme Scheme
+	guard  sim.Time
+	ats    *cm.ATSGroup
 }
 
 func (mb *managerBuilder) build(node int) cm.Manager {
@@ -374,9 +369,6 @@ func (mb *managerBuilder) build(node int) cm.Manager {
 		return cm.NewRMWPred()
 	case SchemePUNO, SchemeNotifyOnly, SchemePUNOPush:
 		p := cm.NewPUNO(mb.guard)
-		if mb.maxWait > 0 {
-			p.MaxWait = mb.maxWait
-		}
 		if mb.scheme == SchemePUNOPush {
 			// With commit wakeups, the estimate is only a fallback bound:
 			// cap the notified sleep and rely on the wakeup for promptness.

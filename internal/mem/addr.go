@@ -53,9 +53,6 @@ func NewHomeMap(banks int) HomeMap {
 	return HomeMap{banks: banks}
 }
 
-// Banks returns the number of banks.
-func (h HomeMap) Banks() int { return h.banks }
-
 // Home returns the home node of line l.
 func (h HomeMap) Home(l Line) int {
 	return int((uint64(l) >> lineOffsetBit) % uint64(h.banks))

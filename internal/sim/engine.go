@@ -646,6 +646,3 @@ func (e *Engine) Run(limit Time) Time {
 
 // Stop halts Run after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }

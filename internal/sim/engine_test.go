@@ -161,9 +161,6 @@ func TestEngineStop(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("ran %d events after Stop, want 3", n)
 	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
 }
 
 func TestEngineZeroEventID(t *testing.T) {

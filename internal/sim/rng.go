@@ -72,11 +72,3 @@ func (r *RNG) Bool(p float64) bool {
 func (r *RNG) Fork(label uint64) *RNG {
 	return NewRNG(r.Uint64() ^ (label * 0xA24BAED4963EE407))
 }
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

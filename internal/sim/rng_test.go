@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -106,29 +105,6 @@ func TestRNGForkIndependent(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("forked children produced %d/100 identical values", same)
-	}
-}
-
-func TestRNGShuffleIsPermutation(t *testing.T) {
-	f := func(seed uint64, size uint8) bool {
-		n := int(size%64) + 1
-		r := NewRNG(seed)
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = i
-		}
-		r.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-		seen := make([]bool, n)
-		for _, v := range vals {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
