@@ -15,8 +15,10 @@ test:
 # determinism and zero-allocation invariants, then the compiler-backed
 # escape gate (-escape), which parses `go build -gcflags=-m=2` diagnostics
 # and fails on any heap allocation inside a //puno:hot function that no
-# row of internal/lint's exemptions table covers. See DESIGN.md.
+# row of internal/lint's exemptions table covers. See DESIGN.md. gofmt
+# first: a file it would rewrite fails the recipe.
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/punovet ./...
 	$(GO) run ./cmd/punovet -escape ./...

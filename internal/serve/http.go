@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,6 +37,35 @@ func renderJob(j *Job) jobJSON {
 	st, errMsg, _ := j.Snapshot()
 	key := j.Key.String()
 	return jobJSON{ID: key, State: string(st), Key: key, Cached: j.Cached, Error: errMsg}
+}
+
+// writeJob writes the job reply: the bytes writeJSON(w, status,
+// renderJob(j)) writes, without reflection. Unless the job failed, every
+// field is lowercase hex, a state name or true, none of which JSON
+// escapes; a failed job's free-text error goes through writeJSON.
+func writeJob(w http.ResponseWriter, status int, j *Job) {
+	st, _, _ := j.Snapshot()
+	if st == StateFailed {
+		writeJSON(w, status, renderJob(j))
+		return
+	}
+	var key [2 * len(Key{})]byte
+	hex.Encode(key[:], j.Key[:])
+	b := make([]byte, 0, 256)
+	b = append(b, "{\n  \"id\": \""...)
+	b = append(b, key[:]...)
+	b = append(b, "\",\n  \"state\": \""...)
+	b = append(b, st...)
+	b = append(b, "\",\n  \"key\": \""...)
+	b = append(b, key[:]...)
+	b = append(b, '"')
+	if j.Cached {
+		b = append(b, ",\n  \"cached\": true"...)
+	}
+	b = append(b, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(b)
 }
 
 // Handler returns the service's HTTP API:
@@ -98,7 +128,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st, _, _ := job.Snapshot(); st.Terminal() {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, renderJob(job))
+	writeJob(w, status, job)
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -121,12 +151,12 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 			select {
 			case <-changed:
 			case <-r.Context().Done():
-				writeJSON(w, http.StatusOK, renderJob(job))
+				writeJob(w, http.StatusOK, job)
 				return
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, renderJob(job))
+	writeJob(w, http.StatusOK, job)
 }
 
 func (s *Service) handleJobResult(w http.ResponseWriter, r *http.Request) {
@@ -167,7 +197,8 @@ func (s *Service) serveArtifact(w http.ResponseWriter, r *http.Request, key Key)
 		httpError(w, http.StatusGone, "result no longer cached; resubmit the spec")
 		return
 	}
-	if r.URL.Query().Get("format") == "json" {
+	// Query builds a map; a plain fetch carries no query to parse.
+	if r.URL.RawQuery != "" && r.URL.Query().Get("format") == "json" {
 		res, err := puno.DecodeResult(data)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -366,6 +368,102 @@ func TestJobIDIsContentKey(t *testing.T) {
 	for _, path := range []string{"/v1/jobs/" + first.ID, "/v1/jobs/" + first.ID + "/result"} {
 		if code, _, _ := getBody(t, ts.URL+path); code != http.StatusNotFound {
 			t.Fatalf("%s after eviction: status %d, want 404", path, code)
+		}
+	}
+}
+
+// TestJobReplyMatchesEncoder: writeJob writes what writeJSON writes for
+// renderJob — status, headers and body, byte for byte — for every state a
+// reply can carry, cached or not. A failed job's free-text error keeps
+// encoding/json's escaping.
+func TestJobReplyMatchesEncoder(t *testing.T) {
+	closed := func() chan struct{} { c := make(chan struct{}); close(c); return c }
+	queued := &flight{started: make(chan struct{}), done: make(chan struct{})}
+	running := &flight{started: closed(), done: make(chan struct{})}
+	finished := &flight{started: closed(), done: closed()}
+	failed := &flight{started: closed(), done: closed(),
+		err: errors.New("sim: \"hung\" <at cycle 7>\nsecond line")}
+
+	key := testKey(0xa7)
+	for _, f := range []*flight{queued, running, finished, nil, failed} {
+		for _, cached := range []bool{false, true} {
+			job := &Job{Key: key, Cached: cached, flight: f}
+			st, _, _ := job.Snapshot()
+			want, got := httptest.NewRecorder(), httptest.NewRecorder()
+			writeJSON(want, http.StatusAccepted, renderJob(job))
+			writeJob(got, http.StatusAccepted, job)
+			if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) ||
+				!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("%s job (cached=%v):\nwriteJob  %d %v\n%s\nwriteJSON %d %v\n%s", st, cached,
+					got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
+			}
+			if f == failed && !strings.Contains(got.Body.String(), `\"hung\" \u003cat cycle 7\u003e\nsecond line`) {
+				t.Fatalf("failed job's error is not escaped:\n%s", got.Body)
+			}
+		}
+	}
+}
+
+// Warm-hit allocation ceilings, at their measured values: a cached
+// Service.Submit, and each handler on serve_warm's path through httptest,
+// less what the request and recorder cost with a handler that does
+// nothing.
+const (
+	submitHitAllocs = 4
+	postHitAllocs   = 20
+	getHitAllocs    = 10
+)
+
+// raceEnabled is set by race_test.go. The race detector changes what
+// allocates (its sync.Pool, for one, drops items at random), so the
+// ceilings hold only without it.
+var raceEnabled bool
+
+func TestWarmHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the program's under the race detector")
+	}
+	s := newTestService(t, Options{Workers: 1})
+	spec := fastSpec(1)
+	key := specKey(t, spec, s.codeVersion)
+	s.cache.Put(key, testArtifact(t, 1))
+
+	if n := testing.AllocsPerRun(100, func() { s.Submit(spec) }); n > submitHitAllocs {
+		t.Errorf("cached Service.Submit: %v allocations, ceiling %d", n, submitHitAllocs)
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	nop := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})
+	for _, c := range []struct {
+		method, target string
+		body           []byte
+		ceiling        float64
+	}{
+		{http.MethodPost, "/v1/jobs", body, postHitAllocs},
+		{http.MethodGet, "/v1/results/" + key.String(), nil, getHitAllocs},
+	} {
+		var rec *httptest.ResponseRecorder
+		serve := func(h http.Handler) func() {
+			return func() {
+				var rd io.Reader
+				if c.body != nil {
+					rd = bytes.NewReader(c.body)
+				}
+				rec = httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(c.method, c.target, rd))
+			}
+		}
+		harness := testing.AllocsPerRun(100, serve(nop))
+		n := testing.AllocsPerRun(100, serve(h)) - harness
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d, want a 200 hit", c.method, c.target, rec.Code)
+		}
+		if n > c.ceiling {
+			t.Errorf("%s %s: %v allocations past the harness's %v, ceiling %v",
+				c.method, c.target, n, harness, c.ceiling)
 		}
 	}
 }

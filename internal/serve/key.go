@@ -33,15 +33,16 @@ type Key [sha256.Size]byte
 // the /v1/results/{key} path segment).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// ParseKey decodes the hex rendering produced by String.
+// ParseKey decodes the hex rendering produced by String, straight into
+// the Key (the conversion of s is zero-copy: hex.Decode only reads it).
 func ParseKey(s string) (Key, error) {
 	var k Key
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != len(k) {
-		return Key{}, fmt.Errorf("serve: malformed result key %q", s)
+	if len(s) == hex.EncodedLen(len(k)) {
+		if _, err := hex.Decode(k[:], []byte(s)); err == nil {
+			return k, nil
+		}
 	}
-	copy(k[:], b)
-	return k, nil
+	return Key{}, fmt.Errorf("serve: malformed result key %q", s)
 }
 
 // keyMagic versions the key material layout itself; bumping it (or either

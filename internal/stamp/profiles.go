@@ -146,12 +146,24 @@ func Vacation() *Profile {
 	}
 }
 
+// catalog is the one list of the eight profiles, in the paper's Table I
+// order: All builds every entry, ByName only the entry it names. Each
+// name is its constructor's Profile.Name (TestRegistry).
+var catalog = []struct {
+	name  string
+	build func() *Profile
+}{
+	{"bayes", Bayes}, {"intruder", Intruder}, {"labyrinth", Labyrinth}, {"yada", Yada},
+	{"genome", Genome}, {"kmeans", Kmeans}, {"ssca2", SSCA2}, {"vacation", Vacation},
+}
+
 // All returns the eight profiles in the paper's Table I order.
 func All() []*Profile {
-	return []*Profile{
-		Bayes(), Intruder(), Labyrinth(), Yada(),
-		Genome(), Kmeans(), SSCA2(), Vacation(),
+	out := make([]*Profile, len(catalog))
+	for i, e := range catalog {
+		out[i] = e.build()
 	}
+	return out
 }
 
 // HighContention returns the paper's high-contention subset.
@@ -165,14 +177,17 @@ func HighContention() []*Profile {
 	return out
 }
 
-// ByName returns the named profile or an error listing the valid names.
+// ByName returns a fresh copy of the named profile (PaperAbortRate is the
+// caller's to change), or an error listing the valid names.
 func ByName(name string) (*Profile, error) {
-	var names []string
-	for _, p := range All() {
-		if p.Name() == name {
-			return p, nil
+	for _, e := range catalog {
+		if e.name == name {
+			return e.build(), nil
 		}
-		names = append(names, p.Name())
+	}
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("stamp: unknown workload %q (have %v)", name, names)

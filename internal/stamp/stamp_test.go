@@ -1,12 +1,17 @@
 package stamp
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
+// TestRegistry: All has the eight profiles; ByName, which builds only the
+// one it names, returns All's entry field for field, and a fresh copy on
+// every call (PaperAbortRate is exported and mutable); an unknown name
+// lists the valid ones, sorted.
 func TestRegistry(t *testing.T) {
 	all := All()
 	if len(all) != 8 {
@@ -18,8 +23,15 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("duplicate profile name %q", p.Name())
 		}
 		names[p.Name()] = true
-		if _, err := ByName(p.Name()); err != nil {
+		got, err := ByName(p.Name())
+		if err != nil {
 			t.Fatalf("ByName(%q): %v", p.Name(), err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("ByName(%q) = %+v, All() has %+v", p.Name(), got, p)
+		}
+		if again, _ := ByName(p.Name()); again == got || &again.Classes()[0] == &got.Classes()[0] {
+			t.Fatalf("two ByName(%q) calls share a profile", p.Name())
 		}
 	}
 	for _, want := range []string{"bayes", "intruder", "labyrinth", "yada", "genome", "kmeans", "ssca2", "vacation"} {
@@ -27,8 +39,9 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("missing profile %q", want)
 		}
 	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Fatal("ByName accepted an unknown workload")
+	const unknown = `stamp: unknown workload "nosuch" (have [bayes genome intruder kmeans labyrinth ssca2 vacation yada])`
+	if _, err := ByName("nosuch"); err == nil || err.Error() != unknown {
+		t.Fatalf("ByName(unknown) error = %v, want %s", err, unknown)
 	}
 }
 
