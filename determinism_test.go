@@ -33,7 +33,8 @@ func detWorkloads() []*Profile {
 }
 
 // detSchemes is three schemes including the baseline every figure
-// normalizes against.
+// normalizes against: the set the serial/parallel and sharded comparisons
+// run (ATS's machine-wide token cannot be sharded).
 func detSchemes() []Scheme { return []Scheme{SchemeBaseline, SchemeBackoff, SchemePUNO} }
 
 func detConfig() Config {
@@ -190,10 +191,12 @@ func TestEnsembleDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestGoldenSweepOutput pins the rendered sweep output byte-for-byte in
-// testdata/sweep_golden.txt.
+// TestGoldenSweepOutput pins the rendered sweep output of every scheme
+// byte-for-byte in testdata/sweep_golden.txt.
 func TestGoldenSweepOutput(t *testing.T) {
-	sweep, err := detSweep(context.Background(), detConfig(), SweepOptions{Parallel: 4})
+	cfg := detConfig()
+	sweep, err := RunEnsemble(context.Background(), cfg, detWorkloads(), AllSchemes(),
+		[]uint64{cfg.Seed}, SweepOptions{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
