@@ -61,9 +61,15 @@ cover-update:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Regenerate the determinism golden files after an intentional change.
+# Regenerate every golden file after an intentional change: the root
+# package's testdata/*golden* (sweep, ensemble, trace text, big256, wire
+# formats) and cmd/punotrace's testdata/diff.golden, which pins the rendered
+# first divergence of two simulated event traces (TestEventsDiffRoundTrip).
+# The package comes before -update: go test hands everything after a flag it
+# does not know to the test binary, package paths included.
 golden:
-	$(GO) test -run Golden -update .
+	$(GO) test . -run Golden -update
+	$(GO) test ./cmd/punotrace -run TestEventsDiffRoundTrip -update
 
 clean:
 	$(GO) clean ./...

@@ -64,7 +64,7 @@ func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 			t.Errorf("%s: %d problems, want 1: %v", s, len(got), got)
 		}
 	}
-	sound := "`Engine.AtEvent` `node.msgTo` `sim.Engine.Now` `cm.PUNO.GuardBand` `*sim.RNG` " +
+	sound := "`Engine.AtEvent` `node.msgTo` `sim.Engine.Now` `cm.ATSGroup.Serialized` `*sim.RNG` " +
 		"`internal/{sim,noc}` `internal/lint/testdata/src/escapegate` `events.go` `machine/encode.go` " +
 		"`make lint` `cmd/experiments -exp table1` " +
 		"`-cache-dir` `TestDocsResolve` `BenchmarkSweepParallelism/serial` `sim.kernel_ns_per_event` " +

@@ -53,8 +53,8 @@ type RunSpec struct {
 // construction (caches, directory pools, event-queue slabs) once per worker
 // instead of once per sweep point. A run on a warm arena still allocates the
 // per-node objects Machine.Reset documents as rebuilt (programs, RNGs,
-// contention managers) and the Result copy Run returns — a constant per
-// node count — and nothing per event or per transaction.
+// mesh handlers) and the Result copy Run returns — a constant per node
+// count — and nothing per event or per transaction, under any scheme.
 // Results are identical to fresh construction — Machine.Reset and New share
 // one code path. An Arena is not safe for concurrent use; long-lived pools
 // (punoserve) keep one per worker goroutine, exactly as RunSpecs does.

@@ -7,34 +7,29 @@ import (
 	"repro/internal/sim"
 )
 
+// Both policies fall back to the fixed backoff: a first attempt's restart
+// (without drawing from the RNG, so the schemes that never randomize consume
+// the same stream) and a retry without a usable notification.
 func TestFixedDelays(t *testing.T) {
-	f := NewFixed()
-	rng := sim.NewRNG(1)
-	if f.RetryDelay(rng, 0, 0) != FixedBackoffCycles {
-		t.Fatal("retry delay not fixed 20")
+	rng, ref := sim.NewRNG(1), sim.NewRNG(1)
+	if d := RandomRestart(rng, 0); d != FixedBackoffCycles {
+		t.Fatalf("first-attempt restart = %d, want %d", d, FixedBackoffCycles)
 	}
-	if f.RetryDelay(rng, 10, 5000) != FixedBackoffCycles {
-		t.Fatal("baseline must ignore notifications and retry count")
+	if rng.Uint64() != ref.Uint64() {
+		t.Fatal("a fixed restart drew from the RNG")
 	}
-	if f.RestartDelay(rng, 3) != FixedBackoffCycles {
-		t.Fatal("restart delay not fixed")
-	}
-	if f.PromoteLoad(1, 2) || f.Notify() {
-		t.Fatal("baseline must not promote or notify")
-	}
-	if f.Name() != "Baseline" {
-		t.Fatal("name wrong")
+	if d := NotifiedWait(0, 0, 100000); d != FixedBackoffCycles {
+		t.Fatalf("unnotified retry = %d, want %d", d, FixedBackoffCycles)
 	}
 }
 
 func TestRandomBackoffGrowsWithAttempts(t *testing.T) {
-	b := NewRandomBackoff()
 	rng := sim.NewRNG(7)
 	const samples = 200
 	mean := func(attempts int) float64 {
 		var sum sim.Time
 		for i := 0; i < samples; i++ {
-			sum += b.RestartDelay(rng, attempts)
+			sum += RandomRestart(rng, attempts)
 		}
 		return float64(sum) / samples
 	}
@@ -45,17 +40,16 @@ func TestRandomBackoffGrowsWithAttempts(t *testing.T) {
 }
 
 func TestRandomBackoffBounds(t *testing.T) {
-	b := NewRandomBackoff()
 	rng := sim.NewRNG(3)
 	f := func(attempts uint8) bool {
 		a := int(attempts)
-		d := b.RestartDelay(rng, a)
+		d := RandomRestart(rng, a)
 		if d < FixedBackoffCycles {
 			return false
 		}
-		bound := b.Base * sim.Time(a)
-		if bound > b.Cap {
-			bound = b.Cap
+		bound := randomBackoffBase * sim.Time(a)
+		if bound > randomBackoffCap {
+			bound = randomBackoffCap
 		}
 		if bound == 0 {
 			return d == FixedBackoffCycles
@@ -68,67 +62,56 @@ func TestRandomBackoffBounds(t *testing.T) {
 }
 
 func TestRandomBackoffCap(t *testing.T) {
-	b := NewRandomBackoff()
 	rng := sim.NewRNG(9)
 	for i := 0; i < 100; i++ {
-		if d := b.RestartDelay(rng, 1<<20); d >= FixedBackoffCycles+b.Cap {
+		if d := RandomRestart(rng, 1<<20); d >= FixedBackoffCycles+randomBackoffCap {
 			t.Fatalf("delay %d exceeded cap", d)
 		}
 	}
 }
 
-func TestRandomBackoffRetryStaysBaseline(t *testing.T) {
-	b := NewRandomBackoff()
-	if b.RetryDelay(sim.NewRNG(1), 5, 1000) != FixedBackoffCycles {
-		t.Fatal("random backoff should not change polling backoff")
-	}
-}
-
 func TestPUNORetryUsesNotification(t *testing.T) {
-	p := NewPUNO(60)
-	rng := sim.NewRNG(1)
 	// T_est 500, guard 60: wait (500-60)/2 = 220 (half the estimate, so
 	// that overshoot is bounded and undershoot converges by resleeping).
-	if d := p.RetryDelay(rng, 0, 500); d != 220 {
+	if d := NotifiedWait(500, 60, 100000); d != 220 {
 		t.Fatalf("notified retry = %d, want 220", d)
 	}
 	// T_est below guard: fall back to fixed.
-	if d := p.RetryDelay(rng, 0, 50); d != FixedBackoffCycles {
+	if d := NotifiedWait(50, 60, 100000); d != FixedBackoffCycles {
 		t.Fatalf("short-notification retry = %d, want %d", d, FixedBackoffCycles)
 	}
 	// No notification: fixed.
-	if d := p.RetryDelay(rng, 0, 0); d != FixedBackoffCycles {
+	if d := NotifiedWait(0, 60, 100000); d != FixedBackoffCycles {
 		t.Fatalf("unnotified retry = %d, want %d", d, FixedBackoffCycles)
 	}
 	// A tiny positive estimate still waits at least the fixed backoff.
-	if d := p.RetryDelay(rng, 0, 65); d != FixedBackoffCycles {
+	if d := NotifiedWait(65, 60, 100000); d != FixedBackoffCycles {
 		t.Fatalf("tiny-notification retry = %d, want %d", d, FixedBackoffCycles)
 	}
 }
 
 func TestPUNOWaitCapped(t *testing.T) {
-	p := NewPUNO(60)
-	p.MaxWait = 1000
-	if d := p.RetryDelay(sim.NewRNG(1), 0, 1<<40); d != 1000 {
+	if d := NotifiedWait(1<<40, 60, 1000); d != 1000 {
 		t.Fatalf("capped wait = %d, want 1000", d)
 	}
 }
 
+// Every notified retry sleeps again, and the sleeps converge onto the
+// nacker's commit: a requester that re-reads the nacker's shrinking
+// remaining time after each wait reaches the guard band within a few
+// retries, without ever overshooting it.
 func TestPUNOResleepsOnEveryNotifiedRetry(t *testing.T) {
-	p := NewPUNO(60)
-	// Later retries still honour notifications.
-	if d := p.RetryDelay(sim.NewRNG(1), 5, 500); d != 220 {
-		t.Fatalf("retry 5 notified delay = %d, want 220", d)
-	}
-}
-
-func TestPUNONotifies(t *testing.T) {
-	p := NewPUNO(60)
-	if !p.Notify() {
-		t.Fatal("PUNO must enable notifications")
-	}
-	if p.RestartDelay(sim.NewRNG(1), 4) != FixedBackoffCycles {
-		t.Fatal("PUNO restart backoff should match baseline")
+	const guard = 60
+	remaining := sim.Time(50000)
+	for retry := 0; remaining > guard; retry++ {
+		if retry == 16 {
+			t.Fatalf("waits did not converge: %d cycles left after 16 retries", remaining)
+		}
+		wait := NotifiedWait(remaining, guard, 100000)
+		if wait < FixedBackoffCycles || wait >= remaining {
+			t.Fatalf("retry %d: wait %d for %d remaining", retry, wait, remaining)
+		}
+		remaining -= wait
 	}
 }
 
@@ -143,9 +126,6 @@ func TestRMWPredTrainsAndPromotes(t *testing.T) {
 	}
 	if r.PromoteLoad(1, 1) || r.PromoteLoad(2, 0) {
 		t.Fatal("promotion leaked to other loads")
-	}
-	if r.Trainings != 1 || r.Promotions != 1 {
-		t.Fatalf("stats: trainings=%d promotions=%d", r.Trainings, r.Promotions)
 	}
 }
 
@@ -179,51 +159,56 @@ func TestRMWPredNegativeFeedback(t *testing.T) {
 	if r.PromoteLoad(1, 0) {
 		t.Fatal("demoted load still promoted")
 	}
-	if r.Demotions != 1 {
-		t.Fatalf("Demotions = %d, want 1", r.Demotions)
-	}
 	// Anti-training an unknown site is a no-op.
 	r.ObserveNonRMW(9, 9)
-	if r.Demotions != 1 {
-		t.Fatal("unknown-site demotion counted")
+	if r.Len() != 1 || r.PromoteLoad(9, 9) {
+		t.Fatal("unknown-site demotion changed the table")
+	}
+	// One more observation restores confidence 2.
+	r.ObserveRMW(1, 0)
+	if !r.PromoteLoad(1, 0) {
+		t.Fatal("retrained load not promoted")
 	}
 }
 
 func TestRMWPredCapacityFIFO(t *testing.T) {
 	r := NewRMWPred()
-	r.Capacity = 4
-	for i := 0; i < 6; i++ {
+	for i := 0; i < rmwCapacity+2; i++ {
 		r.ObserveRMW(1, i)
 	}
-	if r.Len() != 4 {
-		t.Fatalf("len = %d, want 4", r.Len())
+	if r.Len() != rmwCapacity {
+		t.Fatalf("len = %d, want %d", r.Len(), rmwCapacity)
 	}
-	// Oldest two (op 0, 1) evicted; newest four retained.
+	// Oldest two (op 0, 1) evicted; the newest rmwCapacity retained.
 	if r.PromoteLoad(1, 0) || r.PromoteLoad(1, 1) {
 		t.Fatal("evicted entries still promote")
 	}
-	for i := 2; i < 6; i++ {
+	for i := 2; i < rmwCapacity+2; i++ {
 		if !r.PromoteLoad(1, i) {
 			t.Fatalf("entry %d missing", i)
 		}
 	}
 }
 
-func TestRMWPredBaselineBackoff(t *testing.T) {
+// A reset predictor behaves exactly as a fresh one: same contents (none),
+// and the same eviction victims afterwards.
+func TestRMWPredResetMatchesFresh(t *testing.T) {
 	r := NewRMWPred()
-	rng := sim.NewRNG(1)
-	if r.RetryDelay(rng, 3, 100) != FixedBackoffCycles || r.RestartDelay(rng, 3) != FixedBackoffCycles {
-		t.Fatal("RMW-Pred backoff should match baseline")
+	for i := 0; i < rmwCapacity+5; i++ {
+		r.ObserveRMW(2, i)
 	}
-	if r.Notify() {
-		t.Fatal("RMW-Pred must not notify")
+	r.Reset()
+	if r.Len() != 0 || r.PromoteLoad(2, rmwCapacity) {
+		t.Fatal("reset left entries behind")
 	}
-}
-
-func TestManagerInterfaceCompliance(t *testing.T) {
-	for _, m := range []Manager{NewFixed(), NewRandomBackoff(), NewPUNO(60), NewRMWPred()} {
-		if m.Name() == "" {
-			t.Fatal("empty scheme name")
+	fresh := NewRMWPred()
+	for i := 0; i < rmwCapacity+3; i++ {
+		r.ObserveRMW(3, i%(rmwCapacity+1))
+		fresh.ObserveRMW(3, i%(rmwCapacity+1))
+	}
+	for i := 0; i <= rmwCapacity; i++ {
+		if r.PromoteLoad(3, i) != fresh.PromoteLoad(3, i) {
+			t.Fatalf("op %d: reset and fresh predictors disagree", i)
 		}
 	}
 }

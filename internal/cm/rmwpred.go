@@ -1,34 +1,32 @@
 package cm
 
-import "repro/internal/sim"
+// RMWPred's table size (the configuration in the paper's evaluation) and the
+// confidence a tracked load needs before it is promoted.
+const (
+	rmwCapacity      = 256
+	rmwConfidenceMin = 2
+)
 
 // RMWPred implements the read-modify-write predictor of Bobba et al.
 // ("Performance Pathologies in Hardware Transactional Memory"): a per-node
-// table of up to Capacity load instructions observed in the
-// load-then-store idiom. A predicted load requests exclusive permission up
-// front, avoiding the later upgrade conflict — at the cost of converting
-// read-read sharing into write-read conflicts in contended workloads.
+// table of up to 256 load instructions observed in the load-then-store
+// idiom. A predicted load requests exclusive permission up front, avoiding
+// the later upgrade conflict — at the cost of converting read-read sharing
+// into write-read conflicts in contended workloads.
 //
 // Each tracked load carries a two-bit saturating confidence counter:
 // observing the idiom increments it, a promoted load that committed
 // without a following store decrements it, and promotion requires the
-// counter to be at least ConfidenceMin. Without the negative feedback, a
-// load site that is only occasionally followed by a store (common in
-// irregular code) would be promoted forever after one observation.
-// Tracked loads live in a flat, insertion-ordered slice with a map used
-// only as an index, so the replacement scan never iterates a map and its
-// victim choice is order-independent by construction.
+// counter to be at least 2. Without the negative feedback, a load site
+// that is only occasionally followed by a store (common in irregular code)
+// would be promoted forever after one observation. Tracked loads live in a
+// flat, insertion-ordered slice with a map used only as an index, so the
+// replacement scan never iterates a map and its victim choice is
+// order-independent by construction.
 type RMWPred struct {
-	Capacity      int
-	ConfidenceMin uint8
-	index         map[loadPC]int // loadPC -> position in entries
-	entries       []rmwEntry
-	seq           uint64
-
-	// Statistics.
-	Promotions uint64
-	Trainings  uint64
-	Demotions  uint64
+	index   map[loadPC]int // loadPC -> position in entries
+	entries []rmwEntry
+	seq     uint64
 }
 
 // loadPC identifies a static load instruction: the static transaction and
@@ -44,38 +42,29 @@ type rmwEntry struct {
 	seq        uint64
 }
 
-// NewRMWPred returns a predictor tracking up to 256 loads, the
-// configuration in the paper's evaluation.
+// NewRMWPred returns an empty predictor.
 func NewRMWPred() *RMWPred {
-	return &RMWPred{Capacity: 256, ConfidenceMin: 2, index: make(map[loadPC]int)}
+	return &RMWPred{index: make(map[loadPC]int)}
 }
 
-// Name implements Manager.
-func (r *RMWPred) Name() string { return "RMW-Pred" }
-
-// RetryDelay implements Manager: baseline polling backoff.
-func (r *RMWPred) RetryDelay(*sim.RNG, int, sim.Time) sim.Time {
-	return FixedBackoffCycles
+// Reset empties the predictor in place, keeping its table storage.
+func (r *RMWPred) Reset() {
+	clear(r.index)
+	r.entries = r.entries[:0]
+	r.seq = 0
 }
 
-// RestartDelay implements Manager: baseline restart backoff.
-func (r *RMWPred) RestartDelay(*sim.RNG, int) sim.Time { return FixedBackoffCycles }
-
-// PromoteLoad implements Manager.
+// PromoteLoad reports whether the load at (staticID, opIdx) should request
+// exclusive access up front.
 func (r *RMWPred) PromoteLoad(staticID, opIdx int) bool {
 	i, ok := r.index[loadPC{staticID, opIdx}]
-	if ok && r.entries[i].confidence >= r.ConfidenceMin {
-		r.Promotions++
-		return true
-	}
-	return false
+	return ok && r.entries[i].confidence >= rmwConfidenceMin
 }
 
-// ObserveRMW implements Manager: the load at (staticID, opIdx) was followed
-// by a store to the same line in the same transaction.
+// ObserveRMW trains the predictor: the load at (staticID, opIdx) was
+// followed by a store to the same line in the same transaction.
 func (r *RMWPred) ObserveRMW(staticID, opIdx int) {
 	pc := loadPC{staticID, opIdx}
-	r.Trainings++
 	r.seq++
 	if i, ok := r.index[pc]; ok {
 		e := &r.entries[i]
@@ -85,7 +74,7 @@ func (r *RMWPred) ObserveRMW(staticID, opIdx int) {
 		e.seq = r.seq
 		return
 	}
-	if len(r.entries) >= r.Capacity {
+	if len(r.entries) >= rmwCapacity {
 		// FIFO-ish replacement: drop the stalest entry. seq values are
 		// unique (monotonic), so the strict < scan over the flat slice
 		// picks one well-defined victim.
@@ -109,17 +98,13 @@ func (r *RMWPred) ObserveRMW(staticID, opIdx int) {
 	r.entries = append(r.entries, rmwEntry{pc: pc, confidence: 2, seq: r.seq})
 }
 
-// ObserveNonRMW implements Manager: a promoted load's line was never
-// stored before commit; lower the site's confidence.
+// ObserveNonRMW anti-trains the predictor: a load promoted at (staticID,
+// opIdx) committed without the transaction ever storing to that line.
 func (r *RMWPred) ObserveNonRMW(staticID, opIdx int) {
 	if i, ok := r.index[loadPC{staticID, opIdx}]; ok && r.entries[i].confidence > 0 {
 		r.entries[i].confidence--
-		r.Demotions++
 	}
 }
-
-// Notify implements Manager.
-func (r *RMWPred) Notify() bool { return false }
 
 // Len returns the number of tracked entries.
 func (r *RMWPred) Len() int { return len(r.entries) }

@@ -41,28 +41,44 @@ func AllSchemes() []Scheme {
 	return all
 }
 
+// schemeSpec is one row of the scheme table: the parts of contention
+// management a scheme turns on. A part left unset keeps the baseline's
+// behaviour: multicast forwards, NACKs without T_est, the fixed 20-cycle
+// polling and restart backoff, no load promotion, no scheduling.
+type schemeSpec struct {
+	name          string
+	predict       bool     // directories run PUNO's unicast predictor
+	notify        bool     // conflict NACKs carry T_est, and requesters sleep on it (cm.NotifiedWait)
+	maxWait       sim.Time // cap on one notified wait
+	push          bool     // a nacker wakes the requesters it NACKed when its attempt ends
+	randomRestart bool     // aborted transactions wait cm.RandomRestart, not the fixed backoff
+	rmwPred       bool     // each node's cm.RMWPred promotes predicted read-modify-write loads
+	ats           bool     // high-contention threads need the cm.ATSGroup token to begin
+}
+
+// schemeTable defines every scheme, indexed by Scheme.
+var schemeTable = [numSchemes]schemeSpec{
+	SchemeBaseline:    {name: "Baseline"},
+	SchemeBackoff:     {name: "Backoff", randomRestart: true},
+	SchemeRMWPred:     {name: "RMW-Pred", rmwPred: true},
+	SchemePUNO:        {name: "PUNO", predict: true, notify: true, maxWait: 100000},
+	SchemeUnicastOnly: {name: "PUNO-unicast-only", predict: true},
+	SchemeNotifyOnly:  {name: "PUNO-notify-only", notify: true, maxWait: 100000},
+	SchemeATS:         {name: "ATS", ats: true},
+	// With commit wakeups, the estimate is only a fallback bound: cap the
+	// notified sleep and rely on the wakeup for promptness.
+	SchemePUNOPush: {name: "PUNO-Push", predict: true, notify: true, maxWait: 20000, push: true},
+}
+
+// valid reports whether s names a row of the scheme table.
+func (s Scheme) valid() bool { return s >= 0 && s < numSchemes }
+
 // String implements fmt.Stringer.
 func (s Scheme) String() string {
-	switch s {
-	case SchemeBaseline:
-		return "Baseline"
-	case SchemeBackoff:
-		return "Backoff"
-	case SchemeRMWPred:
-		return "RMW-Pred"
-	case SchemePUNO:
-		return "PUNO"
-	case SchemeUnicastOnly:
-		return "PUNO-unicast-only"
-	case SchemeNotifyOnly:
-		return "PUNO-notify-only"
-	case SchemeATS:
-		return "ATS"
-	case SchemePUNOPush:
-		return "PUNO-Push"
-	default:
+	if !s.valid() {
 		return "Scheme(?)"
 	}
+	return schemeTable[s].name
 }
 
 // Config describes one simulated machine. DefaultConfig reproduces the

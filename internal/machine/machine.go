@@ -79,6 +79,14 @@ type Machine struct {
 	lo, hi int
 	xsend  func(*coherence.Msg)
 	ownIt  *mem.Interner
+
+	// scheme is cfg.Scheme's row of the scheme table; guard is the
+	// notified-wait guard band, 2x the average cache-to-cache latency
+	// unless cfg.NotifyGuardOverride replaces it. ats is the machine-wide
+	// scheduler, live only while scheme.ats holds and kept across Reset.
+	scheme schemeSpec
+	guard  sim.Time
+	ats    cm.ATSGroup
 }
 
 // newMsg pops a recycled message (fields NOT zeroed — the msgTo helpers
@@ -194,12 +202,14 @@ func New(cfg Config, wl Workload) (*Machine, error) {
 // node's L1 array, HTM set/undo/signature storage, TxLB, first-load,
 // promoted-load and writeback tables, every directory's entry slab and index,
 // the predictors' P-Buffers (while consecutive runs use a predicting scheme),
-// the coherence message pool, and the result's slices. Rebuilt on every
-// Reset, because they belong to the (cfg, wl) pair rather than to the
-// machine: each node's Program (with the generator's scratch buffers), its
-// two forked RNGs, its contention manager, and its mesh delivery closure —
-// a constant handful of small objects per node, independent of how many
-// transactions or events the run then executes (TestWarmArenaRunAllocs).
+// the RMW predictors (while consecutive runs use RMW-Pred), the ATS
+// scheduler's intensity and queue arrays, the coherence message pool, and
+// the result's slices. Rebuilt on every Reset, because they belong to the
+// (cfg, wl) pair rather than to the machine: each node's Program (with the
+// generator's scratch buffers), its two forked RNGs, and its mesh delivery
+// closure — a constant handful of small objects per node, independent of
+// the scheme and of how many transactions or events the run then executes
+// (TestWarmArenaRunAllocs).
 func (m *Machine) Reset(cfg Config, wl Workload) error {
 	return m.resetShard(cfg, wl, 0, cfg.Nodes, nil, nil)
 }
@@ -216,7 +226,11 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 		return fmt.Errorf("machine: %d nodes does not match %dx%d mesh",
 			cfg.Nodes, cfg.Mesh.Width, cfg.Mesh.Height)
 	}
+	if !cfg.Scheme.valid() {
+		return fmt.Errorf("machine: unknown scheme %d", int(cfg.Scheme))
+	}
 	m.cfg = cfg
+	m.scheme = schemeTable[cfg.Scheme]
 	m.lo, m.hi = lo, hi
 	m.xsend = xsend
 	if m.eng == nil {
@@ -263,7 +277,6 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 	// msgFree is kept as-is: pooled messages are zeroed at every fill site,
 	// so leftover contents are harmless.
 
-	usePred := cfg.Scheme == SchemePUNO || cfg.Scheme == SchemeUnicastOnly || cfg.Scheme == SchemePUNOPush
 	if len(m.nodes) != cfg.Nodes {
 		m.dirs = make([]*coherence.Directory, cfg.Nodes)
 		m.preds = make([]*core.Predictor, cfg.Nodes)
@@ -271,13 +284,12 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 	}
 	m.dirFree = resizeTimes(m.dirFree, cfg.Nodes)
 	m.l1Free = resizeTimes(m.l1Free, cfg.Nodes)
-	guard := cfg.NotifyGuardOverride
-	if guard == 0 {
-		guard = 2 * m.mesh.AverageLatency(coherence.DataFlits)
+	m.guard = cfg.NotifyGuardOverride
+	if m.guard == 0 {
+		m.guard = 2 * m.mesh.AverageLatency(coherence.DataFlits)
 	}
-	mb := &managerBuilder{scheme: cfg.Scheme, guard: guard}
-	if cfg.Scheme == SchemeATS {
-		mb.ats = cm.NewATSGroup(cfg.Nodes)
+	if m.scheme.ats {
+		m.ats.Reset(cfg.Nodes)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		if i < lo || i >= hi {
@@ -293,7 +305,7 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 			continue
 		}
 		var pred coherence.Predictor
-		if usePred {
+		if m.scheme.predict {
 			pcfg := core.PredictorConfig{Nodes: cfg.Nodes, DisableValidity: cfg.DisableValidity,
 				TimeoutMultiplier: cfg.ValidityTimeoutMult}
 			if m.preds[i] == nil {
@@ -313,9 +325,9 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 		m.dirs[i].SetProbe(m.sink)
 		prog := wl.Program(i, m.rootRNG.Fork(1000+uint64(i)))
 		if m.nodes[i] == nil {
-			m.nodes[i] = newNode(i, m, prog, mb.build(i))
+			m.nodes[i] = newNode(i, m, prog)
 		} else {
-			m.nodes[i].reset(prog, mb.build(i))
+			m.nodes[i].reset(prog)
 		}
 		if m.sink != nil {
 			m.nodes[i].tx.SetProbe(m.sink, m.eng.Now)
@@ -339,47 +351,6 @@ func resizeTimes(s []sim.Time, n int) []sim.Time {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// BeginGater is an optional extension a contention manager can implement
-// to gate transaction begins (proactive scheduling schemes like ATS).
-// RequestBegin is called before every attempt; the attempt proceeds when
-// done runs (possibly synchronously). NotifyOutcome is called when the
-// attempt commits (false) or its abort completes (true).
-type BeginGater interface {
-	RequestBegin(done func())
-	NotifyOutcome(aborted bool)
-}
-
-// managerBuilder builds the per-node managers for a machine, sharing
-// state where the scheme requires it (ATS).
-type managerBuilder struct {
-	scheme Scheme
-	guard  sim.Time
-	ats    *cm.ATSGroup
-}
-
-func (mb *managerBuilder) build(node int) cm.Manager {
-	switch mb.scheme {
-	case SchemeBaseline, SchemeUnicastOnly:
-		return cm.NewFixed()
-	case SchemeBackoff:
-		return cm.NewRandomBackoff()
-	case SchemeRMWPred:
-		return cm.NewRMWPred()
-	case SchemePUNO, SchemeNotifyOnly, SchemePUNOPush:
-		p := cm.NewPUNO(mb.guard)
-		if mb.scheme == SchemePUNOPush {
-			// With commit wakeups, the estimate is only a fallback bound:
-			// cap the notified sleep and rely on the wakeup for promptness.
-			p.MaxWait = 20000
-		}
-		return p
-	case SchemeATS:
-		return mb.ats.NodeManager(node)
-	default:
-		panic(fmt.Sprintf("machine: unknown scheme %v", mb.scheme))
-	}
 }
 
 // Backing exposes the memory image (preloading initial data; inspecting

@@ -2,8 +2,11 @@ package machine
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"repro/internal/cm"
+	"repro/internal/coherence"
 	"repro/internal/mem"
 	"repro/internal/probe"
 	"repro/internal/sim"
@@ -381,7 +384,7 @@ func TestRMWPredictorTrains(t *testing.T) {
 	}
 	trained := false
 	for _, n := range m.nodes {
-		if r, ok := n.cmgr.(interface{ Len() int }); ok && r.Len() > 0 {
+		if n.rmw != nil && n.rmw.Len() > 0 {
 			trained = true
 		}
 	}
@@ -542,5 +545,91 @@ func TestTraceFnObservesWithoutPerturbing(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("traced run emitted no %v event (got %v)", k, kinds)
 		}
+	}
+}
+
+// wakeupCounter counts the PUNO-Push wakeup messages a run sends.
+type wakeupCounter struct{ n int }
+
+func (w *wakeupCounter) Emit(e probe.Event) {
+	if e.Kind != probe.KindSend {
+		return
+	}
+	if typ, _, _, _ := probe.UnpackSend(e.Arg); coherence.MsgType(typ) == coherence.MsgWakeup {
+		w.n++
+	}
+}
+
+// TestSchemeRows runs one contended workload under every scheme and checks
+// which parts of contention management show in the machine it builds and
+// the run it makes — a directory predictor, notified polling waits, commit
+// wakeups, randomized restart backoff, RMW promotion, ATS serialization —
+// against the parts the paper's schemes and the ablations are meant to
+// have. A part a scheme lacks must leave the baseline's behaviour: the fixed
+// 20-cycle backoff accounts for every polling and restart wait it does not
+// change.
+func TestSchemeRows(t *testing.T) {
+	want := map[Scheme]string{
+		SchemeBaseline:    "",
+		SchemeBackoff:     "randomRestart",
+		SchemeRMWPred:     "rmwPred",
+		SchemePUNO:        "predict notify",
+		SchemeUnicastOnly: "predict",
+		SchemeNotifyOnly:  "notify",
+		SchemeATS:         "ats",
+		SchemePUNOPush:    "predict notify push",
+	}
+	wl := readMostlyWorkload{txPerCPU: 15, readLines: 8}
+	for _, s := range AllSchemes() {
+		t.Run(s.String(), func(t *testing.T) {
+			if row := schemeTable[s]; row.notify != (row.maxWait > 0) {
+				t.Fatalf("maxWait %d set without notify, or notify without a cap", row.maxWait)
+			}
+			cfg := smallConfig(s, 21)
+			wakeups := &wakeupCounter{}
+			cfg.EventSink = wakeups
+			m, res := runWorkload(t, cfg, wl)
+			if res.Aborts == 0 || res.Retries == 0 {
+				t.Fatalf("workload not contended: %d aborts, %d retries", res.Aborts, res.Retries)
+			}
+			preds, rmws, trained := 0, 0, false
+			for i, n := range m.nodes {
+				if m.preds[i] != nil {
+					preds++
+				}
+				if n.rmw != nil {
+					rmws++
+					trained = trained || n.rmw.Len() > 0
+				}
+			}
+			if (preds != 0 && preds != len(m.nodes)) || (rmws != 0 && rmws != len(m.nodes)) {
+				t.Fatalf("%d nodes with a predictor, %d with an RMW predictor, of %d", preds, rmws, len(m.nodes))
+			}
+			fixed := uint64(cm.FixedBackoffCycles)
+			var got []string
+			for _, part := range []struct {
+				name string
+				// seen and baseline must disagree: a part shows, or the
+				// baseline behaviour it replaces does.
+				seen, baseline bool
+			}{
+				{"predict", preds > 0 && res.DirUnicasts > 0, preds == 0 && res.DirUnicasts == 0},
+				{"notify", res.NotifiedBackoffs > 0, res.BackoffCycles == fixed*res.Retries},
+				{"push", wakeups.n > 0, wakeups.n == 0},
+				{"randomRestart", res.RestartWaitCycle != fixed*res.Aborts, res.RestartWaitCycle == fixed*res.Aborts},
+				{"rmwPred", rmws > 0 && trained, rmws == 0},
+				{"ats", m.ats.Serialized > 0, m.ats.Serialized == 0},
+			} {
+				if part.seen == part.baseline {
+					t.Errorf("%s: neither the part nor the baseline behaviour shows", part.name)
+				}
+				if part.seen {
+					got = append(got, part.name)
+				}
+			}
+			if g := strings.Join(got, " "); g != want[s] {
+				t.Errorf("parts %q, want %q", g, want[s])
+			}
+		})
 	}
 }

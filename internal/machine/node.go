@@ -69,9 +69,11 @@ type node struct {
 	m    *Machine
 	l1   *cache.Cache
 	tx   *htm.Tx
-	cmgr cm.Manager
 	txlb *core.TxLB
 	rng  *sim.RNG
+	// rmw is the node's RMW predictor: nil unless the scheme is RMW-Pred,
+	// kept and emptied in place across resets that stay on it.
+	rmw *cm.RMWPred
 
 	state nodeState
 	prog  Program
@@ -119,10 +121,10 @@ type node struct {
 	// node's transaction finishes.
 	wakeupSubs wakeupTable
 
-	pending      sim.EventID // cancellable compute/backoff event
-	gateBypassed bool        // inside a BeginGater callback (avoid re-gating)
-	doneAt       sim.Time
-	ovfStreak    int // consecutive overflow aborts of the current instance
+	pending   sim.EventID // cancellable compute/backoff event
+	atsRetry  bool        // queued for the ATS token: the attempt it will begin is a retry
+	doneAt    sim.Time
+	ovfStreak int // consecutive overflow aborts of the current instance
 
 	// Continuation stash for closure-free event dispatch: the parameters of
 	// the single in-flight cancellable op event (pendEntry/pendAddr/pendVal)
@@ -134,7 +136,7 @@ type node struct {
 	grantMsg  coherence.Msg
 }
 
-func newNode(id int, m *Machine, prog Program, mgr cm.Manager) *node {
+func newNode(id int, m *Machine, prog Program) *node {
 	n := &node{
 		id:   id,
 		m:    m,
@@ -143,26 +145,34 @@ func newNode(id int, m *Machine, prog Program, mgr cm.Manager) *node {
 		txlb: core.NewTxLB(m.cfg.TxLBEntries),
 	}
 	n.tx.SetInterner(m.it)
-	n.attach(prog, mgr)
+	n.attach(prog)
 	return n
 }
 
 // attach installs the per-run pieces newNode and reset share: the program,
-// the contention manager, and the node's forked RNG. The fork happens here —
-// after the caller forked the program's RNG — so fresh and reused nodes
-// consume the root stream in the same order.
-func (n *node) attach(prog Program, mgr cm.Manager) {
+// the node's forked RNG, and the RMW predictor the scheme asks for. The fork
+// happens here — after the caller forked the program's RNG — so fresh and
+// reused nodes consume the root stream in the same order.
+func (n *node) attach(prog Program) {
 	n.prog = prog
-	n.cmgr = mgr
 	n.rng = n.m.rootRNG.Fork(uint64(n.id) + 1)
+	switch {
+	case !n.m.scheme.rmwPred:
+		n.rmw = nil
+	case n.rmw == nil:
+		n.rmw = cm.NewRMWPred()
+	default:
+		n.rmw.Reset()
+	}
 }
 
 // reset rearms the node for a fresh run under the machine's (possibly new)
 // config, reusing its containers: the L1 array, the HTM context's set/undo
-// storage, the TxLB, the writeback map, and the lineOpSet backing slices.
-// Every other field reverts to its newNode zero value wholesale, so a
-// forgotten field cannot leak state between arena-reused runs.
-func (n *node) reset(prog Program, mgr cm.Manager) {
+// storage, the TxLB, the RMW predictor, the writeback map, and the lineOpSet
+// backing slices. Every other field reverts to its newNode zero value
+// wholesale, so a forgotten field cannot leak state between arena-reused
+// runs.
+func (n *node) reset(prog Program) {
 	n.l1.Reset(n.m.cfg.L1)
 	n.tx.HardReset(n.id)
 	n.tx.SetInterner(n.m.it)
@@ -178,11 +188,12 @@ func (n *node) reset(prog Program, mgr cm.Manager) {
 		l1:            n.l1,
 		tx:            n.tx,
 		txlb:          n.txlb,
+		rmw:           n.rmw,
 		wbWait:        wb,
 		firstLoad:     fl,
 		promotedLoads: pl,
 	}
-	n.attach(prog, mgr)
+	n.attach(prog)
 }
 
 // Node event codes for closure-free continuation dispatch (sim.Handler).
@@ -274,19 +285,24 @@ func (n *node) fetchNext() {
 	n.beginAttempt(false)
 }
 
-// beginAttempt starts (or restarts) the current instance, first passing
-// through the contention manager's begin gate when it has one (proactive
-// scheduling schemes serialize high-contention threads here).
+// beginAttempt starts (or restarts) the current instance. Under ATS a
+// high-contention thread first needs the machine-wide token; while another
+// node holds it this node waits in the scheduler's queue, and the holder's
+// endATS starts the attempt.
+//
+//puno:hot
 func (n *node) beginAttempt(retry bool) {
-	if g, ok := n.cmgr.(BeginGater); ok && !n.gateBypassed {
-		n.gateBypassed = true
-		g.RequestBegin(func() {
-			n.beginAttempt(retry)
-			n.gateBypassed = false
-		})
+	if n.m.scheme.ats && !n.m.ats.Admit(n.id) {
+		n.atsRetry = retry
 		return
 	}
-	n.gateBypassed = false
+	n.startAttempt(retry)
+}
+
+// startAttempt begins the attempt beginAttempt admitted.
+//
+//puno:hot
+func (n *node) startAttempt(retry bool) {
 	if n.tx.Status == htm.StatusCommitted || n.tx.Status == htm.StatusAborted {
 		n.tx.Reset()
 	}
@@ -406,8 +422,10 @@ func (n *node) writeDone(e *cache.Entry, a mem.Addr, v uint64) {
 	e.Pinned = true
 	e.State = cache.Modified
 	e.Data[mem.WordIndex(a)] = v
-	if loadIdx, ok := n.firstLoad.get(e.LID); ok {
-		n.cmgr.ObserveRMW(n.cur.StaticID, loadIdx)
+	if n.rmw != nil {
+		if loadIdx, ok := n.firstLoad.get(e.LID); ok {
+			n.rmw.ObserveRMW(n.cur.StaticID, loadIdx)
+		}
 	}
 	n.opDone()
 }
@@ -415,7 +433,7 @@ func (n *node) writeDone(e *cache.Entry, a mem.Addr, v uint64) {
 //puno:hot
 func (n *node) accessRead(a mem.Addr) {
 	l := mem.LineOf(a)
-	promoted := n.cmgr.PromoteLoad(n.cur.StaticID, n.opIdx)
+	promoted := n.rmw != nil && n.rmw.PromoteLoad(n.cur.StaticID, n.opIdx)
 	e := n.l1.Access(l)
 	if promoted {
 		n.promotedLoads.put(l, n.opIdx)
@@ -512,23 +530,41 @@ func (n *node) respond(t coherence.MsgType, f *coherence.Msg) *coherence.Msg {
 	return msg
 }
 
+//puno:hot
 func (n *node) commit() {
 	n.ovfStreak = 0
 	n.fireWakeups()
-	if g, ok := n.cmgr.(BeginGater); ok {
-		g.NotifyOutcome(false)
-	}
-	// Anti-train the RMW predictor for promoted loads that never stored.
+	n.endATS(false)
+	// Anti-train the RMW predictor for promoted loads that never stored
+	// (only RMW-Pred promotes, so the list is empty under other schemes).
 	for i, l := range n.promotedLoads.lines {
 		if !n.tx.InWriteSet(l) {
-			n.cmgr.ObserveNonRMW(n.cur.StaticID, n.promotedLoads.ops[i])
+			n.rmw.ObserveNonRMW(n.cur.StaticID, n.promotedLoads.ops[i])
 		}
 	}
 	cost := n.tx.Commit(n.m.cfg.Costs)
 	n.afterEv(cost, nevCommitDone)
 }
 
+// endATS reports this node's attempt outcome to the ATS scheduler, when the
+// scheme has one. If that passes the token to a queued node, the queued
+// node's attempt begins here, before the caller schedules anything of its
+// own.
+//
+//puno:hot
+func (n *node) endATS(aborted bool) {
+	if !n.m.scheme.ats {
+		return
+	}
+	if next := n.m.ats.End(n.id, aborted); next >= 0 {
+		w := n.m.nodes[next]
+		w.startAttempt(w.atsRetry)
+	}
+}
+
 // commitDone finishes a commit after its cost has elapsed.
+//
+//puno:hot
 func (n *node) commitDone() {
 	now := n.m.eng.Now()
 	dynLen := now - n.tx.BeginCycle
@@ -593,9 +629,7 @@ func (n *node) finishAbort() {
 	n.unpinSets()
 	n.tx.FinishAbort()
 	n.fireWakeups()
-	if g, ok := n.cmgr.(BeginGater); ok {
-		g.NotifyOutcome(true)
-	}
+	n.endATS(true)
 	if n.req != nil {
 		n.state = nsAbortDrain // restart once the in-flight request settles
 		return
@@ -605,7 +639,10 @@ func (n *node) finishAbort() {
 
 func (n *node) scheduleRestart() {
 	n.state = nsRestartWait
-	delay := n.cmgr.RestartDelay(n.rng, n.tx.Attempts)
+	delay := cm.FixedBackoffCycles
+	if n.m.scheme.randomRestart {
+		delay = cm.RandomRestart(n.rng, n.tx.Attempts)
+	}
 	n.m.res.RestartWaitCycle += uint64(delay)
 	n.afterEv(delay, nevRestartBegin)
 }
@@ -713,7 +750,10 @@ func (n *node) completeRequest() {
 			return
 		}
 		// Backoff, then re-run the access (it may hit by then).
-		delay := n.cmgr.RetryDelay(n.rng, n.accessRetries, r.tEstMax)
+		delay := cm.FixedBackoffCycles
+		if n.m.scheme.notify {
+			delay = cm.NotifiedWait(r.tEstMax, n.m.guard, n.m.scheme.maxWait)
+		}
 		if r.tEstMax > 0 {
 			n.m.res.NotifiedBackoffs++
 		}
@@ -958,7 +998,7 @@ func (n *node) handleForward(f *coherence.Msg) {
 // tEst computes the notification payload: this transaction's estimated
 // remaining cycles, when the scheme enables notification.
 func (n *node) tEst() sim.Time {
-	if !n.cmgr.Notify() {
+	if !n.m.scheme.notify {
 		return 0
 	}
 	elapsed := n.m.eng.Now() - n.tx.BeginCycle
@@ -1090,7 +1130,7 @@ func (n *node) sendAck(f *coherence.Msg, aborted bool) {
 // transaction finishes. The table is bounded like the hardware would be:
 // at most 8 lines with 4 waiters each.
 func (n *node) subscribeWakeup(l mem.Line, requester int) {
-	if n.m.cfg.Scheme != SchemePUNOPush {
+	if !n.m.scheme.push {
 		return
 	}
 	n.wakeupSubs.subscribe(l, requester)

@@ -51,6 +51,12 @@ func TestResetMatchesNew(t *testing.T) {
 		{smallConfig(SchemePUNO, 2), counterWorkload{name: "b", txPerCPU: 6, counters: 2, incrsPer: 2, think: 0}},
 		{smallConfig(SchemePUNOPush, 3), counterWorkload{name: "c", txPerCPU: 5, counters: 2, incrsPer: 2, think: 0}},
 		{smallConfig(SchemeBackoff, 4), disjointWorkload{txPerCPU: 8}},
+		// Consecutive RMW-Pred and ATS runs reuse the nodes' predictors and
+		// the scheduler's arrays, which must come back empty.
+		{smallConfig(SchemeRMWPred, 5), counterWorkload{name: "e", txPerCPU: 6, counters: 4, incrsPer: 2, think: 5}},
+		{smallConfig(SchemeRMWPred, 6), counterWorkload{name: "e", txPerCPU: 6, counters: 4, incrsPer: 2, think: 5}},
+		{smallConfig(SchemeATS, 7), counterWorkload{name: "f", txPerCPU: 6, counters: 2, incrsPer: 2, think: 0}},
+		{smallConfig(SchemeATS, 8), counterWorkload{name: "f", txPerCPU: 6, counters: 2, incrsPer: 2, think: 0}},
 		{sigCfg, counterWorkload{name: "d", txPerCPU: 5, counters: 3, incrsPer: 2, think: 5}},
 		{smallConfig(SchemeBaseline, 1), counterWorkload{name: "a", txPerCPU: 6, counters: 4, incrsPer: 2, think: 10}},
 	}
@@ -141,6 +147,9 @@ func TestResetRejectsBadConfig(t *testing.T) {
 	bad.Nodes = 7 // does not match the 4x4 mesh
 	if err := m.Reset(bad, wl); err == nil {
 		t.Fatal("Reset accepted a node count that does not match the mesh")
+	}
+	if err := m.Reset(smallConfig(numSchemes, 1), wl); err == nil {
+		t.Fatal("Reset accepted a scheme outside the scheme table")
 	}
 	if err := m.Reset(smallConfig(SchemeBaseline, 2), wl); err != nil {
 		t.Fatalf("Reset after a rejected config: %v", err)
