@@ -3,15 +3,15 @@ package puno
 import "testing"
 
 // warmRunAllocs is what one Arena.Run may allocate on a warm 16-node arena:
-// the per-reset rebuild (per node: two RNG forks, the program closure with
-// its three scratch buffers, the mesh handler) plus Result.Clone — 164
-// measured for the PUNO, Baseline and ATS inputs below and 148 for RMW-Pred
-// on kmeans — with headroom for a toolchain that counts a closure
-// differently. It is a constant: nothing per event, per message or per
-// transaction may allocate, under any scheme, which is what the TxPerCPU
-// comparison below pins. (The parent of the commit that added this test
-// spent 24 000-84 000 here, scaling with the transaction count; ATS spent
-// 810-1 403 until its begin gate stopped taking a closure per attempt.)
+// the per-reset rebuild (per node: two RNG forks and the program closure
+// with its three scratch buffers) plus Result.Clone — 148 measured for the
+// PUNO, Baseline and ATS inputs below and 132 for RMW-Pred on kmeans — with
+// headroom for a toolchain that counts a closure differently. It is a
+// constant: nothing per event, per message or per transaction may allocate,
+// under any scheme, which is what the TxPerCPU comparison below pins. (The
+// parent of the commit that added this test spent 24 000-84 000 here,
+// scaling with the transaction count; ATS spent 810-1 403 until its begin
+// gate stopped taking a closure per attempt.)
 const warmRunAllocs = 256
 
 // TestWarmArenaRunAllocs: after two warm-up runs of a spec, re-running it on

@@ -206,10 +206,9 @@ func New(cfg Config, wl Workload) (*Machine, error) {
 // scheduler's intensity and queue arrays, the coherence message pool, and
 // the result's slices. Rebuilt on every Reset, because they belong to the
 // (cfg, wl) pair rather than to the machine: each node's Program (with the
-// generator's scratch buffers), its two forked RNGs, and its mesh delivery
-// closure — a constant handful of small objects per node, independent of
-// the scheme and of how many transactions or events the run then executes
-// (TestWarmArenaRunAllocs).
+// generator's scratch buffers) and its two forked RNGs — a constant handful
+// of small objects per node, independent of the scheme and of how many
+// transactions or events the run then executes (TestWarmArenaRunAllocs).
 func (m *Machine) Reset(cfg Config, wl Workload) error {
 	return m.resetShard(cfg, wl, 0, cfg.Nodes, nil, nil)
 }
@@ -337,9 +336,8 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 		if cfg.SignatureBits > 0 {
 			m.nodes[i].tx.UseSignatures(cfg.SignatureBits)
 		}
-		id := i
-		m.mesh.Attach(i, func(payload any) { m.deliver(id, payload.(*coherence.Msg)) })
 	}
+	m.mesh.Receive((*arrival)(m))
 	return nil
 }
 
@@ -386,11 +384,10 @@ func (m *Machine) send(msg *coherence.Msg) {
 // dispatch, the low half carries the node id. Replacing per-message
 // closures with these codes keeps deferred dispatch allocation-free.
 const (
-	mevSend    uint64 = iota // delayed directory send: put msg on the mesh
-	mevDir                   // directory Handle after occupancy wait
-	mevFwd                   // L1 handleForward after occupancy wait
-	mevResp                  // L1 handleResponse after occupancy wait
-	mevDeliver               // coordinator-injected remote arrival: dispatch to node
+	mevSend uint64 = iota // delayed directory send: put msg on the mesh
+	mevDir                // directory Handle after occupancy wait
+	mevFwd                // L1 handleForward after occupancy wait
+	mevResp               // L1 handleResponse after occupancy wait
 )
 
 // OnEvent implements sim.Handler for deferred message dispatch.
@@ -409,11 +406,19 @@ func (m *Machine) OnEvent(arg any, word uint64) {
 	case mevResp:
 		m.nodes[id].handleResponse(msg)
 		m.freeMsg(msg)
-	case mevDeliver:
-		m.deliver(id, msg)
 	default:
 		panic(fmt.Sprintf("machine: unknown event code %d", word>>32))
 	}
+}
+
+// arrival is the machine's view as its mesh's arrival handler: the mesh
+// schedules every delivery on it, with the destination node in the word,
+// and so does InjectDeliver for a shard's remote arrivals.
+type arrival Machine
+
+// OnEvent implements sim.Handler for mesh arrivals.
+func (a *arrival) OnEvent(arg any, word uint64) {
+	(*Machine)(a).deliver(int(word), arg.(*coherence.Msg))
 }
 
 // deliver dispatches an arriving message to the right controller at node

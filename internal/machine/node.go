@@ -106,7 +106,8 @@ type node struct {
 	accLive     bool
 
 	// firstLoad associates line -> op index of the first load this attempt;
-	// used to train the RMW predictor when the same line is later stored.
+	// used to train the RMW predictor when the same line is later stored,
+	// so it is recorded only while rmw is set.
 	firstLoad firstLoadTable
 	// promotedLoads associates line -> op index of loads this attempt
 	// issued as exclusive requests on the RMW predictor's advice; used to
@@ -394,7 +395,9 @@ func (n *node) readPhaseDone(e *cache.Entry, a mem.Addr) {
 	}
 	n.tx.RecordReadID(l, e.LID)
 	e.Pinned = true
-	n.firstLoad.record(e.LID, n.opIdx)
+	if n.rmw != nil {
+		n.firstLoad.record(e.LID, n.opIdx)
+	}
 	n.rdVal = e.Data[mem.WordIndex(a)]
 	if n.cur.Ops[n.opIdx].Kind == OpIncr {
 		n.phase = 1

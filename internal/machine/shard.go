@@ -44,13 +44,14 @@ func (m *Machine) StartNode(i int) {
 }
 
 // InjectDeliver schedules a remote message's arrival at its destination
-// (owned by this shard) at absolute time t. The caller brackets it with
+// (owned by this shard) at absolute time t, on the same handler the mesh
+// delivers local arrivals through. The caller brackets it with
 // Engine().SetSeq so the arrival event carries the serial run's sequence
 // number for that delivery.
 //
 //puno:hot
 func (m *Machine) InjectDeliver(t sim.Time, msg *coherence.Msg) {
-	m.eng.AtEvent(t, m, msg, mevDeliver<<32|uint64(uint32(msg.Dst)))
+	m.eng.AtEvent(t, (*arrival)(m), msg, uint64(msg.Dst))
 }
 
 // Active returns the number of owned nodes still running their programs.

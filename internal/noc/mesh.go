@@ -104,12 +104,15 @@ func (s Stats) TotalMessages() uint64 {
 
 // Mesh is the interconnect instance. It is wired to a sim.Engine at
 // construction; Send computes the delivery time of a message and schedules
-// the destination handler. Delivery is closure-free: the mesh itself is the
-// sim.Handler for its in-flight messages, carrying the destination node in
-// the event's payload word, so a Send performs no heap allocation.
+// its arrival. Delivery is closure-free: every arrival is one event on one
+// sim.Handler, carrying the destination node in the event's payload word,
+// so a Send performs no heap allocation. That handler is the one Receive
+// registered or, by default, the mesh itself, which calls the destination's
+// Attach func.
 type Mesh struct {
 	cfg      Config
 	eng      *sim.Engine
+	arrive   sim.Handler // set by Receive; nil means the mesh's own OnEvent
 	handlers []Handler
 	// linkFree[l] is the earliest cycle at which directed link l can begin
 	// serializing another message's flits.
@@ -128,8 +131,8 @@ type Mesh struct {
 	avgHopsDone bool
 }
 
-// New returns a mesh attached to eng. Node handlers start nil; Attach must
-// be called for every node that can receive.
+// New returns a mesh attached to eng. It has no handlers yet: Receive, or
+// Attach for every node that can receive, must be called before a Send.
 func New(cfg Config, eng *sim.Engine) *Mesh {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic("noc: non-positive mesh dimensions")
@@ -173,9 +176,10 @@ func (m *Mesh) buildPaths() {
 }
 
 // Reset returns the mesh to the state New(cfg, eng) would produce, reusing
-// the handler, link and route tables (and the AverageHops memo)
-// when the topology is unchanged. Handlers are cleared either way: the machine re-Attaches
-// every node during its own reset, so a stale handler can never be invoked.
+// the handler, link and route tables (and the AverageHops memo) when the
+// topology is unchanged. Handlers are cleared either way: the machine
+// registers its arrival handler again during its own reset, so a stale
+// handler can never be invoked.
 func (m *Mesh) Reset(cfg Config, eng *sim.Engine) {
 	if cfg.Width != m.cfg.Width || cfg.Height != m.cfg.Height {
 		*m = *New(cfg, eng)
@@ -183,6 +187,7 @@ func (m *Mesh) Reset(cfg Config, eng *sim.Engine) {
 	}
 	m.cfg = cfg
 	m.eng = eng
+	m.arrive = nil
 	clear(m.handlers)
 	clear(m.linkFree)
 	m.stats = Stats{}
@@ -191,23 +196,25 @@ func (m *Mesh) Reset(cfg Config, eng *sim.Engine) {
 // Nodes returns the number of nodes in the mesh.
 func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
 
-// Attach registers the receive handler for node id.
+// Attach registers the receive func for node id. The mesh calls it for
+// every arrival at id while no Receive handler is registered.
 func (m *Mesh) Attach(id int, h Handler) {
 	m.handlers[id] = h
 }
 
+// Receive registers h for every arrival at every node, in place of the
+// Attach funcs: an arrival of payload at node dst runs
+// h.OnEvent(payload, uint64(dst)) directly, one dispatch from the engine.
+func (m *Mesh) Receive(h sim.Handler) { m.arrive = h }
+
 // OnEvent implements sim.Handler: deliver an in-flight message (arg) to the
-// destination node carried in the payload word.
+// Attach func of the destination node carried in the payload word.
 func (m *Mesh) OnEvent(arg any, word uint64) {
 	m.handlers[word](arg)
 }
 
 // Stats returns a snapshot of the accumulated network statistics.
 func (m *Mesh) Stats() Stats { return m.stats }
-
-// ResetStats clears the accumulated statistics (the warm-up discard used by
-// the experiment harness).
-func (m *Mesh) ResetStats() { m.stats = Stats{} }
 
 func (m *Mesh) xy(id int) (x, y int) { return id % m.cfg.Width, id / m.cfg.Width }
 
@@ -300,30 +307,34 @@ func (m *Mesh) AverageLatency(flits int) sim.Time {
 }
 
 // Send injects a message of the given class and flit count from src to dst
-// and schedules handler(dst) at its delivery time. The delivery time
-// accounts for router pipeline depth, link serialization of all flits, and
-// queueing when a link is busy with earlier traffic.
+// and schedules its arrival at dst (see Receive and Attach) at its delivery
+// time. The delivery time accounts for router pipeline depth, link
+// serialization of all flits, and queueing when a link is busy with earlier
+// traffic.
 //
 //puno:hot
 func (m *Mesh) Send(src, dst int, class Class, flits int, payload any) {
 	if flits <= 0 {
 		panic("noc: message with no flits")
 	}
-	h := m.handlers[dst]
+	h := m.arrive
 	if h == nil {
-		panic(fmt.Sprintf("noc: no handler attached at node %d", dst))
+		if m.handlers[dst] == nil {
+			panic(fmt.Sprintf("noc: no handler attached at node %d", dst))
+		}
+		h = m
 	}
 	m.stats.Messages[class]++
 	m.stats.Flits[class] += uint64(flits)
 
 	now := m.eng.Now()
+	t := now + m.cfg.LocalCycles
 	if src == dst {
 		m.stats.TotalLatency += uint64(m.cfg.LocalCycles)
-		m.eng.AfterEvent(m.cfg.LocalCycles, m, payload, uint64(dst))
-		return
+	} else {
+		t = m.route(now, src, dst, class, flits)
 	}
-	t := m.route(now, src, dst, class, flits)
-	m.eng.AtEvent(t, m, payload, uint64(dst))
+	m.eng.AtEvent(t, h, payload, uint64(dst))
 }
 
 // route walks the precomputed X-then-Y link list from src to dst

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -184,17 +185,6 @@ func TestLocalMessageCountsNoTraversal(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	m, eng := newTestMesh(t)
-	m.Attach(1, func(any) {})
-	m.Send(0, 1, ClassRequest, 1, nil)
-	eng.Run(sim.Infinity)
-	m.ResetStats()
-	if m.Stats().TotalMessages() != 0 {
-		t.Fatal("ResetStats did not clear counters")
-	}
-}
-
 func TestAverageHopsFourByFour(t *testing.T) {
 	m, _ := newTestMesh(t)
 	avg := m.AverageHops()
@@ -214,11 +204,94 @@ func TestAverageLatencyPositive(t *testing.T) {
 	}
 }
 
-func TestSendPanicsWithoutHandler(t *testing.T) {
+// arrivalRecorder is a Receive handler that logs each arrival's payload,
+// destination word and cycle.
+type arrivalRecorder struct {
+	eng *sim.Engine
+	got []arrivalAt
+}
+
+type arrivalAt struct {
+	payload any
+	dst     uint64
+	at      sim.Time
+}
+
+func (r *arrivalRecorder) OnEvent(arg any, word uint64) {
+	r.got = append(r.got, arrivalAt{arg, word, r.eng.Now()})
+}
+
+// TestReceiveGetsEveryArrival registers one handler for the whole mesh:
+// local and remote arrivals reach it with the destination node in the word,
+// at the same cycles the Attach path delivers them, and the Attach funcs
+// it stands in for are never called.
+func TestReceiveGetsEveryArrival(t *testing.T) {
+	sends := []struct{ src, dst, flits int }{{0, 5, 1}, {3, 3, 1}, {15, 0, 5}, {5, 9, 2}}
+	m, eng := newTestMesh(t)
+	attachAt := map[int]sim.Time{}
+	for i := 0; i < m.Nodes(); i++ {
+		id := i
+		m.Attach(i, func(any) { attachAt[id] = eng.Now() })
+	}
+	for _, s := range sends {
+		m.Send(s.src, s.dst, ClassRequest, s.flits, nil)
+	}
+	eng.Run(sim.Infinity)
+
+	m2, eng2 := newTestMesh(t)
+	m2.Attach(5, func(any) { t.Error("Attach func called while a Receive handler is registered") })
+	r := &arrivalRecorder{eng: eng2}
+	m2.Receive(r)
+	for i, s := range sends {
+		m2.Send(s.src, s.dst, ClassRequest, s.flits, i)
+	}
+	eng2.Run(sim.Infinity)
+	if len(r.got) != len(sends) {
+		t.Fatalf("handler saw %d arrivals, want %d", len(r.got), len(sends))
+	}
+	for _, a := range r.got {
+		s := sends[a.payload.(int)]
+		if a.dst != uint64(s.dst) {
+			t.Errorf("send %d->%d arrived with word %d", s.src, s.dst, a.dst)
+		}
+		if a.at != attachAt[s.dst] {
+			t.Errorf("send %d->%d arrived at cycle %d, the Attach path at %d", s.src, s.dst, a.at, attachAt[s.dst])
+		}
+	}
+	if m.Stats() != m2.Stats() {
+		t.Errorf("stats differ by delivery path: %+v vs %+v", m.Stats(), m2.Stats())
+	}
+	if got := m2.Stats().TotalMessages(); got != uint64(len(sends)) {
+		t.Errorf("TotalMessages = %d, want %d", got, len(sends))
+	}
+
+	// Reset drops the registration: the next Send finds no handler.
+	m2.Reset(DefaultConfig(), eng2)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "node 5") {
+			t.Errorf("Send after Reset panicked with %q, want a no-handler panic naming node 5", msg)
+		}
+	}()
+	m2.Send(0, 5, ClassRequest, 1, nil)
+}
+
+func TestSendPanicsWithoutFlits(t *testing.T) {
 	m, _ := newTestMesh(t)
+	m.Attach(1, func(any) {})
 	defer func() {
 		if recover() == nil {
-			t.Error("Send to unattached node did not panic")
+			t.Error("Send of a zero-flit message did not panic")
+		}
+	}()
+	m.Send(0, 1, ClassRequest, 0, nil)
+}
+
+func TestSendPanicsWithoutHandler(t *testing.T) {
+	m, _ := newTestMesh(t)
+	m.Attach(0, func(any) {})
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "node 9") {
+			t.Errorf("Send to unattached node 9 panicked with %q, want a message naming it", msg)
 		}
 	}()
 	m.Send(0, 9, ClassRequest, 1, nil)

@@ -96,7 +96,8 @@ const DefaultWheelWindow Time = 4096
 // All events in a bucket share one absolute firing time (see the horizon
 // invariant in Engine), and the chain is in seq order by construction.
 type bucket struct {
-	head, tail int32 // -1 when empty
+	head int32 // -1 when empty
+	tail int32 // meaningful only while head >= 0
 }
 
 // Engine is the discrete-event simulation core. The zero value is not
@@ -128,7 +129,15 @@ type Engine struct {
 	// Overflow level: slab indices sorted by (at, seq), holding events
 	// scheduled at or beyond the wheel horizon. seq is unique, so the order
 	// is a strict total one and pop order cannot depend on how it is kept.
-	spill []int32
+	// spillAt is the head's cycle (Infinity when the list is empty): while
+	// now is before it, no resident can tie with now's bucket.
+	spill   []int32
+	spillAt Time
+
+	// rewound is set once SetSeq has moved seq backwards, or a rekey has
+	// renumbered queued events, since the last Reset. Until then seq only
+	// grows, so a new wheel event always belongs at its chain's tail.
+	rewound bool
 }
 
 // NewEngine returns an engine with the clock at cycle 0 and the default
@@ -146,6 +155,7 @@ func NewEngineWindow(window Time) *Engine {
 	}
 	e := &Engine{
 		free:    -1,
+		spillAt: Infinity,
 		window:  window,
 		mask:    uint64(window - 1),
 		buckets: make([]bucket, window),
@@ -154,6 +164,7 @@ func NewEngineWindow(window Time) *Engine {
 	for i := range e.buckets {
 		e.buckets[i] = bucket{head: -1, tail: -1}
 	}
+	e.growSlab()
 	return e
 }
 
@@ -199,6 +210,8 @@ func (e *Engine) Reset() {
 		e.occ[i] = 0
 	}
 	e.spill = e.spill[:0]
+	e.spillAt = Infinity
+	e.rewound = false
 	e.nWheel = 0
 	e.now = 0
 	e.seq = 0
@@ -214,9 +227,15 @@ func (e *Engine) Seq() uint64 { return e.seq }
 
 // SetSeq overrides the next insertion sequence number. Chains and the spill
 // list stay correctly ordered even when the override moves seq backwards:
-// schedule inserts out-of-order seqs by position (chainInsertBefore,
-// spillInsert), not by blind append.
-func (e *Engine) SetSeq(seq uint64) { e.seq = seq }
+// from then until the next Reset, schedule inserts out-of-order seqs by
+// position (chainInsertBefore; spillInsert always does), not by blind
+// append.
+func (e *Engine) SetSeq(seq uint64) {
+	if seq < e.seq {
+		e.rewound = true
+	}
+	e.seq = seq
+}
 
 // Peek returns the (at, seq) key of the event Step would run next, without
 // popping it. ok is false when nothing is pending or the engine is stopped.
@@ -261,6 +280,7 @@ func (e *Engine) RekeyBucket(t Time, base uint64, renum []uint64) {
 	if t-e.now >= e.window {
 		return
 	}
+	e.rewound = true
 	for idx := e.buckets[uint64(t)&e.mask].head; idx >= 0; idx = e.slots[idx].next {
 		s := &e.slots[idx]
 		if s.seq >= base {
@@ -276,6 +296,7 @@ func (e *Engine) RekeyBucket(t Time, base uint64, renum []uint64) {
 // wheel bucket is renumbered too, so cross-level (at, seq) tie-breaks
 // between the two queue levels stay serial-correct.
 func (e *Engine) RekeyOverflow(base uint64, renum []uint64) {
+	e.rewound = true
 	for _, idx := range e.spill {
 		s := &e.slots[idx]
 		if s.seq >= base {
@@ -288,22 +309,20 @@ func (e *Engine) RekeyOverflow(base uint64, renum []uint64) {
 // schedule grabs a slot, fills it, and queues it on the wheel (near
 // horizon) or the spill list (at or beyond it). A wheel event joins its
 // time's bucket chain inline: the chain is empty, or the event's seq is the
-// largest — seq is monotonic in any serial run — and it is appended.
+// largest and it is appended. Unless the engine has been rewound, seq only
+// grows, so the tail's seq is not even read. The cold paths — a sorted
+// insert, the spill list, growing the slab — are calls, and the slab grows
+// last, when only the returned ID is live: the free list is never empty on
+// entry.
 //
 //puno:hot
 func (e *Engine) schedule(t Time, h Handler, arg any, word uint64) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	var idx int32
-	if e.free >= 0 {
-		idx = e.free
-		e.free = e.slots[idx].next
-	} else {
-		e.slots = append(e.slots, eventSlot{})
-		idx = int32(len(e.slots) - 1)
-	}
+	idx := e.free
 	s := &e.slots[idx]
+	e.free = s.next
 	s.at = t
 	s.seq = e.seq
 	s.h = h
@@ -319,7 +338,7 @@ func (e *Engine) schedule(t Time, h Handler, arg any, word uint64) EventID {
 			s.next = -1
 			b.head, b.tail = idx, idx
 			e.occ[bi>>6] |= 1 << (bi & 63)
-		case e.slots[b.tail].seq <= s.seq:
+		case !e.rewound || e.slots[b.tail].seq <= s.seq:
 			s.next = -1
 			e.slots[b.tail].next = idx
 			b.tail = idx
@@ -331,7 +350,20 @@ func (e *Engine) schedule(t Time, h Handler, arg any, word uint64) EventID {
 		e.nSpill++
 		e.spillInsert(idx)
 	}
-	return EventID{slot: idx + 1, gen: s.gen}
+	id := EventID{slot: idx + 1, gen: s.gen}
+	if e.free < 0 {
+		e.growSlab()
+	}
+	return id
+}
+
+// growSlab appends one slot to the slab and frees it. schedule takes this
+// path only until the slab holds the run's peak pending count.
+//
+//go:noinline
+func (e *Engine) growSlab() {
+	e.slots = append(e.slots, eventSlot{next: e.free})
+	e.free = int32(len(e.slots) - 1)
 }
 
 // spillInsert places a filled slot in the spill list, keeping it (at, seq)
@@ -344,6 +376,9 @@ func (e *Engine) spillInsert(idx int32) {
 		e.spill[i] = e.spill[i-1]
 	}
 	e.spill[i] = idx
+	if i == 0 {
+		e.spillAt = e.slots[idx].at
+	}
 }
 
 // spillRemove deletes a resident slot from the spill list. A pop finds it
@@ -354,6 +389,12 @@ func (e *Engine) spillRemove(idx int32) {
 		i++
 	}
 	e.spill = append(e.spill[:i], e.spill[i+1:]...)
+	if i == 0 {
+		e.spillAt = Infinity
+		if len(e.spill) > 0 {
+			e.spillAt = e.slots[e.spill[0]].at
+		}
+	}
 }
 
 // before reports whether slot a fires before slot b.
@@ -366,9 +407,11 @@ func (e *Engine) before(a, b int32) bool {
 }
 
 // chainInsertBefore links slot idx into chain b ahead of its tail, keeping
-// the chain seq-sorted. It only runs when SetSeq has moved seq backwards
+// the chain seq-sorted. It only runs once SetSeq has moved seq backwards
 // (sharded commit replay), where bucket chains hold the handful of events of
 // one exact cycle.
+//
+//go:noinline
 func (e *Engine) chainInsertBefore(b *bucket, idx int32) {
 	s := &e.slots[idx]
 	if s.seq < e.slots[b.head].seq {
@@ -439,20 +482,16 @@ func (e *Engine) unchain(idx int32) {
 	bi := uint64(s.at) & e.mask
 	b := &e.buckets[bi]
 	if b.head == idx {
-		b.head = s.next
-		if b.head < 0 {
-			b.tail = -1
-			e.occ[bi>>6] &^= 1 << (bi & 63)
-		}
-	} else {
-		prev := b.head
-		for e.slots[prev].next != idx {
-			prev = e.slots[prev].next
-		}
-		e.slots[prev].next = s.next
-		if b.tail == idx {
-			b.tail = prev
-		}
+		e.unlinkHead(b, bi)
+		return
+	}
+	prev := b.head
+	for e.slots[prev].next != idx {
+		prev = e.slots[prev].next
+	}
+	e.slots[prev].next = s.next
+	if b.tail == idx {
+		b.tail = prev
 	}
 	e.nWheel--
 }
@@ -519,43 +558,85 @@ func (e *Engine) nextEvent() int32 {
 	return w
 }
 
-// pop removes the earliest pending event if it fires at or before limit:
-// it unlinks the slot, advances the clock to the event's cycle, counts it,
-// and releases the slot before returning the callback, so the callback may
-// reuse the slot (its generation was bumped, so a stale EventID for the
-// fired event still cancels nothing). ok is false, and nothing changes,
-// when no event is pending or the earliest one fires after limit. Run, Step
-// and DrainBefore all fire events through it.
+// pop unlinks the next event when it is the head of now's bucket — the
+// common case of a same-cycle burst: that bucket is occupied, no spill
+// resident is due this cycle, and now is within limit — and returns its
+// slab index. It returns -1, and changes nothing, when that fast case does
+// not apply; the loop then falls back to popSlow. It is small enough to
+// inline into Run, Step and DrainBefore, which hand the index to take.
 //
 //puno:hot
-func (e *Engine) pop(limit Time) (h Handler, arg any, word, seq uint64, ok bool) {
+func (e *Engine) pop(limit Time) int32 {
+	bi := uint64(e.now) & e.mask
+	b := &e.buckets[bi]
+	idx := b.head
+	if idx < 0 || e.now >= e.spillAt || e.now > limit {
+		return -1
+	}
+	e.unlinkHead(b, bi)
+	return idx
+}
+
+// unlinkHead removes the head of bucket b, whose index is bi. Emptying
+// the bucket leaves its tail stale, which nothing reads.
+func (e *Engine) unlinkHead(b *bucket, bi uint64) {
+	if b.head = e.slots[b.head].next; b.head < 0 {
+		e.occ[bi>>6] &^= 1 << (bi & 63)
+	}
+	e.nWheel--
+}
+
+// popSlow is pop's out-of-line fallback: it unlinks the earliest pending
+// event anywhere — found by the bitmap scan for a later wheel cycle, or the
+// spill head, compared by (at, seq) with the wheel's earliest — if it fires
+// at or before limit, and advances the clock to its cycle. It returns -1,
+// and changes nothing, when no event is pending or the earliest one fires
+// after limit.
+func (e *Engine) popSlow(limit Time) int32 {
+	// Most often the next event is a few cycles ahead, in now's bitmap
+	// word: take it without the two calls nextEvent makes.
+	bi := uint64(e.now) & e.mask
+	if w := e.occ[bi>>6] >> (bi & 63); w != 0 {
+		k := uint64(bits.TrailingZeros64(w))
+		if t := e.now + Time(k); t < e.spillAt && t <= limit {
+			bi += k
+			b := &e.buckets[bi]
+			idx := b.head
+			e.unlinkHead(b, bi)
+			e.now = t
+			return idx
+		}
+	}
 	idx := e.nextEvent()
 	if idx < 0 {
-		return nil, nil, 0, 0, false
+		return -1
 	}
 	s := &e.slots[idx]
 	if s.at > limit {
-		return nil, nil, 0, 0, false
+		return -1
 	}
 	if s.next != inSpill {
 		// The popped slot is always its bucket's head (the scan returns
 		// heads, and heads are the chain's minimum seq).
 		bi := uint64(s.at) & e.mask
-		b := &e.buckets[bi]
-		b.head = s.next
-		if b.head < 0 {
-			b.tail = -1
-			e.occ[bi>>6] &^= 1 << (bi & 63)
-		}
-		e.nWheel--
+		e.unlinkHead(&e.buckets[bi], bi)
 	} else {
 		e.spillRemove(idx)
 	}
 	e.now = s.at
+	return idx
+}
+
+// take counts the event pop or popSlow unlinked and releases its slot
+// before returning the callback, so the callback may reuse the slot (its
+// generation was bumped, so a stale EventID for the fired event still
+// cancels nothing).
+func (e *Engine) take(idx int32) (Handler, any, uint64) {
+	s := &e.slots[idx]
+	h, arg, word := s.h, s.arg, s.word
 	e.nRun++
-	h, arg, word, seq = s.h, s.arg, s.word, s.seq
 	e.release(idx)
-	return h, arg, word, seq, true
+	return h, arg, word
 }
 
 // DrainEntry is one effectful event executed by DrainBefore: the cycle it
@@ -590,11 +671,14 @@ func (e *Engine) DrainBefore(limit Time, base uint64, flag uint32, log []DrainEn
 	x, m := *ext, *emit
 	pseq := e.seq
 	for !e.stopped {
-		h, arg, word, seq, ok := e.pop(limit - 1)
-		if !ok {
-			return log, e.nextAt()
+		idx := e.pop(limit - 1)
+		if idx < 0 {
+			if idx = e.popSlow(limit - 1); idx < 0 {
+				return log, e.nextAt()
+			}
 		}
-		at := e.now
+		at, seq := e.now, e.slots[idx].seq
+		h, arg, word := e.take(idx)
 		h.OnEvent(arg, word)
 		x2, m2, q2 := *ext, *emit, e.seq
 		if x2 != x || m2 != m || q2 != pseq {
@@ -620,25 +704,34 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	h, arg, word, _, ok := e.pop(Infinity)
-	if ok {
-		h.OnEvent(arg, word)
+	idx := e.pop(Infinity)
+	if idx < 0 {
+		if idx = e.popSlow(Infinity); idx < 0 {
+			return false
+		}
 	}
-	return ok
+	h, arg, word := e.take(idx)
+	h.OnEvent(arg, word)
+	return true
 }
 
 // Run executes events until the queue drains, Stop is called, or the clock
 // passes limit (use Infinity for no limit). It returns the cycle at which it
 // stopped.
+//
+//puno:hot
 func (e *Engine) Run(limit Time) Time {
 	for !e.stopped {
-		h, arg, word, _, ok := e.pop(limit)
-		if !ok {
-			if e.Pending() > 0 {
-				e.now = limit // the next event lies beyond limit
+		idx := e.pop(limit)
+		if idx < 0 {
+			if idx = e.popSlow(limit); idx < 0 {
+				if e.Pending() > 0 {
+					e.now = limit // the next event lies beyond limit
+				}
+				break
 			}
-			break
 		}
+		h, arg, word := e.take(idx)
 		h.OnEvent(arg, word)
 	}
 	return e.now

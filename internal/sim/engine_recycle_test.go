@@ -171,6 +171,21 @@ func (q *refQueue) pop() (int, bool) {
 	return ev.id, true
 }
 
+// run mirrors Engine.Run(limit): it pops every event due at or before
+// limit, in order, and parks the clock at limit when events remain beyond
+// it.
+func (q *refQueue) run(limit Time) []int {
+	var ids []int
+	for len(q.h) > 0 && q.h[0].at <= limit {
+		id, _ := q.pop()
+		ids = append(ids, id)
+	}
+	if len(q.h) > 0 {
+		q.now = limit
+	}
+	return ids
+}
+
 // TestEngineMatchesContainerHeapReference drives the slab queue and the
 // container/heap reference with an identical random schedule/cancel/pop
 // command stream and asserts they fire the same events in the same order —

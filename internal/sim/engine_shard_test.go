@@ -85,6 +85,48 @@ func TestSetSeqOrdersSameCycleChain(t *testing.T) {
 	}
 }
 
+// TestSetSeqRewindRunsInSeqOrder rewinds seq twice — once while every
+// event is still queued, once after Run has advanced the clock so a far
+// cycle holds both a spill resident and wheel events — and checks that Run
+// fires each cycle's events in seq order, against the reference.
+func TestSetSeqRewindRunsInSeqOrder(t *testing.T) {
+	e := NewEngineWindow(64)
+	ref := &refQueue{}
+	var fired []int
+	at := func(c Time, id int) {
+		e.At(c, func() { fired = append(fired, id) })
+		ref.schedule(c, id)
+	}
+	setSeq := func(seq uint64) {
+		e.SetSeq(seq)
+		ref.seq = seq
+	}
+	setSeq(100)
+	for id := 0; id < 6; id++ {
+		at(Time(10+id%3), id) // seqs 100-105 over cycles 10-12
+	}
+	at(200, 6) // seq 106: spill resident
+	setSeq(50)
+	for id := 7; id < 13; id++ {
+		at(Time(10+id%3), id) // seqs 50-55: ahead of every tail
+	}
+	at(200, 13) // seq 56: a resident ahead of event 6
+	want := ref.run(150)
+	e.Run(150)
+	setSeq(103)
+	at(200, 14) // seq 103, now in the wheel: between residents 13 and 6
+	at(200, 15) // seq 104
+	at(151, 16) // seq 105: the next cycle's only event
+	want = append(want, ref.run(Infinity)...)
+	e.Run(Infinity)
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, reference %v", fired, want)
+	}
+	if len(fired) != 17 {
+		t.Fatalf("fired %d events, want 17", len(fired))
+	}
+}
+
 // TestRekeyBucketAndOverflow bulk-renumbers provisional events sitting in
 // a wheel bucket and in the spill list, then certifies the new seqs are
 // real: fresh events scheduled between the mapped values (via SetSeq)
@@ -266,6 +308,16 @@ func TestDrainBefore(t *testing.T) {
 	e0.AtEvent(0, sender, nil, 0)
 	if log0, next0 := e0.DrainBefore(0, base, flag, nil, &ext, &emit); len(log0) != 0 || next0 != 0 || e0.Pending() != 1 {
 		t.Fatalf("DrainBefore(0) drained %d entries, next %d, %d pending; want 0, 0, 1", len(log0), next0, e0.Pending())
+	}
+
+	// Events already at now, behind the one Step fired, fire at now — not
+	// before a limit of now — however the drain pops them.
+	e1 := NewEngine()
+	e1.AtEvent(10, quiet, nil, 0)
+	e1.AtEvent(10, sender, nil, 0)
+	e1.Step()
+	if log1, next1 := e1.DrainBefore(10, base, flag, nil, &ext, &emit); len(log1) != 0 || next1 != 10 || e1.Pending() != 1 {
+		t.Fatalf("DrainBefore(now) drained %d entries, next %d, %d pending; want 0, 10, 1", len(log1), next1, e1.Pending())
 	}
 
 	e.AtEvent(50, quiet, nil, 0)

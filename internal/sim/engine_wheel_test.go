@@ -32,13 +32,36 @@ func TestEngineWindowValidation(t *testing.T) {
 	}
 }
 
+// runLeg drains e and ref through Run at a random limit up to span cycles
+// ahead of the clock, and checks that both fired the same events in the
+// same order and parked the clock on the same cycle. It reports whether a
+// spill resident was pending when the leg began.
+func runLeg(t *testing.T, e *Engine, ref *refQueue, rng *RNG, span int, engFired, refFired *[]int) bool {
+	t.Helper()
+	spilled := len(e.spill) > 0
+	limit := e.Now() + Time(rng.Intn(span))
+	before := len(*engFired)
+	e.Run(limit)
+	want := ref.run(limit)
+	if got := (*engFired)[before:]; !slices.Equal(got, want) {
+		t.Fatalf("Run(%d) fired %v, reference %v", limit, got, want)
+	}
+	if e.Now() != ref.now {
+		t.Fatalf("Run(%d) left the clock at %d, reference at %d", limit, e.Now(), ref.now)
+	}
+	*refFired = append(*refFired, want...)
+	return spilled
+}
+
 // TestEngineMatchesReferenceCrossLevel replays random schedule/cancel/pop
 // streams whose delays straddle the wheel horizon (window 64, delays up to
 // 4x that), against the container/heap reference. This certifies that the
 // wheel/spill split — including events that sit in the spill list while their time
-// enters the near window — never changes the (time, seq) pop order.
+// enters the near window — never changes the (time, seq) pop order, whether
+// events fire one at a time through Step or in runs through Run(limit).
 func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
 	const window = 64
+	runsWithResidents := 0
 	for trial := 0; trial < 100; trial++ {
 		rng := NewRNG(uint64(trial) + 7000)
 		e := NewEngineWindow(window)
@@ -80,6 +103,10 @@ func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
 				if got != want {
 					t.Fatalf("trial %d step %d: Cancel = %v, reference = %v", trial, step, got, want)
 				}
+			case op == 9: // drain through Run up to a random limit
+				if runLeg(t, e, ref, rng, 2*window, &engFired, &refFired) {
+					runsWithResidents++
+				}
 			default: // pop
 				engOK := e.Step()
 				refID, refOK := ref.pop()
@@ -116,6 +143,9 @@ func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
 					trial, i, engFired[i], refFired[i])
 			}
 		}
+	}
+	if runsWithResidents == 0 {
+		t.Fatal("no Run leg began with a spill resident pending")
 	}
 }
 
@@ -477,12 +507,13 @@ func TestEngineResetReuse(t *testing.T) {
 }
 
 // TestEngineWheelFuzz is the fuzz-style property test: random windows,
-// random mixed-level command streams including Resets, always checked
-// against a reference rebuilt at each Reset. It runs under -race in CI
+// random mixed-level command streams including Resets and Run(limit) legs,
+// always checked against a reference rebuilt at each Reset. It runs under -race in CI
 // (the engine is single-goroutine; the race run guards against unsynchronized
 // global state sneaking into the scheduler).
 func TestEngineWheelFuzz(t *testing.T) {
 	windows := []Time{64, 128, 256}
+	runsWithResidents := 0
 	for trial := 0; trial < 60; trial++ {
 		window := windows[trial%len(windows)]
 		rng := NewRNG(uint64(trial)*13 + 99)
@@ -512,6 +543,10 @@ func TestEngineWheelFuzz(t *testing.T) {
 				p := live[rng.Intn(len(live))]
 				if got, want := e.Cancel(p.engID), ref.cancel(p.refEv); got != want {
 					t.Fatalf("trial %d step %d: Cancel = %v, reference = %v", trial, step, got, want)
+				}
+			case op == 18:
+				if runLeg(t, e, ref, rng, int(window), &engFired, &refFired) {
+					runsWithResidents++
 				}
 			case op == 19 && step > 0 && step%97 == 0: // rare full Reset
 				e.Reset()
@@ -552,5 +587,8 @@ func TestEngineWheelFuzz(t *testing.T) {
 					trial, window, i, engFired[i], refFired[i])
 			}
 		}
+	}
+	if runsWithResidents == 0 {
+		t.Fatal("no Run leg began with a spill resident pending")
 	}
 }
