@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -47,8 +48,8 @@ func TestDocsResolve(t *testing.T) {
 // The checker itself, on the five names the design document carried for
 // months after the code they named was gone (an engine entry point, a send
 // helper, two packages and a fixture directory), the two ways users once
-// reached the PDES coordinator, one stale name of each other kind, and the
-// names it must leave alone.
+// reached the PDES coordinator, one stale name of each other kind (a binary
+// format version among them), and the names it must leave alone.
 func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 	stale := []string{
 		"`Engine.StepBefore`", "`Machine.sendMsg`", "`internal/detmap`",
@@ -56,7 +57,7 @@ func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 		"`make bench-pdes PDES_BENCHTIME=2s`", "`punosim -shards N`",
 		"`sim.NoSuchFunc`", "`nosuchpkg.Thing`", "`no_such_file.go`", "`puno.go:99999`",
 		"`make bench-serve`", "`punotrace record -o x.trace`", "`punosim -no-such-flag`",
-		"`-no-such-flag`", "`TestNoSuchTest`", "`sim.no_such_metric`",
+		"`-no-such-flag`", "`TestNoSuchTest`", "`sim.no_such_metric`", "`punores/9`",
 		"```\ngo run ./cmd/punotrace run -a k.evt\n```",
 	}
 	for _, s := range stale {
@@ -68,7 +69,8 @@ func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 		"`internal/{sim,noc}` `internal/lint/testdata/src/escapegate` `events.go` `machine/encode.go` " +
 		"`make lint` `cmd/experiments -exp table1` " +
 		"`-cache-dir` `TestDocsResolve` `BenchmarkSweepParallelism/serial` `sim.kernel_ns_per_event` " +
-		"`runtime.convT64` `http.Post` `go test -race ./...` `bash bench/run.sh --trace 1` `map[mem.Line]`\n" +
+		"`runtime.convT64` `http.Post` `go test -race ./...` `bash bench/run.sh --trace 1` `map[mem.Line]` " +
+		"`SHA-256(punokey/1 ‖ punocfg/3(config))`\n" +
 		"```\npunotrace diff -a a.evt -b b.evt   # comment -not-a-flag\nmake race-shards\n```\n"
 	if got := tree.docProblems("seeded", sound); len(got) != 0 {
 		t.Errorf("sound names reported: %v", got)
@@ -84,6 +86,7 @@ type docTree struct {
 	tests   map[string]bool            // Test/Fuzz/Benchmark functions of every _test.go
 	targets map[string]bool            // the Makefile's .PHONY
 	metrics map[string]bool            // BENCHMARK.json workload and metric names
+	strs    map[string]bool            // values of the module's package-level string constants
 	clis    map[string]map[string]bool // command -> its flags
 	subs    map[string]map[string]bool // command -> its subcommands (flag sets named other than the command)
 }
@@ -92,7 +95,7 @@ func buildDocTree() (*docTree, error) {
 	tr := &docTree{
 		pkgs: map[string][]*types.Package{}, types: map[string][]*types.TypeName{},
 		std: map[string]bool{}, tests: map[string]bool{}, targets: map[string]bool{},
-		metrics: map[string]bool{}, clis: map[string]map[string]bool{}, subs: map[string]map[string]bool{},
+		metrics: map[string]bool{}, strs: map[string]bool{}, clis: map[string]map[string]bool{}, subs: map[string]map[string]bool{},
 	}
 	loaded, err := lint.Load(".", []string{"./..."})
 	if err != nil {
@@ -108,8 +111,13 @@ func buildDocTree() (*docTree, error) {
 		tr.pkgs[p.Types.Name()] = append(tr.pkgs[p.Types.Name()], p.Types)
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-				tr.types[name] = append(tr.types[name], tn)
+			switch obj := scope.Lookup(name).(type) {
+			case *types.TypeName:
+				tr.types[name] = append(tr.types[name], obj)
+			case *types.Const:
+				if obj.Val().Kind() == constant.String {
+					tr.strs[constant.StringVal(obj.Val())] = true
+				}
 			}
 		}
 	}
@@ -222,12 +230,13 @@ func (tr *docTree) addCLI(p *lint.Package) {
 }
 
 var (
-	fenceLine = regexp.MustCompile("^\\s*```")
-	codeSpan  = regexp.MustCompile("`([^`\n]+)`")
-	testName  = regexp.MustCompile(`^(Test|Fuzz|Benchmark)[A-Z_]\w*$`)
-	fileName  = regexp.MustCompile(`^[\w./-]+\.(go|md|json|txt|golden|sh|yml)(:\d+)?$`)
-	qualified = regexp.MustCompile(`^[*&]?([A-Za-z_]\w+)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?$`)
-	flagWord  = regexp.MustCompile(`^-([a-z][\w-]*)(=.*)?$`)
+	fenceLine  = regexp.MustCompile("^\\s*```")
+	codeSpan   = regexp.MustCompile("`([^`\n]+)`")
+	testName   = regexp.MustCompile(`^(Test|Fuzz|Benchmark)[A-Z_]\w*$`)
+	formatName = regexp.MustCompile(`puno[a-z]+/\d+`)
+	fileName   = regexp.MustCompile(`^[\w./-]+\.(go|md|json|txt|golden|sh|yml)(:\d+)?$`)
+	qualified  = regexp.MustCompile(`^[*&]?([A-Za-z_]\w+)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?$`)
+	flagWord   = regexp.MustCompile(`^-([a-z][\w-]*)(=.*)?$`)
 	// flagDef matches package flag's definition functions: Bool … TextVar, Var, Func.
 	flagDef  = regexp.MustCompile(`^(Bool|Int(64)?|Uint(64)?|String|Float64|Duration|Text)?(Var|Func)?$`)
 	treeDirs = []string{"internal/", "cmd/", "testdata/", "examples/", "bench/", ".github/"}
@@ -248,7 +257,9 @@ var (
 // come its subcommand, if it has any, and its flags; a span that is only a
 // flag must be a flag of some command (so a go-tool flag is written with its
 // tool). Fenced blocks get the path, file, make and command rules line by
-// line.
+// line. In spans and fenced lines alike, every binary format name
+// (puno<fmt>/<N>) must be the value of a string constant of the module:
+// cfgMagic, resMagic, evtMagic, keyMagic or wlMagic.
 func (tr *docTree) docProblems(doc, text string) []string {
 	var problems []string
 	fenced := false
@@ -272,6 +283,11 @@ func (tr *docTree) docProblems(doc, text string) []string {
 }
 
 func (tr *docTree) checkSpan(span string, fenced bool, bad func(string, ...any)) {
+	for _, f := range formatName.FindAllString(span, -1) {
+		if !tr.strs[f] {
+			bad("`%s`: no string constant of the tree is the format name %s", span, f)
+		}
+	}
 	if cut := strings.Index(span, " #"); fenced && cut >= 0 {
 		span = span[:cut] // shell comment
 	}

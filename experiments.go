@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/area"
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/runner"
@@ -463,14 +464,14 @@ func Table2(cfg Config) *Table {
 	t := report.NewTable("Table II — system configuration", "unit", "value")
 	t.AddRow("Cores", fmt.Sprintf("%d in-order cores, abstract ISA", cfg.Nodes))
 	t.AddRow("L1 cache", fmt.Sprintf("%d KB, %d-way, write-back, %d-cycle",
-		cfg.L1.SizeBytes/1024, cfg.L1.Ways, cfg.L1HitLatency))
-	t.AddRow("L2 cache", fmt.Sprintf("shared banked NUCA, %d-cycle bank latency", cfg.L2HitLatency))
+		cfg.L1.SizeBytes/1024, cfg.L1.Ways, machine.L1HitLatency))
+	t.AddRow("L2 cache", fmt.Sprintf("shared banked NUCA, %d-cycle bank latency", machine.L2HitLatency))
 	t.AddRow("Coherence", "MESI directory (blocking, SGI-Origin style), static bank interleave")
-	t.AddRow("Memory", fmt.Sprintf("%d-cycle cold-miss latency", cfg.MemLatency))
+	t.AddRow("Memory", fmt.Sprintf("%d-cycle cold-miss latency", machine.MemLatency))
 	t.AddRow("Network", fmt.Sprintf("%dx%d mesh, DOR, %d-stage routers, %d-cycle links",
 		cfg.Mesh.Width, cfg.Mesh.Height, cfg.Mesh.RouterStages, cfg.Mesh.LinkCycles))
 	t.AddRow("HTM", "eager versioning + eager conflict detection, timestamp policy")
-	t.AddRow("PUNO", fmt.Sprintf("%d-entry P-Buffer; %d-entry TxLB", cfg.Nodes, cfg.TxLBEntries))
+	t.AddRow("PUNO", fmt.Sprintf("%d-entry P-Buffer; %d-entry TxLB", cfg.Nodes, core.TxLBEntries))
 	return t
 }
 

@@ -10,7 +10,11 @@
 // configuration sweep departs from them.
 package area
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Tech describes an operating point for the analytic macro model. The
 // area/power of a macro with B bits is BitAreaUM2*B + PeripheryUM2 (and
@@ -104,7 +108,7 @@ func Rock() Reference {
 // (16 nodes).
 func PUNOStructures(nodes int) []Structure {
 	pb := Structure{Name: "Prio-Buffer", Entries: nodes, Bits: 34}
-	txlb := Structure{Name: "TxLB", Entries: 32, Bits: 40}
+	txlb := Structure{Name: "TxLB", Entries: core.TxLBEntries, Bits: 40}
 	// The paper's UD pointer area (47,400 um^2 at 8 bits per pointer)
 	// corresponds to roughly 5.8k tracked directory entries per bank.
 	ud := Structure{Name: "UD pointers", Entries: 5888, Bits: 8}

@@ -2,6 +2,9 @@ package core
 
 import "repro/internal/sim"
 
+// TxLBEntries is the TxLB capacity of the paper's Table II machine.
+const TxLBEntries = 32
+
 // TxLB is the per-node Transaction Length Buffer (Sec. III-D, Fig. 6): one
 // entry per static transaction tracking the recency-weighted average length
 // of its dynamic instances. The buffer has a bounded number of entries as

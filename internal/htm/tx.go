@@ -376,7 +376,7 @@ func (t *Tx) Commit(c Costs) sim.Time {
 // StartAbort moves the transaction to the aborting state and returns the
 // rollback latency: fixed cost plus per-undo-entry cost (plus the overflow
 // penalty when overflow is true). The caller applies the undo entries via
-// Undo and completes with FinishAbort after the latency elapses.
+// UndoEntry and completes with FinishAbort after the latency elapses.
 func (t *Tx) StartAbort(c Costs, overflow bool) sim.Time {
 	t.mustRun("StartAbort")
 	t.Status = StatusAborting
@@ -390,21 +390,9 @@ func (t *Tx) StartAbort(c Costs, overflow bool) sim.Time {
 	return lat
 }
 
-// Undo returns the undo entries in reverse (newest-first) order, the order
-// they must be applied to restore pre-transaction values when a word was
-// written more than once. It allocates; the abort hot path uses UndoEntry
-// with a countdown loop instead.
-func (t *Tx) Undo() []LogEntry {
-	out := make([]LogEntry, len(t.undo))
-	for i, e := range t.undo {
-		out[len(t.undo)-1-i] = e
-	}
-	return out
-}
-
 // UndoEntry returns the i'th undo entry in log (oldest-first) order.
-// Applying entries from LogEntries()-1 down to 0 restores pre-transaction
-// values without allocating.
+// Applying entries newest-first, from LogEntries()-1 down to 0, restores
+// pre-transaction values even when a word was written more than once.
 func (t *Tx) UndoEntry(i int) LogEntry { return t.undo[i] }
 
 // FinishAbort completes rollback: sets are cleared and the attempt is over.

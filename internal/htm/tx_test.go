@@ -117,13 +117,21 @@ func TestUndoNewestFirst(t *testing.T) {
 	a := line(1).Word(0)
 	tx.RecordWrite(line(1), a, 100) // old value 100
 	tx.RecordWrite(line(1), a, 200) // overwritten again; old now 200
-	undo := tx.Undo()
-	if len(undo) != 2 {
-		t.Fatalf("undo length %d, want 2", len(undo))
+	if n := tx.LogEntries(); n != 2 {
+		t.Fatalf("undo length %d, want 2", n)
 	}
-	// Applying newest-first restores 200 then 100, ending at 100.
-	if undo[0].Old != 200 || undo[1].Old != 100 {
-		t.Fatalf("undo order wrong: %+v", undo)
+	// Walked newest-first, as an abort applies them, the entries restore
+	// 200 then 100, ending at the pre-transaction 100.
+	var olds []uint64
+	for i := tx.LogEntries() - 1; i >= 0; i-- {
+		e := tx.UndoEntry(i)
+		if e.Addr != a {
+			t.Fatalf("entry %d addr %v, want %v", i, e.Addr, a)
+		}
+		olds = append(olds, e.Old)
+	}
+	if olds[0] != 200 || olds[1] != 100 {
+		t.Fatalf("undo order wrong: %v", olds)
 	}
 }
 

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"repro/internal/cache"
-	"repro/internal/htm"
 	"repro/internal/noc"
 	"repro/internal/probe"
 	"repro/internal/sim"
@@ -81,35 +80,37 @@ func (s Scheme) String() string {
 	return schemeTable[s].name
 }
 
+// The paper's Table II timing, fixed for every run: no experiment varies
+// it, so it lives here rather than in Config. The three latencies are
+// exported because Table II renders them.
+const (
+	L1HitLatency sim.Time = 1   // private L1 hit
+	L2HitLatency sim.Time = 20  // shared L2 bank access
+	MemLatency   sim.Time = 200 // cold-miss fill from the memory controller
+
+	// busyRetryDelay is the wait before re-sending a request that was
+	// NACKed by a busy directory entry, plus up to busyRetryJitter.
+	busyRetryDelay  sim.Time = 10
+	busyRetryJitter sim.Time = 30
+
+	// Controller occupancies: each message handled by a directory/L2 bank
+	// (dirOccupancy) or an L1 controller (l1Occupancy) holds that
+	// controller for this many cycles; arrivals queue behind it. This is
+	// what makes polling and multicast storms cost real time, as they do
+	// in a bandwidth-limited memory system.
+	dirOccupancy sim.Time = 4
+	l1Occupancy  sim.Time = 2
+)
+
 // Config describes one simulated machine. DefaultConfig reproduces the
-// paper's Table II system.
+// paper's Table II system; the parts of Table II no run varies are the
+// constants above, core.TxLBEntries and htm.DefaultCosts.
 type Config struct {
 	Nodes int        // must equal Mesh.Width*Mesh.Height
 	Mesh  noc.Config // interconnect timing
 
-	L1           cache.Config
-	L1HitLatency sim.Time
-	L2HitLatency sim.Time // shared L2 bank access
-	MemLatency   sim.Time // cold-miss fill from the memory controller
-
-	Costs  htm.Costs
+	L1     cache.Config
 	Scheme Scheme
-
-	// BusyRetryDelay is the wait before re-sending a request that was
-	// NACKed by a busy directory entry (plus up to BusyRetryJitter).
-	BusyRetryDelay  sim.Time
-	BusyRetryJitter sim.Time
-
-	// Controller occupancies: each message handled by a directory/L2 bank
-	// (DirOccupancy) or an L1 controller (L1Occupancy) holds that
-	// controller for this many cycles; arrivals queue behind it. This is
-	// what makes polling and multicast storms cost real time, as they do
-	// in a bandwidth-limited memory system.
-	DirOccupancy sim.Time
-	L1Occupancy  sim.Time
-
-	// TxLBEntries sizes the per-node transaction length buffer.
-	TxLBEntries int
 
 	// SignatureBits, when nonzero, switches conflict detection to
 	// Bloom-filter signatures of that size (LogTM-SE ablation).
@@ -157,20 +158,11 @@ type Config struct {
 // 16-entry P-Buffer (implied by one entry per node), 32-entry TxLB.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:           16,
-		Mesh:            noc.DefaultConfig(),
-		L1:              cache.Config{SizeBytes: 32 * 1024, Ways: 4},
-		L1HitLatency:    1,
-		L2HitLatency:    20,
-		MemLatency:      200,
-		Costs:           htm.DefaultCosts(),
-		Scheme:          SchemeBaseline,
-		BusyRetryDelay:  10,
-		BusyRetryJitter: 30,
-		DirOccupancy:    4,
-		L1Occupancy:     2,
-		TxLBEntries:     32,
-		MaxCycles:       2_000_000_000,
-		Seed:            1,
+		Nodes:     16,
+		Mesh:      noc.DefaultConfig(),
+		L1:        cache.Config{SizeBytes: 32 * 1024, Ways: 4},
+		Scheme:    SchemeBaseline,
+		MaxCycles: 2_000_000_000,
+		Seed:      1,
 	}
 }

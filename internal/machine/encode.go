@@ -12,10 +12,14 @@ import (
 // Config that content-addressed result caching hashes. Two Configs that
 // would produce the same simulation trajectory encode identically, and any
 // field that can change a Result changes the bytes. The encoding is
-// versioned ("punocfg/2"): adding a Config field that influences results,
+// versioned ("punocfg/3"): adding a Config field that influences results,
 // or removing one, must change AppendCanonical and bump the version, which
 // rotates every cache key — exactly the safe failure mode, since a stale
 // key can never alias a run with different semantics.
+//
+// The fixed Table II timing (the latency and occupancy constants,
+// core.TxLBEntries, htm.DefaultCosts) is code, not configuration: the
+// code version in the cache key covers it.
 //
 // Two deliberate exclusions:
 //
@@ -27,7 +31,7 @@ import (
 //     byte form, and a run with a sink is cycle-identical to one without,
 //     so AppendCanonical refuses configs that set it rather than silently
 //     dropping live state from the key.
-const cfgMagic = "punocfg/2"
+const cfgMagic = "punocfg/3"
 
 // AppendCanonical appends the canonical binary encoding of c to dst and
 // returns the extended slice. It fails when c carries non-encodable live
@@ -46,20 +50,7 @@ func (c *Config) AppendCanonical(dst []byte) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(c.Mesh.LocalCycles))
 	b = wire.AppendInt(b, c.L1.SizeBytes)
 	b = wire.AppendInt(b, c.L1.Ways)
-	b = binary.AppendUvarint(b, uint64(c.L1HitLatency))
-	b = binary.AppendUvarint(b, uint64(c.L2HitLatency))
-	b = binary.AppendUvarint(b, uint64(c.MemLatency))
-	b = binary.AppendUvarint(b, uint64(c.Costs.BeginCycles))
-	b = binary.AppendUvarint(b, uint64(c.Costs.CommitCycles))
-	b = binary.AppendUvarint(b, uint64(c.Costs.AbortFixed))
-	b = binary.AppendUvarint(b, uint64(c.Costs.AbortPerEntry))
-	b = binary.AppendUvarint(b, uint64(c.Costs.OverflowCycles))
 	b = wire.AppendInt(b, int(c.Scheme))
-	b = binary.AppendUvarint(b, uint64(c.BusyRetryDelay))
-	b = binary.AppendUvarint(b, uint64(c.BusyRetryJitter))
-	b = binary.AppendUvarint(b, uint64(c.DirOccupancy))
-	b = binary.AppendUvarint(b, uint64(c.L1Occupancy))
-	b = wire.AppendInt(b, c.TxLBEntries)
 	b = wire.AppendInt(b, c.SignatureBits)
 	b = wire.AppendBool(b, c.DisableValidity)
 	b = wire.AppendInt(b, c.ValidityTimeoutMult)

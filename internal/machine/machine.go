@@ -138,10 +138,10 @@ func (e dirEnv) Send(delay sim.Time, msg *coherence.Msg) {
 func (e dirEnv) Interner() *mem.Interner { return e.m.it }
 
 func (e dirEnv) LineData(l mem.Line, id mem.LineID) (mem.LineData, sim.Time) {
-	lat := e.m.cfg.L2HitLatency
+	lat := L2HitLatency
 	if !e.m.l2SeenAt(id) {
 		e.m.markL2Seen(id)
-		lat = e.m.cfg.MemLatency
+		lat = MemLatency
 	}
 	return e.m.backing.LoadID(id), lat
 }
@@ -433,14 +433,14 @@ func (m *Machine) deliver(id int, msg *coherence.Msg) {
 	switch msg.Type {
 	case coherence.MsgGETS, coherence.MsgGETX, coherence.MsgUnblock,
 		coherence.MsgWBData, coherence.MsgPUTX:
-		if start := m.occupyStart(&m.dirFree[id], m.cfg.DirOccupancy); start > m.eng.Now() {
+		if start := m.occupyStart(&m.dirFree[id], dirOccupancy); start > m.eng.Now() {
 			m.eng.AtEvent(start, m, msg, mevDir<<32|uint64(uint32(id)))
 		} else {
 			m.dirs[id].Handle(msg)
 			m.freeMsg(msg)
 		}
 	case coherence.MsgFwdGETS, coherence.MsgFwdGETX:
-		if start := m.occupyStart(&m.l1Free[id], m.cfg.L1Occupancy); start > m.eng.Now() {
+		if start := m.occupyStart(&m.l1Free[id], l1Occupancy); start > m.eng.Now() {
 			m.eng.AtEvent(start, m, msg, mevFwd<<32|uint64(uint32(id)))
 		} else {
 			m.nodes[id].handleForward(msg)
@@ -453,7 +453,7 @@ func (m *Machine) deliver(id int, msg *coherence.Msg) {
 		m.nodes[id].handleWakeup(msg)
 		m.freeMsg(msg)
 	default:
-		if start := m.occupyStart(&m.l1Free[id], m.cfg.L1Occupancy); start > m.eng.Now() {
+		if start := m.occupyStart(&m.l1Free[id], l1Occupancy); start > m.eng.Now() {
 			m.eng.AtEvent(start, m, msg, mevResp<<32|uint64(uint32(id)))
 		} else {
 			m.nodes[id].handleResponse(msg)

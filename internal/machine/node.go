@@ -143,7 +143,7 @@ func newNode(id int, m *Machine, prog Program) *node {
 		m:    m,
 		l1:   cache.New(m.cfg.L1),
 		tx:   htm.NewTx(id),
-		txlb: core.NewTxLB(m.cfg.TxLBEntries),
+		txlb: core.NewTxLB(core.TxLBEntries),
 	}
 	n.tx.SetInterner(m.it)
 	n.attach(prog)
@@ -177,7 +177,7 @@ func (n *node) reset(prog Program) {
 	n.l1.Reset(n.m.cfg.L1)
 	n.tx.HardReset(n.id)
 	n.tx.SetInterner(n.m.it)
-	n.txlb.Reset(n.m.cfg.TxLBEntries)
+	n.txlb.Reset(core.TxLBEntries)
 	wb := n.wbWait
 	wb.reset()
 	fl, pl := n.firstLoad, n.promotedLoads
@@ -315,7 +315,7 @@ func (n *node) startAttempt(retry bool) {
 	n.accessRefetches = 0
 	n.firstLoad.reset()
 	n.promotedLoads.reset()
-	n.afterCancellableEv(n.m.cfg.Costs.BeginCycles, nevExecOp)
+	n.afterCancellableEv(htm.DefaultCosts().BeginCycles, nevExecOp)
 }
 
 // execOp dispatches the current operation (or commits when done).
@@ -448,7 +448,7 @@ func (n *node) accessRead(a mem.Addr) {
 			return
 		}
 		n.pendEntry, n.pendAddr = e, a
-		n.afterCancellableEv(n.m.cfg.L1HitLatency, nevReadPhase)
+		n.afterCancellableEv(L1HitLatency, nevReadPhase)
 		return
 	}
 	if promoted {
@@ -464,7 +464,7 @@ func (n *node) accessWrite(a mem.Addr, v uint64) {
 	e := n.l1.Access(l)
 	if e != nil && (e.State == cache.Modified || e.State == cache.Exclusive) {
 		n.pendEntry, n.pendAddr, n.pendVal = e, a, v
-		n.afterCancellableEv(n.m.cfg.L1HitLatency, nevWriteDone)
+		n.afterCancellableEv(L1HitLatency, nevWriteDone)
 		return
 	}
 	if e != nil && e.State == cache.Shared {
@@ -545,7 +545,7 @@ func (n *node) commit() {
 			n.rmw.ObserveNonRMW(n.cur.StaticID, n.promotedLoads.ops[i])
 		}
 	}
-	cost := n.tx.Commit(n.m.cfg.Costs)
+	cost := n.tx.Commit(htm.DefaultCosts())
 	n.afterEv(cost, nevCommitDone)
 }
 
@@ -621,7 +621,7 @@ func (n *node) abortTx(cause AbortCause, overflow bool) sim.Time {
 			e.Data[mem.WordIndex(entry.Addr)] = entry.Old
 		}
 	}
-	lat := n.tx.StartAbort(n.m.cfg.Costs, overflow)
+	lat := n.tx.StartAbort(htm.DefaultCosts(), overflow)
 	n.state = nsAborting
 	n.afterEv(lat, nevFinishAbort)
 	return lat
@@ -667,10 +667,7 @@ func (n *node) handleResponse(m *coherence.Msg) {
 			n.drainContinue()
 			return
 		}
-		delay := n.m.cfg.BusyRetryDelay
-		if j := n.m.cfg.BusyRetryJitter; j > 0 {
-			delay += sim.Time(n.rng.Uint64n(uint64(j)))
-		}
+		delay := busyRetryDelay + sim.Time(n.rng.Uint64n(uint64(busyRetryJitter)))
 		n.state = nsBackoff
 		n.afterCancellableEv(delay, nevReissue)
 		return
@@ -781,7 +778,7 @@ func (n *node) completeRequest() {
 		}
 		n.accessRefetches++
 		n.state = nsBackoff
-		n.afterCancellableEv(n.m.cfg.BusyRetryDelay, nevReissue)
+		n.afterCancellableEv(busyRetryDelay, nevReissue)
 		return
 	}
 
@@ -809,7 +806,7 @@ func (n *node) completeRequest() {
 		n.sendUnblock(r, false)
 		n.m.res.Retries++
 		n.state = nsBackoff
-		n.afterCancellableEv(n.m.cfg.BusyRetryDelay, nevReissue)
+		n.afterCancellableEv(busyRetryDelay, nevReissue)
 		return
 	}
 	if e == nil {
