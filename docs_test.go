@@ -70,7 +70,7 @@ func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 		"`make lint` `cmd/experiments -exp table1` " +
 		"`-cache-dir` `TestDocsResolve` `BenchmarkSweepParallelism/serial` `sim.kernel_ns_per_event` " +
 		"`runtime.convT64` `http.Post` `go test -race ./...` `bash bench/run.sh --trace 1` `map[mem.Line]` " +
-		"`SHA-256(punokey/1 ‖ punocfg/3(config))`\n" +
+		"`SHA-256(punokey/1 ‖ punocfg/4(config))`\n" +
 		"```\npunotrace diff -a a.evt -b b.evt   # comment -not-a-flag\nmake race-shards\n```\n"
 	if got := tree.docProblems("seeded", sound); len(got) != 0 {
 		t.Errorf("sound names reported: %v", got)

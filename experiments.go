@@ -9,6 +9,7 @@ import (
 	"repro/internal/area"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/noc"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/stamp"
@@ -469,7 +470,7 @@ func Table2(cfg Config) *Table {
 	t.AddRow("Coherence", "MESI directory (blocking, SGI-Origin style), static bank interleave")
 	t.AddRow("Memory", fmt.Sprintf("%d-cycle cold-miss latency", machine.MemLatency))
 	t.AddRow("Network", fmt.Sprintf("%dx%d mesh, DOR, %d-stage routers, %d-cycle links",
-		cfg.Mesh.Width, cfg.Mesh.Height, cfg.Mesh.RouterStages, cfg.Mesh.LinkCycles))
+		cfg.Mesh.Width, cfg.Mesh.Height, noc.RouterStages, noc.LinkCycles))
 	t.AddRow("HTM", "eager versioning + eager conflict detection, timestamp policy")
 	t.AddRow("PUNO", fmt.Sprintf("%d-entry P-Buffer; %d-entry TxLB", cfg.Nodes, core.TxLBEntries))
 	return t

@@ -238,7 +238,6 @@ func (d *Directory) Reset(pred Predictor) {
 	d.QueueCap = d.nodes
 	d.slab = d.slab[:0]
 	d.free = d.free[:0]
-	clear(d.idx[:cap(d.idx)])
 	d.idx = d.idx[:0]
 	d.stats = Stats{}
 }
@@ -331,22 +330,6 @@ func (d *Directory) lookup(lid mem.LineID) *dirEntry {
 	return nil
 }
 
-// ensureIdx extends the slot index to cover lid. Slots re-exposed from
-// retained capacity were zeroed by Reset; fresh growth is zeroed by make.
-func (d *Directory) ensureIdx(lid mem.LineID) {
-	n := int(lid)
-	if n <= len(d.idx) {
-		return
-	}
-	if n <= cap(d.idx) {
-		d.idx = d.idx[:n]
-		return
-	}
-	ni := make([]int32, n, 2*n)
-	copy(ni, d.idx)
-	d.idx = ni
-}
-
 // entry returns the entry for (l, lid), creating it in the dense slab on
 // first touch. Slots come from the free list, then from retained slab
 // capacity, then from growth; a recycled slot's pending-queue array is
@@ -356,7 +339,9 @@ func (d *Directory) ensureIdx(lid mem.LineID) {
 //
 //puno:hot
 func (d *Directory) entry(l mem.Line, lid mem.LineID) *dirEntry {
-	d.ensureIdx(lid)
+	if n := int(lid); n > len(d.idx) {
+		d.idx = mem.Extend(d.idx, n)
+	}
 	if s := d.idx[lid-1]; s != 0 {
 		return &d.slab[s-1]
 	}

@@ -17,34 +17,15 @@ type lineSet struct {
 	bits  []uint64     // membership bitmap, bit id set when id is a member
 }
 
-// ensureBits extends the bitmap to cover id. The bitmap only ever grows
-// (Reset clears bits without truncating), so extension is always into
-// zeroed memory.
-func (s *lineSet) ensureBits(id mem.LineID) {
-	w := int(uint32(id) >> 6)
-	if w < len(s.bits) {
-		return
-	}
-	n := w + 1
-	if n < 4 {
-		n = 4
-	}
-	if n <= cap(s.bits) {
-		s.bits = s.bits[:n]
-		return
-	}
-	nb := make([]uint64, n, 2*n)
-	copy(nb, s.bits)
-	s.bits = nb
-}
-
 // AddID inserts l (whose interned ID is id, which must be nonzero) and
 // reports whether it was newly added.
 //
 //puno:hot
 func (s *lineSet) AddID(l mem.Line, id mem.LineID) bool {
-	s.ensureBits(id)
 	w, b := int(uint32(id)>>6), uint64(1)<<(uint32(id)&63)
+	if w >= len(s.bits) {
+		s.bits = mem.Extend(s.bits, w+1)
+	}
 	if s.bits[w]&b != 0 {
 		return false
 	}

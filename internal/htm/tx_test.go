@@ -1,10 +1,13 @@
 package htm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mem"
+	"repro/internal/probe"
+	"repro/internal/sim"
 )
 
 func line(i int) mem.Line { return mem.Line(uint64(i) * mem.LineBytes) }
@@ -269,5 +272,86 @@ func TestStatusString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("Status %d = %q, want %q", s, s.String(), want)
 		}
+	}
+}
+
+// txScript runs one probed, signature-mode attempt over a fresh interner
+// and returns everything it observed: the probe's events, the conflict
+// answers, the set sizes, the log length and the abort latency.
+func txScript(tx *Tx, bits int) (evs []probe.Event, obs []int) {
+	var buf probe.Buffer
+	var now sim.Time = 40
+	tx.SetInterner(mem.NewInterner())
+	tx.SetProbe(&buf, func() sim.Time { return now })
+	tx.UseSignatures(bits)
+	tx.Begin(7, now, false)
+	for i := 0; i < 6; i++ {
+		tx.RecordRead(line(3 * i))
+	}
+	tx.RecordWrite(line(5), line(5).Word(1), 9)
+	for i := 0; i < 20; i++ {
+		now++
+		for _, w := range []bool{false, true} {
+			if tx.ConflictsWith(line(i), w) {
+				obs = append(obs, i)
+			}
+		}
+	}
+	obs = append(obs, tx.ReadSetSize(), tx.WriteSetSize(), tx.LogEntries(), int(tx.StartAbort(DefaultCosts(), false)))
+	tx.FinishAbort()
+	tx.SetProbe(nil, nil)
+	return buf.Events(), obs
+}
+
+// TestHardResetMatchesNewTx: a context HardReset in the middle of a running
+// signature-mode attempt — sets, log and filter full, a probe installed —
+// behaves like NewTx from then on: same fields, no membership left over
+// from the exact sets or the filter, and the same events and answers for
+// the next attempt whether UseSignatures reuses its filter (same size) or
+// replaces it (another size).
+func TestHardResetMatchesNewTx(t *testing.T) {
+	used := NewTx(2)
+	var buf probe.Buffer
+	used.SetProbe(&buf, func() sim.Time { return 9 })
+	used.UseSignatures(256)
+	used.Begin(3, 9, false)
+	for i := 0; i < 300; i++ { // ids past 256 grow the set bitmaps
+		used.RecordRead(line(i))
+		used.RecordWrite(line(2*i), line(2*i).Word(0), uint64(i))
+	}
+	if !used.ConflictsWith(line(1), true) || buf.Len() != 2 {
+		t.Fatalf("setup: conflict not seen or %d events, want begin+conflict", buf.Len())
+	}
+	filter := used.sig
+
+	used.HardReset(5)
+	fresh := NewTx(5)
+	if used.Node != fresh.Node || used.StaticID != fresh.StaticID || used.Prio != fresh.Prio ||
+		used.Status != fresh.Status || used.BeginCycle != fresh.BeginCycle || used.Attempts != fresh.Attempts ||
+		used.useSignature || used.ReadSetSize() != 0 || used.WriteSetSize() != 0 || used.LogEntries() != 0 {
+		t.Fatalf("HardReset left %+v, NewTx gives %+v", used, fresh)
+	}
+	for i := 0; i < 300; i++ {
+		if used.InReadSet(line(i)) || used.InWriteSet(line(i)) {
+			t.Fatalf("line %d still a member after HardReset", i)
+		}
+	}
+
+	for _, bits := range []int{256, 512} {
+		wantEvs, wantObs := txScript(NewTx(5), bits)
+		gotEvs, gotObs := txScript(used, bits)
+		if bits == 256 && used.sig != filter {
+			t.Fatal("UseSignatures with the same size replaced the filter")
+		}
+		if bits == 512 && used.sig == filter {
+			t.Fatal("UseSignatures with another size kept the old filter")
+		}
+		if fmt.Sprint(gotEvs) != fmt.Sprint(wantEvs) || fmt.Sprint(gotObs) != fmt.Sprint(wantObs) {
+			t.Fatalf("%d-bit attempt after HardReset:\n got %v %v\nwant %v %v", bits, gotEvs, gotObs, wantEvs, wantObs)
+		}
+		if len(wantEvs) < 3 {
+			t.Fatalf("%d-bit attempt emitted %v; the comparison is vacuous", bits, wantEvs)
+		}
+		used.HardReset(5)
 	}
 }

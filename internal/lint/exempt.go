@@ -36,18 +36,10 @@ var exemptions = []exemption{
 	{"(*repro/internal/pdes.Coordinator).replay", "msglife",
 		"stages routed messages into c.routes under the same ownership rule, one window later"},
 
-	{"(*repro/internal/machine.firstLoadTable).grow", escapeGateName,
-		"amortized doubling of the dense first-load table"},
-	{"(*repro/internal/machine.firstLoadTable).record", escapeGateName,
-		"inlines firstLoadTable.grow (above) into its hot callers"},
 	{"(*repro/internal/machine.Machine).newMsg", escapeGateName,
 		"message-pool miss: allocates only until the pool holds the run's peak in-flight count"},
 	{"(*repro/internal/machine.node).msgTo", escapeGateName,
 		"inlines Machine.newMsg (above) into the node's send sites"},
-	{"(*repro/internal/htm.lineSet).ensureBits", escapeGateName,
-		"amortized doubling of the read/write-set bitmap"},
-	{"(*repro/internal/coherence.Directory).ensureIdx", escapeGateName,
-		"amortized doubling of the directory's dense index"},
 	{"(*repro/internal/pdes.Coordinator).growRenum", escapeGateName,
 		"amortized doubling of the renumber table"},
 	{"(*repro/internal/htm.Tx).mustRun", escapeGateName,

@@ -12,14 +12,14 @@ import (
 // Config that content-addressed result caching hashes. Two Configs that
 // would produce the same simulation trajectory encode identically, and any
 // field that can change a Result changes the bytes. The encoding is
-// versioned ("punocfg/3"): adding a Config field that influences results,
+// versioned ("punocfg/4"): adding a Config field that influences results,
 // or removing one, must change AppendCanonical and bump the version, which
 // rotates every cache key — exactly the safe failure mode, since a stale
 // key can never alias a run with different semantics.
 //
-// The fixed Table II timing (the latency and occupancy constants,
-// core.TxLBEntries, htm.DefaultCosts) is code, not configuration: the
-// code version in the cache key covers it.
+// The fixed Table II timing (the latency and occupancy constants, the noc
+// router and link constants, core.TxLBEntries, htm.DefaultCosts) is code,
+// not configuration: the code version in the cache key covers it.
 //
 // Two deliberate exclusions:
 //
@@ -31,7 +31,7 @@ import (
 //     byte form, and a run with a sink is cycle-identical to one without,
 //     so AppendCanonical refuses configs that set it rather than silently
 //     dropping live state from the key.
-const cfgMagic = "punocfg/3"
+const cfgMagic = "punocfg/4"
 
 // AppendCanonical appends the canonical binary encoding of c to dst and
 // returns the extended slice. It fails when c carries non-encodable live
@@ -45,9 +45,6 @@ func (c *Config) AppendCanonical(dst []byte) ([]byte, error) {
 	b = wire.AppendInt(b, c.Nodes)
 	b = wire.AppendInt(b, c.Mesh.Width)
 	b = wire.AppendInt(b, c.Mesh.Height)
-	b = binary.AppendUvarint(b, uint64(c.Mesh.RouterStages))
-	b = binary.AppendUvarint(b, uint64(c.Mesh.LinkCycles))
-	b = binary.AppendUvarint(b, uint64(c.Mesh.LocalCycles))
 	b = wire.AppendInt(b, c.L1.SizeBytes)
 	b = wire.AppendInt(b, c.L1.Ways)
 	b = wire.AppendInt(b, int(c.Scheme))

@@ -61,7 +61,7 @@ func (t *firstLoadTable) reset() {
 //puno:hot
 func (t *firstLoadTable) record(id mem.LineID, op int) {
 	if int(id) >= len(t.ops) {
-		t.grow(id)
+		t.ops = mem.Extend(t.ops, int(id)+1)
 	}
 	if t.ops[id] == 0 {
 		t.ops[id] = int32(op) + 1
@@ -77,20 +77,6 @@ func (t *firstLoadTable) get(id mem.LineID) (int, bool) {
 		return 0, false
 	}
 	return int(t.ops[id]) - 1, true
-}
-
-// grow extends the dense array to cover id (doubling headroom, so repeated
-// first touches of ascending IDs amortize to O(1)). Headroom re-exposed by
-// the reslice is zero: make zeroed it and record only writes below len.
-func (t *firstLoadTable) grow(id mem.LineID) {
-	n := int(id) + 1
-	if n <= cap(t.ops) {
-		t.ops = t.ops[:n]
-		return
-	}
-	s := make([]int32, n, 2*n)
-	copy(s, t.ops)
-	t.ops = s
 }
 
 // Wakeup-table bounds: sized like the hardware structure would be.

@@ -160,18 +160,11 @@ func (m *Machine) l2SeenAt(id mem.LineID) bool {
 	return i > 0 && i <= len(m.l2Seen) && m.l2Seen[i-1]
 }
 
-// markL2Seen extends the table as needed (within-capacity slots were zeroed
-// by Reset; fresh growth is zeroed by make).
+// markL2Seen records the line's cold miss, extending the table as needed.
 func (m *Machine) markL2Seen(id mem.LineID) {
 	n := int(id)
 	if n > len(m.l2Seen) {
-		if n <= cap(m.l2Seen) {
-			m.l2Seen = m.l2Seen[:n]
-		} else {
-			ns := make([]bool, n, 2*n)
-			copy(ns, m.l2Seen)
-			m.l2Seen = ns
-		}
+		m.l2Seen = mem.Extend(m.l2Seen, n)
 	}
 	m.l2Seen[n-1] = true
 }
@@ -256,7 +249,6 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 	} else {
 		m.backing.ResetOn(m.it)
 	}
-	clear(m.l2Seen[:cap(m.l2Seen)])
 	m.l2Seen = m.l2Seen[:0]
 	if m.rootRNG == nil {
 		m.rootRNG = sim.NewRNG(cfg.Seed)
@@ -487,12 +479,11 @@ func (m *Machine) noteCommit(_ *node, tx TxInstance) {
 }
 
 // bumpIncr counts one committed increment of the given line/word, growing
-// the flat ledger as needed (appended zeros, so retained capacity never
-// resurrects stale counts).
+// the flat ledger as needed.
 func (m *Machine) bumpIncr(id mem.LineID, w int) {
 	i := (int(id)-1)*mem.WordsPerLine + w
-	for len(m.incrCounts) <= i {
-		m.incrCounts = append(m.incrCounts, 0)
+	if i >= len(m.incrCounts) {
+		m.incrCounts = mem.Extend(m.incrCounts, i+1)
 	}
 	m.incrCounts[i]++
 }
@@ -612,9 +603,7 @@ func (m *Machine) CheckInvariants() error {
 	for _, n := range m.nodes {
 		n.l1.ForEach(func(e *cache.Entry) {
 			id := m.it.Intern(e.Line)
-			for len(m.invHolders) < int(id) {
-				m.invHolders = append(m.invHolders, nil)
-			}
+			m.invHolders = mem.Extend(m.invHolders, int(id))
 			if len(m.invHolders[id-1]) == 0 {
 				m.invTouched = append(m.invTouched, id)
 			}

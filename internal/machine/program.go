@@ -109,10 +109,11 @@ type Workload interface {
 
 // FootprintHinter is an optional Workload extension: FootprintLines returns
 // an upper-bound estimate of the distinct cache lines an n-node run
-// touches, letting Machine.Reset pre-size the line interner (and with it
-// every dense LineID-indexed table) so the run's memory system never
-// rehashes or reallocates mid-simulation. The hint is an optimization only;
-// the tables grow on demand when it is absent or low.
+// touches. Machine.Reset (or, for a sharded run, the pdes coordinator)
+// passes it to Interner.Grow, which sizes the interner's line slice; a
+// shared interner cannot grow, so sharding requires the hint. Nothing else
+// reads it: the dense LineID-indexed tables grow on first touch by
+// mem.Extend's rule.
 type FootprintHinter interface {
 	FootprintLines(nodes int) int
 }

@@ -58,6 +58,36 @@ func (h HomeMap) Home(l Line) int {
 	return int((uint64(l) >> lineOffsetBit) % uint64(h.banks))
 }
 
+// Extend returns s lengthened to n (s itself when it is already that long).
+// Every entry from len(s) up to n reads as zero, whether it comes from
+// retained capacity or from a fresh array with room for 2n, so a dense
+// LineID-indexed table reset by truncation never resurrects the last run's
+// values, and repeated growth by ascending IDs amortizes to O(1). It is the
+// growth rule of every such table. Hot callers guard the call with
+// n > len(s), so their steady state never leaves the caller; the
+// reallocation is kept out of line so that no inlining decision can place
+// its allocation in a hot body.
+func Extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		return extendAlloc(s, n)
+	}
+	clear(s[len(s):n])
+	return s[:n]
+}
+
+// extendAlloc is Extend's reallocation: a zeroed array of length n and
+// capacity 2n holding a copy of s.
+//
+//go:noinline
+func extendAlloc[T any](s []T, n int) []T {
+	t := make([]T, n, 2*n)
+	copy(t, s)
+	return t
+}
+
 // LineData is the word contents of one cache line.
 type LineData [WordsPerLine]uint64
 
@@ -88,25 +118,12 @@ func NewBackingOn(it *Interner) *Backing {
 // Interner exposes the interner this image is indexed by.
 func (b *Backing) Interner() *Interner { return b.it }
 
-// ensure extends the dense tables to cover id. Slots re-exposed from
-// retained capacity were zeroed by Reset, and fresh growth allocates
-// zeroed memory, so extension never resurrects stale contents.
+// ensure extends the dense tables to cover id.
 func (b *Backing) ensure(id LineID) {
-	n := int(id)
-	if n <= len(b.data) {
-		return
+	if n := int(id); n > len(b.data) {
+		b.data = Extend(b.data, n)
+		b.stored = Extend(b.stored, n)
 	}
-	if n <= cap(b.data) {
-		b.data = b.data[:n]
-		b.stored = b.stored[:n]
-		return
-	}
-	nd := make([]LineData, n, 2*n)
-	copy(nd, b.data)
-	b.data = nd
-	ns := make([]bool, n, 2*n)
-	copy(ns, b.stored)
-	b.stored = ns
 }
 
 // LoadID returns a copy of the line with the given LineID (0 or an ID past
@@ -175,9 +192,7 @@ func (b *Backing) ResetOn(it *Interner) {
 // table's capacity so a reused Backing repopulates without reallocating.
 // The interner is NOT reset: its owner decides when IDs are reassigned.
 func (b *Backing) Reset() {
-	clear(b.data[:cap(b.data)])
 	b.data = b.data[:0]
-	clear(b.stored[:cap(b.stored)])
 	b.stored = b.stored[:0]
 	b.touched = 0
 }

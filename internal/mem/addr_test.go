@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -158,5 +159,43 @@ func TestBackingTouched(t *testing.T) {
 	b.StoreWord(64, 3)
 	if b.Touched() != 2 {
 		t.Fatalf("Touched = %d, want 2", b.Touched())
+	}
+}
+
+// TestExtend covers Extend's three paths: a no-op when the slice is already
+// long enough, zeros re-exposed from retained capacity after a truncate,
+// and the reallocation to a zeroed array of capacity 2n.
+func TestExtend(t *testing.T) {
+	s := []int{1, 2, 3}
+	for _, n := range []int{0, 2, 3} {
+		if got := Extend(s, n); len(got) != 3 || &got[0] != &s[0] || got[2] != 3 {
+			t.Fatalf("Extend(len 3, %d) = %v, want the slice unchanged", n, got)
+		}
+	}
+
+	buf := make([]int, 8)
+	for i := range buf {
+		buf[i] = i + 1
+	}
+	got := Extend(buf[:2], 6)
+	if len(got) != 6 || cap(got) != 8 || &got[0] != &buf[0] {
+		t.Fatalf("within capacity: len %d cap %d, moved %v; want len 6 cap 8 in place", len(got), cap(got), &got[0] != &buf[0])
+	}
+	if want := []int{1, 2, 0, 0, 0, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("within capacity: %v, want %v (stale entries re-exposed)", got, want)
+	}
+	if buf[6] != 7 {
+		t.Fatalf("Extend cleared past n: buf[6] = %d", buf[6])
+	}
+
+	got = Extend(buf[:3], 10)
+	if len(got) != 10 || cap(got) != 20 || &got[0] == &buf[0] {
+		t.Fatalf("past capacity: len %d cap %d, moved %v; want a new len 10 cap 20 array", len(got), cap(got), &got[0] != &buf[0])
+	}
+	if want := []int{1, 2, 0, 0, 0, 0, 0, 0, 0, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("past capacity: %v, want %v", got, want)
+	}
+	if full := got[:cap(got)]; fmt.Sprint(full[10:]) != fmt.Sprint(make([]int, 10)) {
+		t.Fatalf("past capacity: headroom %v not zero", full[10:])
 	}
 }

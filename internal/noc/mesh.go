@@ -43,19 +43,29 @@ func (c Class) String() string {
 	}
 }
 
-// Config holds mesh timing parameters. The defaults (DefaultConfig) follow
-// the paper's Table II: a 4x4 mesh of 4-stage routers with single-cycle
-// links.
+// The mesh timing of the paper's Table II: 4-stage routers and
+// single-cycle links.
+const (
+	RouterStages sim.Time = 4 // pipeline depth of one router
+	LinkCycles   sim.Time = 1 // cycles for one flit to cross one link
+	LocalCycles  sim.Time = 1 // latency of a node-local (src == dst) message
+
+	// MinRemoteLatency is the minimum end-to-end latency of any remote
+	// (src != dst) message: one hop, one flit, no queueing — source router
+	// pipeline, one link crossing, destination router pipeline. Queueing
+	// and extra flits or hops only add to it, so it is a sound
+	// conservative lookahead bound for windowed parallel simulation.
+	MinRemoteLatency = 2*RouterStages + LinkCycles
+)
+
+// Config is the mesh's shape. DefaultConfig is the paper's Table II.
 type Config struct {
 	Width, Height int
-	RouterStages  sim.Time // pipeline depth of one router
-	LinkCycles    sim.Time // cycles for one flit to cross one link
-	LocalCycles   sim.Time // latency of a node-local (src == dst) message
 }
 
-// DefaultConfig is the paper's 16-node mesh.
+// DefaultConfig is the paper's 16-node 4x4 mesh.
 func DefaultConfig() Config {
-	return Config{Width: 4, Height: 4, RouterStages: 4, LinkCycles: 1, LocalCycles: 1}
+	return Config{Width: 4, Height: 4}
 }
 
 // Handler receives a delivered message payload at a node.
@@ -303,7 +313,7 @@ func (m *Mesh) AverageHops() float64 {
 func (m *Mesh) AverageLatency(flits int) sim.Time {
 	h := sim.Time(m.AverageHops() + 0.5)
 	// Per hop: router pipeline + link; plus serialization of the tail flits.
-	return (h+1)*m.cfg.RouterStages + h*m.cfg.LinkCycles + sim.Time(flits-1)
+	return (h+1)*RouterStages + h*LinkCycles + sim.Time(flits-1)
 }
 
 // Send injects a message of the given class and flit count from src to dst
@@ -328,9 +338,9 @@ func (m *Mesh) Send(src, dst int, class Class, flits int, payload any) {
 	m.stats.Flits[class] += uint64(flits)
 
 	now := m.eng.Now()
-	t := now + m.cfg.LocalCycles
+	t := now + LocalCycles
 	if src == dst {
-		m.stats.TotalLatency += uint64(m.cfg.LocalCycles)
+		m.stats.TotalLatency += uint64(LocalCycles)
 	} else {
 		t = m.route(now, src, dst, class, flits)
 	}
@@ -349,9 +359,9 @@ func (m *Mesh) route(now sim.Time, src, dst int, class Class, flits int) sim.Tim
 	path := m.paths[m.pathOff[p]:m.pathOff[p+1]]
 	// The link serializes all flits of a message; the head flit then reaches
 	// the next router and traverses its pipeline.
-	serialize := sim.Time(flits) * m.cfg.LinkCycles
-	perHop := m.cfg.LinkCycles + m.cfg.RouterStages
-	t := now + m.cfg.RouterStages // source router pipeline
+	serialize := sim.Time(flits) * LinkCycles
+	perHop := LinkCycles + RouterStages
+	t := now + RouterStages // source router pipeline
 	var queueing sim.Time
 	for _, l := range path {
 		free := &m.linkFree[l]
@@ -361,7 +371,7 @@ func (m *Mesh) route(now sim.Time, src, dst int, class Class, flits int) sim.Tim
 		t = depart + perHop
 	}
 	// Tail flit trails the head by (flits-1) cycles at the destination.
-	t += sim.Time(flits-1) * m.cfg.LinkCycles
+	t += sim.Time(flits-1) * LinkCycles
 
 	// Every flit visits every router on the path (hops+1 routers).
 	m.stats.RouterTraversal[class] += uint64(flits) * uint64(len(path)+1)
@@ -386,16 +396,3 @@ func (m *Mesh) ReserveRoute(now sim.Time, src, dst int, class Class, flits int) 
 	m.stats.Flits[class] += uint64(flits)
 	return m.route(now, src, dst, class, flits)
 }
-
-// MinRemoteLatency returns the minimum end-to-end latency of any remote
-// (src != dst) message under c: one hop, one flit, no queueing — source
-// router pipeline, one link crossing, destination router pipeline. Queueing
-// and extra flits or hops only add to it, so it is a sound conservative
-// lookahead bound for windowed parallel simulation.
-func (c Config) MinRemoteLatency() sim.Time {
-	return 2*c.RouterStages + c.LinkCycles
-}
-
-// MinRemoteLatency returns the mesh's conservative remote-delivery bound;
-// see Config.MinRemoteLatency.
-func (m *Mesh) MinRemoteLatency() sim.Time { return m.cfg.MinRemoteLatency() }

@@ -58,15 +58,8 @@ func TestReserveRouteRejectsZeroFlits(t *testing.T) {
 }
 
 func TestMinRemoteLatency(t *testing.T) {
-	cfg := DefaultConfig()
-	want := 2*cfg.RouterStages + cfg.LinkCycles
-	if got := cfg.MinRemoteLatency(); got != want {
-		t.Fatalf("Config.MinRemoteLatency = %d, want %d", got, want)
-	}
-	m := New(cfg, sim.NewEngine())
-	if got := m.MinRemoteLatency(); got != want {
-		t.Fatalf("Mesh.MinRemoteLatency = %d, want %d", got, want)
-	}
+	want := MinRemoteLatency
+	m := New(DefaultConfig(), sim.NewEngine())
 	// The bound is achieved by a one-hop single-flit message on idle links
 	// and is a floor for everything else.
 	if got := m.ReserveRoute(0, 0, 1, ClassRequest, 1); got != want {
@@ -112,8 +105,8 @@ func TestMeshReset(t *testing.T) {
 	if m.Stats() != (Stats{}) {
 		t.Fatalf("Reset left statistics: %+v", m.Stats())
 	}
-	if got := m.ReserveRoute(0, 0, 1, ClassRequest, 1); got != cfg.MinRemoteLatency() {
-		t.Fatalf("link state survived Reset: delivery at %d, want %d", got, cfg.MinRemoteLatency())
+	if got := m.ReserveRoute(0, 0, 1, ClassRequest, 1); got != MinRemoteLatency {
+		t.Fatalf("link state survived Reset: delivery at %d, want %d", got, MinRemoteLatency)
 	}
 
 	// Different topology: full rebuild.

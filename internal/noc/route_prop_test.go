@@ -31,12 +31,12 @@ func (m *refMesh) send(now sim.Time, src, dst int, class Class, flits int) (sim.
 	m.stats.Messages[class]++
 	m.stats.Flits[class] += uint64(flits)
 	if src == dst {
-		m.stats.TotalLatency += uint64(m.cfg.LocalCycles)
-		return now + m.cfg.LocalCycles, nil
+		m.stats.TotalLatency += uint64(LocalCycles)
+		return now + LocalCycles, nil
 	}
 	sx, sy := m.xy(src)
 	dx, dy := m.xy(dst)
-	t := now + m.cfg.RouterStages
+	t := now + RouterStages
 	var queueing sim.Time
 	var links []int
 	x, y := sx, sy
@@ -62,10 +62,10 @@ func (m *refMesh) send(now sim.Time, src, dst int, class Class, flits int) (sim.
 			queueing += m.linkFree[link] - depart
 			depart = m.linkFree[link]
 		}
-		m.linkFree[link] = depart + sim.Time(flits)*m.cfg.LinkCycles
-		t = depart + m.cfg.LinkCycles + m.cfg.RouterStages
+		m.linkFree[link] = depart + sim.Time(flits)*LinkCycles
+		t = depart + LinkCycles + RouterStages
 	}
-	t += sim.Time(flits-1) * m.cfg.LinkCycles
+	t += sim.Time(flits-1) * LinkCycles
 	m.stats.RouterTraversal[class] += uint64(flits) * uint64(len(links)+1)
 	m.stats.TotalLatency += uint64(t - now)
 	m.stats.QueueingDelay += uint64(queueing)

@@ -95,17 +95,3 @@ func TestResetAfterHungShardedRun(t *testing.T) {
 		t.Errorf("post-failure reset diverged from fresh coordinator\n got: %+v\nwant: %+v", got, want)
 	}
 }
-
-// TestEligibleRejectsZeroLatencyMesh: a mesh whose minimum remote latency is
-// zero offers no lookahead at all — the coordinator must refuse it and let
-// the caller fall back to serial.
-func TestEligibleRejectsZeroLatencyMesh(t *testing.T) {
-	wl := testWL(t, "kmeans", 2)
-	cfg := machine.DefaultConfig()
-	cfg.Shards = 2
-	cfg.Mesh.RouterStages = 0
-	cfg.Mesh.LinkCycles = 0
-	if Eligible(cfg, wl) {
-		t.Error("zero-lookahead mesh accepted")
-	}
-}

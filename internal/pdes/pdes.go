@@ -13,7 +13,7 @@
 // whose link state all remote traffic contends on exactly as in a serial
 // run.
 //
-// Shards advance in bounded windows. With L = Mesh.MinRemoteLatency() — the
+// Shards advance in bounded windows. With L = noc.MinRemoteLatency — the
 // cheapest possible remote delivery: two router pipelines plus one link
 // crossing — a message sent at cycle t cannot arrive before t+L, so events
 // in [T, T+L) (T = the earliest pending event across shards) are closed
@@ -243,9 +243,8 @@ type Coordinator struct {
 
 // Eligible reports whether cfg/wl can run under the coordinator. Ineligible
 // configurations (serial-only observables, schemes with cross-node shared
-// state, workloads whose footprint cannot be pre-sized, or a degenerate
-// zero-latency mesh that voids the lookahead bound) fall back to the serial
-// path; callers dispatch with this predicate so sharding is never
+// state, or workloads whose footprint cannot be pre-sized) fall back to the
+// serial path; callers dispatch with this predicate so sharding is never
 // observable, only faster.
 func Eligible(cfg machine.Config, wl machine.Workload) bool {
 	if cfg.Shards <= 1 {
@@ -255,9 +254,6 @@ func Eligible(cfg machine.Config, wl machine.Workload) bool {
 		return false
 	}
 	if cfg.Scheme == machine.SchemeATS {
-		return false
-	}
-	if cfg.Mesh.MinRemoteLatency() < 1 {
 		return false
 	}
 	if cfg.MaxCycles >= 1<<32 {
@@ -451,7 +447,7 @@ func (c *Coordinator) Run() (*machine.Result, error) {
 		}()
 	}
 
-	lookahead := c.mesh.MinRemoteLatency()
+	lookahead := noc.MinRemoteLatency
 	maxC := c.cfg.MaxCycles
 	hung := false
 	windows := 0 // send-free windows accumulated since the last commit

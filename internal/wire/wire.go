@@ -1,5 +1,5 @@
 // Package wire is the one substrate under the repo's binary formats
-// (punoevt/1, punores/1, punocfg/3, punowl/1, punokey/1; DESIGN.md "Binary
+// (punoevt/1, punores/1, punocfg/4, punowl/1, punokey/1; DESIGN.md "Binary
 // formats"). Every quantity is a uvarint, a raw byte or a length-prefixed
 // string. A decoded format is a frame:
 //
@@ -8,7 +8,7 @@
 // Encoders append with encoding/binary's AppendUvarint and the helpers
 // here, then Seal. Decoders Open the frame — magic and checksum are checked
 // before any field is read — and walk the body with a Cursor. Key material
-// (punocfg/3, punowl/1, punokey/1) is hashed, never decoded, so it is
+// (punocfg/4, punowl/1, punokey/1) is hashed, never decoded, so it is
 // appended the same way and not sealed.
 package wire
 

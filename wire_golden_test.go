@@ -2,7 +2,7 @@ package puno_test
 
 // The binary formats are contracts with bytes already on disk: punores/1
 // artifacts in punoserve cache directories, punoevt/1 traces handed to
-// `punotrace diff`, and punocfg/3 + punowl/1 + punokey/1 deciding which
+// `punotrace diff`, and punocfg/4 + punowl/1 + punokey/1 deciding which
 // cached artifact answers a request. The codec tests compare the encoders
 // with themselves and with their decoders; this one pins the bytes, so a
 // reordered or re-framed field fails here even when every round trip holds.
@@ -57,7 +57,7 @@ func TestGoldenWireFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin("point punocfg/3", canon)
+	pin("point punocfg/4", canon)
 	key, err := serve.BuildKey("v1", cfg, wl)
 	if err != nil {
 		t.Fatal(err)
