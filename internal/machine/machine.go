@@ -30,11 +30,11 @@ type Machine struct {
 	rootRNG *sim.RNG
 
 	// it is the machine-wide line interner: every memory-system table below
-	// (backing store, directory slabs, l2Seen, incrCounts, HTM conflict
-	// sets) is a dense slice indexed by the LineIDs it assigns, and every
-	// coherence message carries its line's ID so no hot path hashes a line
-	// address. Reset re-assigns IDs from scratch (retaining capacity), so a
-	// reused arena and a fresh machine produce identical ID streams.
+	// (backing store, directory slabs, l2Seen, HTM conflict sets) is a
+	// dense slice indexed by the LineIDs it assigns, and every coherence
+	// message carries its line's ID so no hot path hashes a line address.
+	// Reset re-assigns IDs from scratch (retaining capacity), so a reused
+	// arena and a fresh machine produce identical ID streams.
 	it *mem.Interner
 	// l2Seen[id-1] marks lines whose first L2 access (cold miss at memory
 	// latency) already happened.
@@ -42,10 +42,7 @@ type Machine struct {
 
 	res    Result
 	active int
-	// incrCounts is the serializability oracle's commit ledger, flat over
-	// (LineID, word): index (id-1)*WordsPerLine + word.
-	incrCounts []uint64
-	runErr     error
+	runErr error
 
 	// CheckInvariants scratch, reused across calls: per-LineID holder
 	// buckets plus the list of IDs touched by the current scan.
@@ -255,7 +252,6 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 	} else {
 		m.rootRNG.Reseed(cfg.Seed)
 	}
-	m.incrCounts = m.incrCounts[:0]
 	if m.mesh == nil {
 		m.mesh = noc.New(cfg.Mesh, m.eng)
 	} else {
@@ -273,8 +269,8 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 		m.preds = make([]*core.Predictor, cfg.Nodes)
 		m.nodes = make([]*node, cfg.Nodes)
 	}
-	m.dirFree = resizeTimes(m.dirFree, cfg.Nodes)
-	m.l1Free = resizeTimes(m.l1Free, cfg.Nodes)
+	m.dirFree = mem.Extend(m.dirFree[:0], cfg.Nodes)
+	m.l1Free = mem.Extend(m.l1Free[:0], cfg.Nodes)
 	m.guard = cfg.NotifyGuardOverride
 	if m.guard == 0 {
 		m.guard = 2 * m.mesh.AverageLatency(coherence.DataFlits)
@@ -331,16 +327,6 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 	}
 	m.mesh.Receive((*arrival)(m))
 	return nil
-}
-
-// resizeTimes returns s resized to n elements, all zero, reusing capacity.
-func resizeTimes(s []sim.Time, n int) []sim.Time {
-	if cap(s) < n {
-		return make([]sim.Time, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // Backing exposes the memory image (preloading initial data; inspecting
@@ -467,27 +453,6 @@ func (m *Machine) occupyStart(nextFree *sim.Time, occ sim.Time) sim.Time {
 
 func (m *Machine) threadDone() { m.active-- }
 
-// noteCommit records a committed transaction's increments for the
-// serializability checker.
-func (m *Machine) noteCommit(_ *node, tx TxInstance) {
-	for _, op := range tx.Ops {
-		if op.Kind == OpIncr {
-			id := m.it.Intern(mem.LineOf(op.Addr))
-			m.bumpIncr(id, mem.WordIndex(op.Addr))
-		}
-	}
-}
-
-// bumpIncr counts one committed increment of the given line/word, growing
-// the flat ledger as needed.
-func (m *Machine) bumpIncr(id mem.LineID, w int) {
-	i := (int(id)-1)*mem.WordsPerLine + w
-	if i >= len(m.incrCounts) {
-		m.incrCounts = mem.Extend(m.incrCounts, i+1)
-	}
-	m.incrCounts[i]++
-}
-
 // ErrHung is returned when the simulation exceeds Config.MaxCycles.
 var ErrHung = errors.New("machine: simulation exceeded MaxCycles")
 
@@ -556,21 +521,6 @@ func (m *Machine) LineTable() []mem.Line {
 // Predictors exposes the per-directory PUNO predictors (nil entries when
 // the scheme does not use prediction), for diagnostics.
 func (m *Machine) Predictors() []*core.Predictor { return m.preds }
-
-// CommittedIncrements returns how many OpIncr commits touched each address
-// (the serializability oracle). The map is rebuilt from the flat ledger on
-// each call; it is a test/diagnostic interface, not a hot path.
-func (m *Machine) CommittedIncrements() map[mem.Addr]uint64 {
-	out := make(map[mem.Addr]uint64, len(m.incrCounts))
-	for i, c := range m.incrCounts {
-		if c == 0 {
-			continue
-		}
-		l := m.it.LineAt(mem.LineID(i/mem.WordsPerLine) + 1)
-		out[l.Word(i%mem.WordsPerLine)] = c
-	}
-	return out
-}
 
 // DrainCaches flushes every Modified line (and any writeback in flight)
 // into the backing store so tests can inspect final memory values. Call

@@ -576,7 +576,6 @@ func (n *node) commitDone() {
 	n.m.res.Commits++
 	n.m.res.PerNodeCommits[n.id]++
 	n.m.res.GoodCycles += uint64(dynLen)
-	n.m.noteCommit(n, n.cur)
 	n.state = nsIdle
 	n.afterEv(n.cur.ThinkCycles+1, nevFetchNext)
 }

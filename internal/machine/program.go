@@ -62,8 +62,13 @@ type TxInstance struct {
 }
 
 // Program supplies the sequence of transactions one hardware thread runs.
-// Next is called after each commit; returning ok=false ends the thread.
-// Implementations must be deterministic given the supplied RNG.
+// Next is called once when the thread starts and then once after each
+// commit, never after an abort (an aborted instance is retried); returning
+// ok=false ends the thread. That makes Next the commit hook: the instance a
+// program handed out last has committed by the time Next runs again, which
+// is how the serializability checks count committed increments from the
+// workload side. Implementations must be deterministic given the supplied
+// RNG.
 //
 // The returned instance's Ops are valid only until the next call to Next on
 // the same program: a generator may hand out one reused buffer (the stamp

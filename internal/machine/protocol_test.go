@@ -55,7 +55,7 @@ func TestWritebackRaceServed(t *testing.T) {
 	// Node 0 writes many lines in one tx (they become unpinned M at
 	// commit), then thrashes its cache so the M lines get evicted while
 	// node 1 concurrently reads them — steady PUTX/FwdGETS traffic.
-	wl := wbRaceWorkload{}
+	wl := countIncrs(wbRaceWorkload{})
 	cfg := smallConfig(SchemeBaseline, 3)
 	m, err := New(cfg, wl)
 	if err != nil {
@@ -78,13 +78,8 @@ func TestWritebackRaceServed(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Every value written by node 0's committed txs must be readable.
-	m.DrainCaches()
-	for addr, want := range m.CommittedIncrements() {
-		if got := m.Backing().LoadWord(addr); got != want {
-			t.Fatalf("lost update through writeback race: %#x = %d, want %d", uint64(addr), got, want)
-		}
-	}
+	// Every increment by node 0's committed txs must be readable.
+	wl.check(t, m)
 }
 
 type wbRaceWorkload struct{}
@@ -140,23 +135,18 @@ func (wbRaceWorkload) Program(node int, _ *sim.RNG) Program {
 // workload under heavy contention hits this path constantly; this test
 // additionally asserts the per-word values stay exact.
 func TestUpgradeHazardRecovered(t *testing.T) {
-	wl := counterWorkload{name: "hazard", txPerCPU: 25, counters: 2, incrsPer: 1, think: 0}
+	wl := countIncrs(counterWorkload{name: "hazard", txPerCPU: 25, counters: 2, incrsPer: 1, think: 0})
 	m, res := runWorkload(t, smallConfig(SchemeBaseline, 17), wl)
 	if res.Nacks == 0 {
 		t.Fatal("no contention generated; hazard path not exercised")
 	}
-	m.DrainCaches()
-	for addr, want := range m.CommittedIncrements() {
-		if got := m.Backing().LoadWord(addr); got != want {
-			t.Fatalf("upgrade hazard corrupted %#x: %d want %d", uint64(addr), got, want)
-		}
-	}
+	wl.check(t, m)
 }
 
 // TestWakeupIgnoredWhenStale: wakeups arriving while a node is not backing
 // off on that line must be dropped harmlessly.
 func TestWakeupIgnoredWhenStale(t *testing.T) {
-	wl := counterWorkload{name: "stalewake", txPerCPU: 10, counters: 2, incrsPer: 2, think: 5}
+	wl := countIncrs(counterWorkload{name: "stalewake", txPerCPU: 10, counters: 2, incrsPer: 2, think: 5})
 	cfg := smallConfig(SchemePUNOPush, 29)
 	m, err := New(cfg, wl)
 	if err != nil {
@@ -169,12 +159,7 @@ func TestWakeupIgnoredWhenStale(t *testing.T) {
 	if res.Commits != 160 {
 		t.Fatalf("commits = %d", res.Commits)
 	}
-	m.DrainCaches()
-	for addr, want := range m.CommittedIncrements() {
-		if got := m.Backing().LoadWord(addr); got != want {
-			t.Fatalf("wakeup path corrupted %#x", uint64(addr))
-		}
-	}
+	wl.check(t, m)
 }
 
 // TestPerNodeCountsSumToTotals: the per-node breakdowns must reconcile

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
@@ -111,8 +112,8 @@ type Result struct {
 }
 
 // reset returns r to the state a fresh Result for (workload, scheme,
-// nodes) holds, reusing the histogram map, the per-node slices, and the
-// Timeline's capacity — the arena-reuse path of Machine.Reset.
+// nodes) holds, reusing the capacity of the histogram, the per-node slices
+// and the Timeline — the arena-reuse path of Machine.Reset.
 func (r *Result) reset(workload string, scheme Scheme, nodes int) {
 	hist := r.FalseAbortHist
 	if hist == nil {
@@ -124,20 +125,10 @@ func (r *Result) reset(workload string, scheme Scheme, nodes int) {
 		Workload:       workload,
 		Scheme:         scheme,
 		FalseAbortHist: hist,
-		PerNodeCommits: resizeCounts(r.PerNodeCommits, nodes),
-		PerNodeAborts:  resizeCounts(r.PerNodeAborts, nodes),
+		PerNodeCommits: mem.Extend(r.PerNodeCommits[:0], nodes),
+		PerNodeAborts:  mem.Extend(r.PerNodeAborts[:0], nodes),
 		Timeline:       r.Timeline[:0],
 	}
-}
-
-// resizeCounts returns s resized to n elements, all zero, reusing capacity.
-func resizeCounts(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // Clone returns a deep copy of r. Machine.Run returns a pointer into the

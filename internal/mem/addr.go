@@ -1,7 +1,6 @@
 // Package mem defines the simulated physical address space: cache-line
 // geometry, static home-node (bank) interleaving, word-granularity line
-// data, and a flat backing store. It also provides a golden serial memory
-// used by tests to check that committed transactions are serializable.
+// data, and a flat backing store.
 package mem
 
 import "fmt"

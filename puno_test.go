@@ -236,7 +236,7 @@ func TestCustomProfileThroughFacade(t *testing.T) {
 }
 
 func TestCustomWorkloadViaProgramFunc(t *testing.T) {
-	wl := funcWorkload{}
+	wl := funcWorkload{incrs: make(map[Addr]uint64)}
 	m, err := NewMachine(DefaultConfig(), wl)
 	if err != nil {
 		t.Fatal(err)
@@ -248,30 +248,44 @@ func TestCustomWorkloadViaProgramFunc(t *testing.T) {
 	if res.Commits != 16*3 {
 		t.Fatalf("commits = %d, want 48", res.Commits)
 	}
-	// Serializability oracle through the facade.
+	// Serializability through the facade, against the programs' own count.
 	m.DrainCaches()
-	for a, want := range m.CommittedIncrements() {
+	var total uint64
+	for a, want := range wl.incrs {
 		if got := m.Backing().LoadWord(a); got != want {
 			t.Fatalf("addr %#x = %d, want %d", uint64(a), got, want)
 		}
+		total += want
+	}
+	if total != 16*3 {
+		t.Fatalf("committed increments = %d, want 48", total)
 	}
 }
 
-type funcWorkload struct{}
+// funcWorkload runs three one-increment transactions per node on the words
+// of one shared line. The machine asks a program for its next transaction
+// only after the current one commits, so each call first adds the previous
+// transaction's increment to incrs.
+type funcWorkload struct{ incrs map[Addr]uint64 }
 
 func (funcWorkload) Name() string         { return "func" }
 func (funcWorkload) HighContention() bool { return false }
-func (funcWorkload) Program(node int, _ *RNG) Program {
+func (w funcWorkload) Program(node int, _ *RNG) Program {
 	n := 0
+	var last Addr
 	return ProgramFunc(func(rng *RNG) (TxInstance, bool) {
+		if n > 0 {
+			w.incrs[last]++
+		}
 		if n >= 3 {
 			return TxInstance{}, false
 		}
 		n++
+		last = LineAddr(0x9000, rng.Intn(4))
 		return TxInstance{
 			StaticID: 7,
 			Ops: []Op{
-				{Kind: OpIncr, Addr: LineAddr(0x9000, rng.Intn(4))},
+				{Kind: OpIncr, Addr: last},
 				{Kind: OpCompute, Cycles: 25},
 			},
 			ThinkCycles: 40,
