@@ -14,8 +14,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/coherence"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/noc"
 	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stamp"
@@ -50,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		quiet     = fs.Bool("q", false, "print only the summary line")
 		traceStr  = fs.String("trace", "", "print rendered event lines containing this substring (e.g. a line address)")
 		vmult     = fs.Int("vmult", 0, "P-Buffer validity timeout multiplier (0 = default)")
-		timeline  = fs.Uint64("timeline", 0, "sample interval in cycles; prints a dynamics table (0 = off)")
+		timeline  = fs.Uint64("timeline", 0, "row width in cycles; prints a dynamics table built from the event stream (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,13 +77,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.MaxCycles = sim.Time(*maxCycles)
 	}
 	cfg.ValidityTimeoutMult = *vmult
-	if *timeline > 0 {
-		cfg.SampleInterval = sim.Time(*timeline)
-	}
-	var tracer *traceSink
-	if *traceStr != "" {
-		tracer = &traceSink{w: stdout, substr: *traceStr}
-		cfg.EventSink = tracer
+	var obs *observer
+	if *traceStr != "" || *timeline > 0 {
+		obs = &observer{w: stdout, substr: *traceStr, width: sim.Time(*timeline), mesh: noc.New(cfg.Mesh, sim.NewEngine())}
+		cfg.EventSink = obs
 	}
 
 	start := time.Now()
@@ -89,8 +88,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if tracer != nil {
-		tracer.it = m.Backing().Interner()
+	if obs != nil {
+		obs.it = m.Backing().Interner()
 	}
 	res, err := m.Run()
 	if err != nil {
@@ -122,13 +121,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		res.DirUnicasts, res.Mispredictions, res.NotifiedBackoffs, res.Retries)
 	fmt.Fprintf(stdout, "  events=%d spilled=%d (%.0f ev/us)\n", m.Engine().Processed(), m.Engine().Spilled(),
 		float64(m.Engine().Processed())/float64(wall.Microseconds()+1))
-	if len(res.Timeline) > 0 {
+	if obs != nil && obs.width > 0 {
 		fmt.Fprintf(stdout, "  %-10s %8s %8s %10s %7s\n", "cycle", "commits", "aborts", "traffic", "liveTx")
-		for _, smp := range res.Timeline {
-			fmt.Fprintf(stdout, "  %-10d %8d %8d %10d %7d\n", smp.Cycle, smp.Commits, smp.Aborts, smp.Traffic, smp.LiveTxs)
+		for _, r := range obs.rows {
+			fmt.Fprintf(stdout, "  %-10d %8d %8d %10d %7d\n", r.end, r.commits, r.aborts, r.traffic, r.live)
 		}
 	}
-	var noT, inval, reqOld, lowc, parted, uni uint64
+	var noT, inval, reqOld, lowc, parted uint64
 	minConf, maxBen := 1.0, 0.0
 	for _, p := range m.Predictors() {
 		if p == nil {
@@ -139,7 +138,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reqOld += p.FallbackReqOlder
 		lowc += p.FallbackLowConf
 		parted += p.PartialKnowledge
-		uni += p.Unicasts
 		if c := p.Confidence(); c < minConf {
 			minConf = c
 		}
@@ -147,30 +145,77 @@ func run(args []string, stdout, stderr io.Writer) error {
 			maxBen = b
 		}
 	}
-	if uni+lowc > 0 {
+	if uni := res.DirUnicasts; uni+lowc > 0 {
 		fmt.Fprintf(stdout, "  predictor: unicasts=%d fallbacks{noTargets=%d allInvalid=%d reqOlder=%d lowConf=%d} partial=%d minConf=%.2f maxBenefit=%.2f\n",
 			uni, noT, inval, reqOld, lowc, parted, minConf, maxBen)
 	}
 	return nil
 }
 
-// traceSink is -trace: it renders each event as the run emits it, with the
-// renderer punotrace diff uses, and prints the lines containing substr. It
-// keeps no per-event state, so a long or capped run streams in constant
-// memory.
-type traceSink struct {
+// observer is the run's one probe.Sink, serving -trace and -timeline.
+//
+// -trace renders each event as the run emits it, with the renderer
+// punotrace diff uses, and prints the lines containing substr; it keeps no
+// per-event state, so a long or capped run streams in constant memory.
+//
+// -timeline buckets the stream into rows of width cycles. Row k covers
+// cycles [k*width, (k+1)*width) and is printed under its end cycle; the
+// last row is the one holding the run's last event. A row counts the
+// KindTxCommit and KindTxAbort events in it and the router traversals of
+// its remote sends (flits × (hops+1), the rule Result.Net counts by), and
+// ends with the attempts begun and not yet committed or aborted. A commit
+// lands in the row where it starts, and an attempt stops being live when
+// its rollback starts.
+type observer struct {
 	w      io.Writer
-	substr string
+	substr string        // -trace; "" = off
 	it     *mem.Interner // the machine's, set once the machine is built
+
+	width sim.Time  // -timeline; 0 = off
+	mesh  *noc.Mesh // topology only: Hops for the traffic column
+	rows  []row
+	live  int
+}
+
+// row is one -timeline interval.
+type row struct {
+	end                      sim.Time
+	commits, aborts, traffic uint64
+	live                     int
 }
 
 // Emit implements probe.Sink.
-func (s *traceSink) Emit(e probe.Event) {
-	line := "-"
-	if e.Line != 0 {
-		line = s.it.LineAt(e.Line).String()
+func (o *observer) Emit(e probe.Event) {
+	if o.substr != "" {
+		line := "-"
+		if e.Line != 0 {
+			line = o.it.LineAt(e.Line).String()
+		}
+		if ev := trace.FormatEvent(line, e); strings.Contains(ev, o.substr) {
+			fmt.Fprintln(o.w, ev)
+		}
 	}
-	if ev := trace.FormatEvent(line, e); strings.Contains(ev, s.substr) {
-		fmt.Fprintln(s.w, ev)
+	if o.width == 0 {
+		return
 	}
+	for k := int(e.Cycle / o.width); len(o.rows) <= k; {
+		o.rows = append(o.rows, row{end: sim.Time(len(o.rows)+1) * o.width, live: o.live})
+	}
+	r := &o.rows[len(o.rows)-1]
+	switch e.Kind {
+	case probe.KindTxBegin:
+		o.live++
+	case probe.KindTxCommit:
+		r.commits++
+		o.live--
+	case probe.KindTxAbort:
+		r.aborts++
+		o.live--
+	case probe.KindSend:
+		typ, dst, _, _ := probe.UnpackSend(e.Arg)
+		if src := int(e.Node); src != dst {
+			r.traffic += uint64(coherence.MsgType(typ).Flits() * (o.mesh.Hops(src, dst) + 1))
+		}
+	}
+	r.live = o.live
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -86,5 +87,97 @@ func TestRunRejectsUnknownWorkloadAndScheme(t *testing.T) {
 	}
 	if err := run([]string{"-bogusflag"}, &out, &errb); err == nil {
 		t.Fatal("bogus flag accepted")
+	}
+}
+
+// TestTimelineSumsToSummary drives -timeline on one PUNO and one Baseline
+// point. The rows come from the event stream, so their commits, aborts and
+// traffic must add up exactly to the summary line's totals, which come from
+// the Result; row cycles must strictly increase, live attempts must never
+// go negative, and the last row must close the interval holding the run's
+// last event, with none live. -trace cycle= prints every event through the
+// same sink, which is where the last event's cycle comes from.
+func TestTimelineSumsToSummary(t *testing.T) {
+	const width = 2000
+	for _, scheme := range []string{"puno", "baseline"} {
+		t.Run(scheme, func(t *testing.T) {
+			var out, errb strings.Builder
+			args := []string{"-workload", "intruder", "-txper", "4", "-scheme", scheme,
+				"-timeline", strconv.Itoa(width), "-trace", "cycle="}
+			if err := run(args, &out, &errb); err != nil {
+				t.Fatalf("run %v: %v (stderr: %s)", args, err, errb.String())
+			}
+			lines := strings.Split(out.String(), "\n")
+			var summary string
+			var lastEvent uint64
+			for _, l := range lines {
+				if c, ok := strings.CutPrefix(l, "cycle="); ok {
+					n, err := strconv.ParseUint(strings.Fields(c)[0], 10, 64)
+					if err != nil {
+						t.Fatalf("event line %q: %v", l, err)
+					}
+					lastEvent = n
+				} else if strings.HasPrefix(l, "intruder/") {
+					summary = l
+				}
+			}
+			total := map[string]uint64{}
+			for _, f := range strings.Fields(summary) {
+				if k, v, ok := strings.Cut(f, "="); ok && (k == "commits" || k == "aborts" || k == "traffic") {
+					n, err := strconv.ParseUint(v, 10, 64)
+					if err != nil {
+						t.Fatalf("summary field %q: %v", f, err)
+					}
+					total[k] = n
+				}
+			}
+			if len(total) != 3 || total["commits"] == 0 || total["aborts"] == 0 {
+				t.Fatalf("summary line lacks commits, aborts or traffic, or the point is too tame: %q", summary)
+			}
+
+			sum := map[string]uint64{}
+			var rows, prev, live uint64
+			inTable := false
+			for _, l := range lines {
+				f := strings.Fields(l)
+				if len(f) == 5 && f[0] == "cycle" {
+					inTable = true
+					continue
+				}
+				if !inTable || len(f) != 5 {
+					continue
+				}
+				var v [5]uint64
+				for i, s := range f {
+					n, err := strconv.ParseUint(s, 10, 64)
+					if err != nil {
+						t.Fatalf("row %q: field %d is not a count (a negative live count fails here): %v", l, i, err)
+					}
+					v[i] = n
+				}
+				if rows > 0 && v[0] <= prev {
+					t.Fatalf("row cycle %d does not follow %d", v[0], prev)
+				}
+				rows++
+				prev, live = v[0], v[4]
+				sum["commits"] += v[1]
+				sum["aborts"] += v[2]
+				sum["traffic"] += v[3]
+			}
+			if rows < 3 {
+				t.Fatalf("only %d timeline rows:\n%s", rows, out.String())
+			}
+			for _, k := range []string{"commits", "aborts", "traffic"} {
+				if sum[k] != total[k] {
+					t.Errorf("rows sum to %s=%d, the summary says %d", k, sum[k], total[k])
+				}
+			}
+			if live != 0 {
+				t.Errorf("last row leaves %d attempts live", live)
+			}
+			if lastEvent < prev-width || lastEvent >= prev {
+				t.Errorf("last row ends at cycle %d, but the last event is at cycle %d", prev, lastEvent)
+			}
+		})
 	}
 }

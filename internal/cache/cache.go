@@ -68,9 +68,6 @@ type Cache struct {
 	ways    int
 	entries []Entry // sets x ways
 	tick    uint64
-
-	// Statistics.
-	Hits, Misses, Evictions uint64
 }
 
 // New builds a cache from cfg. Size must be a positive multiple of
@@ -104,7 +101,6 @@ func (c *Cache) Reset(cfg Config) {
 	}
 	clear(c.entries)
 	c.tick = 0
-	c.Hits, c.Misses, c.Evictions = 0, 0, 0
 }
 
 // Sets returns the number of sets.
@@ -124,8 +120,8 @@ func (c *Cache) setSlice(l mem.Line) []Entry {
 	return c.entries[base : base+c.ways]
 }
 
-// Lookup returns the entry holding l, or nil. It does not touch LRU state
-// or hit/miss counters; use Access for demand references.
+// Lookup returns the entry holding l, or nil. It does not touch LRU state;
+// use Access for demand references.
 func (c *Cache) Lookup(l mem.Line) *Entry {
 	set := c.setSlice(l)
 	for i := range set {
@@ -137,14 +133,12 @@ func (c *Cache) Lookup(l mem.Line) *Entry {
 }
 
 // Access performs a demand lookup: on hit it refreshes LRU and returns the
-// entry; on miss it returns nil. Hit/miss counters are updated.
+// entry; on miss it returns nil.
 func (c *Cache) Access(l mem.Line) *Entry {
 	e := c.Lookup(l)
 	if e == nil {
-		c.Misses++
 		return nil
 	}
-	c.Hits++
 	c.tick++
 	e.lru = c.tick
 	return e
@@ -193,7 +187,6 @@ func (c *Cache) InsertID(l mem.Line, id mem.LineID, st State, data mem.LineData)
 		return nil, Entry{}, false
 	}
 	if v.valid {
-		c.Evictions++
 		evicted, wasEvicted = *v, true
 	}
 	c.tick++

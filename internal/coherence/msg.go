@@ -101,7 +101,10 @@ type Msg struct {
 	UBit  bool // forward was unicast by the predictive directory
 	MPBit bool // NACK/UNBLOCK: unicast destination was mispredicted
 
-	HasData bool // Data is meaningful (and the message is DataFlits long)
+	// HasData is unread: the message type fixes the size (MsgType.Flits).
+	// It stays only because the repository benchmark's kernels still set
+	// it; the next change to the benchmark deletes it.
+	HasData bool
 	Success bool // UNBLOCK: the request completed (false: it was NACKed)
 
 	// Responder-side annotations. Sole marks a response from the only
@@ -125,13 +128,19 @@ const (
 	DataFlits    = 5
 )
 
-// Flits returns the network size of the message.
-func (m *Msg) Flits() int {
-	if m.HasData {
+// Flits returns the network size of a message of type t: the three types
+// that carry a line (Data, WBData, PUTX) span DataFlits, every other type
+// one flit.
+func (t MsgType) Flits() int {
+	switch t {
+	case MsgData, MsgWBData, MsgPUTX:
 		return DataFlits
 	}
 	return ControlFlits
 }
+
+// Flits returns the network size of the message.
+func (m *Msg) Flits() int { return m.Type.Flits() }
 
 // Class returns the virtual-network class the message travels on.
 func (m *Msg) Class() noc.Class {

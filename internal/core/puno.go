@@ -74,13 +74,9 @@ type Predictor struct {
 	benefit    float64
 	probe      uint64
 
-	// Statistics.
-	Unicasts   uint64
-	Multicasts uint64 // predict calls that fell back to multicast
-	Mispreds   uint64
-	UDUpdates  uint64
-
-	// Multicast-fallback reasons (diagnostics).
+	// Multicast-fallback reasons and partial-knowledge unicasts
+	// (diagnostics). The unicast and misprediction counts are the run's
+	// Result.DirUnicasts and Result.Mispredictions.
 	FallbackNoUD     uint64 // no forward targets to predict over
 	FallbackInvalid  uint64 // every sharer's priority validity expired
 	FallbackReqOlder uint64 // requester beats the best recorded sharer priority
@@ -193,7 +189,6 @@ func (p *Predictor) PriorityOf(node int) (htm.Priority, bool) {
 func (p *Predictor) PredictUnicast(l mem.Line, sharers []int, reqNode int, reqPrio htm.Priority) (int, bool) {
 	p.decay()
 	if len(sharers) == 0 {
-		p.Multicasts++
 		p.FallbackNoUD++
 		return 0, false
 	}
@@ -203,7 +198,6 @@ func (p *Predictor) PredictUnicast(l mem.Line, sharers []int, reqNode int, reqPr
 		// occasionally so the estimators can recover.
 		p.probe++
 		if p.probe%32 != 0 {
-			p.Multicasts++
 			p.FallbackLowConf++
 			return 0, false
 		}
@@ -220,12 +214,10 @@ func (p *Predictor) PredictUnicast(l mem.Line, sharers []int, reqNode int, reqPr
 		}
 	}
 	if !found {
-		p.Multicasts++
 		p.FallbackInvalid++
 		return 0, false
 	}
 	if !htm.Older(p.pbuf[best].prio, best, reqPrio, reqNode) {
-		p.Multicasts++
 		p.FallbackReqOlder++
 		return 0, false
 	}
@@ -236,7 +228,6 @@ func (p *Predictor) PredictUnicast(l mem.Line, sharers []int, reqNode int, reqPr
 		// conservative NACK-on-misprediction rule.
 		p.PartialKnowledge++
 	}
-	p.Unicasts++
 	return best, true
 }
 
@@ -244,12 +235,10 @@ func (p *Predictor) PredictUnicast(l mem.Line, sharers []int, reqNode int, reqPr
 // line's stored UD pointer after every directory service; the model instead
 // recomputes the pointer from the sharer set at decision time (see
 // PredictUnicast), which is behaviourally identical because every pointer
-// write is followed by a recomputation before its next read. Only the
-// update count — the paper's off-critical-path traffic metric — is kept;
-// a per-line pointer table here would be write-only state on the hot path.
-func (p *Predictor) UpdateUD(l mem.Line, sharers []int) {
-	p.UDUpdates++
-}
+// write is followed by a recomputation before its next read, so the update
+// itself keeps nothing: a per-line pointer table here would be write-only
+// state on the hot path.
+func (p *Predictor) UpdateUD(l mem.Line, sharers []int) {}
 
 // Misprediction implements coherence.Predictor: the UNBLOCK MP feedback
 // carries the mispredicted sharer's current priority (read by the sharer
@@ -260,7 +249,6 @@ func (p *Predictor) UpdateUD(l mem.Line, sharers []int) {
 // prediction accuracy is unreachable for cache-resident workloads whose
 // transactions rarely issue coherence requests.
 func (p *Predictor) Misprediction(l mem.Line, node int, prio htm.Priority) {
-	p.Mispreds++
 	if prio == htm.NoPriority {
 		p.pbuf[node].validity = 0
 		return
@@ -301,12 +289,3 @@ func (p *Predictor) Benefit() float64 { return p.benefit }
 
 // DecisionLatency implements coherence.Predictor.
 func (p *Predictor) DecisionLatency() sim.Time { return decisionLatency }
-
-// Accuracy returns the fraction of unicast predictions that were not
-// reported mispredicted.
-func (p *Predictor) Accuracy() float64 {
-	if p.Unicasts == 0 {
-		return 1
-	}
-	return 1 - float64(p.Mispreds)/float64(p.Unicasts)
-}

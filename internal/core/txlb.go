@@ -20,10 +20,6 @@ type TxLB struct {
 	index    map[int]int // staticID -> position in entries
 	entries  []txlbEntry
 	tick     uint64
-
-	// Statistics.
-	Updates   uint64
-	Evictions uint64
 }
 
 type txlbEntry struct {
@@ -63,7 +59,6 @@ func (b *TxLB) Len() int { return len(b.entries) }
 //
 //	StaticTxLen_new = (StaticTxLen_prev + DynTxLen) / 2
 func (b *TxLB) Update(staticID int, dynLen sim.Time) {
-	b.Updates++
 	b.tick++
 	if i, ok := b.index[staticID]; ok {
 		e := &b.entries[i]
@@ -82,7 +77,6 @@ func (b *TxLB) Update(staticID int, dynLen sim.Time) {
 // (tick is monotonic), so the strict < scan picks the same victim in any
 // order — and the slice walk makes the order fixed anyway.
 func (b *TxLB) evictLRU() {
-	b.Evictions++
 	victim := 0
 	oldest := ^uint64(0)
 	for i := range b.entries {

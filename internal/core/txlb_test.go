@@ -69,9 +69,6 @@ func TestTxLBCapacityEvictsLRU(t *testing.T) {
 	if b.Average(1) != 100 || b.Average(3) != 300 {
 		t.Fatal("survivors corrupted")
 	}
-	if b.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", b.Evictions)
-	}
 }
 
 func TestTxLBGlobalAverage(t *testing.T) {
@@ -143,7 +140,7 @@ func TestTxLBResetEqualsNew(t *testing.T) {
 	b.Update(2, 200)
 	b.Update(3, 300) // evicts
 	b.Reset(2)
-	if b.Len() != 0 || b.Updates != 0 || b.Evictions != 0 || b.GlobalAverage() != 0 || b.Average(1) != 0 {
+	if b.Len() != 0 || b.GlobalAverage() != 0 || b.Average(1) != 0 {
 		t.Fatalf("Reset left state behind: %+v", b)
 	}
 	b.Update(7, 50)
@@ -156,7 +153,7 @@ func TestTxLBResetEqualsNew(t *testing.T) {
 	for id := 0; id < 4; id++ {
 		b.Update(id, 10)
 	}
-	if b.Len() != 4 || b.Evictions != 0 {
-		t.Fatalf("Reset(4) did not resize: len %d, evictions %d", b.Len(), b.Evictions)
+	if b.Len() != 4 || b.Average(0) != 10 {
+		t.Fatalf("Reset(4) did not resize: len %d, average of the first entry %d", b.Len(), b.Average(0))
 	}
 }

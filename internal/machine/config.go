@@ -147,10 +147,6 @@ type Config struct {
 	// and a run without one are cycle-identical. The sink is called from
 	// the simulation goroutine only.
 	EventSink probe.Sink
-
-	// SampleInterval, when nonzero, records a Result.Timeline sample every
-	// that many cycles (commit/abort/traffic deltas — the dynamics view).
-	SampleInterval sim.Time
 }
 
 // DefaultConfig is the paper's 16-node system (Table II): 32KB 4-way L1,

@@ -12,7 +12,7 @@ import (
 // Config that content-addressed result caching hashes. Two Configs that
 // would produce the same simulation trajectory encode identically, and any
 // field that can change a Result changes the bytes. The encoding is
-// versioned ("punocfg/4"): adding a Config field that influences results,
+// versioned ("punocfg/5"): adding a Config field that influences results,
 // or removing one, must change AppendCanonical and bump the version, which
 // rotates every cache key — exactly the safe failure mode, since a stale
 // key can never alias a run with different semantics.
@@ -31,7 +31,7 @@ import (
 //     byte form, and a run with a sink is cycle-identical to one without,
 //     so AppendCanonical refuses configs that set it rather than silently
 //     dropping live state from the key.
-const cfgMagic = "punocfg/4"
+const cfgMagic = "punocfg/5"
 
 // AppendCanonical appends the canonical binary encoding of c to dst and
 // returns the extended slice. It fails when c carries non-encodable live
@@ -54,7 +54,6 @@ func (c *Config) AppendCanonical(dst []byte) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(c.NotifyGuardOverride))
 	b = binary.AppendUvarint(b, uint64(c.MaxCycles))
 	b = binary.AppendUvarint(b, c.Seed)
-	b = binary.AppendUvarint(b, uint64(c.SampleInterval))
 	return b, nil
 }
 

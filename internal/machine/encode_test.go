@@ -12,13 +12,11 @@ import (
 	"repro/internal/wire/wiretest"
 )
 
-// codecResult runs a small contended workload (timeline sampling on, so
-// every Result field family is populated) and returns the arena-independent
-// clone the cache would store.
+// codecResult runs a small contended workload and returns the
+// arena-independent clone the cache would store.
 func codecResult(t testing.TB, seed uint64) *Result {
 	t.Helper()
 	cfg := smallConfig(SchemePUNO, seed)
-	cfg.SampleInterval = 5_000
 	wl := counterWorkload{name: "codec", txPerCPU: 6, counters: 4, incrsPer: 3, think: 50}
 	_, res := runWorkload(t, cfg, wl)
 	return res.Clone()
@@ -26,7 +24,7 @@ func codecResult(t testing.TB, seed uint64) *Result {
 
 func TestResultRoundTrip(t *testing.T) {
 	res := codecResult(t, 7)
-	if res.Aborts == 0 || len(res.Timeline) == 0 || len(res.FalseAbortHist) == 0 {
+	if res.Aborts == 0 || len(res.FalseAbortHist) == 0 {
 		t.Fatalf("fixture run too tame to exercise the codec: %+v", res)
 	}
 	raw, err := EncodeResult(res)
@@ -66,10 +64,6 @@ func TestResultRoundTripSynthetic(t *testing.T) {
 		BackoffCycles: 23, RestartWaitCycle: 24, NotifiedBackoffs: 25,
 		PerNodeCommits: []uint64{1, 0, 2},
 		PerNodeAborts:  []uint64{0, 4, 0},
-		Timeline: []Sample{
-			{Cycle: 100, Commits: 1, Aborts: 2, Traffic: 3, LiveTxs: 4},
-			{Cycle: 200, Commits: 5, Aborts: 6, Traffic: 7, LiveTxs: 0},
-		},
 	}
 	for c := range res.Net.Messages {
 		res.Net.Messages[c] = uint64(30 + c)
@@ -180,12 +174,9 @@ func TestEncodeResultRejectsInvalid(t *testing.T) {
 	if _, err := EncodeResult(&Result{PerNodeCommits: []uint64{1}}); err == nil {
 		t.Fatal("mismatched per-node slices encoded")
 	}
-	if _, err := EncodeResult(&Result{Timeline: []Sample{{LiveTxs: -1}}}); err == nil {
-		t.Fatal("negative live-tx count encoded")
-	}
 }
 
-// artifact builds a checksum-valid punores/1 body by hand, for probing the
+// artifact builds a checksum-valid punores/2 body by hand, for probing the
 // decoder's structural checks (which sit behind the checksum gate).
 func artifact(build func(u func(uint64), raw func(...byte))) []byte {
 	b := []byte(resMagic)
@@ -203,8 +194,8 @@ func zeros(u func(uint64), n int) {
 	}
 }
 
-// A checksum-valid 63-byte artifact, well formed up to a timeline claiming
-// 2^26 samples: the claim must be refused against the bytes that are left.
+// A checksum-valid 62-byte artifact, well formed up to a node count claiming
+// 2^26 nodes: the claim must be refused against the bytes that are left.
 func TestDecodeResultRejectsCountBomb(t *testing.T) {
 	var r Result
 	raw := artifact(func(u func(uint64), raw func(...byte)) {
@@ -216,11 +207,11 @@ func TestDecodeResultRejectsCountBomb(t *testing.T) {
 		u(uint64(numOutcomes))
 		zeros(u, int(numOutcomes)+3) // outcomes, empty histogram, good and discarded cycles
 		u(uint64(len(r.Net.Messages)))
-		zeros(u, 3*len(r.Net.Messages)+2+12+1) // classes, latency and queueing, 12 counters, no nodes
+		zeros(u, 3*len(r.Net.Messages)+2+12) // classes, latency and queueing, 12 counters
 		u(1 << 26)
 	})
-	if len(raw) != 63 {
-		t.Fatalf("bomb is %d bytes, want 63", len(raw))
+	if len(raw) != 62 {
+		t.Fatalf("bomb is %d bytes, want 62", len(raw))
 	}
 	wiretest.RejectsBomb(t, raw, decodeErr)
 }

@@ -3,10 +3,10 @@ package machine
 import "repro/internal/mem"
 
 // lineOpSet is a tiny line -> op-index association reused across
-// transaction attempts (firstLoad, promotedLoads). Transactional footprints
-// are a handful of lines, so a linear scan over a flat pair of slices beats
-// a map and — with reset instead of re-make — allocates nothing in steady
-// state.
+// transaction attempts (promotedLoads; firstLoad is the dense
+// firstLoadTable below). Transactional footprints are a handful of lines,
+// so a linear scan over a flat pair of slices beats a map and — with reset
+// instead of re-make — allocates nothing in steady state.
 type lineOpSet struct {
 	lines []mem.Line
 	ops   []int
@@ -15,15 +15,6 @@ type lineOpSet struct {
 func (s *lineOpSet) reset() {
 	s.lines = s.lines[:0]
 	s.ops = s.ops[:0]
-}
-
-func (s *lineOpSet) get(l mem.Line) (int, bool) {
-	for i, x := range s.lines {
-		if x == l {
-			return s.ops[i], true
-		}
-	}
-	return 0, false
 }
 
 // put sets the association, overwriting an existing entry for l.
@@ -143,13 +134,11 @@ func (w *wakeupTable) clear() { w.n = 0 }
 // order.
 type wbTable struct {
 	lines []mem.Line
-	ids   []mem.LineID
 	data  []mem.LineData
 }
 
 func (t *wbTable) reset() {
 	t.lines = t.lines[:0]
-	t.ids = t.ids[:0]
 	t.data = t.data[:0]
 }
 
@@ -179,22 +168,20 @@ func (t *wbTable) get(l mem.Line) (mem.LineData, bool) {
 
 // put inserts (or overwrites) the retained copy of l, keeping the table
 // sorted by line.
-func (t *wbTable) put(l mem.Line, id mem.LineID, d mem.LineData) {
+func (t *wbTable) put(l mem.Line, d mem.LineData) {
 	i := 0
 	for i < len(t.lines) && t.lines[i] < l {
 		i++
 	}
 	if i < len(t.lines) && t.lines[i] == l {
-		t.ids[i], t.data[i] = id, d
+		t.data[i] = d
 		return
 	}
 	t.lines = append(t.lines, 0)
-	t.ids = append(t.ids, 0)
 	t.data = append(t.data, mem.LineData{})
 	copy(t.lines[i+1:], t.lines[i:])
-	copy(t.ids[i+1:], t.ids[i:])
 	copy(t.data[i+1:], t.data[i:])
-	t.lines[i], t.ids[i], t.data[i] = l, id, d
+	t.lines[i], t.data[i] = l, d
 }
 
 // del removes l's entry if present.
@@ -204,7 +191,6 @@ func (t *wbTable) del(l mem.Line) {
 	for i, x := range t.lines {
 		if x == l {
 			t.lines = append(t.lines[:i], t.lines[i+1:]...)
-			t.ids = append(t.ids[:i], t.ids[i+1:]...)
 			t.data = append(t.data[:i], t.data[i+1:]...)
 			return
 		}

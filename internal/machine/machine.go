@@ -114,10 +114,7 @@ func (m *Machine) fail(err error) {
 
 // dirEnv adapts the machine to the coherence.Env interface for one
 // directory bank.
-type dirEnv struct {
-	m    *Machine
-	node int
-}
+type dirEnv struct{ m *Machine }
 
 func (e dirEnv) Now() sim.Time { return e.m.eng.Now() }
 
@@ -305,7 +302,7 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 			m.preds[i] = nil
 		}
 		if m.dirs[i] == nil {
-			m.dirs[i] = coherence.NewDirectory(i, cfg.Nodes, dirEnv{m, i}, pred)
+			m.dirs[i] = coherence.NewDirectory(i, cfg.Nodes, dirEnv{m}, pred)
 		} else {
 			m.dirs[i].Reset(pred)
 		}
@@ -462,31 +459,6 @@ func (m *Machine) Run() (*Result, error) {
 	for _, n := range m.nodes {
 		n.start()
 	}
-	if iv := m.cfg.SampleInterval; iv > 0 {
-		var prevCommits, prevAborts, prevTraffic uint64
-		var sample func()
-		sample = func() {
-			live := 0
-			for _, n := range m.nodes {
-				if n.tx.InFlight() {
-					live++
-				}
-			}
-			traffic := m.mesh.Stats().TotalTraversals()
-			m.res.Timeline = append(m.res.Timeline, Sample{
-				Cycle:   m.eng.Now(),
-				Commits: m.res.Commits - prevCommits,
-				Aborts:  m.res.Aborts - prevAborts,
-				Traffic: traffic - prevTraffic,
-				LiveTxs: live,
-			})
-			prevCommits, prevAborts, prevTraffic = m.res.Commits, m.res.Aborts, traffic
-			if m.active > 0 {
-				m.eng.After(iv, sample)
-			}
-		}
-		m.eng.After(iv, sample)
-	}
 	m.eng.Run(m.cfg.MaxCycles)
 	if m.runErr != nil {
 		return nil, m.runErr
@@ -497,9 +469,6 @@ func (m *Machine) Run() (*Result, error) {
 		}
 		return nil, fmt.Errorf("machine: %d threads stalled with an empty event queue (protocol deadlock)", m.active)
 	}
-	// Drain any events after the last commit (in-flight unblocks etc.).
-	m.eng.Run(m.cfg.MaxCycles)
-
 	return m.FinalizeShard(), nil
 }
 

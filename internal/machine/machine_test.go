@@ -327,16 +327,26 @@ func TestPUNOReducesFalseAbortsVsBaseline(t *testing.T) {
 	}
 }
 
+// putxSends counts the PUTX writeback requests in a run's event stream.
+func putxSends(evs []probe.Event) int {
+	n := 0
+	for _, e := range evs {
+		if typ, _, _, _ := probe.UnpackSend(e.Arg); e.Kind == probe.KindSend && coherence.MsgType(typ) == coherence.MsgPUTX {
+			n++
+		}
+	}
+	return n
+}
+
 func TestWritebacksHappen(t *testing.T) {
 	// Touch enough disjoint lines that committed Modified lines get
 	// evicted and written back.
 	wl := sweepWorkload{txPerCPU: 12, linesPerTx: 64}
-	m, _ := runWorkload(t, smallConfig(SchemeBaseline, 11), wl)
-	var wb uint64
-	for _, d := range m.dirs {
-		wb += d.Stats().Writebacks
-	}
-	if wb == 0 {
+	cfg := smallConfig(SchemeBaseline, 11)
+	var buf probe.Buffer
+	cfg.EventSink = &buf
+	m, _ := runWorkload(t, cfg, wl)
+	if putxSends(buf.Events()) == 0 {
 		t.Fatal("no PUTX writebacks despite cache-thrashing workload")
 	}
 	if err := m.CheckInvariants(); err != nil {

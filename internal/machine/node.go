@@ -924,10 +924,10 @@ func (n *node) handleEviction(v cache.Entry) {
 		return // silent eviction of clean lines
 	}
 	// Retain the data until the directory acknowledges the writeback.
-	n.wbWait.put(v.Line, v.LID, v.Data)
+	n.wbWait.put(v.Line, v.Data)
 	msg := n.msgTo(coherence.MsgPUTX, v.Line, n.m.home.Home(v.Line))
 	msg.LID, msg.Requester = v.LID, n.id
-	msg.Data, msg.HasData = v.Data, true
+	msg.Data = v.Data
 	n.m.send(msg)
 }
 
@@ -1099,7 +1099,7 @@ func (n *node) grant(f *coherence.Msg, aborted bool) {
 //puno:hot
 func (n *node) sendOwnerData(f *coherence.Msg, data *mem.LineData, aborted bool) {
 	msg := n.respond(coherence.MsgData, f)
-	msg.Data, msg.HasData = *data, true
+	msg.Data = *data
 	msg.Sole, msg.AbortedSharer = true, aborted
 	n.m.send(msg)
 }
@@ -1111,7 +1111,7 @@ func (n *node) sendOwnerData(f *coherence.Msg, data *mem.LineData, aborted bool)
 func (n *node) sendWBData(f *coherence.Msg, data *mem.LineData) {
 	msg := n.msgTo(coherence.MsgWBData, f.Line, n.m.home.Home(f.Line))
 	msg.LID = f.LID
-	msg.Data, msg.HasData = *data, true
+	msg.Data = *data
 	n.m.send(msg)
 }
 

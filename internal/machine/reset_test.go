@@ -88,7 +88,7 @@ func TestResetMatchesNew(t *testing.T) {
 			t.Fatalf("spec %d (%s/%v/seed %d): arena result diverged from fresh machine\n got: %+v\nwant: %+v",
 				i, sp.wl.Name(), sp.cfg.Scheme, sp.cfg.Seed, resultSignature(got), resultSignature(want))
 		}
-		// And byte for byte on the punores/1 artifact, which covers every
+		// And byte for byte on the punores/2 artifact, which covers every
 		// field the signature above leaves out.
 		gotRaw, err := EncodeResult(got)
 		if err != nil {

@@ -3,13 +3,12 @@ package machine
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
-// punores/1 is the deterministic binary round-trip encoding of a Result —
+// punores/2 is the deterministic binary round-trip encoding of a Result —
 // the artifact format of the content-addressed result cache (internal/
 // serve). Fixed-size arrays carry explicit length prefixes, so a cause,
 // outcome or class added to the model is a detected format change, not a
@@ -30,18 +29,17 @@ import (
 //	        netTotalLatency, netQueueingDelay
 //	        7 directory counters, 5 requester counters
 //	count N, N × perNodeCommits, N × perNodeAborts
-//	count T, T × {cycle, commits, aborts, traffic, liveTxs}
 //
 // The encoding is canonical: one Result has exactly one byte rendering, so
 // byte equality of encodings is value equality of Results — the property
 // the serve smoke test leans on when it compares a cache-served artifact
 // against a direct simulation run.
-const resMagic = "punores/1"
+const resMagic = "punores/2"
 
-// EncodeResult renders r in the punores/1 binary format.
+// EncodeResult renders r in the punores/2 binary format.
 func EncodeResult(r *Result) ([]byte, error) { return AppendResult(nil, r) }
 
-// AppendResult appends the punores/1 encoding of r (magic through
+// AppendResult appends the punores/2 encoding of r (magic through
 // checksum) to dst and returns the extended slice.
 func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	if int(r.Scheme) < 0 || r.Scheme >= numSchemes {
@@ -100,21 +98,10 @@ func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	for _, c := range r.PerNodeAborts {
 		b = binary.AppendUvarint(b, c)
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.Timeline)))
-	for _, s := range r.Timeline {
-		if s.LiveTxs < 0 {
-			return nil, fmt.Errorf("machine: timeline sample has negative live-tx count %d", s.LiveTxs)
-		}
-		b = binary.AppendUvarint(b, uint64(s.Cycle))
-		b = binary.AppendUvarint(b, s.Commits)
-		b = binary.AppendUvarint(b, s.Aborts)
-		b = binary.AppendUvarint(b, s.Traffic)
-		b = binary.AppendUvarint(b, uint64(s.LiveTxs))
-	}
 	return wire.Seal(b, len(dst)), nil
 }
 
-// DecodeResult decodes one complete punores/1 artifact. The trailing
+// DecodeResult decodes one complete punores/2 artifact. The trailing
 // checksum is verified before decoding, so truncated and corrupted
 // artifacts are rejected rather than yielding a plausible partial Result.
 func DecodeResult(raw []byte) (*Result, error) {
@@ -170,22 +157,6 @@ func DecodeResult(raw []byte) (*Result, error) {
 	if n := d.Count("node count", 2); n > 0 {
 		r.PerNodeCommits = uvarints(&d, "per-node commits", n)
 		r.PerNodeAborts = uvarints(&d, "per-node aborts", n)
-	}
-	if n := d.Count("timeline length", 5); n > 0 {
-		r.Timeline = make([]Sample, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			r.Timeline[i] = Sample{
-				Cycle:   sim.Time(d.Uvarint("sample cycle")),
-				Commits: d.Uvarint("sample commits"),
-				Aborts:  d.Uvarint("sample aborts"),
-				Traffic: d.Uvarint("sample traffic"),
-			}
-			live := d.Uvarint("sample live txs")
-			if live > math.MaxInt {
-				return nil, fmt.Errorf("machine: timeline sample %d live-tx count %d overflows int", i, live)
-			}
-			r.Timeline[i].LiveTxs = int(live)
-		}
 	}
 	if err := d.Close(); err != nil {
 		return nil, err

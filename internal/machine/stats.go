@@ -106,14 +106,11 @@ type Result struct {
 
 	PerNodeCommits []uint64
 	PerNodeAborts  []uint64
-
-	// Timeline holds periodic samples when Config.SampleInterval is set.
-	Timeline []Sample
 }
 
 // reset returns r to the state a fresh Result for (workload, scheme,
-// nodes) holds, reusing the capacity of the histogram, the per-node slices
-// and the Timeline — the arena-reuse path of Machine.Reset.
+// nodes) holds, reusing the capacity of the histogram and the per-node
+// slices — the arena-reuse path of Machine.Reset.
 func (r *Result) reset(workload string, scheme Scheme, nodes int) {
 	hist := r.FalseAbortHist
 	if hist == nil {
@@ -127,7 +124,6 @@ func (r *Result) reset(workload string, scheme Scheme, nodes int) {
 		FalseAbortHist: hist,
 		PerNodeCommits: mem.Extend(r.PerNodeCommits[:0], nodes),
 		PerNodeAborts:  mem.Extend(r.PerNodeAborts[:0], nodes),
-		Timeline:       r.Timeline[:0],
 	}
 }
 
@@ -139,17 +135,7 @@ func (r *Result) Clone() *Result {
 	c.FalseAbortHist = append(make([]uint64, 0, len(r.FalseAbortHist)), r.FalseAbortHist...)
 	c.PerNodeCommits = append([]uint64(nil), r.PerNodeCommits...)
 	c.PerNodeAborts = append([]uint64(nil), r.PerNodeAborts...)
-	c.Timeline = append([]Sample(nil), r.Timeline...)
 	return &c
-}
-
-// Sample is one Timeline entry: the interval's deltas.
-type Sample struct {
-	Cycle   sim.Time
-	Commits uint64
-	Aborts  uint64
-	Traffic uint64 // router traversals in the interval
-	LiveTxs int    // transactions in flight at the sample instant
 }
 
 // AbortRate returns aborts / (aborts + commits), the Table I metric.

@@ -33,7 +33,6 @@ func TestEligibleRejections(t *testing.T) {
 	}{
 		{"shards-1", func(c machine.Config) machine.Config { c.Shards = 1; return c }, wl},
 		{"shards-0", func(c machine.Config) machine.Config { c.Shards = 0; return c }, wl},
-		{"sampling", func(c machine.Config) machine.Config { c.SampleInterval = 100; return c }, wl},
 		{"ats", func(c machine.Config) machine.Config { c.Scheme = machine.SchemeATS; return c }, wl},
 		{"no-hint", func(c machine.Config) machine.Config { return c }, noHintWL{wl}},
 	}

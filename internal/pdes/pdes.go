@@ -242,15 +242,12 @@ type Coordinator struct {
 }
 
 // Eligible reports whether cfg/wl can run under the coordinator. Ineligible
-// configurations (serial-only observables, schemes with cross-node shared
-// state, or workloads whose footprint cannot be pre-sized) fall back to the
-// serial path; callers dispatch with this predicate so sharding is never
+// configurations (schemes with cross-node shared state, cycle limits past
+// the merge key, or workloads whose footprint cannot be pre-sized) fall back
+// to the serial path; callers dispatch with this predicate so sharding is never
 // observable, only faster.
 func Eligible(cfg machine.Config, wl machine.Workload) bool {
 	if cfg.Shards <= 1 {
-		return false
-	}
-	if cfg.SampleInterval > 0 {
 		return false
 	}
 	if cfg.Scheme == machine.SchemeATS {

@@ -55,7 +55,7 @@ const wlMagic = "punowl/1"
 
 // BuildKey derives the content address of one simulation point. The
 // material is keyMagic, the code version (len-prefixed), the Config's
-// canonical punocfg/4 encoding, and the workload profile's canonical
+// canonical punocfg/5 encoding, and the workload profile's canonical
 // encoding. Shards is excluded by the Config encoding: the service runs
 // every point on the serial engine whatever Shards holds.
 func BuildKey(codeVersion string, cfg puno.Config, wl *puno.Profile) (Key, error) {

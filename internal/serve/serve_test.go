@@ -157,8 +157,8 @@ func TestKeyDerivation(t *testing.T) {
 }
 
 // A cache directory is input from outside the program. A file there that
-// carries the right magic and a valid checksum but claims 2^26 timeline
-// samples must read as a miss: the point is simulated again and the real
+// carries the right magic and a valid checksum but claims 2^26 nodes must
+// read as a miss: the point is simulated again and the real
 // artifact replaces the file.
 func TestBombArtifactOnDiskIsAMiss(t *testing.T) {
 	dir := t.TempDir()
@@ -167,7 +167,7 @@ func TestBombArtifactOnDiskIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An empty Result ends "node count 0, timeline length 0, checksum".
+	// An empty Result ends "node count 0, checksum".
 	bomb := binary.AppendUvarint(good[:len(good)-5:len(good)-5], 1<<26)
 	bomb = wire.Seal(bomb, 0)
 	wiretest.RejectsBomb(t, bomb, func(raw []byte) error { _, err := puno.DecodeResult(raw); return err })

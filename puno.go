@@ -65,8 +65,6 @@ type (
 	Machine = machine.Machine
 	// GETXOutcome classifies transactional write requests (Fig. 2).
 	GETXOutcome = machine.GETXOutcome
-	// Sample is one Result.Timeline entry (per-interval dynamics).
-	Sample = machine.Sample
 	// Profile is a parameterized synthetic STAMP-style workload.
 	Profile = stamp.Profile
 	// Class is one static-transaction recipe inside a Profile.
@@ -150,13 +148,13 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 // miss lists the valid names.
 func SchemeByName(name string) (Scheme, error) { return machine.SchemeByName(name) }
 
-// EncodeResult renders r in the deterministic punores/1 binary format —
+// EncodeResult renders r in the deterministic punores/2 binary format —
 // the artifact the content-addressed result cache (internal/serve) stores.
 // Encoding is canonical: byte equality of encodings is value equality of
 // Results.
 func EncodeResult(r *Result) ([]byte, error) { return machine.EncodeResult(r) }
 
-// DecodeResult decodes a punores/1 artifact, rejecting truncation and
+// DecodeResult decodes a punores/2 artifact, rejecting truncation and
 // corruption via the trailing checksum.
 func DecodeResult(raw []byte) (*Result, error) { return machine.DecodeResult(raw) }
 

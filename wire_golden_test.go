@@ -1,8 +1,8 @@
 package puno_test
 
-// The binary formats are contracts with bytes already on disk: punores/1
+// The binary formats are contracts with bytes already on disk: punores/2
 // artifacts in punoserve cache directories, punoevt/1 traces handed to
-// `punotrace diff`, and punocfg/4 + punowl/1 + punokey/1 deciding which
+// `punotrace diff`, and punocfg/5 + punowl/1 + punokey/1 deciding which
 // cached artifact answers a request. The codec tests compare the encoders
 // with themselves and with their decoders; this one pins the bytes, so a
 // reordered or re-framed field fails here even when every round trip holds.
@@ -37,27 +37,26 @@ func TestGoldenWireFormats(t *testing.T) {
 	cfg := puno.DefaultConfig()
 	cfg.Scheme = puno.SchemePUNO
 	cfg.Seed = 7
-	cfg.SampleInterval = 5000
 	wl := puno.MustWorkload("intruder").WithTxPerCPU(6)
 	res, events, err := puno.CaptureEvents(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timeline) == 0 || len(res.FalseAbortHist) == 0 || len(events.Events) == 0 {
-		t.Fatalf("golden point leaves a slice empty: %d samples, %d hist buckets, %d events",
-			len(res.Timeline), len(res.FalseAbortHist), len(events.Events))
+	if len(res.FalseAbortHist) == 0 || len(events.Events) == 0 {
+		t.Fatalf("golden point leaves a slice empty: %d hist buckets, %d events",
+			len(res.FalseAbortHist), len(events.Events))
 	}
 	raw, err := puno.EncodeResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin("point punores/1", raw)
+	pin("point punores/2", raw)
 	pin("point punoevt/1", save(events))
 	canon, err := cfg.AppendCanonical(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin("point punocfg/4", canon)
+	pin("point punocfg/5", canon)
 	key, err := serve.BuildKey("v1", cfg, wl)
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +75,6 @@ func TestGoldenWireFormats(t *testing.T) {
 		Nacks: 21, Retries: 22, BackoffCycles: 23, RestartWaitCycle: 24, NotifiedBackoffs: 25,
 		PerNodeCommits: []uint64{1, 0, 2},
 		PerNodeAborts:  []uint64{0, 4, 0},
-		Timeline: []puno.Sample{
-			{Cycle: 100, Commits: 1, Aborts: 2, Traffic: 3, LiveTxs: 4},
-			{Cycle: 200, Commits: 5, Aborts: 6, Traffic: 7, LiveTxs: 0},
-		},
 	}
 	for i := range syn.AbortsByCause {
 		syn.AbortsByCause[i] = uint64(70 + i)
@@ -97,7 +92,7 @@ func TestGoldenWireFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin("synthetic punores/1", raw)
+	pin("synthetic punores/2", raw)
 	pin("synthetic punoevt/1", save(&puno.EventTrace{
 		Workload: "synthetic", Scheme: "ATS", Seed: 1<<63 + 5,
 		Lines: []puno.Line{0x40, 0x1000, 0xffffffffc0},
