@@ -112,10 +112,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		res.GETXOutcomes[machine.OutcomeResolvedAborts],
 		res.GETXOutcomes[machine.OutcomeNackOnly],
 		res.GETXOutcomes[machine.OutcomeFalseAbort])
-	fmt.Fprintf(stdout, "  abort causes: txGETX=%d txGETS=%d nonTx=%d overflow=%d unnecessary=%d\n",
+	fmt.Fprintf(stdout, "  abort causes: txGETX=%d txGETS=%d overflow=%d unnecessary=%d\n",
 		res.AbortsByCause[machine.CauseTxGETX], res.AbortsByCause[machine.CauseTxGETS],
-		res.AbortsByCause[machine.CauseNonTx], res.AbortsByCause[machine.CauseOverflow],
-		res.UnnecessaryAborts())
+		res.AbortsByCause[machine.CauseOverflow], res.UnnecessaryAborts())
 	fmt.Fprintf(stdout, "  G/D=%.2f dirBusyTxGETX=%d busyNacks=%d unicasts=%d mispred=%d notified=%d retries=%d\n",
 		res.GDRatio(), res.DirTxGETXBusy, res.DirBusyNacks,
 		res.DirUnicasts, res.Mispredictions, res.NotifiedBackoffs, res.Retries)

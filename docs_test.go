@@ -14,6 +14,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -49,7 +50,8 @@ func TestDocsResolve(t *testing.T) {
 // months after the code they named was gone (an engine entry point, a send
 // helper, two packages and a fixture directory), the two ways users once
 // reached the PDES coordinator, one stale name of each other kind (a binary
-// format version among them), and the names it must leave alone.
+// format version among them, and a type name two packages declare), and the
+// names it must leave alone.
 func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 	stale := []string{
 		"`Engine.StepBefore`", "`Machine.sendMsg`", "`internal/detmap`",
@@ -57,7 +59,7 @@ func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 		"`make bench-pdes PDES_BENCHTIME=2s`", "`punosim -shards N`",
 		"`sim.NoSuchFunc`", "`nosuchpkg.Thing`", "`no_such_file.go`", "`puno.go:99999`",
 		"`make bench-serve`", "`punotrace record -o x.trace`", "`punosim -no-such-flag`",
-		"`-no-such-flag`", "`TestNoSuchTest`", "`sim.no_such_metric`", "`punores/9`",
+		"`-no-such-flag`", "`TestNoSuchTest`", "`sim.no_such_metric`", "`punores/9`", "`Cache.Put`",
 		"```\ngo run ./cmd/punotrace run -a k.evt\n```",
 	}
 	for _, s := range stale {
@@ -65,7 +67,7 @@ func checkerCatchesStaleNames(t *testing.T, tree *docTree) {
 			t.Errorf("%s: %d problems, want 1: %v", s, len(got), got)
 		}
 	}
-	sound := "`Engine.AtEvent` `node.msgTo` `sim.Engine.Now` `cm.ATSGroup.Serialized` `*sim.RNG` " +
+	sound := "`Engine.AtEvent` `node.msgTo` `sim.Engine.Now` `cm.ATSGroup.Serialized` `*sim.RNG` `serve.Cache.Put` " +
 		"`internal/{sim,noc}` `internal/lint/testdata/src/escapegate` `events.go` `machine/encode.go` " +
 		"`make lint` `cmd/experiments -exp table1` " +
 		"`-cache-dir` `TestDocsResolve` `BenchmarkSweepParallelism/serial` `sim.kernel_ns_per_event` " +
@@ -250,7 +252,8 @@ var (
 // /... and :line are understood); a word ending in a source or data
 // extension is a file some path in the tree ends with; Test…, Fuzz… and
 // Benchmark… are test functions; X.Y and X.Y.Z must resolve when X names a
-// package or a type of this module, are left alone when X is a standard
+// package or a type of this module (a bare type name two packages declare
+// for distinct types must be qualified), are left alone when X is a standard
 // library package (out of scope by import path) or a one-letter receiver in
 // a code excerpt, and are stale otherwise. Across the span: after `make`
 // comes a .PHONY target; after a command of cmd/ (bare, or as a cmd/ path)
@@ -430,10 +433,11 @@ func (tr *docTree) resolve(x, y, z string) string {
 		return fmt.Sprintf("package %s declares no %s", x, y)
 	}
 	if tns := tr.types[x]; tns != nil {
-		for _, tn := range tns {
-			if hasMember(tn, y) {
-				return ""
-			}
+		if pkgs := distinctTypes(tns); len(pkgs) > 1 {
+			return fmt.Sprintf("type %s is declared in packages %s: qualify it", x, strings.Join(pkgs, ", "))
+		}
+		if hasMember(tns[0], y) {
+			return ""
 		}
 		return fmt.Sprintf("type %s has no method or field %s", x, y)
 	}
@@ -441,6 +445,22 @@ func (tr *docTree) resolve(x, y, z string) string {
 		return ""
 	}
 	return fmt.Sprintf("%s is neither a package nor a type of this module (nor a standard-library package)", x)
+}
+
+// distinctTypes returns the sorted package names of the distinct types
+// tns name: an alias (puno.Machine = machine.Machine) and its target are
+// one type.
+func distinctTypes(tns []*types.TypeName) []string {
+	seen := map[string]bool{}
+	var pkgs []string
+	for _, tn := range tns {
+		if id := types.TypeString(types.Unalias(tn.Type()), nil); !seen[id] {
+			seen[id] = true
+			pkgs = append(pkgs, tn.Pkg().Name())
+		}
+	}
+	sort.Strings(pkgs)
+	return pkgs
 }
 
 func hasMember(tn *types.TypeName, name string) bool {

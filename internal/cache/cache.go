@@ -1,9 +1,9 @@
 // Package cache implements the set-associative cache arrays used for the
-// private L1s and the shared banked L2. The arrays track MESI stable
-// states, per-line data, LRU replacement, and transactional pinning:
-// lines in a running transaction's read or write set must not be chosen as
-// victims (the HTM aborts on overflow instead, which the machine layer
-// counts separately).
+// private L1s and the shared banked L2. The arrays track the protocol's
+// stable states (I, S, M), per-line data, LRU replacement, and
+// transactional pinning: lines in a running transaction's read or write
+// set must not be chosen as victims (the HTM aborts on overflow instead,
+// which the machine layer counts separately).
 package cache
 
 import (
@@ -12,15 +12,16 @@ import (
 	"repro/internal/mem"
 )
 
-// State is a MESI stable state for a cached line.
+// State is a stable state for a cached line.
 type State uint8
 
-// MESI stable states. Transient (in-flight) request state is tracked by the
-// coherence controllers, not in the array.
+// Stable states. A read miss is granted Shared even with no other sharer,
+// so there is no Exclusive state: the protocol in effect is MSI. Transient
+// (in-flight) request state is tracked by the coherence controllers, not
+// in the array.
 const (
 	Invalid State = iota
 	Shared
-	Exclusive
 	Modified
 )
 
@@ -31,8 +32,6 @@ func (s State) String() string {
 		return "I"
 	case Shared:
 		return "S"
-	case Exclusive:
-		return "E"
 	case Modified:
 		return "M"
 	default:

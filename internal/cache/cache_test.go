@@ -151,7 +151,7 @@ func TestDoubleInsertPanics(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := small()
-	c.Insert(line(3), Exclusive, mem.LineData{})
+	c.Insert(line(3), Modified, mem.LineData{})
 	c.Invalidate(line(3))
 	if c.Lookup(line(3)) != nil {
 		t.Fatal("line resident after Invalidate")
@@ -175,7 +175,7 @@ func TestForEachAndCountValid(t *testing.T) {
 }
 
 func TestStateString(t *testing.T) {
-	if Invalid.String() != "I" || Shared.String() != "S" || Exclusive.String() != "E" || Modified.String() != "M" {
+	if Invalid.String() != "I" || Shared.String() != "S" || Modified.String() != "M" {
 		t.Fatal("State strings wrong")
 	}
 }

@@ -18,7 +18,7 @@ type DirState uint8
 const (
 	DirInvalid  DirState = iota // no cached copies
 	DirShared                   // one or more read-only copies
-	DirModified                 // exactly one exclusive/modified copy
+	DirModified                 // exactly one modified copy
 )
 
 // String implements fmt.Stringer.
@@ -69,16 +69,13 @@ type Predictor interface {
 	// PredictUnicast decides whether a transactional GETX from reqNode
 	// with priority reqPrio against the given sharers should be unicast,
 	// and to which sharer.
-	PredictUnicast(l mem.Line, sharers []int, reqNode int, reqPrio htm.Priority) (dest int, ok bool)
-	// UpdateUD recomputes the line's unicast-destination pointer from the
-	// current sharer list (off the critical path, after servicing).
-	UpdateUD(l mem.Line, sharers []int)
+	PredictUnicast(sharers []int, reqNode int, reqPrio htm.Priority) (dest int, ok bool)
 	// Misprediction handles UNBLOCK MP feedback: the stale priority that
 	// caused a wrong unicast is replaced by the mispredicted sharer's
 	// current priority (carried back on the NACK and UNBLOCK), or
 	// invalidated when the sharer was not in a transaction
 	// (prio == htm.NoPriority).
-	Misprediction(l mem.Line, node int, prio htm.Priority)
+	Misprediction(node int, prio htm.Priority)
 	// UnicastResolved reports the outcome of a completed unicast service:
 	// correct=true when the predicted sharer NACKed as predicted (no MP
 	// feedback). Drives the predictor's confidence estimate.
@@ -135,9 +132,7 @@ type dirEntry struct {
 
 	busy       bool
 	busySince  sim.Time
-	busyTxGETX bool
-	busyGETX   bool
-	busyGETS   bool
+	busyGETX   bool // serving a GETX (else a GETS forwarded to the owner)
 	requester  int
 	unicastTo  int // -1 when not a unicast service
 	waitWB     bool
@@ -177,9 +172,9 @@ type Directory struct {
 	env   Env
 	pred  Predictor
 
-	// QueueCap bounds the per-entry pending-request queue; beyond it the
+	// queueCap bounds the per-entry pending-request queue; beyond it the
 	// directory falls back to NackBusy.
-	QueueCap int
+	queueCap int
 
 	// The entry store is a dense LineID-indexed table: idx maps a LineID to
 	// its slot in slab (+1 encoded; 0 = no entry), slab holds dirEntry
@@ -191,8 +186,8 @@ type Directory struct {
 	idx  []int32
 	slab []dirEntry
 	free []int32
-	// sharerScratch backs the sharer lists the hot request paths build;
-	// callees (forward loops, the predictor) never retain the slice.
+	// sharerScratch backs the sharer list handleGETX builds; callees
+	// (forward loops, the predictor) never retain the slice.
 	sharerScratch []int
 	stats         Stats
 
@@ -218,7 +213,7 @@ func NewDirectory(node, nodes int, env Env, pred Predictor) *Directory {
 		env:      env,
 		pred:     pred,
 		it:       it,
-		QueueCap: nodes,
+		queueCap: nodes,
 	}
 }
 
@@ -227,12 +222,12 @@ func NewDirectory(node, nodes int, env Env, pred Predictor) *Directory {
 // run). The entry slab and slot index keep their capacity (truncated, with
 // each slot's pending-queue array retained for reuse), so a reused
 // directory repopulates without allocating; slot assignment is by arrival
-// order, which is deterministic by construction. QueueCap reverts to its
+// order, which is deterministic by construction. queueCap reverts to its
 // construction default. The interner is shared machine state and is reset
 // by its owner, not here.
 func (d *Directory) Reset(pred Predictor) {
 	d.pred = pred
-	d.QueueCap = d.nodes
+	d.queueCap = d.nodes
 	d.slab = d.slab[:0]
 	d.free = d.free[:0]
 	d.idx = d.idx[:0]
@@ -311,7 +306,7 @@ func (d *Directory) State(l mem.Line) (DirState, []int, int) {
 	if e == nil {
 		return DirInvalid, nil, -1
 	}
-	return e.state, d.sharerList(e.sharers, -1), e.owner
+	return e.state, appendSharers(nil, e.sharers, -1), e.owner
 }
 
 // lookup returns the live entry for lid, or nil. Purely index arithmetic:
@@ -375,40 +370,21 @@ func (d *Directory) recycleIfIdle(e *dirEntry) {
 	d.free = append(d.free, s-1)
 }
 
-// sharerList builds a fresh sharer slice (diagnostic paths: State,
-// BusyEntries callers). Hot paths use sharersScratch instead.
-func (d *Directory) sharerList(set nodeSet, exclude int) []int {
-	var out []int
-	for w, msk := range set {
-		base := w << 6
-		for ; msk != 0; msk &= msk - 1 {
-			if n := base + bits.TrailingZeros64(msk); n != exclude {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
-}
-
-// sharersScratch builds the sharer list into the directory's reusable
-// scratch buffer. The result is only valid until the next call and must
-// not be retained by callees (the predictor copies what it needs).
-// Iterating set bits directly (rather than scanning all node positions)
+// appendSharers appends the members of set other than exclude to dst in
+// ascending order. Walking the set bits (rather than every node position)
 // keeps the cost proportional to the sharer count, which is usually 0-2.
 //
 //puno:hot
-func (d *Directory) sharersScratch(set nodeSet, exclude int) []int {
-	out := d.sharerScratch[:0]
+func appendSharers(dst []int, set nodeSet, exclude int) []int {
 	for w, msk := range set {
 		base := w << 6
 		for ; msk != 0; msk &= msk - 1 {
 			if n := base + bits.TrailingZeros64(msk); n != exclude {
-				out = append(out, n)
+				dst = append(dst, n)
 			}
 		}
 	}
-	d.sharerScratch = out
-	return out
+	return dst
 }
 
 // Handle processes one incoming message addressed to this directory.
@@ -436,7 +412,7 @@ func (d *Directory) Handle(m *Msg) {
 }
 
 func (d *Directory) observe(m *Msg) {
-	if d.pred != nil && m.IsTx {
+	if d.pred != nil {
 		d.pred.ObserveRequest(m.Src, m.Prio, m.AvgTxLen)
 	}
 }
@@ -487,14 +463,14 @@ func (d *Directory) sendAckCount(extra sim.Time, m *Msg, ackCount int) {
 }
 
 // forward relays request m to dst (the owner, or a sharer to invalidate),
-// carrying the requester's identity and transactional metadata so dst can
-// answer the requester directly. ubit marks a predictive unicast.
+// carrying the requester's identity and priority so dst can answer the
+// requester directly. ubit marks a predictive unicast.
 //
 //puno:hot
 func (d *Directory) forward(t MsgType, extra sim.Time, m *Msg, dst int, ubit bool) {
 	msg := d.msgTo(t, m, dst)
 	msg.Requester, msg.ReqID = m.Src, m.ReqID
-	msg.IsTx, msg.Prio = m.IsTx, m.Prio
+	msg.Prio = m.Prio
 	msg.IsWrite, msg.UBit = t == MsgFwdGETX, ubit
 	d.env.Send(dirLatency+extra, msg)
 }
@@ -510,7 +486,7 @@ func (d *Directory) nackBusy(m *Msg) {
 //
 //puno:hot
 func (d *Directory) park(e *dirEntry, m *Msg) {
-	if len(e.pending) >= d.QueueCap {
+	if len(e.pending) >= d.queueCap {
 		d.nackBusy(m)
 		return
 	}
@@ -532,7 +508,6 @@ func (d *Directory) handleGETS(m *Msg) {
 		e.state = DirShared
 		e.sharers.add(m.Src)
 		d.sendData(0, m, 0)
-		d.updateUD(e, m.Line)
 	case DirModified:
 		// Forward to the owner; it supplies data to the requester and a
 		// writeback copy to us. Blocked until WBData + UNBLOCK.
@@ -557,23 +532,22 @@ func (d *Directory) handleGETX(m *Msg) {
 		return
 	}
 	d.stats.Requests++
-	if m.IsTx {
-		d.stats.TxGETX++
-	}
+	d.stats.TxGETX++
 	switch e.state {
 	case DirInvalid:
 		d.beginBusy(e, m, true)
 		d.sendData(0, m, 0)
 	case DirShared:
 		d.beginBusy(e, m, true)
-		targets := d.sharersScratch(e.sharers, m.Src)
+		targets := appendSharers(d.sharerScratch[:0], e.sharers, m.Src)
+		d.sharerScratch = targets
 		if len(targets) == 0 {
 			// Requester is the only sharer (upgrade) or the list was empty.
 			d.grantNoSharers(m)
 			return
 		}
-		if d.pred != nil && m.IsTx {
-			if dest, ok := d.pred.PredictUnicast(m.Line, targets, m.Src, m.Prio); ok {
+		if d.pred != nil {
+			if dest, ok := d.pred.PredictUnicast(targets, m.Src, m.Prio); ok {
 				// Predictive unicast: only the predicted nacker sees the
 				// request. Extra DecisionLatency on the forward path.
 				d.stats.UnicastForwards++
@@ -585,7 +559,7 @@ func (d *Directory) handleGETX(m *Msg) {
 		}
 		// Multicast: invalidate every sharer; requester collects responses.
 		extra := sim.Time(0)
-		if d.pred != nil && m.IsTx {
+		if d.pred != nil {
 			extra = d.pred.DecisionLatency()
 		}
 		d.stats.MulticastFwds += uint64(len(targets))
@@ -617,8 +591,6 @@ func (d *Directory) beginBusy(e *dirEntry, m *Msg, isGETX bool) {
 	e.busy = true
 	e.busySince = d.env.Now()
 	e.busyGETX = isGETX
-	e.busyGETS = !isGETX
-	e.busyTxGETX = isGETX && m.IsTx
 	e.requester = m.Src
 	e.unicastTo = -1
 	e.waitWB = false
@@ -642,9 +614,9 @@ func (d *Directory) handleUnblock(m *Msg) {
 	e.unblockOK, e.unblockMP, e.unblockAborted = m.Success, m.MPBit, m.AbortedSharers
 	if m.MPBit && d.pred != nil {
 		d.stats.Mispredictions++
-		d.pred.Misprediction(m.Line, m.MPNode, m.Prio)
+		d.pred.Misprediction(m.MPNode, m.Prio)
 	}
-	d.tryComplete(m.Line, e)
+	d.tryComplete(e)
 }
 
 func (d *Directory) handleWBData(m *Msg) {
@@ -652,7 +624,7 @@ func (d *Directory) handleWBData(m *Msg) {
 	d.env.StoreLine(m.Line, m.LID, m.Data)
 	if e.busy && e.waitWB {
 		e.gotWB = true
-		d.tryComplete(m.Line, e)
+		d.tryComplete(e)
 	}
 }
 
@@ -672,7 +644,7 @@ func (d *Directory) handlePUTX(m *Msg) {
 	d.recycleIfIdle(e)
 }
 
-func (d *Directory) tryComplete(l mem.Line, e *dirEntry) {
+func (d *Directory) tryComplete(e *dirEntry) {
 	if !e.gotUnblock {
 		return
 	}
@@ -682,12 +654,11 @@ func (d *Directory) tryComplete(l mem.Line, e *dirEntry) {
 	// Apply the final transition.
 	req := e.requester
 	if e.unblockOK {
-		switch {
-		case e.busyGETX:
+		if e.busyGETX {
 			e.state = DirModified
 			e.owner = req
 			e.sharers = oneNode(req)
-		case e.busyGETS:
+		} else {
 			// M -> S downgrade: old owner keeps a shared copy.
 			e.state = DirShared
 			e.sharers = e.savedShare
@@ -703,7 +674,7 @@ func (d *Directory) tryComplete(l mem.Line, e *dirEntry) {
 		e.sharers = e.savedShare
 		e.owner = e.savedOwner
 	}
-	if d.pred != nil && e.busyTxGETX {
+	if d.pred != nil && e.busyGETX {
 		if e.unicastTo >= 0 {
 			d.pred.UnicastResolved(!e.unblockMP)
 		} else {
@@ -713,32 +684,19 @@ func (d *Directory) tryComplete(l mem.Line, e *dirEntry) {
 	// Blocking accounting.
 	blocked := uint64(d.env.Now() - e.busySince)
 	d.stats.BusyCycles += blocked
-	if e.busyTxGETX {
+	if e.busyGETX {
 		d.stats.TxGETXBusy += blocked
 	}
 	e.busy = false
 	e.unicastTo = -1
-	d.updateUD(e, l)
 	// Drain parked requests until one re-blocks the entry (or none are
-	// left): requests serviced entirely at the home node (e.g. GETS from
-	// Shared) do not block, so stopping after one would strand the rest.
-	// The head is serviced where it sits, then shifted out: the handlers
-	// only read it, and nothing can park on e (the one queue this could
-	// disturb) while e is not busy.
+	// left): a GETS from Shared is serviced entirely at the home node and
+	// does not block, so stopping after one would strand the rest. Only
+	// GETS park (handleGETX NACKs a busy line). The head is serviced where
+	// it sits, then shifted out: handleGETS only reads it, and nothing can
+	// park on e (the one queue this could disturb) while e is not busy.
 	for !e.busy && len(e.pending) > 0 {
-		switch next := &e.pending[0]; next.Type {
-		case MsgGETS:
-			d.handleGETS(next)
-		case MsgGETX:
-			d.handleGETX(next)
-		}
+		d.handleGETS(&e.pending[0])
 		e.pending = e.pending[:copy(e.pending, e.pending[1:])]
 	}
-}
-
-func (d *Directory) updateUD(e *dirEntry, l mem.Line) {
-	if d.pred == nil {
-		return
-	}
-	d.pred.UpdateUD(l, d.sharersScratch(e.sharers, -1))
 }

@@ -54,12 +54,12 @@ func (e *mockEnv) mustOne(t *testing.T, want MsgType) *Msg {
 
 const testLine = mem.Line(0x40 * 7)
 
-func gets(src int, tx bool, prio htm.Priority) *Msg {
-	return &Msg{Type: MsgGETS, Line: testLine, Src: src, Requester: src, IsTx: tx, Prio: prio}
+func gets(src int, prio htm.Priority) *Msg {
+	return &Msg{Type: MsgGETS, Line: testLine, Src: src, Requester: src, Prio: prio}
 }
 
-func getx(src int, tx bool, prio htm.Priority, needData bool) *Msg {
-	return &Msg{Type: MsgGETX, Line: testLine, Src: src, Requester: src, IsTx: tx, Prio: prio, NeedData: needData, IsWrite: true}
+func getx(src int, prio htm.Priority, needData bool) *Msg {
+	return &Msg{Type: MsgGETX, Line: testLine, Src: src, Requester: src, Prio: prio, NeedData: needData, IsWrite: true}
 }
 
 func unblock(src int, success bool) *Msg {
@@ -71,7 +71,7 @@ func TestGETSFromInvalidGrantsShared(t *testing.T) {
 	d := NewDirectory(0, 16, env, nil)
 	env.backing.StoreWord(testLine.Word(0), 99)
 
-	d.Handle(gets(3, false, htm.NoPriority))
+	d.Handle(gets(3, htm.NoPriority))
 	m := env.mustOne(t, MsgData)
 	if m.Dst != 3 || m.Flits() != DataFlits || m.Data[0] != 99 {
 		t.Fatalf("bad data response: %+v", m)
@@ -89,7 +89,7 @@ func TestGETSAccumulatesSharers(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
 	for _, n := range []int{1, 5, 9} {
-		d.Handle(gets(n, false, htm.NoPriority))
+		d.Handle(gets(n, htm.NoPriority))
 	}
 	_, sharers, _ := d.State(testLine)
 	if len(sharers) != 3 {
@@ -100,7 +100,7 @@ func TestGETSAccumulatesSharers(t *testing.T) {
 func TestGETXFromInvalid(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(getx(2, true, 100, true))
+	d.Handle(getx(2, 100, true))
 	m := env.mustOne(t, MsgData)
 	if m.AckCount != 0 {
 		t.Fatalf("AckCount = %d, want 0", m.AckCount)
@@ -122,11 +122,11 @@ func TestGETXMulticastsToAllSharers(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
 	for _, n := range []int{1, 5, 9} {
-		d.Handle(gets(n, true, htm.Priority(n)))
+		d.Handle(gets(n, htm.Priority(n)))
 	}
 	env.take()
 
-	d.Handle(getx(2, true, 50, true))
+	d.Handle(getx(2, 50, true))
 	msgs := env.take()
 	var fwds, data int
 	fwdTargets := map[int]bool{}
@@ -156,12 +156,12 @@ func TestGETXMulticastsToAllSharers(t *testing.T) {
 func TestGETXUpgradeExcludesRequester(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(gets(2, true, 50))
-	d.Handle(gets(7, true, 60))
+	d.Handle(gets(2, 50))
+	d.Handle(gets(7, 60))
 	env.take()
 
 	// Node 2 upgrades: it already has the data.
-	d.Handle(getx(2, true, 50, false))
+	d.Handle(getx(2, 50, false))
 	msgs := env.take()
 	if len(msgs) != 2 {
 		t.Fatalf("sent %d messages, want fwd+ackcount", len(msgs))
@@ -189,9 +189,9 @@ func TestGETXUpgradeExcludesRequester(t *testing.T) {
 func TestGETXSoleSharerUpgradeImmediateGrant(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(gets(2, true, 50))
+	d.Handle(gets(2, 50))
 	env.take()
-	d.Handle(getx(2, true, 50, false))
+	d.Handle(getx(2, 50, false))
 	m := env.mustOne(t, MsgAckCount)
 	if m.AckCount != 0 {
 		t.Fatalf("AckCount = %d, want 0", m.AckCount)
@@ -207,10 +207,10 @@ func TestGETXFailRestoresSharers(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
 	for _, n := range []int{1, 5} {
-		d.Handle(gets(n, true, htm.Priority(n)))
+		d.Handle(gets(n, htm.Priority(n)))
 	}
 	env.take()
-	d.Handle(getx(9, true, 50, true))
+	d.Handle(getx(9, 50, true))
 	env.take()
 	d.Handle(unblock(9, false)) // NACKed
 	st, sharers, _ := d.State(testLine)
@@ -222,19 +222,19 @@ func TestGETXFailRestoresSharers(t *testing.T) {
 func TestBusyLineQueuesNewRequests(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(gets(1, true, 10))
+	d.Handle(gets(1, 10))
 	env.take()
-	d.Handle(getx(2, true, 20, true)) // blocks the entry
+	d.Handle(getx(2, 20, true)) // blocks the entry
 	env.take()
 
 	// A read parks on the busy entry; a write is rejected (it retries via
 	// its backoff policy — parking writes would give them perfectly
 	// prompt handoff and hide the polling cost schemes differ on).
-	d.Handle(gets(3, true, 30))
+	d.Handle(gets(3, 30))
 	if msgs := env.take(); len(msgs) != 0 {
 		t.Fatalf("busy entry sent %d messages for a GETS, want 0 (queued)", len(msgs))
 	}
-	d.Handle(getx(4, true, 40, true))
+	d.Handle(getx(4, 40, true))
 	if m := env.mustOne(t, MsgNackBusy); m.Dst != 4 {
 		t.Fatalf("NackBusy to %d, want 4", m.Dst)
 	}
@@ -253,14 +253,14 @@ func TestBusyLineQueuesNewRequests(t *testing.T) {
 func TestQueueOverflowFallsBackToNackBusy(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.QueueCap = 1
-	d.Handle(getx(2, true, 20, true)) // busy
+	d.queueCap = 1
+	d.Handle(getx(2, 20, true)) // busy
 	env.take()
-	d.Handle(gets(3, true, 30)) // queued
+	d.Handle(gets(3, 30)) // queued
 	if msgs := env.take(); len(msgs) != 0 {
 		t.Fatal("first pending request should queue silently")
 	}
-	d.Handle(gets(4, true, 40)) // queue full
+	d.Handle(gets(4, 40)) // queue full
 	m := env.mustOne(t, MsgNackBusy)
 	if m.Dst != 4 {
 		t.Fatalf("NackBusy to %d, want 4", m.Dst)
@@ -273,11 +273,11 @@ func TestQueueOverflowFallsBackToNackBusy(t *testing.T) {
 func TestGETSFromModifiedForwardsToOwner(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(getx(2, true, 50, true))
+	d.Handle(getx(2, 50, true))
 	env.take()
 	d.Handle(unblock(2, true))
 
-	d.Handle(gets(7, true, 60))
+	d.Handle(gets(7, 60))
 	m := env.mustOne(t, MsgFwdGETS)
 	if m.Dst != 2 || m.Requester != 7 {
 		t.Fatalf("bad FwdGETS: %+v", m)
@@ -299,10 +299,10 @@ func TestGETSFromModifiedForwardsToOwner(t *testing.T) {
 func TestGETSFromModifiedWaitsForWBData(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(getx(2, true, 50, true))
+	d.Handle(getx(2, 50, true))
 	env.take()
 	d.Handle(unblock(2, true))
-	d.Handle(gets(7, true, 60))
+	d.Handle(gets(7, 60))
 	env.take()
 
 	// UNBLOCK(success) before WBData: entry must stay busy.
@@ -319,10 +319,10 @@ func TestGETSFromModifiedWaitsForWBData(t *testing.T) {
 func TestGETSFromModifiedNackedRestoresOwner(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(getx(2, true, 50, true))
+	d.Handle(getx(2, 50, true))
 	env.take()
 	d.Handle(unblock(2, true))
-	d.Handle(gets(7, true, 60))
+	d.Handle(gets(7, 60))
 	env.take()
 	d.Handle(unblock(7, false)) // owner NACKed; no WBData will come
 	st, _, owner := d.State(testLine)
@@ -337,11 +337,11 @@ func TestGETSFromModifiedNackedRestoresOwner(t *testing.T) {
 func TestGETXFromModifiedTransfersOwnership(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(getx(2, true, 50, true))
+	d.Handle(getx(2, 50, true))
 	env.take()
 	d.Handle(unblock(2, true))
 
-	d.Handle(getx(9, true, 40, true))
+	d.Handle(getx(9, 40, true))
 	m := env.mustOne(t, MsgFwdGETX)
 	if m.Dst != 2 || m.Requester != 9 {
 		t.Fatalf("bad FwdGETX: %+v", m)
@@ -356,7 +356,7 @@ func TestGETXFromModifiedTransfersOwnership(t *testing.T) {
 func TestPUTXStoresAndAcks(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(getx(2, false, htm.NoPriority, true))
+	d.Handle(getx(2, htm.NoPriority, true))
 	env.take()
 	d.Handle(unblock(2, true))
 
@@ -379,11 +379,11 @@ func TestPUTXStoresAndAcks(t *testing.T) {
 func TestPUTXRacingForwardGetsStale(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(getx(2, false, htm.NoPriority, true))
+	d.Handle(getx(2, htm.NoPriority, true))
 	env.take()
 	d.Handle(unblock(2, true))
 	// New GETX is in flight to owner 2 (entry busy)...
-	d.Handle(getx(9, false, htm.NoPriority, true))
+	d.Handle(getx(9, htm.NoPriority, true))
 	env.take()
 	// ...when 2's victim writeback arrives.
 	d.Handle(&Msg{Type: MsgPUTX, Line: testLine, Src: 2})
@@ -400,10 +400,10 @@ func TestPUTXFromNonOwnerGetsStale(t *testing.T) {
 func TestDirectoryBlockingAccounting(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
-	d.Handle(gets(1, true, 10))
+	d.Handle(gets(1, 10))
 	env.take()
 	env.now = 100
-	d.Handle(getx(2, true, 20, true))
+	d.Handle(getx(2, 20, true))
 	env.take()
 	env.now = 160
 	d.Handle(unblock(2, true))
@@ -414,15 +414,17 @@ func TestDirectoryBlockingAccounting(t *testing.T) {
 	if st.BusyCycles != 60 {
 		t.Fatalf("BusyCycles = %d, want 60", st.BusyCycles)
 	}
-	// Non-transactional GETX must not count toward the Fig. 12 metric.
+	// A GETS forwarded to the owner blocks the entry too, but only GETX
+	// services count toward the Fig. 12 metric.
 	env.now = 200
-	d.Handle(getx(3, false, htm.NoPriority, true))
+	d.Handle(gets(3, 30))
 	env.take()
+	d.Handle(&Msg{Type: MsgWBData, Line: testLine, Src: 2})
 	env.now = 230
 	d.Handle(unblock(3, true))
 	st = d.Stats()
 	if st.TxGETXBusy != 60 {
-		t.Fatalf("non-tx GETX counted: TxGETXBusy = %d", st.TxGETXBusy)
+		t.Fatalf("GETS service counted: TxGETXBusy = %d", st.TxGETXBusy)
 	}
 	if st.BusyCycles != 90 {
 		t.Fatalf("BusyCycles = %d, want 90", st.BusyCycles)
@@ -446,19 +448,17 @@ type recordingPredictor struct {
 	unicastDest  int
 	unicastOK    bool
 	mispredicted []int
-	udCalls      int
 }
 
 func (p *recordingPredictor) ObserveRequest(node int, prio htm.Priority, avg sim.Time) {
 	p.observed = append(p.observed, node)
 }
-func (p *recordingPredictor) PredictUnicast(l mem.Line, sharers []int, req int, prio htm.Priority) (int, bool) {
+func (p *recordingPredictor) PredictUnicast(sharers []int, req int, prio htm.Priority) (int, bool) {
 	return p.unicastDest, p.unicastOK
 }
-func (p *recordingPredictor) UpdateUD(l mem.Line, sharers []int) { p.udCalls++ }
-func (p *recordingPredictor) UnicastResolved(correct bool)       {}
-func (p *recordingPredictor) MulticastResolved(falseAbort bool)  {}
-func (p *recordingPredictor) Misprediction(l mem.Line, node int, prio htm.Priority) {
+func (p *recordingPredictor) UnicastResolved(correct bool)      {}
+func (p *recordingPredictor) MulticastResolved(falseAbort bool) {}
+func (p *recordingPredictor) Misprediction(node int, prio htm.Priority) {
 	p.mispredicted = append(p.mispredicted, node)
 }
 func (p *recordingPredictor) DecisionLatency() sim.Time { return 2 }
@@ -468,11 +468,11 @@ func TestPredictiveUnicastSendsOneForward(t *testing.T) {
 	pred := &recordingPredictor{unicastDest: 5, unicastOK: true}
 	d := NewDirectory(0, 16, env, pred)
 	for _, n := range []int{1, 5, 9} {
-		d.Handle(gets(n, true, htm.Priority(n)))
+		d.Handle(gets(n, htm.Priority(n)))
 	}
 	env.take()
 
-	d.Handle(getx(2, true, 50, true))
+	d.Handle(getx(2, 50, true))
 	msgs := env.take()
 	if len(msgs) != 1 {
 		t.Fatalf("unicast path sent %d messages, want 1", len(msgs))
@@ -497,10 +497,10 @@ func TestMispredictionFeedbackReachesPredictor(t *testing.T) {
 	pred := &recordingPredictor{unicastDest: 5, unicastOK: true}
 	d := NewDirectory(0, 16, env, pred)
 	for _, n := range []int{1, 5} {
-		d.Handle(gets(n, true, htm.Priority(n)))
+		d.Handle(gets(n, htm.Priority(n)))
 	}
 	env.take()
-	d.Handle(getx(2, true, 50, true))
+	d.Handle(getx(2, 50, true))
 	env.take()
 	d.Handle(&Msg{Type: MsgUnblock, Line: testLine, Src: 2, Success: false, MPBit: true, MPNode: 5})
 	if len(pred.mispredicted) != 1 || pred.mispredicted[0] != 5 {
@@ -515,33 +515,9 @@ func TestPredictorObservesTxRequests(t *testing.T) {
 	env := newMockEnv()
 	pred := &recordingPredictor{}
 	d := NewDirectory(0, 16, env, pred)
-	d.Handle(gets(3, true, 30))
-	d.Handle(gets(4, false, htm.NoPriority)) // non-tx: not observed
+	d.Handle(gets(3, 30))
 	if len(pred.observed) != 1 || pred.observed[0] != 3 {
 		t.Fatalf("observed = %v, want [3]", pred.observed)
-	}
-}
-
-func TestNonTxGETXNeverUnicast(t *testing.T) {
-	env := newMockEnv()
-	pred := &recordingPredictor{unicastDest: 1, unicastOK: true}
-	d := NewDirectory(0, 16, env, pred)
-	d.Handle(gets(1, true, 10))
-	d.Handle(gets(5, true, 20))
-	env.take()
-	d.Handle(getx(9, false, htm.NoPriority, true))
-	msgs := env.take()
-	fwds := 0
-	for _, m := range msgs {
-		if m.Type == MsgFwdGETX {
-			fwds++
-			if m.UBit {
-				t.Fatal("non-tx GETX was unicast")
-			}
-		}
-	}
-	if fwds != 2 {
-		t.Fatalf("fwds = %d, want 2 (multicast)", fwds)
 	}
 }
 

@@ -92,8 +92,7 @@ type Msg struct {
 	LID  mem.LineID
 	Type MsgType
 
-	// Transactional metadata carried on requests and forwards.
-	IsTx     bool
+	// Request metadata carried on requests and forwards.
 	IsWrite  bool // the forwarded request is a write (GETX)
 	NeedData bool // GETX from Invalid: requester has no copy
 

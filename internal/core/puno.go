@@ -4,12 +4,15 @@
 //   - The directory-side unicast predictor: a per-directory Transaction
 //     Priority Buffer (P-Buffer) tracking the latest transaction priority
 //     seen from every node, guarded by 2-bit validity counters that decay
-//     under an adaptive rollover timeout; and a per-line UD (Unicast
-//     Destination) pointer naming the highest-priority sharer. When a
-//     transactional GETX arrives and the UD sharer's (valid) priority beats
-//     the requester's, the directory forwards the request to that sharer
-//     alone instead of multicasting invalidations, so the other sharers'
-//     transactions are not falsely aborted.
+//     under an adaptive rollover timeout; and the UD (Unicast Destination)
+//     choice naming the line's highest-priority sharer. The hardware keeps
+//     the UD as a per-line pointer (Table III prices it); the model
+//     recomputes it from the sharers at decision time, which every pointer
+//     read would observe anyway. When a transactional GETX arrives and the
+//     UD sharer's (valid) priority beats the requester's, the directory
+//     forwards the request to that sharer alone instead of multicasting
+//     invalidations, so the other sharers' transactions are not falsely
+//     aborted.
 //
 //   - The node-side Transaction Length Buffer (TxLB): per static
 //     transaction, a running average of dynamic instance lengths using the
@@ -20,7 +23,6 @@ package core
 
 import (
 	"repro/internal/htm"
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -179,14 +181,15 @@ func (p *Predictor) PriorityOf(node int) (htm.Priority, bool) {
 	return p.pbuf[node].prio, p.Valid(node)
 }
 
-// PredictUnicast implements coherence.Predictor. The UD pointer is
-// maintained off the critical path after every directory service
+// PredictUnicast implements coherence.Predictor. The hardware updates the
+// UD pointer off the critical path after every directory service
 // (Sec. III-B), so by the time a new request is serviced all pending
 // updates have completed; we model that by recomputing the pointer over
-// the forward targets (the sharers minus the requester), then unicast only
-// when the chosen sharer's valid recorded priority strictly beats the
-// requester's.
-func (p *Predictor) PredictUnicast(l mem.Line, sharers []int, reqNode int, reqPrio htm.Priority) (int, bool) {
+// the forward targets (the sharers minus the requester) here, then unicast
+// only when the chosen sharer's valid recorded priority strictly beats the
+// requester's. A stored per-line pointer would be write-only state: every
+// write is followed by a recomputation before its next read.
+func (p *Predictor) PredictUnicast(sharers []int, reqNode int, reqPrio htm.Priority) (int, bool) {
 	p.decay()
 	if len(sharers) == 0 {
 		p.FallbackNoUD++
@@ -231,15 +234,6 @@ func (p *Predictor) PredictUnicast(l mem.Line, sharers []int, reqNode int, reqPr
 	return best, true
 }
 
-// UpdateUD implements coherence.Predictor. In hardware this recomputes the
-// line's stored UD pointer after every directory service; the model instead
-// recomputes the pointer from the sharer set at decision time (see
-// PredictUnicast), which is behaviourally identical because every pointer
-// write is followed by a recomputation before its next read, so the update
-// itself keeps nothing: a per-line pointer table here would be write-only
-// state on the hot path.
-func (p *Predictor) UpdateUD(l mem.Line, sharers []int) {}
-
 // Misprediction implements coherence.Predictor: the UNBLOCK MP feedback
 // carries the mispredicted sharer's current priority (read by the sharer
 // when it NACKed), so the stale P-Buffer entry can be refreshed in place;
@@ -248,7 +242,7 @@ func (p *Predictor) UpdateUD(l mem.Line, sharers []int) {}
 // through them one misprediction at a time, and the paper's 90%+
 // prediction accuracy is unreachable for cache-resident workloads whose
 // transactions rarely issue coherence requests.
-func (p *Predictor) Misprediction(l mem.Line, node int, prio htm.Priority) {
+func (p *Predictor) Misprediction(node int, prio htm.Priority) {
 	if prio == htm.NoPriority {
 		p.pbuf[node].validity = 0
 		return

@@ -4,11 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/htm"
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
-
-const pline = mem.Line(0x1000)
 
 func newPred(clock *sim.Time) *Predictor {
 	return NewPredictor(PredictorConfig{Nodes: 16}, func() sim.Time { return *clock })
@@ -35,9 +32,8 @@ func TestPredictUnicastFollowsUD(t *testing.T) {
 	p := newPred(&now)
 	p.ObserveRequest(1, 10, 0) // oldest
 	p.ObserveRequest(5, 30, 0)
-	p.UpdateUD(pline, []int{1, 5})
 
-	dest, ok := p.PredictUnicast(pline, []int{1, 5}, 9, 50)
+	dest, ok := p.PredictUnicast([]int{1, 5}, 9, 50)
 	if !ok || dest != 1 {
 		t.Fatalf("PredictUnicast = %d/%v, want 1/true", dest, ok)
 	}
@@ -47,9 +43,8 @@ func TestNoUnicastWhenRequesterOlder(t *testing.T) {
 	var now sim.Time
 	p := newPred(&now)
 	p.ObserveRequest(1, 100, 0)
-	p.UpdateUD(pline, []int{1})
 	// Requester priority 10 is older than sharer's 100: multicast.
-	if _, ok := p.PredictUnicast(pline, []int{1}, 9, 10); ok {
+	if _, ok := p.PredictUnicast([]int{1}, 9, 10); ok {
 		t.Fatal("unicast predicted for an older requester")
 	}
 	if p.FallbackReqOlder != 1 {
@@ -61,7 +56,7 @@ func TestNoUnicastWithoutTargets(t *testing.T) {
 	var now sim.Time
 	p := newPred(&now)
 	p.ObserveRequest(1, 10, 0)
-	if _, ok := p.PredictUnicast(pline, nil, 9, 50); ok {
+	if _, ok := p.PredictUnicast(nil, 9, 50); ok {
 		t.Fatal("unicast with no forward targets")
 	}
 	if p.FallbackNoUD != 1 {
@@ -74,46 +69,42 @@ func TestUnicastOnlyToActualSharers(t *testing.T) {
 	p := newPred(&now)
 	p.ObserveRequest(1, 10, 0) // node 1 oldest but not a sharer
 	p.ObserveRequest(5, 30, 0)
-	dest, ok := p.PredictUnicast(pline, []int{5, 7}, 9, 50)
+	dest, ok := p.PredictUnicast([]int{5, 7}, 9, 50)
 	if !ok || dest != 5 {
 		t.Fatalf("PredictUnicast = %d/%v, want 5/true (best valid sharer)", dest, ok)
 	}
 }
 
-func TestUpdateUDPicksHighestValidPriority(t *testing.T) {
+func TestPredictUnicastPicksHighestValidPriority(t *testing.T) {
 	var now sim.Time
 	p := newPred(&now)
 	p.ObserveRequest(2, 40, 0)
 	p.ObserveRequest(6, 20, 0)
 	p.ObserveRequest(9, 70, 0)
-	p.UpdateUD(pline, []int{2, 6, 9})
-	dest, ok := p.PredictUnicast(pline, []int{2, 6, 9}, 12, 100)
+	dest, ok := p.PredictUnicast([]int{2, 6, 9}, 12, 100)
 	if !ok || dest != 6 {
 		t.Fatalf("UD = %d/%v, want 6 (priority 20)", dest, ok)
 	}
 }
 
-func TestUpdateUDSkipsInvalidEntries(t *testing.T) {
+func TestPredictUnicastSkipsInvalidEntries(t *testing.T) {
 	var now sim.Time
 	p := newPred(&now)
 	p.ObserveRequest(2, 40, 0)
 	// Node 6 never observed: validity 0, cannot be UD.
-	p.UpdateUD(pline, []int{2, 6})
-	dest, ok := p.PredictUnicast(pline, []int{2, 6}, 12, 100)
+	dest, ok := p.PredictUnicast([]int{2, 6}, 12, 100)
 	if !ok || dest != 2 {
 		t.Fatalf("UD = %d/%v, want 2", dest, ok)
 	}
 }
 
-func TestUpdateUDDeletesWhenNoValidSharer(t *testing.T) {
+func TestPredictUnicastFallsBackWhenNoValidSharer(t *testing.T) {
 	var now sim.Time
 	p := newPred(&now)
 	p.ObserveRequest(2, 40, 0)
-	p.UpdateUD(pline, []int{2})
-	p.Misprediction(pline, 2, htm.NoPriority) // sharer idle: invalidates node 2
-	p.UpdateUD(pline, []int{2})
-	if _, ok := p.PredictUnicast(pline, []int{2}, 12, 100); ok {
-		t.Fatal("unicast after UD should have been deleted")
+	p.Misprediction(2, htm.NoPriority) // sharer idle: invalidates node 2
+	if _, ok := p.PredictUnicast([]int{2}, 12, 100); ok {
+		t.Fatal("unicast to a sharer whose priority was invalidated")
 	}
 }
 
@@ -124,7 +115,7 @@ func TestMispredictionInvalidatesIdleEntry(t *testing.T) {
 	if !p.Valid(4) {
 		t.Fatal("setup failed")
 	}
-	p.Misprediction(pline, 4, htm.NoPriority)
+	p.Misprediction(4, htm.NoPriority)
 	if p.Valid(4) {
 		t.Fatal("entry valid after idle-sharer misprediction feedback")
 	}
@@ -134,7 +125,7 @@ func TestMispredictionRefreshesActiveEntry(t *testing.T) {
 	var now sim.Time
 	p := newPred(&now)
 	p.ObserveRequest(4, 10, 0) // stale: node 4 has since started prio 900
-	p.Misprediction(pline, 4, 900)
+	p.Misprediction(4, 900)
 	if !p.Valid(4) {
 		t.Fatal("refreshed entry should stay valid")
 	}
@@ -143,7 +134,7 @@ func TestMispredictionRefreshesActiveEntry(t *testing.T) {
 	}
 	// The refreshed (younger) priority must stop attracting unicasts from
 	// older requesters.
-	if _, ok := p.PredictUnicast(pline, []int{4}, 9, 500); ok {
+	if _, ok := p.PredictUnicast([]int{4}, 9, 500); ok {
 		t.Fatal("unicast to a sharer now known to be younger")
 	}
 }
@@ -237,7 +228,7 @@ func TestPredictorResetEqualsNew(t *testing.T) {
 	p.ObserveRequest(5, 30, 500)
 	p.UnicastResolved(false)
 	p.MulticastResolved(true)
-	p.PredictUnicast(pline, nil, 9, 50) // a counted fallback
+	p.PredictUnicast(nil, 9, 50) // a counted fallback
 	now = 1 << 20
 	p.Reset(PredictorConfig{Nodes: 16})
 	if p.Valid(1) || p.Valid(5) || p.Confidence() != 1 || p.Benefit() != 0 || p.FallbackNoUD != 0 {
@@ -247,10 +238,9 @@ func TestPredictorResetEqualsNew(t *testing.T) {
 	fresh := newPred(&now)
 	for _, q := range []*Predictor{p, fresh} {
 		q.ObserveRequest(2, 7, 100)
-		q.UpdateUD(pline, []int{2})
 	}
-	d1, ok1 := p.PredictUnicast(pline, []int{2}, 9, 50)
-	d2, ok2 := fresh.PredictUnicast(pline, []int{2}, 9, 50)
+	d1, ok1 := p.PredictUnicast([]int{2}, 9, 50)
+	d2, ok2 := fresh.PredictUnicast([]int{2}, 9, 50)
 	if d1 != d2 || ok1 != ok2 {
 		t.Fatalf("reset predictor predicts %d/%v, new one %d/%v", d1, ok1, d2, ok2)
 	}

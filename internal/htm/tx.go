@@ -21,8 +21,10 @@ import (
 // in a transaction; it never wins a conflict.
 type Priority uint64
 
-// NoPriority is the priority of a non-transactional access: it loses every
-// conflict (it is NACKed and retries; it never aborts a transaction).
+// NoPriority is the NACK marker "I will not nack this line": a sharer with
+// no conflicting transaction reports it on a misprediction NACK, and the
+// directory's predictor invalidates that node's P-Buffer entry. Compared
+// as a priority it loses every conflict.
 const NoPriority Priority = ^Priority(0)
 
 // Older reports whether p wins a conflict against q. Ties (identical begin

@@ -64,8 +64,8 @@ func TestDiagSchemes(t *testing.T) {
 			res.GETXOutcomes[OutcomeNackOnly], res.GETXOutcomes[OutcomeFalseAbort],
 			res.DirUnicasts, res.Mispredictions, res.Nacks, res.Retries, res.NotifiedBackoffs,
 			res.Net.TotalTraversals(), res.DirTxGETXBusy)
-		t.Logf("%-18s   causes: byGETX=%d byGETS=%d nonTx=%d ovf=%d unnecessary=%d",
+		t.Logf("%-18s   causes: byGETX=%d byGETS=%d ovf=%d unnecessary=%d",
 			s, res.AbortsByCause[CauseTxGETX], res.AbortsByCause[CauseTxGETS],
-			res.AbortsByCause[CauseNonTx], res.AbortsByCause[CauseOverflow], res.UnnecessaryAborts())
+			res.AbortsByCause[CauseOverflow], res.UnnecessaryAborts())
 	}
 }

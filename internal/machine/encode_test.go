@@ -49,7 +49,7 @@ func TestResultRoundTripSynthetic(t *testing.T) {
 		Cycles:          1 << 40,
 		Commits:         3,
 		Aborts:          5,
-		AbortsByCause:   [numCauses]uint64{1, 2, 3, 4},
+		AbortsByCause:   [numCauses]uint64{1, 2, 3},
 		TxGETXIssued:    9,
 		TxGETXAccesses:  8,
 		GETXOutcomes:    [numOutcomes]uint64{10, 11, 12, 13},
@@ -176,7 +176,7 @@ func TestEncodeResultRejectsInvalid(t *testing.T) {
 	}
 }
 
-// artifact builds a checksum-valid punores/2 body by hand, for probing the
+// artifact builds a checksum-valid punores/3 body by hand, for probing the
 // decoder's structural checks (which sit behind the checksum gate).
 func artifact(build func(u func(uint64), raw func(...byte))) []byte {
 	b := []byte(resMagic)
@@ -194,7 +194,7 @@ func zeros(u func(uint64), n int) {
 	}
 }
 
-// A checksum-valid 62-byte artifact, well formed up to a node count claiming
+// A checksum-valid 61-byte artifact, well formed up to a node count claiming
 // 2^26 nodes: the claim must be refused against the bytes that are left.
 func TestDecodeResultRejectsCountBomb(t *testing.T) {
 	var r Result
@@ -210,8 +210,8 @@ func TestDecodeResultRejectsCountBomb(t *testing.T) {
 		zeros(u, 3*len(r.Net.Messages)+2+12) // classes, latency and queueing, 12 counters
 		u(1 << 26)
 	})
-	if len(raw) != 62 {
-		t.Fatalf("bomb is %d bytes, want 62", len(raw))
+	if len(raw) != 61 {
+		t.Fatalf("bomb is %d bytes, want 61", len(raw))
 	}
 	wiretest.RejectsBomb(t, raw, decodeErr)
 }

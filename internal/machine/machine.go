@@ -544,7 +544,7 @@ func (m *Machine) CheckInvariants() error {
 		hs := m.invHolders[id-1]
 		owners := 0
 		for _, h := range hs {
-			if h.state == cache.Modified || h.state == cache.Exclusive {
+			if h.state == cache.Modified {
 				owners++
 			}
 		}
@@ -569,7 +569,7 @@ func (m *Machine) CheckInvariants() error {
 			if st == coherence.DirModified && d.BusyLines() == 0 {
 				found := false
 				for _, h := range hs {
-					if h.node == owner && (h.state == cache.Modified || h.state == cache.Exclusive) {
+					if h.node == owner && h.state == cache.Modified {
 						found = true
 					}
 				}

@@ -34,7 +34,6 @@ type outstanding struct {
 	lid      mem.LineID // line's interned dense ID (assigned at issue)
 	isWrite  bool       // the protocol request is a GETX
 	promoted bool       // a load promoted to GETX by the RMW predictor
-	isTx     bool
 	home     int
 
 	expected  int // sharer responses to collect; -1 until the header arrives
@@ -409,21 +408,20 @@ func (n *node) readPhaseDone(e *cache.Entry, a mem.Addr) {
 	n.opDone()
 }
 
-// writeDone finishes a store into an Exclusive/Modified resident line. As
+// writeDone finishes a store into a Modified resident line. As
 // with readPhaseDone, the line may have been stolen during the hit latency
 // (it was not yet in the write set); re-validate and retry on loss.
 //
 //puno:hot
 func (n *node) writeDone(e *cache.Entry, a mem.Addr, v uint64) {
 	l := mem.LineOf(a)
-	if e == nil || e.Line != l || (e.State != cache.Modified && e.State != cache.Exclusive) {
+	if e == nil || e.Line != l || e.State != cache.Modified {
 		n.execOp()
 		return
 	}
 	old := e.Data[mem.WordIndex(a)]
 	n.tx.RecordWriteID(l, e.LID, a, old)
 	e.Pinned = true
-	e.State = cache.Modified
 	e.Data[mem.WordIndex(a)] = v
 	if n.rmw != nil {
 		if loadIdx, ok := n.firstLoad.get(e.LID); ok {
@@ -462,7 +460,7 @@ func (n *node) accessRead(a mem.Addr) {
 func (n *node) accessWrite(a mem.Addr, v uint64) {
 	l := mem.LineOf(a)
 	e := n.l1.Access(l)
-	if e != nil && (e.State == cache.Modified || e.State == cache.Exclusive) {
+	if e != nil && e.State == cache.Modified {
 		n.pendEntry, n.pendAddr, n.pendVal = e, a, v
 		n.afterCancellableEv(L1HitLatency, nevWriteDone)
 		return
@@ -490,7 +488,7 @@ func (n *node) issue(l mem.Line, lid mem.LineID, isWrite, promoted, needData boo
 	r := &n.reqBuf
 	*r = outstanding{}
 	r.id, r.line, r.lid = n.reqSeq, l, lid
-	r.isWrite, r.promoted, r.isTx = isWrite, promoted, true
+	r.isWrite, r.promoted = isWrite, promoted
 	r.home, r.expected = home, -1
 	n.req = r
 	n.state = nsWaiting
@@ -503,7 +501,7 @@ func (n *node) issue(l mem.Line, lid mem.LineID, isWrite, promoted, needData boo
 	}
 	msg := n.msgTo(mt, l, home)
 	msg.LID, msg.Requester, msg.ReqID = lid, n.id, n.reqSeq
-	msg.IsTx, msg.Prio = true, n.tx.Prio
+	msg.Prio = n.tx.Prio
 	msg.IsWrite, msg.NeedData = isWrite, needData
 	msg.AvgTxLen = n.txlb.GlobalAverage()
 	n.m.send(msg)
@@ -726,7 +724,7 @@ func (n *node) completeRequest() {
 	// Fig. 3: each NACKed request that aborted sharers is one
 	// false-aborting case; Fig. 2 classification accumulates across the
 	// access's retries and is finalized in finishAccess.
-	if r.isWrite && r.isTx {
+	if r.isWrite {
 		n.accLive = true
 		n.accIsWrite = true
 		if r.sawNack {
@@ -959,9 +957,6 @@ func (n *node) handleForward(f *coherence.Msg) {
 		if f.IsWrite {
 			cause = CauseTxGETX
 		}
-		if !f.IsTx {
-			cause = CauseNonTx
-		}
 		lat := n.abortTx(cause, false)
 		// The dispatcher recycles f when we return; stash a copy for the
 		// deferred grant. Only this path defers, and abortTx cannot run
@@ -1030,7 +1025,7 @@ func (n *node) isOwnerResponse(l mem.Line) bool {
 		return true
 	}
 	e := n.l1.Lookup(l)
-	return e != nil && (e.State == cache.Modified || e.State == cache.Exclusive)
+	return e != nil && e.State == cache.Modified
 }
 
 // grant satisfies a forward: invalidation ACK from a sharer, or a
@@ -1073,7 +1068,7 @@ func (n *node) grant(f *coherence.Msg, aborted bool) {
 		n.sendAck(f, aborted)
 		return
 	}
-	isOwner := e.State == cache.Modified || e.State == cache.Exclusive
+	isOwner := e.State == cache.Modified
 	if f.IsWrite {
 		if isOwner {
 			n.sendOwnerData(f, &e.Data, aborted)

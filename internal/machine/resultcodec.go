@@ -8,7 +8,7 @@ import (
 	"repro/internal/wire"
 )
 
-// punores/2 is the deterministic binary round-trip encoding of a Result —
+// punores/3 is the deterministic binary round-trip encoding of a Result —
 // the artifact format of the content-addressed result cache (internal/
 // serve). Fixed-size arrays carry explicit length prefixes, so a cause,
 // outcome or class added to the model is a detected format change, not a
@@ -34,12 +34,12 @@ import (
 // byte equality of encodings is value equality of Results — the property
 // the serve smoke test leans on when it compares a cache-served artifact
 // against a direct simulation run.
-const resMagic = "punores/2"
+const resMagic = "punores/3"
 
-// EncodeResult renders r in the punores/2 binary format.
+// EncodeResult renders r in the punores/3 binary format.
 func EncodeResult(r *Result) ([]byte, error) { return AppendResult(nil, r) }
 
-// AppendResult appends the punores/2 encoding of r (magic through
+// AppendResult appends the punores/3 encoding of r (magic through
 // checksum) to dst and returns the extended slice.
 func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	if int(r.Scheme) < 0 || r.Scheme >= numSchemes {
@@ -101,7 +101,7 @@ func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	return wire.Seal(b, len(dst)), nil
 }
 
-// DecodeResult decodes one complete punores/2 artifact. The trailing
+// DecodeResult decodes one complete punores/3 artifact. The trailing
 // checksum is verified before decoding, so truncated and corrupted
 // artifacts are rejected rather than yielding a plausible partial Result.
 func DecodeResult(raw []byte) (*Result, error) {

@@ -49,7 +49,6 @@ type AbortCause int
 const (
 	CauseTxGETX   AbortCause = iota // conflicting transactional write request
 	CauseTxGETS                     // conflicting transactional read request
-	CauseNonTx                      // conflicting non-transactional request
 	CauseOverflow                   // transactional set overflowed the L1
 	numCauses
 )

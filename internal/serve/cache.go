@@ -10,7 +10,7 @@ import (
 )
 
 // Cache is the content-addressed result store: an in-memory LRU over
-// encoded punores/2 artifacts, optionally backed by an unbounded on-disk
+// encoded punores/3 artifacts, optionally backed by an unbounded on-disk
 // directory. Determinism makes every hit provably fresh, so there is no
 // expiry, no validation round-trip, and no invalidation protocol — the key
 // embeds the code version, so a new build simply addresses a disjoint part

@@ -9,7 +9,7 @@ import (
 	puno "repro"
 )
 
-// testArtifact builds a small valid punores/2 artifact whose bytes depend
+// testArtifact builds a small valid punores/3 artifact whose bytes depend
 // on n (the cache stores opaque validated artifacts, so tests need real
 // encodings, not arbitrary bytes).
 func testArtifact(t *testing.T, n uint64) []byte {

@@ -73,7 +73,7 @@ func writeJob(w http.ResponseWriter, status int, j *Job) {
 //	POST   /v1/jobs             submit a Spec; 200 terminal (cache hit),
 //	                            202 accepted, 400 bad spec, 429 queue full
 //	GET    /v1/jobs/{id}        job status; ?wait=1 long-polls to terminal
-//	GET    /v1/jobs/{id}/result punores/2 bytes; ?format=json decodes
+//	GET    /v1/jobs/{id}/result punores/3 bytes; ?format=json decodes
 //	GET    /v1/results/{key}    artifact by content address
 //	GET    /v1/stats            layer counters
 //	GET    /healthz             liveness
@@ -187,7 +187,7 @@ func (s *Service) handleResultByKey(w http.ResponseWriter, r *http.Request) {
 	s.serveArtifact(w, r, key)
 }
 
-// serveArtifact writes the cached punores/2 bytes for key, decoded to JSON
+// serveArtifact writes the cached punores/3 bytes for key, decoded to JSON
 // on ?format=json. An absent artifact was evicted from a memory-only cache
 // (or never computed); 410 tells the client to resubmit (which
 // re-simulates deterministically).

@@ -1,5 +1,5 @@
 // Package wire is the one substrate under the repo's binary formats
-// (punoevt/1, punores/2, punocfg/5, punowl/1, punokey/1; DESIGN.md "Binary
+// (punoevt/1, punores/3, punocfg/5, punowl/1, punokey/1; DESIGN.md "Binary
 // formats"). Every quantity is a uvarint, a raw byte or a length-prefixed
 // string. A decoded format is a frame:
 //

@@ -1,6 +1,6 @@
 package puno_test
 
-// The binary formats are contracts with bytes already on disk: punores/2
+// The binary formats are contracts with bytes already on disk: punores/3
 // artifacts in punoserve cache directories, punoevt/1 traces handed to
 // `punotrace diff`, and punocfg/5 + punowl/1 + punokey/1 deciding which
 // cached artifact answers a request. The codec tests compare the encoders
@@ -50,7 +50,7 @@ func TestGoldenWireFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin("point punores/2", raw)
+	pin("point punores/3", raw)
 	pin("point punoevt/1", save(events))
 	canon, err := cfg.AppendCanonical(nil)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestGoldenWireFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin("synthetic punores/2", raw)
+	pin("synthetic punores/3", raw)
 	pin("synthetic punoevt/1", save(&puno.EventTrace{
 		Workload: "synthetic", Scheme: "ATS", Seed: 1<<63 + 5,
 		Lines: []puno.Line{0x40, 0x1000, 0xffffffffc0},
