@@ -53,7 +53,8 @@ cover-update:
 	@rm -f cover.txt
 
 # Host-time benchmarks only: BenchmarkSweepParallelism (serial vs pooled vs
-# traced sweep) and the internal/noc mesh benches. Simulated results come
+# traced sweep), the internal/noc mesh benches and internal/sim's
+# BenchmarkEngineRun (ns per engine event). Simulated results come
 # from cmd/experiments (tables, figures, -exp <ablation>); substrate numbers
 # from the repository benchmark's kernels, `bash bench/run.sh --trace 1`:
 # sim.kernel_ns_per_event, noc.kernel_ns_per_send,

@@ -126,13 +126,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "  %-10d %8d %8d %10d %7d\n", r.end, r.commits, r.aborts, r.traffic, r.live)
 		}
 	}
-	var noT, inval, reqOld, lowc, parted uint64
+	var inval, reqOld, lowc, parted uint64
 	minConf, maxBen := 1.0, 0.0
 	for _, p := range m.Predictors() {
 		if p == nil {
 			continue
 		}
-		noT += p.FallbackNoUD
 		inval += p.FallbackInvalid
 		reqOld += p.FallbackReqOlder
 		lowc += p.FallbackLowConf
@@ -145,8 +144,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if uni := res.DirUnicasts; uni+lowc > 0 {
-		fmt.Fprintf(stdout, "  predictor: unicasts=%d fallbacks{noTargets=%d allInvalid=%d reqOlder=%d lowConf=%d} partial=%d minConf=%.2f maxBenefit=%.2f\n",
-			uni, noT, inval, reqOld, lowc, parted, minConf, maxBen)
+		fmt.Fprintf(stdout, "  predictor: unicasts=%d fallbacks{allInvalid=%d reqOlder=%d lowConf=%d} partial=%d minConf=%.2f maxBenefit=%.2f\n",
+			uni, inval, reqOld, lowc, parted, minConf, maxBen)
 	}
 	return nil
 }

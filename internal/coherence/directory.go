@@ -68,7 +68,8 @@ type Predictor interface {
 	ObserveRequest(node int, prio htm.Priority, avgTxLen sim.Time)
 	// PredictUnicast decides whether a transactional GETX from reqNode
 	// with priority reqPrio against the given sharers should be unicast,
-	// and to which sharer.
+	// and to which sharer. sharers is never empty: a GETX with no forward
+	// target is granted without a prediction.
 	PredictUnicast(sharers []int, reqNode int, reqPrio htm.Priority) (dest int, ok bool)
 	// Misprediction handles UNBLOCK MP feedback: the stale priority that
 	// caused a wrong unicast is replaced by the mispredicted sharer's
@@ -254,17 +255,11 @@ func (d *Directory) emit(kind probe.Kind, lid mem.LineID, n, requester int, reqI
 // Stats returns a copy of the accumulated statistics.
 func (d *Directory) Stats() Stats { return d.stats }
 
-// BusyLines returns the number of entries currently blocked (used by the
-// machine's quiescence check). Free-listed slots are never busy (recycling
-// requires an idle entry), so scanning the whole slab is safe.
-func (d *Directory) BusyLines() int {
-	n := 0
-	for i := range d.slab {
-		if d.slab[i].busy {
-			n++
-		}
-	}
-	return n
+// Busy reports whether l's entry is blocked mid-transaction (used by the
+// machine's ownership invariant).
+func (d *Directory) Busy(l mem.Line) bool {
+	e := d.lookup(d.it.Lookup(l))
+	return e != nil && e.busy
 }
 
 // BusyInfo describes one blocked entry for diagnostics.

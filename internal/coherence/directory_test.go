@@ -80,7 +80,7 @@ func TestGETSFromInvalidGrantsShared(t *testing.T) {
 	if st != DirShared || len(sharers) != 1 || sharers[0] != 3 {
 		t.Fatalf("state=%v sharers=%v", st, sharers)
 	}
-	if d.BusyLines() != 0 {
+	if d.Busy(testLine) {
 		t.Fatal("GETS from I should not block the entry")
 	}
 }
@@ -105,7 +105,7 @@ func TestGETXFromInvalid(t *testing.T) {
 	if m.AckCount != 0 {
 		t.Fatalf("AckCount = %d, want 0", m.AckCount)
 	}
-	if d.BusyLines() != 1 {
+	if !d.Busy(testLine) {
 		t.Fatal("GETX should block until UNBLOCK")
 	}
 	d.Handle(unblock(2, true))
@@ -113,7 +113,7 @@ func TestGETXFromInvalid(t *testing.T) {
 	if st != DirModified || owner != 2 {
 		t.Fatalf("after unblock: state=%v owner=%d", st, owner)
 	}
-	if d.BusyLines() != 0 {
+	if d.Busy(testLine) {
 		t.Fatal("entry still busy after UNBLOCK")
 	}
 }
@@ -307,11 +307,11 @@ func TestGETSFromModifiedWaitsForWBData(t *testing.T) {
 
 	// UNBLOCK(success) before WBData: entry must stay busy.
 	d.Handle(unblock(7, true))
-	if d.BusyLines() != 1 {
+	if !d.Busy(testLine) {
 		t.Fatal("completed without waiting for WBData")
 	}
 	d.Handle(&Msg{Type: MsgWBData, Line: testLine, Src: 2})
-	if d.BusyLines() != 0 {
+	if d.Busy(testLine) {
 		t.Fatal("still busy after WBData + UNBLOCK")
 	}
 }
@@ -329,7 +329,7 @@ func TestGETSFromModifiedNackedRestoresOwner(t *testing.T) {
 	if st != DirModified || owner != 2 {
 		t.Fatalf("after failed GETS: state=%v owner=%d", st, owner)
 	}
-	if d.BusyLines() != 0 {
+	if d.Busy(testLine) {
 		t.Fatal("busy after failed GETS unblock")
 	}
 }

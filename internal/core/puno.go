@@ -79,7 +79,6 @@ type Predictor struct {
 	// Multicast-fallback reasons and partial-knowledge unicasts
 	// (diagnostics). The unicast and misprediction counts are the run's
 	// Result.DirUnicasts and Result.Mispredictions.
-	FallbackNoUD     uint64 // no forward targets to predict over
 	FallbackInvalid  uint64 // every sharer's priority validity expired
 	FallbackReqOlder uint64 // requester beats the best recorded sharer priority
 	FallbackLowConf  uint64 // low accuracy and no false-aborting benefit; multicast
@@ -191,10 +190,6 @@ func (p *Predictor) PriorityOf(node int) (htm.Priority, bool) {
 // write is followed by a recomputation before its next read.
 func (p *Predictor) PredictUnicast(sharers []int, reqNode int, reqPrio htm.Priority) (int, bool) {
 	p.decay()
-	if len(sharers) == 0 {
-		p.FallbackNoUD++
-		return 0, false
-	}
 	if p.confidence < 0.5 && p.benefit < 0.05 {
 		// Predictions are inaccurate AND multicasts are not causing false
 		// aborting: unicast cannot pay here. Multicast, but probe

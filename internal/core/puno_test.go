@@ -59,9 +59,6 @@ func TestNoUnicastWithoutTargets(t *testing.T) {
 	if _, ok := p.PredictUnicast(nil, 9, 50); ok {
 		t.Fatal("unicast with no forward targets")
 	}
-	if p.FallbackNoUD != 1 {
-		t.Fatal("noUD fallback not counted")
-	}
 }
 
 func TestUnicastOnlyToActualSharers(t *testing.T) {
@@ -231,7 +228,7 @@ func TestPredictorResetEqualsNew(t *testing.T) {
 	p.PredictUnicast(nil, 9, 50) // a counted fallback
 	now = 1 << 20
 	p.Reset(PredictorConfig{Nodes: 16})
-	if p.Valid(1) || p.Valid(5) || p.Confidence() != 1 || p.Benefit() != 0 || p.FallbackNoUD != 0 {
+	if p.Valid(1) || p.Valid(5) || p.Confidence() != 1 || p.Benefit() != 0 || p.FallbackInvalid != 0 {
 		t.Fatalf("Reset left state behind: %+v", p)
 	}
 	// Same observable behaviour as a new predictor from here on.

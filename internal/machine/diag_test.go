@@ -46,17 +46,16 @@ func TestDiagSchemes(t *testing.T) {
 	for _, v := range variants {
 		s := v.label
 		m, res := runWorkload(t, v.cfg, wl)
-		var noUD, partial, inval, reqOld uint64
+		var partial, inval, reqOld uint64
 		for _, p := range m.preds {
 			if p != nil {
-				noUD += p.FallbackNoUD
 				partial += p.PartialKnowledge
 				inval += p.FallbackInvalid
 				reqOld += p.FallbackReqOlder
 			}
 		}
 		if strings.HasPrefix(s, "PUNO") || s == "UnicastOnly" {
-			t.Logf("%-18s   fallbacks: noTargets=%d allInvalid=%d reqOlder=%d partial=%d", s, noUD, inval, reqOld, partial)
+			t.Logf("%-18s   fallbacks: allInvalid=%d reqOlder=%d partial=%d", s, inval, reqOld, partial)
 		}
 		t.Logf("%-18s cycles=%-8d commits=%-4d aborts=%-5d txgetx=%-5d clean=%-4d resolved=%-4d nackonly=%-4d false=%-4d unicasts=%-5d mispred=%-4d nacks=%-6d retries=%-6d notified=%-5d traffic=%-8d dirbusy=%d",
 			s, res.Cycles, res.Commits, res.Aborts, res.TxGETXIssued,

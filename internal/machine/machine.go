@@ -556,30 +556,24 @@ func (m *Machine) CheckInvariants() error {
 		}
 	}
 	// Directory M entries must point at a node actually holding the line
-	// exclusively, unless the entry is mid-transaction (busy) or the copy
+	// exclusively, unless that entry is mid-transaction (busy) or the copy
 	// is travelling through a writeback.
-	for home, d := range m.dirs {
-		for _, id := range m.invTouched {
-			l := m.it.LineAt(id)
-			hs := m.invHolders[id-1]
-			if m.home.Home(l) != home {
-				continue
+	for _, id := range m.invTouched {
+		l := m.it.LineAt(id)
+		home := m.home.Home(l)
+		d := m.dirs[home]
+		st, _, owner := d.State(l)
+		if st != coherence.DirModified || d.Busy(l) || m.nodes[owner].wbWait.has(l) {
+			continue
+		}
+		found := false
+		for _, h := range m.invHolders[id-1] {
+			if h.node == owner && h.state == cache.Modified {
+				found = true
 			}
-			st, _, owner := d.State(l)
-			if st == coherence.DirModified && d.BusyLines() == 0 {
-				found := false
-				for _, h := range hs {
-					if h.node == owner && h.state == cache.Modified {
-						found = true
-					}
-				}
-				if m.nodes[owner].wbWait.has(l) {
-					found = true
-				}
-				if !found {
-					return fmt.Errorf("directory %d says %v owned by %d, but it holds no exclusive copy", home, l, owner)
-				}
-			}
+		}
+		if !found {
+			return fmt.Errorf("directory %d says %v owned by %d, but it holds no exclusive copy", home, l, owner)
 		}
 	}
 	return nil

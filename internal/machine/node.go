@@ -121,8 +121,8 @@ type node struct {
 	// node's transaction finishes.
 	wakeupSubs wakeupTable
 
-	pending   sim.EventID // cancellable compute/backoff event
-	atsRetry  bool        // queued for the ATS token: the attempt it will begin is a retry
+	pendGen   uint32 // generation of the live cancellable continuation
+	atsRetry  bool   // queued for the ATS token: the attempt it will begin is a retry
 	doneAt    sim.Time
 	ovfStreak int // consecutive overflow aborts of the current instance
 
@@ -210,25 +210,25 @@ const (
 	nevGrantAborted               // post-abort grant of the stashed forward
 )
 
-// OnEvent implements sim.Handler: the word selects the continuation.
-// Cancellable continuations clear n.pending first, mirroring the old
-// closure wrapper.
+// OnEvent implements sim.Handler: the low half of the word selects the
+// continuation. A cancellable one carries the node's pendGen from when it
+// was scheduled in the high half, and is dropped if cancelPending has
+// moved pendGen on since.
 func (n *node) OnEvent(_ any, word uint64) {
-	switch word {
+	code := word & (1<<32 - 1)
+	if code <= nevReissue && uint32(word>>32) != n.pendGen {
+		return
+	}
+	switch code {
 	case nevExecOp:
-		n.pending = sim.EventID{}
 		n.execOp()
 	case nevOpDone:
-		n.pending = sim.EventID{}
 		n.opDone()
 	case nevReadPhase:
-		n.pending = sim.EventID{}
 		n.readPhaseDone(n.pendEntry, n.pendAddr)
 	case nevWriteDone:
-		n.pending = sim.EventID{}
 		n.writeDone(n.pendEntry, n.pendAddr, n.pendVal)
 	case nevReissue:
-		n.pending = sim.EventID{}
 		n.reissue()
 	case nevFetchNext:
 		n.fetchNext()
@@ -242,7 +242,7 @@ func (n *node) OnEvent(_ any, word uint64) {
 		g := n.grantMsg
 		n.grant(&g, true)
 	default:
-		panic(fmt.Sprintf("machine: node %d unknown event code %d", n.id, word))
+		panic(fmt.Sprintf("machine: node %d unknown event code %d", n.id, code))
 	}
 }
 
@@ -251,20 +251,17 @@ func (n *node) OnEvent(_ any, word uint64) {
 //puno:hot
 func (n *node) afterEv(d sim.Time, code uint64) { n.m.eng.AfterEvent(d, n, nil, code) }
 
-// afterCancellableEv schedules a continuation and remembers the event so
-// an abort can cancel it.
+// afterCancellableEv schedules a continuation tagged with the node's
+// current pendGen, so cancelPending can supersede it.
 //
 //puno:hot
 func (n *node) afterCancellableEv(d sim.Time, code uint64) {
-	n.pending = n.m.eng.AfterEvent(d, n, nil, code)
+	n.m.eng.AfterEvent(d, n, nil, uint64(n.pendGen)<<32|code)
 }
 
-func (n *node) cancelPending() {
-	if !n.pending.Zero() {
-		n.m.eng.Cancel(n.pending)
-		n.pending = sim.EventID{}
-	}
-}
+// cancelPending supersedes the node's queued cancellable continuation: it
+// still fires at its cycle, as a no-op.
+func (n *node) cancelPending() { n.pendGen++ }
 
 // ---- program driving -------------------------------------------------
 
@@ -495,9 +492,7 @@ func (n *node) issue(l mem.Line, lid mem.LineID, isWrite, promoted, needData boo
 	mt := coherence.MsgGETS
 	if isWrite {
 		mt = coherence.MsgGETX
-		if n.tx.Running() {
-			n.m.res.TxGETXIssued++
-		}
+		n.m.res.TxGETXIssued++
 	}
 	msg := n.msgTo(mt, l, home)
 	msg.LID, msg.Requester, msg.ReqID = lid, n.id, n.reqSeq

@@ -7,6 +7,8 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/coherence"
 	"repro/internal/mem"
 	"repro/internal/probe"
 	"repro/internal/sim"
@@ -199,5 +201,102 @@ func TestOutcomeTaxonomyCoversAllAccesses(t *testing.T) {
 	}
 	if res.TxGETXAccesses == 0 {
 		t.Fatal("no accesses classified")
+	}
+}
+
+// TestSupersededContinuationInert: a backoff's reissue that a PUNO-Push
+// wakeup or an abort superseded still pops at its cycle, and does nothing —
+// the node's generation has moved past the one the event carries. The stale
+// event is fired once by hand, where nothing about the node or the queue may
+// change, and then left to pop from the queue; the run must still finish
+// with every committed increment in memory.
+func TestSupersededContinuationInert(t *testing.T) {
+	cases := []struct {
+		name      string
+		scheme    Scheme
+		supersede func(n *node)
+	}{
+		{"wakeup", SchemePUNOPush, func(n *node) {
+			msg := coherence.Msg{Type: coherence.MsgWakeup, Line: mem.LineOf(n.cur.Ops[n.opIdx].Addr)}
+			n.handleWakeup(&msg)
+		}},
+		{"abort", SchemePUNO, func(n *node) { n.abortTx(CauseTxGETX, false) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wl := countIncrs(counterWorkload{name: "supersede", txPerCPU: 10, counters: 2, incrsPer: 2, think: 5})
+			m, err := New(smallConfig(tc.scheme, 29), wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.active = m.cfg.Nodes
+			for _, n := range m.nodes {
+				n.start()
+			}
+			var n *node
+			for n == nil && m.eng.Step() {
+				for _, c := range m.nodes {
+					if c.state == nsBackoff {
+						n = c
+						break
+					}
+				}
+			}
+			if n == nil {
+				t.Fatal("no node ever backed off")
+			}
+			stale := uint64(n.pendGen)<<32 | nevReissue
+			tc.supersede(n)
+
+			state, reqSeq, opIdx, seq := n.state, n.reqSeq, n.opIdx, m.eng.Seq()
+			n.OnEvent(nil, stale)
+			if n.state != state || n.reqSeq != reqSeq || n.opIdx != opIdx || m.eng.Seq() != seq {
+				t.Fatalf("superseded reissue acted: state %v->%v reqSeq %d->%d opIdx %d->%d seq %d->%d",
+					state, n.state, reqSeq, n.reqSeq, opIdx, n.opIdx, seq, m.eng.Seq())
+			}
+
+			m.eng.Run(m.cfg.MaxCycles)
+			if m.runErr != nil || m.active != 0 {
+				t.Fatalf("run did not finish: err %v, %d threads active", m.runErr, m.active)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if got := wl.check(t, m); got == 0 {
+				t.Fatal("no increment committed")
+			}
+		})
+	}
+}
+
+// TestOwnershipCheckedPerLine: a directory M entry whose owner holds no
+// exclusive copy is reported even while another line at the same home is
+// busy — the busy exemption covers only the busy entry itself.
+func TestOwnershipCheckedPerLine(t *testing.T) {
+	m, err := New(smallConfig(SchemeBaseline, 1), disjointWorkload{txPerCPU: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mem.Line(7 * mem.LineBytes)
+	b := a + mem.LineBytes
+	for m.home.Home(b) != m.home.Home(a) {
+		b += mem.LineBytes
+	}
+	d := m.dirs[m.home.Home(a)]
+	getx := func(l mem.Line, src int) *coherence.Msg {
+		return &coherence.Msg{Type: coherence.MsgGETX, Line: l, Src: src, Requester: src, NeedData: true, IsWrite: true}
+	}
+	d.Handle(getx(a, 1))
+	d.Handle(&coherence.Msg{Type: coherence.MsgUnblock, Line: a, Src: 1, Success: true})
+	m.nodes[1].l1.Insert(a, cache.Shared, mem.LineData{}) // the owner holds only a shared copy
+	if err := m.CheckInvariants(); err == nil {
+		t.Fatal("M entry whose owner holds no exclusive copy not reported")
+	}
+	d.Handle(getx(b, 2))
+	if !d.Busy(b) || d.Busy(a) {
+		t.Fatalf("busy: %v %v, want only %v", d.Busy(a), d.Busy(b), b)
+	}
+	if err := m.CheckInvariants(); err == nil {
+		t.Fatal("a busy line at the same home hid the ownership violation")
 	}
 }

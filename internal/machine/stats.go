@@ -66,7 +66,8 @@ type Result struct {
 	AbortsByCause [numCauses]uint64
 
 	// Transactional GETX classification (Figs. 2 and 3). TxGETXIssued
-	// counts every protocol-level request including retries;
+	// counts every GETX issued, retries included (every GETX is issued
+	// inside a running attempt, so every one is transactional);
 	// TxGETXAccesses counts logical write accesses (the Fig. 2
 	// denominator — one classification per access, accumulated across its
 	// retries).

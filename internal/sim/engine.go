@@ -9,11 +9,11 @@
 // majority in a cache-coherent CMP model: NoC hops, controller occupancy
 // windows, hit latencies, fixed backoffs — land in a dense near-horizon
 // wheel with O(1) schedule and pop. Long timers (notification-guided
-// sleeps, restart backoffs, sample intervals) go to a spill list kept in
-// (at, seq) order. A node's FSM has at most one such timer pending, so the
-// list's length is bounded by the node count and measured at ~0.01% of
-// scheduled events or less (DESIGN.md has the table; TestOverflowStaysCold
-// pins it), which is why a linear insert is all the structure it needs.
+// sleeps, restart backoffs) go to a spill list kept in (at, seq) order. A
+// node's FSM has at most one live far timer; a superseded one stays queued
+// until its cycle. The list is short and measured at ~0.01% of scheduled
+// events or less (DESIGN.md has the table; TestOverflowStaysCold pins it),
+// which is why a linear insert is all the structure it needs.
 // Events can be scheduled either as closures (At/After) or — on hot paths —
 // closure-free via a Handler interface plus a payload value and word
 // (AtEvent/AfterEvent). Both share one slot layout and one dispatch: a
@@ -59,30 +59,15 @@ var runClosure = new(closureRunner)
 // free-list link, both -1 or above.
 const inSpill int32 = -2
 
-// eventSlot is one entry of the event slab: 64 bytes, one cache line. gen
-// increments every time the slot is released, so a stale EventID held by a
-// caller can never cancel the slot's next tenant — and an ID whose gen
-// matches names a queued event.
+// eventSlot is one entry of the event slab: 64 bytes, one cache line.
 type eventSlot struct {
 	at   Time
 	seq  uint64 // insertion order; breaks ties so same-cycle events run FIFO
 	h    Handler
 	arg  any
 	word uint64
-	gen  uint32
 	next int32 // free-list or bucket-chain link (-1 ends the list), or inSpill
 }
-
-// EventID identifies a scheduled event so it can be cancelled. It is a
-// (slot, generation) pair: cancelling an event that already fired — even if
-// its slot has since been recycled for a different event — is a safe no-op.
-type EventID struct {
-	slot int32 // slab index + 1, so the zero EventID means "no event"
-	gen  uint32
-}
-
-// Zero returns true for the zero EventID (no event).
-func (id EventID) Zero() bool { return id.slot == 0 }
 
 // DefaultWheelWindow is the near-horizon window of NewEngine: delays
 // shorter than this many cycles get O(1) wheel scheduling; longer timers go
@@ -174,8 +159,9 @@ func (e *Engine) Window() Time { return e.window }
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events executed so far. Cancelled events
-// are never counted; Reset rewinds the count to zero.
+// Processed returns the number of events executed so far, counting every
+// popped event (a continuation its owner has superseded still pops, as a
+// no-op); Reset rewinds the count to zero.
 func (e *Engine) Processed() uint64 { return e.nRun }
 
 // Spilled returns the number of events scheduled at or beyond the wheel
@@ -183,17 +169,15 @@ func (e *Engine) Processed() uint64 { return e.nRun }
 // is sized for.
 func (e *Engine) Spilled() uint64 { return e.nSpill }
 
-// Pending returns the number of events currently scheduled: live events in
-// the wheel plus live events in the spill list. Free slab slots and
-// cancelled events are not counted — the slab may be much larger than
+// Pending returns the number of events currently scheduled: events in the
+// wheel plus events in the spill list, superseded continuations included.
+// Free slab slots are not counted — the slab may be much larger than
 // Pending after a burst.
 func (e *Engine) Pending() int { return e.nWheel + len(e.spill) }
 
 // Reset returns the engine to the state NewEngine left it in — clock at
 // zero, no pending events, zero Processed count, not stopped — while
-// retaining the slot slab, wheel, and spill-list capacity for reuse. Every slot
-// that held a queued event has its generation bumped, so EventIDs issued
-// before the Reset can never cancel events scheduled after it.
+// retaining the slot slab, wheel, and spill-list capacity for reuse.
 func (e *Engine) Reset() {
 	for i := range e.buckets {
 		for idx := e.buckets[i].head; idx >= 0; {
@@ -312,11 +296,10 @@ func (e *Engine) RekeyOverflow(base uint64, renum []uint64) {
 // largest and it is appended. Unless the engine has been rewound, seq only
 // grows, so the tail's seq is not even read. The cold paths — a sorted
 // insert, the spill list, growing the slab — are calls, and the slab grows
-// last, when only the returned ID is live: the free list is never empty on
-// entry.
+// last, once the slot is queued: the free list is never empty on entry.
 //
 //puno:hot
-func (e *Engine) schedule(t Time, h Handler, arg any, word uint64) EventID {
+func (e *Engine) schedule(t Time, h Handler, arg any, word uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -350,11 +333,9 @@ func (e *Engine) schedule(t Time, h Handler, arg any, word uint64) EventID {
 		e.nSpill++
 		e.spillInsert(idx)
 	}
-	id := EventID{slot: idx + 1, gen: s.gen}
 	if e.free < 0 {
 		e.growSlab()
 	}
-	return id
 }
 
 // growSlab appends one slot to the slab and frees it. schedule takes this
@@ -381,19 +362,12 @@ func (e *Engine) spillInsert(idx int32) {
 	}
 }
 
-// spillRemove deletes a resident slot from the spill list. A pop finds it
-// at the head; Cancel may find it anywhere.
-func (e *Engine) spillRemove(idx int32) {
-	i := 0
-	for e.spill[i] != idx {
-		i++
-	}
-	e.spill = append(e.spill[:i], e.spill[i+1:]...)
-	if i == 0 {
-		e.spillAt = Infinity
-		if len(e.spill) > 0 {
-			e.spillAt = e.slots[e.spill[0]].at
-		}
+// spillRemove pops the spill list's head.
+func (e *Engine) spillRemove() {
+	e.spill = append(e.spill[:0], e.spill[1:]...)
+	e.spillAt = Infinity
+	if len(e.spill) > 0 {
+		e.spillAt = e.slots[e.spill[0]].at
 	}
 }
 
@@ -430,78 +404,26 @@ func (e *Engine) chainInsertBefore(b *bucket, idx int32) {
 // At schedules fn to run at absolute cycle t. Scheduling in the past (t <
 // Now) panics: it would silently corrupt causality. fn rides in the slot's
 // arg (a func value boxes without allocating), dispatched by runClosure.
-func (e *Engine) At(t Time, fn Event) EventID {
-	return e.schedule(t, runClosure, fn, 0)
-}
+func (e *Engine) At(t Time, fn Event) { e.schedule(t, runClosure, fn, 0) }
 
 // After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Time, fn Event) EventID {
-	return e.schedule(e.now+delay, runClosure, fn, 0)
-}
+func (e *Engine) After(delay Time, fn Event) { e.schedule(e.now+delay, runClosure, fn, 0) }
 
 // AtEvent schedules h.OnEvent(arg, word) at absolute cycle t without
 // allocating. FIFO ordering against At-scheduled events is preserved: both
 // share the same insertion sequence.
-func (e *Engine) AtEvent(t Time, h Handler, arg any, word uint64) EventID {
-	return e.schedule(t, h, arg, word)
-}
+func (e *Engine) AtEvent(t Time, h Handler, arg any, word uint64) { e.schedule(t, h, arg, word) }
 
 // AfterEvent schedules h.OnEvent(arg, word) delay cycles from now without
 // allocating.
-func (e *Engine) AfterEvent(delay Time, h Handler, arg any, word uint64) EventID {
-	return e.schedule(e.now+delay, h, arg, word)
+func (e *Engine) AfterEvent(delay Time, h Handler, arg any, word uint64) {
+	e.schedule(e.now+delay, h, arg, word)
 }
 
-// Cancel removes a scheduled event. Cancelling an already-run,
-// already-cancelled, or recycled event is a no-op and returns false.
-func (e *Engine) Cancel(id EventID) bool {
-	if id.slot == 0 {
-		return false
-	}
-	idx := id.slot - 1
-	if int(idx) >= len(e.slots) {
-		return false
-	}
-	s := &e.slots[idx]
-	if s.gen != id.gen {
-		return false
-	}
-	if s.next == inSpill {
-		e.spillRemove(idx)
-	} else {
-		e.unchain(idx)
-	}
-	e.release(idx)
-	return true
-}
-
-// unchain unlinks a wheel event from its bucket. Buckets hold the handful
-// of events that fire on one exact cycle, so the chain walk is short.
-func (e *Engine) unchain(idx int32) {
-	s := &e.slots[idx]
-	bi := uint64(s.at) & e.mask
-	b := &e.buckets[bi]
-	if b.head == idx {
-		e.unlinkHead(b, bi)
-		return
-	}
-	prev := b.head
-	for e.slots[prev].next != idx {
-		prev = e.slots[prev].next
-	}
-	e.slots[prev].next = s.next
-	if b.tail == idx {
-		b.tail = prev
-	}
-	e.nWheel--
-}
-
-// release returns a slot to the free list, bumping its generation so any
-// outstanding EventID for it goes stale, and dropping references so the
-// slab does not retain the event's handler or payload.
+// release returns a slot to the free list, dropping references so the slab
+// does not retain the event's handler or payload.
 func (e *Engine) release(idx int32) {
 	s := &e.slots[idx]
-	s.gen++
 	s.h = nil
 	s.arg = nil
 	s.next = e.free
@@ -621,16 +543,14 @@ func (e *Engine) popSlow(limit Time) int32 {
 		bi := uint64(s.at) & e.mask
 		e.unlinkHead(&e.buckets[bi], bi)
 	} else {
-		e.spillRemove(idx)
+		e.spillRemove()
 	}
 	e.now = s.at
 	return idx
 }
 
 // take counts the event pop or popSlow unlinked and releases its slot
-// before returning the callback, so the callback may reuse the slot (its
-// generation was bumped, so a stale EventID for the fired event still
-// cancels nothing).
+// before returning the callback, so the callback may reuse the slot.
 func (e *Engine) take(idx int32) (Handler, any, uint64) {
 	s := &e.slots[idx]
 	h, arg, word := s.h, s.arg, s.word

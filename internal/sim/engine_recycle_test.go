@@ -1,85 +1,27 @@
 package sim
 
 // Tests for the slab/free-list event queue introduced by the
-// zero-allocation hot path: slot recycling must never let a stale EventID
-// cancel a later event (the ABA hazard the generation counter exists for),
-// FIFO tie-breaking must survive heavy free-list reuse, and the whole queue
-// must behave exactly like the original container/heap implementation,
-// which the reference model below re-implements.
+// zero-allocation hot path: FIFO tie-breaking must survive heavy free-list
+// reuse, and the whole queue must behave exactly like the original
+// container/heap implementation, which the reference model below
+// re-implements.
 
 import (
 	"container/heap"
 	"testing"
 )
 
-// TestEngineCancelRecycledSlotIsNoOp forces a slot to be recycled for a new
-// event and asserts that the old EventID cannot cancel the new tenant.
-func TestEngineCancelRecycledSlotIsNoOp(t *testing.T) {
-	e := NewEngine()
-	stale := e.At(1, func() {})
-	e.Run(Infinity) // fires the event; its slot goes on the free list
-
-	ran := false
-	fresh := e.At(5, func() { ran = true })
-	if fresh.slot != stale.slot {
-		t.Fatalf("expected slot reuse: stale slot %d, fresh slot %d", stale.slot, fresh.slot)
-	}
-	if fresh.gen == stale.gen {
-		t.Fatal("recycled slot did not bump its generation")
-	}
-	if e.Cancel(stale) {
-		t.Fatal("Cancel of a stale EventID returned true")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("stale Cancel removed the recycled slot's event: pending = %d", e.Pending())
-	}
-	e.Run(Infinity)
-	if !ran {
-		t.Fatal("event on the recycled slot never ran")
-	}
-	// And the now-fired fresh ID is itself stale.
-	if e.Cancel(fresh) {
-		t.Fatal("Cancel of a fired EventID returned true")
-	}
-}
-
-// TestEngineCancelAfterManyRecycles cycles one slot through many
-// generations and checks every historical EventID stays dead.
-func TestEngineCancelAfterManyRecycles(t *testing.T) {
-	e := NewEngine()
-	var ids []EventID
-	for i := 0; i < 100; i++ {
-		ids = append(ids, e.At(e.Now()+1, func() {}))
-		e.Run(Infinity)
-	}
-	live := e.At(e.Now()+1, func() {})
-	for i, id := range ids {
-		if e.Cancel(id) {
-			t.Fatalf("Cancel of generation-%d EventID returned true", i)
-		}
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("stale cancels disturbed the queue: pending = %d, want 1", e.Pending())
-	}
-	if !e.Cancel(live) {
-		t.Fatal("Cancel of the live event failed after stale cancels")
-	}
-}
-
 // TestEngineFIFOAcrossFreeListReuse interleaves fire/schedule rounds so
 // same-cycle events land on recycled slots in scrambled slab order, then
 // checks they still run in insertion order.
 func TestEngineFIFOAcrossFreeListReuse(t *testing.T) {
 	e := NewEngine()
-	// Warm the slab with slots freed in a non-trivial order.
-	var warm []EventID
+	// Warm the slab with slots freed in a non-trivial order: the even
+	// slots fire (and free) first, then the odd ones.
 	for i := 0; i < 32; i++ {
-		warm = append(warm, e.At(10, func() {}))
+		e.At(Time(10+i%2), func() {})
 	}
-	for i := 0; i < len(warm); i += 2 {
-		e.Cancel(warm[i]) // frees even slots first
-	}
-	e.Run(Infinity) // fires (and frees) the odd slots in heap order
+	e.Run(Infinity)
 
 	var order []int
 	for i := 0; i < 64; i++ {
@@ -106,7 +48,6 @@ type refEvent struct {
 	at  Time
 	seq uint64
 	id  int
-	idx int
 }
 
 type refHeap []*refEvent
@@ -118,47 +59,27 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *refHeap) Push(x any) {
-	ev := x.(*refEvent)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.idx = -1
 	*h = old[:n-1]
 	return ev
 }
 
-// refQueue mirrors the Engine's schedule/cancel/pop surface.
+// refQueue mirrors the Engine's schedule/pop surface.
 type refQueue struct {
 	now Time
 	seq uint64
 	h   refHeap
 }
 
-func (q *refQueue) schedule(at Time, id int) *refEvent {
-	ev := &refEvent{at: at, seq: q.seq, id: id}
+func (q *refQueue) schedule(at Time, id int) {
+	heap.Push(&q.h, &refEvent{at: at, seq: q.seq, id: id})
 	q.seq++
-	heap.Push(&q.h, ev)
-	return ev
-}
-
-func (q *refQueue) cancel(ev *refEvent) bool {
-	if ev.idx < 0 {
-		return false
-	}
-	heap.Remove(&q.h, ev.idx)
-	ev.idx = -1
-	return true
 }
 
 func (q *refQueue) pop() (int, bool) {
@@ -167,7 +88,6 @@ func (q *refQueue) pop() (int, bool) {
 	}
 	ev := heap.Pop(&q.h).(*refEvent)
 	q.now = ev.at
-	ev.idx = -1
 	return ev.id, true
 }
 
@@ -187,8 +107,8 @@ func (q *refQueue) run(limit Time) []int {
 }
 
 // TestEngineMatchesContainerHeapReference drives the slab queue and the
-// container/heap reference with an identical random schedule/cancel/pop
-// command stream and asserts they fire the same events in the same order —
+// container/heap reference with an identical random schedule/pop command
+// stream and asserts they fire the same events in the same order —
 // the property the golden determinism files depend on.
 func TestEngineMatchesContainerHeapReference(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
@@ -197,11 +117,6 @@ func TestEngineMatchesContainerHeapReference(t *testing.T) {
 		ref := &refQueue{}
 
 		var engFired, refFired []int
-		type pair struct {
-			engID EventID
-			refEv *refEvent
-		}
-		var live []pair
 		nextID := 0
 
 		for step := 0; step < 400; step++ {
@@ -210,19 +125,8 @@ func TestEngineMatchesContainerHeapReference(t *testing.T) {
 				at := e.Now() + Time(rng.Intn(8))
 				id := nextID
 				nextID++
-				engID := e.At(at, func() { engFired = append(engFired, id) })
-				refEv := ref.schedule(at, id)
-				live = append(live, pair{engID, refEv})
-			case op < 7: // cancel a random previously issued (possibly dead) ID
-				if len(live) == 0 {
-					continue
-				}
-				p := live[rng.Intn(len(live))]
-				got := e.Cancel(p.engID)
-				want := ref.cancel(p.refEv)
-				if got != want {
-					t.Fatalf("trial %d step %d: Cancel = %v, reference = %v", trial, step, got, want)
-				}
+				e.At(at, func() { engFired = append(engFired, id) })
+				ref.schedule(at, id)
 			default: // pop one event
 				engOK := e.Step()
 				refID, refOK := ref.pop()

@@ -208,41 +208,6 @@ func TestRekeyAcrossHorizonBoundary(t *testing.T) {
 	}
 }
 
-// TestCancelAfterRekey certifies EventID generation safety around the bulk
-// renumbering passes: neither may invalidate a held id, in either level,
-// and a cancelled slot's recycled tenant must stay safe from the stale id.
-func TestCancelAfterRekey(t *testing.T) {
-	const base = uint64(1) << 62
-	e := NewEngineWindow(64)
-	h := &wordRecorder{}
-	e.SetSeq(base)
-	a := e.AtEvent(9, h, nil, 1)   // wheel
-	b := e.AtEvent(900, h, nil, 2) // spill list
-	renum := []uint64{3, 7}
-	e.RekeyBucket(9, base, renum)
-	e.RekeyOverflow(base, renum)
-	if !e.Cancel(a) {
-		t.Fatal("Cancel after RekeyBucket failed: the bulk pass must not touch generations")
-	}
-	if !e.Cancel(b) {
-		t.Fatal("Cancel after RekeyOverflow failed: the bulk pass must not touch generations")
-	}
-	// Recycle a slot for a new event; the stale ids must not cancel it.
-	c := e.AtEvent(12, h, nil, 3)
-	if e.Cancel(a) || e.Cancel(b) {
-		t.Fatal("stale EventID cancelled a recycled slot's new tenant")
-	}
-	if e.Cancel(EventID{}) || e.Cancel(EventID{slot: 1 << 20, gen: 1}) {
-		t.Fatal("Cancel of the zero or an out-of-range EventID succeeded")
-	}
-	if !e.Cancel(c) {
-		t.Fatal("Cancel of the recycled slot's live tenant failed")
-	}
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending = %d after cancelling everything, want 0", got)
-	}
-}
-
 // funcHandler adapts a closure to Handler for tests that need side effects.
 type funcHandler struct{ f func(word uint64) }
 

@@ -42,26 +42,21 @@ func TestEngineSameCycleFIFO(t *testing.T) {
 	}
 
 	// Closure and handler events share one insertion sequence: mixed on
-	// one cycle they run in scheduling order, and cancelling a closure
-	// event removes exactly that one.
+	// one cycle they run in scheduling order.
 	t.Run("mixed", func(t *testing.T) {
 		e := NewEngine()
 		var order []int
 		h := &funcHandler{f: func(word uint64) { order = append(order, int(word)) }}
-		var ids []EventID
 		for i := 0; i < 12; i++ {
 			i := i
 			if i%2 == 0 {
-				ids = append(ids, e.At(9, func() { order = append(order, i) }))
+				e.At(9, func() { order = append(order, i) })
 			} else {
 				e.AtEvent(9, h, nil, uint64(i))
 			}
 		}
-		if !e.Cancel(ids[3]) { // the closure event scheduled 7th
-			t.Fatal("Cancel of a pending closure event returned false")
-		}
 		e.Run(Infinity)
-		want := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11}
+		want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 		if fmt.Sprint(order) != fmt.Sprint(want) {
 			t.Fatalf("mixed same-cycle order %v, want %v", order, want)
 		}
@@ -91,43 +86,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 		e.At(10, func() {})
 	})
 	e.Run(Infinity)
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	id := e.At(10, func() { ran = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel returned false for a pending event")
-	}
-	if e.Cancel(id) {
-		t.Fatal("Cancel returned true for an already-cancelled event")
-	}
-	e.Run(Infinity)
-	if ran {
-		t.Fatal("cancelled event still ran")
-	}
-}
-
-func TestEngineCancelMiddleOfHeap(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	ids := make([]EventID, 10)
-	for i := 0; i < 10; i++ {
-		i := i
-		ids[i] = e.At(Time(i), func() { got = append(got, i) })
-	}
-	e.Cancel(ids[3])
-	e.Cancel(ids[7])
-	e.Run(Infinity)
-	if len(got) != 8 {
-		t.Fatalf("ran %d events, want 8", len(got))
-	}
-	for _, v := range got {
-		if v == 3 || v == 7 {
-			t.Fatalf("cancelled event %d ran", v)
-		}
-	}
 }
 
 func TestEngineRunLimitStopsClock(t *testing.T) {
@@ -160,17 +118,6 @@ func TestEngineStop(t *testing.T) {
 	e.Run(Infinity)
 	if n != 3 {
 		t.Fatalf("ran %d events after Stop, want 3", n)
-	}
-}
-
-func TestEngineZeroEventID(t *testing.T) {
-	var id EventID
-	if !id.Zero() {
-		t.Fatal("zero EventID not Zero()")
-	}
-	e := NewEngine()
-	if e.Cancel(id) {
-		t.Fatal("Cancel of zero EventID returned true")
 	}
 }
 

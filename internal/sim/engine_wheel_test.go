@@ -4,7 +4,7 @@ package sim
 // sorted spill list) against the container/heap reference model, with command
 // streams that force cross-level behaviour — delays on both sides of the
 // horizon, events migrating conceptually from "far" to "near" as the clock
-// advances, cancels in both levels, and slot ABA across levels. The plain
+// advances, and Run(limit) legs that stop between the levels. The plain
 // reference-model test (engine_recycle_test.go) keeps delays tiny and so
 // exercises only the wheel; these tests are the other half.
 
@@ -53,8 +53,7 @@ func runLeg(t *testing.T, e *Engine, ref *refQueue, rng *RNG, span int, engFired
 	return spilled
 }
 
-// TestEngineMatchesReferenceCrossLevel replays random schedule/cancel/pop
-// streams whose delays straddle the wheel horizon (window 64, delays up to
+// TestEngineMatchesReferenceCrossLevel replays random schedule/pop streams whose delays straddle the wheel horizon (window 64, delays up to
 // 4x that), against the container/heap reference. This certifies that the
 // wheel/spill split — including events that sit in the spill list while their time
 // enters the near window — never changes the (time, seq) pop order, whether
@@ -68,11 +67,6 @@ func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
 		ref := &refQueue{}
 
 		var engFired, refFired []int
-		type pair struct {
-			engID EventID
-			refEv *refEvent
-		}
-		var live []pair
 		nextID := 0
 
 		for step := 0; step < 600; step++ {
@@ -90,19 +84,8 @@ func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
 				at := e.Now() + d
 				id := nextID
 				nextID++
-				engID := e.At(at, func() { engFired = append(engFired, id) })
-				refEv := ref.schedule(at, id)
-				live = append(live, pair{engID, refEv})
-			case op < 7: // cancel a random (possibly dead) ID, either level
-				if len(live) == 0 {
-					continue
-				}
-				p := live[rng.Intn(len(live))]
-				got := e.Cancel(p.engID)
-				want := ref.cancel(p.refEv)
-				if got != want {
-					t.Fatalf("trial %d step %d: Cancel = %v, reference = %v", trial, step, got, want)
-				}
+				e.At(at, func() { engFired = append(engFired, id) })
+				ref.schedule(at, id)
 			case op == 9: // drain through Run up to a random limit
 				if runLeg(t, e, ref, rng, 2*window, &engFired, &refFired) {
 					runsWithResidents++
@@ -150,36 +133,26 @@ func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
 }
 
 // lockstep drives an Engine and the container/heap reference through the
-// same schedule/cancel/pop script; every Cancel result and every fired id
-// is compared as it happens.
+// same schedule/pop script; every fired id is compared as it happens.
 type lockstep struct {
 	t     *testing.T
 	e     *Engine
 	ref   *refQueue
 	fired []int
-	ids   []EventID
-	evs   []*refEvent
+	n     int // events scheduled since the last Reset
 }
 
 func newLockstep(t *testing.T) *lockstep {
 	return &lockstep{t: t, e: NewEngineWindow(64), ref: &refQueue{}}
 }
 
-// at schedules event number len(ids) at absolute cycle c on both sides.
+// at schedules event number n at absolute cycle c on both sides.
 func (l *lockstep) at(c Time) int {
-	id := len(l.ids)
-	l.ids = append(l.ids, l.e.At(c, func() { l.fired = append(l.fired, id) }))
-	l.evs = append(l.evs, l.ref.schedule(c, id))
+	id := l.n
+	l.n++
+	l.e.At(c, func() { l.fired = append(l.fired, id) })
+	l.ref.schedule(c, id)
 	return id
-}
-
-func (l *lockstep) cancel(id int) bool {
-	l.t.Helper()
-	got, want := l.e.Cancel(l.ids[id]), l.ref.cancel(l.evs[id])
-	if got != want {
-		l.t.Fatalf("Cancel(event %d) = %v, reference = %v", id, got, want)
-	}
-	return got
 }
 
 // step pops one event from each side and reports whether there was one.
@@ -230,45 +203,20 @@ func TestEngineSpillList(t *testing.T) {
 		}
 	})
 
-	t.Run("cancel head middle tail", func(t *testing.T) {
-		l := newLockstep(t)
-		for i := 0; i < 7; i++ {
-			l.at(Time(100 + 10*i))
-		}
-		for _, id := range []int{0, 3, 6} {
-			if !l.cancel(id) {
-				t.Fatalf("Cancel of live resident %d returned false", id)
-			}
-		}
-		if l.cancel(3) {
-			t.Fatal("second Cancel of the same resident returned true")
-		}
-		mid := l.at(125) // lands between survivors 2 and 3's old place
-		if fired, want := l.drain(), []int{1, 2, mid, 4, 5}; !slices.Equal(fired, want) {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
-	})
-
 	t.Run("reset with residents", func(t *testing.T) {
 		l := newLockstep(t)
 		for i := 0; i < 5; i++ {
 			l.at(Time(200 + i))
 		}
-		stale := l.ids
 		l.e.Reset()
 		*l.ref = refQueue{}
-		l.ids, l.evs = nil, nil
+		l.n = 0
 		if l.e.Pending() != 0 || l.e.Spilled() != 0 {
 			t.Fatalf("after Reset: Pending=%d Spilled=%d, want 0/0", l.e.Pending(), l.e.Spilled())
 		}
-		// The same slots now hold new residents; no pre-Reset id may touch them.
+		// The same slots now hold new residents.
 		for i := 0; i < 5; i++ {
 			l.at(Time(300 - i))
-		}
-		for i, id := range stale {
-			if l.e.Cancel(id) {
-				t.Fatalf("stale pre-Reset EventID %d cancelled a post-Reset resident", i)
-			}
 		}
 		if fired, want := l.drain(), []int{4, 3, 2, 1, 0}; !slices.Equal(fired, want) {
 			t.Fatalf("post-Reset residents fired %v, want %v", fired, want)
@@ -356,84 +304,33 @@ func TestEngineSameCycleFIFOAcrossRollover(t *testing.T) {
 	}
 }
 
-// TestEngineCancelOverflowLevel exercises Cancel for events resident in the
-// spill list, including middle-of-list removal and the generation (ABA)
-// guard across a slot that migrates levels on reuse.
-func TestEngineCancelOverflowLevel(t *testing.T) {
-	e := NewEngineWindow(64)
-	fired := map[int]bool{}
-	var ids []EventID
-	// A spread of spill residents (delays >= window) around wheel residents.
-	for i := 0; i < 10; i++ {
-		id := i
-		ids = append(ids, e.After(Time(64+i*37), func() { fired[id] = true }))
-	}
-	// Cancel a middle resident and the head.
-	if !e.Cancel(ids[5]) || !e.Cancel(ids[0]) {
-		t.Fatal("Cancel of live overflow events returned false")
-	}
-	if e.Cancel(ids[5]) {
-		t.Fatal("second Cancel of the same overflow event returned true")
-	}
-	if e.Pending() != 8 {
-		t.Fatalf("Pending = %d after cancelling 2 of 10, want 8", e.Pending())
-	}
-	e.Run(Infinity)
-	for i := 0; i < 10; i++ {
-		want := i != 0 && i != 5
-		if fired[i] != want {
-			t.Fatalf("event %d fired=%v, want %v", i, fired[i], want)
-		}
-	}
-
-	// ABA across levels: a stale ID for a fired spilled event must not cancel
-	// the wheel event now occupying the recycled slot.
-	e2 := NewEngineWindow(64)
-	stale := e2.After(100, func() {}) // spills
-	e2.Run(Infinity)                  // fires, slot freed
-	ran := false
-	fresh := e2.After(1, func() { ran = true }) // wheel, reuses the slot
-	if fresh.slot != stale.slot {
-		t.Fatalf("expected slot reuse across levels: stale %d, fresh %d", stale.slot, fresh.slot)
-	}
-	if e2.Cancel(stale) {
-		t.Fatal("stale cross-level EventID cancelled the slot's new tenant")
-	}
-	e2.Run(Infinity)
-	if !ran {
-		t.Fatal("recycled-slot wheel event did not run")
-	}
-}
-
 // TestEnginePendingProcessed is the focused audit of the two counters under
-// the wheel: Pending counts live events only (across both levels, free slab
-// slots excluded), Processed counts fired events only (cancelled events are
-// not processed), and Reset rewinds both.
+// the wheel: Pending counts queued events (across both levels, free slab
+// slots excluded), Processed counts fired events, and Reset rewinds both.
 func TestEnginePendingProcessed(t *testing.T) {
 	e := NewEngineWindow(64)
 	if e.Pending() != 0 || e.Processed() != 0 {
 		t.Fatalf("fresh engine: Pending=%d Processed=%d, want 0/0", e.Pending(), e.Processed())
 	}
-	idWheel := e.After(3, func() {})
+	e.After(3, func() {})
 	e.After(5, func() {})
-	idSpill := e.After(500, func() {}) // overflow level
+	e.After(500, func() {}) // overflow level
 	if e.Pending() != 3 {
 		t.Fatalf("Pending = %d after 3 schedules, want 3", e.Pending())
 	}
-	e.Cancel(idWheel)
-	e.Cancel(idSpill)
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after cancelling one event per level, want 1", e.Pending())
+	if !e.Step() {
+		t.Fatal("Step found nothing despite Pending = 3")
+	}
+	if e.Pending() != 2 || e.Processed() != 1 {
+		t.Fatalf("after one Step: Pending=%d Processed=%d, want 2/1", e.Pending(), e.Processed())
 	}
 	// The slab now holds free slots; they must not be counted.
-	if !e.Step() {
-		t.Fatal("Step found nothing despite Pending = 1")
-	}
+	e.Run(Infinity)
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after draining, want 0 (free slots not counted)", e.Pending())
 	}
-	if e.Processed() != 1 {
-		t.Fatalf("Processed = %d, want 1 (cancelled events are not processed)", e.Processed())
+	if e.Processed() != 3 {
+		t.Fatalf("Processed = %d, want 3", e.Processed())
 	}
 	e.After(700, func() {})
 	e.Reset()
@@ -444,8 +341,8 @@ func TestEnginePendingProcessed(t *testing.T) {
 }
 
 // TestEngineResetReuse certifies the arena property: a Reset engine behaves
-// bit-identically to a fresh one, stale pre-Reset EventIDs are inert, and
-// the reset itself (plus the subsequent steady state) allocates nothing.
+// bit-identically to a fresh one, pre-Reset events never fire, and the
+// reset itself (plus the subsequent steady state) allocates nothing.
 func TestEngineResetReuse(t *testing.T) {
 	workload := func(e *Engine) []Time {
 		var fires []Time
@@ -472,11 +369,8 @@ func TestEngineResetReuse(t *testing.T) {
 	reused := NewEngineWindow(64)
 	// Dirty the engine: pending events in both levels, then Reset.
 	reused.After(1, func() { t.Fatal("pre-Reset event survived Reset") })
-	stale := reused.After(900, func() { t.Fatal("pre-Reset overflow event survived Reset") })
+	reused.After(900, func() { t.Fatal("pre-Reset overflow event survived Reset") })
 	reused.Reset()
-	if reused.Cancel(stale) {
-		t.Fatal("stale pre-Reset EventID cancelled something after Reset")
-	}
 	got := workload(reused)
 	if len(got) != len(want) {
 		t.Fatalf("reused engine fired %d events, fresh fired %d", len(got), len(want))
@@ -521,11 +415,6 @@ func TestEngineWheelFuzz(t *testing.T) {
 		ref := &refQueue{}
 
 		var engFired, refFired []int
-		type pair struct {
-			engID EventID
-			refEv *refEvent
-		}
-		var live []pair
 		nextID := 0
 
 		for step := 0; step < 500; step++ {
@@ -534,16 +423,8 @@ func TestEngineWheelFuzz(t *testing.T) {
 				at := e.Now() + Time(rng.Uint64n(uint64(3*window)))
 				id := nextID
 				nextID++
-				engID := e.At(at, func() { engFired = append(engFired, id) })
-				live = append(live, pair{engID, ref.schedule(at, id)})
-			case op < 12:
-				if len(live) == 0 {
-					continue
-				}
-				p := live[rng.Intn(len(live))]
-				if got, want := e.Cancel(p.engID), ref.cancel(p.refEv); got != want {
-					t.Fatalf("trial %d step %d: Cancel = %v, reference = %v", trial, step, got, want)
-				}
+				e.At(at, func() { engFired = append(engFired, id) })
+				ref.schedule(at, id)
 			case op == 18:
 				if runLeg(t, e, ref, rng, int(window), &engFired, &refFired) {
 					runsWithResidents++
@@ -551,7 +432,6 @@ func TestEngineWheelFuzz(t *testing.T) {
 			case op == 19 && step > 0 && step%97 == 0: // rare full Reset
 				e.Reset()
 				*ref = refQueue{}
-				live = live[:0]
 				engFired, refFired = engFired[:0], refFired[:0]
 			default:
 				engOK := e.Step()

@@ -7,8 +7,9 @@
 // matches Table I's abort rates and Fig. 2's false-aborting fractions (see
 // EXPERIMENTS.md for the calibration record).
 //
-// The package also exports the tunable Synthetic generator the profiles are
-// built from, for users who want to explore other contention shapes.
+// The profiles are built from weighted transaction Classes; NewProfile
+// builds a custom workload from Classes, for users who want to explore
+// other contention shapes.
 package stamp
 
 import (
