@@ -255,11 +255,30 @@ func (d *Directory) emit(kind probe.Kind, lid mem.LineID, n, requester int, reqI
 // Stats returns a copy of the accumulated statistics.
 func (d *Directory) Stats() Stats { return d.stats }
 
-// Busy reports whether l's entry is blocked mid-transaction (used by the
-// machine's ownership invariant).
+// Busy reports whether l's entry is blocked mid-transaction (the machine's
+// invariant check exempts such entries).
 func (d *Directory) Busy(l mem.Line) bool {
 	e := d.lookup(d.it.Lookup(l))
 	return e != nil && e.busy
+}
+
+// Lists reports whether l's entry lists node n as a holder: in its sharer
+// set, which for a Modified entry holds just the owner. Unlike State it
+// allocates nothing, so the machine's invariant check can ask it for every
+// resident L1 line.
+func (d *Directory) Lists(l mem.Line, n int) bool {
+	e := d.lookup(d.it.Lookup(l))
+	return e != nil && e.sharers.has(n)
+}
+
+// ForEachModified calls f with the line and owner of every Modified entry,
+// in slot order (a free-listed slot is Invalid, so it is never reported).
+func (d *Directory) ForEachModified(f func(l mem.Line, owner int)) {
+	for i := range d.slab {
+		if e := &d.slab[i]; e.state == DirModified {
+			f(e.line, e.owner)
+		}
+	}
 }
 
 // BusyInfo describes one blocked entry for diagnostics.

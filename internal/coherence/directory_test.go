@@ -560,3 +560,44 @@ func TestTooManyNodesPanics(t *testing.T) {
 	}()
 	NewDirectory(0, MaxNodes+1, newMockEnv(), nil)
 }
+
+// TestListsAndForEachModified pins the two allocation-free views the
+// machine's invariant check reads: Lists follows the sharer set (just the
+// owner once Modified), and ForEachModified reports each Modified entry
+// once — never a slot a writeback free-listed.
+func TestListsAndForEachModified(t *testing.T) {
+	env := newMockEnv()
+	d := NewDirectory(0, 16, env, nil)
+	modified := func() [][2]int {
+		var out [][2]int
+		d.ForEachModified(func(l mem.Line, owner int) { out = append(out, [2]int{int(l), owner}) })
+		return out
+	}
+	if d.Lists(testLine, 1) || len(modified()) != 0 {
+		t.Fatal("an untouched line is listed or Modified")
+	}
+	d.Handle(gets(1, htm.NoPriority))
+	d.Handle(gets(5, htm.NoPriority))
+	if !d.Lists(testLine, 1) || !d.Lists(testLine, 5) || d.Lists(testLine, 2) {
+		t.Fatal("Lists does not follow the sharer set")
+	}
+	if got := modified(); len(got) != 0 {
+		t.Fatalf("Shared entry reported Modified: %v", got)
+	}
+	d.Handle(getx(2, 100, true))
+	d.Handle(unblock(2, true))
+	if !d.Lists(testLine, 2) || d.Lists(testLine, 1) {
+		t.Fatal("a Modified entry must list just its owner")
+	}
+	if got := modified(); len(got) != 1 || got[0] != [2]int{int(testLine), 2} {
+		t.Fatalf("ForEachModified = %v, want [[%d 2]]", got, testLine)
+	}
+	env.take()
+	d.Handle(&Msg{Type: MsgPUTX, Line: testLine, Src: 2, Requester: 2})
+	if d.Lists(testLine, 2) {
+		t.Fatal("a written-back line is still listed")
+	}
+	if got := modified(); len(got) != 0 {
+		t.Fatalf("free-listed slot reported Modified: %v", got)
+	}
+}

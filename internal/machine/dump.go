@@ -10,15 +10,10 @@ import (
 // DumpState writes a human-readable snapshot of every core and directory —
 // the first tool to reach for when a run hits MaxCycles.
 func (m *Machine) DumpState(w io.Writer) {
-	var stateNames = map[nodeState]string{
-		nsIdle: "idle", nsRunning: "running", nsWaiting: "waiting",
-		nsBackoff: "backoff", nsAborting: "aborting", nsAbortDrain: "abort-drain",
-		nsRestartWait: "restart-wait", nsDone: "done",
-	}
 	fmt.Fprintf(w, "cycle %d, %d events processed\n", m.eng.Now(), m.eng.Processed())
 	for _, n := range m.nodes {
 		fmt.Fprintf(w, "node %2d: %-12s tx=%v prio=%d attempts=%d static=%d op=%d/%d commits=%d aborts=%d",
-			n.id, stateNames[n.state], n.tx.Status, txPrio(n), n.tx.Attempts,
+			n.id, stateLabel(n), n.tx.Status, txPrio(n), n.tx.Attempts,
 			n.cur.StaticID, n.opIdx, len(n.cur.Ops),
 			m.res.PerNodeCommits[n.id], m.res.PerNodeAborts[n.id])
 		if n.req != nil {
@@ -53,6 +48,33 @@ func (m *Machine) DumpState(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
+}
+
+// stateLabel names where a node is in its program, from the facts that
+// decide it: the transaction's status, the outstanding request, the
+// backoff flag and the finish cycle.
+func stateLabel(n *node) string {
+	switch {
+	case n.doneAt > 0:
+		return "done"
+	case n.backingOff:
+		return "backoff"
+	}
+	switch n.tx.Status {
+	case htm.StatusRunning:
+		if n.req != nil {
+			return "waiting"
+		}
+		return "running"
+	case htm.StatusAborting:
+		return "aborting"
+	case htm.StatusAborted:
+		if n.req != nil {
+			return "abort-drain" // restarts once the in-flight request settles
+		}
+		return "restart-wait"
+	}
+	return "idle"
 }
 
 func txPrio(n *node) htm.Priority {

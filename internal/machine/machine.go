@@ -3,7 +3,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/cache"
 	"repro/internal/cm"
@@ -43,11 +42,6 @@ type Machine struct {
 	res    Result
 	active int
 	runErr error
-
-	// CheckInvariants scratch, reused across calls: per-LineID holder
-	// buckets plus the list of IDs touched by the current scan.
-	invHolders [][]invHolder
-	invTouched []mem.LineID
 
 	// Controller next-free times (occupancy queueing).
 	dirFree []sim.Time
@@ -507,73 +501,53 @@ func (m *Machine) DrainCaches() {
 	}
 }
 
-// invHolder is one L1's residency of a line during an invariant scan.
-type invHolder struct {
-	node  int
-	state cache.State
-}
-
-// CheckInvariants verifies the single-writer/multiple-reader invariant
-// across all L1s and directory/cache consistency. It may be called during
-// or after a run. The scan buckets holders by interned LineID into scratch
-// retained on the machine, so invariant-checking test runs allocate nothing
-// in steady state.
+// CheckInvariants verifies, at any point during or after a run:
+//   - single writer / multiple readers: a line Modified in one L1 is
+//     resident in no other;
+//   - directory sharers ⊇ holders: every resident L1 copy of a line whose
+//     entry is not busy is on that entry's sharer list;
+//   - every Modified entry that is not busy names an owner that holds the
+//     line Modified, or is writing it back.
+//
+// It reports the first violation in node, then directory, order and
+// allocates nothing when there is none, so tests can call it as often as
+// they like.
 func (m *Machine) CheckInvariants() error {
+	var err error
 	for _, n := range m.nodes {
 		n.l1.ForEach(func(e *cache.Entry) {
-			id := m.it.Intern(e.Line)
-			m.invHolders = mem.Extend(m.invHolders, int(id))
-			if len(m.invHolders[id-1]) == 0 {
-				m.invTouched = append(m.invTouched, id)
+			if err != nil {
+				return
 			}
-			m.invHolders[id-1] = append(m.invHolders[id-1], invHolder{n.id, e.State})
+			l := e.Line
+			if e.State == cache.Modified {
+				for _, h := range m.nodes {
+					if h != n && h.l1.Lookup(l) != nil {
+						err = fmt.Errorf("SWMR violated: line %v is Modified at node %d and also resident at node %d", l, n.id, h.id)
+						return
+					}
+				}
+			}
+			home := m.home.Home(l)
+			if d := m.dirs[home]; !d.Busy(l) && !d.Lists(l, n.id) {
+				err = fmt.Errorf("directory %d does not list node %d as a holder of %v", home, n.id, l)
+			}
 		})
-	}
-	defer func() {
-		for _, id := range m.invTouched {
-			m.invHolders[id-1] = m.invHolders[id-1][:0]
-		}
-		m.invTouched = m.invTouched[:0]
-	}()
-	// Deterministic (line-ordered) reporting.
-	sort.Slice(m.invTouched, func(i, j int) bool {
-		return m.it.LineAt(m.invTouched[i]) < m.it.LineAt(m.invTouched[j])
-	})
-	for _, id := range m.invTouched {
-		l := m.it.LineAt(id)
-		hs := m.invHolders[id-1]
-		owners := 0
-		for _, h := range hs {
-			if h.state == cache.Modified {
-				owners++
-			}
-		}
-		if owners > 1 {
-			return fmt.Errorf("SWMR violated: line %v held exclusively by %d nodes (%v)", l, owners, hs)
-		}
-		if owners == 1 && len(hs) > 1 {
-			return fmt.Errorf("SWMR violated: line %v has an owner plus %d sharers (%v)", l, len(hs)-1, hs)
+		if err != nil {
+			return err
 		}
 	}
-	// Directory M entries must point at a node actually holding the line
-	// exclusively, unless that entry is mid-transaction (busy) or the copy
-	// is travelling through a writeback.
-	for _, id := range m.invTouched {
-		l := m.it.LineAt(id)
-		home := m.home.Home(l)
-		d := m.dirs[home]
-		st, _, owner := d.State(l)
-		if st != coherence.DirModified || d.Busy(l) || m.nodes[owner].wbWait.has(l) {
-			continue
-		}
-		found := false
-		for _, h := range m.invHolders[id-1] {
-			if h.node == owner && h.state == cache.Modified {
-				found = true
+	for home, d := range m.dirs {
+		d.ForEachModified(func(l mem.Line, owner int) {
+			if err != nil || d.Busy(l) || m.nodes[owner].wbWait.has(l) {
+				return
 			}
-		}
-		if !found {
-			return fmt.Errorf("directory %d says %v owned by %d, but it holds no exclusive copy", home, l, owner)
+			if e := m.nodes[owner].l1.Lookup(l); e == nil || e.State != cache.Modified {
+				err = fmt.Errorf("directory %d says %v owned by %d, but it holds no exclusive copy", home, l, owner)
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -12,20 +12,6 @@ import (
 	"repro/internal/sim"
 )
 
-// nodeState is the core's execution state.
-type nodeState uint8
-
-const (
-	nsIdle        nodeState = iota // waiting to fetch the next transaction
-	nsRunning                      // executing transactional ops
-	nsWaiting                      // memory request outstanding
-	nsBackoff                      // NACKed; waiting to re-issue the request
-	nsAborting                     // rolling back the undo log
-	nsAbortDrain                   // rollback done; waiting for an in-flight request to settle
-	nsRestartWait                  // post-abort backoff before re-beginning
-	nsDone                         // program exhausted
-)
-
 // outstanding tracks one in-flight memory request and the responses
 // collected so far.
 type outstanding struct {
@@ -36,14 +22,14 @@ type outstanding struct {
 	promoted bool       // a load promoted to GETX by the RMW predictor
 	home     int
 
-	expected  int // sharer responses to collect; -1 until the header arrives
-	received  int
-	gotHeader bool
-	soleDone  bool
+	expected int // sharer responses to collect; -1 until the header arrives
+	received int
+	// soleDone marks the request's one Sole response (owner data, or a NACK
+	// from an owner or a unicast target): nothing else will answer it.
+	soleDone bool
 
-	data          mem.LineData
-	hasData       bool
-	dataFromOwner bool
+	data    mem.LineData
+	hasData bool
 
 	sawNack        bool
 	tEstMax        sim.Time
@@ -74,7 +60,6 @@ type node struct {
 	// kept and emptied in place across resets that stay on it.
 	rmw *cm.RMWPred
 
-	state nodeState
 	prog  Program
 	cur   TxInstance
 	opIdx int
@@ -101,7 +86,6 @@ type node struct {
 	accNacked   bool
 	accFalse    bool
 	accResolved bool
-	accIsWrite  bool
 	accLive     bool
 
 	// firstLoad associates line -> op index of the first load this attempt;
@@ -121,10 +105,13 @@ type node struct {
 	// node's transaction finishes.
 	wakeupSubs wakeupTable
 
-	pendGen   uint32 // generation of the live cancellable continuation
-	atsRetry  bool   // queued for the ATS token: the attempt it will begin is a retry
-	doneAt    sim.Time
-	ovfStreak int // consecutive overflow aborts of the current instance
+	pendGen uint32 // generation of the live cancellable continuation
+	// backingOff marks a node waiting out a backoff before it re-issues
+	// the current access (its live continuation is nevReissue).
+	backingOff bool
+	atsRetry   bool // queued for the ATS token: the attempt it will begin is a retry
+	doneAt     sim.Time
+	ovfStreak  int // consecutive overflow aborts of the current instance
 
 	// Continuation stash for closure-free event dispatch: the parameters of
 	// the single in-flight cancellable op event (pendEntry/pendAddr/pendVal)
@@ -261,7 +248,18 @@ func (n *node) afterCancellableEv(d sim.Time, code uint64) {
 
 // cancelPending supersedes the node's queued cancellable continuation: it
 // still fires at its cycle, as a no-op.
-func (n *node) cancelPending() { n.pendGen++ }
+func (n *node) cancelPending() {
+	n.pendGen++
+	n.backingOff = false
+}
+
+// backOff waits d cycles, then re-runs the current access.
+//
+//puno:hot
+func (n *node) backOff(d sim.Time) {
+	n.backingOff = true
+	n.afterCancellableEv(d, nevReissue)
+}
 
 // ---- program driving -------------------------------------------------
 
@@ -273,7 +271,6 @@ func (n *node) start() {
 func (n *node) fetchNext() {
 	tx, ok := n.prog.Next(n.rng)
 	if !ok {
-		n.state = nsDone
 		n.doneAt = n.m.eng.Now()
 		n.m.threadDone()
 		return
@@ -304,7 +301,6 @@ func (n *node) startAttempt(retry bool) {
 		n.tx.Reset()
 	}
 	n.tx.Begin(n.cur.StaticID, n.m.eng.Now(), retry)
-	n.state = nsRunning
 	n.opIdx = 0
 	n.phase = 0
 	n.accessRetries = 0
@@ -318,8 +314,9 @@ func (n *node) startAttempt(retry bool) {
 //
 //puno:hot
 func (n *node) execOp() {
-	if n.state != nsRunning {
-		panic(fmt.Sprintf("machine: node %d execOp in state %d", n.id, n.state))
+	if !n.tx.Running() || n.req != nil || n.backingOff {
+		panic(fmt.Sprintf("machine: node %d execOp with tx %v, request %v, backing off %v",
+			n.id, n.tx.Status, n.req != nil, n.backingOff))
 	}
 	if n.opIdx >= len(n.cur.Ops) {
 		n.commit()
@@ -345,7 +342,7 @@ func (n *node) execOp() {
 // finishAccess classifies a completed (or killed) transactional write
 // access for Fig. 2 and resets the per-access accumulators.
 func (n *node) finishAccess() {
-	if n.accLive && n.accIsWrite {
+	if n.accLive {
 		n.m.res.TxGETXAccesses++
 		switch {
 		case n.accFalse:
@@ -362,7 +359,6 @@ func (n *node) finishAccess() {
 	n.accNacked = false
 	n.accFalse = false
 	n.accResolved = false
-	n.accIsWrite = false
 }
 
 // opDone advances past the current op.
@@ -488,7 +484,6 @@ func (n *node) issue(l mem.Line, lid mem.LineID, isWrite, promoted, needData boo
 	r.isWrite, r.promoted = isWrite, promoted
 	r.home, r.expected = home, -1
 	n.req = r
-	n.state = nsWaiting
 	mt := coherence.MsgGETS
 	if isWrite {
 		mt = coherence.MsgGETX
@@ -569,7 +564,6 @@ func (n *node) commitDone() {
 	n.m.res.Commits++
 	n.m.res.PerNodeCommits[n.id]++
 	n.m.res.GoodCycles += uint64(dynLen)
-	n.state = nsIdle
 	n.afterEv(n.cur.ThinkCycles+1, nevFetchNext)
 }
 
@@ -614,7 +608,6 @@ func (n *node) abortTx(cause AbortCause, overflow bool) sim.Time {
 		}
 	}
 	lat := n.tx.StartAbort(htm.DefaultCosts(), overflow)
-	n.state = nsAborting
 	n.afterEv(lat, nevFinishAbort)
 	return lat
 }
@@ -626,14 +619,12 @@ func (n *node) finishAbort() {
 	n.fireWakeups()
 	n.endATS(true)
 	if n.req != nil {
-		n.state = nsAbortDrain // restart once the in-flight request settles
-		return
+		return // drainContinue restarts once the in-flight request settles
 	}
 	n.scheduleRestart()
 }
 
 func (n *node) scheduleRestart() {
-	n.state = nsRestartWait
 	delay := cm.FixedBackoffCycles
 	if n.m.scheme.randomRestart {
 		delay = cm.RandomRestart(n.rng, n.tx.Attempts)
@@ -659,27 +650,22 @@ func (n *node) handleResponse(m *coherence.Msg) {
 			n.drainContinue()
 			return
 		}
-		delay := busyRetryDelay + sim.Time(n.rng.Uint64n(uint64(busyRetryJitter)))
-		n.state = nsBackoff
-		n.afterCancellableEv(delay, nevReissue)
+		n.backOff(busyRetryDelay + sim.Time(n.rng.Uint64n(uint64(busyRetryJitter))))
 		return
 	case coherence.MsgData:
 		if m.Sole {
 			r.soleDone = true
 			r.data = m.Data
 			r.hasData = true
-			r.dataFromOwner = true
 			if m.AbortedSharer {
 				r.abortedSharers++
 			}
 		} else {
-			r.gotHeader = true
 			r.expected = m.AckCount
 			r.data = m.Data
 			r.hasData = true
 		}
 	case coherence.MsgAckCount:
-		r.gotHeader = true
 		r.expected = m.AckCount
 	case coherence.MsgAck:
 		r.received++
@@ -703,7 +689,7 @@ func (n *node) handleResponse(m *coherence.Msg) {
 	default:
 		panic(fmt.Sprintf("machine: node %d unexpected response %v", n.id, m.Type))
 	}
-	if r.soleDone || (r.gotHeader && r.received >= r.expected) {
+	if r.soleDone || (r.expected >= 0 && r.received >= r.expected) {
 		n.completeRequest()
 	}
 }
@@ -721,7 +707,6 @@ func (n *node) completeRequest() {
 	// access's retries and is finalized in finishAccess.
 	if r.isWrite {
 		n.accLive = true
-		n.accIsWrite = true
 		if r.sawNack {
 			n.accNacked = true
 			if r.abortedSharers > 0 {
@@ -733,14 +718,41 @@ func (n *node) completeRequest() {
 		}
 	}
 
+	// Home-sourced data whose copy was invalidated in flight is discarded:
+	// the directory never blocked for a home-serviced read, so no UNBLOCK
+	// is owed. Owner-sourced (Sole) data is always the live copy — the
+	// invalidation that set the flag belonged to the service that made that
+	// node the owner — so it is installed, and its blocked directory gets
+	// its UNBLOCK.
+	stale := r.staleData && !r.soleDone
+	// Upgrade hazard: our shared copy was invalidated by an earlier request
+	// while this dataless upgrade was in flight, so there is nothing to
+	// install. The request fails (the directory restores its pre-request
+	// state) instead of taking ownership of garbage.
+	lost := !r.sawNack && !r.hasData && n.l1.Lookup(r.line) == nil
+
+	if r.abortedLocally {
+		switch {
+		case r.sawNack:
+			n.m.res.Nacks++
+			n.sendUnblock(r, false)
+		case stale:
+		case lost:
+			n.sendUnblock(r, false)
+		default:
+			// The protocol completed, so take the copy (unpinned); the
+			// data is untouched.
+			n.install(r)
+			n.sendUnblock(r, true)
+		}
+		n.finishAccess()
+		n.drainContinue()
+		return
+	}
+
 	if r.sawNack {
 		n.m.res.Nacks++
 		n.sendUnblock(r, false)
-		if r.abortedLocally {
-			n.finishAccess()
-			n.drainContinue()
-			return
-		}
 		// Backoff, then re-run the access (it may hit by then).
 		delay := cm.FixedBackoffCycles
 		if n.m.scheme.notify {
@@ -752,82 +764,34 @@ func (n *node) completeRequest() {
 		n.accessRetries++
 		n.m.res.Retries++
 		n.m.res.BackoffCycles += uint64(delay)
-		n.state = nsBackoff
-		n.afterCancellableEv(delay, nevReissue)
+		n.backOff(delay)
 		return
 	}
-
-	if r.staleData && !r.dataFromOwner {
-		// The home-sourced copy was invalidated while in flight: discard
-		// and refetch. The directory never blocked for a home-serviced
-		// read, so no UNBLOCK is owed. (Owner-sourced data is always the
-		// live copy — the invalidation that set the flag belonged to the
-		// service that made that node the owner — so it is installed
-		// normally below, and its blocked directory gets its UNBLOCK.)
-		if r.abortedLocally {
-			n.drainContinue()
-			return
-		}
+	if stale {
 		n.accessRefetches++
-		n.state = nsBackoff
-		n.afterCancellableEv(busyRetryDelay, nevReissue)
+		n.backOff(busyRetryDelay)
 		return
 	}
-
-	// Success: install the line.
-	if r.abortedLocally {
-		n.finishAccess()
-		if r.isWrite && !r.hasData && n.l1.Lookup(r.line) == nil {
-			// Dataless upgrade whose shared copy vanished while our
-			// transaction died: nothing valid to install, so fail the
-			// request instead of taking ownership of garbage.
-			n.sendUnblock(r, false)
-		} else {
-			n.installPostAbort(r)
-			n.sendUnblock(r, true)
-		}
-		n.drainContinue()
-		return
-	}
-	e := n.l1.Lookup(r.line)
-	if e == nil && !r.hasData {
-		// Upgrade hazard: our shared copy was invalidated by an earlier
-		// request while this dataless upgrade was in flight, so there is
-		// nothing to install. Fail the request (the directory restores its
-		// pre-request state) and retry as a full fetch.
+	if lost {
+		// Retry as a full fetch.
 		n.sendUnblock(r, false)
 		n.m.res.Retries++
-		n.state = nsBackoff
-		n.afterCancellableEv(busyRetryDelay, nevReissue)
+		n.backOff(busyRetryDelay)
 		return
 	}
+	e := n.install(r)
 	if e == nil {
-		st := cache.Shared
-		if r.isWrite {
-			st = cache.Modified
-		}
-		var evicted cache.Entry
-		var was bool
-		e, evicted, was = n.l1.InsertID(r.line, r.lid, st, r.data)
-		if e == nil {
-			// Transactional overflow: every way pinned. Fail the request
-			// so the directory restores, then abort with the penalty.
-			n.sendUnblock(r, false)
-			n.overflowAbort()
-			return
-		}
-		if was {
-			n.handleEviction(evicted)
-		}
-	} else if r.isWrite {
-		e.State = cache.Modified
+		// Transactional overflow: every way pinned. Fail the request so
+		// the directory restores, then abort with the penalty.
+		n.sendUnblock(r, false)
+		n.overflowAbort()
+		return
 	}
 	n.sendUnblock(r, true)
 
 	// Resume the access that needed this line.
 	n.finishAccess()
 	op := n.cur.Ops[n.opIdx]
-	n.state = nsRunning
 	n.accessRetries = 0
 	n.accessRefetches = 0
 	switch {
@@ -846,6 +810,30 @@ func (n *node) completeRequest() {
 	}
 }
 
+// install caches the line r fetched: a resident copy is upgraded in place
+// (a GETX takes it Modified), otherwise the line is inserted and the
+// victim it displaces is evicted. It returns nil, inserting nothing, when
+// every way of the set is pinned.
+//
+//puno:hot
+func (n *node) install(r *outstanding) *cache.Entry {
+	if e := n.l1.Lookup(r.line); e != nil {
+		if r.isWrite {
+			e.State = cache.Modified
+		}
+		return e
+	}
+	st := cache.Shared
+	if r.isWrite {
+		st = cache.Modified
+	}
+	e, evicted, was := n.l1.InsertID(r.line, r.lid, st, r.data)
+	if e != nil && was {
+		n.handleEviction(evicted)
+	}
+	return e
+}
+
 // overflowAbort aborts the attempt whose fill found every way of the set
 // pinned, and fails the run once the same instance has overflowed eight
 // times running (its footprint cannot fit). Cold, and kept out of
@@ -859,43 +847,24 @@ func (n *node) overflowAbort() {
 	n.abortTx(CauseOverflow, true)
 }
 
-// installPostAbort caches a line that arrived after our transaction died.
-// The protocol completed, so we take the copy (unpinned); the data is
-// untouched.
-func (n *node) installPostAbort(r *outstanding) {
-	if e := n.l1.Lookup(r.line); e != nil {
-		if r.isWrite {
-			e.State = cache.Modified
-		}
-		return
-	}
-	st := cache.Shared
-	if r.isWrite {
-		st = cache.Modified
-	}
-	if e, evicted, was := n.l1.InsertID(r.line, r.lid, st, r.data); e != nil && was {
-		n.handleEviction(evicted)
-	}
-}
-
+// drainContinue runs when a request our transaction outlived settles. If
+// the rollback has finished, finishAbort left the restart to us; otherwise
+// finishAbort will find no request and schedule it.
 func (n *node) drainContinue() {
-	if n.state == nsAbortDrain {
+	if n.tx.Status == htm.StatusAborted {
 		n.scheduleRestart()
 	}
 }
 
 func (n *node) reissue() {
-	n.state = nsRunning
+	n.backingOff = false
 	n.execOp()
 }
 
 //puno:hot
 func (n *node) sendUnblock(r *outstanding, success bool) {
-	if !r.isWrite && !r.dataFromOwner && !r.sawNack {
+	if !r.isWrite && !r.soleDone {
 		return // GETS satisfied at the home node: the directory never blocked
-	}
-	if !r.isWrite && !r.dataFromOwner && r.sawNack && !r.soleDone {
-		return // defensive: a GETS can only be NACKed by a sole owner
 	}
 	msg := n.msgTo(coherence.MsgUnblock, r.line, r.home)
 	msg.LID, msg.Requester, msg.ReqID = r.lid, n.id, r.id
@@ -1171,18 +1140,12 @@ func (n *node) fireWakeupLine(i int) {
 // handleWakeup retries the current access immediately when a wakeup names
 // the line this node is backing off on; stale wakeups are dropped.
 func (n *node) handleWakeup(m *coherence.Msg) {
-	if n.state != nsBackoff {
-		return
-	}
-	if n.opIdx >= len(n.cur.Ops) {
-		return
-	}
-	op := n.cur.Ops[n.opIdx]
-	if op.Kind == OpCompute || mem.LineOf(op.Addr) != m.Line {
+	// A node backs off only in the middle of an access, so the current op
+	// is a memory op.
+	if !n.backingOff || mem.LineOf(n.cur.Ops[n.opIdx].Addr) != m.Line {
 		return
 	}
 	n.cancelPending()
-	n.state = nsRunning
 	n.execOp()
 }
 

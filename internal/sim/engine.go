@@ -69,13 +69,18 @@ type eventSlot struct {
 	next int32 // free-list or bucket-chain link (-1 ends the list), or inSpill
 }
 
-// DefaultWheelWindow is the near-horizon window of NewEngine: delays
-// shorter than this many cycles get O(1) wheel scheduling; longer timers go
-// to the spill list. 4096 covers every protocol-level delay of the
-// default machine (NoC traversals, cache/memory latencies, occupancy
-// windows, fixed backoffs) while leaving only rare long sleeps
-// (notification-guided waits, randomized restart backoffs) to spill.
+// DefaultWheelWindow is the engine's near-horizon window: delays shorter
+// than this many cycles get O(1) wheel scheduling; longer timers go to the
+// spill list. 4096 covers every protocol-level delay of the default machine
+// (NoC traversals, cache/memory latencies, occupancy windows, fixed
+// backoffs) while leaving only rare long sleeps (notification-guided waits,
+// randomized restart backoffs) to spill. It must be a power of two and a
+// multiple of 64 (one occupancy word per 64 buckets). Event ordering does
+// not depend on it: it only moves the wheel/spill split.
 const DefaultWheelWindow Time = 4096
+
+// wheelMask maps a cycle to its wheel bucket.
+const wheelMask = uint64(DefaultWheelWindow - 1)
 
 // bucket is one wheel slot: an intrusive FIFO chain of event-slot indices.
 // All events in a bucket share one absolute firing time (see the horizon
@@ -89,12 +94,13 @@ type bucket struct {
 // usable; construct with NewEngine.
 //
 // Horizon invariant: every event in the wheel satisfies
-// now <= at < now+window. Distinct times in a window-sized range map to
-// distinct buckets (at mod window), so each bucket holds events of exactly
-// one absolute time; events at or beyond the horizon live in the spill
-// list and are popped directly from there when their turn comes (no
-// migration pass is needed for correctness — the next event overall is the
-// (at, seq)-minimum of the earliest wheel bucket's head and the list head).
+// now <= at < now+DefaultWheelWindow. Distinct times in a window-sized
+// range map to distinct buckets (at mod window), so each bucket holds
+// events of exactly one absolute time; events at or beyond the horizon
+// live in the spill list and are popped directly from there when their
+// turn comes (no migration pass is needed for correctness — the next event
+// overall is the (at, seq)-minimum of the earliest wheel bucket's head and
+// the list head).
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -104,12 +110,11 @@ type Engine struct {
 	nSpill  uint64
 	stopped bool
 
-	// Near-horizon wheel.
-	window  Time     // power of two
-	mask    uint64   // window - 1
-	buckets []bucket // len == window; bucket b holds the time ≡ b (mod window)
-	occ     []uint64 // occupancy bitmap over buckets (window/64 words)
-	nWheel  int      // live events currently in the wheel
+	// Near-horizon wheel: bucket b holds the time ≡ b (mod window), and
+	// occ is the occupancy bitmap over the buckets.
+	buckets [DefaultWheelWindow]bucket
+	occ     [DefaultWheelWindow / 64]uint64
+	nWheel  int // live events currently in the wheel
 
 	// Overflow level: slab indices sorted by (at, seq), holding events
 	// scheduled at or beyond the wheel horizon. seq is unique, so the order
@@ -125,36 +130,15 @@ type Engine struct {
 	rewound bool
 }
 
-// NewEngine returns an engine with the clock at cycle 0 and the default
-// near-horizon window.
-func NewEngine() *Engine { return NewEngineWindow(DefaultWheelWindow) }
-
-// NewEngineWindow returns an engine whose near-horizon wheel spans window
-// cycles (delays < window schedule O(1); longer delays go to the spill
-// list). window must be a power of two and at least 64. Event ordering is
-// independent of the window — it only moves the wheel/spill split — so any
-// window produces bit-identical simulations.
-func NewEngineWindow(window Time) *Engine {
-	if window < 64 || window&(window-1) != 0 {
-		panic(fmt.Sprintf("sim: wheel window %d is not a power of two >= 64", window))
-	}
-	e := &Engine{
-		free:    -1,
-		spillAt: Infinity,
-		window:  window,
-		mask:    uint64(window - 1),
-		buckets: make([]bucket, window),
-		occ:     make([]uint64, window/64),
-	}
+// NewEngine returns an engine with the clock at cycle 0.
+func NewEngine() *Engine {
+	e := &Engine{free: -1, spillAt: Infinity}
 	for i := range e.buckets {
 		e.buckets[i] = bucket{head: -1, tail: -1}
 	}
 	e.growSlab()
 	return e
 }
-
-// Window returns the near-horizon wheel span in cycles.
-func (e *Engine) Window() Time { return e.window }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -190,9 +174,7 @@ func (e *Engine) Reset() {
 	for _, idx := range e.spill {
 		e.release(idx)
 	}
-	for i := range e.occ {
-		e.occ[i] = 0
-	}
+	clear(e.occ[:])
 	e.spill = e.spill[:0]
 	e.spillAt = Infinity
 	e.rewound = false
@@ -261,11 +243,11 @@ func (e *Engine) nextAt() Time {
 // the walk preserves the chain's sort order, so no restructuring is
 // needed.
 func (e *Engine) RekeyBucket(t Time, base uint64, renum []uint64) {
-	if t-e.now >= e.window {
+	if t-e.now >= DefaultWheelWindow {
 		return
 	}
 	e.rewound = true
-	for idx := e.buckets[uint64(t)&e.mask].head; idx >= 0; idx = e.slots[idx].next {
+	for idx := e.buckets[uint64(t)&wheelMask].head; idx >= 0; idx = e.slots[idx].next {
 		s := &e.slots[idx]
 		if s.seq >= base {
 			s.seq = renum[s.seq-base]
@@ -312,9 +294,9 @@ func (e *Engine) schedule(t Time, h Handler, arg any, word uint64) {
 	s.arg = arg
 	s.word = word
 	e.seq++
-	if t-e.now < e.window {
+	if t-e.now < DefaultWheelWindow {
 		e.nWheel++
-		bi := uint64(t) & e.mask
+		bi := uint64(t) & wheelMask
 		b := &e.buckets[bi]
 		switch {
 		case b.head < 0:
@@ -437,7 +419,7 @@ func (e *Engine) release(idx int32) {
 // head is that time's lowest seq. Now's own bucket is read first, without
 // the bitmap: same-cycle bursts are the common case.
 func (e *Engine) scanWheel() int32 {
-	start := uint64(e.now) & e.mask
+	start := uint64(e.now) & wheelMask
 	if h := e.buckets[start].head; h >= 0 || e.nWheel == 0 {
 		return h
 	}
@@ -489,7 +471,7 @@ func (e *Engine) nextEvent() int32 {
 //
 //puno:hot
 func (e *Engine) pop(limit Time) int32 {
-	bi := uint64(e.now) & e.mask
+	bi := uint64(e.now) & wheelMask
 	b := &e.buckets[bi]
 	idx := b.head
 	if idx < 0 || e.now >= e.spillAt || e.now > limit {
@@ -517,7 +499,7 @@ func (e *Engine) unlinkHead(b *bucket, bi uint64) {
 func (e *Engine) popSlow(limit Time) int32 {
 	// Most often the next event is a few cycles ahead, in now's bitmap
 	// word: take it without the two calls nextEvent makes.
-	bi := uint64(e.now) & e.mask
+	bi := uint64(e.now) & wheelMask
 	if w := e.occ[bi>>6] >> (bi & 63); w != 0 {
 		k := uint64(bits.TrailingZeros64(w))
 		if t := e.now + Time(k); t < e.spillAt && t <= limit {
@@ -540,7 +522,7 @@ func (e *Engine) popSlow(limit Time) int32 {
 	if s.next != inSpill {
 		// The popped slot is always its bucket's head (the scan returns
 		// heads, and heads are the chain's minimum seq).
-		bi := uint64(s.at) & e.mask
+		bi := uint64(s.at) & wheelMask
 		e.unlinkHead(&e.buckets[bi], bi)
 	} else {
 		e.spillRemove()

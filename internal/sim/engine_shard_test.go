@@ -90,7 +90,8 @@ func TestSetSeqOrdersSameCycleChain(t *testing.T) {
 // cycle holds both a spill resident and wheel events — and checks that Run
 // fires each cycle's events in seq order, against the reference.
 func TestSetSeqRewindRunsInSeqOrder(t *testing.T) {
-	e := NewEngineWindow(64)
+	const far = DefaultWheelWindow + 50 // spills at cycle 0; inside the horizon from cycle 51
+	e := NewEngine()
 	ref := &refQueue{}
 	var fired []int
 	at := func(c Time, id int) {
@@ -105,17 +106,17 @@ func TestSetSeqRewindRunsInSeqOrder(t *testing.T) {
 	for id := 0; id < 6; id++ {
 		at(Time(10+id%3), id) // seqs 100-105 over cycles 10-12
 	}
-	at(200, 6) // seq 106: spill resident
+	at(far, 6) // seq 106: spill resident
 	setSeq(50)
 	for id := 7; id < 13; id++ {
 		at(Time(10+id%3), id) // seqs 50-55: ahead of every tail
 	}
-	at(200, 13) // seq 56: a resident ahead of event 6
+	at(far, 13) // seq 56: a resident ahead of event 6
 	want := ref.run(150)
 	e.Run(150)
 	setSeq(103)
-	at(200, 14) // seq 103, now in the wheel: between residents 13 and 6
-	at(200, 15) // seq 104
+	at(far, 14) // seq 103, now in the wheel: between residents 13 and 6
+	at(far, 15) // seq 104
 	at(151, 16) // seq 105: the next cycle's only event
 	want = append(want, ref.run(Infinity)...)
 	e.Run(Infinity)
@@ -133,15 +134,16 @@ func TestSetSeqRewindRunsInSeqOrder(t *testing.T) {
 // interleave exactly where the renumbering put them.
 func TestRekeyBucketAndOverflow(t *testing.T) {
 	const base = uint64(1) << 62
-	e := NewEngineWindow(64)
+	const far = DefaultWheelWindow + 1000
+	e := NewEngine()
 	h := &wordRecorder{}
 	e.SetSeq(5)
 	e.AtEvent(7, h, nil, 100) // serial seq 5, below base: must be untouched
 	e.SetSeq(base)
-	e.AtEvent(7, h, nil, 101)    // base+0, wheel
-	e.AtEvent(7, h, nil, 102)    // base+1, wheel (same bucket chain)
-	e.AtEvent(1000, h, nil, 103) // base+2, spill list
-	e.AtEvent(1000, h, nil, 104) // base+3, spill list
+	e.AtEvent(7, h, nil, 101)   // base+0, wheel
+	e.AtEvent(7, h, nil, 102)   // base+1, wheel (same bucket chain)
+	e.AtEvent(far, h, nil, 103) // base+2, spill list
+	e.AtEvent(far, h, nil, 104) // base+3, spill list
 	renum := []uint64{10, 20, 30, 40}
 	e.RekeyBucket(7, base, renum)
 	e.RekeyOverflow(base, renum)
@@ -150,7 +152,7 @@ func TestRekeyBucketAndOverflow(t *testing.T) {
 	e.SetSeq(15)
 	e.AtEvent(7, h, nil, 105) // between the rekeyed 10 and 20
 	e.SetSeq(35)
-	e.AtEvent(1000, h, nil, 106) // between the rekeyed 30 and 40
+	e.AtEvent(far, h, nil, 106) // between the rekeyed 30 and 40
 	e.Run(Infinity)
 	want := []uint64{100, 101, 105, 102, 103, 106, 104}
 	if len(h.fired) != len(want) {
@@ -168,13 +170,13 @@ func TestRekeyBucketAndOverflow(t *testing.T) {
 // not touch the in-horizon events living there.
 func TestRekeyBucketHorizonGuard(t *testing.T) {
 	const base = uint64(1) << 62
-	e := NewEngineWindow(64)
+	e := NewEngine()
 	h := &wordRecorder{}
 	e.SetSeq(base)
 	e.AtEvent(7, h, nil, 1) // provisional, in the cycle-7 bucket
-	// Cycle 71 shares the bucket slot (71 mod 64 = 7) but sits outside the
-	// horizon: the guard must refuse, leaving the cycle-7 event provisional.
-	e.RekeyBucket(71, base, []uint64{5})
+	// Cycle window+7 shares the bucket slot but sits outside the horizon:
+	// the guard must refuse, leaving the cycle-7 event provisional.
+	e.RekeyBucket(DefaultWheelWindow+7, base, []uint64{5})
 	e.SetSeq(6)
 	e.AtEvent(7, h, nil, 2) // serial 6: sorts before any provisional
 	e.Run(Infinity)
@@ -190,17 +192,18 @@ func TestRekeyBucketHorizonGuard(t *testing.T) {
 // serial-keyed arrivals at that cycle interleave with either level by seq.
 func TestRekeyAcrossHorizonBoundary(t *testing.T) {
 	const base = uint64(1) << 62
-	e := NewEngineWindow(64)
+	const far = DefaultWheelWindow + 25
+	e := NewEngine()
 	h := &wordRecorder{}
 	e.SetSeq(base)
-	e.AtEvent(100, h, nil, 1) // base+0: beyond the horizon, spills
+	e.AtEvent(far, h, nil, 1) // base+0: beyond the horizon, spills
 	e.AtEvent(50, h, nil, 2)  // base+1: wheel
-	e.Step()                  // run the wheel event; now = 50, 100 is inside the horizon
-	e.AtEvent(100, h, nil, 3) // base+2: same cycle as the resident, lands in the wheel
+	e.Step()                  // run the wheel event; now = 50, far is inside the horizon
+	e.AtEvent(far, h, nil, 3) // base+2: same cycle as the resident, lands in the wheel
 	e.RekeyOverflow(base, []uint64{10, 0, 20})
 	for _, seq := range []uint64{5, 15, 25} { // before, between and after the two
 		e.SetSeq(seq)
-		e.AtEvent(100, h, nil, seq)
+		e.AtEvent(far, h, nil, seq)
 	}
 	e.Run(Infinity)
 	if want := []uint64{2, 5, 1, 15, 3, 25}; !slices.Equal(h.fired, want) {

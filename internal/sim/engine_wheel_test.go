@@ -13,25 +13,6 @@ import (
 	"testing"
 )
 
-// TestEngineWindowValidation checks the NewEngineWindow contract.
-func TestEngineWindowValidation(t *testing.T) {
-	for _, bad := range []Time{0, 1, 32, 63, 65, 100, 4095} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEngineWindow(%d) did not panic", bad)
-				}
-			}()
-			NewEngineWindow(bad)
-		}()
-	}
-	for _, good := range []Time{64, 128, 4096} {
-		if w := NewEngineWindow(good).Window(); w != good {
-			t.Errorf("NewEngineWindow(%d).Window() = %d", good, w)
-		}
-	}
-}
-
 // runLeg drains e and ref through Run at a random limit up to span cycles
 // ahead of the clock, and checks that both fired the same events in the
 // same order and parked the clock on the same cycle. It reports whether a
@@ -53,17 +34,18 @@ func runLeg(t *testing.T, e *Engine, ref *refQueue, rng *RNG, span int, engFired
 	return spilled
 }
 
-// TestEngineMatchesReferenceCrossLevel replays random schedule/pop streams whose delays straddle the wheel horizon (window 64, delays up to
-// 4x that), against the container/heap reference. This certifies that the
+// TestEngineMatchesReferenceCrossLevel replays random schedule/pop streams
+// whose delays straddle the wheel horizon (delays up to 4x the window),
+// against the container/heap reference. This certifies that the
 // wheel/spill split — including events that sit in the spill list while their time
 // enters the near window — never changes the (time, seq) pop order, whether
 // events fire one at a time through Step or in runs through Run(limit).
 func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
-	const window = 64
+	const window = DefaultWheelWindow
 	runsWithResidents := 0
 	for trial := 0; trial < 100; trial++ {
 		rng := NewRNG(uint64(trial) + 7000)
-		e := NewEngineWindow(window)
+		e := NewEngine()
 		ref := &refQueue{}
 
 		var engFired, refFired []int
@@ -79,7 +61,7 @@ func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
 				case 1:
 					d = window - 2 + Time(rng.Intn(5)) // horizon straddle
 				default:
-					d = Time(rng.Intn(4 * window)) // anywhere
+					d = Time(rng.Uint64n(4 * uint64(window))) // anywhere
 				}
 				at := e.Now() + d
 				id := nextID
@@ -87,7 +69,7 @@ func TestEngineMatchesReferenceCrossLevel(t *testing.T) {
 				e.At(at, func() { engFired = append(engFired, id) })
 				ref.schedule(at, id)
 			case op == 9: // drain through Run up to a random limit
-				if runLeg(t, e, ref, rng, 2*window, &engFired, &refFired) {
+				if runLeg(t, e, ref, rng, int(2*window), &engFired, &refFired) {
 					runsWithResidents++
 				}
 			default: // pop
@@ -143,7 +125,7 @@ type lockstep struct {
 }
 
 func newLockstep(t *testing.T) *lockstep {
-	return &lockstep{t: t, e: NewEngineWindow(64), ref: &refQueue{}}
+	return &lockstep{t: t, e: NewEngine(), ref: &refQueue{}}
 }
 
 // at schedules event number n at absolute cycle c on both sides.
@@ -180,15 +162,16 @@ func (l *lockstep) drain() []int {
 }
 
 // TestEngineSpillList scripts the cases the sorted spill list has to get
-// right on its own — a 64-cycle window makes every delay of 64 or more a
+// right on its own — every delay of w (the wheel window) or more makes a
 // resident — each in lock-step with the reference.
 func TestEngineSpillList(t *testing.T) {
+	const w = DefaultWheelWindow
 	t.Run("same-cycle residents fire FIFO", func(t *testing.T) {
 		l := newLockstep(t)
 		for i := 0; i < 40; i++ {
-			l.at(500)
+			l.at(w + 500)
 		}
-		l.at(300) // scheduled last, sorts to the head
+		l.at(w + 300) // scheduled last, sorts to the head
 		if got := l.e.Spilled(); got != 41 {
 			t.Fatalf("Spilled = %d, want 41", got)
 		}
@@ -206,7 +189,7 @@ func TestEngineSpillList(t *testing.T) {
 	t.Run("reset with residents", func(t *testing.T) {
 		l := newLockstep(t)
 		for i := 0; i < 5; i++ {
-			l.at(Time(200 + i))
+			l.at(w + 200 + Time(i))
 		}
 		l.e.Reset()
 		*l.ref = refQueue{}
@@ -216,7 +199,7 @@ func TestEngineSpillList(t *testing.T) {
 		}
 		// The same slots now hold new residents.
 		for i := 0; i < 5; i++ {
-			l.at(Time(300 - i))
+			l.at(w + 300 - Time(i))
 		}
 		if fired, want := l.drain(), []int{4, 3, 2, 1, 0}; !slices.Equal(fired, want) {
 			t.Fatalf("post-Reset residents fired %v, want %v", fired, want)
@@ -225,14 +208,14 @@ func TestEngineSpillList(t *testing.T) {
 
 	t.Run("resident overtaken by near events fires first at its cycle", func(t *testing.T) {
 		l := newLockstep(t)
-		far := l.at(100) // spills
-		l.at(60)         // wheel: advances the clock so 100 enters the horizon
+		far := l.at(w + 40) // spills
+		l.at(60)            // wheel: advances the clock so w+40 enters the horizon
 		if !l.step() {
 			t.Fatal("no event to step")
 		}
-		l.at(99)  // near, earlier cycle: overtakes the resident
-		l.at(100) // near, same cycle, later seq: must wait for it
-		l.at(100)
+		l.at(w + 39) // near, earlier cycle: overtakes the resident
+		l.at(w + 40) // near, same cycle, later seq: must wait for it
+		l.at(w + 40)
 		if fired, want := l.drain(), []int{1, 2, far, 3, 4}; !slices.Equal(fired, want) {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
@@ -246,28 +229,29 @@ func TestEngineSpillList(t *testing.T) {
 // scheduled far ahead into the spill list, one scheduled later into the wheel
 // after the clock advanced) must still fire in seq (schedule) order.
 func TestEngineHorizonBoundary(t *testing.T) {
-	e := NewEngineWindow(64)
+	const w = DefaultWheelWindow
+	e := NewEngine()
 	var fired []int
 
 	// d = window spills; d = window-1 lands in the wheel. The spilled
 	// event is scheduled FIRST but fires LAST (later cycle) — and vice
 	// versa for seq order at equal cycles below.
-	e.After(64, func() { fired = append(fired, 1) })
-	e.After(63, func() { fired = append(fired, 0) })
+	e.After(w, func() { fired = append(fired, 1) })
+	e.After(w-1, func() { fired = append(fired, 0) })
 	e.Run(Infinity)
 	if len(fired) != 2 || fired[0] != 0 || fired[1] != 1 {
 		t.Fatalf("boundary events fired %v, want [0 1]", fired)
 	}
 
 	// Same-cycle, cross-level seq tie: A spills (beyond horizon),
-	// the clock advances to bring cycle 200 inside the window, then B is
+	// the clock advances to bring cycle w+50 inside the window, then B is
 	// scheduled at the same cycle into the wheel. A has the lower seq and
 	// must fire first even though it sits in the other structure.
-	e2 := NewEngineWindow(64)
+	e2 := NewEngine()
 	fired = fired[:0]
-	e2.At(200, func() { fired = append(fired, 0) }) // spills (200 - 0 >= 64)
-	e2.At(150, func() {                             // wheel event advancing the clock
-		e2.At(200, func() { fired = append(fired, 1) }) // wheel (200 - 150 < 64)
+	e2.At(w+50, func() { fired = append(fired, 0) }) // spills (w+50 - 0 >= w)
+	e2.At(150, func() {                              // wheel event advancing the clock
+		e2.At(w+50, func() { fired = append(fired, 1) }) // wheel (w+50 - 150 < w)
 	})
 	e2.Run(Infinity)
 	if len(fired) != 2 || fired[0] != 0 || fired[1] != 1 {
@@ -280,12 +264,12 @@ func TestEngineHorizonBoundary(t *testing.T) {
 // < now mod window) and asserts strict FIFO. The wrap means the occupancy
 // scan crosses the bitmap seam; FIFO within the bucket must survive it.
 func TestEngineSameCycleFIFOAcrossRollover(t *testing.T) {
-	const window = 64
-	e := NewEngineWindow(window)
+	const window = DefaultWheelWindow
+	e := NewEngine()
 	var fired []int
 
-	// Move the clock to window-2 = 62, then schedule the burst at cycle
-	// window+3 = 67, whose bucket index is 3 — behind now's bucket 62 in
+	// Move the clock to window-2, then schedule the burst at cycle
+	// window+3, whose bucket index is 3 — behind now's bucket window-2 in
 	// the array, ahead of it in time.
 	e.At(window-2, func() {
 		for i := 0; i < 8; i++ {
@@ -308,13 +292,13 @@ func TestEngineSameCycleFIFOAcrossRollover(t *testing.T) {
 // the wheel: Pending counts queued events (across both levels, free slab
 // slots excluded), Processed counts fired events, and Reset rewinds both.
 func TestEnginePendingProcessed(t *testing.T) {
-	e := NewEngineWindow(64)
+	e := NewEngine()
 	if e.Pending() != 0 || e.Processed() != 0 {
 		t.Fatalf("fresh engine: Pending=%d Processed=%d, want 0/0", e.Pending(), e.Processed())
 	}
 	e.After(3, func() {})
 	e.After(5, func() {})
-	e.After(500, func() {}) // overflow level
+	e.After(DefaultWheelWindow, func() {}) // overflow level
 	if e.Pending() != 3 {
 		t.Fatalf("Pending = %d after 3 schedules, want 3", e.Pending())
 	}
@@ -353,23 +337,23 @@ func TestEngineResetReuse(t *testing.T) {
 			if n++; n < 40 {
 				e.After(Time(n%9)+1, step)
 				if n%5 == 0 {
-					e.After(300, step) // overflow-level traffic
+					e.After(DefaultWheelWindow+300, step) // overflow-level traffic
 					n++
 				}
 			}
 		}
 		e.After(2, step)
-		e.Run(2000)
+		e.Run(Infinity)
 		return fires
 	}
 
-	fresh := NewEngineWindow(64)
+	fresh := NewEngine()
 	want := workload(fresh)
 
-	reused := NewEngineWindow(64)
+	reused := NewEngine()
 	// Dirty the engine: pending events in both levels, then Reset.
 	reused.After(1, func() { t.Fatal("pre-Reset event survived Reset") })
-	reused.After(900, func() { t.Fatal("pre-Reset overflow event survived Reset") })
+	reused.After(DefaultWheelWindow+900, func() { t.Fatal("pre-Reset overflow event survived Reset") })
 	reused.Reset()
 	got := workload(reused)
 	if len(got) != len(want) {
@@ -400,18 +384,17 @@ func TestEngineResetReuse(t *testing.T) {
 	}
 }
 
-// TestEngineWheelFuzz is the fuzz-style property test: random windows,
-// random mixed-level command streams including Resets and Run(limit) legs,
+// TestEngineWheelFuzz is the fuzz-style property test: random mixed-level
+// command streams including Resets and Run(limit) legs,
 // always checked against a reference rebuilt at each Reset. It runs under -race in CI
 // (the engine is single-goroutine; the race run guards against unsynchronized
 // global state sneaking into the scheduler).
 func TestEngineWheelFuzz(t *testing.T) {
-	windows := []Time{64, 128, 256}
+	const window = DefaultWheelWindow
 	runsWithResidents := 0
 	for trial := 0; trial < 60; trial++ {
-		window := windows[trial%len(windows)]
 		rng := NewRNG(uint64(trial)*13 + 99)
-		e := NewEngineWindow(window)
+		e := NewEngine()
 		ref := &refQueue{}
 
 		var engFired, refFired []int
@@ -458,13 +441,13 @@ func TestEngineWheelFuzz(t *testing.T) {
 			refFired = append(refFired, id)
 		}
 		if len(engFired) != len(refFired) {
-			t.Fatalf("trial %d (window %d): engine fired %d, reference %d",
-				trial, window, len(engFired), len(refFired))
+			t.Fatalf("trial %d: engine fired %d, reference %d",
+				trial, len(engFired), len(refFired))
 		}
 		for i := range refFired {
 			if engFired[i] != refFired[i] {
-				t.Fatalf("trial %d (window %d): divergence at %d: %d vs %d",
-					trial, window, i, engFired[i], refFired[i])
+				t.Fatalf("trial %d: divergence at %d: %d vs %d",
+					trial, i, engFired[i], refFired[i])
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 // tinyWorkloads shrinks the suite so API tests stay fast.
@@ -400,7 +401,7 @@ func TestOverflowStaysCold(t *testing.T) {
 		}
 		if eng.Spilled() > eng.Processed()/1000 {
 			t.Errorf("%s/%v on %d nodes: %d of %d events scheduled beyond the %d-cycle wheel window; the spill list assumes at most 0.1%%",
-				pt.wl.Name(), pt.cfg.Scheme, pt.cfg.Nodes, eng.Spilled(), eng.Processed(), eng.Window())
+				pt.wl.Name(), pt.cfg.Scheme, pt.cfg.Nodes, eng.Spilled(), eng.Processed(), sim.DefaultWheelWindow)
 		}
 	}
 }
