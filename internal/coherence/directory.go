@@ -85,15 +85,12 @@ type Predictor interface {
 	// transactional GETX service: falseAbort=true when the request failed
 	// after aborting sharers. Drives the predictor's benefit estimate.
 	MulticastResolved(falseAbort bool)
-	// DecisionLatency is the extra cycles the directory spends consulting
-	// the predictor on the forward path (P-Buffer read + compare).
-	DecisionLatency() sim.Time
 }
 
 // Stats aggregates directory-side measurements.
 type Stats struct {
 	Requests        uint64 // GETS+GETX accepted (not busy-nacked)
-	BusyNacks       uint64 // requests rejected because the entry's queue was full
+	BusyNacks       uint64 // GETX rejected because the entry was busy
 	TxGETX          uint64 // transactional GETX accepted
 	UnicastForwards uint64 // TxGETX serviced by predictive unicast
 	MulticastFwds   uint64 // invalidations/forwards sent on multicast paths
@@ -110,8 +107,8 @@ const nodeSetWords = 4
 const MaxNodes = 64 * nodeSetWords
 
 // nodeSet is a fixed-width bitset over node IDs. A value type (not a
-// slice) so the busy-service save/restore (savedShare = sharers) stays a
-// plain copy and entries embed their sets without a pointer chase.
+// slice) so entries embed their sets without a pointer chase and a grant
+// (sharers = oneNode(req)) is a plain copy.
 type nodeSet [nodeSetWords]uint64
 
 // oneNode returns the set holding only node n.
@@ -124,24 +121,25 @@ func oneNode(n int) nodeSet {
 func (s *nodeSet) add(n int)      { s[n>>6] |= 1 << uint(n&63) }
 func (s *nodeSet) has(n int) bool { return s[n>>6]&(1<<uint(n&63)) != 0 }
 
+// dirEntry is one line's directory state. While the entry is busy nothing
+// writes state, sharers or owner (a GETS parks, a GETX is NACKed, a PUTX
+// gets WBStale, a WBData only stores), so a failed service has nothing to
+// restore.
 type dirEntry struct {
-	line    mem.Line   // the line this slot currently serves
-	lid     mem.LineID // line's interned ID (index into Directory.idx)
+	lid     mem.LineID // the line's interned ID (index into Directory.idx)
 	state   DirState
 	sharers nodeSet
 	owner   int
 
-	busy       bool
-	busySince  sim.Time
-	busyGETX   bool // serving a GETX (else a GETS forwarded to the owner)
+	busy      bool
+	busySince sim.Time
+	// busyGETX marks a GETX service; otherwise the entry serves a GETS
+	// forwarded to the Modified owner, which also waits for its writeback.
+	busyGETX   bool
 	requester  int
 	unicastTo  int // -1 when not a unicast service
-	waitWB     bool
 	gotWB      bool
 	gotUnblock bool
-	savedState DirState
-	savedShare nodeSet
-	savedOwner int
 
 	// The UNBLOCK payload tryComplete needs once the writeback (if any) has
 	// also arrived: three fields, not a copy of the message.
@@ -153,9 +151,11 @@ type dirEntry struct {
 	// are serviced FIFO when the entry unblocks. Without this, fixed-period
 	// retry loops can phase-lock and starve an older transaction behind a
 	// younger requester's retries — a deadlock cycle through the busy
-	// entry that NACK priority ordering alone cannot break. Messages are
-	// parked by value so the delivered *Msg can return to its pool the
-	// moment Handle returns, and the queue's capacity is reused.
+	// entry that NACK priority ordering alone cannot break. A node has at
+	// most one request outstanding and the busy requester's is the one
+	// being served, so at most nodes-1 reads park: the queue needs no cap.
+	// Messages are parked by value so the delivered *Msg can return to its
+	// pool the moment Handle returns, and the queue's capacity is reused.
 	pending []Msg
 }
 
@@ -164,18 +164,18 @@ type dirEntry struct {
 // constant, not a knob.
 const dirLatency sim.Time = 1
 
+// decisionLatency is the paper's 2-cycle decision path (1 cycle P-Buffer
+// access + 1 cycle compare): with a predictor installed, every forward of a
+// GETX to sharers carries it, unicast or multicast.
+const decisionLatency sim.Time = 2
+
 // Directory is the home-node coherence controller for the lines mapping to
 // one bank. It is driven entirely by Handle; all outgoing effects go
 // through its Env.
 type Directory struct {
-	node  int
-	nodes int
-	env   Env
-	pred  Predictor
-
-	// queueCap bounds the per-entry pending-request queue; beyond it the
-	// directory falls back to NackBusy.
-	queueCap int
+	node int
+	env  Env
+	pred Predictor
 
 	// The entry store is a dense LineID-indexed table: idx maps a LineID to
 	// its slot in slab (+1 encoded; 0 = no entry), slab holds dirEntry
@@ -208,14 +208,7 @@ func NewDirectory(node, nodes int, env Env, pred Predictor) *Directory {
 	if it == nil {
 		it = mem.NewInterner()
 	}
-	return &Directory{
-		node:     node,
-		nodes:    nodes,
-		env:      env,
-		pred:     pred,
-		it:       it,
-		queueCap: nodes,
-	}
+	return &Directory{node: node, env: env, pred: pred, it: it}
 }
 
 // Reset returns the controller to the state NewDirectory would produce for
@@ -223,12 +216,10 @@ func NewDirectory(node, nodes int, env Env, pred Predictor) *Directory {
 // run). The entry slab and slot index keep their capacity (truncated, with
 // each slot's pending-queue array retained for reuse), so a reused
 // directory repopulates without allocating; slot assignment is by arrival
-// order, which is deterministic by construction. queueCap reverts to its
-// construction default. The interner is shared machine state and is reset
-// by its owner, not here.
+// order, which is deterministic by construction. The interner is shared
+// machine state and is reset by its owner, not here.
 func (d *Directory) Reset(pred Predictor) {
 	d.pred = pred
-	d.queueCap = d.nodes
 	d.slab = d.slab[:0]
 	d.free = d.free[:0]
 	d.idx = d.idx[:0]
@@ -276,7 +267,18 @@ func (d *Directory) Lists(l mem.Line, n int) bool {
 func (d *Directory) ForEachModified(f func(l mem.Line, owner int)) {
 	for i := range d.slab {
 		if e := &d.slab[i]; e.state == DirModified {
-			f(e.line, e.owner)
+			f(d.it.LineAt(e.lid), e.owner)
+		}
+	}
+}
+
+// ForEachParked calls f with the line, busy flag and parked-request count of
+// every entry that has requests parked, in slot order. Like Lists it
+// allocates nothing.
+func (d *Directory) ForEachParked(f func(l mem.Line, busy bool, parked int)) {
+	for i := range d.slab {
+		if e := &d.slab[i]; len(e.pending) > 0 {
+			f(d.it.LineAt(e.lid), e.busy, len(e.pending))
 		}
 	}
 }
@@ -287,7 +289,6 @@ type BusyInfo struct {
 	Requester  int
 	IsGETX     bool
 	Since      sim.Time
-	WaitWB     bool
 	GotWB      bool
 	GotUnblock bool
 	UnicastTo  int
@@ -304,8 +305,8 @@ func (d *Directory) BusyEntries() []BusyInfo {
 			continue
 		}
 		out = append(out, BusyInfo{
-			Line: e.line, Requester: e.requester, IsGETX: e.busyGETX, Since: e.busySince,
-			WaitWB: e.waitWB, GotWB: e.gotWB, GotUnblock: e.gotUnblock,
+			Line: d.it.LineAt(e.lid), Requester: e.requester, IsGETX: e.busyGETX, Since: e.busySince,
+			GotWB: e.gotWB, GotUnblock: e.gotUnblock,
 			UnicastTo: e.unicastTo, Pending: len(e.pending),
 		})
 	}
@@ -336,7 +337,7 @@ func (d *Directory) lookup(lid mem.LineID) *dirEntry {
 	return nil
 }
 
-// entry returns the entry for (l, lid), creating it in the dense slab on
+// entry returns the entry for lid, creating it in the dense slab on
 // first touch. Slots come from the free list, then from retained slab
 // capacity, then from growth; a recycled slot's pending-queue array is
 // reused. Callers must not hold an entry pointer across a call that can
@@ -344,7 +345,7 @@ func (d *Directory) lookup(lid mem.LineID) *dirEntry {
 // handlers create at most one entry, at dispatch, so this never happens.
 //
 //puno:hot
-func (d *Directory) entry(l mem.Line, lid mem.LineID) *dirEntry {
+func (d *Directory) entry(lid mem.LineID) *dirEntry {
 	if n := int(lid); n > len(d.idx) {
 		d.idx = mem.Extend(d.idx, n)
 	}
@@ -364,7 +365,7 @@ func (d *Directory) entry(l mem.Line, lid mem.LineID) *dirEntry {
 		s = int32(len(d.slab) - 1)
 	}
 	e := &d.slab[s]
-	*e = dirEntry{line: l, lid: lid, state: DirInvalid, owner: -1, unicastTo: -1, pending: e.pending[:0]}
+	*e = dirEntry{lid: lid, state: DirInvalid, owner: -1, pending: e.pending[:0]}
 	d.idx[lid-1] = s + 1
 	return e
 }
@@ -489,30 +490,12 @@ func (d *Directory) forward(t MsgType, extra sim.Time, m *Msg, dst int, ubit boo
 	d.env.Send(dirLatency+extra, msg)
 }
 
-func (d *Directory) nackBusy(m *Msg) {
-	d.stats.BusyNacks++
-	d.emit(probe.KindDirBusyNack, m.LID, 0, m.Src, m.ReqID)
-	d.env.Send(dirLatency, d.reply(MsgNackBusy, m))
-}
-
-// park queues a copy of the request on a busy entry, or NackBusy-rejects
-// it when the queue is full.
-//
-//puno:hot
-func (d *Directory) park(e *dirEntry, m *Msg) {
-	if len(e.pending) >= d.queueCap {
-		d.nackBusy(m)
-		return
-	}
-	e.pending = append(e.pending, *m)
-}
-
 //puno:hot
 func (d *Directory) handleGETS(m *Msg) {
 	d.observe(m)
-	e := d.entry(m.Line, m.LID)
+	e := d.entry(m.LID)
 	if e.busy {
-		d.park(e, m)
+		e.pending = append(e.pending, *m)
 		return
 	}
 	d.stats.Requests++
@@ -526,7 +509,6 @@ func (d *Directory) handleGETS(m *Msg) {
 		// Forward to the owner; it supplies data to the requester and a
 		// writeback copy to us. Blocked until WBData + UNBLOCK.
 		d.beginBusy(e, m, false)
-		e.waitWB = true
 		d.forward(MsgFwdGETS, 0, m, e.owner, false)
 	}
 }
@@ -534,7 +516,7 @@ func (d *Directory) handleGETS(m *Msg) {
 //puno:hot
 func (d *Directory) handleGETX(m *Msg) {
 	d.observe(m)
-	e := d.entry(m.Line, m.LID)
+	e := d.entry(m.LID)
 	if e.busy {
 		// Writes are rejected rather than parked: a failed GETX retries
 		// through the requester's backoff policy anyway, and parking it
@@ -542,63 +524,48 @@ func (d *Directory) handleGETX(m *Msg) {
 		// hiding the polling cost the contention-management schemes
 		// differ on. Reads are parked (handleGETS) because a starved read
 		// can deadlock the system through the busy-entry wait edge.
-		d.nackBusy(m)
+		d.stats.BusyNacks++
+		d.emit(probe.KindDirBusyNack, m.LID, 0, m.Src, m.ReqID)
+		d.env.Send(dirLatency, d.reply(MsgNackBusy, m))
 		return
 	}
 	d.stats.Requests++
 	d.stats.TxGETX++
-	switch e.state {
-	case DirInvalid:
-		d.beginBusy(e, m, true)
-		d.sendData(0, m, 0)
-	case DirShared:
-		d.beginBusy(e, m, true)
-		targets := appendSharers(d.sharerScratch[:0], e.sharers, m.Src)
-		d.sharerScratch = targets
-		if len(targets) == 0 {
-			// Requester is the only sharer (upgrade) or the list was empty.
-			d.grantNoSharers(m)
-			return
-		}
-		if d.pred != nil {
-			if dest, ok := d.pred.PredictUnicast(targets, m.Src, m.Prio); ok {
-				// Predictive unicast: only the predicted nacker sees the
-				// request. Extra DecisionLatency on the forward path.
-				d.stats.UnicastForwards++
-				e.unicastTo = dest
-				d.emit(probe.KindDirUnicast, m.LID, dest, m.Src, m.ReqID)
-				d.forward(MsgFwdGETX, d.pred.DecisionLatency(), m, dest, true)
-				return
-			}
-		}
-		// Multicast: invalidate every sharer; requester collects responses.
-		extra := sim.Time(0)
-		if d.pred != nil {
-			extra = d.pred.DecisionLatency()
-		}
-		d.stats.MulticastFwds += uint64(len(targets))
-		d.emit(probe.KindDirMulticast, m.LID, len(targets), m.Src, m.ReqID)
-		for _, t := range targets {
-			d.forward(MsgFwdGETX, extra, m, t, false)
-		}
-		if m.NeedData || !e.sharers.has(m.Src) {
-			d.sendData(extra, m, len(targets))
-		} else {
-			d.sendAckCount(extra, m, len(targets))
-		}
-	case DirModified:
-		d.beginBusy(e, m, true)
+	d.beginBusy(e, m, true)
+	if e.state == DirModified {
 		d.forward(MsgFwdGETX, 0, m, e.owner, false)
-	}
-}
-
-// grantNoSharers completes a GETX that needs no invalidations.
-func (d *Directory) grantNoSharers(m *Msg) {
-	if m.NeedData {
-		d.sendData(0, m, 0)
 		return
 	}
-	d.sendAckCount(0, m, 0)
+	// Invalid or Shared: invalidate every sharer but the requester. With
+	// none to invalidate (an Invalid line, or the requester's own upgrade)
+	// the grant below goes out at once with no responses to collect.
+	targets := appendSharers(d.sharerScratch[:0], e.sharers, m.Src)
+	d.sharerScratch = targets
+	extra := sim.Time(0)
+	if d.pred != nil && len(targets) > 0 {
+		extra = decisionLatency
+		if dest, ok := d.pred.PredictUnicast(targets, m.Src, m.Prio); ok {
+			// Predictive unicast: only the predicted nacker sees the request.
+			d.stats.UnicastForwards++
+			e.unicastTo = dest
+			d.emit(probe.KindDirUnicast, m.LID, dest, m.Src, m.ReqID)
+			d.forward(MsgFwdGETX, extra, m, dest, true)
+			return
+		}
+	}
+	// Multicast: invalidate every sharer; requester collects responses.
+	if len(targets) > 0 {
+		d.stats.MulticastFwds += uint64(len(targets))
+		d.emit(probe.KindDirMulticast, m.LID, len(targets), m.Src, m.ReqID)
+	}
+	for _, t := range targets {
+		d.forward(MsgFwdGETX, extra, m, t, false)
+	}
+	if m.NeedData || !e.sharers.has(m.Src) {
+		d.sendData(extra, m, len(targets))
+	} else {
+		d.sendAckCount(extra, m, len(targets))
+	}
 }
 
 func (d *Directory) beginBusy(e *dirEntry, m *Msg, isGETX bool) {
@@ -607,17 +574,13 @@ func (d *Directory) beginBusy(e *dirEntry, m *Msg, isGETX bool) {
 	e.busyGETX = isGETX
 	e.requester = m.Src
 	e.unicastTo = -1
-	e.waitWB = false
 	e.gotWB = false
 	e.gotUnblock = false
-	e.savedState = e.state
-	e.savedShare = e.sharers
-	e.savedOwner = e.owner
 }
 
 //puno:hot
 func (d *Directory) handleUnblock(m *Msg) {
-	e := d.entry(m.Line, m.LID)
+	e := d.entry(m.LID)
 	if !e.busy {
 		panic(fmt.Sprintf("coherence: UNBLOCK for non-busy line %v at dir %d", m.Line, d.node))
 	}
@@ -634,16 +597,16 @@ func (d *Directory) handleUnblock(m *Msg) {
 }
 
 func (d *Directory) handleWBData(m *Msg) {
-	e := d.entry(m.Line, m.LID)
+	e := d.entry(m.LID)
 	d.env.StoreLine(m.Line, m.LID, m.Data)
-	if e.busy && e.waitWB {
+	if e.busy && !e.busyGETX {
 		e.gotWB = true
 		d.tryComplete(e)
 	}
 }
 
 func (d *Directory) handlePUTX(m *Msg) {
-	e := d.entry(m.Line, m.LID)
+	e := d.entry(m.LID)
 	if e.busy || e.state != DirModified || e.owner != m.Src {
 		// Raced with a forward (or is stale): the owner must keep serving
 		// the in-flight forward from its retained copy.
@@ -659,34 +622,25 @@ func (d *Directory) handlePUTX(m *Msg) {
 }
 
 func (d *Directory) tryComplete(e *dirEntry) {
-	if !e.gotUnblock {
+	if !e.gotUnblock || e.unblockOK && !e.busyGETX && !e.gotWB {
 		return
 	}
-	if e.unblockOK && e.waitWB && !e.gotWB {
-		return
-	}
-	// Apply the final transition.
-	req := e.requester
+	// Apply the final transition. A failed (NACKed) service changes nothing:
+	// sharers that invalidated remain listed — a conservative superset;
+	// later spurious invalidations ACK harmlessly.
 	if e.unblockOK {
+		req := e.requester
 		if e.busyGETX {
 			e.state = DirModified
 			e.owner = req
 			e.sharers = oneNode(req)
 		} else {
-			// M -> S downgrade: old owner keeps a shared copy.
+			// M -> S downgrade: the old owner, already the set's one
+			// member, keeps a shared copy.
 			e.state = DirShared
-			e.sharers = e.savedShare
-			e.sharers.add(e.savedOwner)
 			e.sharers.add(req)
 			e.owner = -1
 		}
-	} else {
-		// Failed (NACKed) request: restore the pre-request state. Sharers
-		// that invalidated remain listed — a conservative superset; later
-		// spurious invalidations ACK harmlessly.
-		e.state = e.savedState
-		e.sharers = e.savedShare
-		e.owner = e.savedOwner
 	}
 	if d.pred != nil && e.busyGETX {
 		if e.unicastTo >= 0 {
@@ -702,7 +656,6 @@ func (d *Directory) tryComplete(e *dirEntry) {
 		d.stats.TxGETXBusy += blocked
 	}
 	e.busy = false
-	e.unicastTo = -1
 	// Drain parked requests until one re-blocks the entry (or none are
 	// left): a GETS from Shared is serviced entirely at the home node and
 	// does not block, so stopping after one would strand the rest. Only

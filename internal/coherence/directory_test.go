@@ -250,26 +250,6 @@ func TestBusyLineQueuesNewRequests(t *testing.T) {
 	}
 }
 
-func TestQueueOverflowFallsBackToNackBusy(t *testing.T) {
-	env := newMockEnv()
-	d := NewDirectory(0, 16, env, nil)
-	d.queueCap = 1
-	d.Handle(getx(2, 20, true)) // busy
-	env.take()
-	d.Handle(gets(3, 30)) // queued
-	if msgs := env.take(); len(msgs) != 0 {
-		t.Fatal("first pending request should queue silently")
-	}
-	d.Handle(gets(4, 40)) // queue full
-	m := env.mustOne(t, MsgNackBusy)
-	if m.Dst != 4 {
-		t.Fatalf("NackBusy to %d, want 4", m.Dst)
-	}
-	if d.Stats().BusyNacks != 1 {
-		t.Fatalf("BusyNacks = %d, want 1", d.Stats().BusyNacks)
-	}
-}
-
 func TestGETSFromModifiedForwardsToOwner(t *testing.T) {
 	env := newMockEnv()
 	d := NewDirectory(0, 16, env, nil)
@@ -461,7 +441,6 @@ func (p *recordingPredictor) MulticastResolved(falseAbort bool) {}
 func (p *recordingPredictor) Misprediction(node int, prio htm.Priority) {
 	p.mispredicted = append(p.mispredicted, node)
 }
-func (p *recordingPredictor) DecisionLatency() sim.Time { return 2 }
 
 func TestPredictiveUnicastSendsOneForward(t *testing.T) {
 	env := newMockEnv()
@@ -489,6 +468,46 @@ func TestPredictiveUnicastSendsOneForward(t *testing.T) {
 	st, sharers, _ := d.State(testLine)
 	if st != DirShared || len(sharers) != 3 {
 		t.Fatalf("after unicast fail: state=%v sharers=%v", st, sharers)
+	}
+}
+
+// TestDecisionLatency: with a predictor installed, a GETX forwarded to
+// sharers pays the 2-cycle decision path, unicast or multicast, on every
+// message it sends; a GETX with no sharer to forward to, or under the
+// baseline protocol, does not.
+func TestDecisionLatency(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pred    Predictor
+		sharers bool
+		extra   sim.Time
+	}{
+		{"unicast", &recordingPredictor{unicastDest: 5, unicastOK: true}, true, 2},
+		{"multicast", &recordingPredictor{}, true, 2},
+		{"no-sharers", &recordingPredictor{unicastDest: 5, unicastOK: true}, false, 0},
+		{"baseline", nil, true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newMockEnv()
+			d := NewDirectory(0, 16, env, tc.pred)
+			if tc.sharers {
+				d.Handle(gets(5, 5))
+				env.take()
+			}
+			d.Handle(getx(2, 50, true))
+			if len(env.sent) == 0 {
+				t.Fatal("GETX sent nothing")
+			}
+			for i, m := range env.sent {
+				want := dirLatency + tc.extra
+				if m.Type == MsgData {
+					want += env.l2Lat
+				}
+				if env.delays[i] != want {
+					t.Errorf("%v to %d sent after %d cycles, want %d", m.Type, m.Dst, env.delays[i], want)
+				}
+			}
+		})
 	}
 }
 

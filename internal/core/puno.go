@@ -26,12 +26,12 @@ import (
 	"repro/internal/sim"
 )
 
-// The paper's fixed directory-side timings: a 2-cycle decision path
-// (1 cycle P-Buffer access + 1 cycle compare) on the forward path, and a
-// floor under the adaptive rollover period.
+// A floor under the adaptive rollover period. The paper's other fixed
+// directory-side timing, the 2-cycle decision path (1 cycle P-Buffer access
+// + 1 cycle compare), is the directory's to charge: it adds it to every
+// forward it sends to sharers while a predictor is installed.
 const (
-	decisionLatency sim.Time = 2
-	minTimeout      sim.Time = 64
+	minTimeout sim.Time = 64
 
 	// defaultTimeoutMultiplier scales the adaptive rollover period
 	// relative to the observed average transaction length. The paper
@@ -275,6 +275,3 @@ func (p *Predictor) Confidence() float64 { return p.confidence }
 
 // Benefit returns the current multicast false-aborting estimate.
 func (p *Predictor) Benefit() float64 { return p.benefit }
-
-// DecisionLatency implements coherence.Predictor.
-func (p *Predictor) DecisionLatency() sim.Time { return decisionLatency }

@@ -207,14 +207,6 @@ func TestAdaptiveTimeoutTracksAvgLen(t *testing.T) {
 	}
 }
 
-func TestDecisionLatency(t *testing.T) {
-	var now sim.Time
-	p := newPred(&now)
-	if p.DecisionLatency() != 2 {
-		t.Fatalf("DecisionLatency = %d, want 2", p.DecisionLatency())
-	}
-}
-
 // TestPredictorResetEqualsNew: a trained predictor Reset under the same
 // config forgets everything a new one does not know — P-Buffer, confidence,
 // counters, the pending rollover — and keeps its clock.

@@ -24,8 +24,8 @@ func (m *Machine) DumpState(w io.Writer) {
 	}
 	for i, d := range m.dirs {
 		for _, bi := range d.BusyEntries() {
-			fmt.Fprintf(w, "dir %2d busy: line=%v req=%d getx=%v since=%d waitWB=%v gotWB=%v gotUnblock=%v unicastTo=%d pending=%d\n",
-				i, bi.Line, bi.Requester, bi.IsGETX, bi.Since, bi.WaitWB, bi.GotWB, bi.GotUnblock, bi.UnicastTo, bi.Pending)
+			fmt.Fprintf(w, "dir %2d busy: line=%v req=%d getx=%v since=%d gotWB=%v gotUnblock=%v unicastTo=%d pending=%d\n",
+				i, bi.Line, bi.Requester, bi.IsGETX, bi.Since, bi.GotWB, bi.GotUnblock, bi.UnicastTo, bi.Pending)
 		}
 	}
 	// For every line some node is waiting on, show the directory state and

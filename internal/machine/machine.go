@@ -47,11 +47,6 @@ type Machine struct {
 	dirFree []sim.Time
 	l1Free  []sim.Time
 
-	// sink mirrors cfg.EventSink (possibly nil) for the send hook; Reset
-	// re-installs it on every controller so arena reuse cannot leak a
-	// previous run's sink.
-	sink probe.Sink
-
 	// msgFree recycles coherence messages: every message is zeroed and
 	// filled in place in a pooled struct at its send site (node.msgTo,
 	// Directory.msgTo) and returned to the pool by the dispatcher the
@@ -114,12 +109,11 @@ func (e dirEnv) Now() sim.Time { return e.m.eng.Now() }
 
 func (e dirEnv) NewMsg() *coherence.Msg { return e.m.newMsg() }
 
+// Send puts msg on the mesh after delay cycles; every directory send
+// carries at least the directory's own latency, so delay is never 0.
+//
 //puno:hot
 func (e dirEnv) Send(delay sim.Time, msg *coherence.Msg) {
-	if delay == 0 {
-		e.m.send(msg)
-		return
-	}
 	e.m.eng.AfterEvent(delay, e.m, msg, mevSend<<32)
 }
 
@@ -251,7 +245,6 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 	m.res.reset(wl.Name(), cfg.Scheme, cfg.Nodes)
 	m.active = 0
 	m.runErr = nil
-	m.sink = cfg.EventSink
 	// msgFree is kept as-is: pooled messages are zeroed at every fill site,
 	// so leftover contents are harmless.
 
@@ -300,15 +293,17 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 		} else {
 			m.dirs[i].Reset(pred)
 		}
-		m.dirs[i].SetProbe(m.sink)
+		// Every controller's sink is re-installed, so arena reuse cannot
+		// leak a previous run's.
+		m.dirs[i].SetProbe(cfg.EventSink)
 		prog := wl.Program(i, m.rootRNG.Fork(1000+uint64(i)))
 		if m.nodes[i] == nil {
 			m.nodes[i] = newNode(i, m, prog)
 		} else {
 			m.nodes[i].reset(prog)
 		}
-		if m.sink != nil {
-			m.nodes[i].tx.SetProbe(m.sink, m.eng.Now)
+		if cfg.EventSink != nil {
+			m.nodes[i].tx.SetProbe(cfg.EventSink, m.eng.Now)
 		} else {
 			m.nodes[i].tx.SetProbe(nil, nil)
 		}
@@ -329,8 +324,8 @@ func (m *Machine) Engine() *sim.Engine { return m.eng }
 
 //puno:hot
 func (m *Machine) send(msg *coherence.Msg) {
-	if m.sink != nil {
-		m.sink.Emit(probe.Event{
+	if sink := m.cfg.EventSink; sink != nil {
+		sink.Emit(probe.Event{
 			Cycle: m.eng.Now(),
 			Arg:   probe.PackSend(uint8(msg.Type), msg.Dst, msg.Requester, msg.ReqID),
 			Line:  msg.LID,
@@ -353,31 +348,23 @@ func (m *Machine) send(msg *coherence.Msg) {
 // dispatch, the low half carries the node id. Replacing per-message
 // closures with these codes keeps deferred dispatch allocation-free.
 const (
-	mevSend uint64 = iota // delayed directory send: put msg on the mesh
-	mevDir                // directory Handle after occupancy wait
-	mevFwd                // L1 handleForward after occupancy wait
-	mevResp               // L1 handleResponse after occupancy wait
+	mevSend   uint64 = iota // delayed directory send: put msg on the mesh
+	mevDir                  // directory Handle
+	mevFwd                  // L1 handleForward
+	mevResp                 // L1 handleResponse
+	mevWB                   // L1 handleWB
+	mevWakeup               // core handleWakeup
 )
 
-// OnEvent implements sim.Handler for deferred message dispatch.
+// OnEvent implements sim.Handler for deferred message dispatch: a delayed
+// directory send, or a delivery that waited for its controller.
 func (m *Machine) OnEvent(arg any, word uint64) {
 	msg := arg.(*coherence.Msg)
-	id := int(uint32(word))
-	switch word >> 32 {
-	case mevSend:
+	if word>>32 == mevSend {
 		m.send(msg)
-	case mevDir:
-		m.dirs[id].Handle(msg)
-		m.freeMsg(msg)
-	case mevFwd:
-		m.nodes[id].handleForward(msg)
-		m.freeMsg(msg)
-	case mevResp:
-		m.nodes[id].handleResponse(msg)
-		m.freeMsg(msg)
-	default:
-		panic(fmt.Sprintf("machine: unknown event code %d", word>>32))
+		return
 	}
+	m.handle(word>>32, int(uint32(word)), msg)
 }
 
 // arrival is the machine's view as its mesh's arrival handler: the mesh
@@ -390,45 +377,56 @@ func (a *arrival) OnEvent(arg any, word uint64) {
 	(*Machine)(a).deliver(int(word), arg.(*coherence.Msg))
 }
 
-// deliver dispatches an arriving message to the right controller at node
-// id: home-directory traffic to the directory slice, everything else to
-// the L1/core. Each controller processes one message per occupancy window;
-// later arrivals queue behind it, so message storms cost time. The
-// dispatcher owns the message: it returns to the pool when the handler
-// returns (synchronously or after the occupancy wait).
+// deliver routes an arriving message to the right controller at node id:
+// home-directory traffic to the directory slice, everything else to the
+// L1/core. The directory and the L1 each process one message per occupancy
+// window; later arrivals queue behind it, so message storms cost time.
+// Writeback replies and wakeups take no occupancy.
 //
 //puno:hot
 func (m *Machine) deliver(id int, msg *coherence.Msg) {
+	code, clock, occ := mevResp, &m.l1Free[id], l1Occupancy
 	switch msg.Type {
 	case coherence.MsgGETS, coherence.MsgGETX, coherence.MsgUnblock,
 		coherence.MsgWBData, coherence.MsgPUTX:
-		if start := m.occupyStart(&m.dirFree[id], dirOccupancy); start > m.eng.Now() {
-			m.eng.AtEvent(start, m, msg, mevDir<<32|uint64(uint32(id)))
-		} else {
-			m.dirs[id].Handle(msg)
-			m.freeMsg(msg)
-		}
+		code, clock, occ = mevDir, &m.dirFree[id], dirOccupancy
 	case coherence.MsgFwdGETS, coherence.MsgFwdGETX:
-		if start := m.occupyStart(&m.l1Free[id], l1Occupancy); start > m.eng.Now() {
-			m.eng.AtEvent(start, m, msg, mevFwd<<32|uint64(uint32(id)))
-		} else {
-			m.nodes[id].handleForward(msg)
-			m.freeMsg(msg)
-		}
+		code = mevFwd
 	case coherence.MsgWBAck, coherence.MsgWBStale:
-		m.nodes[id].handleWB(msg)
-		m.freeMsg(msg)
+		code, clock = mevWB, nil
 	case coherence.MsgWakeup:
-		m.nodes[id].handleWakeup(msg)
-		m.freeMsg(msg)
-	default:
-		if start := m.occupyStart(&m.l1Free[id], l1Occupancy); start > m.eng.Now() {
-			m.eng.AtEvent(start, m, msg, mevResp<<32|uint64(uint32(id)))
-		} else {
-			m.nodes[id].handleResponse(msg)
-			m.freeMsg(msg)
+		code, clock = mevWakeup, nil
+	}
+	if clock != nil {
+		if start := m.occupyStart(clock, occ); start > m.eng.Now() {
+			m.eng.AtEvent(start, m, msg, code<<32|uint64(uint32(id)))
+			return
 		}
 	}
+	m.handle(code, id, msg)
+}
+
+// handle runs the controller code selects at node id on msg. The
+// dispatcher owns the message: it returns to the pool when the handler
+// returns.
+//
+//puno:hot
+func (m *Machine) handle(code uint64, id int, msg *coherence.Msg) {
+	switch code {
+	case mevDir:
+		m.dirs[id].Handle(msg)
+	case mevFwd:
+		m.nodes[id].handleForward(msg)
+	case mevResp:
+		m.nodes[id].handleResponse(msg)
+	case mevWB:
+		m.nodes[id].handleWB(msg)
+	case mevWakeup:
+		m.nodes[id].handleWakeup(msg)
+	default:
+		panic(fmt.Sprintf("machine: unknown event code %d", code))
+	}
+	m.freeMsg(msg)
 }
 
 // occupyStart reserves the controller guarded by nextFree and returns when
@@ -507,7 +505,10 @@ func (m *Machine) DrainCaches() {
 //   - directory sharers ⊇ holders: every resident L1 copy of a line whose
 //     entry is not busy is on that entry's sharer list;
 //   - every Modified entry that is not busy names an owner that holds the
-//     line Modified, or is writing it back.
+//     line Modified, or is writing it back;
+//   - every entry with requests parked is busy and parks at most nodes-1 of
+//     them (each node has one request outstanding, and the busy
+//     requester's is the one being served).
 //
 // It reports the first violation in node, then directory, order and
 // allocates nothing when there is none, so tests can call it as often as
@@ -544,6 +545,12 @@ func (m *Machine) CheckInvariants() error {
 			}
 			if e := m.nodes[owner].l1.Lookup(l); e == nil || e.State != cache.Modified {
 				err = fmt.Errorf("directory %d says %v owned by %d, but it holds no exclusive copy", home, l, owner)
+			}
+		})
+		d.ForEachParked(func(l mem.Line, busy bool, parked int) {
+			if err == nil && (!busy || parked > len(m.nodes)-1) {
+				err = fmt.Errorf("directory %d parks %d requests for %v (busy %v); at most %d may wait on a busy entry",
+					home, parked, l, busy, len(m.nodes)-1)
 			}
 		})
 		if err != nil {

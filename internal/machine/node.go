@@ -20,7 +20,6 @@ type outstanding struct {
 	lid      mem.LineID // line's interned dense ID (assigned at issue)
 	isWrite  bool       // the protocol request is a GETX
 	promoted bool       // a load promoted to GETX by the RMW predictor
-	home     int
 
 	expected int // sharer responses to collect; -1 until the header arrives
 	received int
@@ -482,7 +481,7 @@ func (n *node) issue(l mem.Line, lid mem.LineID, isWrite, promoted, needData boo
 	*r = outstanding{}
 	r.id, r.line, r.lid = n.reqSeq, l, lid
 	r.isWrite, r.promoted = isWrite, promoted
-	r.home, r.expected = home, -1
+	r.expected = -1
 	n.req = r
 	mt := coherence.MsgGETS
 	if isWrite {
@@ -742,8 +741,7 @@ func (n *node) completeRequest() {
 		default:
 			// The protocol completed, so take the copy (unpinned); the
 			// data is untouched.
-			n.install(r)
-			n.sendUnblock(r, true)
+			n.fill(r)
 		}
 		n.finishAccess()
 		n.drainContinue()
@@ -779,15 +777,12 @@ func (n *node) completeRequest() {
 		n.backOff(busyRetryDelay)
 		return
 	}
-	e := n.install(r)
+	e := n.fill(r)
 	if e == nil {
-		// Transactional overflow: every way pinned. Fail the request so
-		// the directory restores, then abort with the penalty.
-		n.sendUnblock(r, false)
+		// Transactional overflow: every way pinned. Abort with the penalty.
 		n.overflowAbort()
 		return
 	}
-	n.sendUnblock(r, true)
 
 	// Resume the access that needed this line.
 	n.finishAccess()
@@ -808,6 +803,28 @@ func (n *node) completeRequest() {
 		}
 		n.writeDone(e, op.Addr, v)
 	}
+}
+
+// fill installs the line r fetched and unblocks its directory. When every
+// way of the set is pinned it installs nothing and returns nil, and the copy
+// goes where no data is lost and no owner is left without a line: data from
+// home is still in the L2, so the request fails; owner data completes the
+// request, and a GETX's copy (the only one left) is written straight back
+// as a Modified victim, while a GETS's is dropped (the old owner wrote the
+// line back and stays listed with its shared copy).
+//
+//puno:hot
+func (n *node) fill(r *outstanding) *cache.Entry {
+	e := n.install(r)
+	if e == nil && !r.soleDone {
+		n.sendUnblock(r, false)
+		return nil
+	}
+	n.sendUnblock(r, true)
+	if e == nil && r.isWrite {
+		n.handleEviction(cache.Entry{Line: r.line, LID: r.lid, State: cache.Modified, Data: r.data})
+	}
+	return e
 }
 
 // install caches the line r fetched: a resident copy is upgraded in place
@@ -866,7 +883,7 @@ func (n *node) sendUnblock(r *outstanding, success bool) {
 	if !r.isWrite && !r.soleDone {
 		return // GETS satisfied at the home node: the directory never blocked
 	}
-	msg := n.msgTo(coherence.MsgUnblock, r.line, r.home)
+	msg := n.msgTo(coherence.MsgUnblock, r.line, n.m.home.Home(r.line))
 	msg.LID, msg.Requester, msg.ReqID = r.lid, n.id, r.id
 	msg.Success, msg.AbortedSharers = success, r.abortedSharers
 	if r.mpSeen {

@@ -244,6 +244,133 @@ func TestUpgradeHazardRecovered(t *testing.T) {
 	}
 }
 
+// fullSetFill drives node 0 by hand through a fill that finds every way of
+// its L1 set pinned, then hands the directory what the node sent and
+// returns the line. supplier picks who answers: "home" serves a GETX from
+// the L2; "owner-getx" and "owner-gets" are served by node 3, the line's
+// Modified owner. aborted aborts the transaction while the request is in
+// flight, so the data lands during the rollback.
+func fullSetFill(t *testing.T, m *Machine, supplier string, aborted bool) mem.Line {
+	t.Helper()
+	var sent []coherence.Msg
+	m.xsend = func(msg *coherence.Msg) { sent = append(sent, *msg) }
+	// await steps the engine until a captured send matches, and takes it.
+	await := func(what string, match func(*coherence.Msg) bool) coherence.Msg {
+		t.Helper()
+		for {
+			for i := range sent {
+				if msg := sent[i]; match(&msg) {
+					sent = append(sent[:i], sent[i+1:]...)
+					return msg
+				}
+			}
+			if !m.eng.Step() {
+				t.Fatalf("no %s was sent", what)
+			}
+		}
+	}
+	const owner = 3
+	l := mem.Line(7 * mem.LineBytes)
+	for h := m.home.Home(l); h == 0 || h == owner; h = m.home.Home(l) {
+		l += mem.LineBytes
+	}
+	d := m.dirs[m.home.Home(l)]
+	n := m.nodes[0]
+	// Four other lines fill l's set, pinned, each listed at its home.
+	stride := mem.Line(n.l1.Sets() * mem.LineBytes)
+	for i := 1; i <= n.l1.Ways(); i++ {
+		x := l + mem.Line(i)*stride
+		m.dirs[m.home.Home(x)].Handle(&coherence.Msg{Type: coherence.MsgGETS, Line: x, Src: 0, Requester: 0})
+		e, _, _ := n.l1.Insert(x, cache.Shared, mem.LineData{})
+		e.Pinned = true
+	}
+	var data mem.LineData
+	data[0] = 42
+	if supplier == "home" {
+		m.backing.Store(l, data)
+	} else {
+		d.Handle(&coherence.Msg{Type: coherence.MsgGETX, Line: l, Src: owner, Requester: owner, NeedData: true, IsWrite: true})
+		d.Handle(&coherence.Msg{Type: coherence.MsgUnblock, Line: l, Src: owner, Success: true})
+		m.nodes[owner].l1.Insert(l, cache.Modified, data)
+	}
+	op := OpWrite
+	if supplier == "owner-gets" {
+		op = OpRead
+	}
+	n.cur = TxInstance{StaticID: 1, Ops: []Op{{Kind: op, Addr: l.Word(0), Value: 5}}}
+	n.startAttempt(false)
+	req := await("request", func(msg *coherence.Msg) bool {
+		return msg.Src == 0 && (msg.Type == coherence.MsgGETS || msg.Type == coherence.MsgGETX)
+	})
+	d.Handle(&req)
+	if supplier != "home" {
+		fwd := await("forward", func(msg *coherence.Msg) bool { return msg.Dst == owner && msg.Requester == 0 })
+		m.nodes[owner].handleForward(&fwd)
+		if supplier == "owner-gets" {
+			wb := await("writeback", func(msg *coherence.Msg) bool { return msg.Type == coherence.MsgWBData })
+			d.Handle(&wb)
+		}
+	}
+	resp := await("data", func(msg *coherence.Msg) bool { return msg.Type == coherence.MsgData && msg.ReqID == req.ReqID })
+	if aborted {
+		n.abortTx(CauseTxGETX, false)
+	}
+	sent = sent[:0]
+	n.handleResponse(&resp)
+	if n.req != nil || n.l1.Lookup(l) != nil {
+		t.Fatalf("the fill left request %v, copy %v", n.req != nil, n.l1.Lookup(l) != nil)
+	}
+	for _, msg := range append([]coherence.Msg(nil), sent...) {
+		if msg.Line == l && (msg.Type == coherence.MsgUnblock || msg.Type == coherence.MsgPUTX) {
+			d.Handle(&msg)
+		}
+	}
+	if n.wbWait.has(l) {
+		ack := await("WBAck", func(msg *coherence.Msg) bool { return msg.Type == coherence.MsgWBAck && msg.Line == l })
+		n.handleWB(&ack)
+	}
+	return l
+}
+
+// testFullSetFill checks where fullSetFill's copy went: data from home
+// stays in the L2 with no owner recorded; an owner's data for a GETX is
+// written back, and for a GETS the old owner keeps its shared copy beside
+// the listed requester. No data is lost and CheckInvariants holds.
+func testFullSetFill(t *testing.T, aborted bool) {
+	for _, supplier := range []string{"home", "owner-getx", "owner-gets"} {
+		t.Run(supplier, func(t *testing.T) {
+			m, err := New(smallConfig(SchemeBaseline, 1), disjointWorkload{txPerCPU: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := fullSetFill(t, m, supplier, aborted)
+			d := m.dirs[m.home.Home(l)]
+			st, sharers, owner := d.State(l)
+			want := coherence.DirInvalid
+			if supplier == "owner-gets" {
+				want = coherence.DirShared
+			}
+			if d.Busy(l) || st != want || owner != -1 {
+				t.Errorf("directory: busy %v, %v owner %d sharers %v; want %v with no owner", d.Busy(l), st, owner, sharers, want)
+			}
+			if got := m.backing.Load(l)[0]; got != 42 {
+				t.Errorf("L2 holds %d, want the owner's 42", got)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestFullSetFillLive: a live transaction whose fill finds its set pinned
+// aborts for overflow, and the copy it could not keep is not lost.
+func TestFullSetFillLive(t *testing.T) { testFullSetFill(t, false) }
+
+// TestFullSetFillAfterAbort: the same fill landing while the transaction
+// rolls back leaves no phantom owner and loses no data.
+func TestFullSetFillAfterAbort(t *testing.T) { testFullSetFill(t, true) }
+
 // TestWakeupIgnoredWhenStale: wakeups arriving while a node is not backing
 // off on that line must be dropped harmlessly.
 func TestWakeupIgnoredWhenStale(t *testing.T) {
@@ -428,6 +555,32 @@ func TestUnlistedHolderReported(t *testing.T) {
 	m.nodes[4].l1.Insert(a+mem.LineBytes, cache.Shared, mem.LineData{})
 	if err := m.CheckInvariants(); err == nil {
 		t.Fatal("a Modified copy plus a second copy not reported")
+	}
+}
+
+// TestOverParkedEntryReported: a busy entry can park at most nodes-1 reads,
+// since every node has one request outstanding and the busy requester's is
+// being served; one more (a node with two requests) is reported.
+func TestOverParkedEntryReported(t *testing.T) {
+	m, err := New(smallConfig(SchemeBaseline, 1), disjointWorkload{txPerCPU: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mem.Line(7 * mem.LineBytes)
+	d := m.dirs[m.home.Home(a)]
+	gets := func(src int) *coherence.Msg {
+		return &coherence.Msg{Type: coherence.MsgGETS, Line: a, Src: src, Requester: src, NeedData: true}
+	}
+	d.Handle(&coherence.Msg{Type: coherence.MsgGETX, Line: a, Src: 0, Requester: 0, NeedData: true, IsWrite: true})
+	for src := 1; src < m.cfg.Nodes; src++ {
+		d.Handle(gets(src))
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("nodes-1 parked reads reported: %v", err)
+	}
+	d.Handle(gets(1))
+	if err := m.CheckInvariants(); err == nil {
+		t.Fatal("a read parked beyond nodes-1 not reported")
 	}
 }
 
