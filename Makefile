@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test lint race race-shards cover cover-update bench golden clean
+.PHONY: all test lint race cover cover-update bench golden clean
 
 all: test
 
@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 # Static analysis: stock go vet plus punovet, the project's own analyzers
-# (maprange, wallclock, hotalloc, msglife, shardconfine) that mechanize the
+# (maprange, wallclock, hotalloc, msglife) that mechanize the
 # determinism and zero-allocation invariants, then the compiler-backed
 # escape gate (-escape), which parses `go build -gcflags=-m=2` diagnostics
 # and fails on any heap allocation inside a //puno:hot function that no
@@ -26,16 +26,6 @@ lint:
 # Race-detector pass over everything; certifies the parallel sweep runner.
 race:
 	$(GO) test -race ./...
-
-# Race-detector pass over just the PDES determinism certification: the
-# coordinator's bit-identity claim under racing shard workers. A named
-# subset so CI keeps it even if the full race matrix is ever trimmed.
-race-shards:
-	$(GO) test -race -run 'Sharded' . ./internal/pdes
-	# The coalesced-window path defers the commit barrier across send-free
-	# windows; run it under the detector on its own so a -run reshuffle
-	# above can't silently drop the one test that certifies the deferral.
-	$(GO) test -race -run 'ShardedCoalescedWindows' -count 2 ./internal/pdes
 
 # Per-package coverage audit: measure `go test -cover` for every internal
 # package and gate it against the committed floors in COVERAGE.json. Any

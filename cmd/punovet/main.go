@@ -1,5 +1,5 @@
-// Command punovet runs the project's custom static-analysis suite: five
-// analyzers (maprange, wallclock, hotalloc, msglife, shardconfine) that
+// Command punovet runs the project's custom static-analysis suite: four
+// analyzers (maprange, wallclock, hotalloc, msglife) that
 // mechanize the simulator's determinism and zero-allocation invariants,
 // plus the compiler-backed escape gate (-escape). Findings print as
 // file:line: analyzer: message (or as a JSON array with -json) and make
@@ -16,8 +16,8 @@
 // compiler-reported heap allocation in a //puno:hot function (minus panic
 // paths and exempt amortized-growth callees) is a finding. -v prints a
 // per-analyzer timing summary to stderr. No comment silences a finding:
-// the only //puno: comments are the markers //puno:hot and //puno:worker
-// (any other is itself a finding), and the only exemptions are the
+// the only //puno: comment is the marker //puno:hot (any other is itself
+// a finding), and the only exemptions are the
 // reviewed rows of internal/lint's exemptions table.
 package main
 
@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 		fmt.Fprintf(stderr, "  %-12s heap allocations in //puno:hot functions, per go build -gcflags=-m=2 (via -escape)\n", "escapegate")
-		fmt.Fprintf(stderr, "\nThe only //puno: comments are //puno:hot and //puno:worker; exemptions are rows in internal/lint's exemptions table.\n")
+		fmt.Fprintf(stderr, "\nThe only //puno: comment is //puno:hot; exemptions are rows in internal/lint's exemptions table.\n")
 	}
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,8 +34,7 @@ func detWorkloads() []*Profile {
 }
 
 // detSchemes is three schemes including the baseline every figure
-// normalizes against: the set the serial/parallel and sharded comparisons
-// run (ATS's machine-wide token cannot be sharded).
+// normalizes against: the set the serial/parallel comparisons run.
 func detSchemes() []Scheme { return []Scheme{SchemeBaseline, SchemeBackoff, SchemePUNO} }
 
 func detConfig() Config {
@@ -261,4 +261,56 @@ func compareGolden(t *testing.T, name, got string) {
 		t.Fatalf("output differs from %s (run with -update after an intentional change):\n--- got ---\n%s\n--- want ---\n%s",
 			path, got, want)
 	}
+}
+
+// big256Config is the 16x16-mesh stress point: four times the largest mesh
+// the sharer tracking previously supported (the directory's node set was a
+// single uint64 word). Footprint hints re-derive automatically — the
+// profile's FootprintLines scales with the node count — so the interner
+// and dense directory tables pre-size for the larger machine the same way
+// the 64-node pair does.
+func big256Config() Config {
+	cfg := detConfig()
+	cfg.Scheme = SchemePUNO
+	cfg.Mesh.Width, cfg.Mesh.Height = 16, 16
+	cfg.Nodes = 256
+	return cfg
+}
+
+// big256Workload keeps the 256-node run affordable in the test suite: one
+// transaction per node still populates every mesh row with traffic and
+// pushes sharer sets past the first 64-bit word.
+func big256Workload() *Profile { return MustWorkload("intruder").WithTxPerCPU(1) }
+
+// renderBig256 digests a 256-node Result into the golden's stable text:
+// the headline counters plus order-sensitive checksums of the per-node
+// tallies, so a silent change anywhere in the run shows as a diff without
+// committing 256-entry tables.
+func renderBig256(r *Result) string {
+	var hc, ha uint64
+	for _, v := range r.PerNodeCommits {
+		hc = hc*1099511628211 + uint64(v)
+	}
+	for _, v := range r.PerNodeAborts {
+		ha = ha*1099511628211 + uint64(v)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "big256 intruder/PUNO 16x16\n")
+	fmt.Fprintf(&b, "cycles=%d commits=%d aborts=%d nacks=%d retries=%d\n",
+		r.Cycles, r.Commits, r.Aborts, r.Nacks, r.Retries)
+	fmt.Fprintf(&b, "dir: txgetx=%d unicasts=%d multicast_fwds=%d mispredictions=%d busy=%d\n",
+		r.DirTxGETXServices, r.DirUnicasts, r.DirMulticastFwds, r.Mispredictions, r.DirBusyAll)
+	fmt.Fprintf(&b, "net: msgs=%v latency=%d queueing=%d traversals=%d\n",
+		r.Net.Messages, r.Net.TotalLatency, r.Net.QueueingDelay, r.Net.TotalTraversals())
+	fmt.Fprintf(&b, "pernode: commits=%#x aborts=%#x\n", hc, ha)
+	return b.String()
+}
+
+// TestBig256Golden pins the 256-node run's measurements under testdata/.
+func TestBig256Golden(t *testing.T) {
+	res, err := Run(big256Config(), big256Workload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "big256_golden.txt", renderBig256(res))
 }

@@ -9,18 +9,15 @@
 //   - hotalloc:     no growing a fresh local slice inside hot functions
 //   - msglife:      pooled *coherence.Msg pointers are never parked past
 //     handler return (park by value instead)
-//   - shardconfine: PDES shard workers touch only shard-local state and
-//     the blessed cross-shard APIs
 //
-// The sixth check, the escape gate (escape.go, `punovet -escape`), is not
+// The fifth check, the escape gate (escape.go, `punovet -escape`), is not
 // an Analyzer: it parses `go build -gcflags=-m=2` diagnostics — compiler
 // ground truth for //puno:hot functions — instead of walking the AST.
 //
 // There is one way to exempt code from a check: a reviewed row in the
 // exemptions table (exempt.go), keyed by types.Func.FullName() with a
 // mandatory written reason. No comment silences a finding; the only
-// //puno: comments are the markers //puno:hot and //puno:worker
-// (directive.go).
+// //puno: comment is the marker //puno:hot (directive.go).
 package lint
 
 import (

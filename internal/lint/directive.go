@@ -7,24 +7,21 @@ import (
 
 // Directive grammar
 //
-// Two //puno: comments exist. Both are bare markers on a function
-// declaration — on their own line directly above the func keyword, or
-// anywhere in its doc comment — and neither takes an argument:
+// One //puno: comment exists. It is a bare marker on a function
+// declaration — on its own line directly above the func keyword, or
+// anywhere in its doc comment — and takes no argument:
 //
-//	//puno:hot      the function runs per event: hotalloc and the escape
-//	                gate check it
-//	//puno:worker   the function is a PDES shard-worker path: shardconfine
-//	                checks it
+//	//puno:hot   the function runs per event: hotalloc and the escape gate
+//	             check it
 //
 // Any other //puno: comment is a puno-directive finding, the retired
-// per-site verbs `unordered` and `allow` included: no comment exempts
+// verbs `unordered`, `allow` and `worker` included: no comment exempts
 // code from a check, only a row in the exemptions table does (exempt.go).
 
 type dirKind uint8
 
 const (
 	dirHot       dirKind = iota // puno:hot
-	dirWorker                   // puno:worker
 	dirMalformed                // any other //puno: comment
 )
 
@@ -71,11 +68,9 @@ func parseDirective(text string) directive {
 	switch verb {
 	case "hot":
 		kind = dirHot
-	case "worker":
-		kind = dirWorker
 	default:
 		return directive{Kind: dirMalformed, Problem: "unknown puno directive " + verb +
-			": only //puno:hot and //puno:worker exist, and no comment exempts code from a check — an exemption is a reviewed row in internal/lint's exemptions table"}
+			": only //puno:hot exists, and no comment exempts code from a check — an exemption is a reviewed row in internal/lint's exemptions table"}
 	}
 	if strings.TrimSpace(rest) != "" {
 		return directive{Kind: dirMalformed, Problem: "puno:" + verb + " takes no arguments"}
@@ -84,9 +79,9 @@ func parseDirective(text string) directive {
 }
 
 // markedInDoc reports whether a directive of the given kind appears anywhere
-// in fd's doc comment block or directly above its func keyword. isHotFunc
-// and isWorkerFunc share this so //puno:hot and //puno:worker behave
-// identically whether they sit on their own line or inside a doc comment.
+// in fd's doc comment block or directly above its func keyword, so
+// //puno:hot behaves identically whether it sits on its own line or inside
+// a doc comment.
 func (p *Pass) markedInDoc(kind dirKind, fd *ast.FuncDecl) bool {
 	at := p.Fset.Position(fd.Pos())
 	docStart := at.Line

@@ -21,11 +21,11 @@ type Timing struct {
 	Elapsed  time.Duration
 }
 
-// Default returns punovet's analyzer suite. The escape gate is the sixth
+// Default returns punovet's analyzer suite. The escape gate is the fifth
 // check but not an *Analyzer — it drives the compiler, not a Pass — and
 // runs via RunEscape (`punovet -escape`).
 func Default() []*Analyzer {
-	return []*Analyzer{MapRange, WallClock, HotAlloc, MsgLife, ShardConfine}
+	return []*Analyzer{MapRange, WallClock, HotAlloc, MsgLife}
 }
 
 // auditedPkgs are the simulation packages whose determinism and
@@ -134,7 +134,7 @@ func newPass(a *Analyzer, pkg *Package) *Pass {
 }
 
 // checkDirectives reports every //puno: comment in the package that is
-// not a bare //puno:hot or //puno:worker.
+// not a bare //puno:hot.
 func checkDirectives(pkg *Package) []Finding {
 	var out []Finding
 	for _, d := range newPass(nil, pkg).Directives() {

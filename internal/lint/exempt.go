@@ -21,8 +21,6 @@ type exemption struct {
 //     in the hot body, so the row keys on the callee, not the site; every
 //     row is amortized growth or a cold path, so steady-state events pay
 //     zero heap traffic — the property TestWarmArenaRunAllocs pins.
-//   - shardconfine/interner: fn may call Interner.Grow/Reset/SetShared.
-//   - shardconfine/wiring: fn may write the Machine's shard-wiring fields.
 //
 // TestAllowlistsResolve rejects a row whose function is not declared in
 // the tree, whose reason is empty, whose check does not exist, or that has
@@ -31,27 +29,13 @@ type exemption struct {
 var exemptions = []exemption{
 	{"(*repro/internal/machine.Machine).freeMsg", "msglife",
 		"owns the free list: the stored pointers are the pool"},
-	{"(*repro/internal/pdes.Coordinator).Reset", "msglife",
-		"installs the xsend hook that stages a remote send by pointer; the staged message is not freed until commit replays the send on the global mesh, so the coordinator, not the handler, owns its lifetime"},
-	{"(*repro/internal/pdes.Coordinator).replay", "msglife",
-		"stages routed messages into c.routes under the same ownership rule, one window later"},
 
 	{"(*repro/internal/machine.Machine).newMsg", escapeGateName,
 		"message-pool miss: allocates only until the pool holds the run's peak in-flight count"},
 	{"(*repro/internal/machine.node).msgTo", escapeGateName,
 		"inlines Machine.newMsg (above) into the node's send sites"},
-	{"(*repro/internal/pdes.Coordinator).growRenum", escapeGateName,
-		"amortized doubling of the renumber table"},
 	{"(*repro/internal/htm.Tx).mustRun", escapeGateName,
 		"panic-only state guard; allocates its message on the failure path"},
-
-	{"(*repro/internal/pdes.Coordinator).Reset", "shardconfine/interner",
-		"sizes and shares the coordinator-owned interner before any worker goroutine exists"},
-	{"(*repro/internal/machine.Machine).resetShard", "shardconfine/interner",
-		"resets and grows the machine-owned interner when the machine is not adopting a shared one, before it runs"},
-
-	{"(*repro/internal/machine.Machine).resetShard", "shardconfine/wiring",
-		"the single construction point: installs [lo, hi), the xsend hook and the interner identity before the machine runs"},
 }
 
 // exempt reports whether fn carries a row for check. fn may be nil.

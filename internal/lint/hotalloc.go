@@ -62,11 +62,6 @@ func (p *Pass) isHotFunc(fd *ast.FuncDecl) bool {
 	return isHandlerOnEvent(p, fd) || p.markedInDoc(dirHot, fd)
 }
 
-// isWorkerFunc reports whether fd is annotated //puno:worker — the marker
-// shardconfine uses to scope its coordinator-state checks to PDES
-// shard-worker paths.
-func (p *Pass) isWorkerFunc(fd *ast.FuncDecl) bool { return p.markedInDoc(dirWorker, fd) }
-
 // isHandlerOnEvent reports whether fd is a method named OnEvent with the
 // sim.Handler signature (arg any, word uint64).
 func isHandlerOnEvent(p *Pass, fd *ast.FuncDecl) bool {

@@ -22,8 +22,6 @@ func init() {
 		exemption{fix + "maprange.allowlistedRebuild", "maprange", "fixture: rebuilds a map into a fresh one"},
 		exemption{fix + "msglife.blessedPoolReclaim", "msglife", "fixture: owns the free list"},
 		exemption{fix + "escapegate.growSlot", escapeGateName, "fixture: amortized doubling"},
-		exemption{"(*" + fix + "shardconfine.Env).resetWire", "shardconfine/interner", "fixture: serial edge"},
-		exemption{"(*" + fix + "shardconfine.Machine).resetWire", "shardconfine/wiring", "fixture: construction point"},
 	)
 }
 
@@ -190,8 +188,8 @@ func TestTestFilesExempt(t *testing.T) {
 }
 
 // TestDirectiveEnforcement runs the full driver over the directive fixture:
-// every //puno: comment other than a bare hot or worker is a finding — the
-// retired per-site verbs too, which exempt nothing.
+// every //puno: comment other than a bare hot is a finding — the retired
+// verbs too, which exempt nothing.
 func TestDirectiveEnforcement(t *testing.T) {
 	findings, err := RunAnalyzers(".", []string{"./testdata/src/directive"}, Default())
 	if err != nil {
@@ -202,11 +200,11 @@ func TestDirectiveEnforcement(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s: %s", f.Analyzer, f.Message))
 	}
 	wants := []string{
-		"puno-directive: unknown puno directive unordered: only //puno:hot and //puno:worker exist",
+		"puno-directive: unknown puno directive unordered: only //puno:hot exists",
 		"maprange: map iteration order is nondeterministic",
-		"puno-directive: unknown puno directive allow: only //puno:hot and //puno:worker exist",
+		"puno-directive: unknown puno directive allow: only //puno:hot exists",
 		"maprange: map iteration order is nondeterministic",
-		"puno-directive: unknown puno directive frobnicate: only //puno:hot and //puno:worker exist",
+		"puno-directive: unknown puno directive frobnicate: only //puno:hot exists",
 		"puno-directive: puno:hot takes no arguments",
 	}
 	if len(got) != len(wants) {
@@ -297,10 +295,8 @@ func TestAllowlistsResolve(t *testing.T) {
 		}
 	}
 	astChecks := map[string]*Analyzer{
-		"maprange":              MapRange,
-		"msglife":               MsgLife,
-		"shardconfine/interner": ShardConfine,
-		"shardconfine/wiring":   ShardConfine,
+		"maprange": MapRange,
+		"msglife":  MsgLife,
 	}
 	full := exemptions
 	defer func() { exemptions = full }()
@@ -448,34 +444,15 @@ func TestAnalyzerTimings(t *testing.T) {
 	}
 }
 
-// TestWorkerDirective pins //puno:worker parsing: bare form marks the next
-// declaration, and arguments are malformed.
+// TestWorkerDirective: //puno:worker, which marked the shard-worker paths
+// of the removed PDES coordinator, is now an unknown directive like any
+// other, bare or with arguments.
 func TestWorkerDirective(t *testing.T) {
-	if d := parseDirective("//puno:worker"); d.Kind != dirWorker {
-		t.Errorf("bare //puno:worker parsed as kind %d, want dirWorker", d.Kind)
-	}
-	if d := parseDirective("//puno:worker runWindow"); d.Kind != dirMalformed {
-		t.Errorf("//puno:worker with arguments parsed as kind %d, want dirMalformed", d.Kind)
-	}
-}
-
-// TestPdesWorkersMarked pins the PR 9 audit fix: the PDES window runner
-// carries //puno:worker, so shardconfine actually polices the worker
-// goroutine's entry path in the real tree.
-func TestPdesWorkersMarked(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("..", "pdes", "pdes.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const fn = "func runWindow("
-	idx := strings.Index(string(raw), fn)
-	if idx < 0 {
-		t.Fatalf("fixture rot: %s not found in internal/pdes/pdes.go", fn)
-	}
-	head := string(raw[:idx])
-	tail := head[strings.LastIndex(head[:len(head)-1], "\n\n"):]
-	if !strings.Contains(tail, "//puno:worker") {
-		t.Errorf("%s is not marked //puno:worker; shardconfine no longer polices it", fn)
+	for _, text := range []string{"//puno:worker", "//puno:worker runWindow"} {
+		d := parseDirective(text)
+		if d.Kind != dirMalformed || !strings.HasPrefix(d.Problem, "unknown puno directive worker: only //puno:hot exists") {
+			t.Errorf("%s parsed as kind %d (%q), want an unknown-directive finding", text, d.Kind, d.Problem)
+		}
 	}
 }
 

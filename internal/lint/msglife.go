@@ -24,9 +24,9 @@ import (
 // Copying by value (`*m`) never trips it: the dereferenced expression has
 // value type Msg.
 //
-// The pool's own plumbing and the PDES staging paths legitimately store
-// the pointers whose lifetimes they own; those functions carry "msglife"
-// rows in the exemptions table. Test files are exempt.
+// The pool's own plumbing legitimately stores the pointers whose lifetimes
+// it owns; such functions carry "msglife" rows in the exemptions table.
+// Test files are exempt.
 var MsgLife = &Analyzer{
 	Name: "msglife",
 	Doc:  "forbid parking pooled *coherence.Msg pointers past handler return",

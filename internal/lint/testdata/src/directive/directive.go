@@ -1,7 +1,7 @@
 // Package directive is the fixture for the directive checker itself: the
-// only //puno: comments are the bare markers hot and worker, so every
-// other one is a finding in its own right — the retired per-site verbs
-// included, which exempt nothing.
+// only //puno: comment is the bare marker hot, so every other one is a
+// finding in its own right — the retired verbs included, which exempt
+// nothing.
 package directive
 
 var sink int

@@ -132,12 +132,10 @@ type Config struct {
 
 	Seed uint64
 
-	// Shards is read only by internal/pdes: its coordinator splits the
-	// machine into that many bands of mesh rows, one worker goroutine each,
-	// with results and event traces bit-identical to the serial run. Every
-	// other entry point runs the serial engine whatever Shards holds; the
-	// repository benchmark's probe and the determinism tests are the
-	// coordinator's only callers.
+	// Shards changes no run: every entry point runs the serial engine
+	// whatever it holds. It remains only because the repository
+	// benchmark's sharded probe writes it, and pdes.Eligible, the probe's
+	// check, reads it; AppendCanonical leaves it out of the cache key.
 	Shards int
 
 	// EventSink, when non-nil, receives a probe.Event for every coherence

@@ -23,10 +23,9 @@ import (
 //
 // Two deliberate exclusions:
 //
-//   - Shards is an execution strategy, not an observable: the PDES
-//     coordinator's contract (certified by determinism_shards_test.go) is
-//     bit-identical Results for any shard count, so including it would
-//     only fragment the cache across equivalent runs.
+//   - Shards is not an observable: every entry point runs the serial
+//     engine whatever it holds, so including it would only fragment the
+//     cache across identical runs.
 //   - EventSink is a host-side observation hook. It carries no canonical
 //     byte form, and a run with a sink is cycle-identical to one without,
 //     so AppendCanonical refuses configs that set it rather than silently

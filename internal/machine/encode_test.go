@@ -307,8 +307,8 @@ func TestConfigCanonicalDeterministic(t *testing.T) {
 		}
 	}
 
-	// Shards is an execution strategy (bit-identical results certified by
-	// the PDES determinism suite), so it must NOT move the bytes.
+	// Shards changes no run (the serial engine runs every spec), so it
+	// must NOT move the bytes.
 	sc := cfg
 	sc.Shards = 4
 	got, err := sc.AppendCanonical(nil)

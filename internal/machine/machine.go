@@ -56,16 +56,6 @@ type Machine struct {
 	// allocation-free and copy-free.
 	msgFree []*coherence.Msg
 
-	// Shard-mode state (shard.go). [lo, hi) is the owned node range — the
-	// serial path owns [0, Nodes). xsend, when non-nil, intercepts every
-	// remote (Src != Dst) send: the PDES coordinator stages it for ordered
-	// replay on the global mesh instead of the shard's local one. ownIt
-	// retains the machine's private interner while a shard-shared interner
-	// displaces m.it, so an arena can switch modes without reallocating.
-	lo, hi int
-	xsend  func(*coherence.Msg)
-	ownIt  *mem.Interner
-
 	// scheme is cfg.Scheme's row of the scheme table; guard is the
 	// notified-wait guard band, 2x the average cache-to-cache latency
 	// unless cfg.NotifyGuardOverride replaces it. ats is the machine-wide
@@ -185,17 +175,6 @@ func New(cfg Config, wl Workload) (*Machine, error) {
 // of small objects per node, independent of the scheme and of how many
 // transactions or events the run then executes (TestWarmArenaRunAllocs).
 func (m *Machine) Reset(cfg Config, wl Workload) error {
-	return m.resetShard(cfg, wl, 0, cfg.Nodes, nil, nil)
-}
-
-// resetShard is Reset generalized to shard mode: the machine owns only the
-// nodes in [lo, hi), indexes its memory system by the coordinator-owned
-// shared interner, and hands every remote send to xsend. The construction
-// path is shared with the serial Reset line for line — in particular the
-// root RNG consumes exactly the same draw sequence whether a node is owned
-// or not, so every node's program and RNG stream is identical to the serial
-// build's.
-func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.Interner, xsend func(*coherence.Msg)) error {
 	if cfg.Nodes != cfg.Mesh.Width*cfg.Mesh.Height {
 		return fmt.Errorf("machine: %d nodes does not match %dx%d mesh",
 			cfg.Nodes, cfg.Mesh.Width, cfg.Mesh.Height)
@@ -205,31 +184,23 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 	}
 	m.cfg = cfg
 	m.scheme = schemeTable[cfg.Scheme]
-	m.lo, m.hi = lo, hi
-	m.xsend = xsend
 	if m.eng == nil {
 		m.eng = sim.NewEngine()
 	} else {
 		m.eng.Reset()
 	}
 	m.home = mem.NewHomeMap(cfg.Nodes)
-	if m.ownIt == nil {
-		m.ownIt = mem.NewInterner()
+	if m.it == nil {
+		m.it = mem.NewInterner()
 	}
-	if sharedIt != nil {
-		// The coordinator resets, pre-sizes, and shares the interner.
-		m.it = sharedIt
-	} else {
-		m.it = m.ownIt
-		m.it.Reset()
-		if fh, ok := wl.(FootprintHinter); ok {
-			m.it.Grow(fh.FootprintLines(cfg.Nodes))
-		}
+	m.it.Reset()
+	if fh, ok := wl.(FootprintHinter); ok {
+		m.it.Grow(fh.FootprintLines(cfg.Nodes))
 	}
 	if m.backing == nil {
 		m.backing = mem.NewBackingOn(m.it)
 	} else {
-		m.backing.ResetOn(m.it)
+		m.backing.Reset()
 	}
 	m.l2Seen = m.l2Seen[:0]
 	if m.rootRNG == nil {
@@ -263,18 +234,6 @@ func (m *Machine) resetShard(cfg Config, wl Workload, lo, hi int, sharedIt *mem.
 		m.ats.Reset(cfg.Nodes)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		if i < lo || i >= hi {
-			// Non-owned node: consume exactly the two root-RNG draws its
-			// construction would (the program fork and the node-RNG fork),
-			// then skip the build. Stale arena objects are dropped — no
-			// dispatch path can reach a node outside [lo, hi).
-			m.rootRNG.Uint64()
-			m.rootRNG.Uint64()
-			m.preds[i] = nil
-			m.dirs[i] = nil
-			m.nodes[i] = nil
-			continue
-		}
 		var pred coherence.Predictor
 		if m.scheme.predict {
 			pcfg := core.PredictorConfig{Nodes: cfg.Nodes, DisableValidity: cfg.DisableValidity,
@@ -333,14 +292,6 @@ func (m *Machine) send(msg *coherence.Msg) {
 			Kind:  probe.KindSend,
 		})
 	}
-	if m.xsend != nil && msg.Src != msg.Dst {
-		// Shard mode: every remote message crosses (or may contend with
-		// traffic crossing) shard boundaries, so the coordinator stages it
-		// for (cycle, seq)-ordered replay over the one global mesh. Only
-		// node-local messages ride this shard's private mesh.
-		m.xsend(msg)
-		return
-	}
 	m.mesh.Send(msg.Src, msg.Dst, msg.Class(), msg.Flits(), msg)
 }
 
@@ -368,8 +319,7 @@ func (m *Machine) OnEvent(arg any, word uint64) {
 }
 
 // arrival is the machine's view as its mesh's arrival handler: the mesh
-// schedules every delivery on it, with the destination node in the word,
-// and so does InjectDeliver for a shard's remote arrivals.
+// schedules every delivery on it, with the destination node in the word.
 type arrival Machine
 
 // OnEvent implements sim.Handler for mesh arrivals.
@@ -461,7 +411,19 @@ func (m *Machine) Run() (*Result, error) {
 		}
 		return nil, fmt.Errorf("machine: %d threads stalled with an empty event queue (protocol deadlock)", m.active)
 	}
-	return m.FinalizeShard(), nil
+	for i, n := range m.nodes {
+		m.res.Cycles = max(m.res.Cycles, n.doneAt)
+		ds := m.dirs[i].Stats()
+		m.res.DirTxGETXBusy += ds.TxGETXBusy
+		m.res.DirTxGETXServices += ds.TxGETX
+		m.res.DirBusyAll += ds.BusyCycles
+		m.res.DirBusyNacks += ds.BusyNacks
+		m.res.DirUnicasts += ds.UnicastForwards
+		m.res.DirMulticastFwds += ds.MulticastFwds
+		m.res.Mispredictions += ds.Mispredictions
+	}
+	m.res.Net = m.mesh.Stats()
+	return &m.res, nil
 }
 
 // Result returns the measurements collected so far (valid after Run).

@@ -114,11 +114,9 @@ type Workload interface {
 
 // FootprintHinter is an optional Workload extension: FootprintLines returns
 // an upper-bound estimate of the distinct cache lines an n-node run
-// touches. Machine.Reset (or, for a sharded run, the pdes coordinator)
-// passes it to Interner.Grow, which sizes the interner's line slice; a
-// shared interner cannot grow, so sharding requires the hint. Nothing else
-// reads it: the dense LineID-indexed tables grow on first touch by
-// mem.Extend's rule.
+// touches. Machine.Reset passes it to Interner.Grow, which sizes the
+// interner's line slice up front. Nothing else reads it: the dense
+// LineID-indexed tables grow on first touch by mem.Extend's rule.
 type FootprintHinter interface {
 	FootprintLines(nodes int) int
 }

@@ -169,9 +169,7 @@ func TestUpgradeHazardRecovered(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Capture every remote send instead of putting it on the mesh.
-			var sent []coherence.Msg
-			m.xsend = func(msg *coherence.Msg) { sent = append(sent, *msg) }
+			sends := captureSends(t, m)
 			const writer = 2
 			l := mem.Line(7 * mem.LineBytes)
 			for h := m.home.Home(l); h == 0 || h == writer; h = m.home.Home(l) {
@@ -183,25 +181,11 @@ func TestUpgradeHazardRecovered(t *testing.T) {
 			n.l1.InsertID(l, lid, cache.Shared, mem.LineData{})
 			n.cur = TxInstance{StaticID: 1, Ops: []Op{{Kind: OpWrite, Addr: l.Word(0), Value: 5}}}
 			n.startAttempt(false)
-			// nextGETX steps the engine until node 0 sends a GETX.
-			nextGETX := func() coherence.Msg {
-				t.Helper()
-				for {
-					for _, msg := range sent {
-						if msg.Type == coherence.MsgGETX && msg.Src == 0 {
-							return msg
-						}
-					}
-					if !m.eng.Step() {
-						t.Fatal("node 0 sent no GETX")
-					}
-				}
-			}
-			up := nextGETX()
-			if up.NeedData || up.Line != l {
+			toHome := func(msg *coherence.Msg) bool { return msg.Src == 0 && msg.Dst == home }
+			up := sends.await("GETX", toHome)
+			if up.Type != coherence.MsgGETX || up.NeedData || up.Line != l {
 				t.Fatalf("upgrade = %+v, want a dataless GETX for %v", up, l)
 			}
-			sent = sent[:0]
 			n.handleForward(&coherence.Msg{Type: coherence.MsgFwdGETX, Line: l, LID: lid, Src: home, Dst: 0,
 				Requester: writer, ReqID: 1, IsWrite: true})
 			if n.l1.Lookup(l) != nil {
@@ -215,22 +199,20 @@ func TestUpgradeHazardRecovered(t *testing.T) {
 					t.Fatal("rollback never finished")
 				}
 			}
-			sent = sent[:0]
 			retries := m.res.Retries
 			n.handleResponse(&coherence.Msg{Type: coherence.MsgAckCount, Line: l, LID: lid, Src: home, Dst: 0,
 				Requester: 0, ReqID: up.ReqID})
 			if n.req != nil {
 				t.Fatal("AckCount(0) left the upgrade outstanding")
 			}
-			if len(sent) == 0 || sent[0].Type != coherence.MsgUnblock || sent[0].Success || sent[0].ReqID != up.ReqID {
-				t.Fatalf("sends after AckCount(0) = %+v, want a failed UNBLOCK for ReqID %d", sent, up.ReqID)
-			}
 			if n.l1.Lookup(l) != nil {
 				t.Fatal("the hazard installed a line it never received")
 			}
-			sent = sent[:0]
-			again := nextGETX()
-			if !again.NeedData || again.Line != l || again.ReqID <= up.ReqID {
+			if unblock := sends.await("UNBLOCK", toHome); unblock.Type != coherence.MsgUnblock || unblock.Success || unblock.ReqID != up.ReqID {
+				t.Fatalf("first send home after AckCount(0) = %+v, want a failed UNBLOCK for ReqID %d", unblock, up.ReqID)
+			}
+			again := sends.await("retry", toHome)
+			if again.Type != coherence.MsgGETX || !again.NeedData || again.Line != l || again.ReqID <= up.ReqID {
 				t.Fatalf("retry = %+v, want a full fetch of %v", again, l)
 			}
 			switch {
@@ -244,6 +226,41 @@ func TestUpgradeHazardRecovered(t *testing.T) {
 	}
 }
 
+// sendLog stands in for the machine's mesh arrival handler in tests that
+// drive the node and directory handlers by hand: every message the machine
+// sends lands in sent, in arrival order, instead of at its controller.
+type sendLog struct {
+	t    *testing.T
+	m    *Machine
+	sent []coherence.Msg
+}
+
+func captureSends(t *testing.T, m *Machine) *sendLog {
+	l := &sendLog{t: t, m: m}
+	m.mesh.Receive(l)
+	return l
+}
+
+// OnEvent implements sim.Handler for mesh arrivals.
+func (l *sendLog) OnEvent(arg any, _ uint64) { l.sent = append(l.sent, *arg.(*coherence.Msg)) }
+
+// await steps the engine until a captured message matches, and takes the
+// earliest such one.
+func (l *sendLog) await(what string, match func(*coherence.Msg) bool) coherence.Msg {
+	l.t.Helper()
+	for {
+		for i := range l.sent {
+			if msg := l.sent[i]; match(&msg) {
+				l.sent = append(l.sent[:i], l.sent[i+1:]...)
+				return msg
+			}
+		}
+		if !l.m.eng.Step() {
+			l.t.Fatalf("no %s was sent", what)
+		}
+	}
+}
+
 // fullSetFill drives node 0 by hand through a fill that finds every way of
 // its L1 set pinned, then hands the directory what the node sent and
 // returns the line. supplier picks who answers: "home" serves a GETX from
@@ -252,23 +269,8 @@ func TestUpgradeHazardRecovered(t *testing.T) {
 // flight, so the data lands during the rollback.
 func fullSetFill(t *testing.T, m *Machine, supplier string, aborted bool) mem.Line {
 	t.Helper()
-	var sent []coherence.Msg
-	m.xsend = func(msg *coherence.Msg) { sent = append(sent, *msg) }
-	// await steps the engine until a captured send matches, and takes it.
-	await := func(what string, match func(*coherence.Msg) bool) coherence.Msg {
-		t.Helper()
-		for {
-			for i := range sent {
-				if msg := sent[i]; match(&msg) {
-					sent = append(sent[:i], sent[i+1:]...)
-					return msg
-				}
-			}
-			if !m.eng.Step() {
-				t.Fatalf("no %s was sent", what)
-			}
-		}
-	}
+	sends := captureSends(t, m)
+	await := sends.await
 	const owner = 3
 	l := mem.Line(7 * mem.LineBytes)
 	for h := m.home.Home(l); h == 0 || h == owner; h = m.home.Home(l) {
@@ -315,15 +317,21 @@ func fullSetFill(t *testing.T, m *Machine, supplier string, aborted bool) mem.Li
 	if aborted {
 		n.abortTx(CauseTxGETX, false)
 	}
-	sent = sent[:0]
 	n.handleResponse(&resp)
 	if n.req != nil || n.l1.Lookup(l) != nil {
 		t.Fatalf("the fill left request %v, copy %v", n.req != nil, n.l1.Lookup(l) != nil)
 	}
-	for _, msg := range append([]coherence.Msg(nil), sent...) {
-		if msg.Line == l && (msg.Type == coherence.MsgUnblock || msg.Type == coherence.MsgPUTX) {
-			d.Handle(&msg)
-		}
+	// The UNBLOCK, and the PUTX when the copy is written back, reach the
+	// directory in the order the node sent them.
+	msgs := 1
+	if n.wbWait.has(l) {
+		msgs = 2
+	}
+	for ; msgs > 0; msgs-- {
+		msg := await("UNBLOCK or PUTX", func(msg *coherence.Msg) bool {
+			return msg.Src == 0 && msg.Line == l && (msg.Type == coherence.MsgUnblock || msg.Type == coherence.MsgPUTX)
+		})
+		d.Handle(&msg)
 	}
 	if n.wbWait.has(l) {
 		ack := await("WBAck", func(msg *coherence.Msg) bool { return msg.Type == coherence.MsgWBAck && msg.Line == l })
@@ -475,11 +483,11 @@ func TestSupersededContinuationInert(t *testing.T) {
 			stale := uint64(n.pendGen)<<32 | nevReissue
 			tc.supersede(n)
 
-			backingOff, reqSeq, opIdx, seq := n.backingOff, n.reqSeq, n.opIdx, m.eng.Seq()
+			backingOff, reqSeq, opIdx, pending := n.backingOff, n.reqSeq, n.opIdx, m.eng.Pending()
 			n.OnEvent(nil, stale)
-			if n.backingOff != backingOff || n.reqSeq != reqSeq || n.opIdx != opIdx || m.eng.Seq() != seq {
-				t.Fatalf("superseded reissue acted: backingOff %v->%v reqSeq %d->%d opIdx %d->%d seq %d->%d",
-					backingOff, n.backingOff, reqSeq, n.reqSeq, opIdx, n.opIdx, seq, m.eng.Seq())
+			if n.backingOff != backingOff || n.reqSeq != reqSeq || n.opIdx != opIdx || m.eng.Pending() != pending {
+				t.Fatalf("superseded reissue acted: backingOff %v->%v reqSeq %d->%d opIdx %d->%d pending %d->%d",
+					backingOff, n.backingOff, reqSeq, n.reqSeq, opIdx, n.opIdx, pending, m.eng.Pending())
 			}
 
 			m.eng.Run(m.cfg.MaxCycles)

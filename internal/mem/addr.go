@@ -179,14 +179,6 @@ func (b *Backing) StoreWord(a Addr, v uint64) {
 // Touched returns the number of distinct lines ever stored.
 func (b *Backing) Touched() int { return b.touched }
 
-// ResetOn is Reset plus a rebind to a different interner — a machine arena
-// switching between its private interner and a shard-shared one keeps the
-// dense tables while re-indexing them under the new ID assignment.
-func (b *Backing) ResetOn(it *Interner) {
-	b.Reset()
-	b.it = it
-}
-
 // Reset empties the image (every line reads as zero again), retaining the
 // table's capacity so a reused Backing repopulates without reallocating.
 // The interner is NOT reset: its owner decides when IDs are reassigned.

@@ -1,21 +1,14 @@
 package mem
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // LineID is a compact dense identifier for one distinct cache line touched
 // by a run. IDs are assigned lazily on first touch, in touch order, starting
 // at 1; the zero LineID means "not interned / unknown" so a zero-valued
-// message or cache entry is always safe to fall back on. In a serial run the
-// touch order — and therefore the Line→LineID assignment — is identical
-// across runs of the same trajectory, which is what lets LineID-indexed
-// tables replace map[Line] lookups without perturbing goldens. A sharded run
-// interleaves shards' first touches nondeterministically, so LineID values
-// are NOT stable there; every consumer treats a LineID as an opaque dense
-// index (never an ordering key), and trace serialization renumbers IDs into
-// emission order before bytes leave the process.
+// message or cache entry is always safe to fall back on. The touch order —
+// and therefore the Line→LineID assignment — is identical across runs of
+// the same trajectory, which is what lets LineID-indexed tables replace
+// map[Line] lookups without perturbing goldens.
 type LineID int32
 
 // Interner assigns LineIDs and answers both directions of the mapping. The
@@ -25,19 +18,12 @@ type LineID int32
 // per-event hot lookup goes through a LineID-indexed slice instead. The
 // table doubles with the lines actually interned and is rebuilt from the
 // touch-ordered lines slice when it does, so nothing ever iterates it and
-// IDs never move.
-//
-// SetShared(true) arms the interner for concurrent use by shard goroutines:
-// the forward index is mutex-guarded, while LineAt stays lock-free — the
-// backing array is pre-sized to full capacity so its header never moves, and
-// a LineID can only reach another shard via a cross-window message, whose
-// window barrier provides the element-level happens-before.
+// IDs never move. An Interner is not safe for concurrent use.
 type Interner struct {
 	table []internSlot // forward index; len is zero or a power of two
 	shift uint         // 64 - log2(len(table)): the hash keeps the top bits
 	lines []Line       // lines[:n] live, in touch order; len(lines) is capacity
 	n     int          // count of interned lines
-	mu    *sync.Mutex  // non-nil when shared across shard goroutines
 }
 
 // internSlot is one forward-index entry; id 0 marks it empty (line 0 is a
@@ -50,19 +36,6 @@ type internSlot struct {
 // NewInterner returns an empty interner. The zero Interner is empty and
 // ready to use too.
 func NewInterner() *Interner { return new(Interner) }
-
-// SetShared arms (or, with false, disarms) the interner for concurrent use.
-// While shared, capacity growth is forbidden: the caller must Grow to the
-// workload's full footprint first (FootprintHinter gives the bound).
-func (it *Interner) SetShared(shared bool) {
-	if shared {
-		if it.mu == nil {
-			it.mu = new(sync.Mutex)
-		}
-	} else {
-		it.mu = nil
-	}
-}
 
 // home is l's preferred table index: the Fibonacci hash of its line
 // number, keeping the top log2(len(table)) bits.
@@ -88,10 +61,6 @@ func (it *Interner) slot(l Line) uint64 {
 
 // Intern returns l's LineID, assigning the next dense ID on first touch.
 func (it *Interner) Intern(l Line) LineID {
-	if it.mu != nil {
-		it.mu.Lock()
-		defer it.mu.Unlock()
-	}
 	if 2*(it.n+1) > len(it.table) {
 		it.growTable() // keep the load at most ½ after this insert
 	}
@@ -100,12 +69,6 @@ func (it *Interner) Intern(l Line) LineID {
 		return id
 	}
 	if it.n == len(it.lines) {
-		if it.mu != nil {
-			// The backing array cannot move while LineAt reads it
-			// lock-free from other shards; the pre-size via Grow
-			// (workload footprint hint) must therefore be an upper bound.
-			panic("mem: shared interner overflow — footprint hint undersized")
-		}
 		grown := 2 * len(it.lines)
 		if grown < 64 {
 			grown = 64
@@ -125,17 +88,6 @@ func (it *Interner) Intern(l Line) LineID {
 //
 //puno:hot
 func (it *Interner) Lookup(l Line) LineID {
-	if it.mu != nil {
-		it.mu.Lock()
-		id := it.lookup(l)
-		it.mu.Unlock()
-		return id
-	}
-	return it.lookup(l)
-}
-
-// lookup is Lookup without the lock.
-func (it *Interner) lookup(l Line) LineID {
 	if it.n == 0 {
 		return 0 // the table may not exist yet
 	}
@@ -153,36 +105,26 @@ func (it *Interner) growTable() {
 	}
 }
 
-// LineAt is the O(1) reverse lookup. id must be a live ID (1..Len). It is
-// deliberately lock-free even in shared mode; see the type comment.
+// LineAt is the O(1) reverse lookup. id must be a live ID (1..Len).
 //
 //puno:hot
 func (it *Interner) LineAt(id LineID) Line { return it.lines[id-1] }
 
 // Len returns the number of interned lines (the largest live ID).
-func (it *Interner) Len() int {
-	if it.mu != nil {
-		it.mu.Lock()
-		n := it.n
-		it.mu.Unlock()
-		return n
-	}
-	return it.n
-}
+func (it *Interner) Len() int { return it.n }
 
 // Reset forgets every assignment, retaining capacity so a reused interner
 // (and the dense tables sized off it) repopulates without reallocating.
-// Not safe concurrently with shard execution.
 func (it *Interner) Reset() {
 	clear(it.table)
 	it.n = 0
 }
 
 // Grow pre-sizes the lines slice for n distinct lines (the workload
-// footprint hint applied at Machine construction/Reset), so a shared
-// interner's LineAt never sees it move. The forward index is not pre-sized:
-// the hint is a loose upper bound, and the index doubles with the lines
-// actually interned. Not safe concurrently with shard execution.
+// footprint hint applied at Machine construction/Reset), so interning up to
+// the hint never reallocates it. The forward index is not pre-sized: the
+// hint is a loose upper bound, and the index doubles with the lines
+// actually interned.
 func (it *Interner) Grow(n int) {
 	if len(it.lines) < n {
 		nl := make([]Line, n)

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -300,43 +299,21 @@ func TestInternerOpenAddressing(t *testing.T) {
 	})
 }
 
-// TestInternerSharedSerializes: goroutines interning overlapping streams
-// into a SetShared interner leave one dense assignment — every line one ID,
-// every ID 1..Len one line — that Lookup and LineAt agree on.
-func TestInternerSharedSerializes(t *testing.T) {
-	const workers, lines = 4, 3000
+// An interner with no Grow pre-size grows its lines on demand, preserving
+// existing assignments.
+func TestInternerGrowsUnshared(t *testing.T) {
 	it := NewInterner()
-	it.Grow(lines)
-	it.SetShared(true)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := sim.NewRNG(uint64(w + 1))
-			for i := 0; i < 4*lines; i++ {
-				l := Line(uint64(rng.Intn(lines)) << 12 * LineBytes)
-				if id := it.Intern(l); it.LineAt(id) != l {
-					t.Errorf("worker %d: LineAt(Intern(%v)) = %v", w, l, it.LineAt(id))
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	it.SetShared(false)
-	seen := make(map[Line]bool, it.Len())
-	for id := LineID(1); int(id) <= it.Len(); id++ {
-		l := it.LineAt(id)
-		if seen[l] {
-			t.Fatalf("line %v holds two IDs", l)
-		}
-		seen[l] = true
-		if got := it.Lookup(l); got != id {
-			t.Fatalf("Lookup(LineAt(%d)) = %d", id, got)
+	for i := 0; i < 200; i++ {
+		if got := it.Intern(Line(uint64(i+1) * 0x40)); got != LineID(i+1) {
+			t.Fatalf("Intern #%d = %d, want %d", i, got, i+1)
 		}
 	}
-	if it.Len() == 0 || it.Len() > lines {
-		t.Fatalf("Len = %d after interning from a %d-line pool", it.Len(), lines)
+	if it.Len() != 200 {
+		t.Fatalf("Len = %d, want 200", it.Len())
+	}
+	for i := 0; i < 200; i++ {
+		if got := it.LineAt(LineID(i + 1)); got != Line(uint64(i+1)*0x40) {
+			t.Fatalf("LineAt(%d) = %#x after growth", i+1, uint64(got))
+		}
 	}
 }

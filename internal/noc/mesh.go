@@ -49,13 +49,6 @@ const (
 	RouterStages sim.Time = 4 // pipeline depth of one router
 	LinkCycles   sim.Time = 1 // cycles for one flit to cross one link
 	LocalCycles  sim.Time = 1 // latency of a node-local (src == dst) message
-
-	// MinRemoteLatency is the minimum end-to-end latency of any remote
-	// (src != dst) message: one hop, one flit, no queueing — source router
-	// pipeline, one link crossing, destination router pipeline. Queueing
-	// and extra flits or hops only add to it, so it is a sound
-	// conservative lookahead bound for windowed parallel simulation.
-	MinRemoteLatency = 2*RouterStages + LinkCycles
 )
 
 // Config is the mesh's shape. DefaultConfig is the paper's Table II.
@@ -88,19 +81,6 @@ func (s Stats) TotalTraversals() uint64 {
 		t += v
 	}
 	return t
-}
-
-// Accumulate adds o's counters into s — merging one shard's local-traffic
-// statistics into the global mesh's routed-traffic statistics when a
-// sharded run folds its Result.
-func (s *Stats) Accumulate(o Stats) {
-	for c := range s.Messages {
-		s.Messages[c] += o.Messages[c]
-		s.Flits[c] += o.Flits[c]
-		s.RouterTraversal[c] += o.RouterTraversal[c]
-	}
-	s.TotalLatency += o.TotalLatency
-	s.QueueingDelay += o.QueueingDelay
 }
 
 // TotalMessages returns messages sent across all classes.
@@ -378,21 +358,4 @@ func (m *Mesh) route(now sim.Time, src, dst int, class Class, flits int) sim.Tim
 	m.stats.TotalLatency += uint64(t - now)
 	m.stats.QueueingDelay += uint64(queueing)
 	return t
-}
-
-// ReserveRoute performs the accounting half of Send for a remote message
-// (src != dst) injected at cycle `now`, without scheduling a delivery: link
-// reservations, per-class message/flit counts, and latency statistics. It
-// returns the delivery time for the caller to schedule itself. The sharded
-// coordinator replays staged cross-shard sends through it in serial order
-// so link contention resolves exactly as in a serial run.
-//
-//puno:hot
-func (m *Mesh) ReserveRoute(now sim.Time, src, dst int, class Class, flits int) sim.Time {
-	if flits <= 0 {
-		panic("noc: message with no flits")
-	}
-	m.stats.Messages[class]++
-	m.stats.Flits[class] += uint64(flits)
-	return m.route(now, src, dst, class, flits)
 }

@@ -342,3 +342,40 @@ func TestNewPanicsPastRouteTableRange(t *testing.T) {
 	cfg.Width, cfg.Height = 91, 91
 	New(cfg, sim.NewEngine())
 }
+
+func TestSendRejectsZeroFlits(t *testing.T) {
+	m := New(DefaultConfig(), sim.NewEngine())
+	m.Attach(1, func(any) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Send with zero flits did not panic")
+		}
+	}()
+	m.Send(0, 1, ClassRequest, 0, nil)
+}
+
+func TestMeshReset(t *testing.T) {
+	cfg := DefaultConfig()
+	eng := sim.NewEngine()
+	m := New(cfg, eng)
+	m.Attach(1, func(any) {})
+	m.Send(0, 1, ClassRequest, 1, nil)
+
+	// Same topology: arrays reused, state cleared.
+	m.Reset(cfg, eng)
+	if m.Stats() != (Stats{}) {
+		t.Fatalf("Reset left statistics: %+v", m.Stats())
+	}
+	// One hop, one flit, idle links: two router pipelines and one link.
+	if got, want := m.route(0, 0, 1, ClassRequest, 1), 2*RouterStages+LinkCycles; got != want {
+		t.Fatalf("link state survived Reset: delivery at %d, want %d", got, want)
+	}
+
+	// Different topology: full rebuild.
+	small := cfg
+	small.Width, small.Height = 2, 1
+	m.Reset(small, eng)
+	if m.Nodes() != 2 {
+		t.Fatalf("Reset to 2x1 left %d nodes", m.Nodes())
+	}
+}

@@ -98,7 +98,7 @@ func TestRouteWalkMatchesRoute(t *testing.T) {
 					continue
 				}
 				clear(m.linkFree)
-				got := m.ReserveRoute(0, src, dst, ClassForward, 1)
+				got := m.route(0, src, dst, ClassForward, 1)
 				// On an idle mesh each hop departs strictly later than the
 				// one before, so reservation times order the walk.
 				var walked []int

@@ -123,11 +123,6 @@ type Engine struct {
 	// now is before it, no resident can tie with now's bucket.
 	spill   []int32
 	spillAt Time
-
-	// rewound is set once SetSeq has moved seq backwards, or a rekey has
-	// renumbered queued events, since the last Reset. Until then seq only
-	// grows, so a new wheel event always belongs at its chain's tail.
-	rewound bool
 }
 
 // NewEngine returns an engine with the clock at cycle 0.
@@ -177,7 +172,6 @@ func (e *Engine) Reset() {
 	clear(e.occ[:])
 	e.spill = e.spill[:0]
 	e.spillAt = Infinity
-	e.rewound = false
 	e.nWheel = 0
 	e.now = 0
 	e.seq = 0
@@ -186,99 +180,12 @@ func (e *Engine) Reset() {
 	e.stopped = false
 }
 
-// Seq returns the insertion sequence number the next scheduled event will
-// receive. Together with SetSeq it lets the sharded coordinator bracket a
-// replayed schedule so cross-shard event ordering matches the serial run.
-func (e *Engine) Seq() uint64 { return e.seq }
-
-// SetSeq overrides the next insertion sequence number. Chains and the spill
-// list stay correctly ordered even when the override moves seq backwards:
-// from then until the next Reset, schedule inserts out-of-order seqs by
-// position (chainInsertBefore; spillInsert always does), not by blind
-// append.
-func (e *Engine) SetSeq(seq uint64) {
-	if seq < e.seq {
-		e.rewound = true
-	}
-	e.seq = seq
-}
-
-// Peek returns the (at, seq) key of the event Step would run next, without
-// popping it. ok is false when nothing is pending or the engine is stopped.
-func (e *Engine) Peek() (at Time, seq uint64, ok bool) {
-	if e.stopped {
-		return 0, 0, false
-	}
-	idx := e.nextEvent()
-	if idx < 0 {
-		return 0, 0, false
-	}
-	s := &e.slots[idx]
-	return s.at, s.seq, true
-}
-
-// nextAt returns the cycle of the event Step would run next, or Infinity
-// when nothing is pending or the engine is stopped.
-func (e *Engine) nextAt() Time {
-	at, _, ok := e.Peek()
-	if !ok {
-		return Infinity
-	}
-	return at
-}
-
-// RekeyBucket reassigns the insertion sequence number of every event in
-// the wheel bucket holding cycle t whose seq is at least base to
-// renum[seq-base], keeping firing times. The sharded commit path uses it
-// to replace provisional seqs with the serial run's: one short chain walk
-// renumbers exactly the events that could tie with a serial-keyed arrival
-// at t. A t at or beyond the wheel horizon is a no-op (no wheel event
-// shares its cycle).
-//
-// Precondition: the mapping must be strictly increasing over the live seqs
-// it covers, and every mapped-to seq must be larger than every seq below
-// base already in the bucket. Both hold for the coordinator's
-// provisional→serial table — the merge hands out serial seqs in each
-// shard's local order, and serial seqs only grow — and together they mean
-// the walk preserves the chain's sort order, so no restructuring is
-// needed.
-func (e *Engine) RekeyBucket(t Time, base uint64, renum []uint64) {
-	if t-e.now >= DefaultWheelWindow {
-		return
-	}
-	e.rewound = true
-	for idx := e.buckets[uint64(t)&wheelMask].head; idx >= 0; idx = e.slots[idx].next {
-		s := &e.slots[idx]
-		if s.seq >= base {
-			s.seq = renum[s.seq-base]
-		}
-	}
-}
-
-// RekeyOverflow bulk-renumbers the spill list under the same mapping and
-// preconditions as RekeyBucket: every spilled event with seq ≥ base is
-// reassigned in place (a monotone mapping keeps a sorted list sorted), and
-// for each spilled event already inside the wheel horizon the same-cycle
-// wheel bucket is renumbered too, so cross-level (at, seq) tie-breaks
-// between the two queue levels stay serial-correct.
-func (e *Engine) RekeyOverflow(base uint64, renum []uint64) {
-	e.rewound = true
-	for _, idx := range e.spill {
-		s := &e.slots[idx]
-		if s.seq >= base {
-			s.seq = renum[s.seq-base]
-		}
-		e.RekeyBucket(s.at, base, renum)
-	}
-}
-
 // schedule grabs a slot, fills it, and queues it on the wheel (near
 // horizon) or the spill list (at or beyond it). A wheel event joins its
-// time's bucket chain inline: the chain is empty, or the event's seq is the
-// largest and it is appended. Unless the engine has been rewound, seq only
-// grows, so the tail's seq is not even read. The cold paths — a sorted
-// insert, the spill list, growing the slab — are calls, and the slab grows
-// last, once the slot is queued: the free list is never empty on entry.
+// time's bucket chain inline: seq only grows, so it always belongs at the
+// chain's tail. The cold paths — the spill list, growing the slab — are
+// calls, and the slab grows last, once the slot is queued: the free list
+// is never empty on entry.
 //
 //puno:hot
 func (e *Engine) schedule(t Time, h Handler, arg any, word uint64) {
@@ -298,18 +205,14 @@ func (e *Engine) schedule(t Time, h Handler, arg any, word uint64) {
 		e.nWheel++
 		bi := uint64(t) & wheelMask
 		b := &e.buckets[bi]
-		switch {
-		case b.head < 0:
-			s.next = -1
-			b.head, b.tail = idx, idx
+		s.next = -1
+		if b.head < 0 {
+			b.head = idx
 			e.occ[bi>>6] |= 1 << (bi & 63)
-		case !e.rewound || e.slots[b.tail].seq <= s.seq:
-			s.next = -1
+		} else {
 			e.slots[b.tail].next = idx
-			b.tail = idx
-		default:
-			e.chainInsertBefore(b, idx)
 		}
+		b.tail = idx
 	} else {
 		s.next = inSpill
 		e.nSpill++
@@ -360,27 +263,6 @@ func (e *Engine) before(a, b int32) bool {
 		return sa.at < sb.at
 	}
 	return sa.seq < sb.seq
-}
-
-// chainInsertBefore links slot idx into chain b ahead of its tail, keeping
-// the chain seq-sorted. It only runs once SetSeq has moved seq backwards
-// (sharded commit replay), where bucket chains hold the handful of events of
-// one exact cycle.
-//
-//go:noinline
-func (e *Engine) chainInsertBefore(b *bucket, idx int32) {
-	s := &e.slots[idx]
-	if s.seq < e.slots[b.head].seq {
-		s.next = b.head
-		b.head = idx
-		return
-	}
-	prev := b.head
-	for e.slots[prev].next >= 0 && e.slots[e.slots[prev].next].seq <= s.seq {
-		prev = e.slots[prev].next
-	}
-	s.next = e.slots[prev].next
-	e.slots[prev].next = idx
 }
 
 // At schedules fn to run at absolute cycle t. Scheduling in the past (t <
@@ -467,7 +349,7 @@ func (e *Engine) nextEvent() int32 {
 // resident is due this cycle, and now is within limit — and returns its
 // slab index. It returns -1, and changes nothing, when that fast case does
 // not apply; the loop then falls back to popSlow. It is small enough to
-// inline into Run, Step and DrainBefore, which hand the index to take.
+// inline into Run and Step, which hand the index to take.
 //
 //puno:hot
 func (e *Engine) pop(limit Time) int32 {
@@ -539,65 +421,6 @@ func (e *Engine) take(idx int32) (Handler, any, uint64) {
 	e.nRun++
 	e.release(idx)
 	return h, arg, word
-}
-
-// DrainEntry is one effectful event executed by DrainBefore: the cycle it
-// ran at, its (possibly flag-tagged) sequence key, the engine seq counter
-// after it ran (as an offset from the drain's base), and the caller's two
-// external effect counters after it ran.
-type DrainEntry struct {
-	At    uint32
-	Key   uint32
-	SeqHi uint32
-	Send  int32
-	Emit  int32
-}
-
-// DrainBefore runs every event firing strictly before limit in one tight
-// loop — the windowed equivalent of Run — appending one DrainEntry per
-// effectful event to log. An event is effectful when it scheduled
-// something (the seq counter advanced) or when *ext or *emit changed (the
-// caller's hooks bump them for externally staged effects: remote sends and
-// probe emissions). Keys pack as uint32(seq), tagged with flag when seq >=
-// base; seq counter values are recorded as offsets from base. It returns
-// the grown log and the time of the next pending event — Infinity when the
-// queue drained or the engine was stopped. Executed cycles and counter
-// offsets must fit 32 bits; the caller guarantees both.
-//
-//puno:hot
-func (e *Engine) DrainBefore(limit Time, base uint64, flag uint32, log []DrainEntry, ext, emit *int32) ([]DrainEntry, Time) {
-	if limit == 0 {
-		// Nothing fires before cycle 0 (and limit-1 below would wrap).
-		return log, e.nextAt()
-	}
-	x, m := *ext, *emit
-	pseq := e.seq
-	for !e.stopped {
-		idx := e.pop(limit - 1)
-		if idx < 0 {
-			if idx = e.popSlow(limit - 1); idx < 0 {
-				return log, e.nextAt()
-			}
-		}
-		at, seq := e.now, e.slots[idx].seq
-		h, arg, word := e.take(idx)
-		h.OnEvent(arg, word)
-		x2, m2, q2 := *ext, *emit, e.seq
-		if x2 != x || m2 != m || q2 != pseq {
-			key := uint32(seq)
-			if seq >= base {
-				key |= flag
-			}
-			log = append(log, DrainEntry{
-				At: uint32(at), Key: key,
-				SeqHi: uint32(q2 - base),
-				Send:  x2,
-				Emit:  m2,
-			})
-			x, m, pseq = x2, m2, q2
-		}
-	}
-	return log, Infinity
 }
 
 // Step runs the single next event. It returns false if the queue is empty

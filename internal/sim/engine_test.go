@@ -174,3 +174,32 @@ func TestEventSlotSize(t *testing.T) {
 		t.Fatalf("eventSlot is %d bytes, want 64", got)
 	}
 }
+
+// funcHandler adapts a closure to Handler for tests that need side effects.
+type funcHandler struct{ f func(word uint64) }
+
+func (h *funcHandler) OnEvent(arg any, word uint64) { h.f(word) }
+
+// TestStep: Step runs exactly the next event in (at, seq) order, moves the
+// clock to it, and reports false once the queue drains or the engine stops.
+func TestStep(t *testing.T) {
+	e := NewEngine()
+	var fired []uint64
+	h := &funcHandler{f: func(word uint64) { fired = append(fired, word) }}
+	e.AtEvent(10, h, nil, 1)
+	e.AtEvent(5, h, nil, 2)
+	if !e.Step() || e.Now() != 5 || fmt.Sprint(fired) != "[2]" {
+		t.Fatalf("first Step: clock %d, fired %v; want clock 5, fired [2]", e.Now(), fired)
+	}
+	if !e.Step() || e.Now() != 10 || fmt.Sprint(fired) != "[2 1]" {
+		t.Fatalf("second Step: clock %d, fired %v; want clock 10, fired [2 1]", e.Now(), fired)
+	}
+	if e.Step() {
+		t.Fatal("Step on a drained engine returned true")
+	}
+	e.AtEvent(20, h, nil, 3)
+	e.Stop()
+	if e.Step() {
+		t.Fatal("Step on a stopped engine returned true")
+	}
+}

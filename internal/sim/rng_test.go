@@ -55,6 +55,15 @@ func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
+func TestRNGUint64nPanicsOnZero(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Uint64n(0) did not panic")
+		}
+	}()
+	NewRNG(1).Uint64n(0)
+}
+
 func TestRNGFloat64Range(t *testing.T) {
 	r := NewRNG(99)
 	for i := 0; i < 10000; i++ {

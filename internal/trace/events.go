@@ -63,36 +63,6 @@ func (t *EventTrace) LineOf(id mem.LineID) string {
 	return t.Lines[id-1].String()
 }
 
-// Normalized returns a copy of the trace with LineIDs renumbered into
-// first-appearance order over the event stream and the line table pruned to
-// referenced lines. A serial run interns lines in emission order, so
-// Normalized is the identity there; a sharded run interleaves shards' first
-// touches nondeterministically, so its raw IDs are not reproducible — but
-// its *event stream* is bit-deterministic, and renumbering by stream order
-// erases the only nondeterministic residue. Sharded captures are normalized
-// before they are compared or serialized.
-func (t *EventTrace) Normalized() *EventTrace {
-	n := &EventTrace{
-		Workload: t.Workload,
-		Scheme:   t.Scheme,
-		Seed:     t.Seed,
-		Lines:    make([]mem.Line, 0, len(t.Lines)),
-		Events:   make([]probe.Event, len(t.Events)),
-	}
-	remap := make([]mem.LineID, len(t.Lines)+1)
-	for i, e := range t.Events {
-		if e.Line > 0 && int(e.Line) <= len(t.Lines) {
-			if remap[e.Line] == 0 {
-				n.Lines = append(n.Lines, t.Lines[e.Line-1])
-				remap[e.Line] = mem.LineID(len(n.Lines))
-			}
-			e.Line = remap[e.Line]
-		}
-		n.Events[i] = e
-	}
-	return n
-}
-
 // evtMagic versions the binary encoding.
 const evtMagic = "punoevt/1"
 

@@ -10,9 +10,8 @@ import (
 
 // TestPDESUnreachable holds the serial engine as the one way to run a spec:
 // no non-test package of the module except internal/pdes itself may depend
-// on internal/pdes, directly or through another package. The coordinator is
-// left only for the repository benchmark's probe (bench/ is its own module)
-// and for the determinism tests, which reach it from _test.go files.
+// on internal/pdes, directly or through another package. The package is
+// left only for the repository benchmark's probe (bench/ is its own module).
 func TestPDESUnreachable(t *testing.T) {
 	const pdes = "repro/internal/pdes"
 	pkgs, err := lint.Load(".", []string{"./..."})
