@@ -39,15 +39,19 @@ func (s State) String() string {
 	}
 }
 
-// Entry is one cache line's residency in the array.
+// Entry is one cache line's residency in the array. Entries live in the
+// cache's slab and never move: a held *Entry keeps reading its line while
+// the line stays resident, reads the line filled in its place once it is
+// evicted, reads zeroed once it is invalidated, and is handed out again only
+// by a later InsertID on the same cache. The two words come first and the
+// narrow fields last, so an Entry is 88 bytes (TestEntrySize).
 type Entry struct {
 	Line   mem.Line
+	lru    uint64
+	Data   mem.LineData
 	LID    mem.LineID // Line's interned dense ID (0 when unknown to the filler)
 	State  State
-	Data   mem.LineData
 	Pinned bool // member of a live transaction's read/write set
-	lru    uint64
-	valid  bool
 }
 
 // Config sizes a cache.
@@ -59,14 +63,35 @@ type Config struct {
 // Sets returns the number of sets this configuration yields.
 func (c Config) Sets() int { return c.SizeBytes / (mem.LineBytes * c.Ways) }
 
+// chunkEntries is the slab's allocation unit.
+const chunkEntries = 32
+
+// tag is one way of the tag array: the resident line and its entry, or a
+// nil entry when the way is invalid. At 16 bytes a 4-way set is one 64-byte
+// host cache line.
+type tag struct {
+	line mem.Line
+	e    *Entry
+}
+
 // Cache is a set-associative array. The zero value is unusable; construct
 // with New.
+//
+// The array is a dense tag array plus a slab of entries for the lines it
+// holds, so host memory follows the resident lines rather than the modeled
+// capacity. The slab grows a 32-entry chunk at a time and never moves an
+// entry; Reset keeps the chunks, so a reused cache holds as many entries as
+// its peak residency in any one run.
 type Cache struct {
 	sets    int
 	setMask uint64 // sets-1: New guarantees sets is a power of two
 	ways    int
-	entries []Entry // sets x ways
+	tags    []tag // sets x ways
 	tick    uint64
+
+	chunks []*[chunkEntries]Entry
+	used   int      // entries handed out from the chunks since New or Reset, in order
+	free   []*Entry // handed-out entries whose lines were invalidated; capacity = the slab's
 }
 
 // New builds a cache from cfg. Size must be a positive multiple of
@@ -86,20 +111,22 @@ func New(cfg Config) *Cache {
 		sets:    sets,
 		setMask: uint64(sets - 1),
 		ways:    cfg.Ways,
-		entries: make([]Entry, sets*cfg.Ways),
+		tags:    make([]tag, sets*cfg.Ways),
 	}
 }
 
-// Reset returns the cache to the all-invalid state New(cfg) would produce,
-// reusing the entry array when the geometry is unchanged (the arena-reuse
-// path of the sweep harness) and reallocating it otherwise.
+// Reset returns the cache to the all-invalid state New(cfg) would produce.
+// When the geometry is unchanged (the arena-reuse path of the sweep
+// harness) it clears only the tags and keeps the slab's chunks for the next
+// run to hand out again; an entry held across Reset reads nothing
+// meaningful. Otherwise it rebuilds the cache.
 func (c *Cache) Reset(cfg Config) {
 	if cfg.Ways != c.ways || cfg.Sets() != c.sets {
 		*c = *New(cfg) // validates cfg and sizes the array
 		return
 	}
-	clear(c.entries)
-	c.tick = 0
+	clear(c.tags)
+	c.tick, c.used, c.free = 0, 0, c.free[:0]
 }
 
 // Sets returns the number of sets.
@@ -114,18 +141,18 @@ func (c *Cache) setIndex(l mem.Line) int {
 	return int((uint64(l) / mem.LineBytes) & c.setMask)
 }
 
-func (c *Cache) setSlice(l mem.Line) []Entry {
+func (c *Cache) set(l mem.Line) []tag {
 	base := c.setIndex(l) * c.ways
-	return c.entries[base : base+c.ways]
+	return c.tags[base : base+c.ways]
 }
 
 // Lookup returns the entry holding l, or nil. It does not touch LRU state;
 // use Access for demand references.
 func (c *Cache) Lookup(l mem.Line) *Entry {
-	set := c.setSlice(l)
+	set := c.set(l)
 	for i := range set {
-		if set[i].valid && set[i].Line == l {
-			return &set[i]
+		if set[i].line == l && set[i].e != nil {
+			return set[i].e
 		}
 	}
 	return nil
@@ -143,25 +170,21 @@ func (c *Cache) Access(l mem.Line) *Entry {
 	return e
 }
 
-// Victim returns the entry that would be evicted to make room for l: an
-// invalid way if one exists, otherwise the least recently used non-pinned
-// entry. It returns nil when every way is pinned (transactional overflow).
-func (c *Cache) Victim(l mem.Line) *Entry {
-	set := c.setSlice(l)
-	var victim *Entry
+// victim returns the way of set to fill: the first invalid way, else the
+// least recently used unpinned way (the first in way order on a tie), else
+// -1 when every way is pinned (transactional overflow).
+func victim(set []tag) int {
+	v := -1
 	for i := range set {
-		e := &set[i]
-		if !e.valid {
-			return e
+		e := set[i].e
+		if e == nil {
+			return i
 		}
-		if e.Pinned {
-			continue
-		}
-		if victim == nil || e.lru < victim.lru {
-			victim = e
+		if !e.Pinned && (v < 0 || e.lru < set[v].e.lru) {
+			v = i
 		}
 	}
-	return victim
+	return v
 }
 
 // Insert fills a line into the array, evicting a victim if needed. It
@@ -176,35 +199,73 @@ func (c *Cache) Insert(l mem.Line, st State, data mem.LineData) (installed *Entr
 // InsertID is Insert carrying l's interned LineID, so entries filled by the
 // machine's miss path retain the dense index the coherence messages already
 // computed (tag compare stays on Line; LID rides along for the HTM and
-// writeback tables).
+// writeback tables). The filled way takes the evicted line's entry, else
+// the entry invalidated last, else the slab's next one.
 func (c *Cache) InsertID(l mem.Line, id mem.LineID, st State, data mem.LineData) (installed *Entry, evicted Entry, wasEvicted bool) {
 	if c.Lookup(l) != nil {
 		panic(fmt.Sprintf("cache: double insert of line %v", l))
 	}
-	v := c.Victim(l)
-	if v == nil {
+	set := c.set(l)
+	v := victim(set)
+	if v < 0 {
 		return nil, Entry{}, false
 	}
-	if v.valid {
-		evicted, wasEvicted = *v, true
+	e := set[v].e
+	if e != nil {
+		evicted, wasEvicted = *e, true
+	} else {
+		e = c.alloc()
 	}
 	c.tick++
-	*v = Entry{Line: l, LID: id, State: st, Data: data, lru: c.tick, valid: true}
-	return v, evicted, wasEvicted
+	*e = Entry{Line: l, LID: id, State: st, Data: data, lru: c.tick}
+	set[v] = tag{line: l, e: e}
+	return e, evicted, wasEvicted
 }
 
-// Invalidate removes l from the array if present.
+// alloc hands out an entry for an invalid way: the entry freed last, else
+// the slab's next, growing the slab when every entry is out.
+func (c *Cache) alloc() *Entry {
+	if n := len(c.free); n > 0 {
+		e := c.free[n-1]
+		c.free = c.free[:n-1]
+		return e
+	}
+	if c.used == len(c.chunks)*chunkEntries {
+		c.grow()
+	}
+	e := &c.chunks[c.used/chunkEntries][c.used%chunkEntries]
+	c.used++
+	return e
+}
+
+// grow adds a chunk to the slab and sizes the free list to the whole slab,
+// so Invalidate's append never allocates. The free list is empty here
+// (alloc grows only when it is), and a reused cache grows only past its
+// earlier peak.
+func (c *Cache) grow() {
+	c.chunks = append(c.chunks, new([chunkEntries]Entry))
+	c.free = make([]*Entry, 0, len(c.chunks)*chunkEntries)
+}
+
+// Invalidate removes l from the array if present, zeroing its entry and
+// returning it to the free list.
 func (c *Cache) Invalidate(l mem.Line) {
-	if e := c.Lookup(l); e != nil {
-		*e = Entry{}
+	set := c.set(l)
+	for i := range set {
+		if e := set[i].e; set[i].line == l && e != nil {
+			*e = Entry{}
+			c.free = append(c.free, e)
+			set[i] = tag{}
+			return
+		}
 	}
 }
 
-// ForEach calls fn for every valid entry.
+// ForEach calls fn for every valid entry, in set then way order.
 func (c *Cache) ForEach(fn func(*Entry)) {
-	for i := range c.entries {
-		if c.entries[i].valid {
-			fn(&c.entries[i])
+	for i := range c.tags {
+		if e := c.tags[i].e; e != nil {
+			fn(e)
 		}
 	}
 }
@@ -212,8 +273,8 @@ func (c *Cache) ForEach(fn func(*Entry)) {
 // CountValid returns the number of resident lines.
 func (c *Cache) CountValid() int {
 	n := 0
-	for i := range c.entries {
-		if c.entries[i].valid {
+	for i := range c.tags {
+		if c.tags[i].e != nil {
 			n++
 		}
 	}

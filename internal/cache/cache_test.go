@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -65,6 +66,66 @@ func TestSetIndexMatchesModulo(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEntrySize pins the entry layout: every fill writes one Entry and the
+// slab holds one per resident line, so a field added out of group (a bool
+// between words) shows up here first.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 88 {
+		t.Fatalf("unsafe.Sizeof(Entry{}) = %d, want 88 (see the layout note on Entry)", got)
+	}
+}
+
+// TestHeldEntryRule pins what a caller holding an entry pointer may rely
+// on (the machine keeps one across events in node.pendEntry): the entry
+// keeps its address while other sets fill and the slab grows, reads zeroed
+// once its line is invalidated, and is handed out again only by a later
+// InsertID.
+func TestHeldEntryRule(t *testing.T) {
+	c := New(Config{SizeBytes: 32 << 10, Ways: 4})
+	var d mem.LineData
+	d[3] = 7
+	c.InsertID(line(1), 9, Modified, d)
+	e := c.Lookup(line(1))
+	want := *e
+	for i := 2; i < 3*ChunkEntries; i++ { // other sets: line i is in set i
+		c.Insert(line(i), Shared, mem.LineData{})
+	}
+	if c.EntryCap() < 3*ChunkEntries {
+		t.Fatalf("slab holds %d entries, want the fills to have grown it to %d", c.EntryCap(), 3*ChunkEntries)
+	}
+	if got := c.Lookup(line(1)); got != e || *got != want {
+		t.Fatalf("after fills elsewhere Lookup = %p %+v, want %p %+v", got, got, e, want)
+	}
+	c.Invalidate(line(1))
+	if e.State != Invalid || e.Line != 0 || *e != (Entry{}) {
+		t.Fatalf("an invalidated entry reads %+v, want zeroed", *e)
+	}
+	c.Access(line(2))
+	c.Lookup(line(3))
+	c.ForEach(func(*Entry) {})
+	if *e != (Entry{}) {
+		t.Fatalf("an invalidated entry reads %+v after lookups, want zeroed", *e)
+	}
+	got, _, _ := c.Insert(line(100), Shared, d) // set 100, not line 1's set
+	if got != e || e.Line != line(100) {
+		t.Fatalf("the next fill took entry %p (line %v), want the freed %p", got, got.Line, e)
+	}
+}
+
+// TestResetToOtherGeometry: Reset with a different shape rebuilds the
+// array as New would, and the old lines are gone.
+func TestResetToOtherGeometry(t *testing.T) {
+	c := small()
+	c.Insert(line(1), Shared, mem.LineData{})
+	c.Reset(Config{SizeBytes: 32 << 10, Ways: 4})
+	if c.Sets() != 128 || c.Ways() != 4 || c.CountValid() != 0 || c.Lookup(line(1)) != nil {
+		t.Fatalf("after Reset to 32KB/4-way: %d sets, %d ways, %d valid", c.Sets(), c.Ways(), c.CountValid())
+	}
+	if e, _, _ := c.Insert(line(1), Shared, mem.LineData{}); e == nil || c.Lookup(line(1)) != e {
+		t.Fatal("insert after a reshaping Reset failed")
 	}
 }
 

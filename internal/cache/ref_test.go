@@ -286,3 +286,31 @@ func TestMatchesDenseReference(t *testing.T) {
 		t.Fatalf("a case went unexercised: %+v", total)
 	}
 }
+
+// TestSlabHoldsPeakResidency checks the slab's accounting on the reference
+// runs: an entry comes out of the slab only when every entry already out is
+// resident, so the entries out since the last Reset are the peak residency
+// since then, the freed ones are the rest, and the slab holds the largest
+// such peak rounded up to a chunk.
+func TestSlabHoldsPeakResidency(t *testing.T) {
+	for _, cfg := range refGeometries {
+		for seed := int64(1); seed <= 4; seed++ {
+			var lastOut, peak, maxPeak int
+			runAgainstRef(t, cfg, seed, 4000, func(c *Cache, _ *refCache) {
+				if c.EntriesOut() < lastOut { // Reset
+					peak = 0
+				}
+				lastOut = c.EntriesOut()
+				n := c.CountValid()
+				peak = max(peak, n)
+				maxPeak = max(maxPeak, peak)
+				if c.EntriesOut() != peak || len(c.free) != peak-n {
+					t.Fatalf("%+v seed %d: %d entries out, %d free, %d resident; want a peak of %d out", cfg, seed, c.EntriesOut(), len(c.free), n, peak)
+				}
+				if want := (maxPeak + chunkEntries - 1) / chunkEntries * chunkEntries; c.EntryCap() != want || cap(c.free) != want {
+					t.Fatalf("%+v seed %d: slab holds %d entries, free list %d, want %d for a peak of %d", cfg, seed, c.EntryCap(), cap(c.free), want, maxPeak)
+				}
+			})
+		}
+	}
+}

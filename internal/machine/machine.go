@@ -445,6 +445,9 @@ func (m *Machine) LineTable() []mem.Line {
 // the scheme does not use prediction), for diagnostics.
 func (m *Machine) Predictors() []*core.Predictor { return m.preds }
 
+// L1 exposes node's L1 array, for diagnostics.
+func (m *Machine) L1(node int) *cache.Cache { return m.nodes[node].l1 }
+
 // DrainCaches flushes every Modified line (and any writeback in flight)
 // into the backing store so tests can inspect final memory values. Call
 // only after Run.

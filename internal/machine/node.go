@@ -115,7 +115,9 @@ type node struct {
 	// Continuation stash for closure-free event dispatch: the parameters of
 	// the single in-flight cancellable op event (pendEntry/pendAddr/pendVal)
 	// and the copied forward a deferred post-abort grant answers. At most
-	// one user of each is in flight at a time.
+	// one user of each is in flight at a time. pendEntry reads its line, or
+	// zeroed once the line is invalidated: the L1 reuses a freed entry only
+	// in InsertID, and no fill can run at a node while its hit is in flight.
 	pendEntry *cache.Entry
 	pendAddr  mem.Addr
 	pendVal   uint64
