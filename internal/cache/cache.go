@@ -91,7 +91,7 @@ type Cache struct {
 
 	chunks []*[chunkEntries]Entry
 	used   int      // entries handed out from the chunks since New or Reset, in order
-	free   []*Entry // handed-out entries whose lines were invalidated; capacity = the slab's
+	free   []*Entry // handed-out entries whose lines were invalidated
 }
 
 // New builds a cache from cfg. Size must be a positive multiple of
@@ -223,7 +223,9 @@ func (c *Cache) InsertID(l mem.Line, id mem.LineID, st State, data mem.LineData)
 }
 
 // alloc hands out an entry for an invalid way: the entry freed last, else
-// the slab's next, growing the slab when every entry is out.
+// the slab's next, growing the slab by a chunk when every entry is out. The
+// slab and the free list keep their capacity across Reset, so a warm run
+// grows neither unless it goes past an earlier run's peak.
 func (c *Cache) alloc() *Entry {
 	if n := len(c.free); n > 0 {
 		e := c.free[n-1]
@@ -231,20 +233,11 @@ func (c *Cache) alloc() *Entry {
 		return e
 	}
 	if c.used == len(c.chunks)*chunkEntries {
-		c.grow()
+		c.chunks = append(c.chunks, new([chunkEntries]Entry))
 	}
 	e := &c.chunks[c.used/chunkEntries][c.used%chunkEntries]
 	c.used++
 	return e
-}
-
-// grow adds a chunk to the slab and sizes the free list to the whole slab,
-// so Invalidate's append never allocates. The free list is empty here
-// (alloc grows only when it is), and a reused cache grows only past its
-// earlier peak.
-func (c *Cache) grow() {
-	c.chunks = append(c.chunks, new([chunkEntries]Entry))
-	c.free = make([]*Entry, 0, len(c.chunks)*chunkEntries)
 }
 
 // Invalidate removes l from the array if present, zeroing its entry and
