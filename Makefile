@@ -43,8 +43,10 @@ cover-update:
 	@rm -f cover.txt
 
 # Host-time benchmarks only: BenchmarkSweepParallelism (serial vs pooled vs
-# traced sweep), the internal/noc mesh benches and internal/sim's
-# BenchmarkEngineRun (ns per engine event). Simulated results come
+# traced sweep), the internal/noc mesh benches, internal/sim's
+# BenchmarkEngineRun (ns per engine event) and internal/cache's
+# BenchmarkAccessHit and BenchmarkInsertEvict (the loops of the benchmark's
+# two cache kernels). Simulated results come
 # from cmd/experiments (tables, figures, -exp <ablation>); substrate numbers
 # from the repository benchmark's kernels, `bash bench/run.sh --trace 1`:
 # sim.kernel_ns_per_event, noc.kernel_ns_per_send,

@@ -141,7 +141,7 @@ func (c *Cache) setIndex(l mem.Line) int {
 	return int((uint64(l) / mem.LineBytes) & c.setMask)
 }
 
-func (c *Cache) set(l mem.Line) []tag {
+func (c *Cache) setSlice(l mem.Line) []tag {
 	base := c.setIndex(l) * c.ways
 	return c.tags[base : base+c.ways]
 }
@@ -149,7 +149,7 @@ func (c *Cache) set(l mem.Line) []tag {
 // Lookup returns the entry holding l, or nil. It does not touch LRU state;
 // use Access for demand references.
 func (c *Cache) Lookup(l mem.Line) *Entry {
-	set := c.set(l)
+	set := c.setSlice(l)
 	for i := range set {
 		if set[i].line == l && set[i].e != nil {
 			return set[i].e
@@ -205,7 +205,7 @@ func (c *Cache) InsertID(l mem.Line, id mem.LineID, st State, data mem.LineData)
 	if c.Lookup(l) != nil {
 		panic(fmt.Sprintf("cache: double insert of line %v", l))
 	}
-	set := c.set(l)
+	set := c.setSlice(l)
 	v := victim(set)
 	if v < 0 {
 		return nil, Entry{}, false
@@ -243,7 +243,7 @@ func (c *Cache) alloc() *Entry {
 // Invalidate removes l from the array if present, zeroing its entry and
 // returning it to the free list.
 func (c *Cache) Invalidate(l mem.Line) {
-	set := c.set(l)
+	set := c.setSlice(l)
 	for i := range set {
 		if e := set[i].e; set[i].line == l && e != nil {
 			*e = Entry{}
